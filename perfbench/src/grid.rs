@@ -8,10 +8,11 @@
 //!   `execute` runs serially. The trace layer and three distinct SoC
 //!   builds take a large share.
 
+use crate::calib::Gauge;
 use crate::layers::{self, Observed, PointRun};
 use crate::spans::{Recorder, SpanLog};
 use crate::util::{digest, median, peak_rss_mb, ratio};
-use crate::{Args, Outcome, GOLDEN_DIR, SETUP_REPS};
+use crate::{timed_setup, Args, Outcome, GOLDEN_DIR};
 use esp4ml::apps::{CaseApp, TrainedModels};
 use esp4ml::experiments::{Fig7, Fig8, GridPoint};
 use esp4ml::runtime::RunMetrics;
@@ -26,7 +27,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// An untraced run executes the workload at least this often.
-const MIN_REPS: u64 = 3;
+const MIN_REPS: usize = 3;
 /// The requests' `jobs`: the harness default on a two-core machine.
 const JOBS: usize = 2;
 
@@ -247,42 +248,43 @@ fn timed_execute(
     Ok((resp, start.elapsed().as_secs_f64()))
 }
 
-/// Runs a grid workload. Untraced, it executes the request until
-/// `args.seconds` have passed and reports the end-to-end metrics.
+/// Runs a grid workload. Untraced, it executes the request once to warm
+/// up, then until `args.seconds` have passed, each execute followed by a
+/// reference pass that scales its time to the nominal host speed, and
+/// reports the end-to-end metrics from the median scaled time.
 pub fn run(grid: Grid, args: &Args) -> Result<Outcome, String> {
-    let mut setup = Vec::with_capacity(SETUP_REPS);
-    let mut ready = None;
-    for rep in 0..SETUP_REPS {
-        let begin = if rep == 0 {
-            args.started
-        } else {
-            Instant::now()
-        };
+    let (setup_s, (models, req)) = timed_setup(args.started, || {
         let models = TrainedModels::untrained();
-        let golden = Golden::load(grid)?;
         let req = grid.request();
         req.validate()?;
-        setup.push(begin.elapsed().as_secs_f64());
-        ready = Some((models, golden, req));
-    }
-    let (models, golden, req) = ready.expect("set-up ran at least once");
+        Ok((models, req))
+    })?;
+    let golden = Golden::load(grid)?;
     if args.trace {
         return traced(grid, &models, &golden, &req);
     }
     let mut out = Outcome::default();
-    let mut walls = Vec::new();
+    let checked = |result: &Result<RunResponse, _>| match result {
+        Ok(resp) => golden.check_response(resp),
+        Err(e) => vec![format!("{e}")],
+    };
+    // The process's first execute runs measurably slower; it is checked
+    // but not timed.
+    let start = Instant::now();
+    let result = request::execute(&req, &models);
+    out.extra("warm_up_s", start.elapsed().as_secs_f64(), "s");
+    out.operation(checked(&result));
+    let mut gauge = Gauge::new();
+    let (mut walls, mut scaled) = (Vec::new(), Vec::new());
     let mut cycles = 0;
     let begin = Instant::now();
-    while out.attempted < MIN_REPS || begin.elapsed().as_secs_f64() < args.seconds {
+    while walls.len() < MIN_REPS || begin.elapsed().as_secs_f64() < args.seconds {
         let start = Instant::now();
         let result = request::execute(&req, &models);
         let wall = start.elapsed().as_secs_f64();
-        let problems = match &result {
-            Ok(resp) => golden.check_response(resp),
-            Err(e) => vec![e.to_string()],
-        };
-        if out.operation(problems) {
-            walls.push(wall);
+        walls.push(wall);
+        scaled.push(wall * gauge.factor());
+        if out.operation(checked(&result)) {
             cycles = result
                 .iter()
                 .flat_map(|r| &r.runs)
@@ -290,13 +292,15 @@ pub fn run(grid: Grid, args: &Args) -> Result<Outcome, String> {
                 .sum::<u64>();
         }
     }
-    let wall = median(&walls);
+    let wall = median(&scaled);
     let points = grid.points().len() as f64;
-    out.record("setup_s", median(&setup), "s");
+    out.record("setup_s", setup_s, "s");
     out.record("wall_s", wall, "s");
     out.record("sim_cycles_per_s", ratio(cycles as f64, wall), "1/s");
     out.record("jobs_per_s", ratio(points, wall), "1/s");
     out.record("peak_rss_mb", peak_rss_mb()?, "MB");
+    out.extra("wall_raw_s", median(&walls), "s");
+    out.extra("reference_s", gauge.reference_s(), "s");
     Ok(out)
 }
 
@@ -411,6 +415,7 @@ fn traced(
     layers::request_metrics(&log, &mut out);
     let traced_wall = to.saturating_sub(from) as f64 * 1e-9;
     out.record("bench.span_overhead_s", traced_wall - plain_wall, "s");
+    layers::check_replay(traced_wall, plain_wall, &mut out);
     let coverage = log.coverage(from, to);
     out.record("bench.span_coverage", coverage, "ratio");
     if coverage < 0.9 {

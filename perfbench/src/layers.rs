@@ -6,11 +6,13 @@
 //! prepare the buffers, write the input frames, run, read the outputs
 //! back. It calls each layer's public function itself so that a traced
 //! run can wrap every call in a span; the goldens check that it
-//! computes what the library path computes.
+//! computes what the library path computes, and [`check_replay`] warns
+//! when its host time strays from the library's. Keep it in step with
+//! `AppRun::execute_with` in `crates/core/src/experiments.rs`.
 
 use crate::spans::{Recorder, SpanLog};
 use crate::util::median;
-use crate::Outcome;
+use crate::{Outcome, REPLAY_TOLERANCE};
 use esp4ml::apps::{argmax, decode_values, encode_image, CaseApp, TrainedModels};
 use esp4ml::noc::NocStats;
 use esp4ml::runtime::{Dataflow, EspRuntime, ExecMode, RunMetrics, RunSpec};
@@ -399,6 +401,24 @@ pub fn layer_metrics(log: &SpanLog, runs: &[PointRun], snapshot_kib: f64, out: &
     );
     if runs.iter().any(|r| r.mode == ExecMode::Base) {
         out.extra("runtime.run_s.base", run_s(ExecMode::Base), "s");
+    }
+}
+
+/// Compares a call-by-call replay's wall time with that of the library
+/// call it stands for and warns when they differ by more than
+/// `REPLAY_TOLERANCE`. [`run_point`] copies the sequence of the library's
+/// private `AppRun::execute_with`; a wide gap means one of them changed
+/// its host-side steps and the per-layer figures no longer describe the
+/// program.
+pub fn check_replay(replay_s: f64, library_s: f64, out: &mut Outcome) {
+    let share = crate::util::ratio(replay_s, library_s);
+    out.extra("bench.replay_vs_execute", share, "x");
+    if (share - 1.0).abs() > REPLAY_TOLERANCE {
+        eprintln!(
+            "warning: the call-by-call replay took {replay_s:.3} s against {library_s:.3} s \
+             for the library's execute; check that run_point still follows \
+             AppRun::execute_with"
+        );
     }
 }
 

@@ -22,6 +22,7 @@
 //! unobserved runs; do that only when simulated behaviour is meant to
 //! change. `--selftest` checks the `serve_mix` request generator.
 
+mod calib;
 mod grid;
 mod layers;
 mod serve_mix;
@@ -37,7 +38,10 @@ pub const GOLDEN_DIR: &str = "perfbench/goldens";
 /// Where traced runs write their span logs.
 pub const TRACE_DIR: &str = ".bench_out";
 /// Set-up runs this many times per run; its median is reported.
-pub const SETUP_REPS: usize = 5;
+const SETUP_REPS: usize = 5;
+/// The largest share by which a call-by-call replay may differ from the
+/// library call it stands for before the run warns: the end-to-end bound.
+pub const REPLAY_TOLERANCE: f64 = 0.25;
 
 const WORKLOADS: [&str; 3] = ["fig7_sweep", "fig8_observed", "serve_mix"];
 
@@ -133,6 +137,26 @@ impl Outcome {
             serde_json::to_string(&record).expect("a Value always serializes")
         );
     }
+}
+
+/// Runs a workload's set-up `SETUP_REPS` times and returns the median
+/// seconds it took and the last result. The first repetition is timed
+/// from `started`, so it also holds the process's own start.
+pub fn timed_setup<T>(
+    started: Instant,
+    mut setup: impl FnMut() -> Result<T, String>,
+) -> Result<(f64, T), String> {
+    let mut seconds = Vec::with_capacity(SETUP_REPS);
+    let mut ready = None;
+    for rep in 0..SETUP_REPS {
+        // The previous repetition's result goes before the clock starts.
+        drop(ready.take());
+        let begin = if rep == 0 { started } else { Instant::now() };
+        ready = Some(setup()?);
+        seconds.push(begin.elapsed().as_secs_f64());
+    }
+    let ready = ready.expect("set-up ran at least once");
+    Ok((util::median(&seconds), ready))
 }
 
 /// A measured run's arguments.

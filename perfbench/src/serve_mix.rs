@@ -15,10 +15,11 @@
 //! cache entries, so a request not repeated for a while misses again
 //! after LRU eviction.
 
+use crate::calib::Gauge;
 use crate::layers::{self, PointRun};
 use crate::spans::{Recorder, SpanLog};
 use crate::util::{digest, median, peak_rss_mb, quantile, ratio};
-use crate::{Args, Outcome, GOLDEN_DIR, SETUP_REPS};
+use crate::{timed_setup, Args, Outcome, GOLDEN_DIR};
 use esp4ml::apps::TrainedModels;
 use esp4ml::experiments::{Fig8, GridPoint, Table1};
 use esp4ml_bench::request::{self, RunRequest, RunResponse, WorkloadKind};
@@ -67,6 +68,9 @@ const MIN_MISSES: usize = 100;
 /// The clients stop here even short of `MIN_MISSES`, well inside the
 /// run's time limit.
 const MAX_LOOP: Duration = Duration::from_secs(120);
+/// A measured run drives the clients in this many segments of equal
+/// length, each followed by a reference pass that scales it.
+const SEGMENTS: u32 = 12;
 /// Long-poll hold per status request, in milliseconds.
 const WAIT_MS: u64 = 10_000;
 /// Requests a traced run sends untraced and then traced, each on a
@@ -471,6 +475,8 @@ struct Sample {
     key: String,
     /// Seconds from submit to artifact received.
     latency_s: f64,
+    /// The gauge factor of the segment the request ran in.
+    scale: f64,
     artifact: String,
 }
 
@@ -530,6 +536,7 @@ fn request_once(
         hit,
         key,
         latency_s: begin.elapsed().as_secs_f64(),
+        scale: 1.0,
         artifact,
     })
 }
@@ -537,36 +544,35 @@ fn request_once(
 /// When the clients stop.
 #[derive(Clone, Copy)]
 enum Stop {
-    /// After this many seconds, once the run holds `MIN_MISSES` misses.
+    /// After this many seconds.
     Seconds(f64),
     /// After this many requests.
     Requests(usize),
 }
 
+/// What the clients did in one [`drive`].
+struct Driven {
+    attempts: Vec<Result<Sample, String>>,
+    recorders: Vec<Recorder>,
+    /// Seconds the clients ran.
+    seconds: f64,
+    /// Requests of the sequence taken, run or not.
+    taken: usize,
+}
+
 /// Runs the clients over `seq` until `stop`. With `t0`, every client
-/// records its route spans. Returns every attempt, the client recorders
-/// and the seconds the clients ran.
-fn drive(
-    addr: SocketAddr,
-    seq: &[MixRequest],
-    stop: Stop,
-    t0: Option<Instant>,
-) -> (Vec<Result<Sample, String>>, Vec<Recorder>, f64) {
+/// records its route spans.
+fn drive(addr: SocketAddr, seq: &[MixRequest], stop: Stop, t0: Option<Instant>) -> Driven {
     let next = AtomicUsize::new(0);
-    let misses = AtomicUsize::new(0);
     let begin = Instant::now();
     let done = |claimed: usize| match stop {
         Stop::Requests(n) => claimed >= n,
-        Stop::Seconds(seconds) => {
-            let elapsed = begin.elapsed();
-            (elapsed.as_secs_f64() >= seconds && misses.load(Ordering::SeqCst) >= MIN_MISSES)
-                || elapsed >= MAX_LOOP
-        }
+        Stop::Seconds(seconds) => begin.elapsed().as_secs_f64() >= seconds,
     };
     let per_client = std::thread::scope(|scope| {
         let clients: Vec<_> = (1..=CLIENTS)
             .map(|client| {
-                let (next, misses, done) = (&next, &misses, &done);
+                let (next, done) = (&next, &done);
                 scope.spawn(move || {
                     let mut rec =
                         t0.map_or_else(Recorder::disabled, |t0| Recorder::new(t0, client));
@@ -577,11 +583,7 @@ fn drive(
                         if done(i) || i >= seq.len() {
                             break;
                         }
-                        let attempt = request_once(addr, &tenant, seq[i], &mut rec);
-                        if matches!(&attempt, Ok(s) if !s.hit) {
-                            misses.fetch_add(1, Ordering::SeqCst);
-                        }
-                        attempts.push(attempt);
+                        attempts.push(request_once(addr, &tenant, seq[i], &mut rec));
                     }
                     (attempts, rec)
                 })
@@ -592,20 +594,27 @@ fn drive(
             .map(|c| c.join().expect("client thread panicked"))
             .collect::<Vec<_>>()
     });
-    let ran = begin.elapsed().as_secs_f64();
+    let seconds = begin.elapsed().as_secs_f64();
     let mut attempts = Vec::new();
     let mut recorders = Vec::new();
     for (client_attempts, rec) in per_client {
         attempts.extend(client_attempts);
         recorders.push(rec);
     }
-    (attempts, recorders, ran)
+    Driven {
+        attempts,
+        recorders,
+        seconds,
+        taken: next.into_inner().min(seq.len()),
+    }
 }
 
 /// Latencies by cache outcome, and the cycles the misses simulated.
 #[derive(Default)]
 struct Served {
     hits: Vec<f64>,
+    /// Hit latencies at the nominal host speed.
+    hits_scaled: Vec<f64>,
     misses: Vec<f64>,
     cycles: u64,
 }
@@ -652,6 +661,7 @@ fn check(attempts: Vec<Result<Sample, String>>, golden: &Golden, out: &mut Outco
         if out.operation(problems) {
             if sample.hit {
                 served.hits.push(sample.latency_s);
+                served.hits_scaled.push(sample.latency_s * sample.scale);
             } else {
                 served.misses.push(sample.latency_s);
                 served.cycles += golden.cycles(sample.req);
@@ -667,43 +677,62 @@ fn latency_extras(served: &Served, out: &mut Outcome) {
     out.extra("miss_p90_ms", quantile(&served.misses, 0.9) * 1e3, "ms");
     out.extra("hits", served.hits.len() as f64, "count");
     out.extra("misses", served.misses.len() as f64, "count");
+    let completed = (served.hits.len() + served.misses.len()) as f64;
+    out.extra(
+        "hit_share",
+        ratio(served.hits.len() as f64, completed),
+        "ratio",
+    );
 }
 
 /// Runs `serve_mix`. Untraced, the clients run for `args.seconds` (and
-/// at least `MIN_MISSES` misses) and the end-to-end metrics are
-/// reported: `wall_s` is the median miss latency, `jobs_per_s` the
-/// completed requests per second.
+/// at least `MIN_MISSES` misses) in `SEGMENTS` segments, each followed by
+/// a reference pass, and the end-to-end metrics are reported at the
+/// nominal host speed: `wall_s` is the median hit latency,
+/// `sim_cycles_per_s` the cycles the misses simulated per second the
+/// clients ran, `jobs_per_s` the completed requests per second.
 pub fn run(args: &Args) -> Result<Outcome, String> {
-    let mut setup = Vec::with_capacity(SETUP_REPS);
-    let mut ready = None;
-    for rep in 0..SETUP_REPS {
-        let begin = if rep == 0 {
-            args.started
-        } else {
-            Instant::now()
-        };
-        let golden = Golden::load()?;
+    let (setup_s, (seq, server)) = timed_setup(args.started, || {
         let (seq, _) = generate(args.seed, SEQUENCE_LEN);
-        let server = Server::start()?;
-        setup.push(begin.elapsed().as_secs_f64());
-        // Replacing the previous set-up stops its engine.
-        ready = Some((golden, seq, server));
-    }
-    let (golden, seq, server) = ready.expect("set-up ran at least once");
+        Ok((seq, Server::start()?))
+    })?;
+    let golden = Golden::load()?;
     if args.trace {
         return traced(&golden, &seq, server);
     }
     let mut out = Outcome::default();
-    let (attempts, _, ran) = drive(server.addr, &seq, Stop::Seconds(args.seconds), None);
+    let mut gauge = Gauge::new();
+    let segment = Stop::Seconds(args.seconds / f64::from(SEGMENTS));
+    let (mut attempts, mut ran, mut ran_scaled, mut next) = (Vec::new(), 0.0, 0.0, 0);
+    let mut misses = 0;
+    let begin = Instant::now();
+    while (begin.elapsed().as_secs_f64() < args.seconds || misses < MIN_MISSES)
+        && begin.elapsed() < MAX_LOOP
+        && next < seq.len()
+    {
+        let mut driven = drive(server.addr, &seq[next..], segment, None);
+        let factor = gauge.factor();
+        for sample in driven.attempts.iter_mut().flatten() {
+            sample.scale = factor;
+            misses += usize::from(!sample.hit);
+        }
+        attempts.extend(driven.attempts);
+        ran += driven.seconds;
+        ran_scaled += driven.seconds * factor;
+        next += driven.taken;
+    }
     let served = check(attempts, &golden, &mut out);
     out.problems.extend(selftest(args.seed));
     let completed = (served.hits.len() + served.misses.len()) as f64;
-    out.record("setup_s", median(&setup), "s");
-    out.record("wall_s", median(&served.misses), "s");
-    out.record("sim_cycles_per_s", ratio(served.cycles as f64, ran), "1/s");
-    out.record("jobs_per_s", ratio(completed, ran), "1/s");
+    out.record("setup_s", setup_s, "s");
+    out.record("wall_s", median(&served.hits_scaled), "s");
+    let cycles = served.cycles as f64;
+    out.record("sim_cycles_per_s", ratio(cycles, ran_scaled), "1/s");
+    out.record("jobs_per_s", ratio(completed, ran_scaled), "1/s");
     out.record("peak_rss_mb", peak_rss_mb()?, "MB");
     latency_extras(&served, &mut out);
+    out.extra("jobs_raw_per_s", ratio(completed, ran), "1/s");
+    out.extra("reference_s", gauge.reference_s(), "s");
     Ok(out)
 }
 
@@ -739,15 +768,14 @@ fn traced(golden: &Golden, seq: &[MixRequest], server: Server) -> Result<Outcome
         }
     });
     let stop = Stop::Requests(TRACED_REQUESTS);
-    let (attempts, _, plain_s) = main.span("phase plain", |_| drive(server.addr, seq, stop, None));
-    check(attempts, golden, &mut out);
+    let plain = main.span("phase plain", |_| drive(server.addr, seq, stop, None));
+    check(plain.attempts, golden, &mut out);
     drop(server);
     let fresh = Server::start()?;
     let from = main.now_ns();
-    let (attempts, clients, traced_s) =
-        main.span("phase traced", |_| drive(fresh.addr, seq, stop, Some(t0)));
+    let traced = main.span("phase traced", |_| drive(fresh.addr, seq, stop, Some(t0)));
     let to = main.now_ns();
-    let served = check(attempts, golden, &mut out);
+    let served = check(traced.attempts, golden, &mut out);
     latency_extras(&served, &mut out);
     let (status, scrape) = main.span("serve.metrics", |_| {
         call(fresh.addr, "GET", "/v1/metrics", "", "bench")
@@ -761,7 +789,7 @@ fn traced(golden: &Golden, seq: &[MixRequest], server: Server) -> Result<Outcome
     let models = TrainedModels::untrained();
     let mut runs: Vec<PointRun> = Vec::new();
     let mut responses: Vec<RunResponse> = Vec::new();
-    let mut sanitize_s = 0.0;
+    let (mut sanitize_s, mut replay_s, mut execute_s) = (0.0, 0.0, 0.0);
     main.span("phase replay", |rec| -> Result<(), String> {
         for selection in 0..SELECTIONS.len() {
             let plain = MixRequest {
@@ -770,7 +798,9 @@ fn traced(golden: &Golden, seq: &[MixRequest], server: Server) -> Result<Outcome
                 sanitize: false,
             };
             let point = plain.point();
+            let begin = Instant::now();
             let run = layers::run_point(rec, &point.app, point.mode, &models, REPLAY_FRAMES, None)?;
+            replay_s += begin.elapsed().as_secs_f64();
             let artifact = layers::metrics_artifact(std::slice::from_ref(&run));
             let mut problems: Vec<String> = golden.check(plain, &artifact).into_iter().collect();
             runs.push(run);
@@ -794,6 +824,7 @@ fn traced(golden: &Golden, seq: &[MixRequest], server: Server) -> Result<Outcome
                 }
             }
             sanitize_s += seconds[1] - seconds[0];
+            execute_s += seconds[0];
             out.operation(problems);
         }
         Ok(())
@@ -817,12 +848,13 @@ fn traced(golden: &Golden, seq: &[MixRequest], server: Server) -> Result<Outcome
         layers::snapshot_probe(rec, &apps, &models, REPLAY_FRAMES)
     })?;
 
-    let log = SpanLog::merge(std::iter::once(main).chain(clients));
+    let log = SpanLog::merge(std::iter::once(main).chain(traced.recorders));
     layers::layer_metrics(&log, &runs, snapshot_kib, &mut out);
     layers::request_metrics(&log, &mut out);
-    out.record("bench.span_overhead_s", traced_s - plain_s, "s");
+    out.record("bench.span_overhead_s", traced.seconds - plain.seconds, "s");
     out.record("bench.span_coverage", log.coverage(from, to), "ratio");
     out.extra("sanitize.overhead_s", sanitize_s, "s");
+    layers::check_replay(replay_s, execute_s, &mut out);
     let route_ms = |name: &str| median(&log.durations_s(name)) * 1e3;
     out.extra("serve.http_rtt_ms", route_ms("serve.healthz"), "ms");
     out.extra("serve.submit_ms", route_ms("serve.submit"), "ms");
