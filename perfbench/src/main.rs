@@ -233,6 +233,7 @@ fn main() -> ExitCode {
     let result = match command {
         Command::WriteGoldens => grid::write_goldens().and_then(|()| serve_mix::write_goldens()),
         Command::Selftest(seed) => {
+            println!("serve_mix seed {seed}: {}", serve_mix::shares(seed));
             let problems = serve_mix::selftest(seed);
             for problem in &problems {
                 eprintln!("self-test failed: {problem}");

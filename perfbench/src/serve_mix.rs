@@ -70,7 +70,7 @@ const MIN_MISSES: usize = 100;
 const MAX_LOOP: Duration = Duration::from_secs(120);
 /// A measured run drives the clients in this many segments of equal
 /// length, each followed by a reference pass that scales it.
-const SEGMENTS: u32 = 12;
+const SEGMENTS: u32 = 24;
 /// Long-poll hold per status request, in milliseconds.
 const WAIT_MS: u64 = 10_000;
 /// Requests a traced run sends untraced and then traced, each on a
@@ -80,8 +80,11 @@ const TRACED_REQUESTS: usize = 200;
 const RTT_PROBES: usize = 50;
 /// Frames of the points a traced run replays call by call.
 const REPLAY_FRAMES: u64 = 4;
-/// Sequence length of the generator self-test.
-const SELFTEST_LEN: usize = 2_000;
+/// Sequence length of the generator self-test: long enough that the
+/// shares vary from seed to seed by a standard deviation of 0.002-0.004,
+/// so every bound of the self-test lies over ten standard deviations out
+/// and no seed fails it by chance.
+const SELFTEST_LEN: usize = 20_000;
 /// How far the self-test lets two seeds' shares differ.
 const SELFTEST_TOLERANCE: f64 = 0.05;
 
@@ -270,6 +273,15 @@ fn profile(seed: u64) -> (Vec<MixRequest>, MixProfile) {
     (seq, shares)
 }
 
+/// The shares of `seed`'s sequence, for the self-test's report.
+pub fn shares(seed: u64) -> String {
+    let p = profile(seed).1;
+    format!(
+        "repeat {:.3}, hit {:.3}, sanitized misses {:.3}",
+        p.repeat, p.hit, p.sanitized_misses
+    )
+}
+
 /// The generator self-test: a seed gives the same sequence every time,
 /// and the next seed a different sequence with the same repeat, hit and
 /// sanitize shares. Returns the problems found.
@@ -298,9 +310,12 @@ pub fn selftest(seed: u64) -> Vec<String> {
     if !(0.4..=0.65).contains(&pa.repeat) {
         problems.push(format!("repeat share {:.3}, not about half", pa.repeat));
     }
-    if !(0.15..=0.35).contains(&pa.sanitized_misses) {
+    // One fresh request in four is sanitized, but the sanitized share of
+    // misses is about a third: a fresh plain request more often finds its
+    // key already cached from an earlier deal of the deck.
+    if !(0.25..=0.45).contains(&pa.sanitized_misses) {
         problems.push(format!(
-            "sanitized share of misses {:.3}, not about a quarter",
+            "sanitized share of misses {:.3}, not about a third",
             pa.sanitized_misses
         ));
     }
