@@ -58,8 +58,10 @@ pub fn default_jobs() -> usize {
 ///
 /// # Errors
 ///
-/// The first (in grid order) point that failed to build or run, or whose
-/// sanitizer found violations.
+/// [`ExperimentError::Grid`] up front when both `sanitize` and `faults`
+/// are set (as [`crate::request::RunRequest::validate`] refuses them);
+/// otherwise the first (in grid order) point that failed to build or run,
+/// or whose sanitizer found violations.
 #[allow(clippy::too_many_arguments)] // mirrors the RunRequest field set
 pub fn run_grid(
     points: &[GridPoint],
@@ -72,6 +74,13 @@ pub fn run_grid(
     fork_prefix: bool,
     progress: Option<&dyn ProgressSink>,
 ) -> Result<Vec<AppRun>, ExperimentError> {
+    if sanitize && faults.is_some() {
+        return Err(ExperimentError::Grid(
+            "faults cannot be combined with sanitize; injected faults deliberately \
+             break the invariants the sanitizer audits"
+                .into(),
+        ));
+    }
     let exec = |p: &GridPoint| {
         if sanitize {
             p.run_sanitized(models, frames, engine)
@@ -306,6 +315,36 @@ mod tests {
                 assert_eq!(c.metrics, f.metrics, "{} {:?} jobs={jobs}", c.label, c.mode);
                 assert_eq!(c.predictions, f.predictions);
                 assert_eq!(c.watts, f.watts);
+            }
+        }
+    }
+
+    #[test]
+    fn sanitize_with_faults_is_rejected_up_front() {
+        let models = TrainedModels::untrained();
+        let grid = Fig8::grid();
+        let faults = FaultConfig::from_plan(Default::default());
+        for fork_prefix in [false, true] {
+            let err = run_grid(
+                &grid,
+                &models,
+                2,
+                SocEngine::EventDriven,
+                1,
+                true,
+                Some(&faults),
+                fork_prefix,
+                None,
+            )
+            .unwrap_err();
+            match err {
+                ExperimentError::Grid(msg) => {
+                    assert!(
+                        msg.contains("faults cannot be combined with sanitize"),
+                        "{msg}"
+                    )
+                }
+                other => panic!("expected a grid error, got {other}"),
             }
         }
     }

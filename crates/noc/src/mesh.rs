@@ -239,6 +239,73 @@ pub struct Mesh {
     tracer: Tracer,
     sanitizer: Option<Box<MeshSanitizer>>,
     faults: Option<Box<MeshFaults>>,
+    /// Occupancy counts — derived state, kept at every queue push and pop,
+    /// recomputed by [`Mesh::restore_state`] and never serialized.
+    occupancy: Occupancy,
+    /// Per-tick scratch buffers, owned so a tick allocates nothing.
+    scratch: TickScratch,
+}
+
+/// Cached flit and packet counts that let [`Mesh::tick`] and the idle
+/// checks skip empty tiles instead of scanning every queue.
+#[derive(Debug, PartialEq)]
+struct Occupancy {
+    /// Flits waiting in each tile's injection queues (all planes).
+    inject: Vec<usize>,
+    /// Sum of `inject`.
+    inject_total: usize,
+    /// Flits queued in router input queues, mesh-wide.
+    routed: usize,
+    /// Delivered packets not yet taken by their tiles, mesh-wide.
+    undelivered: usize,
+}
+
+impl Occupancy {
+    fn new(tiles: usize) -> Self {
+        Occupancy {
+            inject: vec![0; tiles],
+            inject_total: 0,
+            routed: 0,
+            undelivered: 0,
+        }
+    }
+
+    /// Counts every queue from scratch.
+    fn recount(routers: &[Router], endpoints: &[Vec<TileEndpoint>]) -> Self {
+        let inject: Vec<usize> = endpoints
+            .iter()
+            .map(|planes| planes.iter().map(|ep| ep.inject.len()).sum())
+            .collect();
+        Occupancy {
+            inject_total: inject.iter().sum(),
+            inject,
+            routed: routers.iter().map(Router::queued).sum(),
+            undelivered: endpoints
+                .iter()
+                .map(|planes| planes.iter().map(|ep| ep.eject.len()).sum::<usize>())
+                .sum(),
+        }
+    }
+
+    fn add_inject(&mut self, tile: usize, flits: usize) {
+        self.inject[tile] += flits;
+        self.inject_total += flits;
+    }
+}
+
+/// Buffers one tick fills and drains; kept across ticks for their
+/// capacity only.
+#[derive(Debug, Default)]
+struct TickScratch {
+    /// Routers holding flits after injection, in tile order, each with
+    /// the end of its run in `transfers`.
+    active: Vec<(usize, usize)>,
+    /// Downstream free slots per active router: `[tile][plane][out port]`.
+    /// Only the entries of planes that hold flits are written in a tick,
+    /// and only those are read.
+    free: Vec<[[usize; Port::COUNT]; Plane::COUNT]>,
+    /// The transfers selected this tick, grouped by router.
+    transfers: Vec<Transfer>,
 }
 
 impl Mesh {
@@ -275,6 +342,11 @@ impl Mesh {
             tracer: Tracer::disabled(),
             sanitizer: None,
             faults: None,
+            occupancy: Occupancy::new(cols * rows),
+            scratch: TickScratch {
+                free: vec![[[0; Port::COUNT]; Plane::COUNT]; cols * rows],
+                ..TickScratch::default()
+            },
         })
     }
 
@@ -442,6 +514,7 @@ impl Mesh {
                 ep.reasm.restore_state(es.reasm.clone());
             }
         }
+        self.occupancy = Occupancy::recount(&self.routers, &self.endpoints);
         self.sanitizer = state
             .sanitizer
             .as_ref()
@@ -709,6 +782,7 @@ impl Mesh {
             }
         }
         if let Some(flits) = self.fault_intercept(i, src, plane, flits) {
+            self.occupancy.add_inject(i, flits.len());
             self.endpoints[i][plane.index()].inject.extend(flits);
         }
         self.stats.plane_mut(plane).packets_injected += 1;
@@ -811,6 +885,7 @@ impl Mesh {
                     continue;
                 }
                 let d = f.delayed.remove(idx).expect("index in bounds");
+                self.occupancy.add_inject(d.tile, d.flits.len());
                 self.endpoints[d.tile][d.plane.index()]
                     .inject
                     .extend(d.flits);
@@ -873,7 +948,11 @@ impl Mesh {
     /// Removes and returns the oldest delivered packet at `(coord, plane)`.
     pub fn eject(&mut self, coord: Coord, plane: Plane) -> Option<Packet> {
         let i = self.tile_index(coord);
-        self.endpoints[i][plane.index()].eject.pop_front()
+        let pkt = self.endpoints[i][plane.index()].eject.pop_front();
+        if pkt.is_some() {
+            self.occupancy.undelivered -= 1;
+        }
+        pkt
     }
 
     /// Number of delivered packets waiting at `(coord, plane)`.
@@ -885,10 +964,7 @@ impl Mesh {
     /// Total packets delivered to ejection queues but not yet ejected by
     /// their tiles, across all coordinates and planes.
     pub fn undelivered_total(&self) -> usize {
-        self.endpoints
-            .iter()
-            .map(|planes| planes.iter().map(|ep| ep.eject.len()).sum::<usize>())
-            .sum()
+        self.occupancy.undelivered
     }
 
     /// Whether any traffic (queued flits or partial packets) remains in the
@@ -903,28 +979,19 @@ impl Mesh {
     /// fast-forward precondition (fault-delayed packets carry an absolute
     /// release cycle, so bulk-advancing over them is safe).
     fn traffic_idle(&self) -> bool {
-        for (ti, r) in self.routers.iter().enumerate() {
-            for plane in Plane::ALL {
-                if !self.endpoints[ti][plane.index()].inject.is_empty() {
-                    return false;
-                }
-                for port in Port::ALL {
-                    if r.occupancy(plane, port) > 0 {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+        self.occupancy.inject_total == 0 && self.occupancy.routed == 0
     }
 
     /// Advances the NoC by one cycle: local injection, router arbitration,
     /// link traversal, local ejection.
+    ///
+    /// The work is proportional to the traffic, not to the mesh: tiles
+    /// with empty injection queues and routers (or planes) with empty
+    /// input queues are skipped, and a cycle that leaves every router
+    /// empty after injection only advances the clock. Skipping is exact —
+    /// an empty router or plane selects nothing, records no credit stall
+    /// and leaves its wormhole locks and round-robin pointers alone.
     pub fn tick(&mut self) {
-        let cols = self.config.cols;
-        let rows = self.config.rows;
-        let n = cols * rows;
-
         // Phase 0: hand any fault-delayed packets whose release cycle has
         // arrived to their injection queues (no-op without armed faults).
         if self.faults.is_some() {
@@ -933,160 +1000,186 @@ impl Mesh {
 
         // Phase 1: move up to one flit per (tile, plane) from the injection
         // queue into the router's local input port.
-        for ti in 0..n {
-            for plane in Plane::ALL {
-                let free = self.routers[ti].free_slots(plane, Port::Local);
-                if free == 0 {
+        if self.occupancy.inject_total > 0 {
+            for ti in 0..self.routers.len() {
+                if self.occupancy.inject[ti] == 0 {
                     continue;
                 }
-                if let Some(flit) = self.endpoints[ti][plane.index()].inject.pop_front() {
-                    self.routers[ti].push_input(plane, Port::Local, flit);
-                    if let Some(san) = self.sanitizer.as_deref_mut() {
-                        san.observe_push(ti, plane, Port::Local);
+                for plane in Plane::ALL {
+                    if self.routers[ti].free_slots(plane, Port::Local) == 0 {
+                        continue;
                     }
-                }
-            }
-        }
-
-        // Phase 2: snapshot downstream free space. free[tile][plane][port]
-        // is the space in that router's *input* queue.
-        let mut free = vec![[[0usize; Port::COUNT]; Plane::COUNT]; n];
-        for (ti, r) in self.routers.iter().enumerate() {
-            for plane in Plane::ALL {
-                for port in Port::ALL {
-                    free[ti][plane.index()][port.index()] = r.free_slots(plane, port);
-                }
-            }
-        }
-        // Local "downstream" capacity: ejection queue slots (in packets; a
-        // partial packet may always continue, handled by treating a
-        // non-empty reassembly as free).
-        let mut local_free = vec![[0usize; Plane::COUNT]; n];
-        #[allow(clippy::needless_range_loop)] // ti also indexes self.endpoints
-        for ti in 0..n {
-            for plane in Plane::ALL {
-                let ep = &self.endpoints[ti][plane.index()];
-                local_free[ti][plane.index()] =
-                    self.config.eject_queue_depth.saturating_sub(ep.eject.len());
-            }
-        }
-
-        // Phase 3: arbitration per router; collect transfers.
-        let mut all_transfers: Vec<(usize, Transfer)> = Vec::new();
-        for ti in 0..n {
-            let coord = self.routers[ti].coord();
-            let transfers = {
-                let free_ref = &mut free;
-                let local_ref = &mut local_free;
-                self.routers[ti].select(|plane, out| {
-                    if out == Port::Local {
-                        local_ref[ti][plane.index()]
-                    } else {
-                        match out.step(coord) {
-                            Some(nc) if (nc.x as usize) < cols && (nc.y as usize) < rows => {
-                                let ni = nc.y as usize * cols + nc.x as usize;
-                                free_ref[ni][plane.index()][out.opposite().index()]
-                            }
-                            _ => 0, // edge of the mesh: nothing downstream
+                    if let Some(flit) = self.endpoints[ti][plane.index()].inject.pop_front() {
+                        self.occupancy.inject[ti] -= 1;
+                        self.occupancy.inject_total -= 1;
+                        self.occupancy.routed += 1;
+                        self.routers[ti].push_input(plane, Port::Local, flit);
+                        if let Some(san) = self.sanitizer.as_deref_mut() {
+                            san.observe_push(ti, plane, Port::Local);
                         }
                     }
-                })
-            };
-            // Reserve the space consumed by the selected transfers so other
-            // routers (and later ports of this one) see updated capacity.
-            for t in &transfers {
-                if t.out_port == Port::Local {
-                    // A slot is only consumed when the tail completes a
-                    // packet; approximating per-flit is safe because depth
-                    // is in packets and only tails commit.
-                    if t.flit.kind.is_tail() {
-                        local_free[ti][t.plane.index()] =
-                            local_free[ti][t.plane.index()].saturating_sub(1);
-                    }
-                } else if let Some(nc) = t.out_port.step(self.routers[ti].coord()) {
-                    let ni = nc.y as usize * cols + nc.x as usize;
-                    let slot = &mut free[ni][t.plane.index()][t.out_port.opposite().index()];
-                    *slot = slot.saturating_sub(1);
                 }
             }
-            if let Some(san) = self.sanitizer.as_deref_mut() {
-                for t in &transfers {
-                    san.observe_pop(ti, t.plane, t.in_port);
-                }
-            }
-            all_transfers.extend(transfers.into_iter().map(|t| (ti, t)));
         }
 
-        // Phase 4: commit — link traversal and local ejection.
-        for (ti, t) in all_transfers {
-            if t.out_port == Port::Local {
-                let plane = t.plane;
-                let is_tail = t.flit.kind.is_tail();
-                let inject_cycle = t.flit.inject_cycle;
-                let ep = &mut self.endpoints[ti][plane.index()];
-                let (completed, violation) = ep.reasm.push(t.flit);
-                if let Some(v) = violation {
-                    let coord = self.routers[ti].coord();
-                    match self.sanitizer.as_deref_mut() {
-                        Some(san) if san.config.wormhole => san.record(Diagnostic::error(
-                            codes::WORMHOLE_INTERLEAVING,
-                            format!("tile({},{}) plane {plane}", coord.x, coord.y),
-                            match v {
-                                ReasmViolation::HeadInterleaved => {
-                                    "wormhole interleaving: a head flit arrived while \
-                                     another packet was still reassembling"
-                                }
-                                ReasmViolation::StrayFlit => {
-                                    "wormhole interleaving: a body or tail flit arrived \
-                                     with no packet under reassembly"
-                                }
-                            },
-                        )),
-                        _ => debug_assert!(
-                            false,
-                            "wormhole violation {v:?} at ({},{}) plane {plane}",
-                            coord.x, coord.y
-                        ),
-                    }
-                }
-                if let Some(mut pkt) = completed {
-                    debug_assert!(is_tail);
-                    if let Some(san) = self.sanitizer.as_deref_mut() {
-                        san.delivered[plane.index()] += pkt.flit_len() as u64;
-                    }
-                    let latency = (self.cycle + 1).saturating_sub(inject_cycle);
-                    self.stats.plane_mut(plane).record_delivery(latency);
-                    let dest = self.routers[ti].coord();
-                    let frame = pkt.frame();
-                    self.tracer.emit(self.cycle + 1, trace_coord(dest), || {
-                        TraceEvent::NocPacketEject {
-                            plane: plane.index(),
-                            latency,
-                            frame,
-                        }
-                    });
-                    if self.faults.is_some() {
-                        self.fault_corrupt(dest, &mut pkt);
-                    }
-                    let ep = &mut self.endpoints[ti][plane.index()];
-                    ep.eject.push_back(pkt);
-                }
-            } else {
-                let coord = self.routers[ti].coord();
-                let nc = t.out_port.step(coord).expect("transfer stays in mesh");
-                let ni = self.tile_index(nc);
-                self.stats.plane_mut(t.plane).flit_hops += 1;
-                self.routers[ni].push_input(t.plane, t.out_port.opposite(), t.flit);
-                if let Some(san) = self.sanitizer.as_deref_mut() {
-                    san.observe_push(ni, t.plane, t.out_port.opposite());
-                }
-            }
+        if self.occupancy.routed > 0 {
+            let mut scratch = std::mem::take(&mut self.scratch);
+            self.arbitrate(&mut scratch);
+            self.commit(&mut scratch);
+            self.scratch = scratch;
         }
 
         self.cycle += 1;
         self.stats.cycles = self.cycle;
         if self.sanitizer.is_some() {
             self.sanitize_audit();
+        }
+    }
+
+    /// Phases 2 and 3 of a tick: snapshot downstream free space for every
+    /// router holding flits, then arbitrate each of them in tile order,
+    /// collecting the selected transfers in `scratch`.
+    fn arbitrate(&mut self, scratch: &mut TickScratch) {
+        let (cols, rows) = (self.config.cols, self.config.rows);
+        let TickScratch {
+            active,
+            free,
+            transfers,
+        } = scratch;
+        active.clear();
+        transfers.clear();
+        // Phase 2: downstream free space, read before any router pops.
+        // free[ti][plane][out] is the space in the queue `out` feeds: the
+        // neighbour's input queue facing this router, or (Local) the
+        // ejection queue, counted in packets. Every input queue has exactly
+        // one upstream feeder per tick (the neighbour across its link, or
+        // injection for Local), and a feeder moves at most one flit per
+        // (plane, output), so no reservation between routers is needed.
+        for (ti, r) in self.routers.iter().enumerate() {
+            if r.queued() == 0 {
+                continue;
+            }
+            active.push((ti, 0));
+            let coord = r.coord();
+            for plane in Plane::ALL {
+                if r.plane_queued(plane) == 0 {
+                    continue;
+                }
+                let pi = plane.index();
+                for out in Port::ALL {
+                    free[ti][pi][out.index()] = if out == Port::Local {
+                        // A partial packet may always continue; only tails
+                        // consume a (packet-counted) ejection slot.
+                        self.config
+                            .eject_queue_depth
+                            .saturating_sub(self.endpoints[ti][pi].eject.len())
+                    } else {
+                        match out.step(coord) {
+                            Some(nc) if (nc.x as usize) < cols && (nc.y as usize) < rows => {
+                                let ni = nc.y as usize * cols + nc.x as usize;
+                                self.routers[ni].free_slots(plane, out.opposite())
+                            }
+                            _ => 0, // edge of the mesh: nothing downstream
+                        }
+                    };
+                }
+            }
+        }
+        // Phase 3: arbitration per active router.
+        for (ti, end) in active.iter_mut() {
+            let start = transfers.len();
+            let router_free = &free[*ti];
+            self.routers[*ti].select(
+                |plane, out| router_free[plane.index()][out.index()],
+                transfers,
+            );
+            *end = transfers.len();
+            self.occupancy.routed -= *end - start;
+            if let Some(san) = self.sanitizer.as_deref_mut() {
+                for t in &transfers[start..] {
+                    san.observe_pop(*ti, t.plane, t.in_port);
+                }
+            }
+        }
+    }
+
+    /// Phase 4 of a tick: commit the transfers `arbitrate` selected — link
+    /// traversal and local ejection — in tile order.
+    fn commit(&mut self, scratch: &mut TickScratch) {
+        let mut transfers = scratch.transfers.drain(..);
+        let mut done = 0;
+        for &(ti, end) in &scratch.active {
+            for t in transfers.by_ref().take(end - done) {
+                self.commit_one(ti, t);
+            }
+            done = end;
+        }
+    }
+
+    /// Commits one transfer selected by router `ti`.
+    fn commit_one(&mut self, ti: usize, t: Transfer) {
+        if t.out_port == Port::Local {
+            let plane = t.plane;
+            let is_tail = t.flit.kind.is_tail();
+            let inject_cycle = t.flit.inject_cycle;
+            let ep = &mut self.endpoints[ti][plane.index()];
+            let (completed, violation) = ep.reasm.push(t.flit);
+            if let Some(v) = violation {
+                let coord = self.routers[ti].coord();
+                match self.sanitizer.as_deref_mut() {
+                    Some(san) if san.config.wormhole => san.record(Diagnostic::error(
+                        codes::WORMHOLE_INTERLEAVING,
+                        format!("tile({},{}) plane {plane}", coord.x, coord.y),
+                        match v {
+                            ReasmViolation::HeadInterleaved => {
+                                "wormhole interleaving: a head flit arrived while \
+                                 another packet was still reassembling"
+                            }
+                            ReasmViolation::StrayFlit => {
+                                "wormhole interleaving: a body or tail flit arrived \
+                                 with no packet under reassembly"
+                            }
+                        },
+                    )),
+                    _ => debug_assert!(
+                        false,
+                        "wormhole violation {v:?} at ({},{}) plane {plane}",
+                        coord.x, coord.y
+                    ),
+                }
+            }
+            if let Some(mut pkt) = completed {
+                debug_assert!(is_tail);
+                if let Some(san) = self.sanitizer.as_deref_mut() {
+                    san.delivered[plane.index()] += pkt.flit_len() as u64;
+                }
+                let latency = (self.cycle + 1).saturating_sub(inject_cycle);
+                self.stats.plane_mut(plane).record_delivery(latency);
+                let dest = self.routers[ti].coord();
+                let frame = pkt.frame();
+                self.tracer.emit(self.cycle + 1, trace_coord(dest), || {
+                    TraceEvent::NocPacketEject {
+                        plane: plane.index(),
+                        latency,
+                        frame,
+                    }
+                });
+                if self.faults.is_some() {
+                    self.fault_corrupt(dest, &mut pkt);
+                }
+                self.endpoints[ti][plane.index()].eject.push_back(pkt);
+                self.occupancy.undelivered += 1;
+            }
+        } else {
+            let coord = self.routers[ti].coord();
+            let nc = t.out_port.step(coord).expect("transfer stays in mesh");
+            let ni = self.tile_index(nc);
+            self.stats.plane_mut(t.plane).flit_hops += 1;
+            self.routers[ni].push_input(t.plane, t.out_port.opposite(), t.flit);
+            self.occupancy.routed += 1;
+            if let Some(san) = self.sanitizer.as_deref_mut() {
+                san.observe_push(ni, t.plane, t.out_port.opposite());
+            }
         }
     }
 
@@ -1452,6 +1545,72 @@ mod tests {
         assert_eq!(ps.packets_delivered, 2);
         assert!(ps.min_latency > 0);
         assert!(ps.min_latency < ps.max_latency);
+    }
+
+    /// Seeded all-plane traffic on a 5x3 mesh with a shallow ejection
+    /// queue, so the snapshot below catches flits in every kind of queue.
+    fn loaded_mesh(seed: u64) -> Mesh {
+        let mut cfg = MeshConfig::new(5, 3);
+        cfg.eject_queue_depth = 1;
+        let mut m = Mesh::new(cfg).expect("valid mesh");
+        let mut x = seed;
+        for _ in 0..60 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let src = Coord::new((x % 5) as u8, ((x >> 8) % 3) as u8);
+            let dst = Coord::new(((x >> 16) % 5) as u8, ((x >> 24) % 3) as u8);
+            let plane = Plane::ALL[((x >> 32) % 6) as usize];
+            let words = vec![x; ((x >> 40) % 6) as usize];
+            m.inject(Packet::new(src, dst, plane, MsgKind::DmaData, words))
+                .unwrap();
+        }
+        m
+    }
+
+    #[test]
+    fn occupancy_counts_survive_restore_mid_flight() {
+        let mut src = loaded_mesh(0x9e37_79b9);
+        for _ in 0..9 {
+            src.tick();
+        }
+        assert_eq!(
+            src.occupancy,
+            Occupancy::recount(&src.routers, &src.endpoints)
+        );
+        assert!(src.occupancy.routed > 0 && src.occupancy.inject_total > 0);
+        assert!(src.occupancy.undelivered > 0);
+        let state = src.state();
+        // Restore onto a mesh carrying different traffic: the counts must
+        // be replaced, not accumulated.
+        let mut dst = loaded_mesh(0x1234_5678);
+        dst.tick();
+        dst.restore_state(&state);
+        assert_eq!(
+            dst.occupancy,
+            Occupancy::recount(&dst.routers, &dst.endpoints)
+        );
+        assert_eq!(dst.occupancy, src.occupancy);
+        for _ in 0..400 {
+            assert_eq!(dst.progress(), src.progress());
+            assert_eq!(dst.is_idle(), src.is_idle());
+            assert_eq!(dst.undelivered_total(), src.undelivered_total());
+            for m in [&mut src, &mut dst] {
+                // A slow consumer: one tile drains per cycle, in turn.
+                let t = m.cycle % 15;
+                let c = Coord::new((t % 5) as u8, (t / 5) as u8);
+                for plane in Plane::ALL {
+                    let _ = m.eject(c, plane);
+                }
+                m.tick();
+            }
+            assert_eq!(
+                src.occupancy,
+                Occupancy::recount(&src.routers, &src.endpoints)
+            );
+        }
+        assert!(src.is_idle(), "traffic drained within the window");
+        assert_eq!(dst.state(), src.state());
     }
 
     #[test]

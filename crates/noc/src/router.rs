@@ -169,6 +169,10 @@ pub struct Router {
     table: RoutingTable,
     config: RouterConfig,
     planes: Vec<PlaneRouter>,
+    /// Flits queued in each plane's input FIFOs. Derived from `planes`
+    /// (kept at every push and pop, recomputed on restore, never
+    /// serialized) so arbitration can skip empty planes.
+    plane_queued: [usize; Plane::COUNT],
     /// Flits this router forwarded onto mesh links (all planes).
     forwarded_flits: u64,
     /// Flits moved through each `(plane, output port)` — link occupancy
@@ -196,6 +200,7 @@ impl Router {
             table: RoutingTable::xy(coord, cols, rows),
             config,
             planes: (0..Plane::COUNT).map(|_| PlaneRouter::new()).collect(),
+            plane_queued: [0; Plane::COUNT],
             forwarded_flits: 0,
             link_flits: vec![[0; Port::COUNT]; Plane::COUNT],
             credit_stalls: vec![0; Plane::COUNT],
@@ -278,6 +283,9 @@ impl Router {
             pr.locks.copy_from_slice(&ps.locks);
             pr.rr.copy_from_slice(&ps.rr);
         }
+        for (n, pr) in self.plane_queued.iter_mut().zip(&self.planes) {
+            *n = pr.inputs.iter().map(VecDeque::len).sum();
+        }
         self.forwarded_flits = state.forwarded_flits;
         self.link_flits.clone_from(&state.link_flits);
         self.credit_stalls.clone_from(&state.credit_stalls);
@@ -292,6 +300,16 @@ impl Router {
     /// Current occupancy of the input queue `(plane, port)`.
     pub fn occupancy(&self, plane: Plane, port: Port) -> usize {
         self.planes[plane.index()].inputs[port.index()].len()
+    }
+
+    /// Flits queued in all input queues of `plane`.
+    pub(crate) fn plane_queued(&self, plane: Plane) -> usize {
+        self.plane_queued[plane.index()]
+    }
+
+    /// Flits queued in all input queues of every plane.
+    pub(crate) fn queued(&self) -> usize {
+        self.plane_queued.iter().sum()
     }
 
     /// Pushes a flit into an input queue. Used by the mesh for link
@@ -309,6 +327,7 @@ impl Router {
             self.coord
         );
         q.push_back(flit);
+        self.plane_queued[plane.index()] += 1;
     }
 
     /// Arbitration phase: for every `(plane, output port)` pick at most one
@@ -316,14 +335,23 @@ impl Router {
     /// locks. `downstream_free` reports, for `(plane, out_port)`, how many
     /// flits the downstream queue can still accept this cycle.
     ///
-    /// Selected flits are popped from their input queues and returned; the
-    /// mesh commits them to downstream queues at the end of the cycle.
+    /// Selected flits are popped from their input queues and appended to
+    /// `transfers`; the mesh commits them to downstream queues at the end
+    /// of the cycle.
+    ///
+    /// Planes with no queued flit are skipped: with every input empty no
+    /// output can choose an input, so such a plane records no credit
+    /// stall and leaves its locks and round-robin pointers untouched —
+    /// skipping it is exactly what a full scan would do.
     pub(crate) fn select(
         &mut self,
         mut downstream_free: impl FnMut(Plane, Port) -> usize,
-    ) -> Vec<Transfer> {
-        let mut transfers = Vec::new();
+        transfers: &mut Vec<Transfer>,
+    ) {
         for plane in Plane::ALL {
+            if self.plane_queued[plane.index()] == 0 {
+                continue;
+            }
             let pr = &mut self.planes[plane.index()];
             for out in Port::ALL {
                 let oi = out.index();
@@ -363,6 +391,7 @@ impl Router {
                 let flit = pr.inputs[inp.index()]
                     .pop_front()
                     .expect("candidate queue non-empty");
+                self.plane_queued[plane.index()] -= 1;
                 // Maintain the wormhole lock.
                 if flit.kind.is_tail() {
                     pr.locks[oi] = None;
@@ -382,7 +411,6 @@ impl Router {
                 });
             }
         }
-        transfers
     }
 
     fn route_port(table: &RoutingTable, dest: Coord) -> Port {
@@ -443,7 +471,8 @@ mod tests {
             Port::Local,
             flit(Coord::new(2, 0), FlitKind::HeadTail),
         );
-        let t = r.select(|_, _| 4);
+        let mut t = Vec::new();
+        r.select(|_, _| 4, &mut t);
         assert_eq!(t.len(), 1);
         assert_eq!(t[0].out_port, Port::East);
     }
@@ -456,9 +485,11 @@ mod tests {
             Port::Local,
             flit(Coord::new(2, 0), FlitKind::HeadTail),
         );
-        let t = r.select(|_, _| 0);
+        let mut t = Vec::new();
+        r.select(|_, _| 0, &mut t);
         assert!(t.is_empty());
         assert_eq!(r.occupancy(Plane::DmaReq, Port::Local), 1);
+        assert_eq!(r.queued(), 1);
     }
 
     #[test]
@@ -481,7 +512,8 @@ mod tests {
             flit(Coord::new(1, 0), FlitKind::HeadTail),
         );
         // Cycle 1: some head wins the East output.
-        let t1 = r.select(|_, _| 4);
+        let mut t1 = Vec::new();
+        r.select(|_, _| 4, &mut t1);
         let winner_src_kind = t1
             .iter()
             .find(|t| t.out_port == Port::East)
@@ -490,7 +522,8 @@ mod tests {
             .kind;
         if winner_src_kind == FlitKind::Head {
             // Cycle 2: the locked wormhole must deliver A's tail, not B.
-            let t2 = r.select(|_, _| 4);
+            let mut t2 = Vec::new();
+            r.select(|_, _| 4, &mut t2);
             let east: Vec<_> = t2.iter().filter(|t| t.out_port == Port::East).collect();
             assert_eq!(east.len(), 1);
             assert_eq!(east[0].flit.kind, FlitKind::Tail);
@@ -510,7 +543,8 @@ mod tests {
             Port::West,
             flit(Coord::new(0, 0), FlitKind::HeadTail),
         );
-        let t = r.select(|_, _| 4);
+        let mut t = Vec::new();
+        r.select(|_, _| 4, &mut t);
         assert_eq!(t.len(), 2);
         assert_eq!(r.link_flits(Plane::DmaReq, Port::East), 1);
         assert_eq!(r.link_flits(Plane::DmaReq, Port::Local), 1);
@@ -529,15 +563,97 @@ mod tests {
             Port::Local,
             flit(Coord::new(2, 0), FlitKind::HeadTail),
         );
+        let mut t = Vec::new();
         for _ in 0..3 {
-            assert!(r.select(|_, _| 0).is_empty());
+            r.select(|_, _| 0, &mut t);
+            assert!(t.is_empty());
         }
         assert_eq!(r.credit_stalls(Plane::DmaReq), 3);
         assert_eq!(r.link_flits(Plane::DmaReq, Port::East), 0);
-        let t = r.select(|_, _| 4);
+        r.select(|_, _| 4, &mut t);
         assert_eq!(t.len(), 1);
         assert_eq!(r.credit_stalls(Plane::DmaReq), 3);
         assert_eq!(r.link_flits(Plane::DmaReq, Port::East), 1);
+    }
+
+    #[test]
+    fn select_appends_to_the_callers_buffer() {
+        let mut r = Router::new(Coord::new(0, 0), 3, 3, RouterConfig::default());
+        r.push_input(
+            Plane::DmaReq,
+            Port::Local,
+            flit(Coord::new(2, 0), FlitKind::HeadTail),
+        );
+        let mut t = vec![Transfer {
+            plane: Plane::IoIrq,
+            in_port: Port::North,
+            out_port: Port::South,
+            flit: flit(Coord::new(0, 2), FlitKind::HeadTail),
+        }];
+        r.select(|_, _| 4, &mut t);
+        assert_eq!(t.len(), 2, "select appends, it never clears");
+        assert_eq!(t[1].out_port, Port::East);
+    }
+
+    #[test]
+    fn queued_counts_track_pushes_pops_and_restore() {
+        let mut r = Router::new(Coord::new(1, 1), 3, 3, RouterConfig::default());
+        assert_eq!(r.queued(), 0);
+        r.push_input(
+            Plane::DmaReq,
+            Port::Local,
+            flit(Coord::new(2, 1), FlitKind::Head),
+        );
+        r.push_input(
+            Plane::DmaReq,
+            Port::Local,
+            flit(Coord::new(2, 1), FlitKind::Tail),
+        );
+        r.push_input(
+            Plane::CohReq,
+            Port::West,
+            flit(Coord::new(1, 1), FlitKind::HeadTail),
+        );
+        assert_eq!(r.plane_queued(Plane::DmaReq), 2);
+        assert_eq!(r.plane_queued(Plane::CohReq), 1);
+        assert_eq!(r.queued(), 3);
+        let state = r.state();
+        let mut t = Vec::new();
+        r.select(|_, _| 4, &mut t);
+        assert_eq!(t.len(), 2);
+        assert_eq!(r.plane_queued(Plane::DmaReq), 1);
+        assert_eq!(r.plane_queued(Plane::CohReq), 0);
+        // Counts are derived state: restore recomputes them.
+        r.restore_state(&state);
+        assert_eq!(r.plane_queued(Plane::DmaReq), 2);
+        assert_eq!(r.plane_queued(Plane::CohReq), 1);
+        assert_eq!(r.queued(), 3);
+    }
+
+    #[test]
+    fn empty_planes_keep_their_arbitration_state() {
+        let mut r = Router::new(Coord::new(1, 1), 3, 3, RouterConfig::default());
+        // A head leaves East and locks it; its tail has not arrived yet,
+        // so the plane is empty while the wormhole stays open.
+        r.push_input(
+            Plane::DmaReq,
+            Port::Local,
+            flit(Coord::new(2, 1), FlitKind::Head),
+        );
+        let mut t = Vec::new();
+        r.select(|_, _| 4, &mut t);
+        assert_eq!(t.len(), 1);
+        let before = r.state();
+        assert_eq!(
+            before.planes[Plane::DmaReq.index()].locks[2],
+            Some(Port::Local)
+        );
+        t.clear();
+        for _ in 0..5 {
+            r.select(|_, _| 0, &mut t);
+        }
+        assert!(t.is_empty());
+        assert_eq!(r.state(), before, "no stall, lock or pointer change");
     }
 
     #[test]

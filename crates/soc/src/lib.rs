@@ -68,8 +68,8 @@ mod soc;
 mod stats;
 
 pub use accel_tile::{
-    AccelConfig, AccelFaultsState, AccelState, AccelTile, AccelTileState, CommMode,
-    HangFaultState, ShortFaultState,
+    AccelConfig, AccelFaultsState, AccelState, AccelTile, AccelTileState, CommMode, HangFaultState,
+    ShortFaultState,
 };
 pub use error::SocError;
 pub use kernel::{AcceleratorKernel, KernelOutput, NnKernel, ScaleKernel};
@@ -78,7 +78,7 @@ pub use mem_tile::{DropFaultState, MemFaultsState, MemTile, MemTileState, Pendin
 pub use proc_tile::{ProcTile, ProcTileState};
 pub use regs::P2pConfig;
 pub use sanitize::{BlockedTile, DeadlockDiagnosis, SocSanitizerState};
-pub use soc::{RunOutcome, Soc, SocBuilder, SocEngine, SocSnapshot, TileKind};
+pub use soc::{EngineCounters, RunOutcome, Soc, SocBuilder, SocEngine, SocSnapshot, TileKind};
 pub use stats::{AccelStats, SocStats};
 
 // Diagnostic vocabulary of the sanitizer, re-exported so `Soc` users can

@@ -31,6 +31,27 @@ pub enum SocEngine {
     EventDriven,
 }
 
+/// How the engine advanced a [`Soc`]'s clock, read through
+/// [`Soc::engine_counters`].
+///
+/// These are host-side counters, not machine state: they count what this
+/// `Soc` instance did since it was built, are never captured by
+/// [`Soc::snapshot`] or touched by [`Soc::restore`], and appear in no
+/// statistics or rendered artifact (so they differ between engines
+/// without breaking the engines' byte-identity contract). On an instance
+/// that was never restored, `ticked_cycles + fast_forwarded_cycles` is
+/// [`Soc::cycle`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineCounters {
+    /// Cycles executed by a full [`Soc::tick`] of every component.
+    pub ticked_cycles: u64,
+    /// Cycles skipped by event-driven fast-forward (always zero under
+    /// [`SocEngine::Naive`]).
+    pub fast_forwarded_cycles: u64,
+    /// Fast-forward jumps taken.
+    pub fast_forward_spans: u64,
+}
+
 /// How a bounded run ([`Soc::run_until_idle`]) ended.
 #[must_use]
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -270,6 +291,7 @@ impl SocBuilder {
             series: None,
             engine: self.engine,
             sanitizer: None,
+            counters: EngineCounters::default(),
         })
     }
 }
@@ -333,6 +355,7 @@ pub struct Soc {
     series: Option<CounterSeries>,
     engine: SocEngine,
     sanitizer: Option<SocSanitizer>,
+    counters: EngineCounters,
 }
 
 impl Soc {
@@ -626,6 +649,13 @@ impl Soc {
         self.engine
     }
 
+    /// How the engine has advanced the clock so far: cycles ticked,
+    /// cycles fast-forwarded and fast-forward spans (see
+    /// [`EngineCounters`]).
+    pub fn engine_counters(&self) -> EngineCounters {
+        self.counters
+    }
+
     /// Switches the simulation engine (e.g. back to [`SocEngine::Naive`]
     /// as an oracle).
     pub fn set_engine(&mut self, engine: SocEngine) {
@@ -659,8 +689,8 @@ impl Soc {
     /// *uninstalls* any plan armed since it was taken (this is what lets
     /// one warmed checkpoint fork into both healthy and faulty runs).
     ///
-    /// The simulation engine and tracer are untouched: both are host-side
-    /// concerns, not machine state.
+    /// The simulation engine, tracer and [`EngineCounters`] are
+    /// untouched: all are host-side concerns, not machine state.
     ///
     /// # Errors
     ///
@@ -718,6 +748,7 @@ impl Soc {
     /// Advances the SoC by exactly one cycle, ticking every component
     /// (the naive per-cycle contract, regardless of engine).
     pub fn tick(&mut self) {
+        self.counters.ticked_cycles += 1;
         for t in &mut self.proc_tiles {
             t.tick(&mut self.mesh);
         }
@@ -800,6 +831,8 @@ impl Soc {
     /// `soc.cycles` moves during a boring span; every other counter
     /// plateaus).
     fn advance_time(&mut self, delta: u64) {
+        self.counters.fast_forwarded_cycles += delta;
+        self.counters.fast_forward_spans += 1;
         let start = self.mesh.cycle();
         for t in &mut self.accel_tiles {
             t.advance(delta);
@@ -1879,6 +1912,37 @@ mod engine_equivalence_tests {
             event.noc_heatmap(),
             "per-link NoC heatmap diverged"
         );
+    }
+
+    #[test]
+    fn engine_counters_account_for_every_elapsed_cycle() {
+        let naive = run_workload(SocEngine::Naive, None);
+        let event = run_workload(SocEngine::EventDriven, None);
+        let (n, e) = (naive.engine_counters(), event.engine_counters());
+        assert_eq!(n.ticked_cycles, naive.cycle());
+        assert_eq!(n.fast_forwarded_cycles, 0);
+        assert_eq!(n.fast_forward_spans, 0);
+        assert_eq!(e.ticked_cycles + e.fast_forwarded_cycles, event.cycle());
+        assert!(e.fast_forward_spans > 0, "fast-forward never engaged");
+        assert!(e.fast_forwarded_cycles >= e.fast_forward_spans);
+        assert!(e.ticked_cycles < n.ticked_cycles);
+    }
+
+    #[test]
+    fn engine_counters_stay_out_of_snapshots() {
+        let mut event = run_workload(SocEngine::EventDriven, None);
+        let before = event.engine_counters();
+        let snap = event.snapshot();
+        event.run_cycles(100);
+        let after = event.engine_counters();
+        assert_eq!(
+            after.ticked_cycles + after.fast_forwarded_cycles,
+            before.ticked_cycles + before.fast_forwarded_cycles + 100
+        );
+        // Restore rewinds the machine, not the host-side counters.
+        event.restore(&snap).unwrap();
+        assert_eq!(event.engine_counters(), after);
+        assert_eq!(event.snapshot(), snap);
     }
 
     #[test]
