@@ -1068,8 +1068,8 @@ impl Mesh {
                 let pi = plane.index();
                 for out in Port::ALL {
                     free[ti][pi][out.index()] = if out == Port::Local {
-                        // A partial packet may always continue; only tails
-                        // consume a (packet-counted) ejection slot.
+                        // Counted in packets: while the ejection queue is
+                        // full, every flit bound for it stalls.
                         self.config
                             .eject_queue_depth
                             .saturating_sub(self.endpoints[ti][pi].eject.len())
