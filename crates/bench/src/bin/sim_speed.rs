@@ -59,8 +59,9 @@ fn measure(
                 fork: bool|
      -> Result<(Vec<AppRun>, f64), Box<dyn std::error::Error>> {
         let start = Instant::now();
-        let runs =
-            parallel::run_grid(points, models, frames, engine, jobs, false, None, fork, None)?;
+        let runs = parallel::run_grid(
+            points, models, frames, engine, jobs, false, None, fork, None,
+        )?;
         Ok((runs, start.elapsed().as_secs_f64()))
     };
     // `run_grid` clamps the pool to the grid size; report the worker

@@ -102,9 +102,8 @@ impl Deserialize for Diagnostic {
                 .ok_or_else(|| serde::Error::custom(format!("missing diagnostic field {key:?}")))
         };
         let code_str = String::from_value(field("code")?)?;
-        let code = crate::codes::canonical(&code_str).ok_or_else(|| {
-            serde::Error::custom(format!("unknown diagnostic code {code_str:?}"))
-        })?;
+        let code = crate::codes::canonical(&code_str)
+            .ok_or_else(|| serde::Error::custom(format!("unknown diagnostic code {code_str:?}")))?;
         Ok(Diagnostic {
             code,
             severity: Severity::from_value(field("severity")?)?,

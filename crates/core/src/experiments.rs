@@ -19,8 +19,7 @@ use crate::observe::{ProfileReport, TraceSession};
 use esp4ml_baseline::{Platform, SoftwareApp, Workload};
 use esp4ml_check::Report;
 use esp4ml_runtime::{
-    AppBuffers, Dataflow, EspRuntime, ExecMode, RunMetrics, RunSpec, RuntimeError,
-    RuntimeSnapshot,
+    AppBuffers, Dataflow, EspRuntime, ExecMode, RunMetrics, RunSpec, RuntimeError, RuntimeSnapshot,
 };
 use esp4ml_soc::{SanitizerConfig, SocEngine};
 use esp4ml_trace::{TileCoord, TraceEvent};
@@ -750,9 +749,7 @@ impl PreparedApp {
         }
         let metrics = match self.rt.run(&spec, &self.buf) {
             Ok(m) => m,
-            Err(RuntimeError::Timeout { .. })
-                if faults.is_some_and(|fc| fc.software_fallback) =>
-            {
+            Err(RuntimeError::Timeout { .. }) if faults.is_some_and(|fc| fc.software_fallback) => {
                 return AppRun::software_fallback(
                     &self.app,
                     &self.models,

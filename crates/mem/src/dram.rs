@@ -327,7 +327,10 @@ mod tests {
         d.write_burst(10, &[1, 2, 0, 0, 3]);
         d.poke(500, 7);
         let s = d.state();
-        assert_eq!(s.spans, vec![(10, vec![1, 2]), (14, vec![3]), (500, vec![7])]);
+        assert_eq!(
+            s.spans,
+            vec![(10, vec![1, 2]), (14, vec![3]), (500, vec![7])]
+        );
         assert_eq!((s.dirty_lo, s.dirty_hi), (10, 501));
 
         // Diverge, then restore: contents and stats return exactly.

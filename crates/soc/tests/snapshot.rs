@@ -10,9 +10,7 @@
 use esp4ml_check::SanitizerConfig;
 use esp4ml_fault::{FaultPlan, FaultSpec};
 use esp4ml_noc::Coord;
-use esp4ml_soc::{
-    AccelConfig, ScaleKernel, Soc, SocBuilder, SocEngine, SocError, SocSnapshot,
-};
+use esp4ml_soc::{AccelConfig, ScaleKernel, Soc, SocBuilder, SocEngine, SocError, SocSnapshot};
 use proptest::prelude::*;
 
 const A: Coord = Coord { x: 0, y: 1 };
