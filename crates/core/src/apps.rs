@@ -299,13 +299,14 @@ pub fn build_soc1(models: &TrainedModels) -> Result<Soc, BuildError> {
         Coord::new(4, 1),
         Coord::new(0, 2),
     ];
-    // All classifier copies share a kind (same compiled network), so the
-    // runtime can fail over between them when one breaks.
+    // The classifier is compiled once; every copy is a renamed instance
+    // sharing its weights. All copies share a kind (same compiled
+    // network), so the runtime can fail over between them when one breaks.
+    let classifier = flow.compile_ml(&models.classifier, "cl", &CLASSIFIER_REUSE)?;
+    let classifier_tile =
+        |name: &str| NnKernel::new(classifier.renamed(name)).with_kind("svhn_classifier");
     for (i, &c) in cl_coords.iter().enumerate() {
-        let kernel = flow
-            .ml_accelerator(&models.classifier, &format!("cl{i}"), &CLASSIFIER_REUSE)?
-            .with_kind("svhn_classifier");
-        b = b.accelerator(c, Box::new(kernel));
+        b = b.accelerator(c, Box::new(classifier_tile(&format!("cl{i}"))));
     }
     let denoiser = flow
         .ml_accelerator(&models.denoiser, "denoiser", &DENOISER_REUSE)?
@@ -314,10 +315,7 @@ pub fn build_soc1(models: &TrainedModels) -> Result<Soc, BuildError> {
     // The denoiser pipeline has its own downstream classifier tile (Fig. 6
     // maps the De→Cl chain onto dedicated tiles), bringing SoC-1 to the
     // paper's "up to ten" accelerators.
-    let cl_de = flow
-        .ml_accelerator(&models.classifier, "cl_de", &CLASSIFIER_REUSE)?
-        .with_kind("svhn_classifier");
-    b = b.accelerator(Coord::new(2, 2), Box::new(cl_de));
+    b = b.accelerator(Coord::new(2, 2), Box::new(classifier_tile("cl_de")));
     Ok(b.build()?)
 }
 

@@ -2,15 +2,18 @@
 
 use esp4ml_hls::{DenseLayerHls, FixedSpec, HlsEstimate, Resources};
 use esp4ml_nn::Activation;
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One quantized dense layer of a compiled network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedDense {
     n_in: usize,
     n_out: usize,
-    /// Row-major `n_in x n_out` weights as raw fixed-point values.
-    weights: Vec<i64>,
+    /// Output-major `n_out x n_in` weights as raw fixed-point values: row
+    /// `j` holds every weight feeding output `j`. [`FixedSpec`] widths are
+    /// at most 32 bits, so every raw value fits an `i32`. Clones share
+    /// the array.
+    weights: Arc<[i32]>,
     /// Raw fixed-point biases.
     bias: Vec<i64>,
     activation: Activation,
@@ -19,7 +22,7 @@ pub struct QuantizedDense {
 }
 
 impl QuantizedDense {
-    /// Quantizes a float layer.
+    /// Quantizes a float layer whose weights are row-major `n_in x n_out`.
     pub(crate) fn quantize(
         weights: &[f32],
         bias: &[f32],
@@ -29,10 +32,18 @@ impl QuantizedDense {
         spec: FixedSpec,
         reuse: u64,
     ) -> Self {
+        assert_eq!(weights.len(), n_in * n_out, "weight count mismatch");
+        let mut raw = vec![0i32; n_in * n_out];
+        for (i, row) in weights.chunks_exact(n_out.max(1)).enumerate() {
+            for (j, &w) in row.iter().enumerate() {
+                raw[j * n_in + i] =
+                    i32::try_from(spec.quantize(w as f64)).expect("widths are at most 32 bits");
+            }
+        }
         QuantizedDense {
             n_in,
             n_out,
-            weights: weights.iter().map(|&w| spec.quantize(w as f64)).collect(),
+            weights: raw.into(),
             bias: bias.iter().map(|&b| spec.quantize(b as f64)).collect(),
             activation,
             spec,
@@ -70,29 +81,57 @@ impl QuantizedDense {
         DenseLayerHls::new(self.n_in as u64, self.n_out as u64, self.reuse, self.spec)
     }
 
+    /// Terms per `i64` partial sum of a dot product. Weights and inputs
+    /// lie in `[min_raw, max_raw]`, so for a `b`-bit format each product
+    /// is at most `2^(2b-2)` in magnitude and `2^(62-2(b-1))` of them sum
+    /// to at most `2^62`, which no `i64` overflows.
+    fn chunk_len(&self) -> usize {
+        let shift = 62 - 2 * (self.spec.total_bits() - 1);
+        usize::try_from(1u64 << shift).unwrap_or(usize::MAX)
+    }
+
     /// Fixed-point forward pass on raw values.
     ///
-    /// The multiply-accumulate runs at full precision (as the HLS datapath
-    /// does with a wide accumulator) and the result is rescaled, saturated
-    /// and activated in the layer's own format.
+    /// The multiply-accumulate is exact (as the HLS datapath is with a
+    /// wide accumulator): each output is a contiguous dot product over
+    /// its weight row, summed in `i64` chunks that cannot overflow (see
+    /// `chunk_len`) and added into an `i128` accumulator. The result is
+    /// rescaled, saturated and activated in the layer's own format.
     ///
     /// # Panics
     ///
-    /// Panics if `input.len() != n_in`.
+    /// Panics if `input.len() != n_in`, or if an input lies outside
+    /// `[spec.min_raw(), spec.max_raw()]`.
     pub fn forward_fixed(&self, input: &[i64]) -> Vec<i64> {
         assert_eq!(input.len(), self.n_in, "input width mismatch");
-        let frac = self.spec.frac_bits();
-        let mut out = Vec::with_capacity(self.n_out);
-        for j in 0..self.n_out {
-            // Wide accumulator: i128 cannot overflow for any realistic layer.
-            let mut acc: i128 = (self.bias[j] as i128) << frac;
-            for (i, &x) in input.iter().enumerate() {
-                acc += x as i128 * self.weights[i * self.n_out + j] as i128;
-            }
-            let raw = self.spec.saturate((acc >> frac) as i64);
-            out.push(self.apply_activation(raw));
-        }
-        out
+        let (lo, hi) = (self.spec.min_raw(), self.spec.max_raw());
+        let x: Vec<i32> = input
+            .iter()
+            .map(|&v| {
+                assert!((lo..=hi).contains(&v), "input {v} outside [{lo}, {hi}]");
+                v as i32
+            })
+            .collect();
+        let chunk = self.chunk_len();
+        (0..self.n_out)
+            .map(|j| {
+                let row = &self.weights[j * self.n_in..(j + 1) * self.n_in];
+                let mut acc = (self.bias[j] as i128) << self.spec.frac_bits();
+                for (w, x) in row.chunks(chunk).zip(x.chunks(chunk)) {
+                    let sum: i64 = w.iter().zip(x).map(|(&w, &x)| w as i64 * x as i64).sum();
+                    acc += sum as i128;
+                }
+                self.finish(acc)
+            })
+            .collect()
+    }
+
+    /// Rescales a full-precision accumulator, saturates it into the
+    /// layer's format and applies the activation.
+    fn finish(&self, acc: i128) -> i64 {
+        let (lo, hi) = (self.spec.min_raw(), self.spec.max_raw());
+        let raw = (acc >> self.spec.frac_bits()).clamp(lo as i128, hi as i128) as i64;
+        self.apply_activation(raw)
     }
 
     fn apply_activation(&self, raw: i64) -> i64 {
@@ -124,7 +163,7 @@ impl QuantizedDense {
 /// carries the per-layer HLS reports that the SoC integration flow uses for
 /// floorplanning (resources) and that the simulator uses for timing
 /// (latency, initiation interval).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledNn {
     name: String,
     layers: Vec<QuantizedDense>,
@@ -140,6 +179,17 @@ impl CompiledNn {
     /// The IP name.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The same network deployed under another IP name. The copy shares
+    /// this network's weights, so a SoC hosting several instances of one
+    /// accelerator holds its weights once.
+    pub fn renamed(&self, name: &str) -> CompiledNn {
+        CompiledNn {
+            name: name.to_string(),
+            layers: self.layers.clone(),
+            spec: self.spec,
+        }
     }
 
     /// The fixed-point format.
@@ -166,7 +216,8 @@ impl CompiledNn {
     ///
     /// # Panics
     ///
-    /// Panics if `input.len() != input_dim()`.
+    /// Panics if `input.len() != input_dim()`, or if an input lies outside
+    /// `[spec().min_raw(), spec().max_raw()]`.
     pub fn infer_fixed(&self, input: &[i64]) -> Vec<i64> {
         let mut a = input.to_vec();
         for layer in &self.layers {
@@ -238,7 +289,7 @@ impl CompiledNn {
     /// Splits the network into one single-layer accelerator per dense
     /// layer — the paper's *multi-tile (partitioned) classifier*, where the
     /// computation is distributed across five accelerator tiles that
-    /// communicate over the NoC.
+    /// communicate over the NoC. The parts share this network's weights.
     pub fn split_layers(&self) -> Vec<CompiledNn> {
         self.layers
             .iter()
@@ -255,6 +306,148 @@ impl CompiledNn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const ACTIVATIONS: [Activation; 5] = [
+        Activation::Linear,
+        Activation::Relu,
+        Activation::Sigmoid,
+        Activation::Tanh,
+        Activation::Softmax,
+    ];
+
+    /// The strided loop the contiguous datapath replaced, kept as an
+    /// oracle: row-major `n_in x n_out` weights, every product in `i128`.
+    fn reference_forward(l: &QuantizedDense, input: &[i64]) -> Vec<i64> {
+        let (n_in, n_out) = (l.n_in, l.n_out);
+        let mut row_major = vec![0i64; n_in * n_out];
+        for j in 0..n_out {
+            for i in 0..n_in {
+                row_major[i * n_out + j] = i64::from(l.weights[j * n_in + i]);
+            }
+        }
+        (0..n_out)
+            .map(|j| {
+                let mut acc: i128 = (l.bias[j] as i128) << l.spec.frac_bits();
+                for (i, &x) in input.iter().enumerate() {
+                    acc += x as i128 * row_major[i * n_out + j] as i128;
+                }
+                l.finish(acc)
+            })
+            .collect()
+    }
+
+    /// A layer from raw output-major weights.
+    fn raw_layer(
+        spec: FixedSpec,
+        n_in: usize,
+        weights: &[i64],
+        bias: &[i64],
+        activation: Activation,
+    ) -> QuantizedDense {
+        QuantizedDense {
+            n_in,
+            n_out: bias.len(),
+            weights: weights.iter().map(|&w| w as i32).collect(),
+            bias: bias.to_vec(),
+            activation,
+            spec,
+            reuse: 1,
+        }
+    }
+
+    /// A random layer (8/16/24/32-bit spec, up to 1,024 inputs, any
+    /// activation) and an input for it. Raw values hit both ends of the
+    /// range a third of the time each.
+    struct LayerAndInput;
+
+    impl Strategy for LayerAndInput {
+        type Value = (QuantizedDense, Vec<i64>);
+
+        fn sample(&self, rng: &mut TestRng) -> Self::Value {
+            let bits = [8u32, 16, 24, 32][(0..4usize).sample(rng)];
+            let spec = FixedSpec::new(bits, (1..=bits).sample(rng)).expect("valid widths");
+            let (n_in, n_out) = ((1..=1024usize).sample(rng), (1..=4usize).sample(rng));
+            let activation = ACTIVATIONS[(0..ACTIVATIONS.len()).sample(rng)];
+            let (lo, hi) = (spec.min_raw(), spec.max_raw());
+            let mut raw = |n: usize| -> Vec<i64> {
+                (0..n)
+                    .map(|_| match (0..3u8).sample(rng) {
+                        0 => lo,
+                        1 => hi,
+                        _ => (lo..=hi).sample(rng),
+                    })
+                    .collect()
+            };
+            let (w, b, x) = (raw(n_in * n_out), raw(n_out), raw(n_in));
+            (raw_layer(spec, n_in, &w, &b, activation), x)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn contiguous_datapath_matches_the_strided_oracle((l, x) in LayerAndInput) {
+            prop_assert_eq!(l.forward_fixed(&x), reference_forward(&l, &x));
+        }
+    }
+
+    #[test]
+    fn chunk_covers_a_whole_row_at_16_bits_and_one_term_at_32() {
+        let l = |bits| {
+            raw_layer(
+                FixedSpec::new(bits, 1).unwrap(),
+                0,
+                &[],
+                &[],
+                Activation::Linear,
+            )
+        };
+        assert!(l(16).chunk_len() >= 1 << 32);
+        assert_eq!(l(32).chunk_len(), 1);
+        assert_eq!(l(1).chunk_len(), 1 << 62);
+    }
+
+    #[test]
+    fn extreme_row_at_32_bits_needs_the_wide_accumulator() {
+        // min_raw * min_raw = 2^62 per term; 1,024 terms sum to 2^72,
+        // which only the i128 accumulator holds.
+        for int_bits in [1, 16, 32] {
+            let spec = FixedSpec::new(32, int_bits).unwrap();
+            let n = 1024;
+            let lo = spec.min_raw();
+            let l = raw_layer(spec, n, &vec![lo; n], &[0], Activation::Linear);
+            let x = vec![lo; n];
+            assert_eq!(l.forward_fixed(&x), reference_forward(&l, &x));
+            assert_eq!(
+                l.forward_fixed(&x),
+                vec![spec.max_raw()],
+                "ap_fixed<32, {int_bits}>"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn out_of_range_input_panics() {
+        let spec = FixedSpec::HLS4ML_DEFAULT;
+        let l = identity_layer(2, spec);
+        l.forward_fixed(&[0, spec.max_raw() + 1]);
+    }
+
+    #[test]
+    fn renamed_and_split_copies_share_weights() {
+        let spec = FixedSpec::HLS4ML_DEFAULT;
+        let nn = CompiledNn::new("t".into(), vec![identity_layer(3, spec)], spec);
+        let copy = nn.renamed("u");
+        assert_eq!(copy.name(), "u");
+        assert_eq!(copy.layers(), nn.layers());
+        let part = &nn.split_layers()[0];
+        for other in [&copy, part] {
+            assert!(Arc::ptr_eq(&nn.layers[0].weights, &other.layers[0].weights));
+        }
+    }
 
     fn identity_layer(n: usize, spec: FixedSpec) -> QuantizedDense {
         let mut w = vec![0.0f32; n * n];

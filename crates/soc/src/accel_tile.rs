@@ -459,6 +459,9 @@ pub struct AccelTile {
     /// Mesh cycle latched at the top of [`AccelTile::tick`], so FSM
     /// helpers can stamp trace events without threading the mesh through.
     cycle: u64,
+    /// Host-side count of [`AcceleratorKernel::compute`] calls since the
+    /// tile was built; not machine state, so never snapshotted or restored.
+    kernel_invocations: u64,
 }
 
 impl AccelTile {
@@ -513,6 +516,7 @@ impl AccelTile {
             sanitizer_violations: BTreeSet::new(),
             tracer: Tracer::disabled(),
             cycle: 0,
+            kernel_invocations: 0,
         }
     }
 
@@ -856,6 +860,12 @@ impl AccelTile {
     /// Execution statistics.
     pub fn stats(&self) -> &AccelStats {
         &self.stats
+    }
+
+    /// Kernel `compute` calls since the tile was built (host-side, like
+    /// [`crate::EngineCounters`]).
+    pub(crate) fn kernel_invocations(&self) -> u64 {
+        self.kernel_invocations
     }
 
     /// Resets the statistics counters.
@@ -1367,6 +1377,7 @@ impl AccelTile {
         let bits = self.kernel.data_bits();
         let input = unpack_values(&words, self.in_values as usize, bits);
         let out = self.kernel.compute(&input);
+        self.kernel_invocations += 1;
         debug_assert_eq!(
             out.values.len() as u64,
             self.kernel.output_values(),

@@ -200,12 +200,19 @@ impl AcceleratorKernel for ScaleKernel {
 pub struct NnKernel {
     nn: CompiledNn,
     kind: Option<String>,
+    /// [`CompiledNn::latency`], summed from the layer reports once.
+    latency: u64,
 }
 
 impl NnKernel {
     /// Wraps a compiled network.
     pub fn new(nn: CompiledNn) -> Self {
-        NnKernel { nn, kind: None }
+        let latency = nn.latency();
+        NnKernel {
+            nn,
+            kind: None,
+            latency,
+        }
     }
 
     /// Declares the interchangeability class (builder style): copies of
@@ -260,7 +267,7 @@ impl AcceleratorKernel for NnKernel {
         let out = self.nn.infer_fixed(&raw);
         KernelOutput {
             values: out.into_iter().map(|v| self.to_unsigned(v)).collect(),
-            cycles: self.nn.latency(),
+            cycles: self.latency,
         }
     }
 

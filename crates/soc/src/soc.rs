@@ -31,8 +31,8 @@ pub enum SocEngine {
     EventDriven,
 }
 
-/// How the engine advanced a [`Soc`]'s clock, read through
-/// [`Soc::engine_counters`].
+/// How the engine advanced a [`Soc`]'s clock and how many kernel
+/// computations it ran, read through [`Soc::engine_counters`].
 ///
 /// These are host-side counters, not machine state: they count what this
 /// `Soc` instance did since it was built, are never captured by
@@ -50,6 +50,9 @@ pub struct EngineCounters {
     pub fast_forwarded_cycles: u64,
     /// Fast-forward jumps taken.
     pub fast_forward_spans: u64,
+    /// Accelerator kernel computations run (one per
+    /// [`crate::AcceleratorKernel::compute`] call, summed over all tiles).
+    pub kernel_invocations: u64,
 }
 
 /// How a bounded run ([`Soc::run_until_idle`]) ended.
@@ -650,10 +653,17 @@ impl Soc {
     }
 
     /// How the engine has advanced the clock so far: cycles ticked,
-    /// cycles fast-forwarded and fast-forward spans (see
-    /// [`EngineCounters`]).
+    /// cycles fast-forwarded, fast-forward spans and kernel computations
+    /// (see [`EngineCounters`]).
     pub fn engine_counters(&self) -> EngineCounters {
-        self.counters
+        EngineCounters {
+            kernel_invocations: self
+                .accel_tiles
+                .iter()
+                .map(AccelTile::kernel_invocations)
+                .sum(),
+            ..self.counters
+        }
     }
 
     /// Switches the simulation engine (e.g. back to [`SocEngine::Naive`]
@@ -1332,6 +1342,33 @@ mod tests {
     }
 
     #[test]
+    fn kernel_invocations_are_frames_times_chain_length_under_both_engines() {
+        let frames = 3u64;
+        let run = |engine| {
+            let mut soc = basic_soc();
+            soc.set_engine(engine);
+            let (producer, consumer) = (Coord::new(0, 1), Coord::new(1, 1));
+            soc.map_contiguous(producer, 0, 4096).unwrap();
+            soc.map_contiguous(consumer, 0, 4096).unwrap();
+            soc.configure_accel(producer, &AccelConfig::dma_to_p2p(0, frames))
+                .unwrap();
+            soc.configure_accel(
+                consumer,
+                &AccelConfig::p2p_to_dma(vec![producer], 100, frames),
+            )
+            .unwrap();
+            assert_eq!(soc.engine_counters().kernel_invocations, 0);
+            soc.start_accel(producer).unwrap();
+            soc.start_accel(consumer).unwrap();
+            assert!(soc.run_until_idle(1_000_000).is_idle());
+            soc.engine_counters().kernel_invocations
+        };
+        let naive = run(SocEngine::Naive);
+        assert_eq!(naive, frames * 2);
+        assert_eq!(run(SocEngine::EventDriven), naive);
+    }
+
+    #[test]
     fn p2p_reduces_dram_traffic_vs_dma() {
         // Same two-stage pipeline through memory: measure DRAM accesses.
         let run_dma = || {
@@ -1926,6 +1963,8 @@ mod engine_equivalence_tests {
         assert!(e.fast_forward_spans > 0, "fast-forward never engaged");
         assert!(e.fast_forwarded_cycles >= e.fast_forward_spans);
         assert!(e.ticked_cycles < n.ticked_cycles);
+        // One accelerator ran two frames under each engine.
+        assert_eq!((n.kernel_invocations, e.kernel_invocations), (2, 2));
     }
 
     #[test]
