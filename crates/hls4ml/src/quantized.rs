@@ -34,10 +34,10 @@ impl QuantizedDense {
     ) -> Self {
         assert_eq!(weights.len(), n_in * n_out, "weight count mismatch");
         let mut raw = vec![0i32; n_in * n_out];
-        for (i, row) in weights.chunks_exact(n_out.max(1)).enumerate() {
-            for (j, &w) in row.iter().enumerate() {
-                raw[j * n_in + i] =
-                    i32::try_from(spec.quantize(w as f64)).expect("widths are at most 32 bits");
+        for i in 0..n_in {
+            for j in 0..n_out {
+                let w = spec.quantize(weights[i * n_out + j] as f64);
+                raw[j * n_in + i] = i32::try_from(w).expect("widths are at most 32 bits");
             }
         }
         QuantizedDense {
