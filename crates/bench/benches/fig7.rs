@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use esp4ml::apps::{CaseApp, TrainedModels};
-use esp4ml::experiments::AppRun;
+use esp4ml::experiments::{AppRun, RunOptions};
 use esp4ml_runtime::ExecMode;
 
 fn bench_fig7_modes(c: &mut Criterion) {
@@ -15,7 +15,12 @@ fn bench_fig7_modes(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(mode.label()),
             &mode,
-            |b, &mode| b.iter(|| AppRun::execute(&app, &models, 4, mode).expect("run succeeds")),
+            |b, &mode| {
+                b.iter(|| {
+                    AppRun::execute(&app, &models, 4, mode, RunOptions::default())
+                        .expect("run succeeds")
+                })
+            },
         );
     }
     group.finish();

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use esp4ml::apps::{CaseApp, TrainedModels};
-use esp4ml::experiments::AppRun;
+use esp4ml::experiments::{AppRun, RunOptions};
 use esp4ml_runtime::ExecMode;
 
 fn bench_fig8(c: &mut Criterion) {
@@ -14,7 +14,8 @@ fn bench_fig8(c: &mut Criterion) {
     for (label, mode) in [("no-p2p", ExecMode::Pipe), ("p2p", ExecMode::P2p)] {
         group.bench_with_input(BenchmarkId::from_parameter(label), &mode, |b, &mode| {
             b.iter(|| {
-                let run = AppRun::execute(&app, &models, 4, mode).expect("run succeeds");
+                let run = AppRun::execute(&app, &models, 4, mode, RunOptions::default())
+                    .expect("run succeeds");
                 run.metrics.dram_accesses
             })
         });

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use esp4ml::apps::TrainedModels;
-use esp4ml::experiments::{AppRun, Table1};
+use esp4ml::experiments::{AppRun, RunOptions, Table1};
 use esp4ml_runtime::ExecMode;
 
 fn bench_table1(c: &mut Criterion) {
@@ -12,7 +12,10 @@ fn bench_table1(c: &mut Criterion) {
     group.sample_size(10);
     for app in Table1::best_configs() {
         group.bench_with_input(BenchmarkId::from_parameter(app.label()), &app, |b, app| {
-            b.iter(|| AppRun::execute(app, &models, 4, ExecMode::P2p).expect("run succeeds"))
+            b.iter(|| {
+                AppRun::execute(app, &models, 4, ExecMode::P2p, RunOptions::default())
+                    .expect("run succeeds")
+            })
         });
     }
     group.finish();

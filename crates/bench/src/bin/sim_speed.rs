@@ -15,6 +15,7 @@
 
 use esp4ml::apps::TrainedModels;
 use esp4ml::experiments::{AppRun, Fig7, GridPoint, Table1};
+use esp4ml_bench::cli::{self, HarnessSpec, SIM_SPEED_FLAGS};
 use esp4ml_bench::parallel;
 use esp4ml_soc::SocEngine;
 use serde::Serialize;
@@ -103,33 +104,25 @@ fn measure(
 }
 
 fn main() {
-    let mut frames = 16u64;
+    let spec = HarnessSpec::new(
+        "sim_speed",
+        "time whole grids (naive vs event-driven, serial vs parallel, cold vs forked); \
+         the report goes to BENCH_sim_speed.json unless --out is given",
+        SIM_SPEED_FLAGS,
+    )
     // The parallel leg must actually exercise the pool: on a single-core
     // box `default_jobs()` is 1, which silently degenerated the
     // "parallel" measurement into a second serial run.
-    let mut jobs = parallel::default_jobs().max(2);
-    let mut out = PathBuf::from("BENCH_sim_speed.json");
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut grab = || it.next().ok_or_else(|| format!("{arg} needs a value"));
-        let result: Result<(), String> = (|| {
-            match arg.as_str() {
-                "--frames" => frames = grab()?.parse().map_err(|e| format!("--frames: {e}"))?,
-                "--jobs" => jobs = grab()?.parse().map_err(|e| format!("--jobs: {e}"))?,
-                "--out" => out = PathBuf::from(grab()?),
-                other => {
-                    return Err(format!(
-                        "unknown option {other}; supported: --frames N --jobs N --out PATH"
-                    ))
-                }
-            }
-            Ok(())
-        })();
-        if let Err(msg) = result {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    }
+    .with_defaults(|d| {
+        d.frames = 16;
+        d.jobs = parallel::default_jobs().max(2);
+    });
+    let args =
+        cli::parse(&spec, std::env::args().skip(1)).unwrap_or_else(|e| cli::exit_on_error(e));
+    let (frames, jobs) = (args.frames, args.jobs);
+    let out = args
+        .out
+        .unwrap_or_else(|| PathBuf::from("BENCH_sim_speed.json"));
     let models = TrainedModels::untrained();
     let grids: [(&str, Vec<GridPoint>); 2] = [("table1", Table1::grid()), ("fig7", Fig7::grid())];
     let mut report = Report {

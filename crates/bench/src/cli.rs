@@ -1,9 +1,9 @@
 //! The one command-line parser behind every harness binary.
 //!
-//! fig7/fig8/table1/espprof/espspan/espfault/espcheck/accuracy/training
-//! all parse the same [`HarnessArgs`] through [`parse`], differing only
-//! in the [`HarnessSpec`] naming which [`Flag`]s they accept and what
-//! their defaults are. One flag therefore has one spelling, one help
+//! fig7/fig8/table1/espprof/espspan/espfault/espcheck/accuracy/training/
+//! sim_speed all parse the same [`HarnessArgs`] through [`parse`],
+//! differing only in the [`HarnessSpec`] naming which [`Flag`]s they
+//! accept and what their defaults are. One flag therefore has one spelling, one help
 //! line, and one error message everywhere — `--engine` cannot drift
 //! between binaries — and every binary answers `--help`.
 
@@ -65,6 +65,8 @@ pub enum Flag {
     Flame,
     /// `--metrics PATH`
     Metrics,
+    /// `--out PATH`
+    Out,
     /// `--progress`
     Progress,
     /// `--deployment DEPLOY.json`
@@ -98,6 +100,7 @@ impl Flag {
             Flag::Json => "--json",
             Flag::Flame => "--flame",
             Flag::Metrics => "--metrics",
+            Flag::Out => "--out",
             Flag::Progress => "--progress",
             Flag::Deployment => "--deployment",
             Flag::Explain => "--explain",
@@ -121,7 +124,8 @@ impl Flag {
             | Flag::ConfigPath
             | Flag::Json
             | Flag::Flame
-            | Flag::Metrics => Some("PATH"),
+            | Flag::Metrics
+            | Flag::Out => Some("PATH"),
             Flag::Train
             | Flag::NoTrain
             | Flag::ForkPrefix
@@ -158,6 +162,7 @@ impl Flag {
             Flag::Json => "write the machine-readable report JSON",
             Flag::Flame => "write folded flame stacks",
             Flag::Metrics => "write the enveloped run-metrics artifact JSON",
+            Flag::Out => "write the enveloped report JSON",
             Flag::Progress => "print one progress JSON line to stderr per completed unit",
             Flag::Deployment => "statically analyze a multi-tenant deployment file (E07xx)",
             Flag::Explain => "print the documentation for a stable diagnostic code and exit",
@@ -256,6 +261,9 @@ pub const ESPCHECK_FLAGS: &[Flag] = &[
     Flag::Json,
     Flag::Progress,
 ];
+
+/// `sim_speed` — engine, parallel and fork timings of whole grids.
+pub const SIM_SPEED_FLAGS: &[Flag] = &[Flag::Frames, Flag::Jobs, Flag::Out];
 
 /// `accuracy`/`training` — training-budget flags only.
 pub const TRAINING_FLAGS: &[Flag] = &[Flag::Frames, Flag::Samples, Flag::Epochs];
@@ -459,6 +467,8 @@ pub struct HarnessArgs {
     pub flame: Option<PathBuf>,
     /// Where to write the enveloped run-metrics artifact (`--metrics`).
     pub metrics: Option<PathBuf>,
+    /// Where to write a binary's enveloped report (`--out`).
+    pub out: Option<PathBuf>,
     /// Print one progress JSON line to stderr per completed unit
     /// (`--progress`).
     pub progress: bool,
@@ -492,6 +502,7 @@ impl Default for HarnessArgs {
             json: None,
             flame: None,
             metrics: None,
+            out: None,
             progress: false,
             deployments: Vec::new(),
             explain: None,
@@ -572,6 +583,7 @@ fn parse_inner(
             Flag::Json => out.json = Some(PathBuf::from(value()?)),
             Flag::Flame => out.flame = Some(PathBuf::from(value()?)),
             Flag::Metrics => out.metrics = Some(PathBuf::from(value()?)),
+            Flag::Out => out.out = Some(PathBuf::from(value()?)),
             Flag::Progress => out.progress = true,
             Flag::Deployment => out.deployments.push(PathBuf::from(value()?)),
             Flag::Explain => out.explain = Some(value()?),
@@ -914,6 +926,20 @@ mod tests {
         assert_eq!(a.configs, vec![1, 4]);
         assert_eq!(a.modes, vec![ExecMode::Base]);
         assert!(parse_spec(&spec, &["--mode", "warp"]).is_err());
+    }
+
+    #[test]
+    fn sim_speed_spec_takes_out() {
+        let spec = HarnessSpec::new("sim_speed", "s", SIM_SPEED_FLAGS);
+        let a = parse_spec(&spec, &["--frames", "16", "--out", "b.json", "--jobs", "3"]).unwrap();
+        assert_eq!((a.frames, a.jobs), (16, 3));
+        assert_eq!(a.out, Some(PathBuf::from("b.json")));
+        assert!(parse_spec(&spec, &["--out"]).is_err());
+        assert!(parse_spec(&spec, &["--sanitize"]).is_err());
+        assert!(matches!(
+            parse_spec(&spec, &["--help"]),
+            Err(CliError::Help(_))
+        ));
     }
 
     #[test]

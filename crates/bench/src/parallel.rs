@@ -3,8 +3,9 @@
 //! Every [`GridPoint`] of a figure/table is an independent simulation —
 //! its own SoC, its own runtime, nothing shared but the (read-only)
 //! trained models — so the harness can scatter points across a scoped
-//! thread pool. Workers steal the next un-run point from a shared atomic
-//! cursor; results land in index-addressed slots, so collection order is
+//! thread pool. Workers steal the next un-run work unit (a point, or a
+//! group of points sharing a config prefix) from a shared atomic cursor;
+//! results land in index-addressed slots, so collection order is
 //! the grid order regardless of which worker finished when, and the
 //! assembled figure is bit-identical to a serial run.
 //!
@@ -14,7 +15,7 @@
 
 use crate::request::{Progress, ProgressSink};
 use esp4ml::apps::TrainedModels;
-use esp4ml::experiments::{AppRun, ExperimentError, GridPoint, PreparedApp};
+use esp4ml::experiments::{AppRun, ExperimentError, GridPoint, PreparedApp, RunKind, RunOptions};
 use esp4ml::faults::FaultConfig;
 use esp4ml_soc::SocEngine;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -30,26 +31,27 @@ pub fn default_jobs() -> usize {
 /// Runs every grid point under `engine` on up to `jobs` worker threads
 /// and returns the runs **in grid order**.
 ///
-/// `jobs <= 1` (or a single-point grid) runs serially on the calling
-/// thread with no pool at all, so the serial path stays the trivially
-/// auditable oracle.
+/// The work units are prefix groups. Without `fork_prefix` every point
+/// is its own group and runs as a cold [`AppRun::execute`]; with it,
+/// points sharing a config-prefix key ([`GridPoint::prefix_key`]) form
+/// one group, which executes its load/config phase once through a
+/// [`PreparedApp`] and forks the warm snapshot across its modes (a group
+/// of one runs cold, with no snapshot). Forked runs are byte-identical
+/// to cold starts (the snapshot contract), so results, figures and
+/// progress snapshots do not change, only the wall clock does. Workers
+/// steal whole groups from a shared cursor. `jobs <= 1` is the
+/// one-worker case of the same loop, run on the calling thread; with
+/// cold starts it is the serial oracle the other settings are checked
+/// against.
 ///
 /// With `sanitize` set, every point runs under the full runtime
-/// invariant sanitizer ([`esp4ml_soc::SanitizerConfig::all`]); the first
-/// violated invariant fails the grid with its typed diagnostics.
+/// invariant sanitizer ([`RunKind::Sanitized`]); the first violated
+/// invariant fails the grid with its typed diagnostics.
 ///
 /// With `faults` set, every point installs the fault plan on its SoC
 /// and arms the watchdog/retry/failover recovery layer
-/// ([`GridPoint::run_faulted`]) — every worker injects the same plan,
-/// so the grid stays deterministic.
-///
-/// With `fork_prefix` set, points sharing a config-prefix key
-/// ([`GridPoint::prefix_key`]) are grouped: each group executes its
-/// load/config phase once through a [`PreparedApp`] and forks the warm
-/// snapshot across its modes. Forked runs are byte-identical to cold
-/// starts (the snapshot contract), so results, figures and progress
-/// snapshots do not change — only the wall clock does. Workers then
-/// steal whole groups instead of single points.
+/// ([`RunKind::Faulted`]): every worker injects the same plan, so the
+/// grid stays deterministic.
 ///
 /// With `progress` set, one cumulative [`Progress`] snapshot is
 /// published per grid point **in grid order**, regardless of worker
@@ -74,52 +76,25 @@ pub fn run_grid(
     fork_prefix: bool,
     progress: Option<&dyn ProgressSink>,
 ) -> Result<Vec<AppRun>, ExperimentError> {
-    if sanitize && faults.is_some() {
-        return Err(ExperimentError::Grid(
-            "faults cannot be combined with sanitize; injected faults deliberately \
-             break the invariants the sanitizer audits"
-                .into(),
-        ));
-    }
-    let exec = |p: &GridPoint| {
-        if sanitize {
-            p.run_sanitized(models, frames, engine)
-        } else if let Some(fc) = faults {
-            p.run_faulted(models, frames, engine, fc)
-        } else {
-            p.run(models, frames, engine)
+    let kind = match (sanitize, faults) {
+        (true, Some(_)) => {
+            return Err(ExperimentError::Grid(
+                "faults cannot be combined with sanitize; injected faults deliberately \
+                 break the invariants the sanitizer audits"
+                    .into(),
+            ))
         }
+        (true, None) => RunKind::Sanitized,
+        (false, Some(fc)) => RunKind::Faulted(fc),
+        (false, None) => RunKind::Plain,
     };
-    let total = points.len() as u64;
-    let publish = |state: &mut PublishState, run: &AppRun| {
-        if let Some(sink) = progress {
-            state.done += 1;
-            state.frames += run.metrics.frames;
-            state.cycles += run.metrics.cycles;
-            sink.publish(&Progress {
-                points_done: state.done,
-                points_total: total,
-                frames_done: state.frames,
-                cycles: state.cycles,
-                label: format!("{} {}", run.label, run.mode.label()),
-            });
-        }
+    let opts = || RunOptions {
+        engine,
+        session: None,
+        kind,
     };
-    let jobs = jobs.min(points.len());
-    if !fork_prefix && jobs <= 1 {
-        // The serial cold-start path stays the trivially auditable
-        // oracle: no pool, no slots, first error short-circuits.
-        let mut state = PublishState::default();
-        let mut runs = Vec::with_capacity(points.len());
-        for point in points {
-            let run = exec(point)?;
-            publish(&mut state, &run);
-            runs.push(run);
-        }
-        return Ok(runs);
-    }
-    // Work units: single points when cold-starting, whole prefix groups
-    // (grid indices, first-appearance order) when forking.
+    // Work units as grid indices: singletons for cold starts, prefix
+    // groups in first-appearance order when forking.
     let groups: Vec<Vec<usize>> = if fork_prefix {
         let mut keys: Vec<String> = Vec::new();
         let mut groups: Vec<Vec<usize>> = Vec::new();
@@ -138,11 +113,14 @@ pub fn run_grid(
         (0..points.len()).map(|i| vec![i]).collect()
     };
     let exec_group = |group: &[usize]| -> Vec<(usize, Result<AppRun, ExperimentError>)> {
-        if !fork_prefix {
-            return group.iter().map(|&i| (i, exec(&points[i]))).collect();
-        }
         let first = &points[group[0]];
-        let mut prepared = match PreparedApp::load(&first.app, models, frames, engine, sanitize) {
+        if let [i] = *group {
+            return vec![(
+                i,
+                AppRun::execute(&first.app, models, frames, first.mode, opts()),
+            )];
+        }
+        let mut prepared = match PreparedApp::load(&first.app, models, frames, opts()) {
             Ok(p) => p,
             Err(e) => {
                 // The shared prefix failed: the real error lands in the
@@ -159,16 +137,10 @@ pub fn run_grid(
         };
         group
             .iter()
-            .map(|&i| {
-                let mode = points[i].mode;
-                let result = match faults {
-                    Some(fc) => prepared.run_faulted(mode, fc),
-                    None => prepared.run(mode),
-                };
-                (i, result)
-            })
+            .map(|&i| (i, prepared.run(points[i].mode, None)))
             .collect()
     };
+    let total = points.len() as u64;
     let slots: Vec<Mutex<Option<Result<AppRun, ExperimentError>>>> =
         points.iter().map(|_| Mutex::new(None)).collect();
     // Publisher state shared by all workers: `next` is the first slot
@@ -182,29 +154,40 @@ pub fn run_grid(
         let mut state = publisher.lock().expect("publisher lock");
         while let Some(slot) = slots.get(state.next) {
             let filled = slot.lock().expect("slot lock");
-            match filled.as_ref() {
-                Some(Ok(run)) => publish(&mut state, run),
+            let run = match filled.as_ref() {
+                Some(Ok(run)) => run,
                 // A failed point fails the whole grid; stop publishing
                 // rather than skip past the error.
                 Some(Err(_)) | None => break,
+            };
+            if let Some(sink) = progress {
+                state.done += 1;
+                state.frames += run.metrics.frames;
+                state.cycles += run.metrics.cycles;
+                sink.publish(&Progress {
+                    points_done: state.done,
+                    points_total: total,
+                    frames_done: state.frames,
+                    cycles: state.cycles,
+                    label: format!("{} {}", run.label, run.mode.label()),
+                });
             }
             state.next += 1;
         }
     };
+    let cursor = AtomicUsize::new(0);
+    let worker = || loop {
+        let g = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(group) = groups.get(g) else { break };
+        finish_group(exec_group(group));
+    };
     let workers = jobs.min(groups.len()).max(1);
-    if workers <= 1 {
-        for group in &groups {
-            finish_group(exec_group(group));
-        }
+    if workers == 1 {
+        worker();
     } else {
-        let cursor = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let g = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(group) = groups.get(g) else { break };
-                    finish_group(exec_group(group));
-                });
+                scope.spawn(worker);
             }
         });
     }
@@ -218,8 +201,8 @@ pub fn run_grid(
         .collect()
 }
 
-/// Cumulative progress accumulator shared by the serial and parallel
-/// paths of [`run_grid`].
+/// Cumulative progress accumulator shared by the workers of
+/// [`run_grid`].
 #[derive(Default)]
 struct PublishState {
     next: usize,
@@ -278,43 +261,60 @@ mod tests {
     }
 
     /// Prefix-forked grids — serial and with groups scattered across
-    /// workers — reproduce the cold-start oracle run for run.
+    /// workers — reproduce the cold-start oracle run for run: plain,
+    /// sanitized, and under a recoverable fault plan.
     #[test]
     fn forked_grid_matches_cold_start_oracle() {
+        use esp4ml::faults::CAMPAIGN_WATCHDOG_CYCLES;
+        use esp4ml_fault::{FaultPlan, FaultSpec};
+
         let models = TrainedModels::untrained();
         let grid = Fig8::grid();
-        let cold = run_grid(
-            &grid,
-            &models,
-            2,
-            SocEngine::EventDriven,
-            1,
-            false,
-            None,
-            false,
-            None,
-        )
-        .unwrap();
-        for jobs in [1, 4] {
-            let forked = run_grid(
-                &grid,
-                &models,
-                2,
-                SocEngine::EventDriven,
-                jobs,
-                false,
-                None,
-                true,
-                None,
-            )
-            .unwrap();
-            assert_eq!(cold.len(), forked.len());
-            for (c, f) in cold.iter().zip(&forked) {
-                assert_eq!(c.label, f.label, "jobs={jobs}");
-                assert_eq!(c.mode, f.mode);
-                assert_eq!(c.metrics, f.metrics, "{} {:?} jobs={jobs}", c.label, c.mode);
-                assert_eq!(c.predictions, f.predictions);
-                assert_eq!(c.watts, f.watts);
+        // A transient denoiser hang (retried) and a permanent classifier
+        // hang (failed over to a spare instance).
+        let plan = FaultPlan::new(0)
+            .with(FaultSpec::transient_hang("denoiser", 0))
+            .with(FaultSpec::permanent_hang("cl0"));
+        let faults = FaultConfig::from_plan(plan).with_watchdog(CAMPAIGN_WATCHDOG_CYCLES);
+        for (sanitize, faults) in [(false, None), (true, None), (false, Some(&faults))] {
+            let run = |jobs, fork_prefix| {
+                let engine = SocEngine::EventDriven;
+                run_grid(
+                    &grid,
+                    &models,
+                    2,
+                    engine,
+                    jobs,
+                    sanitize,
+                    faults,
+                    fork_prefix,
+                    None,
+                )
+                .unwrap()
+            };
+            let cold = run(1, false);
+            if sanitize {
+                assert!(cold
+                    .iter()
+                    .all(|r| r.sanitizer.as_ref().is_some_and(|v| v.is_clean())));
+            }
+            if faults.is_some() {
+                assert!(cold.iter().any(|r| r.metrics.retries > 0));
+                assert!(cold.iter().any(|r| r.metrics.failovers > 0));
+            }
+            for jobs in [1, 4] {
+                let forked = run(jobs, true);
+                assert_eq!(cold.len(), forked.len());
+                for (c, f) in cold.iter().zip(&forked) {
+                    let what = format!("{} {:?} jobs={jobs} sanitize={sanitize}", c.label, c.mode);
+                    assert_eq!(c.label, f.label, "{what}");
+                    assert_eq!(c.mode, f.mode, "{what}");
+                    assert_eq!(c.metrics, f.metrics, "{what}");
+                    assert_eq!(c.predictions, f.predictions, "{what}");
+                    assert_eq!(c.watts, f.watts, "{what}");
+                    assert_eq!(c.software_fallback, f.software_fallback, "{what}");
+                    assert_eq!(c.sanitizer, f.sanitizer, "{what}");
+                }
             }
         }
     }

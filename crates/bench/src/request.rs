@@ -23,7 +23,7 @@ use crate::{chart, parallel};
 use esp4ml::apps::{build_soc2, CaseApp, SocId, TrainedModels};
 use esp4ml::check::{lint_all, lint_config, lint_dataflow, lint_mapping, FloorplanView};
 use esp4ml::deploy::{self, Deployment};
-use esp4ml::experiments::{AppRun, ExperimentError, Fig7, Fig8, GridPoint, Table1};
+use esp4ml::experiments::{AppRun, ExperimentError, Fig7, Fig8, GridPoint, RunOptions, Table1};
 use esp4ml::faults::{lint_fault_plan, CampaignReport, FaultConfig};
 use esp4ml::soc_config::SocConfigFile;
 use esp4ml::trace::schema::envelope_json;
@@ -891,14 +891,8 @@ fn figure_response(
         let mut tracker = ProgressTracker::new(progress, points.len() as u64);
         let mut runs = Vec::new();
         for point in &points {
-            let run = AppRun::execute_traced_on(
-                &point.app,
-                models,
-                req.frames,
-                point.mode,
-                engine,
-                &mut session,
-            )?;
+            let opts = RunOptions::new(engine).traced(&mut session);
+            let run = AppRun::execute(&point.app, models, req.frames, point.mode, opts)?;
             tracker.advance(
                 &format!("{} {}", run.label, run.mode.label()),
                 run.metrics.frames,
@@ -1073,8 +1067,8 @@ fn profile_response(
         for mode_name in &req.modes {
             let mode = mode_from_name(mode_name).map_err(RequestError::Invalid)?;
             let mut session = TraceSession::profiled(None);
-            let run =
-                AppRun::execute_traced_on(&app, models, req.frames, mode, engine, &mut session)?;
+            let opts = RunOptions::new(engine).traced(&mut session);
+            let run = AppRun::execute(&app, models, req.frames, mode, opts)?;
             tracker.advance(
                 &format!("{} {}", app.label(), mode.label()),
                 run.metrics.frames,
@@ -1232,8 +1226,8 @@ fn spans_response(
             // both collectors, so the agreement check compares two
             // independently-maintained analyses of the same run.
             let mut session = TraceSession::spanned(None, true);
-            let run =
-                AppRun::execute_traced_on(&app, models, req.frames, mode, engine, &mut session)?;
+            let opts = RunOptions::new(engine).traced(&mut session);
+            let run = AppRun::execute(&app, models, req.frames, mode, opts)?;
             tracker.advance(
                 &format!("{} {}", app.label(), mode.label()),
                 run.metrics.frames,

@@ -122,54 +122,97 @@ impl GridPoint {
     pub fn prefix_key(&self) -> String {
         format!("{}/{}", self.app.app_name(), self.app.label())
     }
+}
 
-    /// Executes this point on a freshly built SoC under `engine`.
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures.
-    pub fn run(
-        &self,
-        models: &TrainedModels,
-        frames: u64,
-        engine: SocEngine,
-    ) -> Result<AppRun, ExperimentError> {
-        AppRun::execute_on(&self.app, models, frames, self.mode, engine)
-    }
-
-    /// [`GridPoint::run`] with the runtime sanitizer armed
-    /// ([`SanitizerConfig::all`]). The run fails with
-    /// [`ExperimentError::Sanitizer`] on any invariant violation;
-    /// otherwise the (clean) verdict is attached to the returned
+/// What a run arms besides plain simulation.
+///
+/// One enum rather than two flags, because the sanitizer and fault
+/// injection cannot be combined: injected faults deliberately break the
+/// invariants the sanitizer audits.
+#[derive(Debug, Clone, Copy, Default)]
+pub enum RunKind<'a> {
+    /// Plain simulation.
+    #[default]
+    Plain,
+    /// The full runtime sanitizer ([`SanitizerConfig::all`]) audits
+    /// credit/flit conservation, wormhole framing, plane discipline and
+    /// DMA byte accounting throughout the run: at every tick under
+    /// [`SocEngine::Naive`], additionally at every fast-forward boundary
+    /// under [`SocEngine::EventDriven`] (the verdicts are identical
+    /// either way). A violation fails the run with
+    /// [`ExperimentError::Sanitizer`]; the clean verdict lands in
     /// [`AppRun::sanitizer`].
-    ///
-    /// # Errors
-    ///
-    /// Build, runtime, or sanitizer failures.
-    pub fn run_sanitized(
-        &self,
-        models: &TrainedModels,
-        frames: u64,
-        engine: SocEngine,
-    ) -> Result<AppRun, ExperimentError> {
-        AppRun::execute_sanitized(&self.app, models, frames, self.mode, engine)
+    Sanitized,
+    /// The config's [`esp4ml_fault::FaultPlan`] is installed on the SoC,
+    /// the watchdog/recovery policy is armed on the [`RunSpec`], and,
+    /// when the config allows it, an unrecoverable pipeline degrades to
+    /// the processor-tile software path instead of failing (flagged on
+    /// [`AppRun::software_fallback`]).
+    Faulted(&'a FaultConfig),
+}
+
+impl<'a> RunKind<'a> {
+    fn faults(self) -> Option<&'a FaultConfig> {
+        match self {
+            RunKind::Faulted(fc) => Some(fc),
+            RunKind::Plain | RunKind::Sanitized => None,
+        }
+    }
+}
+
+/// How to run: the simulation engine, an optional observability session
+/// and the [`RunKind`].
+///
+/// With a session, events flow into the session's tracer (each run opens
+/// with a `RunStart` marker naming it) and the run's counter series and
+/// NoC summary are collected into the session, plus a [`ProfileReport`]
+/// and a span report when the session profiles
+/// ([`TraceSession::profiled`]) or assembles spans
+/// ([`TraceSession::spanned`]). Observation composes with every
+/// [`RunKind`].
+#[derive(Debug, Default)]
+pub struct RunOptions<'a> {
+    /// [`SocEngine::Naive`] as the cycle-exact oracle,
+    /// [`SocEngine::EventDriven`] for fast-forward simulation.
+    pub engine: SocEngine,
+    /// Where the run's events and reports go, when observed.
+    pub session: Option<&'a mut TraceSession>,
+    /// Plain, sanitized or faulted.
+    pub kind: RunKind<'a>,
+}
+
+impl<'a> RunOptions<'a> {
+    /// A plain, unobserved run under `engine`.
+    pub fn new(engine: SocEngine) -> Self {
+        RunOptions {
+            engine,
+            session: None,
+            kind: RunKind::Plain,
+        }
     }
 
-    /// [`GridPoint::run`] under injected hardware faults
-    /// ([`AppRun::execute_faulted`]): the plan is installed on the SoC
-    /// and the watchdog/retry/failover recovery layer is armed.
-    ///
-    /// # Errors
-    ///
-    /// Build failures, or runtime failures recovery could not absorb.
-    pub fn run_faulted(
-        &self,
-        models: &TrainedModels,
-        frames: u64,
-        engine: SocEngine,
-        faults: &FaultConfig,
-    ) -> Result<AppRun, ExperimentError> {
-        AppRun::execute_faulted(&self.app, models, frames, self.mode, engine, faults)
+    /// A sanitized run under `engine` ([`RunKind::Sanitized`]).
+    pub fn sanitized(engine: SocEngine) -> Self {
+        RunOptions {
+            kind: RunKind::Sanitized,
+            ..Self::new(engine)
+        }
+    }
+
+    /// A run under `engine` with injected faults ([`RunKind::Faulted`]).
+    pub fn faulted(engine: SocEngine, faults: &'a FaultConfig) -> Self {
+        RunOptions {
+            kind: RunKind::Faulted(faults),
+            ..Self::new(engine)
+        }
+    }
+
+    /// The same run, observed through `session`.
+    pub fn traced(self, session: &'a mut TraceSession) -> Self {
+        RunOptions {
+            session: Some(session),
+            ..self
+        }
     }
 }
 
@@ -203,390 +246,29 @@ pub struct AppRun {
 }
 
 impl AppRun {
-    /// Builds the SoC, loads the inputs, runs the dataflow and collects
-    /// predictions.
+    /// Builds the SoC, loads the inputs, runs the dataflow in `mode` and
+    /// collects predictions: the load/config prefix and the run suffix
+    /// back to back, with no snapshot in between.
     ///
     /// # Errors
     ///
-    /// Build or runtime failures.
+    /// Build failures, runtime failures that recovery (when armed) could
+    /// not absorb, or [`ExperimentError::Sanitizer`] when a sanitized run
+    /// violated an invariant.
     pub fn execute(
         app: &CaseApp,
         models: &TrainedModels,
         frames: u64,
         mode: ExecMode,
+        opts: RunOptions<'_>,
     ) -> Result<AppRun, ExperimentError> {
-        Self::execute_with(
-            app,
-            models,
-            frames,
-            mode,
-            SocEngine::default(),
-            None,
-            false,
-            None,
-        )
-    }
-
-    /// [`AppRun::execute`] under an explicit simulation engine
-    /// ([`SocEngine::Naive`] as the cycle-exact oracle,
-    /// [`SocEngine::EventDriven`] for fast-forward simulation).
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures.
-    pub fn execute_on(
-        app: &CaseApp,
-        models: &TrainedModels,
-        frames: u64,
-        mode: ExecMode,
-        engine: SocEngine,
-    ) -> Result<AppRun, ExperimentError> {
-        Self::execute_with(app, models, frames, mode, engine, None, false, None)
-    }
-
-    /// [`AppRun::execute_on`] under injected hardware faults: the
-    /// config's [`esp4ml_fault::FaultPlan`] is installed on the SoC
-    /// before the run, the watchdog/recovery policy is armed on the
-    /// [`RunSpec`], and — when the config allows it — an unrecoverable
-    /// pipeline degrades to the processor-tile software path instead of
-    /// failing (flagged on the returned run's `software_fallback` field).
-    ///
-    /// # Errors
-    ///
-    /// Build failures, or runtime failures the recovery machinery could
-    /// not absorb.
-    pub fn execute_faulted(
-        app: &CaseApp,
-        models: &TrainedModels,
-        frames: u64,
-        mode: ExecMode,
-        engine: SocEngine,
-        faults: &FaultConfig,
-    ) -> Result<AppRun, ExperimentError> {
-        Self::execute_with(app, models, frames, mode, engine, None, false, Some(faults))
-    }
-
-    /// [`AppRun::execute_on`] with the full runtime sanitizer armed:
-    /// credit/flit conservation, wormhole framing, plane discipline and
-    /// DMA byte accounting are audited throughout the run (at every tick
-    /// under [`SocEngine::Naive`], additionally at every fast-forward
-    /// boundary under [`SocEngine::EventDriven`] — the verdicts are
-    /// identical either way).
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures, or [`ExperimentError::Sanitizer`] when
-    /// any invariant was violated.
-    pub fn execute_sanitized(
-        app: &CaseApp,
-        models: &TrainedModels,
-        frames: u64,
-        mode: ExecMode,
-        engine: SocEngine,
-    ) -> Result<AppRun, ExperimentError> {
-        Self::execute_with(app, models, frames, mode, engine, None, true, None)
-    }
-
-    /// [`AppRun::execute`] with observability: events flow into the
-    /// session's tracer (opened by a `RunStart` marker naming the run)
-    /// and the per-run counter series and NoC summary are collected
-    /// into the session. When the session profiles
-    /// ([`TraceSession::profiled`]), a
-    /// [`ProfileReport`] is collected too.
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures.
-    pub fn execute_traced(
-        app: &CaseApp,
-        models: &TrainedModels,
-        frames: u64,
-        mode: ExecMode,
-        session: &mut TraceSession,
-    ) -> Result<AppRun, ExperimentError> {
-        Self::execute_with(
-            app,
-            models,
-            frames,
-            mode,
-            SocEngine::default(),
-            Some(session),
-            false,
-            None,
-        )
-    }
-
-    /// [`AppRun::execute_traced`] under an explicit simulation engine —
-    /// the combination the engine-equivalence suite uses to prove both
-    /// engines emit identical profile reports.
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures.
-    pub fn execute_traced_on(
-        app: &CaseApp,
-        models: &TrainedModels,
-        frames: u64,
-        mode: ExecMode,
-        engine: SocEngine,
-        session: &mut TraceSession,
-    ) -> Result<AppRun, ExperimentError> {
-        Self::execute_with(
-            app,
-            models,
-            frames,
-            mode,
+        let RunOptions {
             engine,
-            Some(session),
-            false,
-            None,
-        )
-    }
-
-    /// [`AppRun::execute_faulted`] with observability: injected faults
-    /// and the recovery layer on a traced run, so retry backoffs and
-    /// failovers land in the session's event stream (and span trees).
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures.
-    pub fn execute_faulted_traced(
-        app: &CaseApp,
-        models: &TrainedModels,
-        frames: u64,
-        mode: ExecMode,
-        engine: SocEngine,
-        faults: &FaultConfig,
-        session: &mut TraceSession,
-    ) -> Result<AppRun, ExperimentError> {
-        Self::execute_with(
-            app,
-            models,
-            frames,
-            mode,
-            engine,
-            Some(session),
-            false,
-            Some(faults),
-        )
-    }
-
-    /// Derives profiler stage groups `(stage name, member instances)`
-    /// from a dataflow, in pipeline order. Multi-instance stages are
-    /// named by their kernel prefix (instance digits stripped);
-    /// single-instance stages keep the device name.
-    fn stage_groups(dataflow: &Dataflow) -> Vec<(String, Vec<String>)> {
-        dataflow
-            .stages
-            .iter()
-            .enumerate()
-            .map(|(i, stage)| {
-                let name = if stage.devices.len() == 1 {
-                    stage.devices[0].clone()
-                } else {
-                    let stripped = stage.devices[0].trim_end_matches(|c: char| c.is_ascii_digit());
-                    if stripped.is_empty() {
-                        format!("stage{i}")
-                    } else {
-                        stripped.to_string()
-                    }
-                };
-                (name, stage.devices.clone())
-            })
-            .collect()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn execute_with(
-        app: &CaseApp,
-        models: &TrainedModels,
-        frames: u64,
-        mode: ExecMode,
-        engine: SocEngine,
-        mut session: Option<&mut TraceSession>,
-        sanitize: bool,
-        faults: Option<&FaultConfig>,
-    ) -> Result<AppRun, ExperimentError> {
-        let mut soc = app.build_soc(models)?;
-        soc.set_engine(engine);
-        if sanitize {
-            soc.enable_sanitizer(SanitizerConfig::all());
-        }
-        if let Some(fc) = faults {
-            if !fc.plan.is_empty() {
-                soc.install_fault_plan(&fc.plan);
-            }
-        }
-        let run_label = format!("{} {}", app.label(), mode.label());
-        let dataflow = app.dataflow();
-        if let Some(session) = session.as_deref_mut() {
-            if let Some(profiler) = session.profiler() {
-                profiler.set_stage_groups(Self::stage_groups(&dataflow));
-            }
-            if let Some(spans) = session.span_collector() {
-                spans.set_stage_groups(Self::stage_groups(&dataflow));
-            }
-            let proc = soc.primary_proc();
-            let label = run_label.clone();
-            session
-                .tracer()
-                .emit(soc.cycle(), TileCoord::new(proc.x, proc.y), || {
-                    TraceEvent::RunStart { label }
-                });
-            soc.set_tracer(session.tracer().clone());
-            if let Some(every) = session.sample_every() {
-                soc.enable_counter_sampling(every);
-            }
-        }
-        let flow = Esp4mlFlow::new();
-        let watts = flow.estimate_power(&soc).total_watts();
-        let mut rt = EspRuntime::new(soc)?;
-        // The runtime constructs with a disabled tracer of its own, so
-        // runtime-emitted events (ioctls, retry/failover records) need
-        // the session handle installed again at this level.
-        if let Some(s) = session.as_deref() {
-            rt.set_tracer(s.tracer().clone());
-        }
-        let buf = rt.prepare(&dataflow, frames)?;
-        let mut gen = SvhnGenerator::new(DATA_SEED);
-        let mut labels = Vec::with_capacity(frames as usize);
-        for f in 0..frames {
-            let (image, label) = app.input_frame(&mut gen);
-            rt.write_frame(&buf, f, &encode_image(&image))?;
-            labels.push(label);
-        }
-        let mut spec = RunSpec::new(&dataflow).mode(mode);
-        if let Some(fc) = faults {
-            spec = spec
-                .watchdog_cycles(fc.watchdog_cycles)
-                .recover(fc.recovery);
-        }
-        let metrics = match rt.run(&spec, &buf) {
-            Ok(m) => m,
-            Err(RuntimeError::Timeout { .. }) if faults.is_some_and(|fc| fc.software_fallback) => {
-                // Graceful degradation: the hardware pipeline is
-                // unrecoverable (retries and spares exhausted), so the
-                // application reruns on the processor tile in software.
-                return Self::software_fallback(app, models, frames, mode, &rt, labels);
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let sanitizer = match rt.soc().sanitizer_report() {
-            Some(report) if report.has_errors() => {
-                return Err(ExperimentError::Sanitizer {
-                    label: run_label,
-                    report,
-                });
-            }
-            verdict => verdict,
-        };
-        // Snapshot the profile at run completion, before prediction
-        // readback (which does not simulate cycles).
-        let profile = session.as_deref_mut().and_then(|s| {
-            s.profiler()
-                .and_then(|p| p.close_run(rt.soc().cycle()))
-                .map(|run| ProfileReport {
-                    run,
-                    heatmap: rt.soc().noc_heatmap(),
-                })
-        });
-        // Close the span run at the same instant, carrying over any
-        // ring-buffer span losses so a saturated trace yields a report
-        // flagged partial instead of a silently wrong one.
-        let spans = session.as_deref_mut().and_then(|s| {
-            s.span_collector().and_then(|c| {
-                c.note_dropped_spans(s.tracer().dropped_spans());
-                c.close_run(rt.soc().cycle())
-            })
-        });
-        let mut predictions = Vec::with_capacity(frames as usize);
-        for f in 0..frames {
-            let logits = decode_values(&rt.read_frame(&buf, f)?);
-            predictions.push(argmax(&logits));
-        }
-        if let Some(session) = session {
-            let series = rt.soc_mut().take_counter_series();
-            session.record_run(run_label, series, rt.soc().noc_stats().clone());
-            if let Some(profile) = profile {
-                session.record_profile(profile);
-            }
-            if let Some(spans) = spans {
-                session.record_spans(spans);
-            }
-        }
-        Ok(AppRun {
-            label: app.label(),
-            mode,
-            metrics,
-            watts,
-            predictions,
-            labels,
-            sanitizer,
-            software_fallback: false,
-        })
-    }
-
-    /// The graceful-degradation path: reruns the application on the
-    /// Ariane processor tile in software (float models, no
-    /// accelerators) and reports metrics through the honest
-    /// [`Platform::ariane`] performance/power model. Cycles are modeled
-    /// at the SoC clock so throughput stays comparable with the
-    /// hardware runs it replaces.
-    fn software_fallback(
-        app: &CaseApp,
-        models: &TrainedModels,
-        frames: u64,
-        mode: ExecMode,
-        rt: &EspRuntime,
-        labels: Vec<usize>,
-    ) -> Result<AppRun, ExperimentError> {
-        let proc = rt.soc().primary_proc();
-        let from = app.label();
-        rt.soc()
-            .tracer()
-            .emit(rt.soc().cycle(), TileCoord::new(proc.x, proc.y), || {
-                TraceEvent::FailedOver {
-                    from,
-                    to: "software".to_string(),
-                }
-            });
-        let sw = SoftwareApp::new(
-            Some(models.classifier.clone()),
-            Some(models.denoiser.clone()),
-        );
-        let mut gen = SvhnGenerator::new(DATA_SEED);
-        let mut predictions = Vec::with_capacity(frames as usize);
-        for _ in 0..frames {
-            let (image, _) = app.input_frame(&mut gen);
-            predictions.push(match app {
-                CaseApp::NightVisionClassifier { .. } => sw.night_vision_classify(&image),
-                CaseApp::DenoiserClassifier => sw.denoise_classify(&image),
-                CaseApp::MultiTileClassifier => sw.classify(&image),
-            });
-        }
-        let ariane = Platform::ariane();
-        let (_, workload) = Workload::table1_apps()
-            .into_iter()
-            .find(|(name, _)| *name == app.app_name())
-            .expect("every case app has a Table I workload");
-        let clock_hz = rt.soc().clock_hz();
-        let metrics = RunMetrics {
-            frames,
-            cycles: (frames as f64 * ariane.frame_seconds(&workload) * clock_hz).ceil() as u64,
-            clock_hz,
-            faults_injected: rt.soc().faults_injected(),
-            ..RunMetrics::default()
-        };
-        Ok(AppRun {
-            label: app.label(),
-            mode,
-            metrics,
-            watts: ariane.average_watts(&workload),
-            predictions,
-            labels,
-            sanitizer: None,
-            software_fallback: true,
-        })
+            session,
+            kind,
+        } = opts;
+        let mut loaded = Loaded::prefix(app, models, frames, engine, kind, session.as_deref())?;
+        loaded.suffix(app, models, mode, kind.faults(), session)
     }
 
     /// Classification accuracy of the run against ground truth.
@@ -609,65 +291,74 @@ impl AppRun {
     }
 }
 
-/// An application loaded once and forked many times.
-///
-/// The load/config phase of a grid point — building the SoC, probing
-/// devices, `esp_alloc`, writing every input frame — is identical for
-/// every execution mode of one configuration ([`GridPoint::prefix_key`]).
-/// `PreparedApp` executes that shared prefix once, captures a warm
-/// [`RuntimeSnapshot`], and each [`PreparedApp::run`] restores the
-/// snapshot before its suffix: N modes cost one prefix instead of N.
-///
-/// Fork safety rests on two facts, both enforced by tests:
-///
-/// * the prefix simulates **zero** cycles and zero architectural events
-///   (configuration and frame loading are host-side DRAM/ioctl writes),
-///   so a fault plan installed after the restore
-///   ([`PreparedApp::run_faulted`]) arms at exactly the same
-///   architectural triggers as one installed before the prefix;
-/// * [`EspRuntime::restore`] replaces machine state wholesale —
-///   registers, PLM contents, sanitizer ledgers, fault trigger counts,
-///   allocator and counters — so no suffix can leak into the next one,
-///   which is what makes every forked run byte-identical to a cold
-///   start.
-pub struct PreparedApp {
-    app: CaseApp,
-    models: TrainedModels,
+/// Derives profiler stage groups `(stage name, member instances)` from a
+/// dataflow, in pipeline order. Multi-instance stages are named by their
+/// kernel prefix (instance digits stripped); single-instance stages keep
+/// the device name.
+fn stage_groups(dataflow: &Dataflow) -> Vec<(String, Vec<String>)> {
+    dataflow
+        .stages
+        .iter()
+        .enumerate()
+        .map(|(i, stage)| {
+            let name = if stage.devices.len() == 1 {
+                stage.devices[0].clone()
+            } else {
+                let stripped = stage.devices[0].trim_end_matches(|c: char| c.is_ascii_digit());
+                if stripped.is_empty() {
+                    format!("stage{i}")
+                } else {
+                    stripped.to_string()
+                }
+            };
+            (name, stage.devices.clone())
+        })
+        .collect()
+}
+
+/// A runtime after the load/config prefix: the state every run suffix
+/// starts from.
+struct Loaded {
     frames: u64,
     dataflow: Dataflow,
     rt: EspRuntime,
     buf: AppBuffers,
     labels: Vec<usize>,
     watts: f64,
-    warm: RuntimeSnapshot,
 }
 
-impl PreparedApp {
-    /// Executes the shared load/config prefix for `app` under `engine`
-    /// and captures the warm fork point. With `sanitize` set the runtime
-    /// sanitizer is armed before the snapshot, so every fork audits its
-    /// run and fails with [`ExperimentError::Sanitizer`] on violations.
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures during the prefix.
-    pub fn load(
+impl Loaded {
+    /// The load/config prefix: builds the SoC, sets the engine, arms the
+    /// sanitizer (for [`RunKind::Sanitized`]) and the session's tracer,
+    /// prices the power, boots the runtime, `esp_alloc`s the buffers and
+    /// writes every input frame. It simulates zero cycles and emits no
+    /// events; a fault plan is the suffix's to install.
+    fn prefix(
         app: &CaseApp,
         models: &TrainedModels,
         frames: u64,
         engine: SocEngine,
-        sanitize: bool,
-    ) -> Result<PreparedApp, ExperimentError> {
+        kind: RunKind<'_>,
+        session: Option<&TraceSession>,
+    ) -> Result<Loaded, ExperimentError> {
         let mut soc = app.build_soc(models)?;
         soc.set_engine(engine);
-        if sanitize {
+        if matches!(kind, RunKind::Sanitized) {
             soc.enable_sanitizer(SanitizerConfig::all());
         }
-        let dataflow = app.dataflow();
-        // Power is structure-derived (no simulation), so the prefix can
-        // price the SoC once for every fork.
+        if let Some(every) = session.and_then(TraceSession::sample_every) {
+            soc.enable_counter_sampling(every);
+        }
+        // Power is structure-derived (no simulation), so one pricing
+        // serves every fork of the prefix.
         let watts = Esp4mlFlow::new().estimate_power(&soc).total_watts();
         let mut rt = EspRuntime::new(soc)?;
+        if let Some(s) = session {
+            // Installs on the SoC too; the runtime's own handle carries
+            // the ioctl and retry/failover records.
+            rt.set_tracer(s.tracer().clone());
+        }
+        let dataflow = app.dataflow();
         let buf = rt.prepare(&dataflow, frames)?;
         let mut gen = SvhnGenerator::new(DATA_SEED);
         let mut labels = Vec::with_capacity(frames as usize);
@@ -676,88 +367,73 @@ impl PreparedApp {
             rt.write_frame(&buf, f, &encode_image(&image))?;
             labels.push(label);
         }
-        let warm = rt.snapshot();
-        Ok(PreparedApp {
-            app: *app,
-            models: models.clone(),
+        Ok(Loaded {
             frames,
             dataflow,
+            rt,
             buf,
             labels,
             watts,
-            warm,
-            rt,
         })
     }
 
-    /// The configuration this prefix was loaded for.
-    pub fn app(&self) -> &CaseApp {
-        &self.app
-    }
-
-    /// The dataflow the prefix prepared.
-    pub fn dataflow(&self) -> &Dataflow {
-        &self.dataflow
-    }
-
-    /// Forks the warm snapshot and runs the suffix in `mode`, producing
-    /// the same [`AppRun`] a cold [`AppRun::execute_on`] would.
-    ///
-    /// # Errors
-    ///
-    /// Runtime failures, or [`ExperimentError::Sanitizer`] when the
-    /// prefix was loaded sanitized and the run violated invariants.
-    pub fn run(&mut self, mode: ExecMode) -> Result<AppRun, ExperimentError> {
-        self.fork(mode, None)
-    }
-
-    /// Forks the warm snapshot and runs the suffix in `mode` under
-    /// injected hardware faults, producing the same [`AppRun`] a cold
-    /// [`AppRun::execute_faulted`] would: the plan is installed on the
-    /// freshly restored SoC (equivalent to pre-prefix installation —
-    /// the prefix fires no triggers) and the watchdog/retry/failover
-    /// recovery layer is armed.
-    ///
-    /// # Errors
-    ///
-    /// Runtime failures the recovery machinery could not absorb.
-    pub fn run_faulted(
+    /// The run suffix: opens the observed run, installs the fault plan,
+    /// runs the dataflow in `mode` (watchdog and recovery armed when
+    /// faulted), falls back to software when that is allowed and the
+    /// pipeline proved unrecoverable, checks the sanitizer verdict,
+    /// closes the observed run, reads the predictions back and records
+    /// the run in the session.
+    fn suffix(
         &mut self,
-        mode: ExecMode,
-        faults: &FaultConfig,
-    ) -> Result<AppRun, ExperimentError> {
-        self.fork(mode, Some(faults))
-    }
-
-    fn fork(
-        &mut self,
+        app: &CaseApp,
+        models: &TrainedModels,
         mode: ExecMode,
         faults: Option<&FaultConfig>,
+        session: Option<&mut TraceSession>,
     ) -> Result<AppRun, ExperimentError> {
-        self.rt.restore(&self.warm)?;
+        let run_label = format!("{} {}", app.label(), mode.label());
+        if let Some(s) = session.as_deref() {
+            let groups = stage_groups(&self.dataflow);
+            if let Some(profiler) = s.profiler() {
+                profiler.set_stage_groups(groups.clone());
+            }
+            if let Some(spans) = s.span_collector() {
+                spans.set_stage_groups(groups);
+            }
+            let proc = self.rt.soc().primary_proc();
+            let label = run_label.clone();
+            s.tracer().emit(
+                self.rt.soc().cycle(),
+                TileCoord::new(proc.x, proc.y),
+                || TraceEvent::RunStart { label },
+            );
+        }
+        let mut spec = RunSpec::new(&self.dataflow).mode(mode);
         if let Some(fc) = faults {
             if !fc.plan.is_empty() {
                 self.rt.soc_mut().install_fault_plan(&fc.plan);
             }
-        }
-        let run_label = format!("{} {}", self.app.label(), mode.label());
-        let mut spec = RunSpec::new(&self.dataflow).mode(mode);
-        if let Some(fc) = faults {
             spec = spec
                 .watchdog_cycles(fc.watchdog_cycles)
                 .recover(fc.recovery);
         }
-        let metrics = match self.rt.run(&spec, &self.buf) {
-            Ok(m) => m,
+        let hardware = match self.rt.run(&spec, &self.buf) {
+            Ok(metrics) => Some(metrics),
             Err(RuntimeError::Timeout { .. }) if faults.is_some_and(|fc| fc.software_fallback) => {
-                return AppRun::software_fallback(
-                    &self.app,
-                    &self.models,
-                    self.frames,
-                    mode,
-                    &self.rt,
-                    self.labels.clone(),
+                // Graceful degradation: the hardware pipeline is
+                // unrecoverable (retries and spares exhausted), so the
+                // application reruns on the processor tile in software.
+                let proc = self.rt.soc().primary_proc();
+                let from = app.label();
+                self.rt.soc().tracer().emit(
+                    self.rt.soc().cycle(),
+                    TileCoord::new(proc.x, proc.y),
+                    || TraceEvent::FailedOver {
+                        from,
+                        to: "software".to_string(),
+                    },
                 );
+                None
             }
             Err(e) => return Err(e.into()),
         };
@@ -770,21 +446,202 @@ impl PreparedApp {
             }
             verdict => verdict,
         };
-        let mut predictions = Vec::with_capacity(self.frames as usize);
-        for f in 0..self.frames {
-            let logits = decode_values(&self.rt.read_frame(&self.buf, f)?);
-            predictions.push(argmax(&logits));
+        // Close the observed run where the simulation stopped (run
+        // completion or the fallback), before prediction readback, which
+        // simulates no cycles. The span run carries over any ring-buffer
+        // span losses, so a saturated trace yields a report flagged
+        // partial instead of a silently wrong one.
+        let end = self.rt.soc().cycle();
+        let profile = session.as_deref().and_then(|s| {
+            s.profiler()
+                .and_then(|p| p.close_run(end))
+                .map(|run| ProfileReport {
+                    run,
+                    heatmap: self.rt.soc().noc_heatmap(),
+                })
+        });
+        let spans = session.as_deref().and_then(|s| {
+            s.span_collector().and_then(|c| {
+                c.note_dropped_spans(s.tracer().dropped_spans());
+                c.close_run(end)
+            })
+        });
+        let run = match hardware {
+            Some(metrics) => {
+                let mut predictions = Vec::with_capacity(self.frames as usize);
+                for f in 0..self.frames {
+                    let logits = decode_values(&self.rt.read_frame(&self.buf, f)?);
+                    predictions.push(argmax(&logits));
+                }
+                AppRun {
+                    label: app.label(),
+                    mode,
+                    metrics,
+                    watts: self.watts,
+                    predictions,
+                    labels: self.labels.clone(),
+                    sanitizer,
+                    software_fallback: false,
+                }
+            }
+            None => self.software_fallback(app, models, mode),
+        };
+        if let Some(session) = session {
+            let series = self.rt.soc_mut().take_counter_series();
+            session.record_run(run_label, series, self.rt.soc().noc_stats().clone());
+            if let Some(profile) = profile {
+                session.record_profile(profile);
+            }
+            if let Some(spans) = spans {
+                session.record_spans(spans);
+            }
         }
-        Ok(AppRun {
-            label: self.app.label(),
+        Ok(run)
+    }
+
+    /// The graceful-degradation path: reruns the application on the
+    /// Ariane processor tile in software (float models, no
+    /// accelerators) and reports metrics through the honest
+    /// [`Platform::ariane`] performance/power model. Cycles are modeled
+    /// at the SoC clock so throughput stays comparable with the
+    /// hardware runs it replaces.
+    fn software_fallback(&self, app: &CaseApp, models: &TrainedModels, mode: ExecMode) -> AppRun {
+        let sw = SoftwareApp::new(
+            Some(models.classifier.clone()),
+            Some(models.denoiser.clone()),
+        );
+        let mut gen = SvhnGenerator::new(DATA_SEED);
+        let mut predictions = Vec::with_capacity(self.frames as usize);
+        for _ in 0..self.frames {
+            let (image, _) = app.input_frame(&mut gen);
+            predictions.push(match app {
+                CaseApp::NightVisionClassifier { .. } => sw.night_vision_classify(&image),
+                CaseApp::DenoiserClassifier => sw.denoise_classify(&image),
+                CaseApp::MultiTileClassifier => sw.classify(&image),
+            });
+        }
+        let ariane = Platform::ariane();
+        let (_, workload) = Workload::table1_apps()
+            .into_iter()
+            .find(|(name, _)| *name == app.app_name())
+            .expect("every case app has a Table I workload");
+        let clock_hz = self.rt.soc().clock_hz();
+        let frames = self.frames;
+        let metrics = RunMetrics {
+            frames,
+            cycles: (frames as f64 * ariane.frame_seconds(&workload) * clock_hz).ceil() as u64,
+            clock_hz,
+            faults_injected: self.rt.soc().faults_injected(),
+            ..RunMetrics::default()
+        };
+        AppRun {
+            label: app.label(),
             mode,
             metrics,
-            watts: self.watts,
+            watts: ariane.average_watts(&workload),
             predictions,
             labels: self.labels.clone(),
-            sanitizer,
-            software_fallback: false,
+            sanitizer: None,
+            software_fallback: true,
+        }
+    }
+}
+
+/// An application loaded once and forked many times.
+///
+/// The load/config prefix of a grid point — building the SoC, probing
+/// devices, `esp_alloc`, writing every input frame — is identical for
+/// every execution mode of one configuration ([`GridPoint::prefix_key`]).
+/// `PreparedApp` executes that shared prefix once, captures a warm
+/// [`RuntimeSnapshot`], and each [`PreparedApp::run`] restores the
+/// snapshot before the run suffix: N modes cost one prefix instead of N.
+/// A cold [`AppRun::execute`] is the same prefix and suffix with no
+/// snapshot between them.
+///
+/// Fork safety rests on two facts, both enforced by tests:
+///
+/// * the prefix simulates **zero** cycles and zero architectural events
+///   (configuration and frame loading are host-side DRAM/ioctl writes),
+///   so the restored warm state is exactly where a cold start's suffix
+///   begins — fault plans included, which both paths install after the
+///   prefix;
+/// * [`EspRuntime::restore`] replaces machine state wholesale —
+///   registers, PLM contents, sanitizer ledgers, fault trigger counts,
+///   allocator and counters — so no suffix can leak into the next one,
+///   which is what makes every forked run byte-identical to a cold
+///   start.
+pub struct PreparedApp<'a> {
+    app: CaseApp,
+    models: &'a TrainedModels,
+    loaded: Loaded,
+    warm: RuntimeSnapshot,
+    session: Option<&'a mut TraceSession>,
+    kind: RunKind<'a>,
+}
+
+impl<'a> PreparedApp<'a> {
+    /// Executes the shared load/config prefix for `app` and captures the
+    /// warm fork point. Every run of the prefix inherits `opts`: its
+    /// engine, sanitizer, session and fault plan (which
+    /// [`PreparedApp::run`] may replace per run).
+    ///
+    /// # Errors
+    ///
+    /// Build or runtime failures during the prefix.
+    pub fn load(
+        app: &CaseApp,
+        models: &'a TrainedModels,
+        frames: u64,
+        opts: RunOptions<'a>,
+    ) -> Result<PreparedApp<'a>, ExperimentError> {
+        let RunOptions {
+            engine,
+            session,
+            kind,
+        } = opts;
+        let loaded = Loaded::prefix(app, models, frames, engine, kind, session.as_deref())?;
+        let warm = loaded.rt.snapshot();
+        Ok(PreparedApp {
+            app: *app,
+            models,
+            loaded,
+            warm,
+            session,
+            kind,
         })
+    }
+
+    /// Forks the warm snapshot and runs the suffix in `mode`, producing
+    /// the same [`AppRun`] a cold [`AppRun::execute`] under the load
+    /// options would. `faults`, when given, replaces the load options'
+    /// fault plan for this run only.
+    ///
+    /// # Errors
+    ///
+    /// Runtime failures that recovery (when armed) could not absorb,
+    /// [`ExperimentError::Sanitizer`] when a sanitized prefix's run
+    /// violated invariants, or [`ExperimentError::Grid`] when `faults`
+    /// is given for a sanitized prefix.
+    pub fn run(
+        &mut self,
+        mode: ExecMode,
+        faults: Option<&FaultConfig>,
+    ) -> Result<AppRun, ExperimentError> {
+        if faults.is_some() && matches!(self.kind, RunKind::Sanitized) {
+            return Err(ExperimentError::Grid(
+                "faults cannot be combined with sanitize; injected faults deliberately \
+                 break the invariants the sanitizer audits"
+                    .into(),
+            ));
+        }
+        self.loaded.rt.restore(&self.warm)?;
+        self.loaded.suffix(
+            &self.app,
+            self.models,
+            mode,
+            faults.or(self.kind.faults()),
+            self.session.as_deref_mut(),
+        )
     }
 }
 
@@ -876,50 +733,6 @@ impl Table1 {
             });
         }
         Ok(Table1 { columns })
-    }
-
-    /// Generates the table by running each best-case configuration in p2p
-    /// mode over `frames` frames.
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures.
-    pub fn generate(models: &TrainedModels, frames: u64) -> Result<Table1, ExperimentError> {
-        Self::generate_with(models, frames, None)
-    }
-
-    /// [`Table1::generate`] with every run traced into `session`.
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures.
-    pub fn generate_traced(
-        models: &TrainedModels,
-        frames: u64,
-        session: &mut TraceSession,
-    ) -> Result<Table1, ExperimentError> {
-        Self::generate_with(models, frames, Some(session))
-    }
-
-    fn generate_with(
-        models: &TrainedModels,
-        frames: u64,
-        mut session: Option<&mut TraceSession>,
-    ) -> Result<Table1, ExperimentError> {
-        let mut runs = Vec::new();
-        for point in Self::grid() {
-            runs.push(AppRun::execute_with(
-                &point.app,
-                models,
-                frames,
-                point.mode,
-                SocEngine::default(),
-                session.as_deref_mut(),
-                false,
-                None,
-            )?);
-        }
-        Self::assemble(models, &runs)
     }
 }
 
@@ -1086,50 +899,6 @@ impl Fig7 {
         }
         Ok(Fig7 { clusters })
     }
-
-    /// Generates the figure data by running every configuration in every
-    /// mode over `frames` frames.
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures.
-    pub fn generate(models: &TrainedModels, frames: u64) -> Result<Fig7, ExperimentError> {
-        Self::generate_with(models, frames, None)
-    }
-
-    /// [`Fig7::generate`] with every run traced into `session`.
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures.
-    pub fn generate_traced(
-        models: &TrainedModels,
-        frames: u64,
-        session: &mut TraceSession,
-    ) -> Result<Fig7, ExperimentError> {
-        Self::generate_with(models, frames, Some(session))
-    }
-
-    fn generate_with(
-        models: &TrainedModels,
-        frames: u64,
-        mut session: Option<&mut TraceSession>,
-    ) -> Result<Fig7, ExperimentError> {
-        let mut runs = Vec::new();
-        for point in Self::grid() {
-            runs.push(AppRun::execute_with(
-                &point.app,
-                models,
-                frames,
-                point.mode,
-                SocEngine::default(),
-                session.as_deref_mut(),
-                false,
-                None,
-            )?);
-        }
-        Self::assemble(&runs)
-    }
 }
 
 impl fmt::Display for Fig7 {
@@ -1240,49 +1009,6 @@ impl Fig8 {
             .collect();
         Ok(Fig8 { rows })
     }
-
-    /// Generates the figure data over `frames` frames per application.
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures.
-    pub fn generate(models: &TrainedModels, frames: u64) -> Result<Fig8, ExperimentError> {
-        Self::generate_with(models, frames, None)
-    }
-
-    /// [`Fig8::generate`] with every run traced into `session`.
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures.
-    pub fn generate_traced(
-        models: &TrainedModels,
-        frames: u64,
-        session: &mut TraceSession,
-    ) -> Result<Fig8, ExperimentError> {
-        Self::generate_with(models, frames, Some(session))
-    }
-
-    fn generate_with(
-        models: &TrainedModels,
-        frames: u64,
-        mut session: Option<&mut TraceSession>,
-    ) -> Result<Fig8, ExperimentError> {
-        let mut runs = Vec::new();
-        for point in Self::grid() {
-            runs.push(AppRun::execute_with(
-                &point.app,
-                models,
-                frames,
-                point.mode,
-                SocEngine::default(),
-                session.as_deref_mut(),
-                false,
-                None,
-            )?);
-        }
-        Self::assemble(&runs)
-    }
 }
 
 impl fmt::Display for Fig8 {
@@ -1314,8 +1040,14 @@ mod tests {
 
     #[test]
     fn app_run_denoiser_classifier_p2p() {
-        let run =
-            AppRun::execute(&CaseApp::DenoiserClassifier, &models(), 3, ExecMode::P2p).unwrap();
+        let run = AppRun::execute(
+            &CaseApp::DenoiserClassifier,
+            &models(),
+            3,
+            ExecMode::P2p,
+            RunOptions::default(),
+        )
+        .unwrap();
         assert_eq!(run.metrics.frames, 3);
         assert_eq!(run.predictions.len(), 3);
         assert!(run.metrics.frames_per_second() > 0.0);
@@ -1328,7 +1060,14 @@ mod tests {
         let m = models();
         let mut preds = Vec::new();
         for mode in ExecMode::ALL {
-            let run = AppRun::execute(&CaseApp::MultiTileClassifier, &m, 3, mode).unwrap();
+            let run = AppRun::execute(
+                &CaseApp::MultiTileClassifier,
+                &m,
+                3,
+                mode,
+                RunOptions::default(),
+            )
+            .unwrap();
             preds.push(run.predictions.clone());
         }
         assert_eq!(preds[0], preds[1]);
@@ -1338,8 +1077,17 @@ mod tests {
     #[test]
     fn fig8_shows_reduction_for_denoiser() {
         let m = models();
-        let no_p2p = AppRun::execute(&CaseApp::DenoiserClassifier, &m, 3, ExecMode::Pipe).unwrap();
-        let p2p = AppRun::execute(&CaseApp::DenoiserClassifier, &m, 3, ExecMode::P2p).unwrap();
+        let run = |mode| {
+            AppRun::execute(
+                &CaseApp::DenoiserClassifier,
+                &m,
+                3,
+                mode,
+                RunOptions::default(),
+            )
+            .unwrap()
+        };
+        let (no_p2p, p2p) = (run(ExecMode::Pipe), run(ExecMode::P2p));
         let row = Fig8Row {
             app: "x".into(),
             config: "y".into(),
@@ -1356,12 +1104,12 @@ mod tests {
     #[test]
     fn profiled_session_collects_report() {
         let mut session = TraceSession::profiled(None);
-        let run = AppRun::execute_traced(
+        let run = AppRun::execute(
             &CaseApp::DenoiserClassifier,
             &models(),
             3,
             ExecMode::P2p,
-            &mut session,
+            RunOptions::default().traced(&mut session),
         )
         .unwrap();
         assert_eq!(session.profiles().len(), 1);
@@ -1390,12 +1138,12 @@ mod tests {
     #[test]
     fn multi_tile_stages_stay_distinct() {
         let mut session = TraceSession::profiled(None);
-        AppRun::execute_traced(
+        AppRun::execute(
             &CaseApp::MultiTileClassifier,
             &models(),
             2,
             ExecMode::Pipe,
-            &mut session,
+            RunOptions::default().traced(&mut session),
         )
         .unwrap();
         let report = &session.profiles()[0];
@@ -1411,16 +1159,59 @@ mod tests {
     fn prepared_app_forks_match_cold_starts() {
         let m = models();
         let app = CaseApp::NightVisionClassifier { nv: 2, cl: 2 };
-        let mut prepared = PreparedApp::load(&app, &m, 2, SocEngine::EventDriven, false).unwrap();
+        let opts = || RunOptions::new(SocEngine::EventDriven);
+        let mut prepared = PreparedApp::load(&app, &m, 2, opts()).unwrap();
         for mode in ExecMode::ALL {
-            let cold = AppRun::execute_on(&app, &m, 2, mode, SocEngine::EventDriven).unwrap();
-            let forked = prepared.run(mode).unwrap();
+            let cold = AppRun::execute(&app, &m, 2, mode, opts()).unwrap();
+            let forked = prepared.run(mode, None).unwrap();
             assert_eq!(forked.metrics, cold.metrics, "{mode:?}");
             assert_eq!(forked.predictions, cold.predictions, "{mode:?}");
             assert_eq!(forked.labels, cold.labels);
             assert_eq!(forked.watts, cold.watts);
             assert_eq!(forked.label, cold.label);
         }
+    }
+
+    /// A traced prefix opens one observed run per fork, and the forks'
+    /// profiles, span reports and NoC summaries equal traced cold
+    /// starts'.
+    #[test]
+    fn traced_forks_match_traced_cold_starts() {
+        let m = models();
+        let app = CaseApp::DenoiserClassifier;
+        let modes = [ExecMode::Pipe, ExecMode::P2p];
+        let mut forked = TraceSession::spanned(None, true);
+        let opts = RunOptions::default().traced(&mut forked);
+        let mut prepared = PreparedApp::load(&app, &m, 2, opts).unwrap();
+        for mode in modes {
+            prepared.run(mode, None).unwrap();
+        }
+        drop(prepared);
+        let mut cold = TraceSession::spanned(None, true);
+        for mode in modes {
+            let opts = RunOptions::default().traced(&mut cold);
+            AppRun::execute(&app, &m, 2, mode, opts).unwrap();
+        }
+        assert_eq!(forked.profiles().len(), 2);
+        assert_eq!(forked.profiles(), cold.profiles());
+        assert_eq!(forked.span_reports(), cold.span_reports());
+        assert_eq!(forked.noc_stats(), cold.noc_stats());
+    }
+
+    /// Sanitize plus faults cannot be written as [`RunOptions`]; the one
+    /// place it could still be asked for, faults on a sanitized prefix,
+    /// is refused.
+    #[test]
+    fn sanitized_prefix_refuses_faults() {
+        let m = models();
+        let opts = RunOptions::sanitized(SocEngine::EventDriven);
+        let mut prepared = PreparedApp::load(&CaseApp::DenoiserClassifier, &m, 1, opts).unwrap();
+        let err = prepared
+            .run(ExecMode::P2p, Some(&FaultConfig::default()))
+            .unwrap_err();
+        assert!(matches!(err, ExperimentError::Grid(_)), "{err}");
+        let run = prepared.run(ExecMode::P2p, None).unwrap();
+        assert!(run.sanitizer.expect("verdict").is_clean());
     }
 
     /// The fig7 grid is config-major, so its 15 points collapse into 5
@@ -1451,6 +1242,7 @@ mod tests {
             &models(),
             4,
             ExecMode::P2p,
+            RunOptions::default(),
         )
         .unwrap();
         assert_eq!(run.metrics.frames, 4);
@@ -1539,8 +1331,8 @@ impl AccuracyReport {
         }
         let frac = |h: u64| h as f64 / n as f64;
 
-        let soc_nv = AppRun::execute(&nv_app, models, n, ExecMode::P2p)?;
-        let soc_de = AppRun::execute(&de_app, models, n, ExecMode::P2p)?;
+        let soc_nv = AppRun::execute(&nv_app, models, n, ExecMode::P2p, RunOptions::default())?;
+        let soc_de = AppRun::execute(&de_app, models, n, ExecMode::P2p, RunOptions::default())?;
 
         Ok(AccuracyReport {
             n,

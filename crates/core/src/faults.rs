@@ -13,7 +13,7 @@
 //! `espfault` binary prints.
 
 use crate::apps::{CaseApp, TrainedModels};
-use crate::experiments::{AppRun, ExperimentError, GridPoint, PreparedApp};
+use crate::experiments::{AppRun, ExperimentError, GridPoint, PreparedApp, RunOptions};
 use esp4ml_check::{codes, Diagnostic, Report};
 use esp4ml_fault::{CampaignTargets, FaultClass, FaultKind, FaultPlan};
 use esp4ml_noc::Plane;
@@ -259,7 +259,8 @@ impl CampaignReport {
                 let idx = match warmed.iter().position(|(k, _)| *k == key) {
                     Some(i) => i,
                     None => {
-                        warmed.push((key, PreparedApp::load(&app, models, frames, engine, false)?));
+                        let opts = RunOptions::new(engine);
+                        warmed.push((key, PreparedApp::load(&app, models, frames, opts)?));
                         warmed.len() - 1
                     }
                 };
@@ -268,8 +269,8 @@ impl CampaignReport {
                 None
             };
             let healthy = match prepared.as_mut() {
-                Some(p) => p.run(mode)?,
-                None => AppRun::execute_on(&app, models, frames, mode, engine)?,
+                Some(p) => p.run(mode, None)?,
+                None => AppRun::execute(&app, models, frames, mode, RunOptions::new(engine))?,
             };
             let devices: Vec<String> = app
                 .dataflow()
@@ -299,9 +300,10 @@ impl CampaignReport {
                         software_fallback: true,
                     };
                     let result = match prepared.as_mut() {
-                        Some(p) => p.run_faulted(mode, &config),
+                        Some(p) => p.run(mode, Some(&config)),
                         None => {
-                            AppRun::execute_faulted(&app, models, frames, mode, engine, &config)
+                            let opts = RunOptions::faulted(engine, &config);
+                            AppRun::execute(&app, models, frames, mode, opts)
                         }
                     };
                     let case = match result {

@@ -31,14 +31,16 @@
 //!
 //! ```
 //! use esp4ml::apps::{CaseApp, TrainedModels};
-//! use esp4ml::experiments::AppRun;
+//! use esp4ml::experiments::{AppRun, RunOptions};
 //! use esp4ml_runtime::ExecMode;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // Untrained weights keep the doctest fast; see `TrainedModels::train`.
 //! let models = TrainedModels::untrained();
 //! let app = CaseApp::DenoiserClassifier;
-//! let run = AppRun::execute(&app, &models, 4, ExecMode::P2p)?;
+//! // Default options: the event-driven engine, unobserved, no sanitizer
+//! // and no faults; see `RunOptions` for the others.
+//! let run = AppRun::execute(&app, &models, 4, ExecMode::P2p, RunOptions::default())?;
 //! assert_eq!(run.metrics.frames, 4);
 //! assert!(run.metrics.frames_per_second() > 0.0);
 //! # Ok(())

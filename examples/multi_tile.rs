@@ -7,7 +7,7 @@
 //! ```
 
 use esp4ml::apps::{TrainedModels, CLASSIFIER_REUSE, MULTI_TILE_REUSE};
-use esp4ml::experiments::AppRun;
+use esp4ml::experiments::{AppRun, RunOptions};
 use esp4ml::flow::Esp4mlFlow;
 use esp4ml::runtime::{ExecMode, RunSpec};
 use esp4ml::CaseApp;
@@ -53,7 +53,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Run SoC-2 in the three modes.
     println!("\nSoC-2 execution (32 frames):");
     for mode in ExecMode::ALL {
-        let run = AppRun::execute(&CaseApp::MultiTileClassifier, &models, 32, mode)?;
+        let run = AppRun::execute(
+            &CaseApp::MultiTileClassifier,
+            &models,
+            32,
+            mode,
+            RunOptions::default(),
+        )?;
         println!(
             "  {:>4}: {:>7.0} frames/s  {:>8.0} frames/J  {:>6} DRAM accesses",
             mode.label(),

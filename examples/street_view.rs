@@ -7,7 +7,7 @@
 //! ```
 
 use esp4ml::apps::{CaseApp, TrainedModels};
-use esp4ml::experiments::AppRun;
+use esp4ml::experiments::{AppRun, RunOptions};
 use esp4ml::runtime::{ExecMode, RunSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         println!("configuration {}:", app.label());
         for mode in ExecMode::ALL {
-            let run = AppRun::execute(&app, &models, frames, mode)?;
+            let run = AppRun::execute(&app, &models, frames, mode, RunOptions::default())?;
             println!(
                 "  {:>4}: {:>7.0} frames/s  {:>8.0} frames/J  {:>6} DRAM accesses",
                 mode.label(),

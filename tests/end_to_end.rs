@@ -2,7 +2,7 @@
 //! execution, across crates.
 
 use esp4ml::apps::{CaseApp, TrainedModels};
-use esp4ml::experiments::AppRun;
+use esp4ml::experiments::{AppRun, RunOptions};
 use esp4ml::runtime::ExecMode;
 
 fn models() -> TrainedModels {
@@ -14,7 +14,7 @@ fn every_case_app_runs_in_every_mode() {
     let m = models();
     for app in CaseApp::all_fig7_configs() {
         for mode in ExecMode::ALL {
-            let run = AppRun::execute(&app, &m, 4, mode)
+            let run = AppRun::execute(&app, &m, 4, mode, RunOptions::default())
                 .unwrap_or_else(|e| panic!("{} {}: {e}", app.label(), mode.label()));
             assert_eq!(run.metrics.frames, 4, "{} {}", app.label(), mode.label());
             assert!(run.metrics.cycles > 0);
@@ -32,9 +32,11 @@ fn predictions_are_mode_invariant() {
         CaseApp::DenoiserClassifier,
         CaseApp::MultiTileClassifier,
     ] {
-        let base = AppRun::execute(&app, &m, 5, ExecMode::Base).expect("base");
-        let pipe = AppRun::execute(&app, &m, 5, ExecMode::Pipe).expect("pipe");
-        let p2p = AppRun::execute(&app, &m, 5, ExecMode::P2p).expect("p2p");
+        let base =
+            AppRun::execute(&app, &m, 5, ExecMode::Base, RunOptions::default()).expect("base");
+        let pipe =
+            AppRun::execute(&app, &m, 5, ExecMode::Pipe, RunOptions::default()).expect("pipe");
+        let p2p = AppRun::execute(&app, &m, 5, ExecMode::P2p, RunOptions::default()).expect("p2p");
         assert_eq!(base.predictions, pipe.predictions, "{}", app.label());
         assert_eq!(pipe.predictions, p2p.predictions, "{}", app.label());
     }
@@ -47,9 +49,11 @@ fn pipe_not_slower_base_and_p2p_not_slower_pipe() {
         CaseApp::NightVisionClassifier { nv: 4, cl: 4 },
         CaseApp::MultiTileClassifier,
     ] {
-        let base = AppRun::execute(&app, &m, 8, ExecMode::Base).expect("base");
-        let pipe = AppRun::execute(&app, &m, 8, ExecMode::Pipe).expect("pipe");
-        let p2p = AppRun::execute(&app, &m, 8, ExecMode::P2p).expect("p2p");
+        let base =
+            AppRun::execute(&app, &m, 8, ExecMode::Base, RunOptions::default()).expect("base");
+        let pipe =
+            AppRun::execute(&app, &m, 8, ExecMode::Pipe, RunOptions::default()).expect("pipe");
+        let p2p = AppRun::execute(&app, &m, 8, ExecMode::P2p, RunOptions::default()).expect("p2p");
         assert!(
             pipe.metrics.cycles < base.metrics.cycles,
             "{}: pipe {} !< base {}",
@@ -76,8 +80,9 @@ fn p2p_dram_reduction_is_in_the_paper_band() {
         (CaseApp::DenoiserClassifier, 2.5, 3.2),
         (CaseApp::MultiTileClassifier, 1.7, 2.2),
     ] {
-        let pipe = AppRun::execute(&app, &m, 6, ExecMode::Pipe).expect("pipe");
-        let p2p = AppRun::execute(&app, &m, 6, ExecMode::P2p).expect("p2p");
+        let pipe =
+            AppRun::execute(&app, &m, 6, ExecMode::Pipe, RunOptions::default()).expect("pipe");
+        let p2p = AppRun::execute(&app, &m, 6, ExecMode::P2p, RunOptions::default()).expect("p2p");
         let reduction = pipe.metrics.dram_accesses as f64 / p2p.metrics.dram_accesses as f64;
         assert!(
             (lo..=hi).contains(&reduction),
@@ -105,7 +110,8 @@ fn esp4ml_beats_baselines_in_frames_per_joule() {
         (CaseApp::MultiTileClassifier, Workload::classifier()),
     ];
     for (app, workload) in cases {
-        let run = AppRun::execute(&app, &m, 8, ExecMode::P2p).expect("p2p run");
+        let run =
+            AppRun::execute(&app, &m, 8, ExecMode::P2p, RunOptions::default()).expect("p2p run");
         let fpj = run.frames_per_joule();
         assert!(
             fpj > i7.frames_per_joule(&workload),
@@ -131,6 +137,7 @@ fn nv_instance_scaling_increases_throughput() {
             &m,
             8,
             ExecMode::P2p,
+            RunOptions::default(),
         )
         .expect("run")
         .metrics

@@ -5,18 +5,25 @@
 //! in a `progress`/`advance` implementation, never a tolerance issue.
 
 use esp4ml::apps::TrainedModels;
-use esp4ml::experiments::{AppRun, Fig7, Fig8, GridPoint, Table1};
+use esp4ml::experiments::{AppRun, Fig7, Fig8, GridPoint, RunOptions, Table1};
 use esp4ml::soc::SocEngine;
 use esp4ml::TraceSession;
 use esp4ml_runtime::ExecMode;
 use proptest::prelude::*;
 
 fn assert_engines_agree(point: &GridPoint, models: &TrainedModels, frames: u64) {
-    let naive = point
-        .run(models, frames, SocEngine::Naive)
-        .unwrap_or_else(|e| panic!("{} naive failed: {e}", point.label()));
-    let event = point
-        .run(models, frames, SocEngine::EventDriven)
+    let run = |engine| {
+        AppRun::execute(
+            &point.app,
+            models,
+            frames,
+            point.mode,
+            RunOptions::new(engine),
+        )
+    };
+    let naive =
+        run(SocEngine::Naive).unwrap_or_else(|e| panic!("{} naive failed: {e}", point.label()));
+    let event = run(SocEngine::EventDriven)
         .unwrap_or_else(|e| panic!("{} event-driven failed: {e}", point.label()));
     assert_eq!(
         naive.metrics,
@@ -63,7 +70,8 @@ fn profile_json(
     engine: SocEngine,
 ) -> String {
     let mut session = TraceSession::profiled(None);
-    AppRun::execute_traced_on(&point.app, models, frames, point.mode, engine, &mut session)
+    let opts = RunOptions::new(engine).traced(&mut session);
+    AppRun::execute(&point.app, models, frames, point.mode, opts)
         .unwrap_or_else(|e| panic!("{} profiled run failed: {e}", point.label()));
     serde_json::to_string(session.profiles()).expect("profile serialization")
 }
@@ -98,7 +106,8 @@ fn engines_agree_on_profile_reports() {
 /// attached and returns the serialized span report list.
 fn span_json(point: &GridPoint, models: &TrainedModels, frames: u64, engine: SocEngine) -> String {
     let mut session = TraceSession::spanned(None, true);
-    AppRun::execute_traced_on(&point.app, models, frames, point.mode, engine, &mut session)
+    let opts = RunOptions::new(engine).traced(&mut session);
+    AppRun::execute(&point.app, models, frames, point.mode, opts)
         .unwrap_or_else(|e| panic!("{} spanned run failed: {e}", point.label()));
     serde_json::to_string(session.span_reports()).expect("span serialization")
 }
@@ -135,13 +144,12 @@ fn span_critical_path_matches_profiler_on_every_fig7_point() {
     let models = TrainedModels::untrained();
     for point in &Fig7::grid() {
         let mut session = TraceSession::spanned(None, true);
-        AppRun::execute_traced_on(
+        AppRun::execute(
             &point.app,
             &models,
             2,
             point.mode,
-            SocEngine::EventDriven,
-            &mut session,
+            RunOptions::new(SocEngine::EventDriven).traced(&mut session),
         )
         .unwrap_or_else(|e| panic!("{} spanned run failed: {e}", point.label()));
         let report = session.span_reports().first().expect("span report");
@@ -197,7 +205,8 @@ proptest! {
         let point = GridPoint { app, mode };
         for engine in [SocEngine::Naive, SocEngine::EventDriven] {
             let mut session = TraceSession::spanned(None, false);
-            AppRun::execute_traced_on(&app, &models, frames, mode, engine, &mut session)
+            let opts = RunOptions::new(engine).traced(&mut session);
+            AppRun::execute(&app, &models, frames, mode, opts)
                 .unwrap_or_else(|e| panic!("{} spanned run failed: {e}", point.label()));
             let report = session.span_reports().first().expect("span report");
             prop_assert_eq!(

@@ -166,12 +166,13 @@ fn shallow_noc_queues_never_deadlock_a_full_app() {
     // pattern — and make sure it completes (the consumption assumption
     // and plane decoupling are what guarantee this).
     use esp4ml::apps::{CaseApp, TrainedModels};
-    use esp4ml::experiments::AppRun;
+    use esp4ml::experiments::{AppRun, RunOptions};
     let run = AppRun::execute(
         &CaseApp::NightVisionClassifier { nv: 4, cl: 4 },
         &TrainedModels::untrained(),
         12,
         ExecMode::P2p,
+        RunOptions::default(),
     )
     .expect("must drain without deadlock");
     assert_eq!(run.metrics.frames, 12);

@@ -4,7 +4,7 @@
 //! the whole machinery is zero-cost when no faults are configured.
 
 use esp4ml::apps::{CaseApp, TrainedModels};
-use esp4ml::experiments::AppRun;
+use esp4ml::experiments::{AppRun, RunOptions};
 use esp4ml::faults::{CampaignReport, FaultConfig, CAMPAIGN_WATCHDOG_CYCLES};
 use esp4ml::runtime::ExecMode;
 use esp4ml::trace::SpanKind;
@@ -20,6 +20,10 @@ fn hang_config(plan: FaultPlan) -> FaultConfig {
     FaultConfig::from_plan(plan).with_watchdog(CAMPAIGN_WATCHDOG_CYCLES)
 }
 
+fn faulted(config: &FaultConfig) -> RunOptions<'_> {
+    RunOptions::faulted(SocEngine::EventDriven, config)
+}
+
 /// The acceptance scenario of the fault-tolerance work: a Fig. 7
 /// three-stage pipeline (input → NV → classifier) with a permanently
 /// hung classifier completes via retry + failover to the spare
@@ -29,10 +33,9 @@ fn hang_config(plan: FaultPlan) -> FaultConfig {
 fn fig7_pipeline_survives_permanent_hang_via_failover() {
     let m = models();
     let app = CaseApp::NightVisionClassifier { nv: 2, cl: 2 };
-    let healthy = AppRun::execute(&app, &m, 3, ExecMode::Pipe).unwrap();
+    let healthy = AppRun::execute(&app, &m, 3, ExecMode::Pipe, RunOptions::default()).unwrap();
     let config = hang_config(FaultPlan::new(0).with(FaultSpec::permanent_hang("cl0")));
-    let run = AppRun::execute_faulted(&app, &m, 3, ExecMode::Pipe, SocEngine::EventDriven, &config)
-        .unwrap();
+    let run = AppRun::execute(&app, &m, 3, ExecMode::Pipe, faulted(&config)).unwrap();
     assert!(!run.software_fallback, "spares should absorb the hang");
     assert!(run.metrics.retries >= 1, "{:?}", run.metrics);
     assert!(run.metrics.failovers >= 1, "{:?}", run.metrics);
@@ -54,10 +57,9 @@ fn fig7_pipeline_survives_permanent_hang_via_failover() {
 fn denoiser_hang_degrades_to_software_fallback() {
     let m = models();
     let app = CaseApp::DenoiserClassifier;
-    let healthy = AppRun::execute(&app, &m, 3, ExecMode::Pipe).unwrap();
+    let healthy = AppRun::execute(&app, &m, 3, ExecMode::Pipe, RunOptions::default()).unwrap();
     let config = hang_config(FaultPlan::new(0).with(FaultSpec::permanent_hang("denoiser")));
-    let run = AppRun::execute_faulted(&app, &m, 3, ExecMode::Pipe, SocEngine::EventDriven, &config)
-        .unwrap();
+    let run = AppRun::execute(&app, &m, 3, ExecMode::Pipe, faulted(&config)).unwrap();
     assert!(run.software_fallback);
     assert_eq!(run.metrics.frames, 3);
     assert_eq!(run.predictions.len(), 3);
@@ -70,16 +72,31 @@ fn denoiser_hang_degrades_to_software_fallback() {
     );
 }
 
+/// A traced run that degrades to software still closes its observed
+/// run: the session holds its profile, span report and NoC summary.
+#[test]
+fn traced_software_fallback_is_recorded() {
+    let m = models();
+    let app = CaseApp::DenoiserClassifier;
+    let config = hang_config(FaultPlan::new(0).with(FaultSpec::permanent_hang("denoiser")));
+    let mut session = TraceSession::spanned(None, true);
+    let opts = faulted(&config).traced(&mut session);
+    let run = AppRun::execute(&app, &m, 3, ExecMode::Pipe, opts).unwrap();
+    assert!(run.software_fallback);
+    assert_eq!(session.span_reports().len(), 1);
+    assert_eq!(session.profiles().len(), 1);
+    assert_eq!(session.noc_stats().len(), 1);
+}
+
 /// A transient hang heals with retries alone — no failover, correct
 /// output.
 #[test]
 fn transient_hang_recovers_with_retries_only() {
     let m = models();
     let app = CaseApp::DenoiserClassifier;
-    let healthy = AppRun::execute(&app, &m, 3, ExecMode::P2p).unwrap();
+    let healthy = AppRun::execute(&app, &m, 3, ExecMode::P2p, RunOptions::default()).unwrap();
     let config = hang_config(FaultPlan::new(0).with(FaultSpec::transient_hang("denoiser", 0)));
-    let run = AppRun::execute_faulted(&app, &m, 3, ExecMode::P2p, SocEngine::EventDriven, &config)
-        .unwrap();
+    let run = AppRun::execute(&app, &m, 3, ExecMode::P2p, faulted(&config)).unwrap();
     assert!(!run.software_fallback);
     assert!(run.metrics.retries >= 1);
     assert_eq!(run.metrics.failovers, 0);
@@ -129,14 +146,12 @@ fn recovery_cycles_appear_as_retry_and_failover_spans() {
     let app = CaseApp::DenoiserClassifier;
     let config = hang_config(FaultPlan::new(0).with(FaultSpec::transient_hang("denoiser", 0)));
     let mut session = TraceSession::spanned(None, false);
-    let run = AppRun::execute_faulted_traced(
+    let run = AppRun::execute(
         &app,
         &m,
         3,
         ExecMode::P2p,
-        SocEngine::EventDriven,
-        &config,
-        &mut session,
+        faulted(&config).traced(&mut session),
     )
     .unwrap();
     assert!(run.metrics.retries >= 1, "{:?}", run.metrics);
@@ -164,14 +179,12 @@ fn recovery_cycles_appear_as_retry_and_failover_spans() {
     let app = CaseApp::NightVisionClassifier { nv: 2, cl: 2 };
     let config = hang_config(FaultPlan::new(0).with(FaultSpec::permanent_hang("cl0")));
     let mut session = TraceSession::spanned(None, false);
-    let run = AppRun::execute_faulted_traced(
+    let run = AppRun::execute(
         &app,
         &m,
         3,
         ExecMode::Pipe,
-        SocEngine::EventDriven,
-        &config,
-        &mut session,
+        faulted(&config).traced(&mut session),
     )
     .unwrap();
     assert!(run.metrics.failovers >= 1, "{:?}", run.metrics);
@@ -199,14 +212,20 @@ fn recovery_cycles_appear_as_retry_and_failover_spans() {
 fn no_faults_is_zero_cost() {
     let m = models();
     for mode in [ExecMode::Pipe, ExecMode::P2p] {
-        let plain = AppRun::execute(&CaseApp::DenoiserClassifier, &m, 3, mode).unwrap();
-        let armed = AppRun::execute_faulted(
+        let plain = AppRun::execute(
             &CaseApp::DenoiserClassifier,
             &m,
             3,
             mode,
-            SocEngine::EventDriven,
-            &FaultConfig::default(),
+            RunOptions::default(),
+        )
+        .unwrap();
+        let armed = AppRun::execute(
+            &CaseApp::DenoiserClassifier,
+            &m,
+            3,
+            mode,
+            faulted(&FaultConfig::default()),
         )
         .unwrap();
         assert_eq!(plain.metrics, armed.metrics, "{mode:?}");

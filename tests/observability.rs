@@ -3,7 +3,7 @@
 //! against the legacy aggregate stats.
 
 use esp4ml::apps::{CaseApp, TrainedModels};
-use esp4ml::experiments::AppRun;
+use esp4ml::experiments::{AppRun, RunOptions};
 use esp4ml::noc::Coord;
 use esp4ml::runtime::{Dataflow, EspRuntime, ExecMode, RunSpec};
 use esp4ml::soc::{ScaleKernel, SocBuilder};
@@ -21,8 +21,14 @@ fn perfetto_export_round_trips_from_e2e_run() {
     let app = CaseApp::DenoiserClassifier;
     let frames = 3u64;
     let mut session = TraceSession::with_sampling(Tracer::ring_buffer(), 500);
-    let run =
-        AppRun::execute_traced(&app, &models, frames, ExecMode::P2p, &mut session).expect("run");
+    let run = AppRun::execute(
+        &app,
+        &models,
+        frames,
+        ExecMode::P2p,
+        RunOptions::default().traced(&mut session),
+    )
+    .expect("run");
     assert_eq!(run.metrics.frames, frames);
 
     // The counter time-series and NoC summary were collected on the way.

@@ -2,7 +2,7 @@
 //! under the invariant sanitizer, and both simulation engines return
 //! byte-identical verdicts.
 
-use esp4ml::experiments::Fig7;
+use esp4ml::experiments::{AppRun, Fig7, RunOptions};
 use esp4ml::TrainedModels;
 use esp4ml_soc::SocEngine;
 
@@ -13,12 +13,19 @@ use esp4ml_soc::SocEngine;
 fn fig7_grid_sanitized_clean_and_engine_identical() {
     let models = TrainedModels::untrained();
     for point in Fig7::grid() {
-        let naive = point
-            .run_sanitized(&models, 2, SocEngine::Naive)
-            .unwrap_or_else(|e| panic!("{} naive: {e}", point.label()));
-        let event = point
-            .run_sanitized(&models, 2, SocEngine::EventDriven)
-            .unwrap_or_else(|e| panic!("{} event: {e}", point.label()));
+        let run = |engine| {
+            AppRun::execute(
+                &point.app,
+                &models,
+                2,
+                point.mode,
+                RunOptions::sanitized(engine),
+            )
+        };
+        let naive =
+            run(SocEngine::Naive).unwrap_or_else(|e| panic!("{} naive: {e}", point.label()));
+        let event =
+            run(SocEngine::EventDriven).unwrap_or_else(|e| panic!("{} event: {e}", point.label()));
         let nv = naive.sanitizer.as_ref().expect("sanitized run has verdict");
         let ev = event.sanitizer.as_ref().expect("sanitized run has verdict");
         assert!(nv.is_clean(), "{}: {nv}", point.label());
@@ -39,16 +46,13 @@ fn fig7_grid_sanitized_clean_and_engine_identical() {
 #[test]
 fn sanitizer_does_not_perturb_results() {
     use esp4ml::apps::CaseApp;
-    use esp4ml::experiments::AppRun;
     use esp4ml::runtime::ExecMode;
 
     let models = TrainedModels::untrained();
     let app = CaseApp::DenoiserClassifier;
-    let plain = AppRun::execute_on(&app, &models, 3, ExecMode::P2p, SocEngine::EventDriven)
-        .expect("plain run");
-    let sanitized =
-        AppRun::execute_sanitized(&app, &models, 3, ExecMode::P2p, SocEngine::EventDriven)
-            .expect("sanitized run");
+    let run = |opts| AppRun::execute(&app, &models, 3, ExecMode::P2p, opts);
+    let plain = run(RunOptions::new(SocEngine::EventDriven)).expect("plain run");
+    let sanitized = run(RunOptions::sanitized(SocEngine::EventDriven)).expect("sanitized run");
     assert_eq!(plain.metrics, sanitized.metrics);
     assert_eq!(plain.predictions, sanitized.predictions);
     assert!(plain.sanitizer.is_none());
