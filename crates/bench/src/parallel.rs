@@ -13,7 +13,7 @@
 //! events from every run into one timeline, which only makes sense when
 //! the runs execute one after another.
 
-use crate::request::{Progress, ProgressSink};
+use crate::request::{ProgressSink, ProgressTracker};
 use esp4ml::apps::TrainedModels;
 use esp4ml::experiments::{AppRun, ExperimentError, GridPoint, PreparedApp, RunKind, RunOptions};
 use esp4ml::faults::FaultConfig;
@@ -53,10 +53,11 @@ pub fn default_jobs() -> usize {
 /// ([`RunKind::Faulted`]): every worker injects the same plan, so the
 /// grid stays deterministic.
 ///
-/// With `progress` set, one cumulative [`Progress`] snapshot is
-/// published per grid point **in grid order**, regardless of worker
-/// scheduling: workers only publish the contiguous prefix of finished
-/// slots, so the snapshot sequence is byte-identical to a serial run.
+/// With `progress` set, one cumulative [`Progress`](crate::request::Progress)
+/// snapshot is published per grid point **in grid order**, regardless of
+/// worker scheduling: workers only publish the contiguous prefix of
+/// finished slots through one `ProgressTracker`, so the snapshot sequence
+/// is byte-identical to a serial run.
 ///
 /// # Errors
 ///
@@ -140,39 +141,26 @@ pub fn run_grid(
             .map(|&i| (i, prepared.run(points[i].mode, None)))
             .collect()
     };
-    let total = points.len() as u64;
     let slots: Vec<Mutex<Option<Result<AppRun, ExperimentError>>>> =
         points.iter().map(|_| Mutex::new(None)).collect();
-    // Publisher state shared by all workers: `next` is the first slot
-    // not yet published. Whoever fills a slot advances the contiguous
-    // finished prefix, so snapshots always come out in grid order.
-    let publisher = Mutex::new(PublishState::default());
+    // The first slot not yet published, and the progress accumulator.
+    // Whoever fills a slot advances the contiguous finished prefix, so
+    // snapshots always come out in grid order.
+    let publisher = Mutex::new((0, ProgressTracker::new(progress, points.len() as u64)));
     let finish_group = |results: Vec<(usize, Result<AppRun, ExperimentError>)>| {
         for (i, result) in results {
             *slots[i].lock().expect("slot lock") = Some(result);
         }
-        let mut state = publisher.lock().expect("publisher lock");
-        while let Some(slot) = slots.get(state.next) {
-            let filled = slot.lock().expect("slot lock");
-            let run = match filled.as_ref() {
-                Some(Ok(run)) => run,
+        let mut publisher = publisher.lock().expect("publisher lock");
+        let (next, tracker) = &mut *publisher;
+        while let Some(slot) = slots.get(*next) {
+            match slot.lock().expect("slot lock").as_ref() {
+                Some(Ok(run)) => tracker.advance_run(run),
                 // A failed point fails the whole grid; stop publishing
                 // rather than skip past the error.
                 Some(Err(_)) | None => break,
-            };
-            if let Some(sink) = progress {
-                state.done += 1;
-                state.frames += run.metrics.frames;
-                state.cycles += run.metrics.cycles;
-                sink.publish(&Progress {
-                    points_done: state.done,
-                    points_total: total,
-                    frames_done: state.frames,
-                    cycles: state.cycles,
-                    label: format!("{} {}", run.label, run.mode.label()),
-                });
             }
-            state.next += 1;
+            *next += 1;
         }
     };
     let cursor = AtomicUsize::new(0);
@@ -199,16 +187,6 @@ pub fn run_grid(
                 .expect("every group ran, so every slot is filled")
         })
         .collect()
-}
-
-/// Cumulative progress accumulator shared by the workers of
-/// [`run_grid`].
-#[derive(Default)]
-struct PublishState {
-    next: usize,
-    done: u64,
-    frames: u64,
-    cycles: u64,
 }
 
 #[cfg(test)]

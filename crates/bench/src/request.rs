@@ -36,6 +36,7 @@ use esp4ml_runtime::RunMetrics;
 use esp4ml_soc::SocEngine;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::Mutex;
 
 /// Version of the request/response schema (shared with the artifact
@@ -206,11 +207,12 @@ impl ProgressSink for CollectingSink {
     }
 }
 
-/// Serial-path progress accumulator: counts units off as they complete
-/// and publishes the cumulative snapshot to the sink (no-op without
-/// one). The parallel grid driver has its own prefix-ordered publisher
-/// in [`crate::parallel::run_grid`]; both produce the same sequence.
-struct ProgressTracker<'a> {
+/// The progress accumulator: counts units off as they complete and
+/// publishes the cumulative snapshot to the sink (no-op without one).
+/// Every workload publishes through it — the serial loops directly, and
+/// [`crate::parallel::run_grid`] over its in-order prefix of finished
+/// points.
+pub(crate) struct ProgressTracker<'a> {
     sink: Option<&'a dyn ProgressSink>,
     total: u64,
     done: u64,
@@ -219,7 +221,7 @@ struct ProgressTracker<'a> {
 }
 
 impl<'a> ProgressTracker<'a> {
-    fn new(sink: Option<&'a dyn ProgressSink>, total: u64) -> ProgressTracker<'a> {
+    pub(crate) fn new(sink: Option<&'a dyn ProgressSink>, total: u64) -> ProgressTracker<'a> {
         ProgressTracker {
             sink,
             total,
@@ -229,7 +231,8 @@ impl<'a> ProgressTracker<'a> {
         }
     }
 
-    fn advance(&mut self, label: &str, frames: u64, cycles: u64) {
+    /// Counts one unit off; `label` is rendered only when a sink listens.
+    pub(crate) fn advance(&mut self, label: impl std::fmt::Display, frames: u64, cycles: u64) {
         self.done += 1;
         self.frames += frames;
         self.cycles += cycles;
@@ -242,6 +245,15 @@ impl<'a> ProgressTracker<'a> {
                 label: label.to_string(),
             });
         }
+    }
+
+    /// Counts one finished run off under its `{app} {mode}` label.
+    pub(crate) fn advance_run(&mut self, run: &AppRun) {
+        self.advance(
+            format_args!("{} {}", run.label, run.mode.label()),
+            run.metrics.frames,
+            run.metrics.cycles,
+        );
     }
 }
 
@@ -549,18 +561,7 @@ impl RunRequest {
                         self.workload.label()
                     ));
                 }
-                if self.fault_plan.is_some() {
-                    return Err(format!(
-                        "fault_plan is not meaningful for the {} workload",
-                        self.workload.label()
-                    ));
-                }
-                if self.sanitize || self.observe.any() {
-                    return Err(format!(
-                        "sanitize/observe are not meaningful for the {} workload",
-                        self.workload.label()
-                    ));
-                }
+                self.reject_run_options()?;
             }
             WorkloadKind::Fig7 | WorkloadKind::Fig8 | WorkloadKind::Table1 => {
                 if !self.modes.is_empty() {
@@ -574,6 +575,8 @@ impl RunRequest {
                 for m in &self.modes {
                     mode_from_name(m)?;
                 }
+                // espprof/espspan attach their own observers per point.
+                self.reject_run_options()?;
             }
         }
         let space = self.workload.config_space();
@@ -586,6 +589,24 @@ impl RunRequest {
             return Err(format!(
                 "config {bad}: index out of range; {}",
                 list.join(" ")
+            ));
+        }
+        Ok(())
+    }
+
+    /// Refuses the per-run options (fault plan, sanitizer, observers)
+    /// on workloads that fix how their runs are made.
+    fn reject_run_options(&self) -> Result<(), String> {
+        if self.fault_plan.is_some() {
+            return Err(format!(
+                "fault_plan is not meaningful for the {} workload",
+                self.workload.label()
+            ));
+        }
+        if self.sanitize || self.observe.any() {
+            return Err(format!(
+                "sanitize/observe are not meaningful for the {} workload",
+                self.workload.label()
             ));
         }
         Ok(())
@@ -686,12 +707,10 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 fn mode_from_name(name: &str) -> Result<ExecMode, String> {
-    match name {
-        "base" => Ok(ExecMode::Base),
-        "pipe" => Ok(ExecMode::Pipe),
-        "p2p" => Ok(ExecMode::P2p),
-        other => Err(format!("unknown mode {other}; expected base, pipe or p2p")),
-    }
+    ExecMode::ALL
+        .into_iter()
+        .find(|m| m.label() == name)
+        .ok_or_else(|| format!("unknown mode {name}; expected base, pipe or p2p"))
 }
 
 /// The espcheck admission filter: lints the request's attachments
@@ -727,13 +746,29 @@ pub fn admission(req: &RunRequest) -> Report {
     report
 }
 
-/// The grid points a (normalized, validated) figure-family request
-/// selects; empty for non-grid workloads.
+/// The grid points a normalized request selects: figure-grid points in
+/// request order, or the profile/spans `configs × modes` in config-major
+/// order; empty for the workloads that run no grid. Modes are parsed
+/// here, once; entries validation would reject are skipped.
 fn selected_points(req: &RunRequest) -> Vec<GridPoint> {
     let grid = match req.workload {
         WorkloadKind::Fig7 => Fig7::grid(),
         WorkloadKind::Fig8 => Fig8::grid(),
         WorkloadKind::Table1 => Table1::grid(),
+        WorkloadKind::Profile | WorkloadKind::Spans => {
+            let all = CaseApp::all_fig7_configs();
+            let modes: Vec<ExecMode> = req
+                .modes
+                .iter()
+                .filter_map(|m| mode_from_name(m).ok())
+                .collect();
+            return req
+                .configs
+                .iter()
+                .filter_map(|&c| all.get(c).copied())
+                .flat_map(|app| modes.iter().map(move |&mode| GridPoint { app, mode }))
+                .collect();
+        }
         _ => return Vec::new(),
     };
     if req.configs.is_empty() {
@@ -790,11 +825,39 @@ pub fn execute_with_progress(
     }
 }
 
-/// The enveloped run-metrics artifact — the byte-identity surface the
-/// CI smoke test compares between the server and the CLI.
-fn metrics_artifact(runs: &[PointRun]) -> String {
-    let payload = serde_json::to_value(runs).expect("runs serialize");
-    envelope_json("run-metrics", payload)
+impl RunResponse {
+    /// The response skeleton every workload builder starts from: the
+    /// request's identity fields, the measured `runs` (plus the enveloped
+    /// `metrics` artifact — the byte-identity surface between the CLI
+    /// `--metrics` file and the server — when there are any), and a
+    /// verdict that is `ok` exactly when `violations` is empty.
+    fn new(
+        req: &RunRequest,
+        runs: &[AppRun],
+        violations: Vec<String>,
+        summary_text: String,
+    ) -> RunResponse {
+        let runs: Vec<PointRun> = runs.iter().map(PointRun::from_app_run).collect();
+        let mut artifacts = BTreeMap::new();
+        if !runs.is_empty() {
+            let payload = serde_json::to_value(&runs).expect("runs serialize");
+            artifacts.insert("metrics".into(), envelope_json("run-metrics", payload));
+        }
+        RunResponse {
+            schema_version: SCHEMA_VERSION,
+            workload: req.workload.label().to_string(),
+            engine: engine_name(req.soc_engine()).to_string(),
+            frames: req.frames,
+            runs,
+            verdict: Verdict {
+                ok: violations.is_empty(),
+                violations,
+            },
+            summary_text,
+            notes: Vec::new(),
+            artifacts,
+        }
+    }
 }
 
 /// Builds the observability session a request asks for (`None` when
@@ -828,7 +891,7 @@ fn observe_artifacts(
         let dropped = session.tracer().dropped();
         let dropped_spans = session.tracer().dropped_spans();
         let events = session.tracer().drain();
-        let doc = perfetto::chrome_trace_with_drop_counts(&events, dropped, dropped_spans);
+        let doc = perfetto::chrome_trace(&events, dropped, dropped_spans);
         artifacts.insert(
             "trace".into(),
             serde_json::to_string_pretty(&doc).expect("trace serializes"),
@@ -870,6 +933,33 @@ fn observe_artifacts(
     }
 }
 
+/// The one serial traced loop: runs `points` in order, each under
+/// `session`, publishing one progress snapshot per point, and folds each
+/// finished run into a row with `row` (which sees the session that
+/// recorded it). Observed runs are serial by design: the collectors are
+/// single-stream.
+fn traced_runs<T>(
+    req: &RunRequest,
+    points: &[GridPoint],
+    models: &TrainedModels,
+    progress: Option<&dyn ProgressSink>,
+    session: &mut TraceSession,
+    mut row: impl FnMut(&AppRun, &mut TraceSession) -> Result<T, RequestError>,
+) -> Result<(Vec<AppRun>, Vec<T>), RequestError> {
+    let engine = req.soc_engine();
+    let mut tracker = ProgressTracker::new(progress, points.len() as u64);
+    let mut runs = Vec::with_capacity(points.len());
+    let mut rows = Vec::with_capacity(points.len());
+    for point in points {
+        let opts = RunOptions::new(engine).traced(session);
+        let run = AppRun::execute(&point.app, models, req.frames, point.mode, opts)?;
+        tracker.advance_run(&run);
+        rows.push(row(&run, session)?);
+        runs.push(run);
+    }
+    Ok((runs, rows))
+}
+
 /// Runs a figure/table workload: the selected grid points, observed /
 /// sanitized / faulted / parallel exactly as the flags always composed,
 /// plus figure assembly when the whole grid ran.
@@ -879,41 +969,31 @@ fn figure_response(
     progress: Option<&dyn ProgressSink>,
 ) -> Result<RunResponse, RequestError> {
     let points = selected_points(req);
-    let engine = req.soc_engine();
-    let full_grid = req.configs.is_empty();
     let faults = req.fault_plan.clone().map(|plan| {
         FaultConfig::from_plan(plan).with_watchdog(esp4ml::faults::CAMPAIGN_WATCHDOG_CYCLES)
     });
     let mut artifacts = BTreeMap::new();
     let mut notes = Vec::new();
-    let runs: Vec<AppRun> = if let Some(mut session) = session_for(&req.observe) {
-        // Observed runs are serial: the collectors are single-stream.
-        let mut tracker = ProgressTracker::new(progress, points.len() as u64);
-        let mut runs = Vec::new();
-        for point in &points {
-            let opts = RunOptions::new(engine).traced(&mut session);
-            let run = AppRun::execute(&point.app, models, req.frames, point.mode, opts)?;
-            tracker.advance(
-                &format!("{} {}", run.label, run.mode.label()),
-                run.metrics.frames,
-                run.metrics.cycles,
-            );
-            runs.push(run);
+    let runs = match session_for(&req.observe) {
+        Some(mut session) => {
+            let (runs, _) =
+                traced_runs(req, &points, models, progress, &mut session, |_, _| Ok(()))?;
+            // Drained and dropped before the response is built, which
+            // keeps the peak RSS of observed grids down.
+            observe_artifacts(&req.observe, &session, &mut artifacts, &mut notes);
+            runs
         }
-        observe_artifacts(&req.observe, &session, &mut artifacts, &mut notes);
-        runs
-    } else {
-        parallel::run_grid(
+        None => parallel::run_grid(
             &points,
             models,
             req.frames,
-            engine,
+            req.soc_engine(),
             req.effective_jobs(),
             req.sanitize,
             faults.as_ref(),
             req.fork_prefix,
             progress,
-        )?
+        )?,
     };
     if req.sanitize {
         notes.push(format!("sanitizer: clean across {} runs", runs.len()));
@@ -932,8 +1012,7 @@ fn figure_response(
             runs.len()
         ));
     }
-    let mut summary_text = String::new();
-    if full_grid {
+    let summary_text = if req.configs.is_empty() {
         let figure = match req.workload {
             WorkloadKind::Fig7 => {
                 let fig = Fig7::assemble(&runs)?;
@@ -943,30 +1022,79 @@ fn figure_response(
             WorkloadKind::Table1 => Table1::assemble(models, &runs)?.to_string(),
             _ => unreachable!("figure_response only handles grid workloads"),
         };
-        summary_text.clone_from(&figure);
-        artifacts.insert("figure".into(), figure);
+        artifacts.insert("figure".into(), figure.clone());
+        figure
     } else {
-        summary_text = runs
-            .iter()
+        runs.iter()
             .map(|r| format!("{} {}: {}\n", r.label, r.mode.label(), r.metrics))
-            .collect();
-    }
-    let point_runs: Vec<PointRun> = runs.iter().map(PointRun::from_app_run).collect();
-    artifacts.insert("metrics".into(), metrics_artifact(&point_runs));
-    Ok(RunResponse {
-        schema_version: SCHEMA_VERSION,
-        workload: req.workload.label().to_string(),
-        engine: engine_name(engine).to_string(),
-        frames: req.frames,
-        runs: point_runs,
-        verdict: Verdict {
-            ok: true,
-            violations: Vec::new(),
+            .collect()
+    };
+    let mut response = RunResponse::new(req, &runs, Vec::new(), summary_text);
+    response.artifacts.append(&mut artifacts);
+    response.notes = notes;
+    Ok(response)
+}
+
+/// Folds one observed run, with the session that recorded it alone,
+/// into a report row and the row's report text.
+type RowFn<T> = fn(&AppRun, &TraceSession) -> Result<(T, String), RequestError>;
+
+/// What espprof and espspan share: runs the request's `configs × modes`
+/// points through [`traced_runs`], each in a fresh `new_session()` so
+/// every report stands alone, folds each run into a `row`, and starts
+/// the response with the `=== label ===` text of every row and the
+/// `violations` of the whole set.
+fn observed_points<T>(
+    req: &RunRequest,
+    models: &TrainedModels,
+    progress: Option<&dyn ProgressSink>,
+    new_session: fn() -> TraceSession,
+    row: RowFn<T>,
+    violations: fn(&[T]) -> Vec<String>,
+) -> Result<(RunResponse, Vec<T>), RequestError> {
+    let points = selected_points(req);
+    let mut summary = String::new();
+    let (runs, rows) = traced_runs(
+        req,
+        &points,
+        models,
+        progress,
+        &mut new_session(),
+        |run, session| {
+            let (row, text) = row(run, &std::mem::replace(session, new_session()))?;
+            let _ = write!(
+                summary,
+                "=== {} {} ===\n{text}measured throughput: {:.1} frames/s over {} frames\n\n",
+                run.label,
+                run.mode.label(),
+                run.metrics.frames_per_second(),
+                req.frames
+            );
+            Ok(row)
         },
-        summary_text,
-        notes,
-        artifacts,
-    })
+    )?;
+    let response = RunResponse::new(req, &runs, violations(&rows), summary);
+    Ok((response, rows))
+}
+
+/// Labels of the Fig. 7 configurations a profile/spans request selects.
+fn config_labels(req: &RunRequest) -> Vec<String> {
+    let all = CaseApp::all_fig7_configs();
+    req.configs.iter().map(|&c| all[c].label()).collect()
+}
+
+/// A run failure outside the simulator proper (a missing report, a
+/// serialization or validation failure).
+fn grid_error(e: impl ToString) -> RequestError {
+    RequestError::Run(ExperimentError::Grid(e.to_string()))
+}
+
+/// The enveloped JSON body of a verdict report.
+fn report_artifact(kind: &str, report: &impl Serialize) -> String {
+    envelope_json(
+        kind,
+        serde_json::to_value(report).expect("report serializes"),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1049,93 +1177,56 @@ fn profile_violations(runs: &[ProfiledRun]) -> Vec<String> {
     violations
 }
 
+/// One profiled run's row, from the fresh session that recorded it.
+fn profiled_row(
+    run: &AppRun,
+    session: &TraceSession,
+) -> Result<(ProfiledRun, String), RequestError> {
+    let profile = session
+        .profiles()
+        .first()
+        .cloned()
+        .ok_or_else(|| grid_error("profiled run produced no profile report"))?;
+    let text = profile.render_text();
+    let bottleneck = profile.run.bottleneck.as_ref();
+    let row = ProfiledRun {
+        label: format!("{} {}", run.label, run.mode.label()),
+        mode: run.mode.label().to_string(),
+        frames_per_second: run.metrics.frames_per_second(),
+        observed_cycles_per_frame: profile.run.observed_cycles_per_frame(),
+        limiting_stage: bottleneck.map(|b| b.limiting_stage.clone()),
+        speedup_ceiling: bottleneck.map(|b| b.speedup_ceiling),
+        profile,
+    };
+    Ok((row, text))
+}
+
 fn profile_response(
     req: &RunRequest,
     models: &TrainedModels,
     progress: Option<&dyn ProgressSink>,
 ) -> Result<RunResponse, RequestError> {
-    let all = CaseApp::all_fig7_configs();
-    let engine = req.soc_engine();
-    let mut tracker = ProgressTracker::new(progress, (req.configs.len() * req.modes.len()) as u64);
-    let mut runs = Vec::new();
-    let mut app_runs = Vec::new();
-    let mut labels = Vec::new();
-    let mut summary = String::new();
-    for &config in &req.configs {
-        let app = all[config];
-        labels.push(app.label());
-        for mode_name in &req.modes {
-            let mode = mode_from_name(mode_name).map_err(RequestError::Invalid)?;
-            let mut session = TraceSession::profiled(None);
-            let opts = RunOptions::new(engine).traced(&mut session);
-            let run = AppRun::execute(&app, models, req.frames, mode, opts)?;
-            tracker.advance(
-                &format!("{} {}", app.label(), mode.label()),
-                run.metrics.frames,
-                run.metrics.cycles,
-            );
-            let profile = session.profiles().first().cloned().ok_or_else(|| {
-                RequestError::Run(ExperimentError::Grid(
-                    "profiled run produced no profile report".into(),
-                ))
-            })?;
-            let label = format!("{} {}", app.label(), mode.label());
-            summary.push_str(&format!(
-                "=== {label} ===\n{}measured throughput: {:.1} frames/s over {} frames\n\n",
-                profile.render_text(),
-                run.metrics.frames_per_second(),
-                req.frames
-            ));
-            runs.push(ProfiledRun {
-                label,
-                mode: mode.label().to_string(),
-                frames_per_second: run.metrics.frames_per_second(),
-                observed_cycles_per_frame: profile.run.observed_cycles_per_frame(),
-                limiting_stage: profile
-                    .run
-                    .bottleneck
-                    .as_ref()
-                    .map(|b| b.limiting_stage.clone()),
-                speedup_ceiling: profile.run.bottleneck.as_ref().map(|b| b.speedup_ceiling),
-                profile,
-            });
-            app_runs.push(run);
-        }
-    }
-    let violations = profile_violations(&runs);
+    let (mut response, runs) = observed_points(
+        req,
+        models,
+        progress,
+        || TraceSession::profiled(None),
+        profiled_row,
+        profile_violations,
+    )?;
     let report = EspprofReport {
         version: env!("CARGO_PKG_VERSION").to_string(),
-        configs: labels,
+        configs: config_labels(req),
         frames: req.frames,
-        engine: engine_name(engine).to_string(),
-        consistent: violations.is_empty(),
-        violations,
+        engine: response.engine.clone(),
         runs,
+        violations: response.verdict.violations.clone(),
+        consistent: response.verdict.ok,
     };
-    let point_runs: Vec<PointRun> = app_runs.iter().map(PointRun::from_app_run).collect();
-    let mut artifacts = BTreeMap::new();
-    artifacts.insert("metrics".into(), metrics_artifact(&point_runs));
-    artifacts.insert(
-        "report".into(),
-        envelope_json(
-            "espprof-report",
-            serde_json::to_value(&report).expect("report serializes"),
-        ),
-    );
-    Ok(RunResponse {
-        schema_version: SCHEMA_VERSION,
-        workload: req.workload.label().to_string(),
-        engine: report.engine.clone(),
-        frames: req.frames,
-        runs: point_runs,
-        verdict: Verdict {
-            ok: report.consistent,
-            violations: report.violations.clone(),
-        },
-        summary_text: summary,
-        notes: Vec::new(),
-        artifacts,
-    })
+    response
+        .artifacts
+        .insert("report".into(), report_artifact("espprof-report", &report));
+    Ok(response)
 }
 
 /// One spanned run in an [`EspspanReport`].
@@ -1205,101 +1296,63 @@ fn span_violations(runs: &[SpannedRun]) -> Vec<String> {
     violations
 }
 
+/// One spanned run's row, from the fresh session that recorded it.
+fn spanned_row(run: &AppRun, session: &TraceSession) -> Result<(SpannedRun, String), RequestError> {
+    let report = session
+        .span_reports()
+        .first()
+        .cloned()
+        .ok_or_else(|| grid_error("spanned run produced no span report"))?;
+    let text = report.render_text();
+    let row = SpannedRun {
+        label: format!("{} {}", run.label, run.mode.label()),
+        mode: run.mode.label().to_string(),
+        frames_per_second: run.metrics.frames_per_second(),
+        span_limiting_stage: report
+            .critical_path
+            .as_ref()
+            .map(|cp| cp.limiting_stage.clone()),
+        profile_limiting_stage: session
+            .profiles()
+            .first()
+            .and_then(|p| p.run.bottleneck.as_ref())
+            .map(|b| b.limiting_stage.clone()),
+        report,
+    };
+    Ok((row, text))
+}
+
 fn spans_response(
     req: &RunRequest,
     models: &TrainedModels,
     progress: Option<&dyn ProgressSink>,
 ) -> Result<RunResponse, RequestError> {
-    let all = CaseApp::all_fig7_configs();
-    let engine = req.soc_engine();
-    let mut tracker = ProgressTracker::new(progress, (req.configs.len() * req.modes.len()) as u64);
-    let mut runs = Vec::new();
-    let mut app_runs = Vec::new();
-    let mut labels = Vec::new();
-    let mut summary = String::new();
-    for &config in &req.configs {
-        let app = all[config];
-        labels.push(app.label());
-        for mode_name in &req.modes {
-            let mode = mode_from_name(mode_name).map_err(RequestError::Invalid)?;
-            // The spanned+profiled session feeds one event stream to
-            // both collectors, so the agreement check compares two
-            // independently-maintained analyses of the same run.
-            let mut session = TraceSession::spanned(None, true);
-            let opts = RunOptions::new(engine).traced(&mut session);
-            let run = AppRun::execute(&app, models, req.frames, mode, opts)?;
-            tracker.advance(
-                &format!("{} {}", app.label(), mode.label()),
-                run.metrics.frames,
-                run.metrics.cycles,
-            );
-            let report = session.span_reports().first().cloned().ok_or_else(|| {
-                RequestError::Run(ExperimentError::Grid(
-                    "spanned run produced no span report".into(),
-                ))
-            })?;
-            let profile_limiting_stage = session
-                .profiles()
-                .first()
-                .and_then(|p| p.run.bottleneck.as_ref())
-                .map(|b| b.limiting_stage.clone());
-            let label = format!("{} {}", app.label(), mode.label());
-            summary.push_str(&format!(
-                "=== {label} ===\n{}measured throughput: {:.1} frames/s over {} frames\n\n",
-                report.render_text(),
-                run.metrics.frames_per_second(),
-                req.frames
-            ));
-            runs.push(SpannedRun {
-                label,
-                mode: mode.label().to_string(),
-                frames_per_second: run.metrics.frames_per_second(),
-                span_limiting_stage: report
-                    .critical_path
-                    .as_ref()
-                    .map(|cp| cp.limiting_stage.clone()),
-                profile_limiting_stage,
-                report,
-            });
-            app_runs.push(run);
-        }
-    }
-    let violations = span_violations(&runs);
+    // The spanned+profiled session feeds one event stream to both
+    // collectors, so the agreement check compares two independently
+    // maintained analyses of the same run.
+    let (mut response, runs) = observed_points(
+        req,
+        models,
+        progress,
+        || TraceSession::spanned(None, true),
+        spanned_row,
+        span_violations,
+    )?;
     let flame: String = runs.iter().map(|r| r.report.render_flame()).collect();
     let report = EspspanReport {
         version: env!("CARGO_PKG_VERSION").to_string(),
-        configs: labels,
+        configs: config_labels(req),
         frames: req.frames,
-        engine: engine_name(engine).to_string(),
-        consistent: violations.is_empty(),
-        violations,
+        engine: response.engine.clone(),
         runs,
+        violations: response.verdict.violations.clone(),
+        consistent: response.verdict.ok,
     };
-    let point_runs: Vec<PointRun> = app_runs.iter().map(PointRun::from_app_run).collect();
-    let mut artifacts = BTreeMap::new();
-    artifacts.insert("metrics".into(), metrics_artifact(&point_runs));
-    artifacts.insert("flame".into(), flame);
-    artifacts.insert(
-        "report".into(),
-        envelope_json(
-            "espspan-report",
-            serde_json::to_value(&report).expect("report serializes"),
-        ),
-    );
-    Ok(RunResponse {
-        schema_version: SCHEMA_VERSION,
-        workload: req.workload.label().to_string(),
-        engine: report.engine.clone(),
-        frames: req.frames,
-        runs: point_runs,
-        verdict: Verdict {
-            ok: report.consistent,
-            violations: report.violations.clone(),
-        },
-        summary_text: summary,
-        notes: Vec::new(),
-        artifacts,
-    })
+    response.artifacts.insert("flame".into(), flame);
+    response
+        .artifacts
+        .insert("report".into(), report_artifact("espspan-report", &report));
+    Ok(response)
 }
 
 fn faults_response(
@@ -1308,15 +1361,14 @@ fn faults_response(
     models: &TrainedModels,
     progress: Option<&dyn ProgressSink>,
 ) -> Result<RunResponse, RequestError> {
-    let engine = req.soc_engine();
     let seed_list: Vec<u64> = (1..=seeds).collect();
-    let report = CampaignReport::generate(models, &seed_list, req.frames, engine)?;
+    let report = CampaignReport::generate(models, &seed_list, req.frames, req.soc_engine())?;
     // The campaign generator is a single call; progress is published
     // per case in the report's deterministic order once it returns.
     let mut tracker = ProgressTracker::new(progress, report.cases.len() as u64);
     for case in &report.cases {
         tracker.advance(
-            &format!("{} {} seed {}", case.config, case.mode, case.seed),
+            format_args!("{} {} seed {}", case.config, case.mode, case.seed),
             report.frames,
             case.cycles,
         );
@@ -1327,25 +1379,10 @@ fn faults_response(
         .filter(|c| c.status == "failed")
         .map(|c| format!("unabsorbed fault: {} {} seed {}", c.config, c.mode, c.seed))
         .collect();
-    let campaign = report
-        .to_json()
-        .map_err(|e| RequestError::Run(ExperimentError::Grid(e.to_string())))?;
-    let mut artifacts = BTreeMap::new();
-    artifacts.insert("campaign".into(), campaign);
-    Ok(RunResponse {
-        schema_version: SCHEMA_VERSION,
-        workload: req.workload.label().to_string(),
-        engine: engine_name(engine).to_string(),
-        frames: req.frames,
-        runs: Vec::new(),
-        verdict: Verdict {
-            ok: violations.is_empty(),
-            violations,
-        },
-        summary_text: report.to_string(),
-        notes: Vec::new(),
-        artifacts,
-    })
+    let campaign = report.to_json().map_err(grid_error)?;
+    let mut response = RunResponse::new(req, &[], violations, report.to_string());
+    response.artifacts.insert("campaign".into(), campaign);
+    Ok(response)
 }
 
 // ---------------------------------------------------------------------------
@@ -1410,7 +1447,6 @@ impl EspcheckReport {
     /// Renders the per-target `ok`/`FAIL` lines plus the totals line —
     /// the espcheck stdout format.
     pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
         for target in &self.targets {
             if target.diagnostics.is_empty() {
@@ -1434,10 +1470,7 @@ impl EspcheckReport {
 
     /// The enveloped JSON artifact (kind `espcheck-report`).
     pub fn to_json(&self) -> String {
-        envelope_json(
-            "espcheck-report",
-            serde_json::to_value(self).expect("report serializes"),
-        )
+        report_artifact("espcheck-report", self)
     }
 }
 
@@ -1504,23 +1537,9 @@ fn check_response(
         .filter(|d| d.severity == esp4ml_check::Severity::Error)
         .map(|d| d.to_string())
         .collect();
-    let summary_text = report.render_text();
-    let mut artifacts = BTreeMap::new();
-    artifacts.insert("report".into(), report.to_json());
-    Ok(RunResponse {
-        schema_version: SCHEMA_VERSION,
-        workload: req.workload.label().to_string(),
-        engine: engine_name(req.soc_engine()).to_string(),
-        frames: req.frames,
-        runs: Vec::new(),
-        verdict: Verdict {
-            ok: report.clean,
-            violations,
-        },
-        summary_text,
-        notes: Vec::new(),
-        artifacts,
-    })
+    let mut response = RunResponse::new(req, &[], violations, report.render_text());
+    response.artifacts.insert("report".into(), report.to_json());
+    Ok(response)
 }
 
 // ---------------------------------------------------------------------------
@@ -1556,13 +1575,11 @@ fn deployment_response(
     req: &RunRequest,
     progress: Option<&dyn ProgressSink>,
 ) -> Result<RunResponse, RequestError> {
-    let deployment = req
-        .required_deployment()
-        .map_err(|e| RequestError::Invalid(e.to_string()))?;
+    let deployment = req.required_deployment().map_err(RequestError::Invalid)?;
     let engine = req.soc_engine();
     let analysis = deploy::lint_deployment(deployment);
-    let validation = deploy::validate_against_simulator(deployment, req.frames, engine)
-        .map_err(|e| RequestError::Run(ExperimentError::Grid(e.to_string())))?;
+    let validation =
+        deploy::validate_against_simulator(deployment, req.frames, engine).map_err(grid_error)?;
     let mut tracker = ProgressTracker::new(progress, validation.tenants.len() as u64);
     for t in &validation.tenants {
         tracker.advance(&t.tenant, t.frames, t.cycles);
@@ -1615,28 +1632,12 @@ fn deployment_response(
         validation,
         conservative,
     };
-    let mut artifacts = BTreeMap::new();
-    artifacts.insert(
+    let mut response = RunResponse::new(req, &[], violations, summary);
+    response.artifacts.insert(
         "report".into(),
-        envelope_json(
-            "espdeploy-report",
-            serde_json::to_value(&report).expect("report serializes"),
-        ),
+        report_artifact("espdeploy-report", &report),
     );
-    Ok(RunResponse {
-        schema_version: SCHEMA_VERSION,
-        workload: req.workload.label().to_string(),
-        engine: engine_name(engine).to_string(),
-        frames: req.frames,
-        runs: Vec::new(),
-        verdict: Verdict {
-            ok: conservative,
-            violations,
-        },
-        summary_text: summary,
-        notes: Vec::new(),
-        artifacts,
-    })
+    Ok(response)
 }
 
 // ---------------------------------------------------------------------------
@@ -1659,8 +1660,6 @@ impl crate::HarnessArgs {
             self.configs.clone()
         };
         Ok(RunRequest {
-            schema_version: SCHEMA_VERSION,
-            workload,
             configs,
             modes: self.modes.iter().map(|m| m.label().to_string()).collect(),
             frames: self.frames,
@@ -1669,14 +1668,13 @@ impl crate::HarnessArgs {
             fork_prefix: self.fork_prefix,
             sanitize: self.sanitize,
             fault_plan: self.fault_plan()?,
-            soc_config: None,
-            deployment: None,
             observe: ObserveOpts {
                 trace: self.trace.is_some(),
                 profile: self.profile.is_some(),
                 spans: self.spans.is_some(),
                 sample_every: self.sample_every,
             },
+            ..RunRequest::new(workload)
         })
     }
 }
@@ -1739,6 +1737,20 @@ mod tests {
         let mut r = req(WorkloadKind::Fig7);
         r.observe.sample_every = Some(100);
         assert!(r.validate().unwrap_err().contains("requires trace"));
+
+        // espprof/espspan attach their own observers and take no
+        // sanitizer or fault plan.
+        for workload in [WorkloadKind::Profile, WorkloadKind::Spans] {
+            let mut r = req(workload);
+            r.sanitize = true;
+            assert!(r.validate().unwrap_err().contains("not meaningful"));
+            let mut r = req(workload);
+            r.fault_plan = Some(FaultPlan::new(0));
+            assert!(r.validate().unwrap_err().contains("not meaningful"));
+            let mut r = req(workload);
+            r.observe.spans = true;
+            assert!(r.validate().unwrap_err().contains("not meaningful"));
+        }
 
         // check ignores frames entirely.
         let mut r = RunRequest::new(WorkloadKind::Check);

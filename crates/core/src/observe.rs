@@ -94,9 +94,9 @@ impl TraceSession {
         let spans = SpanCollector::new();
         if profile {
             let profiler = ProfileCollector::new();
-            let sink = profiler.sink(Box::new(spans.sink(Box::<RingBufferSink>::default())));
+            let sink = profiler.sink(spans.sink(Box::<RingBufferSink>::default()));
             TraceSession {
-                tracer: Tracer::with_sink(Box::new(sink)),
+                tracer: Tracer::with_sink(sink),
                 sample_every,
                 profiler: Some(profiler),
                 spans: Some(spans),

@@ -106,12 +106,6 @@ impl TileSpec {
             plm_words: None,
         }
     }
-
-    /// Declares the tile's PLM budget in words (builder style).
-    pub fn with_plm_words(mut self, words: u64) -> Self {
-        self.plm_words = Some(words);
-        self
-    }
 }
 
 /// A complete SoC configuration document.

@@ -706,20 +706,6 @@ impl Mesh {
         &self.routers[i]
     }
 
-    /// Flits forwarded over the directed physical link `from -> to` on
-    /// `plane` so far — the counter kept by `from`'s router on the
-    /// output port facing `to`. `None` when the coordinates are not
-    /// mesh neighbors (or are out of bounds).
-    pub fn directed_link_flits(&self, plane: Plane, from: Coord, to: Coord) -> Option<u64> {
-        if self.check_bounds(from).is_err() || self.check_bounds(to).is_err() {
-            return None;
-        }
-        let port = Port::ALL
-            .into_iter()
-            .find(|p| p.step(from) == Some(to) && *p != Port::Local)?;
-        Some(self.router(from).link_flits(plane, port))
-    }
-
     /// Free flit slots in the injection queue of `(coord, plane)`.
     pub fn inject_capacity(&self, coord: Coord, plane: Plane) -> usize {
         let i = self.tile_index(coord);

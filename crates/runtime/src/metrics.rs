@@ -63,77 +63,6 @@ impl RunMetrics {
         }
         self.cycles as f64 / self.clock_hz
     }
-
-    /// Renders the metrics in the Prometheus text exposition format: one
-    /// gauge per field, each preceded by its `# HELP` / `# TYPE` comment
-    /// lines, in a fixed order. Pairs with
-    /// [`CounterRegistry::render_prometheus`](esp4ml_trace::CounterRegistry::render_prometheus)
-    /// for scrape-style exports of a run.
-    pub fn render_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let mut gauge = |name: &str, help: &str, value: String| {
-            let _ = writeln!(out, "# HELP esp4ml_run_{name} {help}");
-            let _ = writeln!(out, "# TYPE esp4ml_run_{name} gauge");
-            let _ = writeln!(out, "esp4ml_run_{name} {value}");
-        };
-        gauge(
-            "frames",
-            "Application frames processed end-to-end.",
-            self.frames.to_string(),
-        );
-        gauge(
-            "cycles",
-            "Cycles from the first invocation to the last completion.",
-            self.cycles.to_string(),
-        );
-        gauge(
-            "frames_per_second",
-            "Throughput in frames per second.",
-            format!("{}", self.frames_per_second()),
-        );
-        gauge(
-            "dram_reads",
-            "DRAM words read during the run.",
-            self.dram_reads.to_string(),
-        );
-        gauge(
-            "dram_writes",
-            "DRAM words written during the run.",
-            self.dram_writes.to_string(),
-        );
-        gauge(
-            "dram_accesses",
-            "DRAM words accessed (reads + writes) during the run.",
-            self.dram_accesses.to_string(),
-        );
-        gauge(
-            "noc_flit_hops",
-            "NoC flit-hops during the run.",
-            self.noc_flit_hops.to_string(),
-        );
-        gauge(
-            "invocations",
-            "Accelerator invocations issued (each costing one ioctl path).",
-            self.invocations.to_string(),
-        );
-        gauge(
-            "faults_injected",
-            "Injected hardware faults that fired during the run.",
-            self.faults_injected.to_string(),
-        );
-        gauge(
-            "retries",
-            "Invocations re-issued after a watchdog expiry.",
-            self.retries.to_string(),
-        );
-        gauge(
-            "failovers",
-            "Stage instances remapped to a spare device.",
-            self.failovers.to_string(),
-        );
-        out
-    }
 }
 
 impl std::fmt::Display for RunMetrics {
@@ -237,33 +166,6 @@ mod tests {
         assert!(s.contains("1 faults injected"), "{s}");
         assert!(s.contains("2 retries"), "{s}");
         assert!(s.contains("1 failovers"), "{s}");
-    }
-
-    #[test]
-    fn prometheus_exposition_is_stable() {
-        let text = metrics().render_prometheus();
-        // Snapshot of the head of the exposition: HELP, TYPE, value.
-        assert!(
-            text.starts_with(
-                "# HELP esp4ml_run_frames Application frames processed end-to-end.\n\
-                 # TYPE esp4ml_run_frames gauge\n\
-                 esp4ml_run_frames 100\n\
-                 # HELP esp4ml_run_cycles Cycles from the first invocation to the last completion.\n\
-                 # TYPE esp4ml_run_cycles gauge\n\
-                 esp4ml_run_cycles 780000\n"
-            ),
-            "unexpected exposition head:\n{text}"
-        );
-        assert!(
-            text.contains("esp4ml_run_frames_per_second 10000\n"),
-            "{text}"
-        );
-        assert!(text.contains("esp4ml_run_retries 0\n"), "{text}");
-        // Every gauge carries both comment lines.
-        let helps = text.matches("# HELP ").count();
-        let types = text.matches("# TYPE ").count();
-        assert_eq!(helps, types);
-        assert_eq!(helps, 11);
     }
 
     #[test]

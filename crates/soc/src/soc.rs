@@ -1112,11 +1112,6 @@ impl Soc {
         self.series = Some(CounterSeries::new(every));
     }
 
-    /// The counter time-series accumulated so far, if sampling is on.
-    pub fn counter_series(&self) -> Option<&CounterSeries> {
-        self.series.as_ref()
-    }
-
     /// Takes the accumulated counter time-series, stopping sampling.
     pub fn take_counter_series(&mut self) -> Option<CounterSeries> {
         self.series.take()

@@ -20,8 +20,6 @@ use crate::event::{TileCoord, TimedEvent, TraceEvent};
 use crate::span::SpanReport;
 use serde_json::Value;
 use std::collections::HashMap;
-use std::io;
-use std::path::Path;
 
 /// Thread id of a tile track: stable, unique per coordinate.
 pub fn tile_tid(tile: TileCoord) -> u64 {
@@ -348,28 +346,13 @@ fn metadata_row(kind: &str, pid: u64, tid: Option<u64>, name: &str) -> Value {
     Value::Object(map)
 }
 
-/// Converts recorded events into a Chrome `trace_event` JSON document.
-pub fn chrome_trace(events: &[TimedEvent]) -> Value {
-    chrome_trace_with_dropped(events, 0)
-}
-
-/// Like [`chrome_trace`], but also records how many events the sink
-/// discarded under capacity pressure. When `dropped > 0` a
-/// `trace_dropped_events` metadata row is appended so truncated traces
-/// are self-describing.
-pub fn chrome_trace_with_dropped(events: &[TimedEvent], dropped: u64) -> Value {
-    chrome_trace_with_drop_counts(events, dropped, 0)
-}
-
-/// Like [`chrome_trace_with_dropped`], but additionally records how
-/// many of the discarded events the span assembler needed. When
-/// `dropped_spans > 0` a `trace_dropped_spans` metadata row is
-/// appended so span trees derived from the trace are known-partial.
-pub fn chrome_trace_with_drop_counts(
-    events: &[TimedEvent],
-    dropped: u64,
-    dropped_spans: u64,
-) -> Value {
+/// Converts recorded events into a Chrome `trace_event` JSON document,
+/// recording how many events the sink discarded under capacity pressure
+/// (`dropped`) and how many of those the span assembler needed
+/// (`dropped_spans`). A nonzero count appends a `trace_dropped_events`
+/// or `trace_dropped_spans` metadata row, so truncated traces — and
+/// span trees derived from them — are self-describing.
+pub fn chrome_trace(events: &[TimedEvent], dropped: u64, dropped_spans: u64) -> Value {
     let mut builder = Builder::new();
     for ev in events {
         builder.push_event(ev);
@@ -395,39 +378,6 @@ pub fn chrome_trace_with_drop_counts(
         }
     }
     doc
-}
-
-/// Serializes [`chrome_trace`] output to pretty JSON text.
-pub fn chrome_trace_json(events: &[TimedEvent]) -> String {
-    serde_json::to_string_pretty(&chrome_trace(events)).expect("trace JSON serialization")
-}
-
-/// Writes [`chrome_trace`] output to a file.
-pub fn write_chrome_trace(path: impl AsRef<Path>, events: &[TimedEvent]) -> io::Result<()> {
-    write_chrome_trace_with_dropped(path, events, 0)
-}
-
-/// Writes [`chrome_trace_with_dropped`] output to a file.
-pub fn write_chrome_trace_with_dropped(
-    path: impl AsRef<Path>,
-    events: &[TimedEvent],
-    dropped: u64,
-) -> io::Result<()> {
-    write_chrome_trace_with_drop_counts(path, events, dropped, 0)
-}
-
-/// Writes [`chrome_trace_with_drop_counts`] output to a file.
-pub fn write_chrome_trace_with_drop_counts(
-    path: impl AsRef<Path>,
-    events: &[TimedEvent],
-    dropped: u64,
-    dropped_spans: u64,
-) -> io::Result<()> {
-    let doc = chrome_trace_with_drop_counts(events, dropped, dropped_spans);
-    std::fs::write(
-        path,
-        serde_json::to_string_pretty(&doc).expect("trace JSON serialization"),
-    )
 }
 
 /// Base offset separating per-stage span tracks from tile/plane tracks.
@@ -532,15 +482,6 @@ pub fn span_chrome_trace(reports: &[SpanReport]) -> Value {
     Value::Object(top)
 }
 
-/// Writes [`span_chrome_trace`] output to a file.
-pub fn write_span_trace(path: impl AsRef<Path>, reports: &[SpanReport]) -> io::Result<()> {
-    let doc = span_chrome_trace(reports);
-    std::fs::write(
-        path,
-        serde_json::to_string_pretty(&doc).expect("span trace JSON serialization"),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -631,7 +572,7 @@ mod tests {
 
     #[test]
     fn ts_is_monotonic_and_json_valid() {
-        let text = chrome_trace_json(&sample_events());
+        let text = serde_json::to_string_pretty(&chrome_trace(&sample_events(), 0, 0)).unwrap();
         let doc: Value = serde_json::from_str(&text).expect("exporter emitted invalid JSON");
         let rows = doc["traceEvents"].as_array().unwrap();
         let mut last = 0u64;
@@ -650,7 +591,7 @@ mod tests {
 
     #[test]
     fn tracks_map_tiles_and_planes() {
-        let doc = chrome_trace(&sample_events());
+        let doc = chrome_trace(&sample_events(), 0, 0);
         let rows = doc["traceEvents"].as_array().unwrap();
 
         // The accel tile track carries its phase span and is named.
@@ -695,7 +636,7 @@ mod tests {
 
     #[test]
     fn frame_completions_are_instants() {
-        let doc = chrome_trace(&sample_events());
+        let doc = chrome_trace(&sample_events(), 0, 0);
         let rows = doc["traceEvents"].as_array().unwrap();
         let frame = rows
             .iter()
@@ -725,7 +666,7 @@ mod tests {
                 frame: 0,
             },
         ));
-        let doc = chrome_trace(&events);
+        let doc = chrome_trace(&events, 0, 0);
         let rows = doc["traceEvents"].as_array().unwrap();
         let pids: std::collections::HashSet<u64> = rows
             .iter()
@@ -737,7 +678,7 @@ mod tests {
 
     #[test]
     fn dropped_events_become_metadata() {
-        let doc = chrome_trace_with_dropped(&sample_events(), 42);
+        let doc = chrome_trace(&sample_events(), 42, 0);
         let rows = doc["traceEvents"].as_array().unwrap();
         let row = rows
             .iter()
@@ -746,7 +687,7 @@ mod tests {
         assert_eq!(row["ph"].as_str(), Some("M"));
         assert_eq!(row["args"]["dropped"].as_u64(), Some(42));
         // A lossless trace stays clean: no metadata row.
-        let clean = chrome_trace_with_dropped(&sample_events(), 0);
+        let clean = chrome_trace(&sample_events(), 0, 0);
         assert!(!clean["traceEvents"]
             .as_array()
             .unwrap()
@@ -756,7 +697,7 @@ mod tests {
 
     #[test]
     fn dropped_spans_become_metadata() {
-        let doc = chrome_trace_with_drop_counts(&sample_events(), 42, 7);
+        let doc = chrome_trace(&sample_events(), 42, 7);
         let rows = doc["traceEvents"].as_array().unwrap();
         let row = rows
             .iter()
@@ -767,7 +708,7 @@ mod tests {
 
     #[test]
     fn phase_spans_carry_frame_args() {
-        let doc = chrome_trace(&sample_events());
+        let doc = chrome_trace(&sample_events(), 0, 0);
         let rows = doc["traceEvents"].as_array().unwrap();
         let phase = rows
             .iter()

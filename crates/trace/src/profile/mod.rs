@@ -3,10 +3,10 @@
 //! per-frame latency spans, per-tile time-in-state utilization, and a
 //! throughput bottleneck report.
 //!
-//! The collector attaches to a [`Tracer`] by wrapping its sink in a
-//! [`ProfilingSink`]: every recorded event is observed into shared
-//! profile state *and* forwarded to the inner sink, so Perfetto export
-//! and profiling coexist on one event stream.
+//! The collector attaches to a [`Tracer`] by wrapping its sink
+//! ([`ProfileCollector::sink`]): every recorded event is observed into
+//! shared profile state *and* forwarded to the inner sink, so Perfetto
+//! export and profiling coexist on one event stream.
 //!
 //! Engine safety: both `SocEngine::Naive` and `SocEngine::EventDriven`
 //! emit identical event streams at identical cycles (the PR 2
@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex};
 use serde::{Deserialize, Serialize};
 
 use crate::event::{DmaKind, TileCoord, TimedEvent, TraceEvent};
-use crate::sink::{RingBufferSink, TraceSink};
+use crate::sink::{Observer, RingBufferSink, TeeSink, TraceSink};
 use crate::tracer::Tracer;
 
 /// Cycles attributed to the four coarse utilization classes.
@@ -514,7 +514,7 @@ struct ProfileState {
     finished: Vec<RunProfile>,
 }
 
-impl ProfileState {
+impl Observer for ProfileState {
     fn observe(&mut self, ev: &TimedEvent) {
         if let TraceEvent::RunStart { label } = &ev.event {
             if let Some(open) = self.current.take() {
@@ -583,62 +583,18 @@ impl ProfileCollector {
     }
 
     /// Wraps `inner` so every recorded event is profiled and forwarded.
-    pub fn sink(&self, inner: Box<dyn TraceSink>) -> ProfilingSink {
-        ProfilingSink {
-            state: Arc::clone(&self.state),
-            inner,
-        }
+    pub fn sink(&self, inner: Box<dyn TraceSink>) -> Box<dyn TraceSink> {
+        TeeSink::boxed(&self.state, inner)
     }
 
     /// Builds an enabled [`Tracer`] whose sink profiles online and
     /// buffers events in a default-capacity [`RingBufferSink`].
     pub fn ring_buffer_tracer(&self) -> Tracer {
-        Tracer::with_sink(Box::new(self.sink(Box::<RingBufferSink>::default())))
+        Tracer::with_sink(self.sink(Box::<RingBufferSink>::default()))
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, ProfileState> {
         self.state.lock().expect("profile state poisoned")
-    }
-}
-
-/// A [`TraceSink`] adapter that observes each event into a
-/// [`ProfileCollector`] before forwarding it to an inner sink.
-pub struct ProfilingSink {
-    state: Arc<Mutex<ProfileState>>,
-    inner: Box<dyn TraceSink>,
-}
-
-impl std::fmt::Debug for ProfilingSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProfilingSink")
-            .field("inner_len", &self.inner.len())
-            .finish()
-    }
-}
-
-impl TraceSink for ProfilingSink {
-    fn record(&mut self, event: TimedEvent) {
-        self.state
-            .lock()
-            .expect("profile state poisoned")
-            .observe(&event);
-        self.inner.record(event);
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn dropped(&self) -> u64 {
-        self.inner.dropped()
-    }
-
-    fn dropped_spans(&self) -> u64 {
-        self.inner.dropped_spans()
-    }
-
-    fn drain(&mut self) -> Vec<TimedEvent> {
-        self.inner.drain()
     }
 }
 

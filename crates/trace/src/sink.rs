@@ -2,6 +2,7 @@
 
 use crate::event::TimedEvent;
 use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
 
 /// Destination for recorded events.
 ///
@@ -33,6 +34,57 @@ pub trait TraceSink: Send {
 
     /// Removes and returns all held events in chronological order.
     fn drain(&mut self) -> Vec<TimedEvent>;
+}
+
+/// Online collector state fed by a [`TeeSink`].
+pub(crate) trait Observer: Send {
+    /// Folds one event into the state.
+    fn observe(&mut self, event: &TimedEvent);
+}
+
+/// A sink adapter that observes each event into shared collector state
+/// before forwarding it to an inner sink, so the profile and span
+/// collectors share one event stream with event storage (and with each
+/// other).
+pub(crate) struct TeeSink<S> {
+    state: Arc<Mutex<S>>,
+    inner: Box<dyn TraceSink>,
+}
+
+impl<S: Observer + 'static> TeeSink<S> {
+    /// Boxes a tee of `state` in front of `inner`.
+    pub(crate) fn boxed(state: &Arc<Mutex<S>>, inner: Box<dyn TraceSink>) -> Box<dyn TraceSink> {
+        Box::new(TeeSink {
+            state: Arc::clone(state),
+            inner,
+        })
+    }
+}
+
+impl<S: Observer> TraceSink for TeeSink<S> {
+    fn record(&mut self, event: TimedEvent) {
+        self.state
+            .lock()
+            .expect("collector state poisoned")
+            .observe(&event);
+        self.inner.record(event);
+    }
+
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+
+    fn dropped(&self) -> u64 {
+        self.inner.dropped()
+    }
+
+    fn dropped_spans(&self) -> u64 {
+        self.inner.dropped_spans()
+    }
+
+    fn drain(&mut self) -> Vec<TimedEvent> {
+        self.inner.drain()
+    }
 }
 
 /// Whether a discarded event would have fed the span assembler.

@@ -38,7 +38,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::event::{TimedEvent, TraceEvent};
 use crate::profile::ProfileCollector;
-use crate::sink::{RingBufferSink, TraceSink};
+use crate::sink::{Observer, RingBufferSink, TeeSink, TraceSink};
 use crate::tracer::Tracer;
 
 /// What a slice of a frame's latency was spent on.
@@ -737,7 +737,9 @@ impl SpanState {
             stages: Vec::new(),
         })
     }
+}
 
+impl Observer for SpanState {
     fn observe(&mut self, ev: &TimedEvent) {
         if let TraceEvent::RunStart { label } = &ev.event {
             if let Some(open) = self.current.take() {
@@ -822,62 +824,18 @@ impl SpanCollector {
     }
 
     /// Wraps `inner` so every recorded event is observed and forwarded.
-    pub fn sink(&self, inner: Box<dyn TraceSink>) -> SpanSink {
-        SpanSink {
-            state: Arc::clone(&self.state),
-            inner,
-        }
+    pub fn sink(&self, inner: Box<dyn TraceSink>) -> Box<dyn TraceSink> {
+        TeeSink::boxed(&self.state, inner)
     }
 
     /// Builds an enabled [`Tracer`] whose sink assembles spans online
     /// and buffers events in a default-capacity [`RingBufferSink`].
     pub fn ring_buffer_tracer(&self) -> Tracer {
-        Tracer::with_sink(Box::new(self.sink(Box::<RingBufferSink>::default())))
+        Tracer::with_sink(self.sink(Box::<RingBufferSink>::default()))
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, SpanState> {
         self.state.lock().expect("span state poisoned")
-    }
-}
-
-/// A [`TraceSink`] adapter that observes each event into a
-/// [`SpanCollector`] before forwarding it to an inner sink.
-pub struct SpanSink {
-    state: Arc<Mutex<SpanState>>,
-    inner: Box<dyn TraceSink>,
-}
-
-impl std::fmt::Debug for SpanSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanSink")
-            .field("inner_len", &self.inner.len())
-            .finish()
-    }
-}
-
-impl TraceSink for SpanSink {
-    fn record(&mut self, event: TimedEvent) {
-        self.state
-            .lock()
-            .expect("span state poisoned")
-            .observe(&event);
-        self.inner.record(event);
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn dropped(&self) -> u64 {
-        self.inner.dropped()
-    }
-
-    fn dropped_spans(&self) -> u64 {
-        self.inner.dropped_spans()
-    }
-
-    fn drain(&mut self) -> Vec<TimedEvent> {
-        self.inner.drain()
     }
 }
 

@@ -46,7 +46,8 @@ fn perfetto_export_round_trips_from_e2e_run() {
         "{completions} frame completions for {frames} frames"
     );
 
-    let text = perfetto::chrome_trace_json(&events);
+    let text = serde_json::to_string_pretty(&perfetto::chrome_trace(&events, 0, 0))
+        .expect("trace serializes");
     let doc: serde_json::Value =
         serde_json::from_str(&text).expect("exporter emitted invalid JSON");
     let rows = doc["traceEvents"].as_array().expect("traceEvents array");
@@ -177,7 +178,7 @@ fn counters_accumulate_across_runs() {
 fn saturated_ring_buffer_yields_consistent_partial_spans() {
     let spans = SpanCollector::new();
     // 64 events is far below what a 4-frame two-stage run emits.
-    let tracer = Tracer::with_sink(Box::new(spans.sink(Box::new(RingBufferSink::new(64)))));
+    let tracer = Tracer::with_sink(spans.sink(Box::new(RingBufferSink::new(64))));
     tracer.emit(0, TileCoord::new(0, 0), || TraceEvent::RunStart {
         label: "saturated".into(),
     });
