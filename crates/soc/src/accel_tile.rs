@@ -978,10 +978,11 @@ impl AccelTile {
         }
     }
 
-    /// Bulk-applies `delta` boring cycles: stall/compute countdowns and
-    /// the busy/stall/load/compute/store statistics advance exactly as
-    /// `delta` naive ticks would have.
+    /// Bulk-applies `delta` boring cycles: the latched cycle stamp,
+    /// stall/compute countdowns and the busy/stall/load/compute/store
+    /// statistics advance exactly as `delta` naive ticks would have.
     pub fn advance(&mut self, delta: u64) {
+        self.cycle += delta;
         if delta == 0 || matches!(self.state, AccelState::Idle | AccelState::Done) {
             return;
         }

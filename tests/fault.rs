@@ -206,6 +206,57 @@ fn recovery_cycles_appear_as_retry_and_failover_spans() {
     );
 }
 
+/// A traced faulted run logs the same events and span reports under
+/// both engines. The watchdog's socket reset stamps its phase change
+/// with the accelerator tile's latched cycle, so fast-forward must keep
+/// that stamp moving exactly as naive ticks would.
+#[test]
+fn traced_faulted_runs_are_identical_across_engines() {
+    let m = models();
+    let cases = [
+        (
+            CaseApp::DenoiserClassifier,
+            ExecMode::Pipe,
+            FaultSpec::short_output("denoiser", 0, 4),
+        ),
+        (
+            CaseApp::DenoiserClassifier,
+            ExecMode::P2p,
+            FaultSpec::short_output("denoiser", 0, 4),
+        ),
+        (
+            CaseApp::DenoiserClassifier,
+            ExecMode::P2p,
+            FaultSpec::transient_hang("denoiser", 0),
+        ),
+        (
+            CaseApp::NightVisionClassifier { nv: 2, cl: 2 },
+            ExecMode::P2p,
+            FaultSpec::short_output("nv0", 0, 4),
+        ),
+    ];
+    for (app, mode, spec) in cases {
+        let config = hang_config(FaultPlan::new(0).with(spec.clone()));
+        let traced = |engine: SocEngine| {
+            let mut session = TraceSession::spanned(None, true);
+            let opts = RunOptions::faulted(engine, &config).traced(&mut session);
+            let run = AppRun::execute(&app, &m, 3, mode, opts).unwrap();
+            let events = session.tracer().drain();
+            (run.metrics, events, session.span_reports_json())
+        };
+        let (naive_metrics, naive_events, naive_spans) = traced(SocEngine::Naive);
+        let (event_metrics, event_events, event_spans) = traced(SocEngine::EventDriven);
+        let case = format!("{} {mode:?} {spec:?}", app.label());
+        assert!(naive_metrics.faults_injected >= 1, "{case}");
+        assert_eq!(naive_metrics, event_metrics, "{case}");
+        for (i, (a, b)) in naive_events.iter().zip(&event_events).enumerate() {
+            assert_eq!(a, b, "{case}: trace event {i} differs");
+        }
+        assert_eq!(naive_events.len(), event_events.len(), "{case}");
+        assert_eq!(naive_spans, event_spans, "{case}: span reports differ");
+    }
+}
+
 /// With no fault plan installed and no recovery policy configured, the
 /// new machinery must be invisible: metrics identical to a plain run.
 #[test]
