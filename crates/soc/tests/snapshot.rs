@@ -5,11 +5,14 @@
 //! quiescence, the *entire machine state* is serialized again and the
 //! JSON must equal the uninterrupted reference run's — every register,
 //! PLM word, DRAM span, queue, statistic, sampling row, sanitizer
-//! ledger and fault trigger counter included.
+//! ledger and fault trigger counter included. Runs that a fault leaves
+//! stalled are compared the same way after a fixed cycle budget, by
+//! final cycle and machine image.
 
 use esp4ml_check::SanitizerConfig;
-use esp4ml_fault::{FaultPlan, FaultSpec};
-use esp4ml_noc::Coord;
+use esp4ml_fault::{FaultKind, FaultPlan, FaultSpec};
+use esp4ml_mem::{CacheConfig, DramConfig};
+use esp4ml_noc::{Coord, Plane};
 use esp4ml_soc::{AccelConfig, ScaleKernel, Soc, SocBuilder, SocEngine, SocError, SocSnapshot};
 use proptest::prelude::*;
 
@@ -17,9 +20,26 @@ const A: Coord = Coord { x: 0, y: 1 };
 const B: Coord = Coord { x: 1, y: 1 };
 
 fn build_soc(engine: SocEngine, sanitize: bool, sample_every: Option<u64>) -> Soc {
-    let mut soc = SocBuilder::new(3, 2)
-        .processor(Coord::new(0, 0))
-        .memory(Coord::new(1, 0))
+    build_floorplan(engine, sanitize, sample_every, false)
+}
+
+/// The test floorplan; with `llc` its memory tile fronts DRAM with a
+/// small LLC partition, so the workloads also hit, miss and write back.
+fn build_floorplan(engine: SocEngine, sanitize: bool, sample_every: Option<u64>, llc: bool) -> Soc {
+    let mem = Coord::new(1, 0);
+    let builder = SocBuilder::new(3, 2).processor(Coord::new(0, 0));
+    let builder = if llc {
+        let cache = CacheConfig {
+            size_words: 256,
+            line_words: 8,
+            ways: 2,
+            hit_cycles: 3,
+        };
+        builder.memory_llc(mem, DramConfig::default(), cache)
+    } else {
+        builder.memory(mem)
+    };
+    let mut soc = builder
         .accelerator(
             Coord::new(0, 1),
             Box::new(ScaleKernel::new("a0", 16, 2).with_cycles_per_value(7)),
@@ -74,6 +94,44 @@ fn final_image(soc: &mut Soc) -> String {
     serde_json::to_string(&soc.snapshot()).unwrap()
 }
 
+/// Cycle budget after which a stalled run is compared as it stands.
+const STALL_BUDGET: u64 = 40_000;
+
+/// Runs until quiescent or [`STALL_BUDGET`] cycles elapse, whichever
+/// comes first, and returns the final cycle and machine image. Both
+/// engines must agree on both even when a fault stalls the workload.
+fn settled_image(soc: &mut Soc) -> (u64, String) {
+    // A stalled run times out; where it then stands is what is compared.
+    let _ = soc.run_until_idle(STALL_BUDGET);
+    (soc.cycle(), serde_json::to_string(&soc.snapshot()).unwrap())
+}
+
+/// One fault of each of the five kinds, aimed at the test workloads:
+/// index 0-1 hit accelerator `a0`, 2 the memory tile, 3-4 the DMA planes.
+fn fault_of_kind(kind: usize) -> FaultSpec {
+    match kind {
+        0 => FaultSpec::transient_hang("a0", 0),
+        1 => FaultSpec::short_output("a0", 0, 2),
+        2 => FaultSpec::new(FaultKind::DmaDropWords {
+            from_burst: 1,
+            count: 2,
+            drop_words: 3,
+        }),
+        3 => FaultSpec::new(FaultKind::NocDelay {
+            plane: Plane::DmaReq.index(),
+            from_packet: 1,
+            count: 4,
+            extra_cycles: 150,
+        }),
+        _ => FaultSpec::new(FaultKind::NocCorrupt {
+            plane: Plane::DmaRsp.index(),
+            from_packet: 1,
+            count: 2,
+            xor_mask: 0xff,
+        }),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -117,6 +175,69 @@ proptest! {
         fresh.restore(&snap).unwrap();
         prop_assert_eq!(&final_image(&mut fresh), &reference);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Arm one fault of a random kind before start, pause mid-flight
+    /// (held-back NoC packets, partial trigger counts, LLC tags in use),
+    /// snapshot, and let the original run settle. Restoring the snapshot
+    /// onto the same SoC under a random engine, and a JSON round-trip of
+    /// it onto a freshly built SoC, must settle at the same cycle with
+    /// the same machine image, whether or not the fault stalls the run.
+    #[test]
+    fn restore_resumes_faulted_runs_byte_identically(
+        kind in 0usize..5,
+        llc in proptest::bool::ANY,
+        p2p in proptest::bool::ANY,
+        frames in 1u64..=3,
+        pause in 1u64..=1500,
+        start_naive in proptest::bool::ANY,
+        resume_naive in proptest::bool::ANY,
+        sanitize in proptest::bool::ANY,
+    ) {
+        let start_engine = if start_naive { SocEngine::Naive } else { SocEngine::EventDriven };
+        let resume_engine = if resume_naive { SocEngine::Naive } else { SocEngine::EventDriven };
+        let mut soc = build_floorplan(start_engine, sanitize, Some(7), llc);
+        let plan = FaultPlan::new(0).with(fault_of_kind(kind));
+        prop_assert_eq!(soc.install_fault_plan(&plan), 1);
+        start_workload(&mut soc, p2p, frames, false, 1);
+        soc.run_cycles(pause);
+        let snap = soc.snapshot();
+
+        let reference = settled_image(&mut soc);
+
+        soc.set_engine(resume_engine);
+        soc.restore(&snap).unwrap();
+        prop_assert_eq!(&settled_image(&mut soc), &reference);
+
+        let json = serde_json::to_string(&snap).unwrap();
+        let back: SocSnapshot = serde_json::from_str(&json).unwrap();
+        prop_assert_eq!(&back, &snap);
+        let mut fresh = build_floorplan(resume_engine, false, None, llc);
+        fresh.restore(&back).unwrap();
+        prop_assert_eq!(&settled_image(&mut fresh), &reference);
+    }
+}
+
+/// The faulted-restore property above reaches the states it is meant
+/// to: at a mid-flight pause a NoC delay fault holds packets back, and
+/// the LLC has seen traffic.
+#[test]
+fn mid_flight_pause_holds_delayed_packets() {
+    let mut soc = build_floorplan(SocEngine::EventDriven, false, None, true);
+    let plan = FaultPlan::new(0).with(fault_of_kind(3));
+    assert_eq!(soc.install_fault_plan(&plan), 1);
+    start_workload(&mut soc, false, 3, false, 1);
+    soc.run_cycles(300);
+    let image = serde_json::to_value(soc.snapshot()).unwrap();
+    let delayed = image["mesh"]["faults"]["delayed"]
+        .as_array()
+        .expect("delay fault state");
+    assert!(!delayed.is_empty(), "no packet held back at the pause");
+    let llc = soc.llc_stats().expect("LLC");
+    assert!(llc.hits + llc.misses > 0, "LLC untouched at the pause");
 }
 
 /// The snapshot survives a JSON encode/decode and the decoded copy
