@@ -60,39 +60,14 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// One way of a set: tag, valid and dirty bits, and the LRU stamp (the
+/// cache clock at last touch).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 struct Line {
     tag: u64,
     valid: bool,
     dirty: bool,
     lru: u64,
-}
-
-/// Serializable state of one cache line in an [`LlcState`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LineState {
-    /// Tag bits of the cached line.
-    pub tag: u64,
-    /// Whether the way holds a line.
-    pub valid: bool,
-    /// Whether the line has been written since its fill.
-    pub dirty: bool,
-    /// LRU timestamp (the cache clock at last touch).
-    pub lru: u64,
-}
-
-/// Serializable state of an [`Llc`]: the complete tag array, the LRU
-/// clock and the hit/miss counters. The tag array and clock are timing
-/// state — without them a restored run would see different hit/miss
-/// sequences than an uninterrupted one.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LlcState {
-    /// Tag array, `[set][way]`.
-    pub sets: Vec<Vec<LineState>>,
-    /// The LRU clock.
-    pub clock: u64,
-    /// Hit/miss/writeback counters.
-    pub stats: CacheStats,
 }
 
 /// The outcome of one line access.
@@ -107,7 +82,11 @@ pub struct CacheAccess {
 /// A set-associative write-back, write-allocate cache (tag array only —
 /// the data lives in the backing DRAM, which this model uses as the
 /// functional store while the cache filters the *accounted* traffic).
-#[derive(Debug, Clone)]
+///
+/// The tag array and LRU clock are timing state: a snapshot clones the
+/// whole cache, so a restored run sees the same hit/miss sequence as an
+/// uninterrupted one.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Llc {
     config: CacheConfig,
     sets: Vec<Vec<Line>>,
@@ -153,50 +132,6 @@ impl Llc {
         self.stats = CacheStats::default();
     }
 
-    /// Captures the tag array, LRU clock and counters for a snapshot.
-    pub fn state(&self) -> LlcState {
-        LlcState {
-            sets: self
-                .sets
-                .iter()
-                .map(|set| {
-                    set.iter()
-                        .map(|l| LineState {
-                            tag: l.tag,
-                            valid: l.valid,
-                            dirty: l.dirty,
-                            lru: l.lru,
-                        })
-                        .collect()
-                })
-                .collect(),
-            clock: self.clock,
-            stats: self.stats,
-        }
-    }
-
-    /// Restores state captured by [`Llc::state`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the set/way geometry disagrees with this cache.
-    pub fn restore_state(&mut self, state: &LlcState) {
-        assert_eq!(state.sets.len(), self.sets.len(), "set count");
-        for (set, ss) in self.sets.iter_mut().zip(&state.sets) {
-            assert_eq!(ss.len(), set.len(), "way count");
-            for (line, ls) in set.iter_mut().zip(ss) {
-                *line = Line {
-                    tag: ls.tag,
-                    valid: ls.valid,
-                    dirty: ls.dirty,
-                    lru: ls.lru,
-                };
-            }
-        }
-        self.clock = state.clock;
-        self.stats = state.stats;
-    }
-
     /// Accesses the line containing `addr`; `is_write` marks it dirty.
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheAccess {
         self.clock += 1;
@@ -240,13 +175,13 @@ impl Llc {
 }
 
 /// Serializable state of a [`CachedDram`]: the sparse DRAM image plus
-/// the LLC tag state when a cache is configured.
+/// the LLC when a cache is configured.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CachedDramState {
     /// The backing DRAM image.
     pub dram: DramState,
-    /// The LLC tag array and counters, when an LLC is present.
-    pub llc: Option<LlcState>,
+    /// The LLC, when one is present.
+    pub llc: Option<Llc>,
 }
 
 /// DRAM optionally fronted by an LLC partition: the storage stack of a
@@ -342,12 +277,12 @@ impl CachedDram {
         }
     }
 
-    /// Captures the full storage-stack state (sparse DRAM image plus
-    /// the LLC tag array, when present) for a snapshot.
+    /// Captures the full storage-stack state (sparse DRAM image plus a
+    /// clone of the LLC, when present) for a snapshot.
     pub fn state(&self) -> CachedDramState {
         CachedDramState {
             dram: self.dram.state(),
-            llc: self.llc.as_ref().map(Llc::state),
+            llc: self.llc.clone(),
         }
     }
 
@@ -359,16 +294,13 @@ impl CachedDram {
     /// stack — the cache configuration is structural, so a snapshot
     /// from a differently-configured memory tile is a caller bug.
     pub fn restore_state(&mut self, state: &CachedDramState) {
+        assert_eq!(
+            self.llc.as_ref().map(Llc::config),
+            state.llc.as_ref().map(Llc::config),
+            "LLC geometry mismatch on restore"
+        );
         self.dram.restore_state(&state.dram);
-        match (&mut self.llc, &state.llc) {
-            (None, None) => {}
-            (Some(llc), Some(ls)) => llc.restore_state(ls),
-            (have, want) => panic!(
-                "LLC presence mismatch on restore: tile has {}, snapshot has {}",
-                if have.is_some() { "an LLC" } else { "no LLC" },
-                if want.is_some() { "an LLC" } else { "no LLC" },
-            ),
-        }
+        self.llc.clone_from(&state.llc);
     }
 
     /// Runs the line-level accounting for a burst; returns its latency.

@@ -37,9 +37,7 @@ mod paging;
 mod plm;
 
 pub use alloc::{AllocError, ContigAlloc, ContigHandle};
-pub use cache::{
-    CacheAccess, CacheConfig, CacheStats, CachedDram, CachedDramState, LineState, Llc, LlcState,
-};
+pub use cache::{CacheAccess, CacheConfig, CacheStats, CachedDram, CachedDramState, Llc};
 pub use dram::{Dram, DramConfig, DramState, DramStats};
-pub use paging::{PageTable, PagingError, Tlb, TlbState, TlbStats};
+pub use paging::{PageTable, PagingError, Tlb, TlbStats};
 pub use plm::{Plm, PlmConfig, PlmError};

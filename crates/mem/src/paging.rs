@@ -169,7 +169,10 @@ impl TlbStats {
 /// nevertheless implements LRU refill so that the miss path (and its
 /// latency) exists, as ESP4ML's p2p modifications touched exactly this
 /// logic.
-#[derive(Debug, Clone)]
+///
+/// The whole TLB is machine state: a snapshot clones it, entries in LRU
+/// order included (the replacement victim depends on that order).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Tlb {
     capacity: usize,
     /// (vpage, pbase) in LRU order — most recent at the back.
@@ -178,44 +181,7 @@ pub struct Tlb {
     stats: TlbStats,
 }
 
-/// Serializable state of a [`Tlb`]: the cached translations in LRU
-/// order plus the hit/miss counters. Entry order is semantic — the
-/// replacement victim depends on it — so it is captured exactly.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TlbState {
-    /// `(virtual page, physical base)` entries, most recent last.
-    pub entries: Vec<(u64, u64)>,
-    /// Hit/miss counters.
-    pub stats: TlbStats,
-}
-
 impl Tlb {
-    /// Captures the TLB entries (in LRU order) and counters.
-    pub fn state(&self) -> TlbState {
-        TlbState {
-            entries: self.entries.clone(),
-            stats: self.stats,
-        }
-    }
-
-    /// Restores state captured by [`Tlb::state`]. Capacity and miss
-    /// penalty are structural and kept.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the snapshot holds more entries than this TLB's
-    /// capacity.
-    pub fn restore_state(&mut self, state: &TlbState) {
-        assert!(
-            state.entries.len() <= self.capacity,
-            "TLB snapshot has {} entries, capacity is {}",
-            state.entries.len(),
-            self.capacity
-        );
-        self.entries.clone_from(&state.entries);
-        self.stats = state.stats;
-    }
-
     /// Creates a TLB with `capacity` entries and the given miss penalty in
     /// cycles.
     ///

@@ -107,23 +107,14 @@ pub(crate) enum ReasmViolation {
 /// Flits of a given packet arrive in order on a given plane (wormhole
 /// routing guarantees no interleaving between packets on the same plane and
 /// path), so reassembly is a simple accumulation until the tail flit.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct Reassembler {
+    /// The packet under reassembly: head flit plus the payload words
+    /// accumulated so far.
     current: Option<(Flit, Vec<u64>)>,
 }
 
 impl Reassembler {
-    /// Captures the partial reassembly in progress (head flit plus the
-    /// payload words accumulated so far) for a simulation snapshot.
-    pub(crate) fn state(&self) -> Option<(Flit, Vec<u64>)> {
-        self.current.clone()
-    }
-
-    /// Restores a partial reassembly captured by [`Reassembler::state`].
-    pub(crate) fn restore_state(&mut self, state: Option<(Flit, Vec<u64>)>) {
-        self.current = state;
-    }
-
     /// Feeds one flit; returns a completed packet when the tail arrives,
     /// plus any wormhole violation the flit exposed. On violation the
     /// reassembler keeps the pre-existing recovery behaviour (an

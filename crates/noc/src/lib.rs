@@ -56,14 +56,11 @@ pub use coord::Coord;
 pub use error::NocError;
 pub use flit::{Flit, FlitKind};
 pub use heatmap::{LinkLoad, NocHeatmap, PlaneHeatmap};
-pub use mesh::{
-    CorruptFaultState, DelayFaultState, DelayedPacketState, EndpointState, Mesh, MeshConfig,
-    MeshFaultsState, MeshState, LINK_CAPACITY_FLITS_PER_CYCLE,
-};
+pub use mesh::{Mesh, MeshConfig, MeshState, LINK_CAPACITY_FLITS_PER_CYCLE};
 pub use packet::{MsgKind, Packet};
 pub use plane::Plane;
-pub use router::{PlaneRouterState, Port, Router, RouterConfig, RouterState};
+pub use router::{Port, Router, RouterConfig, RouterState};
 pub use routing::{Route, RoutingTable};
-pub use sanitizer::{expected_planes, plane_carries, MeshSanitizerState};
+pub use sanitizer::{expected_planes, plane_carries};
 pub use schedule::{Progress, Schedulable};
 pub use stats::{NocStats, PlaneStats};

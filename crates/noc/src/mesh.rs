@@ -3,7 +3,7 @@
 use crate::flit::{Flit, ReasmViolation, Reassembler};
 use crate::heatmap::{LinkLoad, NocHeatmap, PlaneHeatmap};
 use crate::router::{Port, Router, RouterConfig, RouterState, Transfer};
-use crate::sanitizer::{expected_planes, plane_carries, MeshSanitizer, MeshSanitizerState};
+use crate::sanitizer::{expected_planes, plane_carries, MeshSanitizer};
 use crate::schedule::{Progress, Schedulable};
 use crate::{Coord, MsgKind, NocError, NocStats, Packet, Plane};
 use esp4ml_check::{codes, Diagnostic, Report, SanitizerConfig};
@@ -62,8 +62,9 @@ impl MeshConfig {
     }
 }
 
-/// Per-tile, per-plane socket-side state.
-#[derive(Debug, Default)]
+/// Per-tile, per-plane socket-side state: the injection FIFO,
+/// ejected-but-unread packets and any partial reassembly.
+#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
 struct TileEndpoint {
     inject: VecDeque<Flit>,
     eject: VecDeque<Packet>,
@@ -71,7 +72,7 @@ struct TileEndpoint {
 }
 
 /// An armed NoC link-degradation fault (see [`FaultKind::NocDelay`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct DelayFault {
     plane: usize,
     from_packet: u64,
@@ -81,7 +82,7 @@ struct DelayFault {
 }
 
 /// An armed flit-corruption fault (see [`FaultKind::NocCorrupt`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct CorruptFault {
     plane: usize,
     from_packet: u64,
@@ -91,7 +92,7 @@ struct CorruptFault {
 }
 
 /// A packet held back by a [`DelayFault`] before entering the network.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct DelayedPacket {
     tile: usize,
     plane: Plane,
@@ -99,9 +100,12 @@ struct DelayedPacket {
     release: u64,
 }
 
-/// The mesh-side state of an installed fault plan. Allocated only when
-/// NoC faults are armed — fault-free runs never touch it.
-#[derive(Debug, Default)]
+/// The mesh-side state of an installed fault plan: armed specs *plus*
+/// their trigger counters and any packets currently held back. A
+/// snapshot clones it whole, so a restored run fires the same faults at
+/// the same architectural events as an uninterrupted run. Allocated
+/// only when NoC faults are armed — fault-free runs never touch it.
+#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
 struct MeshFaults {
     delays: Vec<DelayFault>,
     corrupts: Vec<CorruptFault>,
@@ -115,100 +119,25 @@ struct MeshFaults {
     fired: u64,
 }
 
-/// One armed NoC link-delay fault in a [`MeshState`], including how far
-/// its trigger has advanced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DelayFaultState {
-    /// NoC plane index the fault watches.
-    pub plane: usize,
-    /// First affected packet index.
-    pub from_packet: u64,
-    /// Number of consecutive affected packets.
-    pub count: u64,
-    /// Extra cycles each affected packet is held before injection.
-    pub extra_cycles: u64,
-    /// Cycle window in which the fault is armed.
-    pub window: CycleWindow,
-}
-
-/// One armed flit-corruption fault in a [`MeshState`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CorruptFaultState {
-    /// NoC plane index the fault watches.
-    pub plane: usize,
-    /// First affected packet index.
-    pub from_packet: u64,
-    /// Number of consecutive affected packets.
-    pub count: u64,
-    /// XOR mask applied to one payload word.
-    pub xor_mask: u64,
-    /// Cycle window in which the fault is armed.
-    pub window: CycleWindow,
-}
-
-/// A packet held back by link degradation at snapshot time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DelayedPacketState {
-    /// Dense tile index of the injecting endpoint.
-    pub tile: usize,
-    /// Plane the packet rides.
-    pub plane: Plane,
-    /// The packet's flits, in order.
-    pub flits: Vec<Flit>,
-    /// Cycle at which the packet is released into the network.
-    pub release: u64,
-}
-
-/// The fault-plan state of a mesh: armed specs *plus* their trigger
-/// counters and any packets currently held back. Trigger counters must
-/// be captured so a restored run fires the same faults at the same
-/// architectural events as an uninterrupted run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MeshFaultsState {
-    /// Armed link-delay faults.
-    pub delays: Vec<DelayFaultState>,
-    /// Armed flit-corruption faults.
-    pub corrupts: Vec<CorruptFaultState>,
-    /// Packets injected per plane since installation.
-    pub inject_seen: [u64; Plane::COUNT],
-    /// Data-bearing packets delivered per plane.
-    pub data_ejected: [u64; Plane::COUNT],
-    /// Packets held back by link degradation, in injection order.
-    pub delayed: Vec<DelayedPacketState>,
-    /// Total fault firings so far.
-    pub fired: u64,
-}
-
-/// One tile/plane endpoint in a [`MeshState`]: the injection FIFO,
-/// ejected-but-unread packets and any partial reassembly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EndpointState {
-    /// Flits queued for injection, in order.
-    pub inject: Vec<Flit>,
-    /// Complete packets awaiting ejection by the tile.
-    pub eject: Vec<Packet>,
-    /// Partial reassembly: head flit plus accumulated payload words.
-    pub reasm: Option<(Flit, Vec<u64>)>,
-}
-
 /// Complete serializable dynamic state of a [`Mesh`]: every in-flight
 /// flit, router queue, endpoint buffer, statistic, sanitizer ledger and
-/// fault trigger counter. Captured by [`Mesh::state`]; restoring it via
-/// [`Mesh::restore_state`] resumes the network byte-identically.
+/// fault trigger counter, each a clone of the live component. Captured
+/// by [`Mesh::state`]; restoring it via [`Mesh::restore_state`] resumes
+/// the network byte-identically.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MeshState {
     /// The mesh cycle counter.
     pub cycle: u64,
     /// Aggregate per-plane statistics.
     pub stats: NocStats,
-    /// Per-router dynamic state, in dense tile order.
+    /// Per-router machine state, in dense tile order.
     pub routers: Vec<RouterState>,
     /// Per-tile, per-plane endpoint state.
-    pub endpoints: Vec<Vec<EndpointState>>,
+    endpoints: Vec<Vec<TileEndpoint>>,
     /// Sanitizer ledger, when a sanitizer is installed.
-    pub sanitizer: Option<MeshSanitizerState>,
+    sanitizer: Option<Box<MeshSanitizer>>,
     /// Fault-plan state, when NoC faults are armed.
-    pub faults: Option<MeshFaultsState>,
+    faults: Option<Box<MeshFaults>>,
 }
 
 /// Whether a delivered packet carries corruptible data words in its
@@ -427,59 +356,10 @@ impl Mesh {
         MeshState {
             cycle: self.cycle,
             stats: self.stats.clone(),
-            routers: self.routers.iter().map(Router::state).collect(),
-            endpoints: self
-                .endpoints
-                .iter()
-                .map(|planes| {
-                    planes
-                        .iter()
-                        .map(|ep| EndpointState {
-                            inject: ep.inject.iter().cloned().collect(),
-                            eject: ep.eject.iter().cloned().collect(),
-                            reasm: ep.reasm.state(),
-                        })
-                        .collect()
-                })
-                .collect(),
-            sanitizer: self.sanitizer.as_ref().map(|s| s.state()),
-            faults: self.faults.as_ref().map(|f| MeshFaultsState {
-                delays: f
-                    .delays
-                    .iter()
-                    .map(|d| DelayFaultState {
-                        plane: d.plane,
-                        from_packet: d.from_packet,
-                        count: d.count,
-                        extra_cycles: d.extra_cycles,
-                        window: d.window,
-                    })
-                    .collect(),
-                corrupts: f
-                    .corrupts
-                    .iter()
-                    .map(|c| CorruptFaultState {
-                        plane: c.plane,
-                        from_packet: c.from_packet,
-                        count: c.count,
-                        xor_mask: c.xor_mask,
-                        window: c.window,
-                    })
-                    .collect(),
-                inject_seen: f.inject_seen,
-                data_ejected: f.data_ejected,
-                delayed: f
-                    .delayed
-                    .iter()
-                    .map(|d| DelayedPacketState {
-                        tile: d.tile,
-                        plane: d.plane,
-                        flits: d.flits.clone(),
-                        release: d.release,
-                    })
-                    .collect(),
-                fired: f.fired,
-            }),
+            routers: self.routers.iter().map(|r| r.state().clone()).collect(),
+            endpoints: self.endpoints.clone(),
+            sanitizer: self.sanitizer.clone(),
+            faults: self.faults.clone(),
         }
     }
 
@@ -498,66 +378,23 @@ impl Mesh {
     /// this mesh (the caller validates structural compatibility first).
     pub fn restore_state(&mut self, state: &MeshState) {
         assert_eq!(state.routers.len(), self.routers.len(), "router count");
-        assert_eq!(state.endpoints.len(), self.endpoints.len(), "tile count");
+        assert!(
+            state.endpoints.len() == self.endpoints.len()
+                && state
+                    .endpoints
+                    .iter()
+                    .all(|planes| planes.len() == Plane::COUNT),
+            "endpoint shape"
+        );
         self.cycle = state.cycle;
-        self.stats = state.stats.clone();
+        self.stats.clone_from(&state.stats);
         for (r, rs) in self.routers.iter_mut().zip(&state.routers) {
             r.restore_state(rs);
         }
-        for (planes, ps) in self.endpoints.iter_mut().zip(&state.endpoints) {
-            assert_eq!(ps.len(), planes.len(), "plane count");
-            for (ep, es) in planes.iter_mut().zip(ps) {
-                ep.inject.clear();
-                ep.inject.extend(es.inject.iter().cloned());
-                ep.eject.clear();
-                ep.eject.extend(es.eject.iter().cloned());
-                ep.reasm.restore_state(es.reasm.clone());
-            }
-        }
+        self.endpoints.clone_from(&state.endpoints);
         self.occupancy = Occupancy::recount(&self.routers, &self.endpoints);
-        self.sanitizer = state
-            .sanitizer
-            .as_ref()
-            .map(|s| Box::new(MeshSanitizer::from_state(s)));
-        self.faults = state.faults.as_ref().map(|f| {
-            Box::new(MeshFaults {
-                delays: f
-                    .delays
-                    .iter()
-                    .map(|d| DelayFault {
-                        plane: d.plane,
-                        from_packet: d.from_packet,
-                        count: d.count,
-                        extra_cycles: d.extra_cycles,
-                        window: d.window,
-                    })
-                    .collect(),
-                corrupts: f
-                    .corrupts
-                    .iter()
-                    .map(|c| CorruptFault {
-                        plane: c.plane,
-                        from_packet: c.from_packet,
-                        count: c.count,
-                        xor_mask: c.xor_mask,
-                        window: c.window,
-                    })
-                    .collect(),
-                inject_seen: f.inject_seen,
-                data_ejected: f.data_ejected,
-                delayed: f
-                    .delayed
-                    .iter()
-                    .map(|d| DelayedPacket {
-                        tile: d.tile,
-                        plane: d.plane,
-                        flits: d.flits.clone(),
-                        release: d.release,
-                    })
-                    .collect(),
-                fired: f.fired,
-            })
-        });
+        self.sanitizer.clone_from(&state.sanitizer);
+        self.faults.clone_from(&state.faults);
     }
 
     /// The sanitizer verdict so far: `None` when no sanitizer is

@@ -107,7 +107,7 @@ impl Default for RouterConfig {
 }
 
 /// Per-plane router state: input queues, wormhole locks, arbitration state.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct PlaneRouter {
     /// One input FIFO per port.
     inputs: [VecDeque<Flit>; Port::COUNT],
@@ -128,35 +128,26 @@ impl PlaneRouter {
     }
 }
 
-/// Serializable dynamic state of one plane of a router: input FIFOs,
-/// wormhole locks and round-robin arbitration pointers. Part of
-/// [`RouterState`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PlaneRouterState {
-    /// Input FIFO contents per port (head of queue first).
-    pub inputs: Vec<Vec<Flit>>,
-    /// For each output port, the input port holding the wormhole.
-    pub locks: Vec<Option<Port>>,
-    /// Round-robin arbitration pointer per output port.
-    pub rr: Vec<usize>,
-}
-
-/// Serializable dynamic state of a [`Router`] for simulation snapshots.
+/// The machine state of a [`Router`]: per-plane queues, locks and
+/// arbitration pointers plus the link counters. A simulation snapshot
+/// clones it.
 ///
-/// The routing table is *not* captured: it is deterministically rebuilt
-/// from the coordinate and mesh dimensions, so restore assumes the
-/// default XY table (or an unchanged custom table). The structural
-/// [`RouterConfig`] is likewise validated, not restored.
+/// The routing table is *not* part of it: it is deterministically
+/// rebuilt from the coordinate and mesh dimensions, so restore assumes
+/// the default XY table (or an unchanged custom table). The structural
+/// [`RouterConfig`] is likewise kept, not restored.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RouterState {
-    /// Per-plane queues, locks and arbitration pointers.
-    pub planes: Vec<PlaneRouterState>,
-    /// Flits forwarded onto mesh links (all planes).
-    pub forwarded_flits: u64,
-    /// Per-`(plane, port)` link occupancy counters.
-    pub link_flits: Vec<[u64; Port::COUNT]>,
-    /// Per-plane credit-stall counters.
-    pub credit_stalls: Vec<u64>,
+    /// Queues, locks and arbitration pointers, one set per plane.
+    planes: Vec<PlaneRouter>,
+    /// Flits this router forwarded onto mesh links (all planes).
+    forwarded_flits: u64,
+    /// Flits moved through each `(plane, output port)` — link occupancy
+    /// counters for the NoC heatmap (the Local column counts ejections).
+    link_flits: Vec<[u64; Port::COUNT]>,
+    /// Per-plane cycles a selected wormhole stalled on downstream
+    /// back-pressure (zero credits).
+    credit_stalls: Vec<u64>,
 }
 
 /// A single mesh router: five ports, one queue set per plane, XY routing.
@@ -168,19 +159,11 @@ pub struct Router {
     coord: Coord,
     table: RoutingTable,
     config: RouterConfig,
-    planes: Vec<PlaneRouter>,
-    /// Flits queued in each plane's input FIFOs. Derived from `planes`
-    /// (kept at every push and pop, recomputed on restore, never
+    state: RouterState,
+    /// Flits queued in each plane's input FIFOs. Derived from the state's
+    /// planes (kept at every push and pop, recomputed on restore, never
     /// serialized) so arbitration can skip empty planes.
     plane_queued: [usize; Plane::COUNT],
-    /// Flits this router forwarded onto mesh links (all planes).
-    forwarded_flits: u64,
-    /// Flits moved through each `(plane, output port)` — link occupancy
-    /// counters for the NoC heatmap (the Local column counts ejections).
-    link_flits: Vec<[u64; Port::COUNT]>,
-    /// Per-plane cycles a selected wormhole stalled on downstream
-    /// back-pressure (zero credits).
-    credit_stalls: Vec<u64>,
 }
 
 /// A transfer selected during the arbitration phase of a cycle.
@@ -199,11 +182,13 @@ impl Router {
             coord,
             table: RoutingTable::xy(coord, cols, rows),
             config,
-            planes: (0..Plane::COUNT).map(|_| PlaneRouter::new()).collect(),
+            state: RouterState {
+                planes: (0..Plane::COUNT).map(|_| PlaneRouter::new()).collect(),
+                forwarded_flits: 0,
+                link_flits: vec![[0; Port::COUNT]; Plane::COUNT],
+                credit_stalls: vec![0; Plane::COUNT],
+            },
             plane_queued: [0; Plane::COUNT],
-            forwarded_flits: 0,
-            link_flits: vec![[0; Port::COUNT]; Plane::COUNT],
-            credit_stalls: vec![0; Plane::COUNT],
         }
     }
 
@@ -215,19 +200,19 @@ impl Router {
     /// Flits this router has forwarded onto mesh links (all planes) — a
     /// per-router congestion indicator.
     pub fn forwarded_flits(&self) -> u64 {
-        self.forwarded_flits
+        self.state.forwarded_flits
     }
 
     /// Flits moved through output `port` of `plane` (the Local port
     /// counts ejections into the tile).
     pub fn link_flits(&self, plane: Plane, port: Port) -> u64 {
-        self.link_flits[plane.index()][port.index()]
+        self.state.link_flits[plane.index()][port.index()]
     }
 
     /// Cycles a selected wormhole on `plane` stalled because the
     /// downstream queue had no free credit.
     pub fn credit_stalls(&self, plane: Plane) -> u64 {
-        self.credit_stalls[plane.index()]
+        self.state.credit_stalls[plane.index()]
     }
 
     /// The routing table in use (XY by default).
@@ -240,66 +225,37 @@ impl Router {
         self.table = table;
     }
 
-    /// Captures the router's dynamic state for a simulation snapshot.
-    pub fn state(&self) -> RouterState {
-        RouterState {
-            planes: self
-                .planes
-                .iter()
-                .map(|pr| PlaneRouterState {
-                    inputs: pr
-                        .inputs
-                        .iter()
-                        .map(|q| q.iter().cloned().collect())
-                        .collect(),
-                    locks: pr.locks.to_vec(),
-                    rr: pr.rr.to_vec(),
-                })
-                .collect(),
-            forwarded_flits: self.forwarded_flits,
-            link_flits: self.link_flits.clone(),
-            credit_stalls: self.credit_stalls.clone(),
-        }
+    /// The router's machine state, which a simulation snapshot clones.
+    pub fn state(&self) -> &RouterState {
+        &self.state
     }
 
-    /// Restores dynamic state captured by [`Router::state`]. The routing
-    /// table and configuration are untouched.
+    /// Restores a state cloned from [`Router::state`] and recounts the
+    /// per-plane queue totals. The routing table and configuration are
+    /// untouched.
     ///
     /// # Panics
     ///
-    /// Panics when plane or port counts disagree with this router — the
+    /// Panics when the plane count disagrees with this router — the
     /// caller ([`Mesh`](crate::Mesh) restore) validates structural
     /// compatibility first, so a mismatch here is a simulator bug.
     pub fn restore_state(&mut self, state: &RouterState) {
-        assert_eq!(state.planes.len(), self.planes.len(), "plane count");
-        for (pr, ps) in self.planes.iter_mut().zip(&state.planes) {
-            assert_eq!(ps.inputs.len(), Port::COUNT, "port count");
-            assert_eq!(ps.locks.len(), Port::COUNT, "lock count");
-            assert_eq!(ps.rr.len(), Port::COUNT, "rr count");
-            for (q, src) in pr.inputs.iter_mut().zip(&ps.inputs) {
-                q.clear();
-                q.extend(src.iter().cloned());
-            }
-            pr.locks.copy_from_slice(&ps.locks);
-            pr.rr.copy_from_slice(&ps.rr);
-        }
-        for (n, pr) in self.plane_queued.iter_mut().zip(&self.planes) {
+        assert_eq!(state.planes.len(), self.state.planes.len(), "plane count");
+        self.state.clone_from(state);
+        for (n, pr) in self.plane_queued.iter_mut().zip(&self.state.planes) {
             *n = pr.inputs.iter().map(VecDeque::len).sum();
         }
-        self.forwarded_flits = state.forwarded_flits;
-        self.link_flits.clone_from(&state.link_flits);
-        self.credit_stalls.clone_from(&state.credit_stalls);
     }
 
     /// Free slots in the input queue `(plane, port)`.
     pub fn free_slots(&self, plane: Plane, port: Port) -> usize {
-        let q = &self.planes[plane.index()].inputs[port.index()];
+        let q = &self.state.planes[plane.index()].inputs[port.index()];
         self.config.input_queue_depth.saturating_sub(q.len())
     }
 
     /// Current occupancy of the input queue `(plane, port)`.
     pub fn occupancy(&self, plane: Plane, port: Port) -> usize {
-        self.planes[plane.index()].inputs[port.index()].len()
+        self.state.planes[plane.index()].inputs[port.index()].len()
     }
 
     /// Flits queued in all input queues of `plane`.
@@ -320,7 +276,7 @@ impl Router {
     /// Panics if the queue is full — the mesh must check
     /// [`Router::free_slots`] first (this models lossless flow control).
     pub(crate) fn push_input(&mut self, plane: Plane, port: Port, flit: Flit) {
-        let q = &mut self.planes[plane.index()].inputs[port.index()];
+        let q = &mut self.state.planes[plane.index()].inputs[port.index()];
         assert!(
             q.len() < self.config.input_queue_depth,
             "flow-control violation at {} plane {plane} port {port}",
@@ -352,7 +308,7 @@ impl Router {
             if self.plane_queued[plane.index()] == 0 {
                 continue;
             }
-            let pr = &mut self.planes[plane.index()];
+            let pr = &mut self.state.planes[plane.index()];
             for out in Port::ALL {
                 let oi = out.index();
                 // Candidate inputs: either the lock holder, or (if no lock)
@@ -385,7 +341,7 @@ impl Router {
                 }
                 let Some(inp) = chosen else { continue };
                 if downstream_free(plane, out) == 0 {
-                    self.credit_stalls[plane.index()] += 1;
+                    self.state.credit_stalls[plane.index()] += 1;
                     continue; // back-pressure: stall this wormhole
                 }
                 let flit = pr.inputs[inp.index()]
@@ -400,9 +356,9 @@ impl Router {
                     pr.locks[oi] = Some(inp);
                 }
                 if out != Port::Local {
-                    self.forwarded_flits += 1;
+                    self.state.forwarded_flits += 1;
                 }
-                self.link_flits[plane.index()][oi] += 1;
+                self.state.link_flits[plane.index()][oi] += 1;
                 transfers.push(Transfer {
                     plane,
                     in_port: inp,
@@ -617,7 +573,7 @@ mod tests {
         assert_eq!(r.plane_queued(Plane::DmaReq), 2);
         assert_eq!(r.plane_queued(Plane::CohReq), 1);
         assert_eq!(r.queued(), 3);
-        let state = r.state();
+        let state = r.state().clone();
         let mut t = Vec::new();
         r.select(|_, _| 4, &mut t);
         assert_eq!(t.len(), 2);
@@ -643,7 +599,7 @@ mod tests {
         let mut t = Vec::new();
         r.select(|_, _| 4, &mut t);
         assert_eq!(t.len(), 1);
-        let before = r.state();
+        let before = r.state().clone();
         assert_eq!(
             before.planes[Plane::DmaReq.index()].locks[2],
             Some(Port::Local)
@@ -653,7 +609,7 @@ mod tests {
             r.select(|_, _| 0, &mut t);
         }
         assert!(t.is_empty());
-        assert_eq!(r.state(), before, "no stall, lock or pointer change");
+        assert_eq!(r.state(), &before, "no stall, lock or pointer change");
     }
 
     #[test]

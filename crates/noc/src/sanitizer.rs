@@ -51,26 +51,10 @@ pub fn plane_carries(plane: Plane, kind: MsgKind) -> bool {
     expected_planes(kind).contains(&plane)
 }
 
-/// Serializable ledger of the mesh sanitizer: configuration, recorded
-/// violations and the shadow occupancy/conservation counters. Part of
-/// [`MeshState`](crate::MeshState); restoring it reconstructs the
-/// sanitizer exactly so post-restore audits see the same history.
+/// Shadow state and accumulated verdicts of the mesh sanitizer. Part of
+/// [`MeshState`](crate::MeshState): a snapshot clones the whole ledger,
+/// so post-restore audits see the same history.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct MeshSanitizerState {
-    /// Which invariants the sanitizer enforces.
-    pub config: SanitizerConfig,
-    /// Violations recorded so far (sorted, deduplicated).
-    pub violations: Vec<Diagnostic>,
-    /// Flits injected per plane.
-    pub injected: [u64; Plane::COUNT],
-    /// Flits of completed packets delivered per plane.
-    pub delivered: [u64; Plane::COUNT],
-    /// Shadow input-queue occupancy, `[router][plane][port]`.
-    pub shadow: Vec<[[u64; Port::COUNT]; Plane::COUNT]>,
-}
-
-/// Shadow state and accumulated verdicts of the mesh sanitizer.
-#[derive(Debug)]
 pub(crate) struct MeshSanitizer {
     pub(crate) config: SanitizerConfig,
     violations: BTreeSet<Diagnostic>,
@@ -95,28 +79,6 @@ impl MeshSanitizer {
 
     pub(crate) fn record(&mut self, diag: Diagnostic) {
         self.violations.insert(diag);
-    }
-
-    /// Captures the complete sanitizer ledger for a snapshot.
-    pub(crate) fn state(&self) -> MeshSanitizerState {
-        MeshSanitizerState {
-            config: self.config,
-            violations: self.violations.iter().cloned().collect(),
-            injected: self.injected,
-            delivered: self.delivered,
-            shadow: self.shadow.clone(),
-        }
-    }
-
-    /// Reconstructs a sanitizer from a captured ledger.
-    pub(crate) fn from_state(state: &MeshSanitizerState) -> Self {
-        MeshSanitizer {
-            config: state.config,
-            violations: state.violations.iter().cloned().collect(),
-            injected: state.injected,
-            delivered: state.delivered,
-            shadow: state.shadow.clone(),
-        }
     }
 
     /// The verdict so far, sorted and deduplicated.

@@ -248,7 +248,7 @@ mod tests {
 }
 
 /// An armed invocation-hang fault (see [`FaultKind::AccelHang`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct HangFault {
     from_invocation: u64,
     count: u64,
@@ -256,7 +256,7 @@ struct HangFault {
 }
 
 /// An armed wrong-length-result fault (see [`FaultKind::AccelShortOutput`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct ShortFault {
     from_invocation: u64,
     count: u64,
@@ -264,9 +264,12 @@ struct ShortFault {
     window: CycleWindow,
 }
 
-/// Tile-side state of installed accelerator faults. Allocated only when a
-/// fault plan names this device — fault-free runs never touch it.
-#[derive(Debug, Default)]
+/// Tile-side state of installed accelerator faults, including the
+/// trigger counters: capturing `invocations`/`fired` is what lets a
+/// restored run fire its remaining faults at exactly the same
+/// architectural events as the original. Allocated only when a fault
+/// plan names this device — fault-free runs never touch it.
+#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct AccelFaults {
     hangs: Vec<HangFault>,
     shorts: Vec<ShortFault>,
@@ -276,142 +279,21 @@ struct AccelFaults {
     fired: u64,
 }
 
-/// Serializable image of one armed invocation-hang fault (see
-/// [`FaultKind::AccelHang`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HangFaultState {
-    /// First start command (since installation) the fault swallows.
-    pub from_invocation: u64,
-    /// How many consecutive invocations hang.
-    pub count: u64,
-    /// Cycle window gating the fault.
-    pub window: CycleWindow,
-}
-
-/// Serializable image of one armed wrong-length-result fault (see
-/// [`FaultKind::AccelShortOutput`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShortFaultState {
-    /// First start command (since installation) the fault corrupts.
-    pub from_invocation: u64,
-    /// How many consecutive invocations produce short output.
-    pub count: u64,
-    /// Output words dropped per frame.
-    pub drop_words: u64,
-    /// Cycle window gating the fault.
-    pub window: CycleWindow,
-}
-
-/// Serializable image of an accelerator tile's installed faults,
-/// including the trigger counters. Capturing `invocations`/`fired` is what
-/// lets a restored run fire its remaining faults at exactly the same
-/// architectural events as the original.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AccelFaultsState {
-    /// Armed hang faults.
-    pub hangs: Vec<HangFaultState>,
-    /// Armed short-output faults.
-    pub shorts: Vec<ShortFaultState>,
-    /// Start commands seen since installation.
-    pub invocations: u64,
-    /// Total fault firings so far.
-    pub fired: u64,
-}
-
-/// Complete serializable state of an [`AccelTile`]: socket registers,
-/// page table and TLB, the wrapper FSM with its latched batch context,
-/// PLM contents (receive and output buffers), in-flight transfer
-/// bookkeeping, armed faults with trigger counts, statistics and
-/// sanitizer ledger.
+/// The machine state of an [`AccelTile`]: socket registers, page table
+/// and TLB, the wrapper FSM with its latched batch context, PLM contents
+/// (receive and output buffers), in-flight transfer bookkeeping, armed
+/// faults with trigger counts, statistics and sanitizer ledger. A
+/// snapshot clones it.
 ///
 /// Structural identity — the coordinate, the plugged kernel and the
-/// memory map — is *not* captured; a snapshot only restores onto a tile
+/// memory map — is *not* part of it; a snapshot only restores onto a tile
 /// built from the same floorplan. The tracer is a live host-side handle
 /// and is likewise excluded.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AccelTileState {
-    /// Socket register file.
-    pub regs: RegisterFile,
-    /// Installed page table, when the driver pinned a buffer.
-    pub page_table: Option<PageTable>,
-    /// Socket TLB entries and counters.
-    pub tlb: esp4ml_mem::TlbState,
-    /// Wrapper FSM state.
-    pub state: AccelState,
-    /// Frames in the running batch.
-    pub n_frames: u64,
-    /// Current batch frame index.
-    pub frame_idx: u64,
-    /// Global frame id base latched at start.
-    pub frame_base: u64,
-    /// Global frame id stride latched at start.
-    pub frame_stride: u64,
-    /// Input values per frame latched at start.
-    pub in_values: u64,
-    /// Output values per frame latched at start.
-    pub out_values: u64,
-    /// Input words per frame.
-    pub in_words: u64,
-    /// Output words per frame.
-    pub out_words: u64,
-    /// Input base virtual address latched at start.
-    pub src_base: u64,
-    /// Output base virtual address latched at start.
-    pub dst_base: u64,
-    /// P2p configuration latched at start.
-    pub p2p: P2pConfig,
-    /// PLM input buffer contents.
-    pub rx_buf: Vec<u64>,
-    /// Received-word counts per ping-pong half.
-    pub rx_counts: [u64; 2],
-    /// Words expected for the current frame's load.
-    pub rx_expect: u64,
-    /// Whether double buffering is active for this batch.
-    pub dbuf: bool,
-    /// Frames whose loads have been issued.
-    pub loads_issued: u64,
-    /// Datapath clock divider latched at start.
-    pub dvfs_divider: u64,
-    /// Divided-clock phase accumulator.
-    pub dvfs_phase: u64,
-    /// Packets waiting to inject into the NoC.
-    pub tx_queue: Vec<Packet>,
-    /// Store words acknowledged so far for the current frame.
-    pub store_acked_words: u64,
-    /// Pending p2p consumer requests: `(requester, words, dest base)`.
-    pub pending_p2p_reqs: Vec<(Coord, u64, u64)>,
-    /// Remaining kernel compute cycles for the current frame.
-    pub compute_countdown: u64,
-    /// PLM output buffer contents.
-    pub output_buffer: Vec<u64>,
-    /// Remaining socket stall cycles (TLB miss / DMA setup).
-    pub stall: u64,
-    /// Words dropped per output frame by a latched short-output fault.
-    pub short_drop: u64,
-    /// Installed faults and their trigger counters.
-    pub faults: Option<AccelFaultsState>,
-    /// Execution statistics.
-    pub stats: AccelStats,
-    /// Whether promoted invariant asserts run in diagnostic mode.
-    pub sanitize: bool,
-    /// Accumulated sanitizer diagnostics, in sorted order.
-    pub sanitizer_violations: Vec<Diagnostic>,
-    /// Mesh cycle latched at the top of the last tick.
-    pub cycle: u64,
-}
-
-/// An accelerator tile: socket (registers, DMA engine, TLB, p2p service)
-/// plus the plugged-in kernel.
-#[derive(Debug)]
-pub struct AccelTile {
-    coord: Coord,
-    kernel: Box<dyn AcceleratorKernel>,
     regs: RegisterFile,
     page_table: Option<PageTable>,
     tlb: Tlb,
-    mem_map: MemMap,
-    irq_target: Coord,
-
     state: AccelState,
     // Batch context, latched at start.
     n_frames: u64,
@@ -440,6 +322,7 @@ pub struct AccelTile {
     dvfs_phase: u64,
     tx_queue: VecDeque<Packet>,
     store_acked_words: u64,
+    /// Pending p2p consumer requests: `(requester, words, dest base)`.
     pending_p2p_reqs: VecDeque<(Coord, u64, u64)>,
     compute_countdown: u64,
     output_buffer: Vec<u64>,
@@ -455,13 +338,25 @@ pub struct AccelTile {
     /// `debug_assert!`-ing.
     sanitize: bool,
     sanitizer_violations: BTreeSet<Diagnostic>,
-    tracer: Tracer,
-    /// Mesh cycle latched at the top of [`AccelTile::tick`], so FSM
-    /// helpers can stamp trace events without threading the mesh through.
+    /// Mesh cycle latched at the top of [`AccelTile::tick`] (and moved on
+    /// by [`AccelTile::advance`]), so FSM helpers can stamp trace events
+    /// without threading the mesh through.
     cycle: u64,
+}
+
+/// An accelerator tile: socket (registers, DMA engine, TLB, p2p service)
+/// plus the plugged-in kernel.
+#[derive(Debug)]
+pub struct AccelTile {
+    coord: Coord,
+    kernel: Box<dyn AcceleratorKernel>,
+    mem_map: MemMap,
+    irq_target: Coord,
+    tracer: Tracer,
     /// Host-side count of [`AcceleratorKernel::compute`] calls since the
     /// tile was built; not machine state, so never snapshotted or restored.
     kernel_invocations: u64,
+    st: AccelTileState,
 }
 
 impl AccelTile {
@@ -478,61 +373,63 @@ impl AccelTile {
     ) -> Self {
         AccelTile {
             coord,
-            regs: RegisterFile::new(coord),
             kernel,
-            page_table: None,
-            tlb: Tlb::new(SOCKET_TLB_ENTRIES, TLB_MISS_PENALTY),
             mem_map,
             irq_target,
-            state: AccelState::Idle,
-            n_frames: 0,
-            frame_idx: 0,
-            frame_base: 0,
-            frame_stride: 1,
-            in_values: 0,
-            out_values: 0,
-            in_words: 0,
-            out_words: 0,
-            src_base: 0,
-            dst_base: 0,
-            p2p: P2pConfig::disabled(),
-            rx_buf: Vec::new(),
-            rx_counts: [0; 2],
-            rx_expect: 0,
-            dbuf: false,
-            loads_issued: 0,
-            dvfs_divider: 1,
-            dvfs_phase: 0,
-            tx_queue: VecDeque::new(),
-            store_acked_words: 0,
-            pending_p2p_reqs: VecDeque::new(),
-            compute_countdown: 0,
-            output_buffer: Vec::new(),
-            stall: 0,
-            short_drop: 0,
-            faults: None,
-            stats: AccelStats::default(),
-            sanitize: false,
-            sanitizer_violations: BTreeSet::new(),
             tracer: Tracer::disabled(),
-            cycle: 0,
             kernel_invocations: 0,
+            st: AccelTileState {
+                regs: RegisterFile::new(coord),
+                page_table: None,
+                tlb: Tlb::new(SOCKET_TLB_ENTRIES, TLB_MISS_PENALTY),
+                state: AccelState::Idle,
+                n_frames: 0,
+                frame_idx: 0,
+                frame_base: 0,
+                frame_stride: 1,
+                in_values: 0,
+                out_values: 0,
+                in_words: 0,
+                out_words: 0,
+                src_base: 0,
+                dst_base: 0,
+                p2p: P2pConfig::disabled(),
+                rx_buf: Vec::new(),
+                rx_counts: [0; 2],
+                rx_expect: 0,
+                dbuf: false,
+                loads_issued: 0,
+                dvfs_divider: 1,
+                dvfs_phase: 0,
+                tx_queue: VecDeque::new(),
+                store_acked_words: 0,
+                pending_p2p_reqs: VecDeque::new(),
+                compute_countdown: 0,
+                output_buffer: Vec::new(),
+                stall: 0,
+                short_drop: 0,
+                faults: None,
+                stats: AccelStats::default(),
+                sanitize: false,
+                sanitizer_violations: BTreeSet::new(),
+                cycle: 0,
+            },
         }
     }
 
     /// Switches the promoted invariant asserts into diagnostic mode.
     pub(crate) fn enable_sanitize(&mut self) {
-        self.sanitize = true;
+        self.st.sanitize = true;
     }
 
     pub(crate) fn sanitizer_violations(&self) -> &BTreeSet<Diagnostic> {
-        &self.sanitizer_violations
+        &self.st.sanitizer_violations
     }
 
     /// Fault hook (sanitizer testing): inflates the received-word counter
     /// so the quiescent DMA-accounting audit must flag the imbalance.
     pub(crate) fn fault_phantom_words(&mut self, words: u64) {
-        self.stats.words_received += words;
+        self.st.stats.words_received += words;
     }
 
     /// Installs one accelerator fault from a fault plan. Returns `false`
@@ -546,7 +443,7 @@ impl AccelTile {
                 from_invocation,
                 count,
             } if device == self.kernel.name() => {
-                let f = self.faults.get_or_insert_with(Default::default);
+                let f = self.st.faults.get_or_insert_with(Default::default);
                 f.hangs.push(HangFault {
                     from_invocation: *from_invocation,
                     count: *count,
@@ -560,7 +457,7 @@ impl AccelTile {
                 count,
                 drop_words,
             } if device == self.kernel.name() => {
-                let f = self.faults.get_or_insert_with(Default::default);
+                let f = self.st.faults.get_or_insert_with(Default::default);
                 f.shorts.push(ShortFault {
                     from_invocation: *from_invocation,
                     count: *count,
@@ -575,7 +472,7 @@ impl AccelTile {
 
     /// How many accelerator faults have fired on this tile so far.
     pub fn faults_fired(&self) -> u64 {
-        self.faults.as_ref().map_or(0, |f| f.fired)
+        self.st.faults.as_ref().map_or(0, |f| f.fired)
     }
 
     /// Hard-resets the socket wrapper back to [`AccelState::Idle`] — the
@@ -586,204 +483,89 @@ impl AccelTile {
     /// batch immediately.
     pub fn reset(&mut self) {
         self.set_state(AccelState::Idle);
-        self.n_frames = 0;
-        self.frame_idx = 0;
-        self.frame_base = 0;
-        self.frame_stride = 1;
-        self.rx_buf.clear();
-        self.rx_counts = [0; 2];
-        self.rx_expect = 0;
-        self.dbuf = false;
-        self.loads_issued = 0;
-        self.dvfs_phase = 0;
-        self.tx_queue.clear();
-        self.store_acked_words = 0;
-        self.pending_p2p_reqs.clear();
-        self.compute_countdown = 0;
-        self.output_buffer.clear();
-        self.stall = 0;
-        self.short_drop = 0;
-        self.regs.set_status(STATUS_IDLE);
+        self.st.n_frames = 0;
+        self.st.frame_idx = 0;
+        self.st.frame_base = 0;
+        self.st.frame_stride = 1;
+        self.st.rx_buf.clear();
+        self.st.rx_counts = [0; 2];
+        self.st.rx_expect = 0;
+        self.st.dbuf = false;
+        self.st.loads_issued = 0;
+        self.st.dvfs_phase = 0;
+        self.st.tx_queue.clear();
+        self.st.store_acked_words = 0;
+        self.st.pending_p2p_reqs.clear();
+        self.st.compute_countdown = 0;
+        self.st.output_buffer.clear();
+        self.st.stall = 0;
+        self.st.short_drop = 0;
+        self.st.regs.set_status(STATUS_IDLE);
     }
 
-    /// Captures the tile's complete serializable state (see
-    /// [`AccelTileState`] for what is and is not included). Named
-    /// `tile_state` because [`AccelTile::state`] already reports the FSM
-    /// state.
-    pub fn tile_state(&self) -> AccelTileState {
-        AccelTileState {
-            regs: self.regs.clone(),
-            page_table: self.page_table.clone(),
-            tlb: self.tlb.state(),
-            state: self.state,
-            n_frames: self.n_frames,
-            frame_idx: self.frame_idx,
-            frame_base: self.frame_base,
-            frame_stride: self.frame_stride,
-            in_values: self.in_values,
-            out_values: self.out_values,
-            in_words: self.in_words,
-            out_words: self.out_words,
-            src_base: self.src_base,
-            dst_base: self.dst_base,
-            p2p: self.p2p.clone(),
-            rx_buf: self.rx_buf.clone(),
-            rx_counts: self.rx_counts,
-            rx_expect: self.rx_expect,
-            dbuf: self.dbuf,
-            loads_issued: self.loads_issued,
-            dvfs_divider: self.dvfs_divider,
-            dvfs_phase: self.dvfs_phase,
-            tx_queue: self.tx_queue.iter().cloned().collect(),
-            store_acked_words: self.store_acked_words,
-            pending_p2p_reqs: self.pending_p2p_reqs.iter().copied().collect(),
-            compute_countdown: self.compute_countdown,
-            output_buffer: self.output_buffer.clone(),
-            stall: self.stall,
-            short_drop: self.short_drop,
-            faults: self.faults.as_deref().map(|f| AccelFaultsState {
-                hangs: f
-                    .hangs
-                    .iter()
-                    .map(|h| HangFaultState {
-                        from_invocation: h.from_invocation,
-                        count: h.count,
-                        window: h.window,
-                    })
-                    .collect(),
-                shorts: f
-                    .shorts
-                    .iter()
-                    .map(|s| ShortFaultState {
-                        from_invocation: s.from_invocation,
-                        count: s.count,
-                        drop_words: s.drop_words,
-                        window: s.window,
-                    })
-                    .collect(),
-                invocations: f.invocations,
-                fired: f.fired,
-            }),
-            stats: self.stats,
-            sanitize: self.sanitize,
-            sanitizer_violations: self.sanitizer_violations.iter().cloned().collect(),
-            cycle: self.cycle,
-        }
+    /// The tile's machine state (see [`AccelTileState`] for what is and
+    /// is not included), which a snapshot clones. Named `tile_state`
+    /// because [`AccelTile::state`] already reports the FSM state.
+    pub fn tile_state(&self) -> &AccelTileState {
+        &self.st
     }
 
-    /// Restores state captured by [`AccelTile::tile_state`]. Installed faults
-    /// are replaced wholesale: restoring a fault-free snapshot uninstalls
-    /// any plan armed since it was taken.
+    /// Restores state cloned from [`AccelTile::tile_state`]. Installed
+    /// faults are replaced wholesale: restoring a fault-free snapshot
+    /// uninstalls any plan armed since it was taken.
     pub fn restore_state(&mut self, state: &AccelTileState) {
-        self.regs = state.regs.clone();
-        self.page_table = state.page_table.clone();
-        self.tlb.restore_state(&state.tlb);
-        self.state = state.state;
-        self.n_frames = state.n_frames;
-        self.frame_idx = state.frame_idx;
-        self.frame_base = state.frame_base;
-        self.frame_stride = state.frame_stride;
-        self.in_values = state.in_values;
-        self.out_values = state.out_values;
-        self.in_words = state.in_words;
-        self.out_words = state.out_words;
-        self.src_base = state.src_base;
-        self.dst_base = state.dst_base;
-        self.p2p = state.p2p.clone();
-        self.rx_buf.clone_from(&state.rx_buf);
-        self.rx_counts = state.rx_counts;
-        self.rx_expect = state.rx_expect;
-        self.dbuf = state.dbuf;
-        self.loads_issued = state.loads_issued;
-        self.dvfs_divider = state.dvfs_divider;
-        self.dvfs_phase = state.dvfs_phase;
-        self.tx_queue = state.tx_queue.iter().cloned().collect();
-        self.store_acked_words = state.store_acked_words;
-        self.pending_p2p_reqs = state.pending_p2p_reqs.iter().copied().collect();
-        self.compute_countdown = state.compute_countdown;
-        self.output_buffer.clone_from(&state.output_buffer);
-        self.stall = state.stall;
-        self.short_drop = state.short_drop;
-        self.faults = state.faults.as_ref().map(|f| {
-            Box::new(AccelFaults {
-                hangs: f
-                    .hangs
-                    .iter()
-                    .map(|h| HangFault {
-                        from_invocation: h.from_invocation,
-                        count: h.count,
-                        window: h.window,
-                    })
-                    .collect(),
-                shorts: f
-                    .shorts
-                    .iter()
-                    .map(|s| ShortFault {
-                        from_invocation: s.from_invocation,
-                        count: s.count,
-                        drop_words: s.drop_words,
-                        window: s.window,
-                    })
-                    .collect(),
-                invocations: f.invocations,
-                fired: f.fired,
-            })
-        });
-        self.stats = state.stats;
-        self.sanitize = state.sanitize;
-        self.sanitizer_violations = state.sanitizer_violations.iter().cloned().collect();
-        self.cycle = state.cycle;
+        self.st.clone_from(state);
     }
 
     /// What this tile is waiting on, for the timeout deadlock diagnosis.
     /// Returns `None` when the tile is making progress on its own.
     pub(crate) fn blocked_info(&self) -> Option<BlockedTile> {
-        let half = if self.dbuf {
-            (self.frame_idx % 2) as usize
+        let half = if self.st.dbuf {
+            (self.st.frame_idx % 2) as usize
         } else {
             0
         };
-        let (waits_on, plane, reason) = match self.state {
-            AccelState::LoadWait if self.rx_counts[half] < self.rx_expect => {
-                if self.p2p.load_enabled {
-                    let sources = &self.p2p.sources;
-                    let src = sources[(self.frame_idx as usize) % sources.len()];
+        let (waits_on, plane, reason) = match self.st.state {
+            AccelState::LoadWait if self.st.rx_counts[half] < self.st.rx_expect => {
+                if self.st.p2p.load_enabled {
+                    let sources = &self.st.p2p.sources;
+                    let src = sources[(self.st.frame_idx as usize) % sources.len()];
                     (
                         Some((src.x, src.y)),
                         "dma-rsp",
                         format!(
                             "waiting for p2p data from tile({},{}) for frame {} ({} of {} words received)",
-                            src.x, src.y, self.frame_idx, self.rx_counts[half], self.rx_expect
+                            src.x, src.y, self.st.frame_idx, self.st.rx_counts[half], self.st.rx_expect
                         ),
                     )
                 } else {
-                    let (src, _) = self.mem_map.owner(self.src_base);
+                    let (src, _) = self.mem_map.owner(self.st.src_base);
                     (
                         Some((src.x, src.y)),
                         "dma-rsp",
                         format!(
                             "waiting for DMA data from memory for frame {} ({} of {} words received)",
-                            self.frame_idx, self.rx_counts[half], self.rx_expect
+                            self.st.frame_idx, self.st.rx_counts[half], self.st.rx_expect
                         ),
                     )
                 }
             }
-            AccelState::StoreWaitReq if self.pending_p2p_reqs.is_empty() => (
+            AccelState::StoreWaitReq if self.st.pending_p2p_reqs.is_empty() => (
                 None,
                 "dma-req",
                 format!(
                     "output frame {} ready; waiting for a consumer P2pLoadReq",
-                    self.frame_idx
+                    self.st.frame_idx
                 ),
             ),
-            AccelState::StoreWaitAck if self.store_acked_words < self.out_words => {
-                let (dst, _) = self.mem_map.owner(self.dst_base);
+            AccelState::StoreWaitAck if self.st.store_acked_words < self.st.out_words => {
+                let (dst, _) = self.mem_map.owner(self.st.dst_base);
                 (
                     Some((dst.x, dst.y)),
                     "dma-rsp",
                     format!(
                         "waiting for DMA store acknowledgement ({} of {} words acked)",
-                        self.store_acked_words, self.out_words
+                        self.st.store_acked_words, self.st.out_words
                     ),
                 )
             }
@@ -793,7 +575,7 @@ impl AccelTile {
             x: self.coord.x,
             y: self.coord.y,
             device: self.kernel.name().to_string(),
-            state: self.state.name().to_string(),
+            state: self.st.state.name().to_string(),
             waits_on,
             plane: plane.to_string(),
             reason,
@@ -812,20 +594,20 @@ impl AccelTile {
 
     /// Global frame id of batch frame `idx` under the latched base/stride.
     fn global_frame(&self, idx: u64) -> u64 {
-        self.frame_base + idx * self.frame_stride.max(1)
+        self.st.frame_base + idx * self.st.frame_stride.max(1)
     }
 
     /// Moves the FSM to `to`, emitting an [`TraceEvent::AccelPhaseChange`]
     /// when the phase actually changes. Working phases carry the global id
     /// of the frame they serve; `Idle`/`Done` carry no frame.
     fn set_state(&mut self, to: AccelState) {
-        if self.state != to {
-            let from = self.state.name();
+        if self.st.state != to {
+            let from = self.st.state.name();
             let frame = match to {
                 AccelState::Idle | AccelState::Done => None,
-                _ => Some(self.global_frame(self.frame_idx)),
+                _ => Some(self.global_frame(self.st.frame_idx)),
             };
-            self.tracer.emit(self.cycle, self.trace_coord(), || {
+            self.tracer.emit(self.st.cycle, self.trace_coord(), || {
                 TraceEvent::AccelPhaseChange {
                     accel: self.kernel.name().to_string(),
                     from,
@@ -834,7 +616,7 @@ impl AccelTile {
                 }
             });
         }
-        self.state = to;
+        self.st.state = to;
     }
 
     /// The tile coordinate (also readable through `LOCATION_REG`).
@@ -854,12 +636,12 @@ impl AccelTile {
 
     /// The current FSM state.
     pub fn state(&self) -> AccelState {
-        self.state
+        self.st.state
     }
 
     /// Execution statistics.
     pub fn stats(&self) -> &AccelStats {
-        &self.stats
+        &self.st.stats
     }
 
     /// Kernel `compute` calls since the tile was built (host-side, like
@@ -870,47 +652,47 @@ impl AccelTile {
 
     /// Resets the statistics counters.
     pub fn reset_stats(&mut self) {
-        self.stats = AccelStats::default();
+        self.st.stats = AccelStats::default();
     }
 
     /// Reads a socket register (driver access through the I/O plane).
     pub fn read_reg(&self, offset: u64) -> u64 {
-        self.regs.read(offset)
+        self.st.regs.read(offset)
     }
 
     /// Installs the page table mapping the accelerator's virtual address
     /// space (the driver does this when the user buffer is pinned).
     pub fn set_page_table(&mut self, table: PageTable) {
-        self.tlb.flush();
-        self.page_table = Some(table);
+        self.st.tlb.flush();
+        self.st.page_table = Some(table);
     }
 
     /// Whether the tile is idle (no batch running, no traffic pending).
     pub fn is_idle(&self) -> bool {
-        matches!(self.state, AccelState::Idle | AccelState::Done) && self.tx_queue.is_empty()
+        matches!(self.st.state, AccelState::Idle | AccelState::Done) && self.st.tx_queue.is_empty()
     }
 
     /// Advances the tile by one cycle and reports its progress.
     pub fn tick(&mut self, mesh: &mut Mesh) -> Progress {
-        self.cycle = mesh.cycle();
+        self.st.cycle = mesh.cycle();
         self.drain_control(mesh);
         self.drain_dma_req(mesh);
         self.drain_dma_rsp(mesh);
 
-        if self.stall > 0 {
-            self.stall -= 1;
-            self.stats.stall_cycles += 1;
+        if self.st.stall > 0 {
+            self.st.stall -= 1;
+            self.st.stats.stall_cycles += 1;
         } else {
             self.step_fsm();
         }
-        if !matches!(self.state, AccelState::Idle | AccelState::Done) {
-            self.stats.busy_cycles += 1;
+        if !matches!(self.st.state, AccelState::Idle | AccelState::Done) {
+            self.st.stats.busy_cycles += 1;
         }
 
         // Drain outgoing packets into the NoC.
-        while let Some(pkt) = self.tx_queue.front() {
+        while let Some(pkt) = self.st.tx_queue.front() {
             if mesh.can_inject(self.coord, pkt.plane(), pkt.flit_len()) {
-                let pkt = self.tx_queue.pop_front().expect("front packet");
+                let pkt = self.st.tx_queue.pop_front().expect("front packet");
                 mesh.inject(pkt).expect("capacity checked");
             } else {
                 break;
@@ -926,49 +708,49 @@ impl AccelTile {
     /// again, and a compute phase at countdown `c` / divider `d` / phase
     /// `p` transitions on its `(d - p) + (c - 1) * d`-th tick.
     pub fn progress(&self, now: u64) -> Progress {
-        if !self.tx_queue.is_empty() {
+        if !self.st.tx_queue.is_empty() {
             return Progress::Active;
         }
-        if matches!(self.state, AccelState::Idle | AccelState::Done) {
+        if matches!(self.st.state, AccelState::Idle | AccelState::Done) {
             return Progress::Quiescent;
         }
-        if self.stall > 0 {
+        if self.st.stall > 0 {
             return Progress::Blocked {
-                until: now + self.stall,
+                until: now + self.st.stall,
             };
         }
-        match self.state {
+        match self.st.state {
             AccelState::LoadIssue | AccelState::StoreIssue | AccelState::StoreSend => {
                 Progress::Active
             }
             AccelState::LoadWait => {
-                let half = if self.dbuf {
-                    (self.frame_idx % 2) as usize
+                let half = if self.st.dbuf {
+                    (self.st.frame_idx % 2) as usize
                 } else {
                     0
                 };
-                if self.rx_counts[half] >= self.rx_expect {
+                if self.st.rx_counts[half] >= self.st.rx_expect {
                     Progress::Active
                 } else {
                     Progress::Quiescent
                 }
             }
             AccelState::Compute => {
-                let ticks_to_go = (self.dvfs_divider - self.dvfs_phase)
-                    + (self.compute_countdown - 1) * self.dvfs_divider;
+                let ticks_to_go = (self.st.dvfs_divider - self.st.dvfs_phase)
+                    + (self.st.compute_countdown - 1) * self.st.dvfs_divider;
                 Progress::Blocked {
                     until: now + ticks_to_go - 1,
                 }
             }
             AccelState::StoreWaitReq => {
-                if self.pending_p2p_reqs.is_empty() {
+                if self.st.pending_p2p_reqs.is_empty() {
                     Progress::Quiescent
                 } else {
                     Progress::Active
                 }
             }
             AccelState::StoreWaitAck => {
-                if self.store_acked_words >= self.out_words {
+                if self.st.store_acked_words >= self.st.out_words {
                     Progress::Active
                 } else {
                     Progress::Quiescent
@@ -982,32 +764,32 @@ impl AccelTile {
     /// stall/compute countdowns and the busy/stall/load/compute/store
     /// statistics advance exactly as `delta` naive ticks would have.
     pub fn advance(&mut self, delta: u64) {
-        self.cycle += delta;
-        if delta == 0 || matches!(self.state, AccelState::Idle | AccelState::Done) {
+        self.st.cycle += delta;
+        if delta == 0 || matches!(self.st.state, AccelState::Idle | AccelState::Done) {
             return;
         }
-        self.stats.busy_cycles += delta;
-        if self.stall > 0 {
-            debug_assert!(delta <= self.stall, "advance past the stall countdown");
-            self.stall -= delta;
-            self.stats.stall_cycles += delta;
+        self.st.stats.busy_cycles += delta;
+        if self.st.stall > 0 {
+            debug_assert!(delta <= self.st.stall, "advance past the stall countdown");
+            self.st.stall -= delta;
+            self.st.stats.stall_cycles += delta;
             return;
         }
-        match self.state {
-            AccelState::LoadWait => self.stats.load_cycles += delta,
+        match self.st.state {
+            AccelState::LoadWait => self.st.stats.load_cycles += delta,
             AccelState::Compute => {
-                self.stats.compute_cycles += delta;
-                let total = self.dvfs_phase + delta;
-                let wraps = total / self.dvfs_divider;
+                self.st.stats.compute_cycles += delta;
+                let total = self.st.dvfs_phase + delta;
+                let wraps = total / self.st.dvfs_divider;
                 debug_assert!(
-                    wraps < self.compute_countdown,
+                    wraps < self.st.compute_countdown,
                     "advance past the compute countdown"
                 );
-                self.compute_countdown -= wraps;
-                self.dvfs_phase = total % self.dvfs_divider;
+                self.st.compute_countdown -= wraps;
+                self.st.dvfs_phase = total % self.st.dvfs_divider;
             }
             AccelState::StoreWaitReq | AccelState::StoreSend | AccelState::StoreWaitAck => {
-                self.stats.store_cycles += delta;
+                self.st.stats.store_cycles += delta;
             }
             AccelState::Idle
             | AccelState::Done
@@ -1022,19 +804,19 @@ impl AccelTile {
                 MsgKind::RegWrite => {
                     let offset = pkt.payload()[0];
                     let value = pkt.payload()[1];
-                    self.regs.write(offset, value);
+                    self.st.regs.write(offset, value);
                     if offset == REG_CMD && value == CMD_START {
                         self.start_batch();
                     }
                 }
                 MsgKind::RegReadReq => {
                     let offset = pkt.payload()[0];
-                    self.tx_queue.push_back(Packet::new(
+                    self.st.tx_queue.push_back(Packet::new(
                         self.coord,
                         pkt.src(),
                         Plane::IoIrq,
                         MsgKind::RegReadRsp,
-                        vec![offset, self.regs.read(offset)],
+                        vec![offset, self.st.regs.read(offset)],
                     ));
                 }
                 _ => {}
@@ -1047,7 +829,9 @@ impl AccelTile {
             if pkt.kind() == MsgKind::P2pLoadReq {
                 let len = pkt.payload()[0];
                 let dest_base = pkt.payload().get(1).copied().unwrap_or(0);
-                self.pending_p2p_reqs.push_back((pkt.src(), len, dest_base));
+                self.st
+                    .pending_p2p_reqs
+                    .push_back((pkt.src(), len, dest_base));
             }
         }
     }
@@ -1058,24 +842,24 @@ impl AccelTile {
                 MsgKind::DmaData => {
                     let offset = pkt.payload()[0] as usize;
                     let data = &pkt.payload()[1..];
-                    self.stats.words_received += data.len() as u64;
-                    if offset + data.len() <= self.rx_buf.len() {
-                        self.rx_buf[offset..offset + data.len()].copy_from_slice(data);
-                        let half = if self.dbuf && offset as u64 >= self.in_words {
+                    self.st.stats.words_received += data.len() as u64;
+                    if offset + data.len() <= self.st.rx_buf.len() {
+                        self.st.rx_buf[offset..offset + data.len()].copy_from_slice(data);
+                        let half = if self.st.dbuf && offset as u64 >= self.st.in_words {
                             1
                         } else {
                             0
                         };
-                        self.rx_counts[half] += data.len() as u64;
-                    } else if self.sanitize {
-                        self.sanitizer_violations.insert(Diagnostic::error(
+                        self.st.rx_counts[half] += data.len() as u64;
+                    } else if self.st.sanitize {
+                        self.st.sanitizer_violations.insert(Diagnostic::error(
                             codes::DMA_ACCOUNTING,
                             tile_location(self.coord),
                             format!(
                                 "DmaData burst of {} words at offset {offset} overruns the \
                                  {}-word receive buffer",
                                 data.len(),
-                                self.rx_buf.len()
+                                self.st.rx_buf.len()
                             ),
                         ));
                     } else {
@@ -1083,7 +867,7 @@ impl AccelTile {
                     }
                 }
                 MsgKind::DmaStoreAck => {
-                    self.store_acked_words += pkt.payload()[0];
+                    self.st.store_acked_words += pkt.payload()[0];
                 }
                 _ => {}
             }
@@ -1095,8 +879,8 @@ impl AccelTile {
     /// short-output fault matches. Trigger indices count *start commands*,
     /// so a bounded hang clears itself on the driver's retry.
     fn fault_on_start(&mut self) -> bool {
-        let cycle = self.cycle;
-        let Some(f) = self.faults.as_deref_mut() else {
+        let cycle = self.st.cycle;
+        let Some(f) = self.st.faults.as_deref_mut() else {
             return false;
         };
         let seq = f.invocations;
@@ -1112,7 +896,7 @@ impl AccelTile {
             // The hung device accepted the command (status says running)
             // but its FSM never leaves Idle: only the driver's watchdog
             // can tell the difference.
-            self.regs.set_status(STATUS_RUNNING);
+            self.st.regs.set_status(STATUS_RUNNING);
             let name = self.kernel.name().to_string();
             let detail = format!("accel_hang: {name} swallowed start command for invocation {seq}");
             self.tracer
@@ -1129,7 +913,7 @@ impl AccelTile {
             .map(|s| s.drop_words);
         if let Some(drop_words) = short {
             f.fired += 1;
-            self.short_drop = drop_words;
+            self.st.short_drop = drop_words;
             let name = self.kernel.name().to_string();
             let detail = format!(
                 "accel_short_output: {name} will drop {drop_words} output words per frame \
@@ -1141,109 +925,113 @@ impl AccelTile {
                     detail,
                 });
         } else {
-            self.short_drop = 0;
+            self.st.short_drop = 0;
         }
         false
     }
 
     fn start_batch(&mut self) {
-        if matches!(self.state, AccelState::Idle | AccelState::Done) {
+        if matches!(self.st.state, AccelState::Idle | AccelState::Done) {
             if self.fault_on_start() {
                 return;
             }
-            self.in_values = match self.regs.read(REG_CONF_SIZE) {
+            self.st.in_values = match self.st.regs.read(REG_CONF_SIZE) {
                 0 => self.kernel.input_values(),
                 v => v,
             };
-            self.out_values = match self.regs.read(REG_CONF_OUT_SIZE) {
+            self.st.out_values = match self.st.regs.read(REG_CONF_OUT_SIZE) {
                 0 => self.kernel.output_values(),
                 v => v,
             };
             let bits = self.kernel.data_bits();
-            self.in_words = words_for(self.in_values, bits);
-            self.out_words = words_for(self.out_values, bits);
-            self.src_base = self.regs.read(REG_SRC_OFFSET);
-            self.dst_base = self.regs.read(REG_DST_OFFSET);
-            self.n_frames = self.regs.read(REG_N_FRAMES).max(1);
-            self.p2p = P2pConfig::from_reg(self.regs.read(REG_P2P));
-            self.dbuf = (self.regs.read(REG_FLAGS) & FLAG_DOUBLE_BUFFER) != 0 && self.n_frames > 1;
-            self.dvfs_divider = self.regs.read(REG_DVFS).max(1);
-            self.frame_base = self.regs.read(REG_FRAME_BASE);
-            self.frame_stride = self.regs.read(REG_FRAME_STRIDE).max(1);
-            self.frame_idx = 0;
-            self.loads_issued = 0;
-            self.rx_counts = [0; 2];
-            let halves = if self.dbuf { 2 } else { 1 };
-            self.rx_buf.clear();
-            self.rx_buf.resize((halves * self.in_words) as usize, 0);
-            self.regs.set_status(STATUS_RUNNING);
+            self.st.in_words = words_for(self.st.in_values, bits);
+            self.st.out_words = words_for(self.st.out_values, bits);
+            self.st.src_base = self.st.regs.read(REG_SRC_OFFSET);
+            self.st.dst_base = self.st.regs.read(REG_DST_OFFSET);
+            self.st.n_frames = self.st.regs.read(REG_N_FRAMES).max(1);
+            self.st.p2p = P2pConfig::from_reg(self.st.regs.read(REG_P2P));
+            self.st.dbuf =
+                (self.st.regs.read(REG_FLAGS) & FLAG_DOUBLE_BUFFER) != 0 && self.st.n_frames > 1;
+            self.st.dvfs_divider = self.st.regs.read(REG_DVFS).max(1);
+            self.st.frame_base = self.st.regs.read(REG_FRAME_BASE);
+            self.st.frame_stride = self.st.regs.read(REG_FRAME_STRIDE).max(1);
+            self.st.frame_idx = 0;
+            self.st.loads_issued = 0;
+            self.st.rx_counts = [0; 2];
+            let halves = if self.st.dbuf { 2 } else { 1 };
+            self.st.rx_buf.clear();
+            self.st
+                .rx_buf
+                .resize((halves * self.st.in_words) as usize, 0);
+            self.st.regs.set_status(STATUS_RUNNING);
             self.set_state(AccelState::LoadIssue);
         }
     }
 
     fn step_fsm(&mut self) {
-        match self.state {
+        match self.st.state {
             AccelState::Idle | AccelState::Done => {}
             AccelState::LoadIssue => self.issue_loads(),
             AccelState::LoadWait => {
-                let half = if self.dbuf {
-                    (self.frame_idx % 2) as usize
+                let half = if self.st.dbuf {
+                    (self.st.frame_idx % 2) as usize
                 } else {
                     0
                 };
-                if self.rx_counts[half] >= self.rx_expect {
+                if self.st.rx_counts[half] >= self.st.rx_expect {
                     self.run_kernel();
                 } else {
-                    self.stats.load_cycles += 1;
+                    self.st.stats.load_cycles += 1;
                 }
             }
             AccelState::Compute => {
-                self.stats.compute_cycles += 1;
+                self.st.stats.compute_cycles += 1;
                 // Per-tile DVFS: the datapath advances only on its own
                 // (divided) clock edges; the socket stays on the NoC clock.
-                self.dvfs_phase += 1;
-                if self.dvfs_phase >= self.dvfs_divider {
-                    self.dvfs_phase = 0;
-                    self.compute_countdown = self.compute_countdown.saturating_sub(1);
+                self.st.dvfs_phase += 1;
+                if self.st.dvfs_phase >= self.st.dvfs_divider {
+                    self.st.dvfs_phase = 0;
+                    self.st.compute_countdown = self.st.compute_countdown.saturating_sub(1);
                 }
-                if self.compute_countdown == 0 {
+                if self.st.compute_countdown == 0 {
                     self.set_state(AccelState::StoreIssue);
                 }
             }
             AccelState::StoreIssue => self.issue_store(),
             AccelState::StoreWaitReq => {
-                if let Some((requester, len, dest_base)) = self.pending_p2p_reqs.pop_front() {
-                    if len != self.out_words && self.sanitize {
-                        self.sanitizer_violations.insert(Diagnostic::error(
+                if let Some((requester, len, dest_base)) = self.st.pending_p2p_reqs.pop_front() {
+                    if len != self.st.out_words && self.st.sanitize {
+                        self.st.sanitizer_violations.insert(Diagnostic::error(
                             codes::DMA_ACCOUNTING,
                             tile_location(self.coord),
                             format!(
                                 "p2p consumer tile({},{}) requested {len} words but the \
                                  producer frame is {} words",
-                                requester.x, requester.y, self.out_words
+                                requester.x, requester.y, self.st.out_words
                             ),
                         ));
                     } else {
                         debug_assert_eq!(
-                            len, self.out_words,
+                            len, self.st.out_words,
                             "p2p consumer requested {len} words, producer frame is {} words",
-                            self.out_words
+                            self.st.out_words
                         );
                     }
-                    let data = std::mem::take(&mut self.output_buffer);
+                    let data = std::mem::take(&mut self.st.output_buffer);
                     let words = data.len() as u64;
-                    let frame = Some(self.global_frame(self.frame_idx));
-                    self.tracer
-                        .emit(self.cycle, self.trace_coord(), || TraceEvent::P2pTransfer {
+                    let frame = Some(self.global_frame(self.st.frame_idx));
+                    self.tracer.emit(self.st.cycle, self.trace_coord(), || {
+                        TraceEvent::P2pTransfer {
                             dest: TileCoord::new(requester.x, requester.y),
                             words,
                             frame,
-                        });
+                        }
+                    });
                     for (k, chunk) in data.chunks(MAX_DMA_PACKET_WORDS).enumerate() {
-                        self.stats.p2p_words_sent += chunk.len() as u64;
+                        self.st.stats.p2p_words_sent += chunk.len() as u64;
                         let mut payload = vec![dest_base + (k * MAX_DMA_PACKET_WORDS) as u64];
                         payload.extend_from_slice(chunk);
-                        self.tx_queue.push_back(
+                        self.st.tx_queue.push_back(
                             Packet::new(
                                 self.coord,
                                 requester,
@@ -1256,21 +1044,21 @@ impl AccelTile {
                     }
                     self.set_state(AccelState::StoreSend);
                 } else {
-                    self.stats.store_cycles += 1;
+                    self.st.stats.store_cycles += 1;
                 }
             }
             AccelState::StoreSend => {
-                if self.tx_queue.is_empty() {
+                if self.st.tx_queue.is_empty() {
                     self.finish_frame();
                 } else {
-                    self.stats.store_cycles += 1;
+                    self.st.stats.store_cycles += 1;
                 }
             }
             AccelState::StoreWaitAck => {
-                if self.store_acked_words >= self.out_words {
+                if self.st.store_acked_words >= self.st.out_words {
                     self.finish_frame();
                 } else {
-                    self.stats.store_cycles += 1;
+                    self.st.stats.store_cycles += 1;
                 }
             }
         }
@@ -1280,69 +1068,74 @@ impl AccelTile {
     /// (single buffer) or every not-yet-requested frame within the
     /// two-deep ping-pong window (double buffer).
     fn issue_loads(&mut self) {
-        self.rx_expect = self.in_words;
-        if self.dbuf {
-            let window_end = (self.frame_idx + 2).min(self.n_frames);
-            while self.loads_issued < window_end {
-                let frame = self.loads_issued;
+        self.st.rx_expect = self.st.in_words;
+        if self.st.dbuf {
+            let window_end = (self.st.frame_idx + 2).min(self.st.n_frames);
+            while self.st.loads_issued < window_end {
+                let frame = self.st.loads_issued;
                 self.issue_load_for(frame);
-                self.loads_issued += 1;
+                self.st.loads_issued += 1;
             }
-        } else if self.loads_issued <= self.frame_idx {
+        } else if self.st.loads_issued <= self.st.frame_idx {
             // The kernel consumed (took) the buffer last frame; re-allocate.
-            self.rx_buf.clear();
-            self.rx_buf.resize(self.in_words as usize, 0);
-            self.rx_counts[0] = 0;
-            self.issue_load_for(self.frame_idx);
-            self.loads_issued = self.frame_idx + 1;
+            self.st.rx_buf.clear();
+            self.st.rx_buf.resize(self.st.in_words as usize, 0);
+            self.st.rx_counts[0] = 0;
+            self.issue_load_for(self.st.frame_idx);
+            self.st.loads_issued = self.st.frame_idx + 1;
         }
         self.set_state(AccelState::LoadWait);
     }
 
     /// Issues the load requests for one frame into its PLM half.
     fn issue_load_for(&mut self, frame: u64) {
-        let dest_base = if self.dbuf {
-            (frame % 2) * self.in_words
+        let dest_base = if self.st.dbuf {
+            (frame % 2) * self.st.in_words
         } else {
             0
         };
         let global = Some(self.global_frame(frame));
-        if self.p2p.load_enabled {
-            let sources = &self.p2p.sources;
+        if self.st.p2p.load_enabled {
+            let sources = &self.st.p2p.sources;
             let src = sources[(frame as usize) % sources.len()];
-            self.tx_queue.push_back(
+            self.st.tx_queue.push_back(
                 Packet::new(
                     self.coord,
                     src,
                     Plane::DmaReq,
                     MsgKind::P2pLoadReq,
-                    vec![self.in_words, dest_base],
+                    vec![self.st.in_words, dest_base],
                 )
                 .with_frame(global),
             );
             return;
         }
-        let va = self.src_base + frame * self.in_words;
+        let va = self.st.src_base + frame * self.st.in_words;
         let table = self
+            .st
             .page_table
             .as_ref()
             .expect("page table installed before DMA");
-        let (_, tlb_lat) = self.tlb.translate(table, va).expect("mapped load address");
+        let (_, tlb_lat) = self
+            .st
+            .tlb
+            .translate(table, va)
+            .expect("mapped load address");
         let chunks = table
-            .translate_range(va, self.in_words)
+            .translate_range(va, self.st.in_words)
             .expect("mapped load range");
         if tlb_lat > 0 {
             self.tracer
-                .emit(self.cycle, self.trace_coord(), || TraceEvent::TlbMiss {
+                .emit(self.st.cycle, self.trace_coord(), || TraceEvent::TlbMiss {
                     penalty: tlb_lat,
                 });
         }
-        self.stall += tlb_lat + DMA_SETUP_CYCLES;
+        self.st.stall += tlb_lat + DMA_SETUP_CYCLES;
         let mut dest_offset = dest_base;
         for (paddr, len) in chunks {
             for (mem_tile, local_addr, l) in self.mem_map.split_range(paddr, len) {
-                self.stats.dma_words_loaded += l;
-                self.tx_queue.push_back(
+                self.st.stats.dma_words_loaded += l;
+                self.st.tx_queue.push_back(
                     Packet::new(
                         self.coord,
                         mem_tile,
@@ -1358,25 +1151,25 @@ impl AccelTile {
     }
 
     fn run_kernel(&mut self) {
-        let (words, consumed_half) = if self.dbuf {
-            let half = (self.frame_idx % 2) as usize;
-            let base = half * self.in_words as usize;
-            let words = self.rx_buf[base..base + self.in_words as usize].to_vec();
+        let (words, consumed_half) = if self.st.dbuf {
+            let half = (self.st.frame_idx % 2) as usize;
+            let base = half * self.st.in_words as usize;
+            let words = self.st.rx_buf[base..base + self.st.in_words as usize].to_vec();
             (words, half)
         } else {
-            (std::mem::take(&mut self.rx_buf), 0)
+            (std::mem::take(&mut self.st.rx_buf), 0)
         };
-        self.rx_counts[consumed_half] = 0;
-        if self.dbuf {
+        self.st.rx_counts[consumed_half] = 0;
+        if self.st.dbuf {
             // The consumed half is free: prefetch the next window frame.
-            let next = self.frame_idx + 2;
-            if next < self.n_frames && self.loads_issued <= next {
+            let next = self.st.frame_idx + 2;
+            if next < self.st.n_frames && self.st.loads_issued <= next {
                 self.issue_load_for(next);
-                self.loads_issued = next + 1;
+                self.st.loads_issued = next + 1;
             }
         }
         let bits = self.kernel.data_bits();
-        let input = unpack_values(&words, self.in_values as usize, bits);
+        let input = unpack_values(&words, self.st.in_values as usize, bits);
         let out = self.kernel.compute(&input);
         self.kernel_invocations += 1;
         debug_assert_eq!(
@@ -1384,45 +1177,50 @@ impl AccelTile {
             self.kernel.output_values(),
             "kernel output size contract"
         );
-        self.output_buffer = pack_values(&out.values, bits);
-        debug_assert_eq!(self.output_buffer.len() as u64, self.out_words);
-        if self.short_drop > 0 {
+        self.st.output_buffer = pack_values(&out.values, bits);
+        debug_assert_eq!(self.st.output_buffer.len() as u64, self.st.out_words);
+        if self.st.short_drop > 0 {
             // Wrong-length-result fault: the datapath produced fewer words
             // than the descriptor promised. At least one word survives so
             // the store still engages (and then starves on the shortfall).
-            let keep = (self.output_buffer.len() as u64)
-                .saturating_sub(self.short_drop)
+            let keep = (self.st.output_buffer.len() as u64)
+                .saturating_sub(self.st.short_drop)
                 .max(1);
-            self.output_buffer.truncate(keep as usize);
+            self.st.output_buffer.truncate(keep as usize);
         }
-        self.compute_countdown = out.cycles.max(1);
+        self.st.compute_countdown = out.cycles.max(1);
         self.set_state(AccelState::Compute);
     }
 
     fn issue_store(&mut self) {
-        if self.p2p.store_enabled {
+        if self.st.p2p.store_enabled {
             self.set_state(AccelState::StoreWaitReq);
             return;
         }
-        let va = self.dst_base + self.frame_idx * self.out_words;
+        let va = self.st.dst_base + self.st.frame_idx * self.st.out_words;
         let table = self
+            .st
             .page_table
             .as_ref()
             .expect("page table installed before DMA");
-        let (_, tlb_lat) = self.tlb.translate(table, va).expect("mapped store address");
+        let (_, tlb_lat) = self
+            .st
+            .tlb
+            .translate(table, va)
+            .expect("mapped store address");
         if tlb_lat > 0 {
             self.tracer
-                .emit(self.cycle, self.trace_coord(), || TraceEvent::TlbMiss {
+                .emit(self.st.cycle, self.trace_coord(), || TraceEvent::TlbMiss {
                     penalty: tlb_lat,
                 });
         }
-        self.stall += tlb_lat + DMA_SETUP_CYCLES;
+        self.st.stall += tlb_lat + DMA_SETUP_CYCLES;
         let chunks = table
-            .translate_range(va, self.out_words)
+            .translate_range(va, self.st.out_words)
             .expect("mapped store range");
-        let global = Some(self.global_frame(self.frame_idx));
-        self.store_acked_words = 0;
-        let mut data = std::mem::take(&mut self.output_buffer);
+        let global = Some(self.global_frame(self.st.frame_idx));
+        self.st.store_acked_words = 0;
+        let mut data = std::mem::take(&mut self.st.output_buffer);
         let mut cursor = 0usize;
         'chunks: for (paddr, len) in chunks {
             for (mem_tile, local_addr, l) in self.mem_map.split_range(paddr, len) {
@@ -1440,8 +1238,8 @@ impl AccelTile {
                     }
                     let mut payload = vec![sub_addr, send as u64];
                     payload.extend_from_slice(&data[cursor..cursor + send]);
-                    self.stats.dma_words_stored += send as u64;
-                    self.tx_queue.push_back(
+                    self.st.stats.dma_words_stored += send as u64;
+                    self.st.tx_queue.push_back(
                         Packet::new(
                             self.coord,
                             mem_tile,
@@ -1462,19 +1260,19 @@ impl AccelTile {
     }
 
     fn finish_frame(&mut self) {
-        self.stats.frames_done += 1;
-        let frame = self.global_frame(self.frame_idx);
-        self.tracer.emit(self.cycle, self.trace_coord(), || {
+        self.st.stats.frames_done += 1;
+        let frame = self.global_frame(self.st.frame_idx);
+        self.tracer.emit(self.st.cycle, self.trace_coord(), || {
             TraceEvent::FrameComplete {
                 accel: self.kernel.name().to_string(),
                 frame,
             }
         });
-        self.frame_idx += 1;
-        if self.frame_idx >= self.n_frames {
-            self.regs.set_status(STATUS_DONE);
+        self.st.frame_idx += 1;
+        if self.st.frame_idx >= self.st.n_frames {
+            self.st.regs.set_status(STATUS_DONE);
             self.set_state(AccelState::Done);
-            self.tx_queue.push_back(Packet::new(
+            self.st.tx_queue.push_back(Packet::new(
                 self.coord,
                 self.irq_target,
                 Plane::IoIrq,

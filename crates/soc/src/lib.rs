@@ -67,17 +67,14 @@ mod sanitize;
 mod soc;
 mod stats;
 
-pub use accel_tile::{
-    AccelConfig, AccelFaultsState, AccelState, AccelTile, AccelTileState, CommMode, HangFaultState,
-    ShortFaultState,
-};
+pub use accel_tile::{AccelConfig, AccelState, AccelTile, AccelTileState, CommMode};
 pub use error::SocError;
 pub use kernel::{AcceleratorKernel, KernelOutput, NnKernel, ScaleKernel};
 pub use mem_map::MemMap;
-pub use mem_tile::{DropFaultState, MemFaultsState, MemTile, MemTileState, PendingState};
-pub use proc_tile::{ProcTile, ProcTileState};
+pub use mem_tile::{MemTile, MemTileState};
+pub use proc_tile::ProcTile;
 pub use regs::P2pConfig;
-pub use sanitize::{BlockedTile, DeadlockDiagnosis, SocSanitizerState};
+pub use sanitize::{BlockedTile, DeadlockDiagnosis};
 pub use soc::{EngineCounters, RunOutcome, Soc, SocBuilder, SocEngine, SocSnapshot, TileKind};
 pub use stats::{AccelStats, SocStats};
 

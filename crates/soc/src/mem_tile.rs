@@ -3,7 +3,7 @@
 use crate::sanitize::tile_location;
 use esp4ml_check::{codes, Diagnostic};
 use esp4ml_fault::{CycleWindow, FaultKind, FaultSpec};
-use esp4ml_mem::{CacheConfig, CacheStats, CachedDram, DramConfig, DramStats};
+use esp4ml_mem::{CacheConfig, CacheStats, CachedDram, CachedDramState, DramConfig, DramStats};
 use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, Progress, Schedulable};
 use esp4ml_trace::{DmaKind, TileCoord, TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
@@ -16,7 +16,7 @@ pub(crate) const MAX_DMA_PACKET_WORDS: usize = 128;
 /// A pending memory operation being serviced: the storage access already
 /// happened (and produced `responses`); they are released when the
 /// modelled latency elapses.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct Pending {
     /// Remaining busy cycles before the responses are released.
     busy: u64,
@@ -24,7 +24,7 @@ struct Pending {
 }
 
 /// An armed DMA word-drop fault (see [`FaultKind::DmaDropWords`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct DropFault {
     from_burst: u64,
     count: u64,
@@ -32,9 +32,11 @@ struct DropFault {
     window: CycleWindow,
 }
 
-/// Tile-side state of installed memory faults. Allocated only when a
-/// fault plan targets the memory tiles — fault-free runs never touch it.
-#[derive(Debug, Default)]
+/// Tile-side state of installed memory faults, including the burst
+/// trigger counter so a restored run truncates exactly the same bursts
+/// as the original. Allocated only when a fault plan targets the memory
+/// tiles — fault-free runs never touch it.
+#[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct MemFaults {
     drops: Vec<DropFault>,
     /// Load bursts serviced since installation (the fault trigger index).
@@ -43,64 +45,24 @@ struct MemFaults {
     fired: u64,
 }
 
-/// Serializable image of one armed DMA word-drop fault (see
-/// [`FaultKind::DmaDropWords`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DropFaultState {
-    /// First serviced load burst (since installation) the fault truncates.
-    pub from_burst: u64,
-    /// How many consecutive bursts are truncated.
-    pub count: u64,
-    /// Words dropped from the tail of each affected burst.
-    pub drop_words: u64,
-    /// Cycle window gating the fault.
-    pub window: CycleWindow,
-}
-
-/// Serializable image of a memory tile's installed faults, including the
-/// burst trigger counter so a restored run truncates exactly the same
-/// bursts as the original.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MemFaultsState {
-    /// Armed word-drop faults.
-    pub drops: Vec<DropFaultState>,
-    /// Load bursts serviced since installation.
-    pub load_bursts: u64,
-    /// Total fault firings so far.
-    pub fired: u64,
-}
-
-/// Serializable image of the in-flight memory operation: the remaining
-/// busy cycles and the responses held until they elapse.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PendingState {
-    /// Remaining busy cycles before the responses are released.
-    pub busy: u64,
-    /// Responses released when the latency elapses.
-    pub responses: Vec<Packet>,
-}
-
-/// Complete serializable state of a [`MemTile`]: DRAM contents and
-/// counters (plus the LLC partition when present), the request queue, the
-/// in-flight operation, undrained responses, armed faults with trigger
-/// counts, and the sanitizer ledger. The coordinate is structural and the
-/// tracer is a live host-side handle; neither is captured.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The machine state of a [`MemTile`] apart from its storage stack: the
+/// request queue, the in-flight operation, undrained responses, armed
+/// faults with trigger counts, and the sanitizer ledger. A snapshot
+/// clones it; the DRAM (and LLC) image travels next to it as a sparse
+/// [`CachedDramState`].
+#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MemTileState {
-    /// DRAM (and optional LLC) image.
-    pub dram: esp4ml_mem::CachedDramState,
     /// Queued DMA requests, in arrival order.
-    pub queue: Vec<Packet>,
+    queue: VecDeque<Packet>,
     /// The request being serviced, when one is in flight.
-    pub current: Option<PendingState>,
+    current: Option<Pending>,
     /// Responses waiting to inject into the NoC.
-    pub outgoing: Vec<Packet>,
-    /// Whether promoted invariant asserts run in diagnostic mode.
-    pub sanitize: bool,
-    /// Accumulated sanitizer diagnostics, in sorted order.
-    pub sanitizer_violations: Vec<Diagnostic>,
-    /// Installed faults and their trigger counters.
-    pub faults: Option<MemFaultsState>,
+    outgoing: VecDeque<Packet>,
+    /// Sanitizer mode: unserviceable requests record typed diagnostics
+    /// (in release builds too) instead of only `debug_assert!`-ing.
+    sanitize: bool,
+    sanitizer_violations: BTreeSet<Diagnostic>,
+    faults: Option<Box<MemFaults>>,
 }
 
 /// The memory tile of an ESP SoC.
@@ -110,19 +72,15 @@ pub struct MemTileState {
 /// burst-latency model; data and acknowledgements return on the decoupled
 /// DMA-response plane. Physical addresses arrive already translated by the
 /// requesting socket's TLB.
+///
+/// The coordinate is structural and the tracer is a live host-side
+/// handle; neither is part of a snapshot.
 #[derive(Debug)]
 pub struct MemTile {
     coord: Coord,
     dram: CachedDram,
-    queue: VecDeque<Packet>,
-    current: Option<Pending>,
-    outgoing: VecDeque<Packet>,
-    /// Sanitizer mode: unserviceable requests record typed diagnostics
-    /// (in release builds too) instead of only `debug_assert!`-ing.
-    sanitize: bool,
-    sanitizer_violations: BTreeSet<Diagnostic>,
     tracer: Tracer,
-    faults: Option<Box<MemFaults>>,
+    st: MemTileState,
 }
 
 impl MemTile {
@@ -132,13 +90,8 @@ impl MemTile {
         MemTile {
             coord,
             dram: CachedDram::new(config),
-            queue: VecDeque::new(),
-            current: None,
-            outgoing: VecDeque::new(),
-            sanitize: false,
-            sanitizer_violations: BTreeSet::new(),
             tracer: Tracer::disabled(),
-            faults: None,
+            st: MemTileState::default(),
         }
     }
 
@@ -148,13 +101,8 @@ impl MemTile {
         MemTile {
             coord,
             dram: CachedDram::with_llc(config, cache),
-            queue: VecDeque::new(),
-            current: None,
-            outgoing: VecDeque::new(),
-            sanitize: false,
-            sanitizer_violations: BTreeSet::new(),
             tracer: Tracer::disabled(),
-            faults: None,
+            st: MemTileState::default(),
         }
     }
 
@@ -168,7 +116,7 @@ impl MemTile {
                 count,
                 drop_words,
             } => {
-                let f = self.faults.get_or_insert_with(Default::default);
+                let f = self.st.faults.get_or_insert_with(Default::default);
                 f.drops.push(DropFault {
                     from_burst: *from_burst,
                     count: *count,
@@ -183,14 +131,14 @@ impl MemTile {
 
     /// How many memory faults have fired on this tile so far.
     pub fn faults_fired(&self) -> u64 {
-        self.faults.as_ref().map_or(0, |f| f.fired)
+        self.st.faults.as_ref().map_or(0, |f| f.fired)
     }
 
     /// Applies any armed word-drop fault to a serviced load burst,
     /// truncating the response data in place. Trigger indices count
     /// serviced load bursts on this tile.
     fn fault_drop(&mut self, data: &mut Vec<u64>, requester: Coord, cycle: u64) {
-        let Some(f) = self.faults.as_deref_mut() else {
+        let Some(f) = self.st.faults.as_deref_mut() else {
             return;
         };
         let seq = f.load_bursts;
@@ -219,34 +167,10 @@ impl MemTile {
             });
     }
 
-    /// Captures the tile's complete serializable state (see
-    /// [`MemTileState`] for what is and is not included).
-    pub fn state(&self) -> MemTileState {
-        MemTileState {
-            dram: self.dram.state(),
-            queue: self.queue.iter().cloned().collect(),
-            current: self.current.as_ref().map(|p| PendingState {
-                busy: p.busy,
-                responses: p.responses.clone(),
-            }),
-            outgoing: self.outgoing.iter().cloned().collect(),
-            sanitize: self.sanitize,
-            sanitizer_violations: self.sanitizer_violations.iter().cloned().collect(),
-            faults: self.faults.as_deref().map(|f| MemFaultsState {
-                drops: f
-                    .drops
-                    .iter()
-                    .map(|d| DropFaultState {
-                        from_burst: d.from_burst,
-                        count: d.count,
-                        drop_words: d.drop_words,
-                        window: d.window,
-                    })
-                    .collect(),
-                load_bursts: f.load_bursts,
-                fired: f.fired,
-            }),
-        }
+    /// Captures the tile's complete serializable state: the sparse image
+    /// of its storage stack and a clone of its [`MemTileState`].
+    pub fn state(&self) -> (CachedDramState, MemTileState) {
+        (self.dram.state(), self.st.clone())
     }
 
     /// Restores state captured by [`MemTile::state`]. Installed faults are
@@ -257,32 +181,9 @@ impl MemTile {
     ///
     /// Panics when the snapshot's DRAM/LLC geometry does not match this
     /// tile's (it was captured from a different floorplan).
-    pub fn restore_state(&mut self, state: &MemTileState) {
-        self.dram.restore_state(&state.dram);
-        self.queue = state.queue.iter().cloned().collect();
-        self.current = state.current.as_ref().map(|p| Pending {
-            busy: p.busy,
-            responses: p.responses.clone(),
-        });
-        self.outgoing = state.outgoing.iter().cloned().collect();
-        self.sanitize = state.sanitize;
-        self.sanitizer_violations = state.sanitizer_violations.iter().cloned().collect();
-        self.faults = state.faults.as_ref().map(|f| {
-            Box::new(MemFaults {
-                drops: f
-                    .drops
-                    .iter()
-                    .map(|d| DropFault {
-                        from_burst: d.from_burst,
-                        count: d.count,
-                        drop_words: d.drop_words,
-                        window: d.window,
-                    })
-                    .collect(),
-                load_bursts: f.load_bursts,
-                fired: f.fired,
-            })
-        });
+    pub fn restore_state(&mut self, dram: &CachedDramState, state: &MemTileState) {
+        self.dram.restore_state(dram);
+        self.st.clone_from(state);
     }
 
     /// Installs the trace sink handle shared with the rest of the SoC.
@@ -292,11 +193,11 @@ impl MemTile {
 
     /// Switches the promoted invariant asserts into diagnostic mode.
     pub(crate) fn enable_sanitize(&mut self) {
-        self.sanitize = true;
+        self.st.sanitize = true;
     }
 
     pub(crate) fn sanitizer_violations(&self) -> &BTreeSet<Diagnostic> {
-        &self.sanitizer_violations
+        &self.st.sanitizer_violations
     }
 
     /// LLC counters, when this tile hosts an LLC partition.
@@ -336,7 +237,7 @@ impl MemTile {
 
     /// Whether the tile has no queued or in-flight work.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.current.is_none() && self.outgoing.is_empty()
+        self.st.queue.is_empty() && self.st.current.is_none() && self.st.outgoing.is_empty()
     }
 
     /// Advances the tile by one cycle against the mesh and reports its
@@ -344,30 +245,30 @@ impl MemTile {
     pub fn tick(&mut self, mesh: &mut Mesh) -> Progress {
         // Accept new requests.
         while let Some(pkt) = mesh.eject(self.coord, Plane::DmaReq) {
-            self.queue.push_back(pkt);
+            self.st.queue.push_back(pkt);
         }
         // Start servicing the next request: the storage access runs now,
         // its responses are held for the modelled latency.
-        if self.current.is_none() {
-            if let Some(request) = self.queue.pop_front() {
+        if self.st.current.is_none() {
+            if let Some(request) = self.st.queue.pop_front() {
                 let (busy, responses) = self.service(request, mesh.cycle());
-                self.current = Some(Pending { busy, responses });
+                self.st.current = Some(Pending { busy, responses });
             }
         }
         // Progress the in-flight request.
-        if let Some(p) = self.current.as_mut() {
+        if let Some(p) = self.st.current.as_mut() {
             if p.busy > 0 {
                 p.busy -= 1;
             }
             if p.busy == 0 {
-                let done = self.current.take().expect("current op");
-                self.outgoing.extend(done.responses);
+                let done = self.st.current.take().expect("current op");
+                self.st.outgoing.extend(done.responses);
             }
         }
         // Drain responses into the NoC.
-        while let Some(pkt) = self.outgoing.front() {
+        while let Some(pkt) = self.st.outgoing.front() {
             if mesh.can_inject(self.coord, pkt.plane(), pkt.flit_len()) {
-                let pkt = self.outgoing.pop_front().expect("front packet");
+                let pkt = self.st.outgoing.pop_front().expect("front packet");
                 mesh.inject(pkt).expect("capacity checked");
             } else {
                 break;
@@ -380,17 +281,17 @@ impl MemTile {
     /// down its DRAM latency, active whenever it has responses to release
     /// or requests to start, quiescent with nothing in flight.
     pub fn progress(&self, now: u64) -> Progress {
-        if !self.outgoing.is_empty() {
+        if !self.st.outgoing.is_empty() {
             return Progress::Active;
         }
-        match &self.current {
+        match &self.st.current {
             // A tick with `busy == 1` decrements *and* releases the
             // responses, so the last boring cycle is `busy - 1` away.
             Some(p) if p.busy > 1 => Progress::Blocked {
                 until: now + p.busy - 1,
             },
             Some(_) => Progress::Active,
-            None if !self.queue.is_empty() => Progress::Active,
+            None if !self.st.queue.is_empty() => Progress::Active,
             None => Progress::Quiescent,
         }
     }
@@ -398,7 +299,7 @@ impl MemTile {
     /// Bulk-applies `delta` boring cycles to the in-flight latency
     /// countdown.
     pub fn advance(&mut self, delta: u64) {
-        if let Some(p) = self.current.as_mut() {
+        if let Some(p) = self.st.current.as_mut() {
             debug_assert!(delta < p.busy, "advance must stop before release");
             p.busy -= delta;
         }
@@ -414,7 +315,7 @@ impl MemTile {
                 let dest_offset = request.payload().get(2).copied().unwrap_or(0);
                 let frame = request.frame();
                 let (mut data, latency) = self.dram.read_burst(addr, len);
-                if self.faults.is_some() {
+                if self.st.faults.is_some() {
                     self.fault_drop(&mut data, requester, cycle);
                 }
                 self.tracer.emit(cycle, coord, || TraceEvent::DmaBurst {
@@ -463,8 +364,8 @@ impl MemTile {
                 (latency, vec![ack])
             }
             other => {
-                if self.sanitize {
-                    self.sanitizer_violations.insert(Diagnostic::error(
+                if self.st.sanitize {
+                    self.st.sanitizer_violations.insert(Diagnostic::error(
                         codes::PLANE_MISASSIGNMENT,
                         tile_location(self.coord),
                         format!(

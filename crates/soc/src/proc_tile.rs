@@ -4,28 +4,22 @@ use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, Progress, Schedulable};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Complete serializable state of a [`ProcTile`]: undrained register
-/// writes and pending (delivered but untaken) interrupts. The coordinate
-/// is structural and not captured.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProcTileState {
-    /// Register writes waiting to inject into the NoC.
-    pub outgoing: Vec<Packet>,
-    /// Interrupts delivered but not yet taken by the runtime, in arrival
-    /// order.
-    pub irqs: Vec<Coord>,
-}
-
 /// The processor tile (an Ariane RISC-V core in the paper's SoCs).
 ///
 /// The simulator does not model instruction execution; the tile's
 /// observable behaviour — issuing memory-mapped register writes over the
 /// I/O plane and fielding accelerator interrupts — is what the runtime
 /// crate drives, and what this type implements.
-#[derive(Debug)]
+///
+/// The whole tile is machine state: a snapshot clones it, and restore
+/// checks that the coordinate matches before replacing the queues.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProcTile {
     coord: Coord,
+    /// Register writes waiting to inject into the NoC.
     outgoing: VecDeque<Packet>,
+    /// Interrupts delivered but not yet taken by the runtime, in arrival
+    /// order.
     irqs: VecDeque<Coord>,
 }
 
@@ -42,20 +36,6 @@ impl ProcTile {
     /// The tile coordinate.
     pub fn coord(&self) -> Coord {
         self.coord
-    }
-
-    /// Captures the tile's complete serializable state.
-    pub fn state(&self) -> ProcTileState {
-        ProcTileState {
-            outgoing: self.outgoing.iter().cloned().collect(),
-            irqs: self.irqs.iter().copied().collect(),
-        }
-    }
-
-    /// Restores state captured by [`ProcTile::state`].
-    pub fn restore_state(&mut self, state: &ProcTileState) {
-        self.outgoing = state.outgoing.iter().cloned().collect();
-        self.irqs = state.irqs.iter().copied().collect();
     }
 
     /// Queues a register write to `tile` (one `ioctl`-path store).

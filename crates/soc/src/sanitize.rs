@@ -17,16 +17,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-/// Serializable image of the SoC-level sanitizer: its configuration and
-/// the accumulated end-to-end accounting violations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SocSanitizerState {
-    /// The armed sanitizer configuration.
-    pub config: SanitizerConfig,
-    /// Accumulated violations, in sorted order.
-    pub violations: Vec<Diagnostic>,
-}
-
 /// One tile that cannot make progress, and why.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct BlockedTile {
@@ -144,8 +134,9 @@ pub(crate) fn wait_cycle(blocked: &[BlockedTile]) -> Option<Vec<(u8, u8)>> {
 }
 
 /// SoC-half of the sanitizer: configuration plus accumulated end-to-end
-/// accounting violations (the mesh keeps its own link-level set).
-#[derive(Debug)]
+/// accounting violations (the mesh keeps its own link-level set). A
+/// snapshot clones it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct SocSanitizer {
     pub(crate) config: SanitizerConfig,
     violations: BTreeSet<Diagnostic>,
@@ -156,20 +147,6 @@ impl SocSanitizer {
         SocSanitizer {
             config,
             violations: BTreeSet::new(),
-        }
-    }
-
-    pub(crate) fn state(&self) -> SocSanitizerState {
-        SocSanitizerState {
-            config: self.config,
-            violations: self.violations.iter().cloned().collect(),
-        }
-    }
-
-    pub(crate) fn from_state(state: &SocSanitizerState) -> Self {
-        SocSanitizer {
-            config: state.config,
-            violations: state.violations.iter().cloned().collect(),
         }
     }
 

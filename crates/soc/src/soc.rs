@@ -4,15 +4,15 @@ use crate::accel_tile::{AccelConfig, AccelTile, AccelTileState};
 use crate::kernel::{pack_values, unpack_values, AcceleratorKernel};
 use crate::mem_map::MemMap;
 use crate::mem_tile::{MemTile, MemTileState};
-use crate::proc_tile::{ProcTile, ProcTileState};
+use crate::proc_tile::ProcTile;
 use crate::regs::{self, CMD_START};
-use crate::sanitize::{wait_cycle, SocSanitizer, SocSanitizerState};
+use crate::sanitize::{wait_cycle, SocSanitizer};
 use crate::stats::SocStats;
 use crate::{BlockedTile, DeadlockDiagnosis, SocError};
 use esp4ml_check::{codes, Diagnostic, Report, SanitizerConfig};
 use esp4ml_fault::{FaultKind, FaultPlan};
 use esp4ml_hls::Resources;
-use esp4ml_mem::{CacheConfig, CacheStats, DramConfig, PageTable};
+use esp4ml_mem::{CacheConfig, CacheStats, CachedDramState, DramConfig, PageTable};
 use esp4ml_noc::{Coord, Mesh, MeshConfig, MeshState, NocHeatmap, NocStats};
 use esp4ml_trace::{CounterRegistry, CounterSeries, Tracer};
 use serde::{Deserialize, Serialize};
@@ -308,14 +308,17 @@ impl SocBuilder {
 /// pending interrupts; every statistics counter and sampling series; the
 /// sanitizer ledgers; and installed fault plans *with their trigger
 /// counts*, so a restored run fires its remaining faults at the same
-/// architectural events as the original.
+/// architectural events as the original. Each part is a clone of the
+/// component's live machine state; only DRAM contents travel in a
+/// different form, as sparse spans.
 ///
 /// Deliberately excluded:
 ///
 /// * **Structure** — grid dimensions, tile placement, kernels, DRAM/LLC
 ///   geometry, the memory map and routing tables. A snapshot restores
 ///   only onto a SoC built from the same floorplan; [`Soc::restore`]
-///   validates the structural fit.
+///   validates the structural fit, including the processor-tile
+///   coordinates and LLC geometry that ride along in cloned state.
 /// * **The engine** — [`SocEngine::Naive`] and
 ///   [`SocEngine::EventDriven`] are cycle-exact by contract and keep no
 ///   hidden state, so a snapshot taken under one engine resumes
@@ -329,15 +332,16 @@ pub struct SocSnapshot {
     /// sanitizer shadow state and armed NoC faults.
     pub mesh: MeshState,
     /// Processor tiles, in placement order.
-    pub proc_tiles: Vec<ProcTileState>,
-    /// Memory tiles, in placement order.
-    pub mem_tiles: Vec<MemTileState>,
+    pub proc_tiles: Vec<ProcTile>,
+    /// Memory tiles, in placement order: the sparse DRAM (and LLC) image
+    /// and the rest of the tile's state.
+    pub mem_tiles: Vec<(CachedDramState, MemTileState)>,
     /// Accelerator tiles, in placement order.
     pub accel_tiles: Vec<AccelTileState>,
     /// The counter sampling series, when sampling is on.
     pub series: Option<CounterSeries>,
     /// The SoC-level sanitizer, when armed.
-    pub sanitizer: Option<SocSanitizerState>,
+    sanitizer: Option<SocSanitizer>,
 }
 
 /// A complete, running ESP SoC instance.
@@ -685,11 +689,15 @@ impl Soc {
     pub fn snapshot(&self) -> SocSnapshot {
         SocSnapshot {
             mesh: self.mesh.state(),
-            proc_tiles: self.proc_tiles.iter().map(ProcTile::state).collect(),
+            proc_tiles: self.proc_tiles.clone(),
             mem_tiles: self.mem_tiles.iter().map(MemTile::state).collect(),
-            accel_tiles: self.accel_tiles.iter().map(AccelTile::tile_state).collect(),
+            accel_tiles: self
+                .accel_tiles
+                .iter()
+                .map(|t| t.tile_state().clone())
+                .collect(),
             series: self.series.clone(),
-            sanitizer: self.sanitizer.as_ref().map(SocSanitizer::state),
+            sanitizer: self.sanitizer.clone(),
         }
     }
 
@@ -726,6 +734,12 @@ impl Soc {
                 self.proc_tiles.len(),
             );
         }
+        let mut proc_pairs = snapshot.proc_tiles.iter().zip(&self.proc_tiles);
+        if proc_pairs.any(|(s, t)| s.coord() != t.coord()) {
+            return Err(SocError::SnapshotMismatch(
+                "snapshot places its processor tiles elsewhere".to_string(),
+            ));
+        }
         if snapshot.mem_tiles.len() != self.mem_tiles.len() {
             return mismatch(
                 "memory tiles",
@@ -741,17 +755,15 @@ impl Soc {
             );
         }
         self.mesh.restore_state(&snapshot.mesh);
-        for (tile, state) in self.proc_tiles.iter_mut().zip(&snapshot.proc_tiles) {
-            tile.restore_state(state);
-        }
-        for (tile, state) in self.mem_tiles.iter_mut().zip(&snapshot.mem_tiles) {
-            tile.restore_state(state);
+        self.proc_tiles.clone_from(&snapshot.proc_tiles);
+        for (tile, (dram, state)) in self.mem_tiles.iter_mut().zip(&snapshot.mem_tiles) {
+            tile.restore_state(dram, state);
         }
         for (tile, state) in self.accel_tiles.iter_mut().zip(&snapshot.accel_tiles) {
             tile.restore_state(state);
         }
-        self.series = snapshot.series.clone();
-        self.sanitizer = snapshot.sanitizer.as_ref().map(SocSanitizer::from_state);
+        self.series.clone_from(&snapshot.series);
+        self.sanitizer.clone_from(&snapshot.sanitizer);
         Ok(())
     }
 

@@ -313,4 +313,17 @@ fn restore_rejects_wrong_floorplan() {
         other.restore(&snap),
         Err(SocError::SnapshotMismatch(_))
     ));
+
+    // Same tile counts, processor placed elsewhere.
+    let mut moved = SocBuilder::new(3, 2)
+        .processor(Coord::new(2, 0))
+        .memory(Coord::new(1, 0))
+        .accelerator(A, Box::new(ScaleKernel::new("a0", 16, 2)))
+        .accelerator(B, Box::new(ScaleKernel::new("a1", 16, 3)))
+        .build()
+        .unwrap();
+    assert!(matches!(
+        moved.restore(&snap),
+        Err(SocError::SnapshotMismatch(_))
+    ));
 }
