@@ -136,6 +136,38 @@ fn engines_agree_on_span_reports() {
     }
 }
 
+/// The collectors observe one stream independently, so which of them a
+/// session chains must not change what each reports. On every Fig. 8
+/// point, span reports are byte-identical with and without the profiler
+/// beside the span collector, and profile reports are byte-identical
+/// with and without the span collector beside the profiler.
+#[test]
+fn collector_combinations_agree_on_every_fig8_point() {
+    let models = TrainedModels::untrained();
+    let run = |point: &GridPoint, mut session: TraceSession| {
+        let opts = RunOptions::new(SocEngine::EventDriven).traced(&mut session);
+        AppRun::execute(&point.app, &models, 2, point.mode, opts)
+            .unwrap_or_else(|e| panic!("{} observed run failed: {e}", point.label()));
+        (
+            serde_json::to_string(session.span_reports()).expect("span serialization"),
+            serde_json::to_string(session.profiles()).expect("profile serialization"),
+        )
+    };
+    for point in &Fig8::grid() {
+        let (spans_only, _) = run(point, TraceSession::spanned(None, false));
+        let (_, profile_only) = run(point, TraceSession::profiled(None));
+        let (spans, profiles) = run(point, TraceSession::spanned(None, true));
+        assert!(spans != "[]" && profiles != "[]", "{}", point.label());
+        assert_eq!(spans_only, spans, "{}: span reports differ", point.label());
+        assert_eq!(
+            profile_only,
+            profiles,
+            "{}: profile reports differ",
+            point.label()
+        );
+    }
+}
+
 /// On every Fig. 7 grid point the aggregated critical path must name
 /// the same limiting stage as the independently-fed profiler's
 /// bottleneck report — the agreement `espspan` checks at runtime.
