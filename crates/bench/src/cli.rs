@@ -9,7 +9,6 @@
 
 use crate::parallel;
 use esp4ml::apps::TrainedModels;
-use esp4ml::faults::FaultConfig;
 use esp4ml_fault::FaultPlan;
 use esp4ml_runtime::ExecMode;
 use esp4ml_soc::SocEngine;
@@ -444,9 +443,8 @@ pub struct HarnessArgs {
     /// Fork grid points sharing a config prefix from one warm snapshot
     /// (`--fork-prefix`); byte-identical results, less wall clock.
     pub fork_prefix: bool,
-    /// Run every grid point with the runtime invariant sanitizer armed
-    /// (`esp4ml_soc::SanitizerConfig::all`); any violation fails the
-    /// harness with the typed diagnostics.
+    /// Run every grid point with the runtime invariant sanitizer armed;
+    /// any violation fails the harness with the typed diagnostics.
     pub sanitize: bool,
     /// Fault plan JSON to install on every run's SoC, with the
     /// watchdog/retry/failover recovery layer armed.
@@ -655,9 +653,9 @@ impl HarnessArgs {
     }
 
     /// Loads the `--faults` plan file (`None` when the flag was not
-    /// given). The plan is returned raw; [`FaultConfig`] assembly —
-    /// campaign watchdog and all — happens inside the request layer so
-    /// the server and the CLI can never disagree on recovery policy.
+    /// given). The campaign watchdog and recovery policy are armed by
+    /// the run itself, so the server and the CLI can never disagree on
+    /// them.
     ///
     /// # Errors
     ///
@@ -671,18 +669,6 @@ impl HarnessArgs {
         let plan = FaultPlan::from_json(&json)
             .map_err(|e| format!("--faults {}: not a fault plan: {e}", path.display()))?;
         Ok(Some(plan))
-    }
-
-    /// Loads the `--faults` plan file into a [`FaultConfig`] with the
-    /// campaign watchdog armed (`None` when the flag was not given).
-    ///
-    /// # Errors
-    ///
-    /// File or JSON failures, as a printable message.
-    pub fn fault_config(&self) -> Result<Option<FaultConfig>, String> {
-        Ok(self.fault_plan()?.map(|plan| {
-            FaultConfig::from_plan(plan).with_watchdog(esp4ml::faults::CAMPAIGN_WATCHDOG_CYCLES)
-        }))
     }
 
     /// Builds the models per the options (training prints its progress).
@@ -819,12 +805,10 @@ mod tests {
         let plan = FaultPlan::new(9).with(FaultSpec::transient_hang("nv0", 0));
         std::fs::write(&path, plan.to_json().unwrap()).unwrap();
         let args = parse_figure(&["--faults", path.to_str().unwrap()]).unwrap();
-        let config = args.fault_config().unwrap().unwrap();
-        assert_eq!(config.plan, plan);
-        assert!(config.software_fallback);
+        assert_eq!(args.fault_plan().unwrap(), Some(plan));
         std::fs::write(&path, "not json").unwrap();
-        assert!(args.fault_config().is_err());
-        assert!(parse_figure(&[]).unwrap().fault_config().unwrap().is_none());
+        assert!(args.fault_plan().is_err());
+        assert!(parse_figure(&[]).unwrap().fault_plan().unwrap().is_none());
     }
 
     #[test]

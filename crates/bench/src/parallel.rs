@@ -16,7 +16,7 @@
 use crate::request::{ProgressSink, ProgressTracker};
 use esp4ml::apps::TrainedModels;
 use esp4ml::experiments::{AppRun, ExperimentError, GridPoint, PreparedApp, RunKind, RunOptions};
-use esp4ml::faults::FaultConfig;
+use esp4ml_fault::FaultPlan;
 use esp4ml_soc::SocEngine;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -73,7 +73,7 @@ pub fn run_grid(
     engine: SocEngine,
     jobs: usize,
     sanitize: bool,
-    faults: Option<&FaultConfig>,
+    faults: Option<&FaultPlan>,
     fork_prefix: bool,
     progress: Option<&dyn ProgressSink>,
 ) -> Result<Vec<AppRun>, ExperimentError> {
@@ -86,7 +86,7 @@ pub fn run_grid(
             ))
         }
         (true, None) => RunKind::Sanitized,
-        (false, Some(fc)) => RunKind::Faulted(fc),
+        (false, Some(plan)) => RunKind::Faulted(plan),
         (false, None) => RunKind::Plain,
     };
     let opts = || RunOptions {
@@ -243,17 +243,15 @@ mod tests {
     /// sanitized, and under a recoverable fault plan.
     #[test]
     fn forked_grid_matches_cold_start_oracle() {
-        use esp4ml::faults::CAMPAIGN_WATCHDOG_CYCLES;
-        use esp4ml_fault::{FaultPlan, FaultSpec};
+        use esp4ml_fault::FaultSpec;
 
         let models = TrainedModels::untrained();
         let grid = Fig8::grid();
         // A transient denoiser hang (retried) and a permanent classifier
         // hang (failed over to a spare instance).
-        let plan = FaultPlan::new(0)
+        let faults = FaultPlan::new(0)
             .with(FaultSpec::transient_hang("denoiser", 0))
             .with(FaultSpec::permanent_hang("cl0"));
-        let faults = FaultConfig::from_plan(plan).with_watchdog(CAMPAIGN_WATCHDOG_CYCLES);
         for (sanitize, faults) in [(false, None), (true, None), (false, Some(&faults))] {
             let run = |jobs, fork_prefix| {
                 let engine = SocEngine::EventDriven;
@@ -301,7 +299,7 @@ mod tests {
     fn sanitize_with_faults_is_rejected_up_front() {
         let models = TrainedModels::untrained();
         let grid = Fig8::grid();
-        let faults = FaultConfig::from_plan(Default::default());
+        let faults = FaultPlan::default();
         for fork_prefix in [false, true] {
             let err = run_grid(
                 &grid,

@@ -24,7 +24,7 @@ use esp4ml::apps::{build_soc2, CaseApp, SocId, TrainedModels};
 use esp4ml::check::{lint_all, lint_config, lint_dataflow, lint_mapping, FloorplanView};
 use esp4ml::deploy::{self, Deployment};
 use esp4ml::experiments::{AppRun, ExperimentError, Fig7, Fig8, GridPoint, RunOptions, Table1};
-use esp4ml::faults::{lint_fault_plan, CampaignReport, FaultConfig};
+use esp4ml::faults::{lint_fault_plan, CampaignReport};
 use esp4ml::soc_config::SocConfigFile;
 use esp4ml::trace::schema::envelope_json;
 use esp4ml::trace::{perfetto, Tracer};
@@ -969,9 +969,7 @@ fn figure_response(
     progress: Option<&dyn ProgressSink>,
 ) -> Result<RunResponse, RequestError> {
     let points = selected_points(req);
-    let faults = req.fault_plan.clone().map(|plan| {
-        FaultConfig::from_plan(plan).with_watchdog(esp4ml::faults::CAMPAIGN_WATCHDOG_CYCLES)
-    });
+    let faults = req.fault_plan.as_ref();
     let mut artifacts = BTreeMap::new();
     let mut notes = Vec::new();
     let runs = match session_for(&req.observe) {
@@ -990,7 +988,7 @@ fn figure_response(
             req.soc_engine(),
             req.effective_jobs(),
             req.sanitize,
-            faults.as_ref(),
+            faults,
             req.fork_prefix,
             progress,
         )?,

@@ -20,8 +20,6 @@
 //! * [`bw`] — static NoC bandwidth-feasibility math: per-link
 //!   utilization from composed tenant demands and the per-tenant
 //!   worst-case slowdown bound.
-//! * [`SanitizerConfig`] — which runtime invariants the sanitizer
-//!   enforces.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +28,5 @@ pub mod bw;
 pub mod cdg;
 pub mod codes;
 mod diag;
-mod sanitize;
 
 pub use diag::{Diagnostic, Report, Severity};
-pub use sanitize::SanitizerConfig;

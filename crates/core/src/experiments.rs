@@ -13,15 +13,17 @@
 //! drift apart.
 
 use crate::apps::{argmax, decode_values, encode_image, CaseApp, TrainedModels};
-use crate::faults::FaultConfig;
+use crate::faults::CAMPAIGN_WATCHDOG_CYCLES;
 use crate::flow::Esp4mlFlow;
-use crate::observe::{ProfileReport, TraceSession};
+use crate::observe::TraceSession;
 use esp4ml_baseline::{Platform, SoftwareApp, Workload};
 use esp4ml_check::Report;
+use esp4ml_fault::FaultPlan;
 use esp4ml_runtime::{
-    AppBuffers, Dataflow, EspRuntime, ExecMode, RunMetrics, RunSpec, RuntimeError, RuntimeSnapshot,
+    AppBuffers, Dataflow, EspRuntime, ExecMode, RecoveryPolicy, RunMetrics, RunSpec, RuntimeError,
+    RuntimeSnapshot,
 };
-use esp4ml_soc::{SanitizerConfig, SocEngine};
+use esp4ml_soc::SocEngine;
 use esp4ml_trace::{TileCoord, TraceEvent};
 use esp4ml_vision::SvhnGenerator;
 use serde::{Deserialize, Serialize};
@@ -134,30 +136,20 @@ pub enum RunKind<'a> {
     /// Plain simulation.
     #[default]
     Plain,
-    /// The full runtime sanitizer ([`SanitizerConfig::all`]) audits
-    /// credit/flit conservation, wormhole framing, plane discipline and
-    /// DMA byte accounting throughout the run: at every tick under
-    /// [`SocEngine::Naive`], additionally at every fast-forward boundary
-    /// under [`SocEngine::EventDriven`] (the verdicts are identical
-    /// either way). A violation fails the run with
+    /// The runtime sanitizer audits credit/flit conservation, wormhole
+    /// framing, plane discipline and DMA byte accounting throughout the
+    /// run: at every tick under [`SocEngine::Naive`], additionally at
+    /// every fast-forward boundary under [`SocEngine::EventDriven`] (the
+    /// verdicts are identical either way). A violation fails the run with
     /// [`ExperimentError::Sanitizer`]; the clean verdict lands in
     /// [`AppRun::sanitizer`].
     Sanitized,
-    /// The config's [`esp4ml_fault::FaultPlan`] is installed on the SoC,
-    /// the watchdog/recovery policy is armed on the [`RunSpec`], and,
-    /// when the config allows it, an unrecoverable pipeline degrades to
-    /// the processor-tile software path instead of failing (flagged on
-    /// [`AppRun::software_fallback`]).
-    Faulted(&'a FaultConfig),
-}
-
-impl<'a> RunKind<'a> {
-    fn faults(self) -> Option<&'a FaultConfig> {
-        match self {
-            RunKind::Faulted(fc) => Some(fc),
-            RunKind::Plain | RunKind::Sanitized => None,
-        }
-    }
+    /// The [`FaultPlan`] is installed on the SoC, the
+    /// [`CAMPAIGN_WATCHDOG_CYCLES`] watchdog and the default
+    /// [`RecoveryPolicy`] are armed on the [`RunSpec`], and an
+    /// unrecoverable pipeline degrades to the processor-tile software
+    /// path instead of failing (flagged on [`AppRun::software_fallback`]).
+    Faulted(&'a FaultPlan),
 }
 
 /// How to run: the simulation engine, an optional observability session
@@ -165,9 +157,9 @@ impl<'a> RunKind<'a> {
 ///
 /// With a session, events flow into the session's tracer (each run opens
 /// with a `RunStart` marker naming it) and the run's counter series and
-/// NoC summary are collected into the session, plus a [`ProfileReport`]
-/// and a span report when the session profiles
-/// ([`TraceSession::profiled`]) or assembles spans
+/// NoC summary are collected into the session, plus a
+/// [`ProfileReport`](crate::ProfileReport) and a span report when the
+/// session profiles ([`TraceSession::profiled`]) or assembles spans
 /// ([`TraceSession::spanned`]). Observation composes with every
 /// [`RunKind`].
 #[derive(Debug, Default)]
@@ -200,7 +192,7 @@ impl<'a> RunOptions<'a> {
     }
 
     /// A run under `engine` with injected faults ([`RunKind::Faulted`]).
-    pub fn faulted(engine: SocEngine, faults: &'a FaultConfig) -> Self {
+    pub fn faulted(engine: SocEngine, faults: &'a FaultPlan) -> Self {
         RunOptions {
             kind: RunKind::Faulted(faults),
             ..Self::new(engine)
@@ -239,9 +231,8 @@ pub struct AppRun {
     pub sanitizer: Option<Report>,
     /// Whether the run degraded to the processor-tile software path
     /// after the hardware pipeline proved unrecoverable (only possible
-    /// under a [`FaultConfig`] with `software_fallback` enabled). When
-    /// set, `metrics` and `watts` come from the Ariane platform model,
-    /// not the accelerator pipeline.
+    /// under [`RunKind::Faulted`]). When set, `metrics` and `watts` come
+    /// from the Ariane platform model, not the accelerator pipeline.
     pub software_fallback: bool,
 }
 
@@ -268,7 +259,7 @@ impl AppRun {
             kind,
         } = opts;
         let mut loaded = Loaded::prefix(app, models, frames, engine, kind, session.as_deref())?;
-        loaded.suffix(app, models, mode, kind.faults(), session)
+        loaded.suffix(app, models, mode, kind, session)
     }
 
     /// Classification accuracy of the run against ground truth.
@@ -344,7 +335,7 @@ impl Loaded {
         let mut soc = app.build_soc(models)?;
         soc.set_engine(engine);
         if matches!(kind, RunKind::Sanitized) {
-            soc.enable_sanitizer(SanitizerConfig::all());
+            soc.enable_sanitizer();
         }
         if let Some(every) = session.and_then(TraceSession::sample_every) {
             soc.enable_counter_sampling(every);
@@ -378,48 +369,43 @@ impl Loaded {
     }
 
     /// The run suffix: opens the observed run, installs the fault plan,
-    /// runs the dataflow in `mode` (watchdog and recovery armed when
-    /// faulted), falls back to software when that is allowed and the
-    /// pipeline proved unrecoverable, checks the sanitizer verdict,
-    /// closes the observed run, reads the predictions back and records
-    /// the run in the session.
+    /// runs the dataflow in `mode` (when faulted, under the campaign
+    /// watchdog and the default recovery policy), falls back to software
+    /// when a faulted pipeline proved unrecoverable, checks the sanitizer
+    /// verdict, closes and records the observed run and reads the
+    /// predictions back.
     fn suffix(
         &mut self,
         app: &CaseApp,
         models: &TrainedModels,
         mode: ExecMode,
-        faults: Option<&FaultConfig>,
+        kind: RunKind<'_>,
         session: Option<&mut TraceSession>,
     ) -> Result<AppRun, ExperimentError> {
         let run_label = format!("{} {}", app.label(), mode.label());
         if let Some(s) = session.as_deref() {
-            let groups = stage_groups(&self.dataflow);
-            if let Some(profiler) = s.profiler() {
-                profiler.set_stage_groups(groups.clone());
-            }
-            if let Some(spans) = s.span_collector() {
-                spans.set_stage_groups(groups);
-            }
-            let proc = self.rt.soc().primary_proc();
-            let label = run_label.clone();
-            s.tracer().emit(
-                self.rt.soc().cycle(),
-                TileCoord::new(proc.x, proc.y),
-                || TraceEvent::RunStart { label },
+            s.open_run(
+                run_label.clone(),
+                stage_groups(&self.dataflow),
+                self.rt.soc(),
             );
         }
         let mut spec = RunSpec::new(&self.dataflow).mode(mode);
-        if let Some(fc) = faults {
-            if !fc.plan.is_empty() {
-                self.rt.soc_mut().install_fault_plan(&fc.plan);
+        let faults = match kind {
+            RunKind::Faulted(plan) => Some(plan),
+            RunKind::Plain | RunKind::Sanitized => None,
+        };
+        if let Some(plan) = faults {
+            if !plan.is_empty() {
+                self.rt.soc_mut().install_fault_plan(plan);
             }
             spec = spec
-                .watchdog_cycles(fc.watchdog_cycles)
-                .recover(fc.recovery);
+                .watchdog_cycles(CAMPAIGN_WATCHDOG_CYCLES)
+                .recover(RecoveryPolicy::default());
         }
         let hardware = match self.rt.run(&spec, &self.buf) {
             Ok(metrics) => Some(metrics),
-            Err(RuntimeError::Timeout { .. }) if faults.is_some_and(|fc| fc.software_fallback) => {
+            Err(RuntimeError::Timeout { .. }) if faults.is_some() => {
                 // Graceful degradation: the hardware pipeline is
                 // unrecoverable (retries and spares exhausted), so the
                 // application reruns on the processor tile in software.
@@ -448,24 +434,10 @@ impl Loaded {
         };
         // Close the observed run where the simulation stopped (run
         // completion or the fallback), before prediction readback, which
-        // simulates no cycles. The span run carries over any ring-buffer
-        // span losses, so a saturated trace yields a report flagged
-        // partial instead of a silently wrong one.
-        let end = self.rt.soc().cycle();
-        let profile = session.as_deref().and_then(|s| {
-            s.profiler()
-                .and_then(|p| p.close_run(end))
-                .map(|run| ProfileReport {
-                    run,
-                    heatmap: self.rt.soc().noc_heatmap(),
-                })
-        });
-        let spans = session.as_deref().and_then(|s| {
-            s.span_collector().and_then(|c| {
-                c.note_dropped_spans(s.tracer().dropped_spans());
-                c.close_run(end)
-            })
-        });
+        // simulates no cycles.
+        if let Some(s) = session {
+            s.close_run(run_label, self.rt.soc_mut());
+        }
         let run = match hardware {
             Some(metrics) => {
                 let mut predictions = Vec::with_capacity(self.frames as usize);
@@ -486,16 +458,6 @@ impl Loaded {
             }
             None => self.software_fallback(app, models, mode),
         };
-        if let Some(session) = session {
-            let series = self.rt.soc_mut().take_counter_series();
-            session.record_run(run_label, series, self.rt.soc().noc_stats().clone());
-            if let Some(profile) = profile {
-                session.record_profile(profile);
-            }
-            if let Some(spans) = spans {
-                session.record_spans(spans);
-            }
-        }
         Ok(run)
     }
 
@@ -625,7 +587,7 @@ impl<'a> PreparedApp<'a> {
     pub fn run(
         &mut self,
         mode: ExecMode,
-        faults: Option<&FaultConfig>,
+        faults: Option<&FaultPlan>,
     ) -> Result<AppRun, ExperimentError> {
         if faults.is_some() && matches!(self.kind, RunKind::Sanitized) {
             return Err(ExperimentError::Grid(
@@ -639,7 +601,7 @@ impl<'a> PreparedApp<'a> {
             &self.app,
             self.models,
             mode,
-            faults.or(self.kind.faults()),
+            faults.map_or(self.kind, RunKind::Faulted),
             self.session.as_deref_mut(),
         )
     }
@@ -1207,7 +1169,7 @@ mod tests {
         let opts = RunOptions::sanitized(SocEngine::EventDriven);
         let mut prepared = PreparedApp::load(&CaseApp::DenoiserClassifier, &m, 1, opts).unwrap();
         let err = prepared
-            .run(ExecMode::P2p, Some(&FaultConfig::default()))
+            .run(ExecMode::P2p, Some(&FaultPlan::default()))
             .unwrap_err();
         assert!(matches!(err, ExperimentError::Grid(_)), "{err}");
         let run = prepared.run(ExecMode::P2p, None).unwrap();

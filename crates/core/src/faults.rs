@@ -1,11 +1,12 @@
-//! Fault-tolerance configuration, fault-plan lints and the `espfault`
+//! Fault-tolerance constants, fault-plan lints and the `espfault`
 //! campaign driver.
 //!
-//! A [`FaultConfig`] bundles everything a faulted experiment run needs:
-//! the [`FaultPlan`] the SoC installs, the per-invocation watchdog
-//! deadline, the retry/failover [`RecoveryPolicy`], and whether the run
-//! may degrade to the processor-tile software path when the hardware
-//! pipeline is unrecoverable. [`lint_fault_plan`] validates a plan
+//! A faulted experiment run
+//! ([`RunKind::Faulted`](crate::experiments::RunKind::Faulted)) installs
+//! its [`FaultPlan`] on the SoC, arms the [`CAMPAIGN_WATCHDOG_CYCLES`]
+//! watchdog and the default retry/failover policy, and degrades to the
+//! processor-tile software path when the hardware pipeline is
+//! unrecoverable. [`lint_fault_plan`] validates a plan
 //! against the hosting SoC before anything runs (codes `E0601`/`E0602`/
 //! `W0603`); [`CampaignReport::generate`] sweeps seeds × fault classes
 //! over the paper's Fig. 7 pipelines and classifies every run as clean,
@@ -17,61 +18,20 @@ use crate::experiments::{AppRun, ExperimentError, GridPoint, PreparedApp, RunOpt
 use esp4ml_check::{codes, Diagnostic, Report};
 use esp4ml_fault::{CampaignTargets, FaultClass, FaultKind, FaultPlan};
 use esp4ml_noc::Plane;
-use esp4ml_runtime::{ExecMode, RecoveryPolicy, DEFAULT_WATCHDOG_CYCLES};
+use esp4ml_runtime::ExecMode;
 use esp4ml_soc::SocEngine;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Watchdog deadline used by fault campaigns, in cycles per invocation.
 ///
-/// Deliberately much tighter than [`DEFAULT_WATCHDOG_CYCLES`]: a
+/// Deliberately much tighter than
+/// [`DEFAULT_WATCHDOG_CYCLES`](esp4ml_runtime::DEFAULT_WATCHDOG_CYCLES): a
 /// campaign *expects* hangs, and under the naive oracle engine every
 /// expired watchdog is simulated tick by tick. The value still leaves an
 /// order-of-magnitude margin over the longest healthy invocation of the
 /// campaign pipelines (a whole p2p batch of a few frames).
 pub const CAMPAIGN_WATCHDOG_CYCLES: u64 = 200_000;
-
-/// How a run behaves under injected hardware faults.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultConfig {
-    /// The faults the SoC installs before the run (empty = none).
-    pub plan: FaultPlan,
-    /// Per-invocation watchdog deadline in cycles.
-    pub watchdog_cycles: u64,
-    /// Retry/backoff/failover policy armed on the runtime.
-    pub recovery: RecoveryPolicy,
-    /// When the hardware pipeline is unrecoverable (retries and spares
-    /// exhausted), rerun the application on the processor tile in
-    /// software instead of failing — reporting the honestly degraded
-    /// throughput through the Ariane platform model.
-    pub software_fallback: bool,
-}
-
-impl FaultConfig {
-    /// A config running `plan` under the default (conservative) watchdog
-    /// and recovery policy, with software fallback enabled.
-    pub fn from_plan(plan: FaultPlan) -> Self {
-        FaultConfig {
-            plan,
-            watchdog_cycles: DEFAULT_WATCHDOG_CYCLES,
-            recovery: RecoveryPolicy::default(),
-            software_fallback: true,
-        }
-    }
-
-    /// Overrides the watchdog deadline (builder style).
-    #[must_use]
-    pub fn with_watchdog(mut self, cycles: u64) -> Self {
-        self.watchdog_cycles = cycles;
-        self
-    }
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig::from_plan(FaultPlan::default())
-    }
-}
 
 /// Validates a fault plan against the devices the target SoC hosts.
 ///
@@ -201,8 +161,8 @@ impl CampaignReport {
 
     /// Runs the campaign: for each pipeline of [`CampaignReport::grid`],
     /// one healthy reference run, then one faulted run per seed × fault
-    /// class with recovery armed ([`CAMPAIGN_WATCHDOG_CYCLES`], default
-    /// [`RecoveryPolicy`], software fallback on).
+    /// class with recovery armed
+    /// ([`RunKind::Faulted`](crate::experiments::RunKind::Faulted)).
     ///
     /// The load/config prefix of each pipeline is executed once and
     /// forked across every run via a warmed pre-fault
@@ -293,16 +253,10 @@ impl CampaignReport {
                         .first()
                         .map(|s| s.kind.to_string())
                         .unwrap_or_default();
-                    let config = FaultConfig {
-                        plan,
-                        watchdog_cycles: CAMPAIGN_WATCHDOG_CYCLES,
-                        recovery: RecoveryPolicy::default(),
-                        software_fallback: true,
-                    };
                     let result = match prepared.as_mut() {
-                        Some(p) => p.run(mode, Some(&config)),
+                        Some(p) => p.run(mode, Some(&plan)),
                         None => {
-                            let opts = RunOptions::faulted(engine, &config);
+                            let opts = RunOptions::faulted(engine, &plan);
                             AppRun::execute(&app, models, frames, mode, opts)
                         }
                     };

@@ -62,7 +62,7 @@ pub mod soc_config;
 
 pub use apps::{CaseApp, TrainedModels};
 pub use error::Esp4mlError;
-pub use faults::{lint_fault_plan, CampaignReport, FaultConfig};
+pub use faults::{lint_fault_plan, CampaignReport};
 pub use flow::Esp4mlFlow;
 pub use observe::{ProfileReport, TraceSession};
 

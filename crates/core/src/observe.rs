@@ -10,8 +10,10 @@
 //! split runs into separate process tracks).
 
 use esp4ml_noc::{NocHeatmap, NocStats};
+use esp4ml_soc::Soc;
 use esp4ml_trace::{
-    CounterSeries, ProfileCollector, RingBufferSink, RunProfile, SpanCollector, SpanReport, Tracer,
+    CounterSeries, ProfileCollector, RingBufferSink, RunProfile, SpanCollector, SpanReport,
+    TileCoord, TraceEvent, TraceSink, Tracer,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -74,41 +76,37 @@ impl TraceSession {
     /// run leaves a [`ProfileReport`] in [`TraceSession::profiles`].
     /// `sample_every` optionally enables counter sampling as well.
     pub fn profiled(sample_every: Option<u64>) -> Self {
-        let profiler = ProfileCollector::new();
-        TraceSession {
-            tracer: profiler.ring_buffer_tracer(),
-            sample_every,
-            profiler: Some(profiler),
-            ..Default::default()
-        }
+        Self::collecting(sample_every, true, false)
     }
 
     /// A session that assembles causal frame-level span trees for every
-    /// run: events flow through a [`SpanCollector`] (which embeds its own
-    /// profiler for critical-path agreement) into a ring-buffer sink, and
-    /// each completed run leaves a [`SpanReport`] in
+    /// run: events flow through a [`SpanCollector`] into a ring-buffer
+    /// sink, and each completed run leaves a [`SpanReport`] in
     /// [`TraceSession::span_reports`]. When `profile` is also set, a
     /// [`ProfileCollector`] observes the identical stream first and each
     /// run additionally leaves a [`ProfileReport`].
     pub fn spanned(sample_every: Option<u64>, profile: bool) -> Self {
-        let spans = SpanCollector::new();
-        if profile {
-            let profiler = ProfileCollector::new();
-            let sink = profiler.sink(spans.sink(Box::<RingBufferSink>::default()));
-            TraceSession {
-                tracer: Tracer::with_sink(sink),
-                sample_every,
-                profiler: Some(profiler),
-                spans: Some(spans),
-                ..Default::default()
-            }
-        } else {
-            TraceSession {
-                tracer: spans.ring_buffer_tracer(),
-                sample_every,
-                spans: Some(spans),
-                ..Default::default()
-            }
+        Self::collecting(sample_every, profile, true)
+    }
+
+    /// A session whose ring-buffer sink is fronted by the collectors
+    /// that are on: the profiler first, then the span collector.
+    fn collecting(sample_every: Option<u64>, profile: bool, spans: bool) -> Self {
+        let profiler = profile.then(ProfileCollector::new);
+        let spans = spans.then(SpanCollector::new);
+        let mut sink: Box<dyn TraceSink> = Box::<RingBufferSink>::default();
+        if let Some(c) = &spans {
+            sink = c.sink(sink);
+        }
+        if let Some(c) = &profiler {
+            sink = c.sink(sink);
+        }
+        TraceSession {
+            tracer: Tracer::with_sink(sink),
+            sample_every,
+            profiler,
+            spans,
+            ..Default::default()
         }
     }
 
@@ -137,27 +135,49 @@ impl TraceSession {
         self.spans.as_ref()
     }
 
-    /// Records the observability output of one completed run.
-    pub(crate) fn record_run(
-        &mut self,
-        label: String,
-        series: Option<CounterSeries>,
-        noc: NocStats,
-    ) {
+    /// Opens one observed run on `soc`: declares the run's pipeline
+    /// stage groups to every collector, then emits the `RunStart` marker
+    /// naming the run from the primary processor tile.
+    pub(crate) fn open_run(&self, label: String, groups: Vec<(String, Vec<String>)>, soc: &Soc) {
+        if let Some(profiler) = &self.profiler {
+            profiler.set_stage_groups(groups.clone());
+        }
+        if let Some(spans) = &self.spans {
+            spans.set_stage_groups(groups);
+        }
+        let proc = soc.primary_proc();
+        self.tracer
+            .emit(soc.cycle(), TileCoord::new(proc.x, proc.y), || {
+                TraceEvent::RunStart { label }
+            });
+    }
+
+    /// Closes the observed run where `soc` stopped and records its
+    /// output: the profile (with the NoC heatmap), the span report, the
+    /// counter series and the NoC summary. The span run carries over any
+    /// ring-buffer span losses, so a saturated trace yields a report
+    /// flagged partial instead of a silently wrong one.
+    pub(crate) fn close_run(&mut self, label: String, soc: &mut Soc) {
+        let end = soc.cycle();
+        if let Some(run) = self.profiler.as_ref().and_then(|p| p.close_run(end)) {
+            self.profiles.push(ProfileReport {
+                run,
+                heatmap: soc.noc_heatmap(),
+            });
+        }
+        if let Some(spans) = &self.spans {
+            spans.note_dropped_spans(self.tracer.dropped_spans());
+            self.span_reports.extend(spans.close_run(end));
+        }
+        self.record_run(label, soc.take_counter_series(), soc.noc_stats().clone());
+    }
+
+    /// Records one run's counter series and NoC summary.
+    fn record_run(&mut self, label: String, series: Option<CounterSeries>, noc: NocStats) {
         if let Some(series) = series {
             self.series.push((label.clone(), series));
         }
         self.noc.push((label, noc));
-    }
-
-    /// Records one completed run's profile.
-    pub(crate) fn record_profile(&mut self, profile: ProfileReport) {
-        self.profiles.push(profile);
-    }
-
-    /// Records one completed run's span report.
-    pub(crate) fn record_spans(&mut self, report: SpanReport) {
-        self.span_reports.push(report);
     }
 
     /// Accumulated per-run profile reports, in run order.

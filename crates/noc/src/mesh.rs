@@ -6,7 +6,7 @@ use crate::router::{Port, Router, RouterConfig, RouterState, Transfer};
 use crate::sanitizer::{expected_planes, plane_carries, MeshSanitizer};
 use crate::schedule::{Progress, Schedulable};
 use crate::{Coord, MsgKind, NocError, NocStats, Packet, Plane};
-use esp4ml_check::{codes, Diagnostic, Report, SanitizerConfig};
+use esp4ml_check::{codes, Diagnostic, Report};
 use esp4ml_fault::{CycleWindow, FaultKind, FaultSpec};
 use esp4ml_trace::{TileCoord, TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
@@ -332,13 +332,15 @@ impl Mesh {
     }
 
     /// Installs the invariant sanitizer. From now on, every tick and
-    /// every fast-forward boundary audits the enabled invariants (see
-    /// [`SanitizerConfig`]); violations accumulate deduplicated in
+    /// every fast-forward boundary audits credit conservation
+    /// (`E0401`), flit conservation (`E0402`), wormhole
+    /// non-interleaving (`E0403`) and plane assignment (`E0303`);
+    /// violations accumulate deduplicated in
     /// [`Mesh::sanitizer_report`]. The audits also fire in release
     /// builds — this is the opt-in replacement for the `debug_assert!`s
     /// guarding the same invariants on plain runs.
-    pub fn enable_sanitizer(&mut self, config: SanitizerConfig) {
-        self.sanitizer = Some(Box::new(MeshSanitizer::new(config, self.routers.len())));
+    pub fn enable_sanitizer(&mut self) {
+        self.sanitizer = Some(Box::new(MeshSanitizer::new(self.routers.len())));
     }
 
     /// Whether a sanitizer is installed.
@@ -579,10 +581,8 @@ impl Mesh {
         let flits = Flit::from_packet(&packet);
         let i = self.tile_index(src);
         if let Some(san) = self.sanitizer.as_deref_mut() {
-            if san.config.flits {
-                san.injected[plane.index()] += flits.len() as u64;
-            }
-            if san.config.planes && !plane_carries(plane, packet.kind()) {
+            san.injected[plane.index()] += flits.len() as u64;
+            if !plane_carries(plane, packet.kind()) {
                 let expected: Vec<String> = expected_planes(packet.kind())
                     .iter()
                     .map(|p| p.to_string())
@@ -950,7 +950,7 @@ impl Mesh {
             if let Some(v) = violation {
                 let coord = self.routers[ti].coord();
                 match self.sanitizer.as_deref_mut() {
-                    Some(san) if san.config.wormhole => san.record(Diagnostic::error(
+                    Some(san) => san.record(Diagnostic::error(
                         codes::WORMHOLE_INTERLEAVING,
                         format!("tile({},{}) plane {plane}", coord.x, coord.y),
                         match v {
@@ -964,7 +964,7 @@ impl Mesh {
                             }
                         },
                     )),
-                    _ => debug_assert!(
+                    None => debug_assert!(
                         false,
                         "wormhole violation {v:?} at ({},{}) plane {plane}",
                         coord.x, coord.y
@@ -1013,68 +1013,64 @@ impl Mesh {
         let Some(mut san) = self.sanitizer.take() else {
             return;
         };
-        if san.config.credits {
-            for (ti, r) in self.routers.iter().enumerate() {
-                let coord = r.coord();
-                for plane in Plane::ALL {
-                    for port in Port::ALL {
-                        let shadow = san.shadow_occupancy(ti, plane, port);
-                        let actual = r.occupancy(plane, port) as u64;
-                        if shadow != actual {
-                            san.record(
-                                Diagnostic::error(
-                                    codes::CREDIT_CONSERVATION,
-                                    format!(
-                                        "router({},{}) plane {plane} port {port}",
-                                        coord.x, coord.y
-                                    ),
-                                    "credit conservation violated: shadow link occupancy \
-                                     diverges from the router queue",
-                                )
-                                .with_hint(
-                                    "a credit was lost or duplicated on this link; every \
-                                     queue push/pop must move exactly one credit",
+        for (ti, r) in self.routers.iter().enumerate() {
+            let coord = r.coord();
+            for plane in Plane::ALL {
+                for port in Port::ALL {
+                    let shadow = san.shadow_occupancy(ti, plane, port);
+                    let actual = r.occupancy(plane, port) as u64;
+                    if shadow != actual {
+                        san.record(
+                            Diagnostic::error(
+                                codes::CREDIT_CONSERVATION,
+                                format!(
+                                    "router({},{}) plane {plane} port {port}",
+                                    coord.x, coord.y
                                 ),
-                            );
-                        }
+                                "credit conservation violated: shadow link occupancy \
+                                 diverges from the router queue",
+                            )
+                            .with_hint(
+                                "a credit was lost or duplicated on this link; every \
+                                 queue push/pop must move exactly one credit",
+                            ),
+                        );
                     }
                 }
             }
         }
-        if san.config.flits {
-            for plane in Plane::ALL {
-                let pi = plane.index();
-                let mut in_flight = 0u64;
-                for (ti, r) in self.routers.iter().enumerate() {
-                    in_flight += self.endpoints[ti][pi].inject.len() as u64;
-                    in_flight += self.endpoints[ti][pi].reasm.pending_flits() as u64;
-                    for port in Port::ALL {
-                        in_flight += r.occupancy(plane, port) as u64;
-                    }
+        for plane in Plane::ALL {
+            let pi = plane.index();
+            let mut in_flight = 0u64;
+            for (ti, r) in self.routers.iter().enumerate() {
+                in_flight += self.endpoints[ti][pi].inject.len() as u64;
+                in_flight += self.endpoints[ti][pi].reasm.pending_flits() as u64;
+                for port in Port::ALL {
+                    in_flight += r.occupancy(plane, port) as u64;
                 }
-                // Packets held by a delay fault were counted at injection
-                // but sit outside the queues; they are still in flight.
-                if let Some(f) = self.faults.as_deref() {
-                    in_flight += f
-                        .delayed
-                        .iter()
-                        .filter(|d| d.plane.index() == pi)
-                        .map(|d| d.flits.len() as u64)
-                        .sum::<u64>();
-                }
-                if san.injected[pi] != san.delivered[pi] + in_flight {
-                    san.record(
-                        Diagnostic::error(
-                            codes::FLIT_CONSERVATION,
-                            format!("plane {plane}"),
-                            "flit conservation violated: injected != delivered + in-flight",
-                        )
-                        .with_hint(
-                            "a flit was dropped or fabricated between injection and \
-                             ejection; check queue commits and reassembly",
-                        ),
-                    );
-                }
+            }
+            // Packets held by a delay fault were counted at injection
+            // but sit outside the queues; they are still in flight.
+            if let Some(f) = self.faults.as_deref() {
+                in_flight += f
+                    .delayed
+                    .iter()
+                    .filter(|d| d.plane.index() == pi)
+                    .map(|d| d.flits.len() as u64)
+                    .sum::<u64>();
+            }
+            if san.injected[pi] != san.delivered[pi] + in_flight {
+                san.record(
+                    Diagnostic::error(
+                        codes::FLIT_CONSERVATION,
+                        format!("plane {plane}"),
+                        "flit conservation violated: injected != delivered + in-flight",
+                    )
+                    .with_hint(
+                        "a flit was dropped or fabricated between injection and \
+                         ejection; check queue commits and reassembly",
+                    ),
+                );
             }
         }
         self.sanitizer = Some(san);
@@ -1577,7 +1573,7 @@ mod fault_tests {
     #[test]
     fn sanitizer_stays_clean_across_delay_fault() {
         let mut m = Mesh::new(MeshConfig::new(3, 3)).unwrap();
-        m.enable_sanitizer(SanitizerConfig::noc_only());
+        m.enable_sanitizer();
         assert!(m.install_fault(&delay_spec(0, 1, 40)));
         m.inject(dma_pkt((0, 0), (2, 2), vec![1, 2, 3, 4])).unwrap();
         // Audit while the packet is still held: its flits are in flight.
@@ -1669,7 +1665,7 @@ mod sanitizer_tests {
 
     fn sanitized_mesh() -> Mesh {
         let mut m = Mesh::new(MeshConfig::new(3, 3)).expect("valid mesh");
-        m.enable_sanitizer(SanitizerConfig::noc_only());
+        m.enable_sanitizer();
         m
     }
 

@@ -27,7 +27,7 @@
 
 use crate::router::Port;
 use crate::{MsgKind, Plane};
-use esp4ml_check::{Diagnostic, Report, SanitizerConfig};
+use esp4ml_check::{Diagnostic, Report};
 use std::collections::BTreeSet;
 
 /// The canonical planes for a message kind, per the ESP plane layout:
@@ -56,7 +56,6 @@ pub fn plane_carries(plane: Plane, kind: MsgKind) -> bool {
 /// so post-restore audits see the same history.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub(crate) struct MeshSanitizer {
-    pub(crate) config: SanitizerConfig,
     violations: BTreeSet<Diagnostic>,
     /// Flits injected per plane (source side of the conservation law).
     pub(crate) injected: [u64; Plane::COUNT],
@@ -67,9 +66,8 @@ pub(crate) struct MeshSanitizer {
 }
 
 impl MeshSanitizer {
-    pub(crate) fn new(config: SanitizerConfig, routers: usize) -> Self {
+    pub(crate) fn new(routers: usize) -> Self {
         MeshSanitizer {
-            config,
             violations: BTreeSet::new(),
             injected: [0; Plane::COUNT],
             delivered: [0; Plane::COUNT],

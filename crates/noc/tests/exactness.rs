@@ -10,7 +10,6 @@
 //! arbitration order, credit reservation or timing moves the digest; a
 //! pure host-side optimisation of the mesh must leave it untouched.
 
-use esp4ml_check::SanitizerConfig;
 use esp4ml_fault::{FaultKind, FaultSpec};
 use esp4ml_noc::{Coord, Mesh, MeshConfig, MsgKind, Packet, Plane, Progress};
 use std::collections::VecDeque;
@@ -79,7 +78,7 @@ fn run(seed: u64, traffic_cycles: u64, faulted: bool) -> Outcome {
     cfg.inject_queue_depth = 48;
     let mut mesh = Mesh::new(cfg).expect("valid mesh");
     if faulted {
-        mesh.enable_sanitizer(SanitizerConfig::noc_only());
+        mesh.enable_sanitizer();
         assert!(mesh.install_fault(&FaultSpec::new(FaultKind::NocDelay {
             plane: Plane::DmaRsp.index(),
             from_packet: 5,

@@ -16,7 +16,7 @@
 //!   milliseconds) reuse [`esp4ml::trace::Histogram`] and its
 //!   cumulative-bucket Prometheus rendering, plus p50/p90/p99 gauges.
 
-use esp4ml::trace::{CounterRegistry, Histogram};
+use esp4ml::trace::{write_prometheus_family, CounterRegistry, Histogram};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -223,16 +223,17 @@ impl ServeMetrics {
 
         let mut out = inner.counters.render_prometheus();
         for (name, family) in &inner.families {
-            let _ = writeln!(out, "# HELP {name} {}", family.help);
-            let _ = writeln!(out, "# TYPE {name} {}", family.kind);
-            if family.samples.is_empty() {
-                // A declared family always appears, even before its
-                // first event, so scrapers can rely on its presence.
-                let _ = writeln!(out, "{name} 0");
-            }
-            for (labels, value) in &family.samples {
-                let _ = writeln!(out, "{name}{labels} {value}");
-            }
+            // A declared family always appears, even before its first
+            // event, so scrapers can rely on its presence.
+            let zero = family.samples.is_empty().then_some(("", 0));
+            let samples = family.samples.iter().map(|(l, v)| (l.as_str(), *v));
+            write_prometheus_family(
+                &mut out,
+                name,
+                family.kind,
+                family.help,
+                samples.chain(zero),
+            );
         }
         for (name, hist) in [
             (QUEUE_WAIT_FAMILY, &inner.queue_wait_ms),
@@ -246,9 +247,13 @@ impl ServeMetrics {
                 },
             ));
             for (suffix, q) in [("p50", 0.5), ("p90", 0.9), ("p99", 0.99)] {
-                let _ = writeln!(out, "# HELP {name}_{suffix} {suffix} of {name}.");
-                let _ = writeln!(out, "# TYPE {name}_{suffix} gauge");
-                let _ = writeln!(out, "{name}_{suffix} {}", hist.quantile(q));
+                write_prometheus_family(
+                    &mut out,
+                    &format!("{name}_{suffix}"),
+                    "gauge",
+                    &format!("{suffix} of {name}."),
+                    [("", hist.quantile(q))],
+                );
             }
         }
         out

@@ -79,8 +79,8 @@ pub use soc::{EngineCounters, RunOutcome, Soc, SocBuilder, SocEngine, SocSnapsho
 pub use stats::{AccelStats, SocStats};
 
 // Diagnostic vocabulary of the sanitizer, re-exported so `Soc` users can
-// arm it and consume its verdicts without naming the check crate.
-pub use esp4ml_check::{Diagnostic, Report, SanitizerConfig, Severity};
+// consume its verdicts without naming the check crate.
+pub use esp4ml_check::{Diagnostic, Report, Severity};
 
 // The event-driven scheduling contract all tiles implement (defined next
 // to the mesh, re-exported here for tile users).

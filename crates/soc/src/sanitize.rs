@@ -11,7 +11,7 @@
 //! naive and event-driven engines produce identical diagnoses for the
 //! same stuck configuration.
 
-use esp4ml_check::{codes, Diagnostic, Report, SanitizerConfig};
+use esp4ml_check::{codes, Diagnostic, Report};
 use esp4ml_noc::Coord;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -133,23 +133,15 @@ pub(crate) fn wait_cycle(blocked: &[BlockedTile]) -> Option<Vec<(u8, u8)>> {
     None
 }
 
-/// SoC-half of the sanitizer: configuration plus accumulated end-to-end
-/// accounting violations (the mesh keeps its own link-level set). A
-/// snapshot clones it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// SoC-half of the sanitizer: the accumulated end-to-end accounting
+/// violations (the mesh keeps its own link-level set). A snapshot clones
+/// it.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub(crate) struct SocSanitizer {
-    pub(crate) config: SanitizerConfig,
     violations: BTreeSet<Diagnostic>,
 }
 
 impl SocSanitizer {
-    pub(crate) fn new(config: SanitizerConfig) -> Self {
-        SocSanitizer {
-            config,
-            violations: BTreeSet::new(),
-        }
-    }
-
     pub(crate) fn record(&mut self, diag: Diagnostic) {
         self.violations.insert(diag);
     }

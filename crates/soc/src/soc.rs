@@ -9,7 +9,7 @@ use crate::regs::{self, CMD_START};
 use crate::sanitize::{wait_cycle, SocSanitizer};
 use crate::stats::SocStats;
 use crate::{BlockedTile, DeadlockDiagnosis, SocError};
-use esp4ml_check::{codes, Diagnostic, Report, SanitizerConfig};
+use esp4ml_check::{codes, Diagnostic, Report};
 use esp4ml_fault::{FaultKind, FaultPlan};
 use esp4ml_hls::Resources;
 use esp4ml_mem::{CacheConfig, CacheStats, CachedDramState, DramConfig, PageTable};
@@ -913,15 +913,15 @@ impl Soc {
     /// Audits run after every tick and at every fast-forward boundary,
     /// and verdicts are deduplicated, so [`SocEngine::Naive`] and
     /// [`SocEngine::EventDriven`] produce byte-identical reports.
-    pub fn enable_sanitizer(&mut self, config: SanitizerConfig) {
-        self.mesh.enable_sanitizer(config);
+    pub fn enable_sanitizer(&mut self) {
+        self.mesh.enable_sanitizer();
         for a in &mut self.accel_tiles {
             a.enable_sanitize();
         }
         for m in &mut self.mem_tiles {
             m.enable_sanitize();
         }
-        self.sanitizer = Some(SocSanitizer::new(config));
+        self.sanitizer = Some(SocSanitizer::default());
     }
 
     /// Whether [`Soc::enable_sanitizer`] was called.
@@ -976,10 +976,7 @@ impl Soc {
     /// (in-flight bursts are legitimately unaccounted), so the audit
     /// gates on [`Soc::is_idle`].
     fn sanitize_audit(&mut self) {
-        let Some(san) = self.sanitizer.as_ref() else {
-            return;
-        };
-        if !san.config.dma_accounting || !self.is_idle() {
+        if self.sanitizer.is_none() || !self.is_idle() {
             return;
         }
         let mut received = 0u64;
@@ -2061,7 +2058,7 @@ mod engine_equivalence_tests {
         // A healthy DMA round trip must produce a clean verdict: no
         // credit, flit, wormhole, plane or DMA-accounting findings.
         let mut soc = basic_soc();
-        soc.enable_sanitizer(SanitizerConfig::all());
+        soc.enable_sanitizer();
         let accel = Coord::new(0, 1);
         let input: Vec<u64> = (1..=16).collect();
         soc.dram_write_values(0, &input, 16).unwrap();
@@ -2077,7 +2074,7 @@ mod engine_equivalence_tests {
     #[test]
     fn phantom_words_breach_dma_accounting() {
         let mut soc = basic_soc();
-        soc.enable_sanitizer(SanitizerConfig::all());
+        soc.enable_sanitizer();
         let accel = Coord::new(0, 1);
         let input: Vec<u64> = (1..=16).collect();
         soc.dram_write_values(0, &input, 16).unwrap();
@@ -2095,7 +2092,7 @@ mod engine_equivalence_tests {
     #[test]
     fn leaked_credit_is_reported_through_soc() {
         let mut soc = basic_soc();
-        soc.enable_sanitizer(SanitizerConfig::all());
+        soc.enable_sanitizer();
         soc.fault_leak_credit(Coord::new(1, 0), esp4ml_noc::Plane::DmaReq);
         soc.run_cycles(5);
         let report = soc.sanitizer_report().expect("sanitizer armed");
@@ -2141,7 +2138,7 @@ mod engine_equivalence_tests {
                 .engine(engine)
                 .build()
                 .unwrap();
-            soc.enable_sanitizer(SanitizerConfig::all());
+            soc.enable_sanitizer();
             let accel = Coord::new(1, 1);
             let input: Vec<u64> = (1..=16).collect();
             soc.dram_write_values(0, &input, 16).unwrap();

@@ -9,7 +9,6 @@
 //! stalled are compared the same way after a fixed cycle budget, by
 //! final cycle and machine image.
 
-use esp4ml_check::SanitizerConfig;
 use esp4ml_fault::{FaultKind, FaultPlan, FaultSpec};
 use esp4ml_mem::{CacheConfig, DramConfig};
 use esp4ml_noc::{Coord, Plane};
@@ -49,7 +48,7 @@ fn build_floorplan(engine: SocEngine, sanitize: bool, sample_every: Option<u64>,
         .build()
         .expect("valid floorplan");
     if sanitize {
-        soc.enable_sanitizer(SanitizerConfig::all());
+        soc.enable_sanitizer();
     }
     if let Some(every) = sample_every {
         soc.enable_counter_sampling(every);

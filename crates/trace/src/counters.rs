@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// A registry of named `u64` metrics.
 ///
@@ -76,14 +77,35 @@ impl CounterRegistry {
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
         for (name, value) in &self.values {
-            let metric = prometheus_name(name);
-            out.push_str(&format!(
-                "# HELP {metric} Simulator counter {name}.\n\
-                 # TYPE {metric} counter\n\
-                 {metric} {value}\n"
-            ));
+            write_prometheus_family(
+                &mut out,
+                &prometheus_name(name),
+                "counter",
+                &format!("Simulator counter {name}."),
+                [("", *value)],
+            );
         }
         out
+    }
+}
+
+/// Appends one metric family in the Prometheus text exposition format:
+/// the `# HELP` and `# TYPE` header lines, then one `{name}{suffix}
+/// {value}` line per sample. A sample's suffix carries its labels
+/// (`{route="/v1/jobs"}`) and, for a histogram, the series tail
+/// (`_bucket{le="8"}`, `_sum`, `_count`); it is empty for an unlabeled
+/// sample.
+pub fn write_prometheus_family<S: std::fmt::Display>(
+    out: &mut String,
+    name: &str,
+    kind: &str,
+    help: &str,
+    samples: impl IntoIterator<Item = (S, u64)>,
+) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+    for (suffix, value) in samples {
+        let _ = writeln!(out, "{name}{suffix} {value}");
     }
 }
 

@@ -37,6 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod collector;
 mod counters;
 mod event;
 mod metrics;
@@ -48,7 +49,8 @@ pub mod span;
 mod timeseries;
 mod tracer;
 
-pub use counters::{prometheus_name, CounterRegistry, CounterSnapshot};
+pub use collector::Collector;
+pub use counters::{prometheus_name, write_prometheus_family, CounterRegistry, CounterSnapshot};
 pub use event::{DmaKind, TileCoord, TimedEvent, TraceEvent};
 pub use metrics::frames_per_second;
 pub use profile::{Histogram, ProfileCollector, RunProfile};

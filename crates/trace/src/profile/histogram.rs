@@ -13,6 +13,8 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
+use crate::counters::write_prometheus_family;
+
 /// log2 of the number of sub-buckets per octave.
 const SUB_BITS: u32 = 4;
 /// Sub-buckets per octave; also the mantissa precision of a bucket.
@@ -176,16 +178,17 @@ impl Histogram {
     /// must already be a valid Prometheus metric name (see
     /// [`prometheus_name`](crate::prometheus_name)).
     pub fn render_prometheus(&self, name: &str, help: &str) -> String {
-        use std::fmt::Write as _;
+        let buckets = self
+            .cumulative_buckets()
+            .into_iter()
+            .map(|(bound, cumulative)| (format!("_bucket{{le=\"{bound}\"}}"), cumulative));
+        let tail = [
+            ("_bucket{le=\"+Inf\"}".to_string(), self.count),
+            ("_sum".to_string(), self.sum),
+            ("_count".to_string(), self.count),
+        ];
         let mut out = String::new();
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        for (bound, cumulative) in self.cumulative_buckets() {
-            let _ = writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {cumulative}");
-        }
-        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", self.count);
-        let _ = writeln!(out, "{name}_sum {}", self.sum);
-        let _ = writeln!(out, "{name}_count {}", self.count);
+        write_prometheus_family(&mut out, name, "histogram", help, buckets.chain(tail));
         out
     }
 

@@ -3,8 +3,8 @@
 //! per-frame latency spans, per-tile time-in-state utilization, and a
 //! throughput bottleneck report.
 //!
-//! The collector attaches to a [`Tracer`] by wrapping its sink
-//! ([`ProfileCollector::sink`]): every recorded event is observed into
+//! The collector attaches to a [`Tracer`](crate::Tracer) by wrapping
+//! its sink ([`Collector::sink`]): every recorded event is observed into
 //! shared profile state *and* forwarded to the inner sink, so Perfetto
 //! export and profiling coexist on one event stream.
 //!
@@ -20,13 +20,12 @@ mod histogram;
 pub use histogram::Histogram;
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
+use crate::collector::sealed::Accumulator;
+use crate::collector::{Collector, StageGroups};
 use crate::event::{DmaKind, TileCoord, TimedEvent, TraceEvent};
-use crate::sink::{Observer, RingBufferSink, TeeSink, TraceSink};
-use crate::tracer::Tracer;
 
 /// Cycles attributed to the four coarse utilization classes.
 ///
@@ -275,12 +274,13 @@ impl AccelAccum {
     }
 }
 
-/// Accumulator for one open run.
+/// Profile state of one open run (the accumulator behind
+/// [`ProfileCollector`]).
 #[derive(Debug)]
-struct RunAccum {
+pub struct RunAccum {
     label: String,
     start_cycle: u64,
-    groups: Vec<(String, Vec<String>)>,
+    groups: StageGroups,
     final_members: BTreeSet<String>,
     accels: BTreeMap<String, AccelAccum>,
     pipeline: Histogram,
@@ -293,8 +293,10 @@ struct RunAccum {
     tlb_misses: u64,
 }
 
-impl RunAccum {
-    fn new(label: String, start_cycle: u64, groups: Vec<(String, Vec<String>)>) -> Self {
+impl Accumulator for RunAccum {
+    type Report = RunProfile;
+
+    fn open(label: String, start_cycle: u64, groups: StageGroups) -> Self {
         let final_members = groups
             .last()
             .map(|(_, members)| members.iter().cloned().collect())
@@ -398,7 +400,7 @@ impl RunAccum {
         // Without stage groups (replayed sinks), treat each instance as
         // its own single-width stage and use the instance that finished
         // last as the pipeline sink.
-        let groups: Vec<(String, Vec<String>)> = if self.groups.is_empty() {
+        let groups: StageGroups = if self.groups.is_empty() {
             accels
                 .keys()
                 .map(|name| (name.clone(), vec![name.clone()]))
@@ -507,96 +509,13 @@ impl RunAccum {
     }
 }
 
-#[derive(Debug, Default)]
-struct ProfileState {
-    pending_groups: Option<Vec<(String, Vec<String>)>>,
-    current: Option<RunAccum>,
-    finished: Vec<RunProfile>,
-}
-
-impl Observer for ProfileState {
-    fn observe(&mut self, ev: &TimedEvent) {
-        if let TraceEvent::RunStart { label } = &ev.event {
-            if let Some(open) = self.current.take() {
-                self.finished.push(open.close(ev.cycle));
-            }
-            let groups = self.pending_groups.take().unwrap_or_default();
-            self.current = Some(RunAccum::new(label.clone(), ev.cycle, groups));
-            return;
-        }
-        if let Some(run) = self.current.as_mut() {
-            run.observe(ev);
-        }
-    }
-}
-
 /// Shared handle onto online profile state.
 ///
 /// Clone it freely: all clones observe into the same state. Typical
-/// wiring is [`ProfileCollector::ring_buffer_tracer`], which returns a
-/// [`Tracer`] whose sink both profiles and buffers events.
-#[derive(Clone, Debug, Default)]
-pub struct ProfileCollector {
-    state: Arc<Mutex<ProfileState>>,
-}
-
-impl ProfileCollector {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Declares the pipeline stage groups (stage name plus member
-    /// instance names, in pipeline order) for the *next* run started.
-    /// Without groups the collector falls back to treating every
-    /// instance as its own stage.
-    pub fn set_stage_groups(&self, groups: Vec<(String, Vec<String>)>) {
-        self.lock().pending_groups = Some(groups);
-    }
-
-    /// Feeds one event into the profile state.
-    pub fn observe(&self, ev: &TimedEvent) {
-        self.lock().observe(ev);
-    }
-
-    /// Replays a drained event stream (e.g. from a sink) in order.
-    pub fn observe_all(&self, events: &[TimedEvent]) {
-        let mut state = self.lock();
-        for ev in events {
-            state.observe(ev);
-        }
-    }
-
-    /// Closes the open run at `end_cycle`, returning its profile (also
-    /// retained in [`ProfileCollector::take_reports`]). `None` when no
-    /// run is open.
-    pub fn close_run(&self, end_cycle: u64) -> Option<RunProfile> {
-        let mut state = self.lock();
-        let profile = state.current.take()?.close(end_cycle);
-        state.finished.push(profile.clone());
-        Some(profile)
-    }
-
-    /// Removes and returns all closed run profiles in completion order.
-    pub fn take_reports(&self) -> Vec<RunProfile> {
-        std::mem::take(&mut self.lock().finished)
-    }
-
-    /// Wraps `inner` so every recorded event is profiled and forwarded.
-    pub fn sink(&self, inner: Box<dyn TraceSink>) -> Box<dyn TraceSink> {
-        TeeSink::boxed(&self.state, inner)
-    }
-
-    /// Builds an enabled [`Tracer`] whose sink profiles online and
-    /// buffers events in a default-capacity [`RingBufferSink`].
-    pub fn ring_buffer_tracer(&self) -> Tracer {
-        Tracer::with_sink(self.sink(Box::<RingBufferSink>::default()))
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, ProfileState> {
-        self.state.lock().expect("profile state poisoned")
-    }
-}
+/// wiring is [`Collector::ring_buffer_tracer`], which returns a
+/// [`Tracer`](crate::Tracer) whose sink both profiles and buffers
+/// events.
+pub type ProfileCollector = Collector<RunAccum>;
 
 #[cfg(test)]
 mod tests {

@@ -21,10 +21,9 @@
 //!
 //! The aggregated [`CriticalPath`] names the limiting pipeline stage
 //! using *the same selection code* as the profiler's
-//! [`BottleneckReport`](crate::profile::BottleneckReport) — the
-//! collector embeds a [`ProfileCollector`] fed the identical event
-//! stream — so `espspan` and `espprof` provably agree on the limiting
-//! stage.
+//! [`BottleneckReport`](crate::profile::BottleneckReport) — each run's
+//! [`SpanAccum`] owns a [`RunAccum`] fed the identical event stream —
+//! so `espspan` and `espprof` provably agree on the limiting stage.
 //!
 //! Engine safety: span state is derived purely from the event stream
 //! plus the final cycle count, and both engines emit identical streams
@@ -32,14 +31,13 @@
 //! across `SocEngine::Naive` and `SocEngine::EventDriven`.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
+use crate::collector::sealed::Accumulator;
+use crate::collector::{Collector, StageGroups};
 use crate::event::{TimedEvent, TraceEvent};
-use crate::profile::ProfileCollector;
-use crate::sink::{Observer, RingBufferSink, TeeSink, TraceSink};
-use crate::tracer::Tracer;
+use crate::profile::RunAccum;
 
 /// What a slice of a frame's latency was spent on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -469,12 +467,14 @@ fn subdivide(
 /// One FSM timeline entry: (cycle, state entered, frame tag).
 type TimelineEntry = (u64, &'static str, Option<u64>);
 
-/// Accumulator for one open run.
+/// Span state of one open run (the accumulator behind
+/// [`SpanCollector`]).
 #[derive(Debug)]
-struct SpanAccum {
-    label: String,
-    start_cycle: u64,
-    groups: Vec<(String, Vec<String>)>,
+pub struct SpanAccum {
+    /// The run's profile, fed the same events; its bottleneck selection
+    /// is the critical path's base.
+    profile: RunAccum,
+    groups: StageGroups,
     /// Per-instance FSM timeline.
     timelines: BTreeMap<String, Vec<TimelineEntry>>,
     /// (cycle, instance, global frame id) in emission order.
@@ -486,11 +486,12 @@ struct SpanAccum {
     dropped_spans: u64,
 }
 
-impl SpanAccum {
-    fn new(label: String, start_cycle: u64, groups: Vec<(String, Vec<String>)>) -> Self {
+impl Accumulator for SpanAccum {
+    type Report = SpanReport;
+
+    fn open(label: String, start_cycle: u64, groups: StageGroups) -> Self {
         SpanAccum {
-            label,
-            start_cycle,
+            profile: RunAccum::open(label, start_cycle, groups.clone()),
             groups,
             timelines: BTreeMap::new(),
             completions: Vec::new(),
@@ -501,6 +502,7 @@ impl SpanAccum {
     }
 
     fn observe(&mut self, ev: &TimedEvent) {
+        self.profile.observe(ev);
         match &ev.event {
             TraceEvent::AccelPhaseChange {
                 accel, to, frame, ..
@@ -528,7 +530,8 @@ impl SpanAccum {
         }
     }
 
-    fn close(self, end_cycle: u64, critical_path_base: Option<CriticalPath>) -> SpanReport {
+    fn close(self, end_cycle: u64) -> SpanReport {
+        let profile = self.profile.close(end_cycle);
         // Instance -> (stage index, stage name); failover spares join
         // the stage of the instance they replaced.
         let mut stage_of: BTreeMap<String, (usize, String)> = BTreeMap::new();
@@ -578,7 +581,7 @@ impl SpanAccum {
                 .filter(|(c, a, _)| *a == owner0 && *c < first_done)
                 .map(|(c, _, _)| *c)
                 .max()
-                .unwrap_or(self.start_cycle);
+                .unwrap_or(profile.start_cycle);
             let mut begin = match tagged_entry {
                 Some(c) => c.min(first_done),
                 None => {
@@ -689,20 +692,25 @@ impl SpanAccum {
             })
             .collect();
 
-        let critical_path = critical_path_base.map(|mut cp| {
-            cp.dominant_kind = stage_costs
+        let critical_path = profile.bottleneck.map(|b| CriticalPath {
+            dominant_kind: stage_costs
                 .iter()
-                .find(|s| s.stage == cp.limiting_stage)
+                .find(|s| s.stage == b.limiting_stage)
                 .map(|s| s.dominant.clone())
-                .unwrap_or_else(|| "compute".to_string());
-            cp.stages = stage_costs;
-            cp
+                .unwrap_or_else(|| "compute".to_string()),
+            limiting_stage: b.limiting_stage,
+            bound_cycles_per_frame: b.bound_cycles_per_frame,
+            next_bound_cycles_per_frame: b.next_bound_cycles_per_frame,
+            observed_cycles_per_frame: b.observed_cycles_per_frame,
+            busy_fraction: b.busy_fraction,
+            speedup_ceiling: b.speedup_ceiling,
+            stages: stage_costs,
         });
 
         let partial = self.dropped_spans > 0 || frames.iter().any(|f| f.partial);
         SpanReport {
-            label: self.label,
-            start_cycle: self.start_cycle,
+            label: profile.label,
+            start_cycle: profile.start_cycle,
             end_cycle,
             frames,
             critical_path,
@@ -712,130 +720,23 @@ impl SpanAccum {
     }
 }
 
-#[derive(Debug, Default)]
-struct SpanState {
-    pending_groups: Option<Vec<(String, Vec<String>)>>,
-    current: Option<SpanAccum>,
-    finished: Vec<SpanReport>,
-    /// Embedded profiler fed the identical stream; its bottleneck
-    /// selection is reused verbatim for critical-path agreement.
-    profiler: ProfileCollector,
-}
-
-impl SpanState {
-    fn bottleneck_base(&mut self, end_cycle: u64) -> Option<CriticalPath> {
-        let profile = self.profiler.close_run(end_cycle);
-        self.profiler.take_reports();
-        profile.and_then(|p| p.bottleneck).map(|b| CriticalPath {
-            limiting_stage: b.limiting_stage,
-            dominant_kind: String::new(),
-            bound_cycles_per_frame: b.bound_cycles_per_frame,
-            next_bound_cycles_per_frame: b.next_bound_cycles_per_frame,
-            observed_cycles_per_frame: b.observed_cycles_per_frame,
-            busy_fraction: b.busy_fraction,
-            speedup_ceiling: b.speedup_ceiling,
-            stages: Vec::new(),
-        })
-    }
-}
-
-impl Observer for SpanState {
-    fn observe(&mut self, ev: &TimedEvent) {
-        if let TraceEvent::RunStart { label } = &ev.event {
-            if let Some(open) = self.current.take() {
-                let base = self.bottleneck_base(ev.cycle);
-                self.finished.push(open.close(ev.cycle, base));
-            }
-            let groups = self.pending_groups.take().unwrap_or_default();
-            self.current = Some(SpanAccum::new(label.clone(), ev.cycle, groups));
-            self.profiler.observe(ev);
-            return;
-        }
-        self.profiler.observe(ev);
-        if let Some(run) = self.current.as_mut() {
-            run.observe(ev);
-        }
-    }
-}
-
 /// Shared handle onto online span-assembly state.
 ///
 /// Clone it freely: all clones observe into the same state. Typical
-/// wiring is [`SpanCollector::sink`] inside a tracer's sink chain, or
-/// [`SpanCollector::ring_buffer_tracer`] for standalone use.
-#[derive(Clone, Debug, Default)]
-pub struct SpanCollector {
-    state: Arc<Mutex<SpanState>>,
-}
+/// wiring is [`Collector::sink`] inside a tracer's sink chain, or
+/// [`Collector::ring_buffer_tracer`] for standalone use.
+pub type SpanCollector = Collector<SpanAccum>;
 
 impl SpanCollector {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Declares the pipeline stage groups for the *next* run started
-    /// (same contract as
-    /// [`ProfileCollector::set_stage_groups`]).
-    pub fn set_stage_groups(&self, groups: Vec<(String, Vec<String>)>) {
-        let mut st = self.lock();
-        st.profiler.set_stage_groups(groups.clone());
-        st.pending_groups = Some(groups);
-    }
-
-    /// Feeds one event into the span state.
-    pub fn observe(&self, ev: &TimedEvent) {
-        self.lock().observe(ev);
-    }
-
-    /// Replays a drained event stream (e.g. from a sink) in order.
-    pub fn observe_all(&self, events: &[TimedEvent]) {
-        let mut st = self.lock();
-        for ev in events {
-            st.observe(ev);
-        }
-    }
-
     /// Records how many span-relevant events were discarded before
-    /// reaching this collector (e.g. [`Tracer::dropped_spans`] when
+    /// reaching this collector (e.g.
+    /// [`Tracer::dropped_spans`](crate::Tracer::dropped_spans) when
     /// replaying a saturated ring buffer). A non-zero count flags the
     /// open run's report as partial.
     pub fn note_dropped_spans(&self, n: u64) {
         if let Some(run) = self.lock().current.as_mut() {
             run.dropped_spans = n;
         }
-    }
-
-    /// Closes the open run at `end_cycle`, returning its report (also
-    /// retained for [`SpanCollector::take_reports`]). `None` when no
-    /// run is open.
-    pub fn close_run(&self, end_cycle: u64) -> Option<SpanReport> {
-        let mut st = self.lock();
-        let accum = st.current.take()?;
-        let base = st.bottleneck_base(end_cycle);
-        let report = accum.close(end_cycle, base);
-        st.finished.push(report.clone());
-        Some(report)
-    }
-
-    /// Removes and returns all closed run reports in completion order.
-    pub fn take_reports(&self) -> Vec<SpanReport> {
-        std::mem::take(&mut self.lock().finished)
-    }
-
-    /// Wraps `inner` so every recorded event is observed and forwarded.
-    pub fn sink(&self, inner: Box<dyn TraceSink>) -> Box<dyn TraceSink> {
-        TeeSink::boxed(&self.state, inner)
-    }
-
-    /// Builds an enabled [`Tracer`] whose sink assembles spans online
-    /// and buffers events in a default-capacity [`RingBufferSink`].
-    pub fn ring_buffer_tracer(&self) -> Tracer {
-        Tracer::with_sink(self.sink(Box::<RingBufferSink>::default()))
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, SpanState> {
-        self.state.lock().expect("span state poisoned")
     }
 }
 

@@ -165,11 +165,10 @@ fn sanitizer_catches_a_deliberately_leaked_credit() {
     // Fault injection through the public API: steal one credit from a
     // router port and let the conservation audit notice.
     use esp4ml::noc::{Coord, Plane};
-    use esp4ml::soc::SanitizerConfig;
 
     let models = TrainedModels::untrained();
     let mut soc = SocConfigFile::soc1().build(&models).expect("soc1 builds");
-    soc.enable_sanitizer(SanitizerConfig::all());
+    soc.enable_sanitizer();
     soc.fault_leak_credit(Coord::new(1, 0), Plane::DmaReq);
     soc.run_cycles(5);
     let report = soc.sanitizer_report().expect("sanitizer armed");

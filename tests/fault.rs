@@ -5,7 +5,7 @@
 
 use esp4ml::apps::{CaseApp, TrainedModels};
 use esp4ml::experiments::{AppRun, RunOptions};
-use esp4ml::faults::{CampaignReport, FaultConfig, CAMPAIGN_WATCHDOG_CYCLES};
+use esp4ml::faults::CampaignReport;
 use esp4ml::runtime::ExecMode;
 use esp4ml::trace::SpanKind;
 use esp4ml::TraceSession;
@@ -16,12 +16,8 @@ fn models() -> TrainedModels {
     TrainedModels::untrained()
 }
 
-fn hang_config(plan: FaultPlan) -> FaultConfig {
-    FaultConfig::from_plan(plan).with_watchdog(CAMPAIGN_WATCHDOG_CYCLES)
-}
-
-fn faulted(config: &FaultConfig) -> RunOptions<'_> {
-    RunOptions::faulted(SocEngine::EventDriven, config)
+fn faulted(plan: &FaultPlan) -> RunOptions<'_> {
+    RunOptions::faulted(SocEngine::EventDriven, plan)
 }
 
 /// The acceptance scenario of the fault-tolerance work: a Fig. 7
@@ -34,8 +30,8 @@ fn fig7_pipeline_survives_permanent_hang_via_failover() {
     let m = models();
     let app = CaseApp::NightVisionClassifier { nv: 2, cl: 2 };
     let healthy = AppRun::execute(&app, &m, 3, ExecMode::Pipe, RunOptions::default()).unwrap();
-    let config = hang_config(FaultPlan::new(0).with(FaultSpec::permanent_hang("cl0")));
-    let run = AppRun::execute(&app, &m, 3, ExecMode::Pipe, faulted(&config)).unwrap();
+    let plan = FaultPlan::new(0).with(FaultSpec::permanent_hang("cl0"));
+    let run = AppRun::execute(&app, &m, 3, ExecMode::Pipe, faulted(&plan)).unwrap();
     assert!(!run.software_fallback, "spares should absorb the hang");
     assert!(run.metrics.retries >= 1, "{:?}", run.metrics);
     assert!(run.metrics.failovers >= 1, "{:?}", run.metrics);
@@ -58,8 +54,8 @@ fn denoiser_hang_degrades_to_software_fallback() {
     let m = models();
     let app = CaseApp::DenoiserClassifier;
     let healthy = AppRun::execute(&app, &m, 3, ExecMode::Pipe, RunOptions::default()).unwrap();
-    let config = hang_config(FaultPlan::new(0).with(FaultSpec::permanent_hang("denoiser")));
-    let run = AppRun::execute(&app, &m, 3, ExecMode::Pipe, faulted(&config)).unwrap();
+    let plan = FaultPlan::new(0).with(FaultSpec::permanent_hang("denoiser"));
+    let run = AppRun::execute(&app, &m, 3, ExecMode::Pipe, faulted(&plan)).unwrap();
     assert!(run.software_fallback);
     assert_eq!(run.metrics.frames, 3);
     assert_eq!(run.predictions.len(), 3);
@@ -78,9 +74,9 @@ fn denoiser_hang_degrades_to_software_fallback() {
 fn traced_software_fallback_is_recorded() {
     let m = models();
     let app = CaseApp::DenoiserClassifier;
-    let config = hang_config(FaultPlan::new(0).with(FaultSpec::permanent_hang("denoiser")));
+    let plan = FaultPlan::new(0).with(FaultSpec::permanent_hang("denoiser"));
     let mut session = TraceSession::spanned(None, true);
-    let opts = faulted(&config).traced(&mut session);
+    let opts = faulted(&plan).traced(&mut session);
     let run = AppRun::execute(&app, &m, 3, ExecMode::Pipe, opts).unwrap();
     assert!(run.software_fallback);
     assert_eq!(session.span_reports().len(), 1);
@@ -95,8 +91,8 @@ fn transient_hang_recovers_with_retries_only() {
     let m = models();
     let app = CaseApp::DenoiserClassifier;
     let healthy = AppRun::execute(&app, &m, 3, ExecMode::P2p, RunOptions::default()).unwrap();
-    let config = hang_config(FaultPlan::new(0).with(FaultSpec::transient_hang("denoiser", 0)));
-    let run = AppRun::execute(&app, &m, 3, ExecMode::P2p, faulted(&config)).unwrap();
+    let plan = FaultPlan::new(0).with(FaultSpec::transient_hang("denoiser", 0));
+    let run = AppRun::execute(&app, &m, 3, ExecMode::P2p, faulted(&plan)).unwrap();
     assert!(!run.software_fallback);
     assert!(run.metrics.retries >= 1);
     assert_eq!(run.metrics.failovers, 0);
@@ -144,14 +140,14 @@ fn recovery_cycles_appear_as_retry_and_failover_spans() {
     // Transient hang: heals with retries alone, so the stretched
     // frame's extra latency must be visible as Retry-attributed cycles.
     let app = CaseApp::DenoiserClassifier;
-    let config = hang_config(FaultPlan::new(0).with(FaultSpec::transient_hang("denoiser", 0)));
+    let plan = FaultPlan::new(0).with(FaultSpec::transient_hang("denoiser", 0));
     let mut session = TraceSession::spanned(None, false);
     let run = AppRun::execute(
         &app,
         &m,
         3,
         ExecMode::P2p,
-        faulted(&config).traced(&mut session),
+        faulted(&plan).traced(&mut session),
     )
     .unwrap();
     assert!(run.metrics.retries >= 1, "{:?}", run.metrics);
@@ -177,14 +173,14 @@ fn recovery_cycles_appear_as_retry_and_failover_spans() {
     // classifier — the remap must leave a Failover marker in the tree
     // without breaking attribution.
     let app = CaseApp::NightVisionClassifier { nv: 2, cl: 2 };
-    let config = hang_config(FaultPlan::new(0).with(FaultSpec::permanent_hang("cl0")));
+    let plan = FaultPlan::new(0).with(FaultSpec::permanent_hang("cl0"));
     let mut session = TraceSession::spanned(None, false);
     let run = AppRun::execute(
         &app,
         &m,
         3,
         ExecMode::Pipe,
-        faulted(&config).traced(&mut session),
+        faulted(&plan).traced(&mut session),
     )
     .unwrap();
     assert!(run.metrics.failovers >= 1, "{:?}", run.metrics);
@@ -236,10 +232,10 @@ fn traced_faulted_runs_are_identical_across_engines() {
         ),
     ];
     for (app, mode, spec) in cases {
-        let config = hang_config(FaultPlan::new(0).with(spec.clone()));
+        let plan = FaultPlan::new(0).with(spec.clone());
         let traced = |engine: SocEngine| {
             let mut session = TraceSession::spanned(None, true);
-            let opts = RunOptions::faulted(engine, &config).traced(&mut session);
+            let opts = RunOptions::faulted(engine, &plan).traced(&mut session);
             let run = AppRun::execute(&app, &m, 3, mode, opts).unwrap();
             let events = session.tracer().drain();
             (run.metrics, events, session.span_reports_json())
@@ -257,8 +253,9 @@ fn traced_faulted_runs_are_identical_across_engines() {
     }
 }
 
-/// With no fault plan installed and no recovery policy configured, the
-/// new machinery must be invisible: metrics identical to a plain run.
+/// A faulted run with an empty plan arms the watchdog and recovery
+/// layer but injects nothing; that machinery must be invisible: metrics
+/// identical to a plain run.
 #[test]
 fn no_faults_is_zero_cost() {
     let m = models();
@@ -276,7 +273,7 @@ fn no_faults_is_zero_cost() {
             &m,
             3,
             mode,
-            faulted(&FaultConfig::default()),
+            faulted(&FaultPlan::default()),
         )
         .unwrap();
         assert_eq!(plain.metrics, armed.metrics, "{mode:?}");
