@@ -96,6 +96,18 @@ fn fig8_spanned_and_profiled_response_is_pinned() {
     );
 }
 
+/// The whole 15-point Fig. 7 grid, including the base-mode Night-Vision
+/// points where an invocation completes inside its own ioctl window.
+#[test]
+fn fig7_full_grid_response_is_pinned() {
+    let req = request(WorkloadKind::Fig7, &[]);
+    assert_pinned(
+        "fig7 grid",
+        &req,
+        (0x6373_fcb4_d577_d30b, 0x4601_fc2c_a664_3f58),
+    );
+}
+
 #[test]
 fn fig7_sanitized_response_is_pinned() {
     let mut req = request(WorkloadKind::Fig7, &[9, 10, 11]);

@@ -1114,6 +1114,51 @@ mod tests {
         Ok((outs, m))
     }
 
+    /// Runs 4 frames through `two_stage_runtime` in `mode` under
+    /// [`RecoveryPolicy::default`], optionally with x2's first start
+    /// command swallowed, and returns `(cycles, invocations, retries,
+    /// failovers)`.
+    fn pinned_run(mode: ExecMode, hang: bool) -> Result<(u64, u64, u64, u64), RuntimeError> {
+        let mut rt = two_stage_runtime()?;
+        if hang {
+            let plan = FaultPlan::new(0).with(FaultSpec::transient_hang("x2", 0));
+            rt.soc_mut().install_fault_plan(&plan);
+        }
+        let df = Dataflow::linear(&[&["x2"], &["x3"]]);
+        let buf = rt.prepare(&df, 4)?;
+        for f in 0..4 {
+            rt.write_frame(&buf, f, &[f + 1; 16])?;
+        }
+        let spec = RunSpec::new(&df)
+            .mode(mode)
+            .watchdog_cycles(50_000)
+            .recover(RecoveryPolicy::default());
+        let m = rt.run(&spec, &buf)?;
+        for f in 0..4 {
+            assert_eq!(rt.read_frame(&buf, f)?, vec![(f + 1) * 6; 16], "frame {f}");
+        }
+        Ok((m.cycles, m.invocations, m.retries, m.failovers))
+    }
+
+    /// Exact metrics per mode, healthy and recovering. The `ScaleKernel`
+    /// stages finish inside their own ioctl window, so these numbers move
+    /// if any mode changes when it polls for completion interrupts.
+    #[test]
+    fn run_metrics_are_pinned_per_mode() -> Result<(), RuntimeError> {
+        let pins = [
+            (ExecMode::Base, false, (2400, 8, 0, 0)),
+            (ExecMode::Pipe, false, (2405, 8, 0, 0)),
+            (ExecMode::P2p, false, (600, 2, 0, 0)),
+            (ExecMode::Base, true, (53701, 9, 1, 0)),
+            (ExecMode::Pipe, true, (53706, 9, 1, 0)),
+            (ExecMode::P2p, true, (52903, 4, 2, 0)),
+        ];
+        for (mode, hang, expected) in pins {
+            assert_eq!(pinned_run(mode, hang)?, expected, "{mode:?}, hang: {hang}");
+        }
+        Ok(())
+    }
+
     #[test]
     fn all_modes_compute_the_same_result() -> Result<(), RuntimeError> {
         let (base, mb) = run_mode(ExecMode::Base)?;
