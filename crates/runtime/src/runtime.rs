@@ -11,7 +11,7 @@ use std::collections::HashSet;
 
 /// Driver/syscall overhead charged per accelerator invocation, in SoC
 /// cycles: the `ioctl` path through the Linux kernel on the Ariane core.
-const DEFAULT_IOCTL_CYCLES: u64 = 300;
+const IOCTL_CYCLES: u64 = 300;
 
 /// Default per-invocation watchdog deadline, in cycles: how long the
 /// driver waits for a completion interrupt before declaring the
@@ -63,9 +63,15 @@ impl RecoveryPolicy {
     }
 }
 
-/// Book-keeping for one recovering run.
+/// The state of one run: the live plan and its buffers, the watchdog and
+/// recovery settings, and the counters the run reports.
 #[derive(Debug)]
-struct RecoveryCtx {
+struct RunCtx<'b> {
+    /// Device placement; failover remaps instances in place, and the remap
+    /// is sticky for the rest of the run.
+    plan: Plan,
+    /// The buffers the run reads and writes.
+    buf: &'b AppBuffers,
     /// Per-invocation watchdog deadline in cycles.
     watchdog: u64,
     /// Recovery policy; `None` = watchdog expiry is fatal.
@@ -73,6 +79,8 @@ struct RecoveryCtx {
     /// Cycle at which the run started (timeouts report measured elapsed
     /// cycles, not the configured budget).
     start_cycle: u64,
+    /// Invocations issued, re-issues included.
+    invocations: u64,
     /// Invocations re-issued after a watchdog expiry.
     retries: u64,
     /// Stage instances remapped to a spare.
@@ -81,23 +89,110 @@ struct RecoveryCtx {
     banned: HashSet<Coord>,
 }
 
+impl RunCtx<'_> {
+    /// The device `inv` currently runs on (after any failover).
+    fn device(&self, inv: &Invocation) -> &DeviceInfo {
+        &self.plan.stages[inv.s][inv.j]
+    }
+}
+
+/// One accelerator invocation: the plan slot it runs on, the socket
+/// configuration kept for re-issue, and its watchdog state.
+#[derive(Debug, Clone)]
+struct Invocation {
+    /// Stage index into the plan.
+    s: usize,
+    /// Instance index within stage `s`.
+    j: usize,
+    /// The global frame (DMA modes) or the batch's first frame (p2p).
+    frame: u64,
+    /// Socket registers, written unchanged on every (re-)issue.
+    cfg: AccelConfig,
+    /// Cycle at which the latest (re-)issue's ioctl returned.
+    issued_at: u64,
+    /// Retries spent on the current device.
+    attempts: u32,
+}
+
+impl Invocation {
+    fn new(s: usize, j: usize, frame: u64, cfg: AccelConfig) -> Self {
+        Invocation {
+            s,
+            j,
+            frame,
+            cfg,
+            issued_at: 0,
+            attempts: 0,
+        }
+    }
+
+    /// The single-frame DMA invocation of stage `s`, instance `j` on
+    /// global frame `f`: it reads the stage's input region and writes the
+    /// next stage's region, or the application output.
+    fn dma(buf: &AppBuffers, s: usize, j: usize, f: u64) -> Self {
+        let region = |r: usize| buf.handle.base + buf.region_offsets[r] + f * buf.stage_in_words[r];
+        let src = if s == 0 {
+            buf.input_frame_addr(f)
+        } else {
+            region(s)
+        };
+        let dst = if s + 1 == buf.stage_in_words.len() {
+            buf.output_frame_addr(f)
+        } else {
+            region(s + 1)
+        };
+        let cfg = AccelConfig::dma_to_dma(src, dst, 1).with_frame_ids(f, 1);
+        Invocation::new(s, j, f, cfg)
+    }
+
+    /// The p2p batch of stage `s`, instance `j` over its `n` frames: it
+    /// loads from DRAM or pulls from the previous stage's tiles, and
+    /// pushes to the next stage or stores to DRAM.
+    fn batch(plan: &Plan, buf: &AppBuffers, s: usize, j: usize, n: u64) -> Self {
+        let (depth, stage, frames) = (plan.stages.len(), &plan.stages[s], buf.frames);
+        let k = stage.len() as u64;
+        let sub_in = AppBuffers::sub_region_words(frames, k, buf.stage_in_words[s]);
+        let src = buf.handle.base + buf.region_offsets[0] + j as u64 * sub_in;
+        let cfg = if depth == 1 {
+            // Degenerate single-stage dataflow: plain DMA.
+            AccelConfig::dma_to_dma(src, buf.output_frame_addr(j as u64), n)
+        } else if s == 0 {
+            AccelConfig::dma_to_p2p(src, n)
+        } else {
+            let prev = &plan.stages[s - 1];
+            let sources: Vec<Coord> = if prev.len() == stage.len() {
+                vec![prev[j].coord]
+            } else {
+                prev.iter().map(|i| i.coord).collect()
+            };
+            if s == depth - 1 {
+                let sub_out = AppBuffers::sub_region_words(frames, k, buf.out_words);
+                let dst = buf.handle.base + buf.region_offsets[depth] + j as u64 * sub_out;
+                AccelConfig::p2p_to_dma(sources, dst, n)
+            } else {
+                AccelConfig::p2p_to_p2p(sources, n)
+            }
+        };
+        // Instance `j` of a width-`k` stage serves global frames j, j+k,
+        // j+2k, ... (the round-robin frame assignment).
+        Invocation::new(s, j, j as u64, cfg.with_frame_ids(j as u64, k))
+    }
+}
+
 /// A typed description of one `esp_run` invocation: the dataflow plus the
-/// run options that used to be scattered across runtime setters
-/// ([`EspRuntime::set_ioctl_cycles`], [`EspRuntime::set_tracer`]).
+/// run options (execution mode, watchdog, recovery policy).
 ///
 /// ```
 /// use esp4ml_runtime::{Dataflow, ExecMode, RunSpec};
 ///
 /// let df = Dataflow::linear(&[&["classifier"]]);
-/// let spec = RunSpec::new(&df).mode(ExecMode::P2p).ioctl_cycles(500);
+/// let spec = RunSpec::new(&df).mode(ExecMode::P2p).watchdog_cycles(50_000);
 /// assert_eq!(spec.exec_mode(), ExecMode::P2p);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RunSpec<'a> {
     dataflow: &'a Dataflow,
     mode: ExecMode,
-    ioctl_cycles: Option<u64>,
-    tracer: Option<Tracer>,
     watchdog_cycles: Option<u64>,
     recovery: Option<RecoveryPolicy>,
 }
@@ -108,8 +203,6 @@ impl<'a> RunSpec<'a> {
         RunSpec {
             dataflow,
             mode: ExecMode::Base,
-            ioctl_cycles: None,
-            tracer: None,
             watchdog_cycles: None,
             recovery: None,
         }
@@ -118,18 +211,6 @@ impl<'a> RunSpec<'a> {
     /// Selects the execution mode (Fig. 7's `base` / `pipe` / `p2p`).
     pub fn mode(mut self, mode: ExecMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Overrides the per-invocation driver overhead for this run only.
-    pub fn ioctl_cycles(mut self, cycles: u64) -> Self {
-        self.ioctl_cycles = Some(cycles);
-        self
-    }
-
-    /// Installs `tracer` on the runtime and SoC before the run.
-    pub fn trace(mut self, tracer: Tracer) -> Self {
-        self.tracer = Some(tracer);
         self
     }
 
@@ -233,8 +314,6 @@ impl AppBuffers {
 ///
 /// * `alloc` — the contiguous allocator, so a forked runtime can keep
 ///   allocating without colliding with buffers the prefix carved out.
-/// * `ioctl_cycles` — the persistent driver-overhead setting
-///   ([`EspRuntime::set_ioctl_cycles`]).
 /// * `counters` — the cross-run counter accumulation
 ///   ([`EspRuntime::counters`]); runs executed after a restore add onto
 ///   exactly the totals the snapshot recorded, so forked and cold-start
@@ -251,8 +330,6 @@ pub struct RuntimeSnapshot {
     pub soc: SocSnapshot,
     /// The contiguous-buffer allocator (live handles and free list).
     pub alloc: ContigAlloc,
-    /// The persistent per-invocation driver overhead, in cycles.
-    pub ioctl_cycles: u64,
     /// Counters accumulated across every run so far.
     pub counters: CounterRegistry,
 }
@@ -320,7 +397,6 @@ pub struct EspRuntime {
     soc: Soc,
     alloc: ContigAlloc,
     registry: DeviceRegistry,
-    ioctl_cycles: u64,
     tracer: Tracer,
     counters: CounterRegistry,
 }
@@ -341,7 +417,6 @@ impl EspRuntime {
             soc,
             alloc,
             registry,
-            ioctl_cycles: DEFAULT_IOCTL_CYCLES,
             tracer: Tracer::disabled(),
             counters: CounterRegistry::new(),
         })
@@ -376,11 +451,6 @@ impl EspRuntime {
         &mut self.soc
     }
 
-    /// Overrides the per-invocation driver overhead in cycles.
-    pub fn set_ioctl_cycles(&mut self, cycles: u64) {
-        self.ioctl_cycles = cycles;
-    }
-
     /// Hardware execution counters of a device (the ESP monitors API):
     /// busy/load/compute/store cycles, frames, DMA and p2p word counts.
     pub fn device_stats(&self, name: &str) -> Option<esp4ml_soc::AccelStats> {
@@ -389,23 +459,22 @@ impl EspRuntime {
     }
 
     /// Captures the complete serializable runtime state — machine
-    /// snapshot, allocator, driver settings and accumulated counters —
-    /// as a [`RuntimeSnapshot`] that [`EspRuntime::restore`] resumes
+    /// snapshot, allocator and accumulated counters — as a
+    /// [`RuntimeSnapshot`] that [`EspRuntime::restore`] resumes
     /// byte-identically.
     pub fn snapshot(&self) -> RuntimeSnapshot {
         RuntimeSnapshot {
             soc: self.soc.snapshot(),
             alloc: self.alloc.clone(),
-            ioctl_cycles: self.ioctl_cycles,
             counters: self.counters.clone(),
         }
     }
 
     /// Restores a state captured by [`EspRuntime::snapshot`], replacing
-    /// the SoC state, allocator, driver settings and counters wholesale.
-    /// The runtime must sit on the same floorplan the snapshot was taken
-    /// on; the device registry is not touched (it is derived from that
-    /// floorplan). The tracer is left as-is.
+    /// the SoC state, allocator and counters wholesale. The runtime must
+    /// sit on the same floorplan the snapshot was taken on; the device
+    /// registry is not touched (it is derived from that floorplan). The
+    /// tracer is left as-is.
     ///
     /// # Errors
     ///
@@ -416,7 +485,6 @@ impl EspRuntime {
     pub fn restore(&mut self, snapshot: &RuntimeSnapshot) -> Result<(), RuntimeError> {
         self.soc.restore(&snapshot.soc)?;
         self.alloc = snapshot.alloc.clone();
-        self.ioctl_cycles = snapshot.ioctl_cycles;
         self.counters = snapshot.counters.clone();
         Ok(())
     }
@@ -452,15 +520,12 @@ impl EspRuntime {
         let mut stage_in_words = Vec::with_capacity(depth);
         let mut cursor = 0u64;
         for (s, stage) in plan.stages.iter().enumerate() {
-            let info = &stage[0];
-            let words = info.input_words();
+            let words = stage[0].input_words();
             stage_in_words.push(words);
             region_offsets.push(cursor);
+            // Only the input region is partitioned by instance.
             let k = if s == 0 { stage.len() as u64 } else { 1 };
-            cursor += AppBuffers::sub_region_words(frames, k, words) * k.max(1);
-            if s == 0 && stage.len() as u64 > 1 {
-                // Partitioned region already accounts for all instances.
-            }
+            cursor += AppBuffers::sub_region_words(frames, k, words) * k;
         }
         let last = &plan.stages[depth - 1][0];
         let out_words = last.output_words();
@@ -521,10 +586,7 @@ impl EspRuntime {
     }
 
     /// Executes a [`RunSpec`] over the prepared buffers — the typed
-    /// replacement for the removed `esp_run` shim. A spec-level ioctl
-    /// override applies to this run only; a spec-level tracer is
-    /// installed on the runtime and SoC as [`EspRuntime::set_tracer`]
-    /// would.
+    /// replacement for the removed `esp_run` shim.
     ///
     /// # Errors
     ///
@@ -534,49 +596,28 @@ impl EspRuntime {
         spec: &RunSpec<'_>,
         buf: &AppBuffers,
     ) -> Result<RunMetrics, RuntimeError> {
-        if let Some(tracer) = &spec.tracer {
-            self.set_tracer(tracer.clone());
-        }
-        let saved_ioctl = self.ioctl_cycles;
-        if let Some(cycles) = spec.ioctl_cycles {
-            self.ioctl_cycles = cycles;
-        }
-        let watchdog = spec.watchdog_cycles.unwrap_or(DEFAULT_WATCHDOG_CYCLES);
-        let result = self.run_spec_inner(spec.dataflow, buf, spec.mode, watchdog, spec.recovery);
-        self.ioctl_cycles = saved_ioctl;
-        result
-    }
-
-    fn run_spec_inner(
-        &mut self,
-        dataflow: &Dataflow,
-        buf: &AppBuffers,
-        mode: ExecMode,
-        watchdog: u64,
-        policy: Option<RecoveryPolicy>,
-    ) -> Result<RunMetrics, RuntimeError> {
-        // The plan is mutable: failover remaps stage instances in place,
-        // and the remap is sticky for the rest of the run.
-        let mut plan = Plan::resolve(dataflow, &self.registry)?;
+        let plan = Plan::resolve(spec.dataflow, &self.registry)?;
         let start_cycle = self.soc.cycle();
         let stats0 = self.soc.stats();
         let hops0 = self.soc.noc_stats().total_flit_hops();
         let faults0 = self.soc.faults_injected();
         self.soc.take_irqs(); // discard stale interrupts
-        let mut ctx = RecoveryCtx {
-            watchdog,
-            policy,
+        let mut cx = RunCtx {
+            plan,
+            buf,
+            watchdog: spec.watchdog_cycles.unwrap_or(DEFAULT_WATCHDOG_CYCLES),
+            policy: spec.recovery,
             start_cycle,
+            invocations: 0,
             retries: 0,
             failovers: 0,
             banned: HashSet::new(),
         };
-
-        let invocations = match mode {
-            ExecMode::Base => self.run_base(&mut plan, buf, &mut ctx)?,
-            ExecMode::Pipe => self.run_pipe(&mut plan, buf, &mut ctx)?,
-            ExecMode::P2p => self.run_p2p(&plan, buf, &mut ctx)?,
-        };
+        match spec.mode {
+            ExecMode::Base => self.run_base(&mut cx)?,
+            ExecMode::Pipe => self.run_pipe(&mut cx)?,
+            ExecMode::P2p => self.run_p2p(&mut cx)?,
+        }
 
         let stats1 = self.soc.stats();
         let metrics = RunMetrics {
@@ -587,11 +628,11 @@ impl EspRuntime {
             dram_accesses: (stats1.dram_word_reads + stats1.dram_word_writes)
                 - (stats0.dram_word_reads + stats0.dram_word_writes),
             noc_flit_hops: self.soc.noc_stats().total_flit_hops() - hops0,
-            invocations,
+            invocations: cx.invocations,
             clock_hz: self.soc.clock_hz(),
             faults_injected: self.soc.faults_injected() - faults0,
-            retries: ctx.retries,
-            failovers: ctx.failovers,
+            retries: cx.retries,
+            failovers: cx.failovers,
         };
         self.counters.add("runtime.frames", metrics.frames);
         self.counters
@@ -615,139 +656,98 @@ impl EspRuntime {
         Ok(metrics)
     }
 
-    /// Builds the timeout error, reporting how long the run actually ran
-    /// (not the configured budget) plus a deadlock diagnosis if the
-    /// sanitizer can name one.
-    fn timeout_err(&self, ctx: &RecoveryCtx) -> RuntimeError {
-        RuntimeError::Timeout {
-            cycles: self.soc.cycle() - ctx.start_cycle,
-            diagnosis: self.soc.diagnose_deadlock().map(|d| d.to_string()),
-        }
-    }
-
-    /// Resets a wedged device and burns the policy's backoff before the
-    /// caller re-issues the invocation (`attempt` is 1-based).
-    fn retry_backoff(
-        &mut self,
-        coord: Coord,
-        name: &str,
-        attempt: u32,
-        policy: &RecoveryPolicy,
-        ctx: &mut RecoveryCtx,
-    ) -> Result<(), RuntimeError> {
-        let proc = self.soc.primary_proc();
-        let backoff = policy.backoff_for(attempt);
-        let device = name.to_string();
-        self.tracer
-            .emit(self.soc.cycle(), TileCoord::new(proc.x, proc.y), || {
-                TraceEvent::RetryScheduled {
-                    device,
-                    attempt,
-                    backoff,
+    /// Base mode: one invocation at a time, frame by frame and stage by
+    /// stage, polling for its interrupt right after every (re-)issue.
+    fn run_base(&mut self, cx: &mut RunCtx<'_>) -> Result<(), RuntimeError> {
+        for f in 0..cx.buf.frames {
+            for s in 0..cx.plan.stages.len() {
+                let j = (f % cx.plan.stages[s].len() as u64) as usize;
+                let mut inv = Invocation::dma(cx.buf, s, j, f);
+                self.issue(cx, &mut inv)?;
+                while !self.wait_for_irq(cx, &inv) {
+                    self.recover(cx, &mut inv, true)?;
+                    self.issue(cx, &mut inv)?;
                 }
-            });
-        self.soc.reset_accel(coord)?;
-        if backoff > 0 {
-            self.soc.run_cycles(backoff);
+            }
         }
-        ctx.retries += 1;
         Ok(())
     }
 
-    /// Finds an idle spare for `failed`: same kind and I/O shape, not part
-    /// of the plan, not previously abandoned.
-    fn find_spare(
-        &self,
-        plan: &Plan,
-        failed: &DeviceInfo,
-        ctx: &RecoveryCtx,
-    ) -> Option<DeviceInfo> {
-        if failed.kind.is_empty() {
-            return None; // hand-registered record predating kinds
-        }
-        let in_plan: HashSet<Coord> = plan
-            .stages
-            .iter()
-            .flat_map(|st| st.iter().map(|d| d.coord))
+    /// Pipe mode: a software pipeline of single-frame DMA invocations.
+    /// Each round retires, issues every ready frame (each ioctl
+    /// serializes on the core), then expires and sleeps before polling.
+    fn run_pipe(&mut self, cx: &mut RunCtx<'_>) -> Result<(), RuntimeError> {
+        let (frames, depth) = (cx.buf.frames, cx.plan.stages.len());
+        // Plan slots in stage-major order; `inflight` and `issued` (the
+        // frames each instance has started) are indexed alike.
+        let slots: Vec<(usize, usize)> = (cx.plan.stages.iter().enumerate())
+            .flat_map(|(s, stage)| (0..stage.len()).map(move |j| (s, j)))
             .collect();
-        self.registry.devices().into_iter().find(|d| {
-            d.kind == failed.kind
-                && d.input_values == failed.input_values
-                && d.output_values == failed.output_values
-                && d.data_bits == failed.data_bits
-                && !in_plan.contains(&d.coord)
-                && !ctx.banned.contains(&d.coord)
-        })
-    }
-
-    /// Remaps stage `s`, instance `j` to a spare device. Returns `false`
-    /// when no spare exists (the caller then gives up).
-    fn failover(
-        &mut self,
-        plan: &mut Plan,
-        s: usize,
-        j: usize,
-        buf: &AppBuffers,
-        ctx: &mut RecoveryCtx,
-    ) -> Result<bool, RuntimeError> {
-        let failed = plan.stages[s][j].clone();
-        let Some(spare) = self.find_spare(plan, &failed, ctx) else {
-            return Ok(false);
-        };
-        // `prepare` only mapped the planned devices; the spare needs the
-        // application buffer in its VA space before it can DMA.
-        self.soc
-            .map_contiguous(spare.coord, 0, buf.handle.base + buf.handle.len)?;
-        ctx.banned.insert(failed.coord);
-        let proc = self.soc.primary_proc();
-        let (from, to) = (failed.name.clone(), spare.name.clone());
-        self.tracer
-            .emit(self.soc.cycle(), TileCoord::new(proc.x, proc.y), || {
-                TraceEvent::FailedOver { from, to }
-            });
-        plan.stages[s][j] = spare;
-        ctx.failovers += 1;
-        Ok(true)
-    }
-
-    /// Source address of stage `s`, instance `j`, frame `f` in DMA modes.
-    fn dma_src(&self, buf: &AppBuffers, _plan: &Plan, s: usize, f: u64) -> u64 {
-        if s == 0 {
-            buf.input_frame_addr(f)
-        } else {
-            buf.handle.base + buf.region_offsets[s] + f * buf.stage_in_words[s]
+        let mut inflight: Vec<Option<Invocation>> = vec![None; slots.len()];
+        let mut issued = vec![0u64; slots.len()];
+        // Per stage: which frames have completed.
+        let mut done = vec![vec![false; frames as usize]; depth];
+        loop {
+            for inv in self.retire(cx, &mut inflight) {
+                done[inv.s][inv.frame as usize] = true;
+            }
+            if done[depth - 1].iter().all(|&d| d) {
+                return Ok(());
+            }
+            for (i, &(s, j)) in slots.iter().enumerate() {
+                // Instance `j` of a width-`k` stage takes frames j, j+k, ...
+                let f = j as u64 + issued[i] * cx.plan.stages[s].len() as u64;
+                if inflight[i].is_some() || f >= frames || (s > 0 && !done[s - 1][f as usize]) {
+                    continue;
+                }
+                let mut inv = Invocation::dma(cx.buf, s, j, f);
+                self.issue(cx, &mut inv)?;
+                issued[i] += 1;
+                inflight[i] = Some(inv);
+            }
+            self.expire_and_sleep(cx, &mut inflight, true)?;
         }
     }
 
-    /// Destination address of stage `s`, frame `f` in DMA modes.
-    fn dma_dst(&self, buf: &AppBuffers, plan: &Plan, s: usize, f: u64) -> u64 {
-        if s == plan.stages.len() - 1 {
-            buf.output_frame_addr(f)
-        } else {
-            let words = buf.stage_in_words[s + 1];
-            buf.handle.base + buf.region_offsets[s + 1] + f * words
+    /// p2p mode: one batch invocation per instance, synchronized by the
+    /// hardware. It polls once right after issuing every batch, then
+    /// sleeps before each poll.
+    ///
+    /// Recovery is retry-only: peers address their sources by tile
+    /// coordinate in `P2P_REG`, so swapping one instance would require
+    /// reconfiguring (and restarting) every consumer mid-flight. Retry
+    /// alone still recovers hangs at start: a restarted producer finds its
+    /// consumers parked in LOAD, waiting for the p2p data.
+    fn run_p2p(&mut self, cx: &mut RunCtx<'_>) -> Result<(), RuntimeError> {
+        let mut inflight = Vec::new();
+        for s in 0..cx.plan.stages.len() {
+            let k = cx.plan.stages[s].len() as u64;
+            for j in 0..k {
+                let n = AppBuffers::frames_for_instance(cx.buf.frames, k, j);
+                if n == 0 {
+                    continue;
+                }
+                let mut inv = Invocation::batch(&cx.plan, cx.buf, s, j as usize, n);
+                self.issue(cx, &mut inv)?;
+                inflight.push(Some(inv));
+            }
+        }
+        loop {
+            self.retire(cx, &mut inflight);
+            if inflight.iter().all(Option::is_none) {
+                return Ok(());
+            }
+            self.expire_and_sleep(cx, &mut inflight, false)?;
         }
     }
 
-    /// Issues one single-frame DMA invocation (configure + start) for
-    /// global frame `frame`, charging the ioctl overhead.
-    fn issue_dma_invocation(
-        &mut self,
-        coord: Coord,
-        src: u64,
-        dst: u64,
-        frame: u64,
-    ) -> Result<(), RuntimeError> {
-        let cfg = AccelConfig::dma_to_dma(src, dst, 1).with_frame_ids(frame, 1);
-        self.soc.configure_accel(coord, &cfg)?;
+    /// Configures and starts `inv` on its (possibly failed-over) device
+    /// and charges the ioctl, traced as issued from the primary processor
+    /// tile. The invocation's watchdog starts when the ioctl returns.
+    fn issue(&mut self, cx: &mut RunCtx<'_>, inv: &mut Invocation) -> Result<(), RuntimeError> {
+        let coord = cx.device(inv).coord;
+        self.soc.configure_accel(coord, &inv.cfg)?;
         self.soc.start_accel(coord)?;
-        self.ioctl(coord);
-        Ok(())
-    }
-
-    /// Charges the per-invocation driver overhead, tracing the ioctl as
-    /// issued from the primary processor tile.
-    fn ioctl(&mut self, coord: Coord) {
         let proc = self.soc.primary_proc();
         self.tracer
             .emit(self.soc.cycle(), TileCoord::new(proc.x, proc.y), || {
@@ -758,313 +758,146 @@ impl EspRuntime {
                     .unwrap_or_default();
                 TraceEvent::IoctlIssue { device }
             });
-        self.soc.run_cycles(self.ioctl_cycles);
+        self.soc.run_cycles(IOCTL_CYCLES);
+        cx.invocations += 1;
+        inv.issued_at = self.soc.cycle();
+        Ok(())
     }
 
-    fn run_base(
+    /// The recovery ladder for an invocation whose watchdog expired. While
+    /// retries remain: reset the device and burn the policy's backoff.
+    /// Then, if `remap`: quiesce the device and fail over to a spare with
+    /// a fresh retry budget. Otherwise give up with a timeout. On `Ok` the
+    /// caller re-issues `inv`.
+    fn recover(
         &mut self,
-        plan: &mut Plan,
-        buf: &AppBuffers,
-        ctx: &mut RecoveryCtx,
-    ) -> Result<u64, RuntimeError> {
-        let mut invocations = 0u64;
-        for f in 0..buf.frames {
-            for s in 0..plan.stages.len() {
-                let j = (f % plan.stages[s].len() as u64) as usize;
-                let mut attempt: u32 = 0;
-                loop {
-                    let coord = plan.stages[s][j].coord;
-                    let src = self.dma_src(buf, plan, s, f);
-                    let dst = self.dma_dst(buf, plan, s, f);
-                    self.issue_dma_invocation(coord, src, dst, f)?;
-                    invocations += 1;
-                    if self.wait_for_irq(coord, ctx.watchdog) {
-                        break;
+        cx: &mut RunCtx<'_>,
+        inv: &mut Invocation,
+        remap: bool,
+    ) -> Result<(), RuntimeError> {
+        let Some(policy) = cx.policy else {
+            return Err(self.timeout_err(cx));
+        };
+        let coord = cx.device(inv).coord;
+        inv.attempts += 1;
+        if inv.attempts <= policy.max_retries {
+            let (attempt, backoff) = (inv.attempts, policy.backoff_for(inv.attempts));
+            let device = cx.device(inv).name.clone();
+            let proc = self.soc.primary_proc();
+            self.tracer
+                .emit(self.soc.cycle(), TileCoord::new(proc.x, proc.y), || {
+                    TraceEvent::RetryScheduled {
+                        device,
+                        attempt,
+                        backoff,
                     }
-                    // Watchdog expired: retry with backoff, then fail over.
-                    let Some(policy) = ctx.policy else {
-                        return Err(self.timeout_err(ctx));
-                    };
-                    attempt += 1;
-                    if attempt <= policy.max_retries {
-                        let info = plan.stages[s][j].clone();
-                        self.retry_backoff(coord, &info.name, attempt, &policy, ctx)?;
-                        continue;
-                    }
-                    // Quiesce the abandoned device so it stops holding NoC
-                    // or PLM resources, then try a spare.
-                    self.soc.reset_accel(coord)?;
-                    if policy.failover && self.failover(plan, s, j, buf, ctx)? {
-                        attempt = 0;
-                        continue;
-                    }
-                    return Err(self.timeout_err(ctx));
-                }
-            }
-        }
-        Ok(invocations)
-    }
-
-    fn run_pipe(
-        &mut self,
-        plan: &mut Plan,
-        buf: &AppBuffers,
-        ctx: &mut RecoveryCtx,
-    ) -> Result<u64, RuntimeError> {
-        let depth = plan.stages.len();
-        let frames = buf.frames;
-        // Per stage: which frames have completed.
-        let mut done: Vec<Vec<bool>> = (0..depth).map(|_| vec![false; frames as usize]).collect();
-        // Per instance: busy frame (if any), next local frame index, and
-        // the watchdog state of the in-flight invocation.
-        #[derive(Clone, Copy)]
-        struct Inst {
-            busy_frame: Option<u64>,
-            next_local: u64,
-            issued_at: u64,
-            attempts: u32,
-        }
-        let mut insts: Vec<Vec<Inst>> = plan
-            .stages
-            .iter()
-            .map(|st| {
-                vec![
-                    Inst {
-                        busy_frame: None,
-                        next_local: 0,
-                        issued_at: 0,
-                        attempts: 0,
-                    };
-                    st.len()
-                ]
-            })
-            .collect();
-        let mut invocations = 0u64;
-        loop {
-            // Retire finished invocations. Coordinates are looked up in
-            // the (possibly failed-over) live plan, not a frozen map.
-            for coord in self.soc.take_irqs() {
-                for (s, stage) in plan.stages.iter().enumerate() {
-                    for (j, info) in stage.iter().enumerate() {
-                        if info.coord == coord {
-                            if let Some(f) = insts[s][j].busy_frame.take() {
-                                done[s][f as usize] = true;
-                            }
-                        }
-                    }
-                }
-            }
-            if done[depth - 1].iter().all(|&d| d) {
-                break;
-            }
-            // Issue every ready invocation (each serializes on the core).
-            for s in 0..depth {
-                let k = plan.stages[s].len() as u64;
-                #[allow(clippy::needless_range_loop)] // j also indexes insts[s]
-                for j in 0..plan.stages[s].len() {
-                    if insts[s][j].busy_frame.is_some() {
-                        continue;
-                    }
-                    let f = j as u64 + insts[s][j].next_local * k;
-                    if f >= frames {
-                        continue;
-                    }
-                    let ready = s == 0 || done[s - 1][f as usize];
-                    if !ready {
-                        continue;
-                    }
-                    let coord = plan.stages[s][j].coord;
-                    let src = self.dma_src(buf, plan, s, f);
-                    let dst = self.dma_dst(buf, plan, s, f);
-                    self.issue_dma_invocation(coord, src, dst, f)?;
-                    invocations += 1;
-                    insts[s][j].busy_frame = Some(f);
-                    insts[s][j].next_local += 1;
-                    insts[s][j].issued_at = self.soc.cycle();
-                    insts[s][j].attempts = 0;
-                }
-            }
-            // Expire overdue invocations (per-invocation watchdog).
-            let now = self.soc.cycle();
-            // Indexed loops: `s`/`j` address insts[][] while `plan` is
-            // re-borrowed mutably on failover, so enumerate() can't hold
-            // a borrow across the body.
-            #[allow(clippy::needless_range_loop)]
-            for s in 0..depth {
-                #[allow(clippy::needless_range_loop)]
-                for j in 0..plan.stages[s].len() {
-                    let inst = insts[s][j];
-                    let Some(f) = inst.busy_frame else { continue };
-                    if now <= inst.issued_at + ctx.watchdog {
-                        continue;
-                    }
-                    let Some(policy) = ctx.policy else {
-                        return Err(self.timeout_err(ctx));
-                    };
-                    let coord = plan.stages[s][j].coord;
-                    let attempt = inst.attempts + 1;
-                    if attempt <= policy.max_retries {
-                        let name = plan.stages[s][j].name.clone();
-                        self.retry_backoff(coord, &name, attempt, &policy, ctx)?;
-                    } else {
-                        self.soc.reset_accel(coord)?;
-                        if !(policy.failover && self.failover(plan, s, j, buf, ctx)?) {
-                            return Err(self.timeout_err(ctx));
-                        }
-                    }
-                    // Re-issue the same frame on the (possibly remapped)
-                    // instance.
-                    let coord = plan.stages[s][j].coord;
-                    let src = self.dma_src(buf, plan, s, f);
-                    let dst = self.dma_dst(buf, plan, s, f);
-                    self.issue_dma_invocation(coord, src, dst, f)?;
-                    invocations += 1;
-                    insts[s][j].issued_at = self.soc.cycle();
-                    insts[s][j].attempts = if attempt <= policy.max_retries {
-                        attempt
-                    } else {
-                        0 // fresh device, fresh retry budget
-                    };
-                }
-            }
-            // Fast-forward to the earliest watchdog deadline among busy
-            // instances: the event-driven engine stops sooner at the next
-            // interesting cycle, the naive engine ticks once. Issue
-            // decisions only change when an IRQ retires, so skipping
-            // boring cycles cannot alter the schedule.
-            let next_deadline = insts
-                .iter()
-                .flatten()
-                .filter(|i| i.busy_frame.is_some())
-                .map(|i| i.issued_at + ctx.watchdog)
-                .min();
-            let Some(next_deadline) = next_deadline else {
-                // Nothing in flight yet frames remain: the schedule is
-                // wedged (cannot happen with a well-formed plan).
-                return Err(self.timeout_err(ctx));
-            };
-            let now = self.soc.cycle();
-            self.soc
-                .step((next_deadline + 1).saturating_sub(now).max(1));
-        }
-        Ok(invocations)
-    }
-
-    fn run_p2p(
-        &mut self,
-        plan: &Plan,
-        buf: &AppBuffers,
-        ctx: &mut RecoveryCtx,
-    ) -> Result<u64, RuntimeError> {
-        let depth = plan.stages.len();
-        let frames = buf.frames;
-        let mut invocations = 0u64;
-        // One outstanding batch invocation per instance, with its config
-        // retained for watchdog-driven re-issue. Failover is NOT supported
-        // in p2p mode: peers address their sources by tile coordinate in
-        // `P2P_REG`, so swapping one instance would require reconfiguring
-        // (and restarting) every consumer mid-flight. Retry alone still
-        // recovers hangs at start: a restarted producer finds its
-        // consumers parked in LOAD, waiting for the p2p data.
-        struct P2pWait {
-            coord: Coord,
-            name: String,
-            cfg: AccelConfig,
-            issued_at: u64,
-            attempts: u32,
-        }
-        let mut waits: Vec<P2pWait> = Vec::new();
-        for (s, stage) in plan.stages.iter().enumerate() {
-            let k = stage.len() as u64;
-            for (j, info) in stage.iter().enumerate() {
-                let n = AppBuffers::frames_for_instance(frames, k, j as u64);
-                if n == 0 {
-                    continue;
-                }
-                let sub_in = AppBuffers::sub_region_words(frames, k, buf.stage_in_words[s]);
-                let cfg = if depth == 1 {
-                    // Degenerate single-stage dataflow: plain DMA.
-                    let src = buf.handle.base + buf.region_offsets[0] + j as u64 * sub_in;
-                    AccelConfig::dma_to_dma(src, buf.output_frame_addr(j as u64), n)
-                } else if s == 0 {
-                    let src = buf.handle.base + buf.region_offsets[0] + j as u64 * sub_in;
-                    AccelConfig::dma_to_p2p(src, n)
-                } else {
-                    let prev = &plan.stages[s - 1];
-                    let sources: Vec<Coord> = if prev.len() == stage.len() {
-                        vec![prev[j].coord]
-                    } else {
-                        prev.iter().map(|i| i.coord).collect()
-                    };
-                    if s == depth - 1 {
-                        let sub_out = AppBuffers::sub_region_words(frames, k, buf.out_words);
-                        let dst = buf.handle.base + buf.region_offsets[depth] + j as u64 * sub_out;
-                        AccelConfig::p2p_to_dma(sources, dst, n)
-                    } else {
-                        AccelConfig::p2p_to_p2p(sources, n)
-                    }
-                };
-                // Instance `j` of a width-`k` stage serves global frames
-                // j, j+k, j+2k, ... (the round-robin frame assignment).
-                let cfg = cfg.with_frame_ids(j as u64, k);
-                self.soc.configure_accel(info.coord, &cfg)?;
-                self.soc.start_accel(info.coord)?;
-                self.ioctl(info.coord);
-                invocations += 1;
-                waits.push(P2pWait {
-                    coord: info.coord,
-                    name: info.name.clone(),
-                    cfg,
-                    issued_at: self.soc.cycle(),
-                    attempts: 0,
                 });
+            self.soc.reset_accel(coord)?;
+            if backoff > 0 {
+                self.soc.run_cycles(backoff);
+            }
+            cx.retries += 1;
+            return Ok(());
+        }
+        if remap {
+            // Quiesce the abandoned device so it stops holding NoC or PLM
+            // resources, then try a spare.
+            self.soc.reset_accel(coord)?;
+            if policy.failover && self.failover(cx, inv)? {
+                inv.attempts = 0;
+                return Ok(());
             }
         }
-        // Hardware synchronizes the pipeline; wait for every instance.
-        while !waits.is_empty() {
-            let irqs = self.soc.take_irqs();
-            waits.retain(|w| !irqs.contains(&w.coord));
-            if waits.is_empty() {
-                break;
-            }
-            // Expire overdue batch invocations and re-issue them with
-            // their retained config (bounded retry, no failover).
-            let now = self.soc.cycle();
-            for w in waits.iter_mut() {
-                if now <= w.issued_at + ctx.watchdog {
-                    continue;
-                }
-                let Some(policy) = ctx.policy else {
-                    return Err(self.timeout_err(ctx));
-                };
-                w.attempts += 1;
-                if w.attempts > policy.max_retries {
-                    return Err(self.timeout_err(ctx));
-                }
-                self.retry_backoff(w.coord, &w.name, w.attempts, &policy, ctx)?;
-                self.soc.configure_accel(w.coord, &w.cfg)?;
-                self.soc.start_accel(w.coord)?;
-                self.ioctl(w.coord);
-                invocations += 1;
-                w.issued_at = self.soc.cycle();
-            }
-            let next_deadline = waits
-                .iter()
-                .map(|w| w.issued_at + ctx.watchdog)
-                .min()
-                .expect("waits is non-empty");
-            let now = self.soc.cycle();
-            self.soc
-                .step((next_deadline + 1).saturating_sub(now).max(1));
-        }
-        Ok(invocations)
+        Err(self.timeout_err(cx))
     }
 
-    /// Steps the SoC until `coord` raises its completion interrupt.
-    /// Returns `false` when the per-invocation watchdog expires first
-    /// (the caller decides whether that is fatal).
-    fn wait_for_irq(&mut self, coord: Coord, watchdog: u64) -> bool {
-        let deadline = self.soc.cycle() + watchdog;
+    /// Remaps `inv`'s stage instance to an idle spare: same kind and I/O
+    /// shape, not part of the plan, not previously abandoned. Returns
+    /// `false` when no spare exists.
+    fn failover(&mut self, cx: &mut RunCtx<'_>, inv: &Invocation) -> Result<bool, RuntimeError> {
+        let failed = cx.device(inv).clone();
+        if failed.kind.is_empty() {
+            return Ok(false); // hand-registered record predating kinds
+        }
+        let in_plan: HashSet<Coord> = cx.plan.stages.iter().flatten().map(|d| d.coord).collect();
+        let Some(spare) = self.registry.devices().into_iter().find(|d| {
+            d.kind == failed.kind
+                && d.input_values == failed.input_values
+                && d.output_values == failed.output_values
+                && d.data_bits == failed.data_bits
+                && !in_plan.contains(&d.coord)
+                && !cx.banned.contains(&d.coord)
+        }) else {
+            return Ok(false);
+        };
+        // `prepare` only mapped the planned devices; the spare needs the
+        // application buffer in its VA space before it can DMA.
+        let end = cx.buf.handle.base + cx.buf.handle.len;
+        self.soc.map_contiguous(spare.coord, 0, end)?;
+        cx.banned.insert(failed.coord);
+        let proc = self.soc.primary_proc();
+        let (from, to) = (failed.name, spare.name.clone());
+        self.tracer
+            .emit(self.soc.cycle(), TileCoord::new(proc.x, proc.y), || {
+                TraceEvent::FailedOver { from, to }
+            });
+        cx.plan.stages[inv.s][inv.j] = spare;
+        cx.failovers += 1;
+        Ok(true)
+    }
+
+    /// Drains the completion interrupts and takes every invocation whose
+    /// device raised one out of `inflight`, returning them.
+    fn retire(&mut self, cx: &RunCtx<'_>, inflight: &mut [Option<Invocation>]) -> Vec<Invocation> {
+        let irqs = self.soc.take_irqs();
+        inflight
+            .iter_mut()
+            .filter(|slot| {
+                slot.as_ref()
+                    .is_some_and(|inv| irqs.contains(&cx.device(inv).coord))
+            })
+            .filter_map(Option::take)
+            .collect()
+    }
+
+    /// Recovers and re-issues every invocation in `inflight` whose
+    /// watchdog has expired, then sleeps to the earliest deadline still in
+    /// flight: the event-driven engine stops sooner at the next
+    /// interesting cycle, the naive engine ticks once. Issue decisions only
+    /// change when an interrupt retires, so skipping boring cycles cannot
+    /// alter the schedule.
+    fn expire_and_sleep(
+        &mut self,
+        cx: &mut RunCtx<'_>,
+        inflight: &mut [Option<Invocation>],
+        remap: bool,
+    ) -> Result<(), RuntimeError> {
+        let now = self.soc.cycle();
+        for inv in inflight.iter_mut().flatten() {
+            if now > inv.issued_at + cx.watchdog {
+                self.recover(cx, inv, remap)?;
+                self.issue(cx, inv)?;
+            }
+        }
+        let deadline = inflight
+            .iter()
+            .flatten()
+            .map(|i| i.issued_at + cx.watchdog)
+            .min();
+        let Some(deadline) = deadline else {
+            // Nothing in flight yet frames remain: the schedule is wedged
+            // (cannot happen with a well-formed plan).
+            return Err(self.timeout_err(cx));
+        };
+        let now = self.soc.cycle();
+        self.soc.step((deadline + 1).saturating_sub(now).max(1));
+        Ok(())
+    }
+
+    /// Steps the SoC until `inv`'s device raises its completion interrupt.
+    /// Returns `false` when the invocation's watchdog expires first.
+    fn wait_for_irq(&mut self, cx: &RunCtx<'_>, inv: &Invocation) -> bool {
+        let (coord, deadline) = (cx.device(inv).coord, inv.issued_at + cx.watchdog);
         loop {
             if self.soc.take_irqs().contains(&coord) {
                 return true;
@@ -1074,6 +907,16 @@ impl EspRuntime {
             }
             self.soc
                 .step((deadline + 1).saturating_sub(self.soc.cycle()).max(1));
+        }
+    }
+
+    /// Builds the timeout error, reporting how long the run actually ran
+    /// (not the configured budget) plus a deadlock diagnosis if the
+    /// sanitizer can name one.
+    fn timeout_err(&self, cx: &RunCtx<'_>) -> RuntimeError {
+        RuntimeError::Timeout {
+            cycles: self.soc.cycle() - cx.start_cycle,
+            diagnosis: self.soc.diagnose_deadlock().map(|d| d.to_string()),
         }
     }
 }
@@ -1356,22 +1199,20 @@ mod tests {
         Ok(())
     }
 
+    /// Every DMA-mode invocation is charged the fixed ioctl cost: the
+    /// ioctls serialize on the core, so a run lasts at least that long per
+    /// invocation, re-issues included.
     #[test]
-    fn ioctl_overhead_slows_dma_modes() -> Result<(), RuntimeError> {
-        let run_with = |cycles: u64| -> Result<u64, RuntimeError> {
-            let mut rt = two_stage_runtime()?;
-            let df = Dataflow::linear(&[&["x2"], &["x3"]]);
-            let buf = rt.prepare(&df, 4)?;
-            for f in 0..4 {
-                rt.write_frame(&buf, f, &[1; 16])?;
+    fn dma_invocations_are_charged_the_fixed_ioctl_cost() -> Result<(), RuntimeError> {
+        for mode in [ExecMode::Base, ExecMode::Pipe] {
+            for hang in [false, true] {
+                let (cycles, invocations, ..) = pinned_run(mode, hang)?;
+                assert!(
+                    cycles >= invocations * IOCTL_CYCLES,
+                    "{mode:?}, hang: {hang}: {cycles} cycles for {invocations} invocations"
+                );
             }
-            Ok(rt
-                .run(&RunSpec::new(&df).ioctl_cycles(cycles), &buf)?
-                .cycles)
-        };
-        // 8 invocations at +990 cycles each, minus the execution that the
-        // longer ioctl window hides.
-        assert!(run_with(1000)? > run_with(10)? + 4000);
+        }
         Ok(())
     }
 
@@ -1550,18 +1391,5 @@ mod tests {
         assert_eq!(p.backoff_for(1), 100);
         assert_eq!(p.backoff_for(2), 300);
         assert_eq!(p.backoff_for(3), 900);
-    }
-
-    #[test]
-    fn spec_ioctl_override_is_per_run() -> Result<(), RuntimeError> {
-        let mut rt = two_stage_runtime()?;
-        let df = Dataflow::linear(&[&["x2"], &["x3"]]);
-        let buf = rt.prepare(&df, 1)?;
-        rt.write_frame(&buf, 0, &[1; 16])?;
-        let slow = rt.run(&RunSpec::new(&df).ioctl_cycles(5_000), &buf)?;
-        // The override must not leak into a spec without one.
-        let normal = rt.run(&RunSpec::new(&df), &buf)?;
-        assert!(slow.cycles > normal.cycles + 2 * 4_000);
-        Ok(())
     }
 }
