@@ -17,6 +17,11 @@ use std::fmt;
 pub const CLASSIFIER_REUSE: [u64; 5] = [1024, 512, 256, 128, 32];
 /// Per-layer reuse factors of the denoising autoencoder (SoC-1).
 pub const DENOISER_REUSE: [u64; 3] = [4096, 1024, 8192];
+/// Device kind of every SoC-1 classifier tile: all copies run the same
+/// compiled network, so the runtime can fail over between them.
+pub const CLASSIFIER_KIND: &str = "svhn_classifier";
+/// Device kind of the SoC-1 denoiser tile.
+pub const DENOISER_KIND: &str = "svhn_denoiser";
 /// Per-layer reuse factors of the multi-tile (split) classifier (SoC-2).
 pub const MULTI_TILE_REUSE: [u64; 5] = [2048, 1024, 512, 256, 64];
 
@@ -304,13 +309,13 @@ pub fn build_soc1(models: &TrainedModels) -> Result<Soc, BuildError> {
     // network), so the runtime can fail over between them when one breaks.
     let classifier = flow.compile_ml(&models.classifier, "cl", &CLASSIFIER_REUSE)?;
     let classifier_tile =
-        |name: &str| NnKernel::new(classifier.renamed(name)).with_kind("svhn_classifier");
+        |name: &str| NnKernel::new(classifier.renamed(name)).with_kind(CLASSIFIER_KIND);
     for (i, &c) in cl_coords.iter().enumerate() {
         b = b.accelerator(c, Box::new(classifier_tile(&format!("cl{i}"))));
     }
     let denoiser = flow
         .ml_accelerator(&models.denoiser, "denoiser", &DENOISER_REUSE)?
-        .with_kind("svhn_denoiser");
+        .with_kind(DENOISER_KIND);
     b = b.accelerator(Coord::new(1, 2), Box::new(denoiser));
     // The denoiser pipeline has its own downstream classifier tile (Fig. 6
     // maps the De→Cl chain onto dedicated tiles), bringing SoC-1 to the

@@ -28,7 +28,7 @@
 //! # }
 //! ```
 
-use crate::apps::{BuildError, TrainedModels};
+use crate::apps::{BuildError, TrainedModels, CLASSIFIER_KIND, DENOISER_KIND};
 use crate::flow::Esp4mlFlow;
 use esp4ml_hls4ml::{Hls4mlCompiler, Hls4mlConfig};
 use esp4ml_noc::Coord;
@@ -158,13 +158,15 @@ impl SocConfigFile {
                     b.accelerator(coord, Box::new(flow.vision_accelerator(name)))
                 }
                 TileSpecKind::MlModel { name, model, reuse } => {
-                    let nn = match model {
-                        MlModelRef::Classifier => {
-                            flow.compile_ml(&models.classifier, name, &normalize(reuse))?
-                        }
-                        MlModelRef::Denoiser => {
-                            flow.compile_ml(&models.denoiser, name, &normalize(reuse))?
-                        }
+                    // Built-in models get the kinds `build_soc1` gives them,
+                    // so config-built copies can fail over between each other.
+                    let kernel = match model {
+                        MlModelRef::Classifier => flow
+                            .ml_accelerator(&models.classifier, name, &normalize(reuse))?
+                            .with_kind(CLASSIFIER_KIND),
+                        MlModelRef::Denoiser => flow
+                            .ml_accelerator(&models.denoiser, name, &normalize(reuse))?
+                            .with_kind(DENOISER_KIND),
                         MlModelRef::Files { topology, weights } => {
                             let cfg = if reuse.is_empty() {
                                 Hls4mlConfig::with_reuse(64).named(name)
@@ -173,10 +175,10 @@ impl SocConfigFile {
                                     .named(name)
                                     .with_per_layer_reuse(reuse.clone())
                             };
-                            Hls4mlCompiler::compile_files(topology, weights, &cfg)?
+                            NnKernel::new(Hls4mlCompiler::compile_files(topology, weights, &cfg)?)
                         }
                     };
-                    b.accelerator(coord, Box::new(NnKernel::new(nn)))
+                    b.accelerator(coord, Box::new(kernel))
                 }
             };
         }
@@ -255,6 +257,7 @@ fn normalize(reuse: &[u64]) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use esp4ml_runtime::DeviceRegistry;
 
     #[test]
     fn json_roundtrip() {
@@ -277,6 +280,12 @@ mod tests {
         for name in ["nv0", "cl3", "denoiser", "cl_de"] {
             assert_eq!(from_config.accel_by_name(name), direct.accel_by_name(name));
         }
+        // Device kinds decide failover: a config-built SoC-1 must treat
+        // its classifier copies as interchangeable exactly as `build_soc1`.
+        assert_eq!(
+            DeviceRegistry::probe(&from_config).devices(),
+            DeviceRegistry::probe(&direct).devices()
+        );
     }
 
     #[test]
