@@ -15,14 +15,20 @@ use esp4ml::noc::Coord;
 use esp4ml::soc::TileKind;
 use esp4ml::soc_config::SocConfigFile;
 
+const USAGE: &str = "usage: socgen <config.json> | socgen --emit-soc1";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return;
+    }
     if args.iter().any(|a| a == "--emit-soc1") {
         println!("{}", SocConfigFile::soc1().to_json());
         return;
     }
     let Some(path) = args.first() else {
-        eprintln!("usage: socgen <config.json> | socgen --emit-soc1");
+        eprintln!("{USAGE}");
         std::process::exit(2);
     };
     let json = match std::fs::read_to_string(path) {
