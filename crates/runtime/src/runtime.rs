@@ -680,7 +680,11 @@ impl EspRuntime {
         let (frames, depth) = (cx.buf.frames, cx.plan.stages.len());
         // Plan slots in stage-major order; `inflight` and `issued` (the
         // frames each instance has started) are indexed alike.
-        let slots: Vec<(usize, usize)> = (cx.plan.stages.iter().enumerate())
+        let slots: Vec<(usize, usize)> = cx
+            .plan
+            .stages
+            .iter()
+            .enumerate()
             .flat_map(|(s, stage)| (0..stage.len()).map(move |j| (s, j)))
             .collect();
         let mut inflight: Vec<Option<Invocation>> = vec![None; slots.len()];
