@@ -1474,7 +1474,7 @@ mod traffic_tests {
 mod fault_tests {
     use super::*;
     use crate::MsgKind;
-    use esp4ml_fault::{FaultKind, FaultSpec};
+    use esp4ml_fault::{CycleWindow, FaultKind, FaultSpec};
 
     fn dma_pkt(src: (u8, u8), dst: (u8, u8), words: Vec<u64>) -> Packet {
         Packet::new(
@@ -1654,6 +1654,73 @@ mod fault_tests {
         let (c1, l1, f1) = run(true);
         assert_eq!((c0, l0), (c1, l1));
         assert_eq!((f0, f1), (0, 0));
+    }
+
+    /// Injects six DMA packets, packet `k` at cycle `100 * k`, and runs
+    /// the mesh idle. Returns the delivered packets and the cycles and
+    /// details of the `FaultInjected` events the run traced.
+    fn windowed_run(spec: FaultSpec) -> (Mesh, Vec<Packet>, Vec<(u64, String)>) {
+        use esp4ml_trace::Tracer;
+        let mut m = Mesh::new(MeshConfig::new(3, 3)).unwrap();
+        let tracer = Tracer::ring_buffer_with_capacity(64);
+        m.set_tracer(tracer.clone());
+        assert!(m.install_fault(&spec));
+        for k in 0..6u64 {
+            while m.cycle() < 100 * k {
+                m.tick();
+            }
+            m.inject(dma_pkt((0, 0), (2, 2), vec![k, 10 + k])).unwrap();
+        }
+        m.run_until_idle(10_000);
+        let delivered = std::iter::from_fn(|| m.eject(Coord::new(2, 2), Plane::DmaRsp)).collect();
+        let fired = tracer
+            .drain()
+            .into_iter()
+            .filter_map(|e| match e.event {
+                TraceEvent::FaultInjected { detail, .. } => Some((e.cycle, detail)),
+                _ => None,
+            })
+            .collect();
+        (m, delivered, fired)
+    }
+
+    #[test]
+    fn windowed_delay_fires_only_in_range_and_in_window() {
+        // Packets 1..=3 are in range; the window excludes packet 1
+        // (injected at cycle 100) and admits packet 4, which is past
+        // the range. Exactly packets 2 and 3 are held.
+        let spec = delay_spec(1, 3, 50).in_window(CycleWindow::between(150, 450));
+        let (m, delivered, fired) = windowed_run(spec);
+        assert_eq!(m.faults_fired(), 2);
+        let cycles: Vec<u64> = fired.iter().map(|(c, _)| *c).collect();
+        assert_eq!(cycles, vec![200, 300]);
+        assert!(fired[0].1.contains("packet 2 "), "{}", fired[0].1);
+        assert!(fired[1].1.contains("packet 3 "), "{}", fired[1].1);
+        assert_eq!(delivered.len(), 6);
+        let latency = m.stats().plane(Plane::DmaRsp).max_latency;
+        assert!(latency >= 50, "held packets must arrive late: {latency}");
+    }
+
+    #[test]
+    fn windowed_corrupt_fires_only_in_range_and_in_window() {
+        // Packet `k` is delivered at cycle `100 * k + 6`: the window
+        // excludes packet 1 and admits packet 4.
+        let mask = 0x100;
+        let spec = FaultSpec::new(FaultKind::NocCorrupt {
+            plane: Plane::DmaRsp.index(),
+            from_packet: 1,
+            count: 3,
+            xor_mask: mask,
+        })
+        .in_window(CycleWindow::between(150, 450));
+        let (m, delivered, fired) = windowed_run(spec);
+        assert_eq!(m.faults_fired(), 2);
+        let cycles: Vec<u64> = fired.iter().map(|(c, _)| *c).collect();
+        assert_eq!(cycles, vec![206, 306]);
+        assert!(fired[0].1.contains("packet 2 "), "{}", fired[0].1);
+        assert!(fired[1].1.contains("packet 3 "), "{}", fired[1].1);
+        let words: Vec<u64> = delivered.iter().map(|p| p.payload()[1]).collect();
+        assert_eq!(words, vec![10, 11, 12 ^ mask, 13 ^ mask, 14, 15]);
     }
 }
 

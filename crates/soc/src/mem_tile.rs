@@ -535,4 +535,54 @@ mod tests {
         // At least the DRAM burst latency (4 + 10) plus NoC traversal.
         assert!(cycles >= 14, "response too fast: {cycles}");
     }
+
+    #[test]
+    fn windowed_drop_fires_only_in_range_and_in_window() {
+        use esp4ml_fault::{CycleWindow, FaultKind, FaultSpec};
+        let (mut mesh, mut tile) = setup();
+        let tracer = Tracer::ring_buffer_with_capacity(64);
+        tile.set_tracer(tracer.clone());
+        // Bursts 1..=3 are in range; burst `k` is requested at cycle
+        // `100 * k` and serviced at `100 * k + 4`, so the window
+        // excludes burst 1 and admits burst 4.
+        assert!(tile.install_fault(
+            &FaultSpec::new(FaultKind::DmaDropWords {
+                from_burst: 1,
+                count: 3,
+                drop_words: 1,
+            })
+            .in_window(CycleWindow::between(150, 450))
+        ));
+        let mut lens = Vec::new();
+        for k in 0..6u64 {
+            while mesh.cycle() < 100 * k {
+                drive(&mut mesh, &mut tile, 1);
+            }
+            mesh.inject(Packet::new(
+                Coord::new(0, 0),
+                Coord::new(1, 0),
+                Plane::DmaReq,
+                MsgKind::DmaLoadReq,
+                vec![0, 4],
+            ))
+            .unwrap();
+            drive(&mut mesh, &mut tile, 60);
+            let rsp = mesh.eject(Coord::new(0, 0), Plane::DmaRsp).expect("data");
+            lens.push(rsp.payload().len() - 1); // minus the offset header
+        }
+        assert_eq!(lens, vec![4, 4, 3, 3, 4, 4]);
+        assert_eq!(tile.faults_fired(), 2);
+        let fired: Vec<(u64, String)> = tracer
+            .drain()
+            .into_iter()
+            .filter_map(|e| match e.event {
+                TraceEvent::FaultInjected { detail, .. } => Some((e.cycle, detail)),
+                _ => None,
+            })
+            .collect();
+        let cycles: Vec<u64> = fired.iter().map(|(c, _)| *c).collect();
+        assert_eq!(cycles, vec![204, 304]);
+        assert!(fired[0].1.contains("burst 2 "), "{}", fired[0].1);
+        assert!(fired[1].1.contains("burst 3 "), "{}", fired[1].1);
+    }
 }

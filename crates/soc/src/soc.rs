@@ -1623,6 +1623,114 @@ mod tests {
         );
     }
 
+    /// Starts invocation `k` of `a0` at cycle `10_000 * k`, six times,
+    /// resetting the tile after every invocation that raises no IRQ.
+    /// Returns which invocations completed, the tile's fired-fault count
+    /// and the cycles and details of the traced `FaultInjected` events.
+    fn windowed_accel_run(
+        engine: SocEngine,
+        specs: &[esp4ml_fault::FaultSpec],
+    ) -> (Vec<bool>, u64, Vec<(u64, String)>) {
+        use esp4ml_fault::FaultPlan;
+        use esp4ml_trace::TraceEvent;
+        let mut soc = basic_soc();
+        soc.set_engine(engine);
+        let tracer = Tracer::ring_buffer_with_capacity(1 << 16);
+        soc.set_tracer(tracer.clone());
+        let accel = Coord::new(0, 1);
+        let plan = FaultPlan {
+            seed: 1,
+            faults: specs.to_vec(),
+        };
+        assert_eq!(soc.install_fault_plan(&plan), specs.len());
+        soc.dram_write_values(0, &(1..=16).collect::<Vec<_>>(), 16)
+            .unwrap();
+        soc.map_contiguous(accel, 0, 4096).unwrap();
+        soc.configure_accel(accel, &AccelConfig::dma_to_dma(0, 100, 1))
+            .unwrap();
+        let mut completed = Vec::new();
+        for k in 0..6u64 {
+            soc.run_cycles(10_000 * k - soc.cycle());
+            soc.start_accel(accel).unwrap();
+            let done = soc.run_until_idle(5_000).is_idle() && !soc.take_irqs().is_empty();
+            if !done {
+                soc.reset_accel(accel).unwrap();
+            }
+            completed.push(done);
+        }
+        let fired = soc.accel(accel).unwrap().faults_fired();
+        assert_eq!(soc.faults_injected(), fired);
+        let events = tracer
+            .drain()
+            .into_iter()
+            .filter_map(|e| match e.event {
+                TraceEvent::FaultInjected { detail, .. } => Some((e.cycle, detail)),
+                _ => None,
+            })
+            .collect();
+        (completed, fired, events)
+    }
+
+    /// Invocations 1..=3 are in range; the window excludes invocation 1
+    /// (its start command reaches the tile at cycle 10 004) and admits
+    /// invocation 4, which is past the range. Exactly invocations 2 and 3
+    /// fire, under both engines.
+    fn assert_windowed_accel_fault(spec: esp4ml_fault::FaultSpec, label: &str) {
+        use esp4ml_fault::CycleWindow;
+        let specs = [spec.in_window(CycleWindow::between(15_000, 45_000))];
+        let naive = windowed_accel_run(SocEngine::Naive, &specs);
+        let event = windowed_accel_run(SocEngine::EventDriven, &specs);
+        assert_eq!(naive, event);
+        let (completed, fired, events) = naive;
+        assert_eq!(completed, vec![true, true, false, false, true, true]);
+        assert_eq!(fired, 2);
+        let cycles: Vec<u64> = events.iter().map(|(c, _)| *c).collect();
+        assert_eq!(cycles, vec![20_004, 30_004]);
+        for ((_, detail), seq) in events.iter().zip([2, 3]) {
+            assert!(detail.starts_with(label), "{detail}");
+            assert!(detail.ends_with(&format!("invocation {seq}")), "{detail}");
+        }
+    }
+
+    #[test]
+    fn windowed_hang_fires_only_in_range_and_in_window() {
+        use esp4ml_fault::{FaultKind, FaultSpec};
+        let spec = FaultSpec::new(FaultKind::AccelHang {
+            device: "a0".into(),
+            from_invocation: 1,
+            count: 3,
+        });
+        assert_windowed_accel_fault(spec, "accel_hang");
+    }
+
+    #[test]
+    fn windowed_short_output_fires_only_in_range_and_in_window() {
+        use esp4ml_fault::{FaultKind, FaultSpec};
+        let spec = FaultSpec::new(FaultKind::AccelShortOutput {
+            device: "a0".into(),
+            from_invocation: 1,
+            count: 3,
+            drop_words: 2,
+        });
+        assert_windowed_accel_fault(spec, "accel_short_output");
+    }
+
+    #[test]
+    fn hang_takes_priority_over_short_output_on_one_start() {
+        use esp4ml_fault::FaultSpec;
+        // Both armed for invocation 0: only the hang fires, and the
+        // short output never latches for a later invocation.
+        let specs = [
+            FaultSpec::short_output("a0", 0, 2),
+            FaultSpec::transient_hang("a0", 0),
+        ];
+        let (completed, fired, events) = windowed_accel_run(SocEngine::EventDriven, &specs);
+        assert_eq!(completed, vec![false, true, true, true, true, true]);
+        assert_eq!(fired, 1);
+        assert_eq!(events.len(), 1);
+        assert!(events[0].1.starts_with("accel_hang"), "{}", events[0].1);
+    }
+
     #[test]
     fn stats_reset() {
         let mut soc = basic_soc();
