@@ -658,7 +658,9 @@ impl Mesh {
         if !hit && behind.is_none() {
             return Some(flits);
         }
-        let release = (cycle + extra).max(behind.unwrap_or(0));
+        // `extra` comes unchecked from a fault plan: saturate so a huge
+        // delay holds the packet for the rest of the run.
+        let release = cycle.saturating_add(extra).max(behind.unwrap_or(0));
         f.delayed.push_back(DelayedPacket {
             tile,
             plane,

@@ -1623,6 +1623,40 @@ mod tests {
         );
     }
 
+    #[test]
+    fn huge_noc_delay_holds_the_packet_without_overflow() {
+        use esp4ml_fault::{FaultKind, FaultPlan, FaultSpec};
+        use esp4ml_noc::Plane;
+        let run = |engine: SocEngine| {
+            let mut soc = basic_soc();
+            soc.set_engine(engine);
+            let accel = Coord::new(0, 1);
+            let plan = FaultPlan::new(1).with(FaultSpec::new(FaultKind::NocDelay {
+                plane: Plane::DmaRsp.index(),
+                from_packet: 0,
+                count: 1,
+                extra_cycles: u64::MAX,
+            }));
+            assert_eq!(soc.install_fault_plan(&plan), 1);
+            soc.dram_write_values(0, &(1..=16).collect::<Vec<_>>(), 16)
+                .unwrap();
+            soc.map_contiguous(accel, 0, 4096).unwrap();
+            soc.configure_accel(accel, &AccelConfig::dma_to_dma(0, 100, 1))
+                .unwrap();
+            soc.start_accel(accel).unwrap();
+            // The held load response never arrives: the tile waits for
+            // it until the budget runs out.
+            let outcome = soc.run_until_idle(50_000);
+            assert!(outcome.timed_out());
+            let diag = outcome.diagnosis().expect("blocked tile named");
+            assert_eq!(diag.blocked[0].state, "load_wait");
+            assert_eq!(soc.faults_injected(), 1);
+            assert!(soc.take_irqs().is_empty());
+            soc.cycle()
+        };
+        assert_eq!(run(SocEngine::Naive), run(SocEngine::EventDriven));
+    }
+
     /// Starts invocation `k` of `a0` at cycle `10_000 * k`, six times,
     /// resetting the tile after every invocation that raises no IRQ.
     /// Returns which invocations completed, the tile's fired-fault count
