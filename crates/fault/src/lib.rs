@@ -253,6 +253,35 @@ impl FaultSpec {
         self
     }
 
+    /// Whether the fault fires on the `seq`-th triggering event (0-based,
+    /// as counted by the component that armed it) happening at `cycle`:
+    /// `seq` must fall in the kind's `[from, from + count)` range and
+    /// `cycle` in the window. The one trigger test every component uses.
+    pub fn fires(&self, seq: u64, cycle: u64) -> bool {
+        let (from, count) = match self.kind {
+            FaultKind::AccelHang {
+                from_invocation,
+                count,
+                ..
+            }
+            | FaultKind::AccelShortOutput {
+                from_invocation,
+                count,
+                ..
+            } => (from_invocation, count),
+            FaultKind::DmaDropWords {
+                from_burst, count, ..
+            } => (from_burst, count),
+            FaultKind::NocDelay {
+                from_packet, count, ..
+            }
+            | FaultKind::NocCorrupt {
+                from_packet, count, ..
+            } => (from_packet, count),
+        };
+        seq >= from && seq - from < count && self.window.contains(cycle)
+    }
+
     /// A permanently hung device: every invocation is swallowed,
     /// retries are futile and only failover can recover.
     pub fn permanent_hang(device: &str) -> Self {
@@ -538,6 +567,93 @@ mod tests {
         assert!(w.contains(19));
         assert!(!w.contains(20));
         assert!(CycleWindow::always().contains(u64::MAX - 1));
+    }
+
+    #[test]
+    fn fires_at_the_range_edges() {
+        let spec = FaultSpec::new(FaultKind::DmaDropWords {
+            from_burst: 5,
+            count: 3,
+            drop_words: 1,
+        });
+        assert!(!spec.fires(4, 0));
+        assert!(spec.fires(5, 0));
+        assert!(spec.fires(7, 0));
+        assert!(!spec.fires(8, 0));
+        assert!(!spec.fires(u64::MAX, 0));
+    }
+
+    #[test]
+    fn fires_at_the_window_edges() {
+        let spec = FaultSpec::transient_hang("nv0", 2).in_window(CycleWindow::between(100, 200));
+        assert!(!spec.fires(2, 99));
+        assert!(spec.fires(2, 100));
+        assert!(spec.fires(2, 199));
+        assert!(!spec.fires(2, 200));
+        // In the window but outside the range.
+        assert!(!spec.fires(1, 150));
+        assert!(!spec.fires(3, 150));
+    }
+
+    #[test]
+    fn unbounded_count_from_a_large_start_does_not_overflow() {
+        let from = u64::MAX - 10;
+        let spec = FaultSpec::new(FaultKind::NocDelay {
+            plane: 4,
+            from_packet: from,
+            count: u64::MAX,
+            extra_cycles: 1,
+        });
+        assert!(!spec.fires(from - 1, 0));
+        assert!(spec.fires(from, 0));
+        assert!(spec.fires(u64::MAX, u64::MAX - 1));
+        assert!(!spec.fires(0, 0));
+        // A zero count never fires.
+        let never = FaultSpec::new(FaultKind::AccelHang {
+            device: "nv0".into(),
+            from_invocation: 0,
+            count: 0,
+        });
+        assert!(!never.fires(0, 0));
+    }
+
+    #[test]
+    fn fires_reads_each_kinds_own_range() {
+        let kinds = [
+            FaultKind::AccelHang {
+                device: "nv0".into(),
+                from_invocation: 3,
+                count: 2,
+            },
+            FaultKind::AccelShortOutput {
+                device: "nv0".into(),
+                from_invocation: 3,
+                count: 2,
+                drop_words: 9,
+            },
+            FaultKind::DmaDropWords {
+                from_burst: 3,
+                count: 2,
+                drop_words: 9,
+            },
+            FaultKind::NocDelay {
+                plane: 9,
+                from_packet: 3,
+                count: 2,
+                extra_cycles: 9,
+            },
+            FaultKind::NocCorrupt {
+                plane: 9,
+                from_packet: 3,
+                count: 2,
+                xor_mask: 9,
+            },
+        ];
+        for kind in kinds {
+            let spec = FaultSpec::new(kind);
+            let fired: Vec<u64> = (0..8).filter(|&seq| spec.fires(seq, 0)).collect();
+            assert_eq!(fired, vec![3, 4], "{}", spec.kind);
+        }
     }
 
     #[test]

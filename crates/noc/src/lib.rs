@@ -62,5 +62,5 @@ pub use plane::Plane;
 pub use router::{Port, Router, RouterConfig, RouterState};
 pub use routing::{Route, RoutingTable};
 pub use sanitizer::{expected_planes, plane_carries};
-pub use schedule::{Progress, Schedulable};
+pub use schedule::Progress;
 pub use stats::{NocStats, PlaneStats};

@@ -4,10 +4,10 @@ use crate::flit::{Flit, ReasmViolation, Reassembler};
 use crate::heatmap::{LinkLoad, NocHeatmap, PlaneHeatmap};
 use crate::router::{Port, Router, RouterConfig, RouterState, Transfer};
 use crate::sanitizer::{expected_planes, plane_carries, MeshSanitizer};
-use crate::schedule::{Progress, Schedulable};
+use crate::schedule::Progress;
 use crate::{Coord, MsgKind, NocError, NocStats, Packet, Plane};
 use esp4ml_check::{codes, Diagnostic, Report};
-use esp4ml_fault::{CycleWindow, FaultKind, FaultSpec};
+use esp4ml_fault::{FaultKind, FaultSpec};
 use esp4ml_trace::{TileCoord, TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -71,27 +71,8 @@ struct TileEndpoint {
     reasm: Reassembler,
 }
 
-/// An armed NoC link-degradation fault (see [`FaultKind::NocDelay`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct DelayFault {
-    plane: usize,
-    from_packet: u64,
-    count: u64,
-    extra_cycles: u64,
-    window: CycleWindow,
-}
-
-/// An armed flit-corruption fault (see [`FaultKind::NocCorrupt`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct CorruptFault {
-    plane: usize,
-    from_packet: u64,
-    count: u64,
-    xor_mask: u64,
-    window: CycleWindow,
-}
-
-/// A packet held back by a [`DelayFault`] before entering the network.
+/// A packet held back by a [`FaultKind::NocDelay`] before entering the
+/// network.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct DelayedPacket {
     tile: usize,
@@ -107,8 +88,8 @@ struct DelayedPacket {
 /// only when NoC faults are armed — fault-free runs never touch it.
 #[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
 struct MeshFaults {
-    delays: Vec<DelayFault>,
-    corrupts: Vec<CorruptFault>,
+    /// The plan's NoC specs, in installation order.
+    specs: Vec<FaultSpec>,
     /// Packets injected per plane since installation (delay trigger).
     inject_seen: [u64; Plane::COUNT],
     /// Data-bearing packets delivered per plane (corruption trigger).
@@ -287,39 +268,11 @@ impl Mesh {
     ///
     /// Panics if the spec names a plane index outside the mesh's planes.
     pub fn install_fault(&mut self, spec: &FaultSpec) -> bool {
-        match &spec.kind {
-            FaultKind::NocDelay {
-                plane,
-                from_packet,
-                count,
-                extra_cycles,
-            } => {
-                assert!(*plane < Plane::COUNT, "plane index {plane} out of range");
+        match spec.kind {
+            FaultKind::NocDelay { plane, .. } | FaultKind::NocCorrupt { plane, .. } => {
+                assert!(plane < Plane::COUNT, "plane index {plane} out of range");
                 let f = self.faults.get_or_insert_with(Default::default);
-                f.delays.push(DelayFault {
-                    plane: *plane,
-                    from_packet: *from_packet,
-                    count: *count,
-                    extra_cycles: *extra_cycles,
-                    window: spec.window,
-                });
-                true
-            }
-            FaultKind::NocCorrupt {
-                plane,
-                from_packet,
-                count,
-                xor_mask,
-            } => {
-                assert!(*plane < Plane::COUNT, "plane index {plane} out of range");
-                let f = self.faults.get_or_insert_with(Default::default);
-                f.corrupts.push(CorruptFault {
-                    plane: *plane,
-                    from_packet: *from_packet,
-                    count: *count,
-                    xor_mask: *xor_mask,
-                    window: spec.window,
-                });
+                f.specs.push(spec.clone());
                 true
             }
             _ => false,
@@ -621,9 +574,9 @@ impl Mesh {
 
     /// Applies any armed link-degradation fault to a packet about to enter
     /// its injection queue. Returns the flits back when the packet proceeds
-    /// normally; `None` when a [`DelayFault`] (or FIFO ordering behind an
-    /// earlier held packet on the same `(tile, plane)` link) holds it in
-    /// [`MeshFaults::delayed`] until its release cycle.
+    /// normally; `None` when a [`FaultKind::NocDelay`] (or FIFO ordering
+    /// behind an earlier held packet on the same `(tile, plane)` link)
+    /// holds it in [`MeshFaults::delayed`] until its release cycle.
     fn fault_intercept(
         &mut self,
         tile: usize,
@@ -638,15 +591,14 @@ impl Mesh {
         let pi = plane.index();
         let seq = f.inject_seen[pi];
         f.inject_seen[pi] += 1;
-        let (hit, extra) = match f.delays.iter().find(|d| {
-            d.plane == pi
-                && seq >= d.from_packet
-                && seq - d.from_packet < d.count
-                && d.window.contains(cycle)
-        }) {
-            Some(d) => (true, d.extra_cycles),
-            None => (false, 0),
-        };
+        let hit = f.specs.iter().find_map(|s| match s.kind {
+            FaultKind::NocDelay {
+                plane,
+                extra_cycles,
+                ..
+            } if plane == pi && s.fires(seq, cycle) => Some((s.kind.label(), extra_cycles)),
+            _ => None,
+        });
         // A packet behind a held one on the same (tile, plane) must wait
         // too: the degraded link preserves order, it only adds latency.
         let behind = f
@@ -655,11 +607,12 @@ impl Mesh {
             .filter(|d| d.tile == tile && d.plane == plane)
             .map(|d| d.release)
             .max();
-        if !hit && behind.is_none() {
+        if hit.is_none() && behind.is_none() {
             return Some(flits);
         }
         // `extra` comes unchecked from a fault plan: saturate so a huge
         // delay holds the packet for the rest of the run.
+        let extra = hit.map_or(0, |(_, extra)| extra);
         let release = cycle.saturating_add(extra).max(behind.unwrap_or(0));
         f.delayed.push_back(DelayedPacket {
             tile,
@@ -667,15 +620,15 @@ impl Mesh {
             flits,
             release,
         });
-        if hit {
+        if let Some((fault, _)) = hit {
             f.fired += 1;
             let detail = format!(
-                "noc_delay: plane {plane} packet {seq} at ({},{}) held until cycle {release}",
+                "{fault}: plane {plane} packet {seq} at ({},{}) held until cycle {release}",
                 src.x, src.y
             );
             self.tracer
                 .emit(cycle, trace_coord(src), || TraceEvent::FaultInjected {
-                    fault: "noc_delay",
+                    fault,
                     detail,
                 });
         }
@@ -735,15 +688,14 @@ impl Mesh {
         let pi = plane.index();
         let seq = f.data_ejected[pi];
         f.data_ejected[pi] += 1;
-        let Some(c) = f.corrupts.iter().find(|c| {
-            c.plane == pi
-                && seq >= c.from_packet
-                && seq - c.from_packet < c.count
-                && c.window.contains(cycle)
+        let Some((fault, mask)) = f.specs.iter().find_map(|s| match s.kind {
+            FaultKind::NocCorrupt {
+                plane, xor_mask, ..
+            } if plane == pi && s.fires(seq, cycle) => Some((s.kind.label(), xor_mask)),
+            _ => None,
         }) else {
             return;
         };
-        let mask = c.xor_mask;
         f.fired += 1;
         let last = pkt
             .payload_mut()
@@ -752,13 +704,13 @@ impl Mesh {
         *last ^= mask;
         let kind = pkt.kind();
         let detail = format!(
-            "noc_corrupt: plane {plane} {kind} packet {seq} at ({},{}): \
+            "{fault}: plane {plane} {kind} packet {seq} at ({},{}): \
              last data word xor {mask:#x}",
             dest.x, dest.y
         );
         self.tracer
             .emit(cycle, trace_coord(dest), || TraceEvent::FaultInjected {
-                fault: "noc_corrupt",
+                fault,
                 detail,
             });
     }
@@ -1133,23 +1085,6 @@ impl Mesh {
         if self.sanitizer.is_some() {
             self.sanitize_audit();
         }
-    }
-}
-
-impl Schedulable for Mesh {
-    type Fabric = ();
-
-    fn tick(&mut self, _fabric: &mut ()) -> Progress {
-        Mesh::tick(self);
-        Mesh::progress(self)
-    }
-
-    fn progress(&self, _now: u64) -> Progress {
-        Mesh::progress(self)
-    }
-
-    fn advance(&mut self, delta: u64) {
-        Mesh::advance(self, delta);
     }
 }
 

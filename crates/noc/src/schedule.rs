@@ -4,11 +4,19 @@
 //! The naive engine calls `tick()` on every component every cycle. Most of
 //! those ticks are *boring*: a DRAM burst counting down its latency, a
 //! DVFS-divided datapath burning compute cycles, an accelerator spinning
-//! on data that has not arrived. [`Schedulable`] lets a component report,
-//! via [`Progress`], when its next *interesting* tick is — the earliest
-//! future cycle at which it can possibly change externally observable
-//! state — so the driver can jump the global clock there directly and
-//! bulk-apply the skipped boring cycles with [`Schedulable::advance`].
+//! on data that has not arrived. Every component therefore follows one
+//! three-method convention, as inherent methods the SoC driver calls
+//! directly:
+//!
+//! - `tick` advances the component by one cycle; tiles tick against the
+//!   mesh and return their [`Progress`];
+//! - `progress(now)` reports, without ticking, when the next
+//!   *interesting* tick is — the earliest future cycle at which the
+//!   component can possibly change externally observable state — so the
+//!   driver can jump the global clock there directly (the mesh reads
+//!   `now` from its own clock);
+//! - `advance(delta)` bulk-applies the skipped boring cycles (the
+//!   processor tile has no per-cycle state, so it needs none).
 //!
 //! The contract that keeps fast-forward cycle-exact with the naive engine:
 //!
@@ -63,27 +71,6 @@ impl Progress {
             (Progress::Quiescent, Progress::Quiescent) => Progress::Quiescent,
         }
     }
-}
-
-/// The event-driven ticking contract: tick against a fabric, report
-/// progress, and bulk-apply skipped boring cycles.
-pub trait Schedulable {
-    /// The fabric the component ticks against (`Mesh` for tiles, `()` for
-    /// the mesh itself).
-    type Fabric: ?Sized;
-
-    /// Advances the component by one cycle and reports its progress.
-    fn tick(&mut self, fabric: &mut Self::Fabric) -> Progress;
-
-    /// Reports progress without ticking: what would the component do at
-    /// cycle `now`?
-    fn progress(&self, now: u64) -> Progress;
-
-    /// Bulk-applies `delta` boring cycles: deterministic internal counters
-    /// (latency countdowns, busy/stall statistics) advance exactly as
-    /// `delta` naive ticks would have. The caller guarantees `delta` does
-    /// not cross the component's reported wake cycle.
-    fn advance(&mut self, delta: u64);
 }
 
 #[cfg(test)]

@@ -19,9 +19,9 @@ use crate::regs::{
 use crate::sanitize::{tile_location, BlockedTile};
 use crate::stats::AccelStats;
 use esp4ml_check::{codes, Diagnostic};
-use esp4ml_fault::{CycleWindow, FaultKind, FaultSpec};
+use esp4ml_fault::{FaultKind, FaultSpec};
 use esp4ml_mem::{PageTable, Tlb};
-use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, Progress, Schedulable};
+use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, Progress};
 use esp4ml_trace::{TileCoord, TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
@@ -247,23 +247,6 @@ mod tests {
     }
 }
 
-/// An armed invocation-hang fault (see [`FaultKind::AccelHang`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct HangFault {
-    from_invocation: u64,
-    count: u64,
-    window: CycleWindow,
-}
-
-/// An armed wrong-length-result fault (see [`FaultKind::AccelShortOutput`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct ShortFault {
-    from_invocation: u64,
-    count: u64,
-    drop_words: u64,
-    window: CycleWindow,
-}
-
 /// Tile-side state of installed accelerator faults, including the
 /// trigger counters: capturing `invocations`/`fired` is what lets a
 /// restored run fire its remaining faults at exactly the same
@@ -271,8 +254,8 @@ struct ShortFault {
 /// plan names this device — fault-free runs never touch it.
 #[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct AccelFaults {
-    hangs: Vec<HangFault>,
-    shorts: Vec<ShortFault>,
+    /// The plan's specs naming this device, in installation order.
+    specs: Vec<FaultSpec>,
     /// Start commands seen since installation (the fault trigger index).
     invocations: u64,
     /// Total fault firings so far.
@@ -438,32 +421,11 @@ impl AccelTile {
     /// every component.
     pub fn install_fault(&mut self, spec: &FaultSpec) -> bool {
         match &spec.kind {
-            FaultKind::AccelHang {
-                device,
-                from_invocation,
-                count,
-            } if device == self.kernel.name() => {
+            FaultKind::AccelHang { device, .. } | FaultKind::AccelShortOutput { device, .. }
+                if device == self.kernel.name() =>
+            {
                 let f = self.st.faults.get_or_insert_with(Default::default);
-                f.hangs.push(HangFault {
-                    from_invocation: *from_invocation,
-                    count: *count,
-                    window: spec.window,
-                });
-                true
-            }
-            FaultKind::AccelShortOutput {
-                device,
-                from_invocation,
-                count,
-                drop_words,
-            } if device == self.kernel.name() => {
-                let f = self.st.faults.get_or_insert_with(Default::default);
-                f.shorts.push(ShortFault {
-                    from_invocation: *from_invocation,
-                    count: *count,
-                    drop_words: *drop_words,
-                    window: spec.window,
-                });
+                f.specs.push(spec.clone());
                 true
             }
             _ => false,
@@ -885,43 +847,42 @@ impl AccelTile {
         };
         let seq = f.invocations;
         f.invocations += 1;
-        let hit = |from: u64, count: u64, window: &CycleWindow| {
-            seq >= from && seq - from < count && window.contains(cycle)
-        };
-        if f.hangs
-            .iter()
-            .any(|h| hit(h.from_invocation, h.count, &h.window))
-        {
+        let hang = f.specs.iter().find_map(|s| match s.kind {
+            FaultKind::AccelHang { .. } if s.fires(seq, cycle) => Some(s.kind.label()),
+            _ => None,
+        });
+        if let Some(fault) = hang {
             f.fired += 1;
             // The hung device accepted the command (status says running)
             // but its FSM never leaves Idle: only the driver's watchdog
             // can tell the difference.
             self.st.regs.set_status(STATUS_RUNNING);
-            let name = self.kernel.name().to_string();
-            let detail = format!("accel_hang: {name} swallowed start command for invocation {seq}");
+            let name = self.kernel.name();
+            let detail = format!("{fault}: {name} swallowed start command for invocation {seq}");
             self.tracer
                 .emit(cycle, self.trace_coord(), || TraceEvent::FaultInjected {
-                    fault: "accel_hang",
+                    fault,
                     detail,
                 });
             return true;
         }
-        let short = f
-            .shorts
-            .iter()
-            .find(|s| hit(s.from_invocation, s.count, &s.window))
-            .map(|s| s.drop_words);
-        if let Some(drop_words) = short {
+        let short = f.specs.iter().find_map(|s| match s.kind {
+            FaultKind::AccelShortOutput { drop_words, .. } if s.fires(seq, cycle) => {
+                Some((s.kind.label(), drop_words))
+            }
+            _ => None,
+        });
+        if let Some((fault, drop_words)) = short {
             f.fired += 1;
             self.st.short_drop = drop_words;
-            let name = self.kernel.name().to_string();
+            let name = self.kernel.name();
             let detail = format!(
-                "accel_short_output: {name} will drop {drop_words} output words per frame \
+                "{fault}: {name} will drop {drop_words} output words per frame \
                  of invocation {seq}"
             );
             self.tracer
                 .emit(cycle, self.trace_coord(), || TraceEvent::FaultInjected {
-                    fault: "accel_short_output",
+                    fault,
                     detail,
                 });
         } else {
@@ -1282,22 +1243,6 @@ impl AccelTile {
         } else {
             self.set_state(AccelState::LoadIssue);
         }
-    }
-}
-
-impl Schedulable for AccelTile {
-    type Fabric = Mesh;
-
-    fn tick(&mut self, mesh: &mut Mesh) -> Progress {
-        AccelTile::tick(self, mesh)
-    }
-
-    fn progress(&self, now: u64) -> Progress {
-        AccelTile::progress(self, now)
-    }
-
-    fn advance(&mut self, delta: u64) {
-        AccelTile::advance(self, delta);
     }
 }
 

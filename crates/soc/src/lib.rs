@@ -82,6 +82,6 @@ pub use stats::{AccelStats, SocStats};
 // consume its verdicts without naming the check crate.
 pub use esp4ml_check::{Diagnostic, Report, Severity};
 
-// The event-driven scheduling contract all tiles implement (defined next
-// to the mesh, re-exported here for tile users).
-pub use esp4ml_noc::{Progress, Schedulable};
+// The event-driven progress report every tile returns (defined next to
+// the mesh, re-exported here for tile users).
+pub use esp4ml_noc::Progress;

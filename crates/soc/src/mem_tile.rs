@@ -2,9 +2,9 @@
 
 use crate::sanitize::tile_location;
 use esp4ml_check::{codes, Diagnostic};
-use esp4ml_fault::{CycleWindow, FaultKind, FaultSpec};
+use esp4ml_fault::{FaultKind, FaultSpec};
 use esp4ml_mem::{CacheConfig, CacheStats, CachedDram, CachedDramState, DramConfig, DramStats};
-use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, Progress, Schedulable};
+use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, Progress};
 use esp4ml_trace::{DmaKind, TileCoord, TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
@@ -23,22 +23,14 @@ struct Pending {
     responses: Vec<Packet>,
 }
 
-/// An armed DMA word-drop fault (see [`FaultKind::DmaDropWords`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct DropFault {
-    from_burst: u64,
-    count: u64,
-    drop_words: u64,
-    window: CycleWindow,
-}
-
 /// Tile-side state of installed memory faults, including the burst
 /// trigger counter so a restored run truncates exactly the same bursts
 /// as the original. Allocated only when a fault plan targets the memory
 /// tiles — fault-free runs never touch it.
 #[derive(Debug, Default, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct MemFaults {
-    drops: Vec<DropFault>,
+    /// The plan's DMA drop specs, in installation order.
+    specs: Vec<FaultSpec>,
     /// Load bursts serviced since installation (the fault trigger index).
     load_bursts: u64,
     /// Total fault firings so far.
@@ -110,19 +102,10 @@ impl MemTile {
     /// installs nothing) for non-memory fault kinds, so callers can route
     /// a mixed plan through every component.
     pub fn install_fault(&mut self, spec: &FaultSpec) -> bool {
-        match &spec.kind {
-            FaultKind::DmaDropWords {
-                from_burst,
-                count,
-                drop_words,
-            } => {
+        match spec.kind {
+            FaultKind::DmaDropWords { .. } => {
                 let f = self.st.faults.get_or_insert_with(Default::default);
-                f.drops.push(DropFault {
-                    from_burst: *from_burst,
-                    count: *count,
-                    drop_words: *drop_words,
-                    window: spec.window,
-                });
+                f.specs.push(spec.clone());
                 true
             }
             _ => false,
@@ -143,12 +126,15 @@ impl MemTile {
         };
         let seq = f.load_bursts;
         f.load_bursts += 1;
-        let Some(d) = f.drops.iter().find(|d| {
-            seq >= d.from_burst && seq - d.from_burst < d.count && d.window.contains(cycle)
+        let Some((fault, drop_words)) = f.specs.iter().find_map(|s| match s.kind {
+            FaultKind::DmaDropWords { drop_words, .. } if s.fires(seq, cycle) => {
+                Some((s.kind.label(), drop_words))
+            }
+            _ => None,
         }) else {
             return;
         };
-        let keep = (data.len() as u64).saturating_sub(d.drop_words);
+        let keep = (data.len() as u64).saturating_sub(drop_words);
         let dropped = data.len() as u64 - keep;
         if dropped == 0 {
             return;
@@ -156,15 +142,12 @@ impl MemTile {
         data.truncate(keep as usize);
         f.fired += 1;
         let detail = format!(
-            "dma_drop_words: burst {seq} for tile({},{}) lost its last {dropped} words",
+            "{fault}: burst {seq} for tile({},{}) lost its last {dropped} words",
             requester.x, requester.y
         );
         let coord = TileCoord::new(self.coord.x, self.coord.y);
         self.tracer
-            .emit(cycle, coord, || TraceEvent::FaultInjected {
-                fault: "dma_drop_words",
-                detail,
-            });
+            .emit(cycle, coord, || TraceEvent::FaultInjected { fault, detail });
     }
 
     /// Captures the tile's complete serializable state: the sparse image
@@ -379,22 +362,6 @@ impl MemTile {
                 (1, Vec::new())
             }
         }
-    }
-}
-
-impl Schedulable for MemTile {
-    type Fabric = Mesh;
-
-    fn tick(&mut self, mesh: &mut Mesh) -> Progress {
-        MemTile::tick(self, mesh)
-    }
-
-    fn progress(&self, now: u64) -> Progress {
-        MemTile::progress(self, now)
-    }
-
-    fn advance(&mut self, delta: u64) {
-        MemTile::advance(self, delta);
     }
 }
 

@@ -1,6 +1,6 @@
 //! The processor tile: the hardware seat of the software runtime.
 
-use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, Progress, Schedulable};
+use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, Progress};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -95,22 +95,6 @@ impl ProcTile {
         } else {
             Progress::Active
         }
-    }
-}
-
-impl Schedulable for ProcTile {
-    type Fabric = Mesh;
-
-    fn tick(&mut self, mesh: &mut Mesh) -> Progress {
-        ProcTile::tick(self, mesh)
-    }
-
-    fn progress(&self, now: u64) -> Progress {
-        ProcTile::progress(self, now)
-    }
-
-    fn advance(&mut self, _delta: u64) {
-        // No per-cycle internal state: boring cycles are free.
     }
 }
 

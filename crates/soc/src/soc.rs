@@ -10,7 +10,7 @@ use crate::sanitize::{wait_cycle, SocSanitizer};
 use crate::stats::SocStats;
 use crate::{BlockedTile, DeadlockDiagnosis, SocError};
 use esp4ml_check::{codes, Diagnostic, Report};
-use esp4ml_fault::{FaultKind, FaultPlan};
+use esp4ml_fault::FaultPlan;
 use esp4ml_hls::Resources;
 use esp4ml_mem::{CacheConfig, CacheStats, CachedDramState, DramConfig, PageTable};
 use esp4ml_noc::{Coord, Mesh, MeshConfig, MeshState, NocHeatmap, NocStats};
@@ -1017,25 +1017,17 @@ impl Soc {
     /// installed plan perturbs [`SocEngine::Naive`] and
     /// [`SocEngine::EventDriven`] runs byte-identically.
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) -> usize {
-        let mut installed = 0;
-        for spec in &plan.faults {
-            if self.mesh.install_fault(spec) {
-                installed += 1;
-                continue;
-            }
-            if self.accel_tiles.iter_mut().any(|a| a.install_fault(spec)) {
-                installed += 1;
-                continue;
-            }
-            if matches!(spec.kind, FaultKind::DmaDropWords { .. }) {
-                if let Some(m) = self.mem_tiles.first_mut() {
-                    if m.install_fault(spec) {
-                        installed += 1;
-                    }
-                }
-            }
-        }
-        installed
+        plan.faults
+            .iter()
+            .filter(|spec| {
+                self.mesh.install_fault(spec)
+                    || self.accel_tiles.iter_mut().any(|a| a.install_fault(spec))
+                    || self
+                        .mem_tiles
+                        .first_mut()
+                        .is_some_and(|m| m.install_fault(spec))
+            })
+            .count()
     }
 
     /// Total fault firings so far across the mesh and every tile (0 when
