@@ -20,8 +20,8 @@
 
 use crate::cli::engine_name;
 use crate::{chart, parallel};
-use esp4ml::apps::{build_soc2, CaseApp, SocId, TrainedModels};
-use esp4ml::check::{lint_all, lint_config, lint_dataflow, lint_mapping, FloorplanView};
+use esp4ml::apps::{CaseApp, TrainedModels};
+use esp4ml::check::{lint_all, lint_config};
 use esp4ml::deploy::{self, Deployment};
 use esp4ml::experiments::{AppRun, ExperimentError, Fig7, Fig8, GridPoint, RunOptions, Table1};
 use esp4ml::faults::{lint_fault_plan, CampaignReport};
@@ -1472,43 +1472,16 @@ impl EspcheckReport {
     }
 }
 
-/// Lints the built-in floorplans and every Fig. 7 application mapping —
-/// the espcheck default target set.
+/// Lints the built-in SoC-1 floorplan and every Fig. 7 application
+/// mapping onto its SoC's configuration — the espcheck default target set.
 pub fn lint_builtins() -> Vec<LintTarget> {
-    let mut targets = Vec::new();
-    let soc1 = SocConfigFile::soc1();
-    targets.push(LintTarget::new(
+    let mut targets = vec![LintTarget::new(
         "builtin soc1 floorplan",
-        lint_config(&soc1),
-    ));
-    // SoC-2 is assembled programmatically; lint the built artifact.
-    let models = TrainedModels::untrained();
-    let soc2_view = build_soc2(&models)
-        .ok()
-        .map(|soc| FloorplanView::from_soc(&soc));
+        lint_config(&SocConfigFile::soc1()),
+    )];
     for app in CaseApp::all_fig7_configs() {
         let name = format!("fig7 {} ({:?})", app.label(), app.soc_id());
-        let dataflow = app.dataflow();
-        let report = match app.soc_id() {
-            SocId::Soc1 => lint_all(&soc1, &dataflow),
-            SocId::Soc2 => match &soc2_view {
-                Some(view) => {
-                    let mut r = lint_dataflow(&dataflow);
-                    r.merge(lint_mapping(view, &dataflow));
-                    r.normalize();
-                    r
-                }
-                None => {
-                    let mut r = Report::new();
-                    r.push(Diagnostic::error(
-                        esp4ml_check::codes::MISSING_REQUIRED_TILE,
-                        "soc2",
-                        "the built-in SoC-2 floorplan failed to build",
-                    ));
-                    r
-                }
-            },
-        };
+        let report = lint_all(&app.soc_id().config(), &app.dataflow());
         targets.push(LintTarget::new(name, report));
     }
     targets

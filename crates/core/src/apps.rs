@@ -1,12 +1,11 @@
 //! The paper's two SoC instances and four case-study applications (Fig. 6).
 
-use crate::flow::Esp4mlFlow;
+use crate::soc_config::SocConfigFile;
 use esp4ml_hls::FixedSpec;
 use esp4ml_hls4ml::CompileError;
 use esp4ml_nn::{accuracy, reconstruction_error, Sequential, TrainConfig, Trainer};
-use esp4ml_noc::Coord;
 use esp4ml_runtime::Dataflow;
-use esp4ml_soc::{NnKernel, Soc, SocBuilder, SocError};
+use esp4ml_soc::{Soc, SocError};
 use esp4ml_vision::SvhnGenerator;
 use std::error::Error;
 use std::fmt;
@@ -33,6 +32,15 @@ pub enum BuildError {
     Compile(CompileError),
     /// SoC integration failed.
     Soc(SocError),
+    /// A tile hosts a classifier layer the network does not have.
+    MissingLayer {
+        /// Device name of the tile.
+        tile: String,
+        /// The requested dense-layer index.
+        layer: usize,
+        /// Dense layers the classifier has.
+        layers: usize,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -40,6 +48,14 @@ impl fmt::Display for BuildError {
         match self {
             BuildError::Compile(e) => write!(f, "accelerator compilation failed: {e}"),
             BuildError::Soc(e) => write!(f, "soc integration failed: {e}"),
+            BuildError::MissingLayer {
+                tile,
+                layer,
+                layers,
+            } => write!(
+                f,
+                "tile {tile} hosts classifier layer {layer}, but the classifier has {layers} layers"
+            ),
         }
     }
 }
@@ -49,6 +65,7 @@ impl Error for BuildError {
         match self {
             BuildError::Compile(e) => Some(e),
             BuildError::Soc(e) => Some(e),
+            BuildError::MissingLayer { .. } => None,
         }
     }
 }
@@ -183,16 +200,13 @@ impl CaseApp {
         }
     }
 
-    /// Builds the hosting SoC instance.
+    /// Builds the hosting SoC instance from its configuration.
     ///
     /// # Errors
     ///
     /// Compilation or integration failures.
     pub fn build_soc(&self, models: &TrainedModels) -> Result<Soc, BuildError> {
-        match self.soc_id() {
-            SocId::Soc1 => build_soc1(models),
-            SocId::Soc2 => build_soc2(models),
-        }
+        self.soc_id().config().build(models)
     }
 
     /// The user-level dataflow of the application (device names only; the
@@ -243,6 +257,17 @@ pub enum SocId {
     Soc2,
 }
 
+impl SocId {
+    /// The instance's floorplan, the one description it is built and
+    /// linted from.
+    pub fn config(self) -> SocConfigFile {
+        match self {
+            SocId::Soc1 => SocConfigFile::soc1(),
+            SocId::Soc2 => SocConfigFile::soc2(),
+        }
+    }
+}
+
 /// Encodes a `[0, 1]` float image into the 16-bit fixed-point wire values
 /// the accelerators exchange.
 pub fn encode_image(image: &[f32]) -> Vec<u64> {
@@ -275,89 +300,16 @@ pub fn argmax(values: &[f32]) -> usize {
         .expect("non-empty logits")
 }
 
-/// Builds SoC-1: one Ariane processor tile, one memory tile, one auxiliary
-/// tile, four Night-Vision accelerators, five classifier copies and the
-/// denoiser on a 5×3 mesh — ten accelerators, matching "up to ten" in §VI.
-///
-/// # Errors
-///
-/// Compilation or integration failures.
-pub fn build_soc1(models: &TrainedModels) -> Result<Soc, BuildError> {
-    let flow = Esp4mlFlow::new();
-    let mut b = SocBuilder::new(5, 3)
-        .processor(Coord::new(0, 0))
-        .memory(Coord::new(1, 0))
-        .auxiliary(Coord::new(2, 0));
-    let nv_coords = [
-        Coord::new(3, 0),
-        Coord::new(4, 0),
-        Coord::new(0, 1),
-        Coord::new(1, 1),
-    ];
-    for (i, &c) in nv_coords.iter().enumerate() {
-        b = b.accelerator(c, Box::new(flow.vision_accelerator(&format!("nv{i}"))));
-    }
-    // Each Night-Vision instance has its classifier nearby (p2p pairs).
-    let cl_coords = [
-        Coord::new(2, 1),
-        Coord::new(3, 1),
-        Coord::new(4, 1),
-        Coord::new(0, 2),
-    ];
-    // The classifier is compiled once; every copy is a renamed instance
-    // sharing its weights. All copies share a kind (same compiled
-    // network), so the runtime can fail over between them when one breaks.
-    let classifier = flow.compile_ml(&models.classifier, "cl", &CLASSIFIER_REUSE)?;
-    let classifier_tile =
-        |name: &str| NnKernel::new(classifier.renamed(name)).with_kind(CLASSIFIER_KIND);
-    for (i, &c) in cl_coords.iter().enumerate() {
-        b = b.accelerator(c, Box::new(classifier_tile(&format!("cl{i}"))));
-    }
-    let denoiser = flow
-        .ml_accelerator(&models.denoiser, "denoiser", &DENOISER_REUSE)?
-        .with_kind(DENOISER_KIND);
-    b = b.accelerator(Coord::new(1, 2), Box::new(denoiser));
-    // The denoiser pipeline has its own downstream classifier tile (Fig. 6
-    // maps the De→Cl chain onto dedicated tiles), bringing SoC-1 to the
-    // paper's "up to ten" accelerators.
-    b = b.accelerator(Coord::new(2, 2), Box::new(classifier_tile("cl_de")));
-    Ok(b.build()?)
-}
-
-/// Builds SoC-2: the classifier partitioned across five accelerator tiles
-/// on a 3×3 mesh.
-///
-/// # Errors
-///
-/// Compilation or integration failures.
-pub fn build_soc2(models: &TrainedModels) -> Result<Soc, BuildError> {
-    let flow = Esp4mlFlow::new();
-    let nn = flow.compile_ml(&models.classifier, "cls", &MULTI_TILE_REUSE)?;
-    let parts = nn.split_layers();
-    let coords = [
-        Coord::new(2, 0),
-        Coord::new(0, 1),
-        Coord::new(1, 1),
-        Coord::new(2, 1),
-        Coord::new(0, 2),
-    ];
-    let mut b = SocBuilder::new(3, 3)
-        .processor(Coord::new(0, 0))
-        .memory(Coord::new(1, 0))
-        .auxiliary(Coord::new(1, 2));
-    for (part, &c) in parts.into_iter().zip(coords.iter()) {
-        b = b.accelerator(c, Box::new(NnKernel::new(part)));
-    }
-    Ok(b.build()?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn soc1_hosts_ten_accelerators() {
-        let soc = build_soc1(&TrainedModels::untrained()).unwrap();
+        let soc = SocId::Soc1
+            .config()
+            .build(&TrainedModels::untrained())
+            .unwrap();
         assert_eq!(soc.accel_coords().len(), 10);
         assert!(soc.accel_by_name("nv3").is_some());
         assert!(soc.accel_by_name("cl0").is_some());
@@ -366,7 +318,10 @@ mod tests {
 
     #[test]
     fn soc2_hosts_five_layer_tiles() {
-        let soc = build_soc2(&TrainedModels::untrained()).unwrap();
+        let soc = SocId::Soc2
+            .config()
+            .build(&TrainedModels::untrained())
+            .unwrap();
         assert_eq!(soc.accel_coords().len(), 5);
         for i in 0..5 {
             assert!(soc.accel_by_name(&format!("cls_l{i}")).is_some(), "l{i}");

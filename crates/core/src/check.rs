@@ -27,7 +27,6 @@ use crate::soc_config::{MlModelRef, SocConfigFile, TileSpecKind};
 use esp4ml_check::{cdg, codes, Diagnostic, Report};
 use esp4ml_noc::Coord;
 use esp4ml_runtime::Dataflow;
-use esp4ml_soc::Soc;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Words needed to pack `values` 16-bit values four to a 64-bit word.
@@ -63,11 +62,8 @@ impl DeviceView {
 }
 
 /// A floorplan reduced to what the linter needs: grid size, tile
-/// placement and the statically-known device shapes.
-///
-/// Built either from a declarative [`SocConfigFile`] or from an
-/// already-built [`Soc`] (for floorplans like SoC-2 that are assembled
-/// programmatically).
+/// placement and the statically-known device shapes, extracted from a
+/// declarative [`SocConfigFile`].
 #[derive(Debug, Clone, Default)]
 pub struct FloorplanView {
     /// Mesh columns.
@@ -107,7 +103,9 @@ impl FloorplanView {
                     let (in_values, out_values) = match model {
                         MlModelRef::Classifier => (Some(1024), Some(10)),
                         MlModelRef::Denoiser => (Some(1024), Some(1024)),
-                        MlModelRef::Files { .. } => (None, None),
+                        MlModelRef::ClassifierLayer { .. } | MlModelRef::Files { .. } => {
+                            (None, None)
+                        }
                     };
                     view.devices.push(DeviceView {
                         name: name.clone(),
@@ -119,33 +117,6 @@ impl FloorplanView {
                 }
             }
         }
-        view
-    }
-
-    /// Extracts the linter's view from a built SoC (device shapes come
-    /// from the instantiated kernels, so nothing is `None`).
-    pub fn from_soc(soc: &Soc) -> FloorplanView {
-        let mut view = FloorplanView::default();
-        for coord in soc.accel_coords() {
-            let tile = soc.accel(coord).expect("listed accelerator");
-            let kernel = tile.kernel();
-            view.devices.push(DeviceView {
-                name: tile.kernel_name().to_string(),
-                coord,
-                in_values: Some(kernel.input_values()),
-                out_values: Some(kernel.output_values()),
-                plm_words: None,
-            });
-        }
-        view.memories = soc.mem_map().coords().to_vec();
-        let max = view
-            .devices
-            .iter()
-            .map(|d| d.coord)
-            .chain(view.memories.iter().copied())
-            .fold((0u8, 0u8), |(mx, my), c| (mx.max(c.x), my.max(c.y)));
-        view.cols = max.0 as usize + 1;
-        view.rows = max.1 as usize + 1;
         view
     }
 
@@ -379,14 +350,9 @@ mod tests {
     }
 
     #[test]
-    fn every_fig7_app_lints_clean_against_soc1() {
-        let cfg = SocConfigFile::soc1();
+    fn every_fig7_app_lints_clean_against_its_soc() {
         for app in CaseApp::all_fig7_configs() {
-            if app.soc_id() != crate::apps::SocId::Soc1 {
-                continue;
-            }
-            let df = app.dataflow();
-            let report = lint_all(&cfg, &df);
+            let report = lint_all(&app.soc_id().config(), &app.dataflow());
             assert!(report.is_clean(), "{}: {report}", app.label());
         }
     }
@@ -465,27 +431,5 @@ mod tests {
         let view = FloorplanView::from_config(&SocConfigFile::soc1());
         let df = Dataflow::linear(&[&["nv0", "nv1", "nv2", "nv3"], &["cl0"]]);
         assert!(lint_mapping(&view, &df).is_clean());
-    }
-
-    #[test]
-    fn view_from_built_soc_matches_config_view() {
-        let models = crate::apps::TrainedModels::untrained();
-        let soc = SocConfigFile::soc1().build(&models).expect("soc1 builds");
-        let from_soc = FloorplanView::from_soc(&soc);
-        let from_cfg = FloorplanView::from_config(&SocConfigFile::soc1());
-        let mut a: Vec<_> = from_soc
-            .devices
-            .iter()
-            .map(|d| (d.name.clone(), d.coord))
-            .collect();
-        let mut b: Vec<_> = from_cfg
-            .devices
-            .iter()
-            .map(|d| (d.name.clone(), d.coord))
-            .collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-        assert_eq!(from_soc.memories, from_cfg.memories);
     }
 }

@@ -5,7 +5,7 @@ use esp4ml_hls4ml::{
     AcceleratorDescriptor, CompileError, CompiledNn, Hls4mlCompiler, Hls4mlConfig,
 };
 use esp4ml_nn::Sequential;
-use esp4ml_soc::{NnKernel, Soc};
+use esp4ml_soc::Soc;
 use esp4ml_vision::NightVisionKernel;
 
 /// The front door of the ESP4ML flow.
@@ -31,24 +31,10 @@ impl Esp4mlFlow {
         }
     }
 
-    /// The ML path: compiles a trained model into an accelerator kernel
-    /// ready for an ESP tile, with per-layer reuse factors.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CompileError`] from the HLS4ML stage.
-    pub fn ml_accelerator(
-        &self,
-        model: &Sequential,
-        name: &str,
-        per_layer_reuse: &[u64],
-    ) -> Result<NnKernel, CompileError> {
-        let nn = self.compile_ml(model, name, per_layer_reuse)?;
-        Ok(NnKernel::new(nn))
-    }
-
-    /// The ML path up to the compiled network (kept separate so callers
-    /// can split it across tiles with [`CompiledNn::split_layers`]).
+    /// The ML path: compiles a trained model into an accelerator network
+    /// with per-layer reuse factors. [`esp4ml_soc::NnKernel::new`] readies
+    /// it for an ESP tile; [`CompiledNn::split_layers`] splits it across
+    /// tiles.
     ///
     /// # Errors
     ///
@@ -100,7 +86,7 @@ impl Default for Esp4mlFlow {
 mod tests {
     use super::*;
     use esp4ml_nn::{Activation, LayerSpec};
-    use esp4ml_soc::AcceleratorKernel;
+    use esp4ml_soc::{AcceleratorKernel, NnKernel};
 
     fn tiny_model() -> Sequential {
         let mut m = Sequential::with_seed(16, 4);
@@ -112,7 +98,7 @@ mod tests {
     #[test]
     fn ml_path_produces_kernel() {
         let flow = Esp4mlFlow::new();
-        let k = flow.ml_accelerator(&tiny_model(), "clf", &[16, 8]).unwrap();
+        let k = NnKernel::new(flow.compile_ml(&tiny_model(), "clf", &[16, 8]).unwrap());
         assert_eq!(k.name(), "clf");
         assert_eq!(k.input_values(), 16);
         assert_eq!(k.output_values(), 4);

@@ -5,6 +5,8 @@
 //! drives SoC generation. This module provides the same capability as a
 //! JSON document: a floorplan of typed tiles that [`SocConfigFile::build`]
 //! turns into a running [`Soc`], compiling ML accelerators on the way.
+//! The paper's two SoC instances are configs too ([`SocConfigFile::soc1`],
+//! [`SocConfigFile::soc2`]), so every SoC is built by the same code.
 //!
 //! # Example
 //!
@@ -28,12 +30,16 @@
 //! # }
 //! ```
 
-use crate::apps::{BuildError, TrainedModels, CLASSIFIER_KIND, DENOISER_KIND};
+use crate::apps::{
+    BuildError, TrainedModels, CLASSIFIER_KIND, CLASSIFIER_REUSE, DENOISER_KIND, DENOISER_REUSE,
+    MULTI_TILE_REUSE,
+};
 use crate::flow::Esp4mlFlow;
 use esp4ml_hls4ml::{Hls4mlCompiler, Hls4mlConfig};
 use esp4ml_noc::Coord;
 use esp4ml_soc::{NnKernel, Soc, SocBuilder};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// Which trained model an ML accelerator tile hosts.
@@ -44,6 +50,13 @@ pub enum MlModelRef {
     Classifier,
     /// The denoising autoencoder from the in-memory [`TrainedModels`].
     Denoiser,
+    /// Dense layer `layer` of the classifier: the classifier is compiled
+    /// whole with the tile's reuse factors and split with
+    /// `split_layers()` (SoC-2's multi-tile classifier).
+    ClassifierLayer {
+        /// Zero-based dense-layer index.
+        layer: usize,
+    },
     /// A serialized `(model.json, weights)` pair on disk.
     Files {
         /// Path to the topology JSON.
@@ -141,12 +154,18 @@ impl SocConfigFile {
     /// Builds the SoC: compiles every ML accelerator, instantiates the
     /// Night-Vision kernels and assembles the floorplan.
     ///
+    /// Each distinct built-in `(model, reuse)` pair compiles once; every
+    /// tile hosting it deploys a renamed copy sharing the weights. Whole
+    /// classifier and denoiser copies share a kind, so the runtime can fail
+    /// over between them; a layer part keeps its name as its kind.
+    ///
     /// # Errors
     ///
-    /// Compilation failures (including model-file loading) and floorplan
-    /// violations.
+    /// Compilation failures (including model-file loading), a classifier
+    /// layer index past the network's depth, and floorplan violations.
     pub fn build(&self, models: &TrainedModels) -> Result<Soc, BuildError> {
         let flow = Esp4mlFlow::new();
+        let mut compiled = BTreeMap::new();
         let mut b = SocBuilder::new(self.cols, self.rows).clock_mhz(self.clock_mhz);
         for tile in &self.tiles {
             let coord = Coord::new(tile.x, tile.y);
@@ -157,26 +176,50 @@ impl SocConfigFile {
                 TileSpecKind::NightVision { name } => {
                     b.accelerator(coord, Box::new(flow.vision_accelerator(name)))
                 }
+                TileSpecKind::MlModel {
+                    name,
+                    model: MlModelRef::Files { topology, weights },
+                    reuse,
+                } => {
+                    let cfg = if reuse.is_empty() {
+                        Hls4mlConfig::with_reuse(64).named(name)
+                    } else {
+                        Hls4mlConfig::with_reuse(reuse.iter().copied().max().unwrap_or(64))
+                            .named(name)
+                            .with_per_layer_reuse(reuse.clone())
+                    };
+                    let nn = Hls4mlCompiler::compile_files(topology, weights, &cfg)?;
+                    b.accelerator(coord, Box::new(NnKernel::new(nn)))
+                }
                 TileSpecKind::MlModel { name, model, reuse } => {
-                    // Built-in models get the kinds `build_soc1` gives them,
-                    // so config-built copies can fail over between each other.
+                    let (network, kind) = match model {
+                        MlModelRef::Denoiser => (&models.denoiser, DENOISER_KIND),
+                        _ => (&models.classifier, CLASSIFIER_KIND),
+                    };
+                    let reuse = if reuse.is_empty() {
+                        vec![64]
+                    } else {
+                        reuse.clone()
+                    };
+                    let key = (kind, reuse);
+                    if !compiled.contains_key(&key) {
+                        let nn = flow.compile_ml(network, kind, &key.1)?;
+                        compiled.insert(key.clone(), nn);
+                    }
+                    let nn = &compiled[&key];
                     let kernel = match model {
-                        MlModelRef::Classifier => flow
-                            .ml_accelerator(&models.classifier, name, &normalize(reuse))?
-                            .with_kind(CLASSIFIER_KIND),
-                        MlModelRef::Denoiser => flow
-                            .ml_accelerator(&models.denoiser, name, &normalize(reuse))?
-                            .with_kind(DENOISER_KIND),
-                        MlModelRef::Files { topology, weights } => {
-                            let cfg = if reuse.is_empty() {
-                                Hls4mlConfig::with_reuse(64).named(name)
-                            } else {
-                                Hls4mlConfig::with_reuse(reuse.iter().copied().max().unwrap_or(64))
-                                    .named(name)
-                                    .with_per_layer_reuse(reuse.clone())
-                            };
-                            NnKernel::new(Hls4mlCompiler::compile_files(topology, weights, &cfg)?)
+                        MlModelRef::ClassifierLayer { layer } => {
+                            let part =
+                                nn.split_layers().into_iter().nth(*layer).ok_or_else(|| {
+                                    BuildError::MissingLayer {
+                                        tile: name.clone(),
+                                        layer: *layer,
+                                        layers: nn.layers().len(),
+                                    }
+                                })?;
+                            NnKernel::new(part.renamed(name))
                         }
+                        _ => NnKernel::new(nn.renamed(name)).with_kind(kind),
                     };
                     b.accelerator(coord, Box::new(kernel))
                 }
@@ -185,14 +228,11 @@ impl SocConfigFile {
         Ok(b.build()?)
     }
 
-    /// The canonical SoC-1 configuration (Night-Vision ×4, classifier ×5,
-    /// denoiser), equivalent to [`crate::apps::build_soc1`].
+    /// The canonical SoC-1 configuration: one Ariane processor tile, one
+    /// memory tile, one auxiliary tile, four Night-Vision accelerators, five
+    /// classifier copies and the denoiser on a 5×3 mesh — ten
+    /// accelerators, matching "up to ten" in §VI.
     pub fn soc1() -> SocConfigFile {
-        let ml = |name: &str, model: MlModelRef, reuse: &[u64]| TileSpecKind::MlModel {
-            name: name.to_string(),
-            model,
-            reuse: reuse.to_vec(),
-        };
         let mut tiles = vec![
             TileSpec::new(0, 0, TileSpecKind::Processor),
             TileSpec::new(1, 0, TileSpecKind::Memory),
@@ -207,34 +247,25 @@ impl SocConfigFile {
                 },
             ));
         }
+        // Each Night-Vision instance has its classifier nearby (p2p pairs).
         for (i, (x, y)) in [(2u8, 1u8), (3, 1), (4, 1), (0, 2)].into_iter().enumerate() {
             tiles.push(TileSpec::new(
                 x,
                 y,
-                ml(
-                    &format!("cl{i}"),
-                    MlModelRef::Classifier,
-                    &crate::apps::CLASSIFIER_REUSE,
-                ),
+                ml(&format!("cl{i}"), MlModelRef::Classifier, &CLASSIFIER_REUSE),
             ));
         }
         tiles.push(TileSpec::new(
             1,
             2,
-            ml(
-                "denoiser",
-                MlModelRef::Denoiser,
-                &crate::apps::DENOISER_REUSE,
-            ),
+            ml("denoiser", MlModelRef::Denoiser, &DENOISER_REUSE),
         ));
+        // The denoiser pipeline has its own downstream classifier tile
+        // (Fig. 6 maps the De→Cl chain onto dedicated tiles).
         tiles.push(TileSpec::new(
             2,
             2,
-            ml(
-                "cl_de",
-                MlModelRef::Classifier,
-                &crate::apps::CLASSIFIER_REUSE,
-            ),
+            ml("cl_de", MlModelRef::Classifier, &CLASSIFIER_REUSE),
         ));
         SocConfigFile {
             name: "esp4ml-soc1".into(),
@@ -244,13 +275,45 @@ impl SocConfigFile {
             tiles,
         }
     }
+
+    /// The canonical SoC-2 configuration: the classifier partitioned
+    /// across five accelerator tiles (`cls_l0`..`cls_l4`, one dense layer
+    /// each) on a 3×3 mesh.
+    pub fn soc2() -> SocConfigFile {
+        let mut tiles = vec![
+            TileSpec::new(0, 0, TileSpecKind::Processor),
+            TileSpec::new(1, 0, TileSpecKind::Memory),
+            TileSpec::new(1, 2, TileSpecKind::Auxiliary),
+        ];
+        for (layer, (x, y)) in [(2u8, 0u8), (0, 1), (1, 1), (2, 1), (0, 2)]
+            .into_iter()
+            .enumerate()
+        {
+            tiles.push(TileSpec::new(
+                x,
+                y,
+                ml(
+                    &format!("cls_l{layer}"),
+                    MlModelRef::ClassifierLayer { layer },
+                    &MULTI_TILE_REUSE,
+                ),
+            ));
+        }
+        SocConfigFile {
+            name: "esp4ml-soc2".into(),
+            cols: 3,
+            rows: 3,
+            clock_mhz: 78.0,
+            tiles,
+        }
+    }
 }
 
-fn normalize(reuse: &[u64]) -> Vec<u64> {
-    if reuse.is_empty() {
-        vec![64]
-    } else {
-        reuse.to_vec()
+fn ml(name: &str, model: MlModelRef, reuse: &[u64]) -> TileSpecKind {
+    TileSpecKind::MlModel {
+        name: name.to_string(),
+        model,
+        reuse: reuse.to_vec(),
     }
 }
 
@@ -261,31 +324,54 @@ mod tests {
 
     #[test]
     fn json_roundtrip() {
-        let cfg = SocConfigFile::soc1();
-        let json = cfg.to_json();
-        let back = SocConfigFile::from_json(&json).expect("parses");
-        assert_eq!(back, cfg);
+        for cfg in [SocConfigFile::soc1(), SocConfigFile::soc2()] {
+            let back = SocConfigFile::from_json(&cfg.to_json()).expect("parses");
+            assert_eq!(back, cfg);
+        }
     }
 
     #[test]
-    fn soc1_config_builds_equivalent_floorplan() {
+    fn builtin_tiles_probe_with_their_kinds() {
+        // Device kinds decide failover: whole classifier copies are
+        // interchangeable, layer parts are not.
         let models = TrainedModels::untrained();
-        let from_config = SocConfigFile::soc1().build(&models).expect("builds");
-        let direct = crate::apps::build_soc1(&models).expect("builds");
-        let mut a = from_config.accel_coords();
-        let mut b = direct.accel_coords();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-        for name in ["nv0", "cl3", "denoiser", "cl_de"] {
-            assert_eq!(from_config.accel_by_name(name), direct.accel_by_name(name));
+        let soc1 = DeviceRegistry::probe(&SocConfigFile::soc1().build(&models).expect("builds"));
+        for name in ["cl0", "cl1", "cl2", "cl3", "cl_de"] {
+            assert_eq!(soc1.lookup(name).expect(name).kind, CLASSIFIER_KIND);
         }
-        // Device kinds decide failover: a config-built SoC-1 must treat
-        // its classifier copies as interchangeable exactly as `build_soc1`.
         assert_eq!(
-            DeviceRegistry::probe(&from_config).devices(),
-            DeviceRegistry::probe(&direct).devices()
+            soc1.lookup("denoiser").expect("denoiser").kind,
+            DENOISER_KIND
         );
+        let soc2 = DeviceRegistry::probe(&SocConfigFile::soc2().build(&models).expect("builds"));
+        for layer in 0..5 {
+            let name = format!("cls_l{layer}");
+            assert_eq!(soc2.lookup(&name).expect("layer tile").kind, name);
+        }
+    }
+
+    #[test]
+    fn missing_classifier_layer_is_a_typed_error() {
+        let mut cfg = SocConfigFile::soc2();
+        cfg.tiles.push(TileSpec::new(
+            2,
+            2,
+            ml(
+                "cls_l9",
+                MlModelRef::ClassifierLayer { layer: 9 },
+                &MULTI_TILE_REUSE,
+            ),
+        ));
+        match cfg.build(&TrainedModels::untrained()) {
+            Err(BuildError::MissingLayer {
+                tile,
+                layer,
+                layers,
+            }) => {
+                assert_eq!((tile.as_str(), layer, layers), ("cls_l9", 9, 5));
+            }
+            other => panic!("expected MissingLayer, got {:?}", other.map(|_| ())),
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! ESP accelerators move long bursts of data between their on-chip private
 //! local memories (PLMs) and off-chip DRAM via DMA, with virtual addressing
 //! provided by a per-accelerator page table and a TLB inside the tile
-//! socket. This crate models every memory component the ESP4ML flow relies
-//! on:
+//! socket. This crate models the memory components outside the
+//! accelerator (the socket in `esp4ml-soc` holds its PLM as its receive and
+//! output buffers):
 //!
 //! * [`Dram`] — the off-chip main memory behind a memory tile, with a burst
 //!   timing model and the per-access counters that produce the paper's
@@ -13,7 +14,6 @@
 //!   `esp_alloc` runtime call.
 //! * [`PageTable`] and [`Tlb`] — scatter-gather virtual addressing for
 //!   accelerator DMA.
-//! * [`Plm`] — banked private local memory of an accelerator tile.
 //!
 //! # Example
 //!
@@ -34,10 +34,8 @@ mod alloc;
 mod cache;
 mod dram;
 mod paging;
-mod plm;
 
 pub use alloc::{AllocError, ContigAlloc, ContigHandle};
 pub use cache::{CacheAccess, CacheConfig, CacheStats, CachedDram, CachedDramState, Llc};
 pub use dram::{Dram, DramConfig, DramState, DramStats};
 pub use paging::{PageTable, PagingError, Tlb, TlbStats};
-pub use plm::{Plm, PlmConfig, PlmError};

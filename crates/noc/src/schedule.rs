@@ -8,8 +8,8 @@
 //! three-method convention, as inherent methods the SoC driver calls
 //! directly:
 //!
-//! - `tick` advances the component by one cycle; tiles tick against the
-//!   mesh and return their [`Progress`];
+//! - `tick` advances the component by one cycle (tiles tick against the
+//!   mesh) and returns nothing;
 //! - `progress(now)` reports, without ticking, when the next
 //!   *interesting* tick is — the earliest future cycle at which the
 //!   component can possibly change externally observable state — so the

@@ -8,9 +8,9 @@
 //! only when the receiver has space) and is completely transparent to the
 //! kernel, which still sees plain load/store semantics.
 
+use crate::emit::{dma_data_packets, inject_queued, MAX_DMA_PACKET_WORDS};
 use crate::kernel::{pack_values, unpack_values, words_for, AcceleratorKernel};
 use crate::mem_map::MemMap;
-use crate::mem_tile::MAX_DMA_PACKET_WORDS;
 use crate::regs::{
     P2pConfig, RegisterFile, CMD_START, FLAG_DOUBLE_BUFFER, REG_CMD, REG_CONF_OUT_SIZE,
     REG_CONF_SIZE, REG_DST_OFFSET, REG_DVFS, REG_FLAGS, REG_FRAME_BASE, REG_FRAME_STRIDE,
@@ -634,8 +634,8 @@ impl AccelTile {
         matches!(self.st.state, AccelState::Idle | AccelState::Done) && self.st.tx_queue.is_empty()
     }
 
-    /// Advances the tile by one cycle and reports its progress.
-    pub fn tick(&mut self, mesh: &mut Mesh) -> Progress {
+    /// Advances the tile by one cycle.
+    pub fn tick(&mut self, mesh: &mut Mesh) {
         self.st.cycle = mesh.cycle();
         self.drain_control(mesh);
         self.drain_dma_req(mesh);
@@ -651,16 +651,7 @@ impl AccelTile {
             self.st.stats.busy_cycles += 1;
         }
 
-        // Drain outgoing packets into the NoC.
-        while let Some(pkt) = self.st.tx_queue.front() {
-            if mesh.can_inject(self.coord, pkt.plane(), pkt.flit_len()) {
-                let pkt = self.st.tx_queue.pop_front().expect("front packet");
-                mesh.inject(pkt).expect("capacity checked");
-            } else {
-                break;
-            }
-        }
-        self.progress(mesh.cycle())
+        inject_queued(mesh, self.coord, &mut self.st.tx_queue);
     }
 
     /// Event-driven progress report for cycle `now`.
@@ -988,21 +979,10 @@ impl AccelTile {
                             frame,
                         }
                     });
-                    for (k, chunk) in data.chunks(MAX_DMA_PACKET_WORDS).enumerate() {
-                        self.st.stats.p2p_words_sent += chunk.len() as u64;
-                        let mut payload = vec![dest_base + (k * MAX_DMA_PACKET_WORDS) as u64];
-                        payload.extend_from_slice(chunk);
-                        self.st.tx_queue.push_back(
-                            Packet::new(
-                                self.coord,
-                                requester,
-                                Plane::DmaRsp,
-                                MsgKind::DmaData,
-                                payload,
-                            )
-                            .with_frame(frame),
-                        );
-                    }
+                    self.st.stats.p2p_words_sent += words;
+                    self.st.tx_queue.extend(dma_data_packets(
+                        self.coord, requester, dest_base, &data, frame,
+                    ));
                     self.set_state(AccelState::StoreSend);
                 } else {
                     self.st.stats.store_cycles += 1;

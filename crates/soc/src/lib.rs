@@ -57,6 +57,7 @@
 #![warn(missing_docs)]
 
 mod accel_tile;
+mod emit;
 mod error;
 mod kernel;
 mod mem_map;

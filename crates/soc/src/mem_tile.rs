@@ -1,5 +1,6 @@
 //! The memory tile: DMA service over off-chip DRAM.
 
+use crate::emit::{dma_data_packets, inject_queued};
 use crate::sanitize::tile_location;
 use esp4ml_check::{codes, Diagnostic};
 use esp4ml_fault::{FaultKind, FaultSpec};
@@ -8,10 +9,6 @@ use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, Progress};
 use esp4ml_trace::{DmaKind, TileCoord, TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
-
-/// Maximum payload words per DMA data packet on the NoC. Long bursts are
-/// split into multiple packets; wormhole routing keeps each packet intact.
-pub(crate) const MAX_DMA_PACKET_WORDS: usize = 128;
 
 /// A pending memory operation being serviced: the storage access already
 /// happened (and produced `responses`); they are released when the
@@ -223,9 +220,8 @@ impl MemTile {
         self.st.queue.is_empty() && self.st.current.is_none() && self.st.outgoing.is_empty()
     }
 
-    /// Advances the tile by one cycle against the mesh and reports its
-    /// progress.
-    pub fn tick(&mut self, mesh: &mut Mesh) -> Progress {
+    /// Advances the tile by one cycle against the mesh.
+    pub fn tick(&mut self, mesh: &mut Mesh) {
         // Accept new requests.
         while let Some(pkt) = mesh.eject(self.coord, Plane::DmaReq) {
             self.st.queue.push_back(pkt);
@@ -248,16 +244,7 @@ impl MemTile {
                 self.st.outgoing.extend(done.responses);
             }
         }
-        // Drain responses into the NoC.
-        while let Some(pkt) = self.st.outgoing.front() {
-            if mesh.can_inject(self.coord, pkt.plane(), pkt.flit_len()) {
-                let pkt = self.st.outgoing.pop_front().expect("front packet");
-                mesh.inject(pkt).expect("capacity checked");
-            } else {
-                break;
-            }
-        }
-        self.progress(mesh.cycle())
+        inject_queued(mesh, self.coord, &mut self.st.outgoing);
     }
 
     /// Event-driven progress: blocked while the in-flight request counts
@@ -307,21 +294,8 @@ impl MemTile {
                     latency,
                     frame,
                 });
-                let mut responses = Vec::new();
-                for (k, chunk) in data.chunks(MAX_DMA_PACKET_WORDS).enumerate() {
-                    let mut payload = vec![dest_offset + (k * MAX_DMA_PACKET_WORDS) as u64];
-                    payload.extend_from_slice(chunk);
-                    responses.push(
-                        Packet::new(
-                            self.coord,
-                            requester,
-                            Plane::DmaRsp,
-                            MsgKind::DmaData,
-                            payload,
-                        )
-                        .with_frame(frame),
-                    );
-                }
+                let responses =
+                    dma_data_packets(self.coord, requester, dest_offset, &data, frame).collect();
                 (latency, responses)
             }
             MsgKind::DmaStoreReq => {

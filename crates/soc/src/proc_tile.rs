@@ -1,5 +1,6 @@
 //! The processor tile: the hardware seat of the software runtime.
 
+use crate::emit::inject_queued;
 use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, Progress};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -69,18 +70,10 @@ impl ProcTile {
         }
     }
 
-    /// Advances the tile by one cycle and reports its progress.
-    pub fn tick(&mut self, mesh: &mut Mesh) -> Progress {
+    /// Advances the tile by one cycle.
+    pub fn tick(&mut self, mesh: &mut Mesh) {
         self.drain_irqs(mesh);
-        while let Some(pkt) = self.outgoing.front() {
-            if mesh.can_inject(self.coord, pkt.plane(), pkt.flit_len()) {
-                let pkt = self.outgoing.pop_front().expect("front packet");
-                mesh.inject(pkt).expect("capacity checked");
-            } else {
-                break;
-            }
-        }
-        self.progress(mesh.cycle())
+        inject_queued(mesh, self.coord, &mut self.outgoing);
     }
 
     /// Event-driven progress: active while register writes wait to inject

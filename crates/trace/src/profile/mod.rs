@@ -26,6 +26,7 @@ use serde::{Deserialize, Serialize};
 use crate::collector::sealed::Accumulator;
 use crate::collector::{Collector, StageGroups};
 use crate::event::{DmaKind, TileCoord, TimedEvent, TraceEvent};
+use crate::span::{classify_state, SpanKind};
 
 /// Cycles attributed to the four coarse utilization classes.
 ///
@@ -49,12 +50,13 @@ pub struct StateBreakdown {
 impl StateBreakdown {
     /// Attributes `cycles` spent in FSM state `state` to its class.
     pub fn add_state(&mut self, state: &str, cycles: u64) {
-        match state {
-            "compute" => self.busy += cycles,
-            "load_issue" | "load_wait" | "store_issue" => self.dma_stall += cycles,
-            "store_wait_req" | "store_send" | "store_wait_ack" => self.noc_stall += cycles,
-            _ => self.idle += cycles,
-        }
+        let class = match classify_state(state) {
+            SpanKind::Compute => &mut self.busy,
+            SpanKind::Dma => &mut self.dma_stall,
+            SpanKind::Noc => &mut self.noc_stall,
+            _ => &mut self.idle,
+        };
+        *class += cycles;
     }
 
     /// Sums the cycles of another breakdown into this one.

@@ -73,10 +73,11 @@ impl SpanKind {
     }
 }
 
-/// Maps a socket FSM state onto a span kind (same partition as
-/// [`StateBreakdown::add_state`](crate::profile::StateBreakdown::add_state),
-/// with the idle class folded into [`SpanKind::Queue`]).
-fn classify_state(state: &str) -> SpanKind {
+/// Maps a socket FSM state onto a span kind: the one partition of FSM
+/// states into compute, DMA, NoC and idle/queue.
+/// [`StateBreakdown::add_state`](crate::profile::StateBreakdown::add_state)
+/// reads [`SpanKind::Queue`] as its idle class.
+pub(crate) fn classify_state(state: &str) -> SpanKind {
     match state {
         "compute" => SpanKind::Compute,
         "load_issue" | "load_wait" | "store_issue" => SpanKind::Dma,

@@ -3,7 +3,7 @@
 //! prove the runtime sanitizer actually fires.
 
 use esp4ml::apps::CaseApp;
-use esp4ml::check::{lint_all, lint_config, FloorplanView};
+use esp4ml::check::{lint_all, lint_config};
 use esp4ml::soc_config::{MlModelRef, SocConfigFile, TileSpec, TileSpecKind};
 use esp4ml::TrainedModels;
 use esp4ml_check::codes;
@@ -174,19 +174,4 @@ fn sanitizer_catches_a_deliberately_leaked_credit() {
     let report = soc.sanitizer_report().expect("sanitizer armed");
     assert!(report.has_errors());
     assert_eq!(report.diagnostics[0].code, codes::CREDIT_CONSERVATION);
-}
-
-#[test]
-fn floorplan_view_matches_between_config_and_built_soc() {
-    let models = TrainedModels::untrained();
-    let cfg = SocConfigFile::soc1();
-    let soc = cfg.build(&models).expect("soc1 builds");
-    let a = FloorplanView::from_config(&cfg);
-    let b = FloorplanView::from_soc(&soc);
-    let mut names_a: Vec<&str> = a.devices.iter().map(|d| d.name.as_str()).collect();
-    let mut names_b: Vec<&str> = b.devices.iter().map(|d| d.name.as_str()).collect();
-    names_a.sort_unstable();
-    names_b.sort_unstable();
-    assert_eq!(names_a, names_b);
-    assert_eq!(a.memories, b.memories);
 }

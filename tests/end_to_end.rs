@@ -161,7 +161,7 @@ fn balance_advisor_suggests_the_papers_configuration() {
     use esp4ml::runtime::balance::suggest_stage_widths;
     use esp4ml::runtime::DeviceRegistry;
     let m = models();
-    let soc = esp4ml::apps::build_soc1(&m).expect("soc1");
+    let soc = esp4ml::apps::SocId::Soc1.config().build(&m).expect("soc1");
     let registry = DeviceRegistry::probe(&soc);
     let nv = registry.lookup("nv0").expect("nv0");
     let cl = registry.lookup("cl0").expect("cl0");

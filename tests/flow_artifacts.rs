@@ -1,7 +1,7 @@
 //! Integration tests of the design-flow artifacts: model files, compiler
 //! outputs, descriptors, utilization and power reports.
 
-use esp4ml::apps::{build_soc1, build_soc2, TrainedModels, CLASSIFIER_REUSE};
+use esp4ml::apps::{SocId, TrainedModels, CLASSIFIER_REUSE};
 use esp4ml::flow::Esp4mlFlow;
 use esp4ml::hls4ml::{Hls4mlCompiler, Hls4mlConfig};
 use esp4ml::nn::{Activation, LayerSpec, ModelFile, Sequential};
@@ -46,8 +46,8 @@ fn descriptors_for_every_soc1_accelerator() {
 fn soc_reports_fit_the_target_device() {
     let models = TrainedModels::untrained();
     let flow = Esp4mlFlow::new();
-    let soc1 = build_soc1(&models).expect("soc1");
-    let soc2 = build_soc2(&models).expect("soc2");
+    let soc1 = SocId::Soc1.config().build(&models).expect("soc1");
+    let soc2 = SocId::Soc2.config().build(&models).expect("soc2");
     // Both SoCs must fit the paper's Ultrascale+ class device.
     assert!(soc1.resources().fits(&flow.device), "SoC-1 does not fit");
     assert!(soc2.resources().fits(&flow.device), "SoC-2 does not fit");
@@ -70,8 +70,8 @@ fn utilization_tracks_paper_bands() {
     // analytic): SoC-1 LUTs ~48%, SoC-2 ~19%.
     let models = TrainedModels::untrained();
     let flow = Esp4mlFlow::new();
-    let u1 = flow.utilization(&build_soc1(&models).expect("soc1"));
-    let u2 = flow.utilization(&build_soc2(&models).expect("soc2"));
+    let u1 = flow.utilization(&SocId::Soc1.config().build(&models).expect("soc1"));
+    let u2 = flow.utilization(&SocId::Soc2.config().build(&models).expect("soc2"));
     assert!(
         (40.0..=56.0).contains(&u1.lut_pct),
         "SoC-1 LUT {:.0}%",
