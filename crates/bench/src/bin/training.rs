@@ -39,10 +39,10 @@ fn main() {
     // the HLS4ML 16-bit fixed-point accelerator.
     let flow = Esp4mlFlow::new();
     let nn = flow
-        .compile_ml(&models.classifier, "clf", &CLASSIFIER_REUSE)
+        .compile_ml(models.classifier(), "clf", &CLASSIFIER_REUSE)
         .expect("classifier compiles");
     let _den = flow
-        .compile_ml(&models.denoiser, "den", &DENOISER_REUSE)
+        .compile_ml(models.denoiser(), "den", &DENOISER_REUSE)
         .expect("denoiser compiles");
     let mut gen = SvhnGenerator::new(999);
     let n = 250;
@@ -51,7 +51,7 @@ fn main() {
     for _ in 0..n {
         let s = gen.sample();
         let x = Matrix::from_vec(1, s.image.len(), s.image.clone());
-        let float_pred = models.classifier.predict_classes(&x)[0];
+        let float_pred = models.classifier().predict_classes(&x)[0];
         let fixed_pred = nn.classify(&s.image);
         if float_pred == fixed_pred {
             agree += 1;

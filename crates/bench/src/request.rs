@@ -821,7 +821,7 @@ pub fn execute_with_progress(
         WorkloadKind::Spans => spans_response(&req, models, progress),
         WorkloadKind::Faults { seeds } => faults_response(&req, seeds, models, progress),
         WorkloadKind::Check => check_response(&req, progress),
-        WorkloadKind::Deployment => deployment_response(&req, progress),
+        WorkloadKind::Deployment => deployment_response(&req, models, progress),
     }
 }
 
@@ -1544,13 +1544,14 @@ pub struct EspdeployReport {
 
 fn deployment_response(
     req: &RunRequest,
+    models: &TrainedModels,
     progress: Option<&dyn ProgressSink>,
 ) -> Result<RunResponse, RequestError> {
     let deployment = req.required_deployment().map_err(RequestError::Invalid)?;
     let engine = req.soc_engine();
     let analysis = deploy::lint_deployment(deployment);
-    let validation =
-        deploy::validate_against_simulator(deployment, req.frames, engine).map_err(grid_error)?;
+    let validation = deploy::validate_against_simulator(deployment, models, req.frames, engine)
+        .map_err(grid_error)?;
     let mut tracker = ProgressTracker::new(progress, validation.tenants.len() as u64);
     for t in &validation.tenants {
         tracker.advance(&t.tenant, t.frames, t.cycles);

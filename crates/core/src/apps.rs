@@ -1,14 +1,17 @@
 //! The paper's two SoC instances and four case-study applications (Fig. 6).
 
+use crate::flow::Esp4mlFlow;
 use crate::soc_config::SocConfigFile;
 use esp4ml_hls::FixedSpec;
-use esp4ml_hls4ml::CompileError;
+use esp4ml_hls4ml::{CompileError, CompiledNn};
 use esp4ml_nn::{accuracy, reconstruction_error, Sequential, TrainConfig, Trainer};
 use esp4ml_runtime::Dataflow;
 use esp4ml_soc::{Soc, SocError};
 use esp4ml_vision::SvhnGenerator;
 use std::error::Error;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Per-layer reuse factors of the single-tile classifier (SoC-1). Chosen,
 /// as the paper does with the `hls4ml tuning` step, so four classifier
@@ -84,17 +87,24 @@ impl From<SocError> for BuildError {
 
 /// The two Keras-trained models of the evaluation, plus their quality
 /// metrics when training was actually run.
+///
+/// The models also hold the HLS4ML stage's output: each built-in network
+/// compiles once per per-layer reuse vector, the first time a SoC build
+/// asks for it, and every later build reuses that compile (see
+/// [`SocConfigFile::build`]). The reuse is sound because the networks
+/// are private and cannot change once the models exist. Clones share the
+/// compiled networks. At most eight compiles are kept; the least recently
+/// used goes first.
 #[derive(Debug, Clone)]
 pub struct TrainedModels {
-    /// The MLP digit classifier (1024×256×128×64×32×10, dropout 0.2).
-    pub classifier: Sequential,
-    /// The denoising autoencoder (1024×256×128×1024).
-    pub denoiser: Sequential,
+    classifier: Sequential,
+    denoiser: Sequential,
     /// Test accuracy of the classifier, if trained (paper: 92 %).
     pub classifier_accuracy: Option<f64>,
     /// Relative reconstruction error of the denoiser, if trained
     /// (paper: 3.1 %).
     pub denoiser_error: Option<f64>,
+    compiled: Arc<CompiledCache>,
 }
 
 impl TrainedModels {
@@ -102,12 +112,7 @@ impl TrainedModels {
     /// to build, functionally complete (useful for architecture-level
     /// experiments where prediction quality is irrelevant).
     pub fn untrained() -> Self {
-        TrainedModels {
-            classifier: Sequential::svhn_classifier(),
-            denoiser: Sequential::svhn_denoiser(),
-            classifier_accuracy: None,
-            denoiser_error: None,
-        }
+        Self::new(Sequential::svhn_classifier(), Sequential::svhn_denoiser())
     }
 
     /// Trains both models on the synthetic SVHN-like dataset.
@@ -133,11 +138,115 @@ impl TrainedModels {
         let denoiser_error = Some(reconstruction_error(&denoiser, &test_d));
 
         TrainedModels {
-            classifier,
-            denoiser,
             classifier_accuracy,
             denoiser_error,
+            ..Self::new(classifier, denoiser)
         }
+    }
+
+    fn new(classifier: Sequential, denoiser: Sequential) -> Self {
+        TrainedModels {
+            classifier,
+            denoiser,
+            classifier_accuracy: None,
+            denoiser_error: None,
+            compiled: Arc::default(),
+        }
+    }
+
+    /// The MLP digit classifier (1024×256×128×64×32×10, dropout 0.2).
+    pub fn classifier(&self) -> &Sequential {
+        &self.classifier
+    }
+
+    /// The denoising autoencoder (1024×256×128×1024).
+    pub fn denoiser(&self) -> &Sequential {
+        &self.denoiser
+    }
+
+    /// The built-in network `net` compiled with `reuse`, named after its
+    /// kind: the value `compile_ml(network, kind, reuse)` returns, taken
+    /// from the cache when an earlier build compiled it. The lock is not
+    /// held while compiling, so two racing builds may both compile one
+    /// key; their results are equal. Failed compiles are not cached.
+    pub(crate) fn compiled(
+        &self,
+        net: BuiltinNet,
+        reuse: &[u64],
+    ) -> Result<Arc<CompiledNn>, CompileError> {
+        let key = (net, reuse.to_vec());
+        if let Some(nn) = self.compiled.get(&key) {
+            return Ok(nn);
+        }
+        let network = match net {
+            BuiltinNet::Classifier => &self.classifier,
+            BuiltinNet::Denoiser => &self.denoiser,
+        };
+        let nn = Esp4mlFlow::new().compile_ml(network, net.kind(), reuse)?;
+        self.compiled.compiles.fetch_add(1, Ordering::Relaxed);
+        Ok(self.compiled.insert(key, Arc::new(nn)))
+    }
+}
+
+/// A network [`TrainedModels`] holds, as a SoC configuration names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BuiltinNet {
+    Classifier,
+    Denoiser,
+}
+
+impl BuiltinNet {
+    /// The device kind whole copies of the network deploy with.
+    pub(crate) fn kind(self) -> &'static str {
+        match self {
+            BuiltinNet::Classifier => CLASSIFIER_KIND,
+            BuiltinNet::Denoiser => DENOISER_KIND,
+        }
+    }
+}
+
+/// Compiles kept per [`TrainedModels`]. Each SoC build asks for at most
+/// a few keys, but a server's user-supplied configs can name any reuse
+/// vector, so the bound is what keeps its memory flat.
+const COMPILED_CAPACITY: usize = 8;
+
+type CompileKey = (BuiltinNet, Vec<u64>);
+
+/// The compiled built-in networks, least recently used first.
+#[derive(Debug, Default)]
+struct CompiledCache {
+    entries: Mutex<Vec<(CompileKey, Arc<CompiledNn>)>>,
+    /// Successful compiles so far (read by the tests).
+    compiles: AtomicUsize,
+}
+
+impl CompiledCache {
+    fn entries(&self) -> MutexGuard<'_, Vec<(CompileKey, Arc<CompiledNn>)>> {
+        // Every update leaves the list valid (at worst an entry is
+        // missing, which costs a recompile), so a panic while the lock
+        // was held leaves nothing to repair.
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn get(&self, key: &CompileKey) -> Option<Arc<CompiledNn>> {
+        let mut entries = self.entries();
+        let i = entries.iter().position(|(k, _)| k == key)?;
+        entries[i..].rotate_left(1);
+        entries.last().map(|(_, nn)| Arc::clone(nn))
+    }
+
+    /// Inserts `nn` as most recently used, unless a racing build got
+    /// there first, and returns the cached value.
+    fn insert(&self, key: CompileKey, nn: Arc<CompiledNn>) -> Arc<CompiledNn> {
+        let mut entries = self.entries();
+        if let Some((_, cached)) = entries.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(cached);
+        }
+        if entries.len() == COMPILED_CAPACITY {
+            entries.remove(0);
+        }
+        entries.push((key, Arc::clone(&nn)));
+        nn
     }
 }
 
@@ -374,8 +483,8 @@ mod tests {
     #[test]
     fn untrained_models_have_paper_dims() {
         let m = TrainedModels::untrained();
-        assert_eq!(m.classifier.dims(), vec![1024, 256, 128, 64, 32, 10]);
-        assert_eq!(m.denoiser.dims(), vec![1024, 256, 128, 1024]);
+        assert_eq!(m.classifier().dims(), vec![1024, 256, 128, 64, 32, 10]);
+        assert_eq!(m.denoiser().dims(), vec![1024, 256, 128, 1024]);
         assert!(m.classifier_accuracy.is_none());
     }
 }
@@ -424,5 +533,184 @@ mod describe_tests {
     fn describe_multi_tile_shows_five_stages() {
         let text = CaseApp::MultiTileClassifier.describe();
         assert_eq!(text.matches("cls_l").count(), 5);
+    }
+}
+
+#[cfg(test)]
+mod compile_cache_tests {
+    use super::*;
+
+    /// Everything a build fixes about a SoC: its initial state, its area
+    /// and each accelerator's interface, timing and resources.
+    fn fingerprint(soc: &Soc) -> (esp4ml_soc::SocSnapshot, String) {
+        let accels: Vec<String> = soc
+            .accel_coords()
+            .into_iter()
+            .map(|c| {
+                let k = soc.accel(c).expect("accelerator").kernel();
+                format!(
+                    "{c:?} {} {} {}->{} ii {} {:?}",
+                    k.name(),
+                    k.kind(),
+                    k.input_values(),
+                    k.output_values(),
+                    k.initiation_interval(),
+                    k.resources()
+                )
+            })
+            .collect();
+        (soc.snapshot(), format!("{:?} {accels:?}", soc.resources()))
+    }
+
+    fn cached(models: &TrainedModels) -> usize {
+        models.compiled.entries().len()
+    }
+
+    fn compiles(models: &TrainedModels) -> usize {
+        models.compiled.compiles.load(Ordering::Relaxed)
+    }
+
+    /// The same weights with an empty compile cache.
+    fn cold(models: &TrainedModels) -> TrainedModels {
+        TrainedModels::new(models.classifier.clone(), models.denoiser.clone())
+    }
+
+    /// A 2×2 SoC with one classifier tile compiled with `reuse`.
+    fn one_classifier(reuse: &[u64]) -> SocConfigFile {
+        use crate::soc_config::{MlModelRef, TileSpec, TileSpecKind};
+        SocConfigFile {
+            name: "one-classifier".into(),
+            cols: 2,
+            rows: 2,
+            clock_mhz: 78.0,
+            tiles: vec![
+                TileSpec::new(0, 0, TileSpecKind::Processor),
+                TileSpec::new(1, 0, TileSpecKind::Memory),
+                TileSpec::new(
+                    0,
+                    1,
+                    TileSpecKind::MlModel {
+                        name: "cl".into(),
+                        model: MlModelRef::Classifier,
+                        reuse: reuse.to_vec(),
+                    },
+                ),
+            ],
+        }
+    }
+
+    #[test]
+    fn warm_builds_equal_builds_from_fresh_models() {
+        let models = TrainedModels::untrained();
+        for id in [SocId::Soc1, SocId::Soc2] {
+            let first = id.config().build(&models).expect("builds");
+            let warm = id.config().build(&models).expect("builds");
+            let fresh = id
+                .config()
+                .build(&TrainedModels::untrained())
+                .expect("builds");
+            assert_eq!(fingerprint(&warm), fingerprint(&fresh), "{id:?}");
+            assert_eq!(fingerprint(&first), fingerprint(&fresh), "{id:?}");
+        }
+        let flow = Esp4mlFlow::new();
+        for (net, reuse) in [
+            (BuiltinNet::Classifier, &CLASSIFIER_REUSE[..]),
+            (BuiltinNet::Denoiser, &DENOISER_REUSE[..]),
+            (BuiltinNet::Classifier, &MULTI_TILE_REUSE[..]),
+        ] {
+            let network = match net {
+                BuiltinNet::Classifier => models.classifier(),
+                BuiltinNet::Denoiser => models.denoiser(),
+            };
+            let fresh = flow
+                .compile_ml(network, net.kind(), reuse)
+                .expect("compiles");
+            assert_eq!(*models.compiled(net, reuse).expect("cached"), fresh);
+        }
+    }
+
+    #[test]
+    fn each_network_compiles_once_per_models() {
+        let models = TrainedModels::untrained();
+        assert_eq!(compiles(&models), 0, "construction compiles nothing");
+        for id in [SocId::Soc1, SocId::Soc2, SocId::Soc1] {
+            id.config().build(&models).expect("builds");
+        }
+        // SoC-1's classifier and denoiser, SoC-2's classifier.
+        assert_eq!(compiles(&models), 3);
+        SocId::Soc2.config().build(&models.clone()).expect("builds");
+        assert_eq!(compiles(&models), 3, "clones share the compiles");
+    }
+
+    #[test]
+    fn cache_keeps_the_most_recently_used_keys_up_to_its_bound() {
+        let models = TrainedModels::untrained();
+        let build = |k: u64| one_classifier(&[64 * k; 5]).build(&models);
+        let keys = COMPILED_CAPACITY as u64 + 3;
+        for k in 1..=keys {
+            let warm = build(k).expect("builds");
+            let cold = one_classifier(&[64 * k; 5])
+                .build(&cold(&models))
+                .expect("builds");
+            assert_eq!(fingerprint(&warm), fingerprint(&cold), "reuse {}", 64 * k);
+            assert!(cached(&models) <= COMPILED_CAPACITY);
+            if k == COMPILED_CAPACITY as u64 {
+                // A hit makes the oldest key the most recently used.
+                build(1).expect("builds");
+            }
+        }
+        assert_eq!(cached(&models), COMPILED_CAPACITY);
+        assert_eq!(compiles(&models), keys as usize);
+        // Key 1 survived the overflow, key 2 was the least recently used.
+        build(1).expect("builds");
+        assert_eq!(compiles(&models), keys as usize);
+        build(2).expect("builds");
+        assert_eq!(compiles(&models), keys as usize + 1);
+        assert_eq!(cached(&models), COMPILED_CAPACITY);
+    }
+
+    #[test]
+    fn concurrent_builds_from_one_models_agree() {
+        let models = TrainedModels::untrained();
+        let [a, b] = std::thread::scope(|s| {
+            let workers =
+                [0, 1].map(|_| s.spawn(|| SocId::Soc1.config().build(&models).expect("builds")));
+            workers.map(|w| fingerprint(&w.join().expect("no panic")))
+        });
+        assert_eq!(a, b);
+        let after = SocId::Soc1.config().build(&models).expect("builds");
+        assert_eq!(fingerprint(&after), a);
+        assert_eq!(cached(&models), 2, "one entry per key despite the race");
+    }
+
+    #[test]
+    fn failed_compiles_are_errors_every_time_and_never_cached() {
+        let models = TrainedModels::untrained();
+        for reuse in [&[0u64; 5][..], &[64, 64]] {
+            for _ in 0..2 {
+                match one_classifier(reuse).build(&models) {
+                    Err(BuildError::Compile(_)) => {}
+                    other => panic!("{reuse:?}: expected Compile, got {:?}", other.map(|_| ())),
+                }
+            }
+        }
+        assert_eq!((cached(&models), compiles(&models)), (0, 0));
+    }
+
+    #[test]
+    fn a_poisoned_cache_still_serves_builds() {
+        let models = TrainedModels::untrained();
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = models.compiled.entries.lock();
+                panic!("poisoning the compile cache on purpose");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(models.compiled.entries.is_poisoned());
+        let soc = SocId::Soc2.config().build(&models).expect("builds");
+        assert_eq!(soc.accel_coords().len(), 5);
+        assert_eq!(cached(&models), 1);
     }
 }

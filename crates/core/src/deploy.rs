@@ -629,8 +629,11 @@ impl DeploymentValidation {
     }
 }
 
-/// Runs one tenant solo on the deployment's SoC and compares the
-/// measured DMA-plane link traffic against the static demand model.
+/// Runs one tenant solo on the deployment's SoC, built from `models`,
+/// and compares the measured DMA-plane link traffic against the static
+/// demand model. The traffic does not depend on the weights, so any
+/// models give the same check; passing long-lived ones reuses their
+/// compiled networks.
 ///
 /// # Errors
 ///
@@ -638,6 +641,7 @@ impl DeploymentValidation {
 /// cannot express (unknown device/mode/shape).
 pub fn check_tenant_against_simulator(
     deployment: &Deployment,
+    models: &TrainedModels,
     tenant_index: usize,
     frames: u64,
     engine: SocEngine,
@@ -652,10 +656,9 @@ pub fn check_tenant_against_simulator(
         .exec_mode()
         .ok_or_else(|| Esp4mlError::Other(format!("unknown mode {:?}", tenant.mode)))?;
 
-    let models = TrainedModels::untrained();
     let mut soc = deployment
         .soc
-        .build(&models)
+        .build(models)
         .map_err(|e| Esp4mlError::Other(format!("SoC build failed: {e}")))?;
     soc.set_engine(engine);
     let mut rt = EspRuntime::new(soc)?;
@@ -737,6 +740,7 @@ pub fn check_tenant_against_simulator(
 /// Any per-tenant failure from [`check_tenant_against_simulator`].
 pub fn validate_against_simulator(
     deployment: &Deployment,
+    models: &TrainedModels,
     frames: u64,
     engine: SocEngine,
 ) -> Result<DeploymentValidation, Esp4mlError> {
@@ -746,7 +750,7 @@ pub fn validate_against_simulator(
     let mut measured_demands = Vec::new();
     let mut static_demands = Vec::new();
     for (i, tenant) in deployment.tenants.iter().enumerate() {
-        let check = check_tenant_against_simulator(deployment, i, frames, engine)?;
+        let check = check_tenant_against_simulator(deployment, models, i, frames, engine)?;
         measured_demands.push(bw::TenantDemand {
             name: tenant.name.clone(),
             frame_rate_hz: tenant.frame_rate_hz,

@@ -469,8 +469,8 @@ impl Loaded {
     /// hardware runs it replaces.
     fn software_fallback(&self, app: &CaseApp, models: &TrainedModels, mode: ExecMode) -> AppRun {
         let sw = SoftwareApp::new(
-            Some(models.classifier.clone()),
-            Some(models.denoiser.clone()),
+            Some(models.classifier().clone()),
+            Some(models.denoiser().clone()),
         );
         let mut gen = SvhnGenerator::new(DATA_SEED);
         let mut predictions = Vec::with_capacity(self.frames as usize);
@@ -1254,12 +1254,12 @@ impl AccuracyReport {
         use esp4ml_nn::Matrix;
 
         let app_sw = SoftwareApp::new(
-            Some(models.classifier.clone()),
-            Some(models.denoiser.clone()),
+            Some(models.classifier().clone()),
+            Some(models.denoiser().clone()),
         );
         let classify_float = |image: &[f32]| -> usize {
             let x = Matrix::from_vec(1, image.len(), image.to_vec());
-            models.classifier.predict_classes(&x)[0]
+            models.classifier().predict_classes(&x)[0]
         };
 
         // Replicate the exact frame sequences the SoC runs see.

@@ -31,15 +31,13 @@
 //! ```
 
 use crate::apps::{
-    BuildError, TrainedModels, CLASSIFIER_KIND, CLASSIFIER_REUSE, DENOISER_KIND, DENOISER_REUSE,
-    MULTI_TILE_REUSE,
+    BuildError, BuiltinNet, TrainedModels, CLASSIFIER_REUSE, DENOISER_REUSE, MULTI_TILE_REUSE,
 };
 use crate::flow::Esp4mlFlow;
 use esp4ml_hls4ml::{Hls4mlCompiler, Hls4mlConfig};
 use esp4ml_noc::Coord;
 use esp4ml_soc::{NnKernel, Soc, SocBuilder};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// Which trained model an ML accelerator tile hosts.
@@ -154,10 +152,13 @@ impl SocConfigFile {
     /// Builds the SoC: compiles every ML accelerator, instantiates the
     /// Night-Vision kernels and assembles the floorplan.
     ///
-    /// Each distinct built-in `(model, reuse)` pair compiles once; every
+    /// Each built-in network compiles once per `(model, reuse)` key and
+    /// per [`TrainedModels`]: the first build that needs it compiles it,
+    /// and later builds from the same models (or a clone) reuse it. Every
     /// tile hosting it deploys a renamed copy sharing the weights. Whole
-    /// classifier and denoiser copies share a kind, so the runtime can fail
-    /// over between them; a layer part keeps its name as its kind.
+    /// classifier and denoiser copies share a kind, so the runtime can
+    /// fail over between them; a layer part keeps its name as its kind.
+    /// `Files` tiles compile on every build.
     ///
     /// # Errors
     ///
@@ -165,7 +166,6 @@ impl SocConfigFile {
     /// layer index past the network's depth, and floorplan violations.
     pub fn build(&self, models: &TrainedModels) -> Result<Soc, BuildError> {
         let flow = Esp4mlFlow::new();
-        let mut compiled = BTreeMap::new();
         let mut b = SocBuilder::new(self.cols, self.rows).clock_mhz(self.clock_mhz);
         for tile in &self.tiles {
             let coord = Coord::new(tile.x, tile.y);
@@ -192,21 +192,12 @@ impl SocConfigFile {
                     b.accelerator(coord, Box::new(NnKernel::new(nn)))
                 }
                 TileSpecKind::MlModel { name, model, reuse } => {
-                    let (network, kind) = match model {
-                        MlModelRef::Denoiser => (&models.denoiser, DENOISER_KIND),
-                        _ => (&models.classifier, CLASSIFIER_KIND),
+                    let net = match model {
+                        MlModelRef::Denoiser => BuiltinNet::Denoiser,
+                        _ => BuiltinNet::Classifier,
                     };
-                    let reuse = if reuse.is_empty() {
-                        vec![64]
-                    } else {
-                        reuse.clone()
-                    };
-                    let key = (kind, reuse);
-                    if !compiled.contains_key(&key) {
-                        let nn = flow.compile_ml(network, kind, &key.1)?;
-                        compiled.insert(key.clone(), nn);
-                    }
-                    let nn = &compiled[&key];
+                    let reuse: &[u64] = if reuse.is_empty() { &[64] } else { reuse };
+                    let nn = models.compiled(net, reuse)?;
                     let kernel = match model {
                         MlModelRef::ClassifierLayer { layer } => {
                             let part =
@@ -219,7 +210,7 @@ impl SocConfigFile {
                                 })?;
                             NnKernel::new(part.renamed(name))
                         }
-                        _ => NnKernel::new(nn.renamed(name)).with_kind(kind),
+                        _ => NnKernel::new(nn.renamed(name)).with_kind(net.kind()),
                     };
                     b.accelerator(coord, Box::new(kernel))
                 }
@@ -320,6 +311,7 @@ fn ml(name: &str, model: MlModelRef, reuse: &[u64]) -> TileSpecKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::{CLASSIFIER_KIND, DENOISER_KIND};
     use esp4ml_runtime::DeviceRegistry;
 
     #[test]

@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let flow = Esp4mlFlow::new();
 
     // Show the layer partitioning the paper distributes over five tiles.
-    let whole = flow.compile_ml(&models.classifier, "cls", &MULTI_TILE_REUSE)?;
+    let whole = flow.compile_ml(models.classifier(), "cls", &MULTI_TILE_REUSE)?;
     println!("partitioning the 1024x256x128x64x32x10 classifier:");
     for (i, (part, est)) in whole
         .split_layers()
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             est.resources
         );
     }
-    let single = flow.compile_ml(&models.classifier, "cls1", &CLASSIFIER_REUSE)?;
+    let single = flow.compile_ml(models.classifier(), "cls1", &CLASSIFIER_REUSE)?;
     println!(
         "\nmonolithic accelerator for comparison: latency {} cycles, {}",
         single.latency(),

@@ -7,6 +7,7 @@
 //! seeded `configs/deploy_conflict.json` must be refuted with the
 //! full `E07xx` family.
 
+use esp4ml::apps::TrainedModels;
 use esp4ml::deploy::{lint_deployment, validate_against_simulator, Deployment};
 use esp4ml::soc::SocEngine;
 
@@ -62,7 +63,8 @@ fn seeded_conflict_deployment_is_refuted_with_every_e07xx() {
 fn assert_conservative(engine: SocEngine) {
     let d = load("deploy_ok.json");
     let frames = 4;
-    let validation = validate_against_simulator(&d, frames, engine).expect("tenants simulate");
+    let validation = validate_against_simulator(&d, &TrainedModels::untrained(), frames, engine)
+        .expect("tenants simulate");
     assert_eq!(validation.tenants.len(), d.tenants.len());
     for tenant in &validation.tenants {
         for link in &tenant.links {

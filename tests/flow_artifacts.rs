@@ -32,7 +32,7 @@ fn descriptors_for_every_soc1_accelerator() {
     let models = TrainedModels::untrained();
     let flow = Esp4mlFlow::new();
     let nn = flow
-        .compile_ml(&models.classifier, "cl", &CLASSIFIER_REUSE)
+        .compile_ml(models.classifier(), "cl", &CLASSIFIER_REUSE)
         .expect("compile");
     let desc = flow.descriptor(&nn);
     assert_eq!(desc.input_words, 1024);
@@ -95,10 +95,10 @@ fn reuse_factor_trades_throughput_for_area() {
     let models = TrainedModels::untrained();
     let flow = Esp4mlFlow::new();
     let fast = flow
-        .compile_ml(&models.classifier, "f", &[256, 128, 64, 32, 16])
+        .compile_ml(models.classifier(), "f", &[256, 128, 64, 32, 16])
         .expect("fast");
     let slow = flow
-        .compile_ml(&models.classifier, "s", &[4096, 2048, 1024, 512, 64])
+        .compile_ml(models.classifier(), "s", &[4096, 2048, 1024, 512, 64])
         .expect("slow");
     assert!(fast.latency() < slow.latency());
     assert!(fast.resources().dsps > slow.resources().dsps);
