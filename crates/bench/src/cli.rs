@@ -339,7 +339,7 @@ impl HarnessSpec {
             Flag::Epochs => Some(self.defaults.epochs.to_string()),
             Flag::Jobs => Some(self.defaults.jobs.to_string()),
             Flag::Seeds => Some(self.defaults.seeds.to_string()),
-            Flag::Engine => Some(engine_name(self.defaults.engine).to_string()),
+            Flag::Engine => Some(self.defaults.engine.name().to_string()),
             _ => None,
         }
     }
@@ -376,42 +376,6 @@ pub fn exit_on_error(err: CliError) -> ! {
             eprintln!("{msg}");
             std::process::exit(2);
         }
-    }
-}
-
-/// The canonical name of an engine (`naive` / `event-driven`), as
-/// recorded in every machine-readable report.
-pub fn engine_name(engine: SocEngine) -> &'static str {
-    match engine {
-        SocEngine::Naive => "naive",
-        SocEngine::EventDriven => "event-driven",
-    }
-}
-
-/// Parses an engine name (`naive`, `event`, `event-driven`).
-///
-/// # Errors
-///
-/// The shared `--engine: unknown engine {name}` message.
-pub fn engine_from_str(v: &str) -> Result<SocEngine, String> {
-    match v {
-        "naive" => Ok(SocEngine::Naive),
-        "event" | "event-driven" => Ok(SocEngine::EventDriven),
-        other => Err(format!("--engine: unknown engine {other}")),
-    }
-}
-
-/// Parses an execution-mode name (`base`, `pipe`, `p2p`).
-///
-/// # Errors
-///
-/// The shared `--mode: unknown mode {name}` message.
-pub fn mode_from_str(v: &str) -> Result<ExecMode, String> {
-    match v {
-        "base" => Ok(ExecMode::Base),
-        "pipe" => Ok(ExecMode::Pipe),
-        "p2p" => Ok(ExecMode::P2p),
-        other => Err(format!("--mode: unknown mode {other}")),
     }
 }
 
@@ -568,7 +532,13 @@ fn parse_inner(
             Flag::Profile => out.profile = Some(PathBuf::from(value()?)),
             Flag::Spans => out.spans = Some(PathBuf::from(value()?)),
             Flag::SampleEvery => out.sample_every = Some(number()?),
-            Flag::Engine => out.engine = engine_from_str(&value()?)?,
+            Flag::Engine => {
+                out.engine = match value()?.as_str() {
+                    "naive" => SocEngine::Naive,
+                    "event" | "event-driven" => SocEngine::EventDriven,
+                    other => return Err(format!("--engine: unknown engine {other}").into()),
+                }
+            }
             Flag::Jobs => out.jobs = number()? as usize,
             Flag::ForkPrefix => out.fork_prefix = true,
             Flag::Sanitize => out.sanitize = true,
@@ -576,7 +546,11 @@ fn parse_inner(
             Flag::Config => out.configs.push(number()? as usize),
             Flag::ConfigPath => out.config_paths.push(PathBuf::from(value()?)),
             Flag::All => out.all = true,
-            Flag::Mode => out.modes.push(mode_from_str(&value()?)?),
+            Flag::Mode => {
+                let v = value()?;
+                let mode = ExecMode::from_label(&v).ok_or(format!("--mode: unknown mode {v}"))?;
+                out.modes.push(mode);
+            }
             Flag::Seeds => out.seeds = number()?,
             Flag::Json => out.json = Some(PathBuf::from(value()?)),
             Flag::Flame => out.flame = Some(PathBuf::from(value()?)),

@@ -18,7 +18,6 @@
 //! what makes the server's result cache sound — the simulator is proven
 //! engine-byte-identical, so equal keys imply equal responses.
 
-use crate::cli::engine_name;
 use crate::{chart, parallel};
 use esp4ml::apps::{CaseApp, TrainedModels};
 use esp4ml::check::{lint_all, lint_config};
@@ -572,8 +571,12 @@ impl RunRequest {
                 }
             }
             WorkloadKind::Profile | WorkloadKind::Spans => {
-                for m in &self.modes {
-                    mode_from_name(m)?;
+                if let Some(m) = self
+                    .modes
+                    .iter()
+                    .find(|m| ExecMode::from_label(m).is_none())
+                {
+                    return Err(format!("unknown mode {m}; expected base, pipe or p2p"));
                 }
                 // espprof/espspan attach their own observers per point.
                 self.reject_run_options()?;
@@ -706,13 +709,6 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-fn mode_from_name(name: &str) -> Result<ExecMode, String> {
-    ExecMode::ALL
-        .into_iter()
-        .find(|m| m.label() == name)
-        .ok_or_else(|| format!("unknown mode {name}; expected base, pipe or p2p"))
-}
-
 /// The espcheck admission filter: lints the request's attachments
 /// (SoC configuration, fault plan) statically, returning the combined
 /// diagnostic report. [`execute`] refuses requests whose report has
@@ -760,7 +756,7 @@ fn selected_points(req: &RunRequest) -> Vec<GridPoint> {
             let modes: Vec<ExecMode> = req
                 .modes
                 .iter()
-                .filter_map(|m| mode_from_name(m).ok())
+                .filter_map(|m| ExecMode::from_label(m))
                 .collect();
             return req
                 .configs
@@ -846,7 +842,7 @@ impl RunResponse {
         RunResponse {
             schema_version: SCHEMA_VERSION,
             workload: req.workload.label().to_string(),
-            engine: engine_name(req.soc_engine()).to_string(),
+            engine: req.soc_engine().name().to_string(),
             frames: req.frames,
             runs,
             verdict: Verdict {
@@ -1598,7 +1594,7 @@ fn deployment_response(
         version: env!("CARGO_PKG_VERSION").to_string(),
         deployment: deployment.name.clone(),
         tenants: deployment.tenants.iter().map(|t| t.name.clone()).collect(),
-        engine: engine_name(engine).to_string(),
+        engine: engine.name().to_string(),
         diagnostics: analysis.report.diagnostics.clone(),
         bandwidth: analysis.bandwidth,
         validation,
@@ -1635,7 +1631,7 @@ impl crate::HarnessArgs {
             configs,
             modes: self.modes.iter().map(|m| m.label().to_string()).collect(),
             frames: self.frames,
-            engine: engine_name(self.engine).to_string(),
+            engine: self.engine.name().to_string(),
             jobs: self.jobs,
             fork_prefix: self.fork_prefix,
             sanitize: self.sanitize,

@@ -193,6 +193,6 @@ fn deployment_response_is_pinned() {
     assert_pinned(
         "deployment",
         &req,
-        (0x83ca_270c_4da6_7255, 0x8f99_5aaa_de03_09cc),
+        (0x40bc_4a2a_90c8_baab, 0x8f99_5aaa_de03_09cc),
     );
 }

@@ -684,6 +684,21 @@ mod compile_cache_tests {
     }
 
     #[test]
+    fn an_empty_reuse_list_means_64_on_every_layer() {
+        let models = TrainedModels::untrained();
+        let empty = one_classifier(&[]).build(&models).expect("builds");
+        let explicit = one_classifier(&[64; 5]).build(&models).expect("builds");
+        assert_eq!(fingerprint(&empty), fingerprint(&explicit));
+        let net = |reuse: &[u64]| {
+            let nn = models
+                .compiled(BuiltinNet::Classifier, reuse)
+                .expect("cached");
+            (nn.resources(), nn.latency(), nn.initiation_interval())
+        };
+        assert_eq!(net(&[]), net(&[64; 5]));
+    }
+
+    #[test]
     fn failed_compiles_are_errors_every_time_and_never_cached() {
         let models = TrainedModels::untrained();
         for reuse in [&[0u64; 5][..], &[64, 64]] {

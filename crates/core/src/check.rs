@@ -25,17 +25,12 @@
 
 use crate::soc_config::{MlModelRef, SocConfigFile, TileSpecKind};
 use esp4ml_check::{cdg, codes, Diagnostic, Report};
+use esp4ml_hls::FixedSpec;
+use esp4ml_mem::PageTable;
 use esp4ml_noc::Coord;
 use esp4ml_runtime::Dataflow;
+use esp4ml_soc::{words_for, SOCKET_TLB_REACH_WORDS};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Words needed to pack `values` 16-bit values four to a 64-bit word.
-pub(crate) fn words_for(values: u64) -> u64 {
-    values.div_ceil(4)
-}
-
-/// Socket TLB reach in words: 32 entries × one 4 KiB page (512 words).
-const TLB_REACH_WORDS: u64 = 32 * 512;
 
 /// One accelerator device as the linter sees it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,10 +39,11 @@ pub struct DeviceView {
     pub name: String,
     /// Tile coordinate.
     pub coord: Coord,
-    /// Input values per frame, when the model shape is known statically.
-    pub in_values: Option<u64>,
-    /// Output values per frame, when known statically.
-    pub out_values: Option<u64>,
+    /// Input words per frame, when the model shape is known statically:
+    /// the values packed as the socket packs them.
+    pub in_words: Option<u64>,
+    /// Output words per frame, when known statically.
+    pub out_words: Option<u64>,
     /// Declared PLM budget in words, when the configuration declares one.
     pub plm_words: Option<u64>,
 }
@@ -57,7 +53,7 @@ impl DeviceView {
     /// (two ping-pong halves) plus the output buffer. `None` when the
     /// model shape is unknown.
     pub fn plm_footprint_words(&self) -> Option<u64> {
-        Some(2 * words_for(self.in_values?) + words_for(self.out_values?))
+        Some(2 * self.in_words? + self.out_words?)
     }
 }
 
@@ -86,36 +82,37 @@ impl FloorplanView {
             rows: config.rows,
             ..FloorplanView::default()
         };
+        // Every built-in accelerator computes at the hls4ml default
+        // precision.
+        let words = |values| words_for(values, FixedSpec::HLS4ML_DEFAULT.total_bits());
         for tile in &config.tiles {
             let coord = Coord::new(tile.x, tile.y);
-            match &tile.kind {
-                TileSpecKind::Processor => view.processors.push(coord),
-                TileSpecKind::Memory => view.memories.push(coord),
-                TileSpecKind::Auxiliary => {}
-                TileSpecKind::NightVision { name } => view.devices.push(DeviceView {
-                    name: name.clone(),
-                    coord,
-                    in_values: Some(1024),
-                    out_values: Some(1024),
-                    plm_words: tile.plm_words,
-                }),
-                TileSpecKind::MlModel { name, model, .. } => {
-                    let (in_values, out_values) = match model {
-                        MlModelRef::Classifier => (Some(1024), Some(10)),
-                        MlModelRef::Denoiser => (Some(1024), Some(1024)),
-                        MlModelRef::ClassifierLayer { .. } | MlModelRef::Files { .. } => {
-                            (None, None)
-                        }
-                    };
-                    view.devices.push(DeviceView {
-                        name: name.clone(),
-                        coord,
-                        in_values,
-                        out_values,
-                        plm_words: tile.plm_words,
-                    });
+            // The device name and its statically known (input, output)
+            // values per frame.
+            let (name, shape) = match &tile.kind {
+                TileSpecKind::Processor => {
+                    view.processors.push(coord);
+                    continue;
                 }
-            }
+                TileSpecKind::Memory => {
+                    view.memories.push(coord);
+                    continue;
+                }
+                TileSpecKind::Auxiliary => continue,
+                TileSpecKind::NightVision { name } => (name, Some((1024, 1024))),
+                TileSpecKind::MlModel { name, model, .. } => match model {
+                    MlModelRef::Classifier => (name, Some((1024, 10))),
+                    MlModelRef::Denoiser => (name, Some((1024, 1024))),
+                    MlModelRef::ClassifierLayer { .. } | MlModelRef::Files { .. } => (name, None),
+                },
+            };
+            view.devices.push(DeviceView {
+                name: name.clone(),
+                coord,
+                in_words: shape.map(|(i, _)| words(i)),
+                out_words: shape.map(|(_, o)| words(o)),
+                plm_words: tile.plm_words,
+            });
         }
         view
     }
@@ -212,17 +209,18 @@ pub fn lint_config(config: &SocConfigFile) -> Report {
                 );
             }
         }
-        if let (Some(inp), Some(out)) = (dev.in_values, dev.out_values) {
-            let working_set = 2 * words_for(inp) + 2 * words_for(out);
-            if working_set > TLB_REACH_WORDS {
+        if let (Some(inp), Some(out)) = (dev.in_words, dev.out_words) {
+            let working_set = 2 * inp + 2 * out;
+            if working_set > SOCKET_TLB_REACH_WORDS {
                 report.push(
                     Diagnostic::warning(
                         codes::TLB_PRESSURE,
                         format!("device {}", dev.name),
                         format!(
                             "per-invocation working set of {working_set} words exceeds the \
-                             socket TLB reach of {TLB_REACH_WORDS} words (32 pages); \
-                             expect page-walk thrashing"
+                             socket TLB reach of {SOCKET_TLB_REACH_WORDS} words ({} pages); \
+                             expect page-walk thrashing",
+                            SOCKET_TLB_REACH_WORDS / PageTable::DEFAULT_PAGE_WORDS
                         ),
                     )
                     .with_hint("shrink the frame size or split the model across tiles"),

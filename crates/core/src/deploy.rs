@@ -23,33 +23,34 @@
 //!    same numbers yield a per-tenant worst-case slowdown bound,
 //!    reported as structured data in [`bw::BandwidthAnalysis`].
 //!
-//! The demand model is deliberately an *over-approximation* — every
-//! producer/consumer pair and every memory tile is charged the full
-//! per-frame transfer, and per-chunk headers are rounded up — so the
-//! slowdown bound is sound: [`validate_against_simulator`] runs each
-//! tenant of a feasible deployment through the cycle-level simulator
-//! and checks `static >= measured` on every link and every bound.
+//! The demand model prices every packet with the simulator's own
+//! framing ([`esp4ml_soc::emit`]). The runtime maps buffers contiguously,
+//! so with one memory tile each per-frame transfer is one burst and the
+//! per-link demand is exact. Two over-approximations remain, because
+//! the analyzer knows neither the runtime's round-robin schedule nor its
+//! addresses: every (instance, memory) and (producer, consumer) pair is
+//! charged the full per-frame payload, and with several memory tiles a
+//! transfer is charged as split at every 512-word interleave block it
+//! could cross. [`validate_against_simulator`] runs each tenant of a
+//! feasible deployment through the cycle-level simulator and checks
+//! `static >= measured` on every link and every bound.
 
 use crate::apps::TrainedModels;
-use crate::check::{lint_config, lint_dataflow, lint_mapping, words_for, FloorplanView};
+use crate::check::{lint_config, lint_dataflow, lint_mapping, FloorplanView};
 use crate::error::Esp4mlError;
 use crate::soc_config::SocConfigFile;
 use esp4ml_check::cdg::{self, Link, Node, Routing};
 use esp4ml_check::{bw, codes, Diagnostic, Report};
 use esp4ml_noc::{Coord, Plane, Port, LINK_CAPACITY_FLITS_PER_CYCLE};
 use esp4ml_runtime::{Dataflow, EspRuntime, ExecMode, RunSpec, StageSpec};
-use esp4ml_soc::SocEngine;
+use esp4ml_soc::emit::{
+    dma_data_flits, dma_store_ack_flits, dma_store_req_flits, DMA_LOAD_REQ_FLITS,
+    P2P_LOAD_REQ_FLITS,
+};
+use esp4ml_soc::{MemMap, SocEngine};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// DMA data packets carry at most this many payload words per packet
-/// (`MAX_DMA_PACKET_WORDS` in the socket/memory tiles).
-const CHUNK_WORDS: u64 = 128;
-
-/// DMA load requests are issued per contiguous physical chunk; pages
-/// are 4 KiB = 512 words, so `len/512` rounded up bounds the request
-/// count even under a maximally fragmented page table.
-const PAGE_WORDS: u64 = 512;
+use std::fmt;
 
 /// One tenant: a linear dataflow pipeline plus its deployment contract.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -87,13 +88,11 @@ impl TenantSpec {
         }
     }
 
-    /// Parses the declared execution mode.
+    /// Parses the declared execution mode; empty means p2p.
     pub fn exec_mode(&self) -> Option<ExecMode> {
         match self.mode.as_str() {
-            "base" => Some(ExecMode::Base),
-            "pipe" => Some(ExecMode::Pipe),
-            "" | "p2p" => Some(ExecMode::P2p),
-            _ => None,
+            "" => Some(ExecMode::P2p),
+            label => ExecMode::from_label(label),
         }
     }
 }
@@ -132,34 +131,6 @@ impl Deployment {
     }
 }
 
-/// Flits needed to *request* a load of `words` words: one 4-flit
-/// `DmaLoadReq`/`P2pLoadReq` per page-sized chunk (over-approximation:
-/// contiguous mappings need one request total; p2p requests are 3
-/// flits).
-pub fn load_req_flits(words: u64) -> u64 {
-    4 * words.div_ceil(PAGE_WORDS).max(1)
-}
-
-/// Flits of the `DmaData` packets delivering `words` words: the
-/// payload plus 3 header flits per 128-word chunk (actual framing is
-/// 2).
-pub fn load_data_flits(words: u64) -> u64 {
-    words + 3 * words.div_ceil(CHUNK_WORDS).max(1)
-}
-
-/// Flits of the `DmaStoreReq` packets writing `words` words: the
-/// payload plus 5 header flits per 128-word chunk (actual framing is
-/// 3).
-pub fn store_req_flits(words: u64) -> u64 {
-    words + 5 * words.div_ceil(CHUNK_WORDS).max(1)
-}
-
-/// Flits of the `DmaStoreAck` replies for a `words`-word store: 3 per
-/// chunked request (actual framing is one 2-flit ack per request).
-pub fn store_ack_flits(words: u64) -> u64 {
-    3 * words.div_ceil(CHUNK_WORDS).max(1)
-}
-
 /// One per-frame point-to-point transfer of a tenant, in flits, on one
 /// DMA plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,48 +141,82 @@ pub struct Transfer {
     pub src: Node,
     /// Ejecting tile.
     pub dst: Node,
-    /// Over-approximated flits per frame.
+    /// Flits per frame: exact for one burst, an upper bound otherwise.
     pub flits: u64,
+}
+
+/// Why [`tenant_transfers`] cannot price a tenant; displays as the
+/// reason.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TransferError {
+    /// A stage device is not on the floorplan (already `E0301`).
+    Unmapped(String),
+    /// An unknown execution mode or a model shape not statically known
+    /// (`E0705`).
+    Unmodelled(String),
+}
+
+impl fmt::Display for TransferError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (TransferError::Unmapped(reason) | TransferError::Unmodelled(reason)) = self;
+        f.write_str(reason)
+    }
 }
 
 fn node(c: Coord) -> Node {
     (c.x, c.y)
 }
 
-/// Every per-frame transfer of one tenant on the two DMA planes,
-/// charged conservatively: each (instance, memory) and each
+/// The most DMA bursts one per-frame transfer of `words` words splits
+/// into. The runtime maps buffers physically contiguously, so with one
+/// memory tile a transfer is one burst. With several, the interleave
+/// cuts it into one burst per block it touches; which blocks depends on
+/// runtime addresses, but a range touches at most this many.
+fn max_bursts(words: u64, memories: usize) -> u64 {
+    if memories == 1 {
+        1
+    } else {
+        words.div_ceil(MemMap::DEFAULT_INTERLEAVE_WORDS) + 1
+    }
+}
+
+/// Flits of `words` words sent as at most `bursts` bursts, given one
+/// burst's flits `flits_of`. Each cut adds at most one packet, whose
+/// framing costs no more than a one-word burst.
+fn split_flits(flits_of: fn(u64) -> u64, words: u64, bursts: u64) -> u64 {
+    flits_of(words) + (bursts - 1) * flits_of(1)
+}
+
+/// Every per-frame transfer of one tenant on the two DMA planes, priced
+/// with the tiles' own packet framing. Each (instance, memory) and each
 /// (producer, consumer) pair carries the *full* per-frame payload even
 /// though round-robin distribution sends each frame over exactly one
 /// pair — a sound over-approximation of any schedule.
 ///
 /// # Errors
 ///
-/// A stage device missing from the floorplan (already `E0301` via
-/// [`lint_mapping`]), a model shape not statically known, or an
-/// unknown execution mode (both `E0705` at the caller).
+/// An unknown execution mode, a stage device missing from the
+/// floorplan, or a model shape not statically known.
 pub fn tenant_transfers(
     view: &FloorplanView,
     tenant: &TenantSpec,
-) -> Result<Vec<Transfer>, String> {
-    let mode = tenant
-        .exec_mode()
-        .ok_or_else(|| format!("unknown execution mode {:?}", tenant.mode))?;
+) -> Result<Vec<Transfer>, TransferError> {
+    let mode = tenant.exec_mode().ok_or_else(|| {
+        TransferError::Unmodelled(format!("unknown execution mode {:?}", tenant.mode))
+    })?;
     // Resolve every stage to (coord, in_words, out_words).
     let mut stages: Vec<Vec<(Node, u64, u64)>> = Vec::new();
     for (s, devices) in tenant.stages.iter().enumerate() {
         let mut resolved = Vec::new();
         for name in devices {
-            let dev = view
-                .device(name)
-                .ok_or_else(|| format!("stage {s} device {name} is not on the floorplan"))?;
-            let (inp, out) = match (dev.in_values, dev.out_values) {
-                (Some(i), Some(o)) => (words_for(i), words_for(o)),
-                _ => {
-                    return Err(format!(
-                        "the model shape of device {name} is not statically known; \
-                         bandwidth demand cannot be bounded"
-                    ))
-                }
+            let dev = view.device(name).ok_or_else(|| {
+                TransferError::Unmapped(format!("stage {s} device {name} is not on the floorplan"))
+            })?;
+            let (Some(inp), Some(out)) = (dev.in_words, dev.out_words) else {
+                return Err(TransferError::Unmodelled(format!(
+                    "the model shape of device {name} is not statically known; \
+                     bandwidth demand cannot be bounded"
+                )));
             };
             resolved.push((node(dev.coord), inp, out));
         }
@@ -232,62 +237,45 @@ pub fn tenant_transfers(
             });
         }
     };
-    let frame_io = |push: &mut dyn FnMut(&'static str, Node, Node, u64),
-                    instances: &[(Node, u64, u64)],
-                    load: bool,
-                    store: bool| {
-        for &(a, inp, out) in instances {
+    // Under p2p only the pipeline edges touch memory; interior stage
+    // boundaries ride the p2p service. Otherwise every stage stages its
+    // frames through memory.
+    let p2p = mode == ExecMode::P2p;
+    for (i, stage) in stages.iter().enumerate() {
+        let (load, store) = (!p2p || i == 0, !p2p || i + 1 == stages.len());
+        for &(a, inp, out) in stage {
             for &m in &memories {
                 if load {
-                    push("dma-req", a, m, load_req_flits(inp));
-                    push("dma-rsp", m, a, load_data_flits(inp));
+                    let k = max_bursts(inp, memories.len());
+                    push("dma-req", a, m, k * DMA_LOAD_REQ_FLITS);
+                    push("dma-rsp", m, a, split_flits(dma_data_flits, inp, k));
                 }
                 if store {
-                    push("dma-req", a, m, store_req_flits(out));
-                    push("dma-rsp", m, a, store_ack_flits(out));
+                    let k = max_bursts(out, memories.len());
+                    push("dma-req", a, m, split_flits(dma_store_req_flits, out, k));
+                    push("dma-rsp", m, a, split_flits(dma_store_ack_flits, out, k));
                 }
             }
         }
-    };
-    match mode {
-        ExecMode::P2p => {
-            // Only the pipeline edges touch memory; interior stage
-            // boundaries ride the p2p service.
-            frame_io(&mut push, &stages[0], true, stages.len() == 1);
-            if stages.len() > 1 {
-                frame_io(&mut push, stages.last().expect("non-empty"), false, true);
-            }
-            for w in stages.windows(2) {
-                for &(c, words, _) in &w[1] {
-                    for &(p, _, _) in &w[0] {
-                        push("dma-req", c, p, load_req_flits(words));
-                        push("dma-rsp", p, c, load_data_flits(words));
-                    }
+    }
+    if p2p {
+        for w in stages.windows(2) {
+            for &(c, words, _) in &w[1] {
+                for &(p, _, _) in &w[0] {
+                    push("dma-req", c, p, P2P_LOAD_REQ_FLITS);
+                    push("dma-rsp", p, c, dma_data_flits(words));
                 }
-            }
-        }
-        ExecMode::Base | ExecMode::Pipe => {
-            // Every stage stages its frames through memory.
-            for stage in &stages {
-                frame_io(&mut push, stage, true, true);
             }
         }
     }
     Ok(transfers)
 }
 
-/// The tenant's static bandwidth demand profile: its transfers routed
-/// with its own discipline, accumulated per link.
-///
-/// # Errors
-///
-/// Same conditions as [`tenant_transfers`].
-pub fn tenant_demand(
-    view: &FloorplanView,
-    tenant: &TenantSpec,
-) -> Result<bw::TenantDemand, String> {
+/// The tenant's static bandwidth demand profile: its transfers (from
+/// [`tenant_transfers`]) routed with its own discipline, per link.
+pub fn tenant_demand(tenant: &TenantSpec, transfers: &[Transfer]) -> bw::TenantDemand {
     let mut demands = Vec::new();
-    for t in tenant_transfers(view, tenant)? {
+    for t in transfers {
         for link in tenant.routing.route(t.src, t.dst) {
             demands.push(bw::LinkDemand {
                 plane: t.plane.to_string(),
@@ -296,11 +284,11 @@ pub fn tenant_demand(
             });
         }
     }
-    Ok(bw::TenantDemand {
+    bw::TenantDemand {
         name: tenant.name.clone(),
         frame_rate_hz: tenant.frame_rate_hz,
         demands,
-    })
+    }
 }
 
 /// The outcome of [`lint_deployment`]: the diagnostics plus, when the
@@ -360,7 +348,6 @@ pub fn lint_deployment(deployment: &Deployment) -> DeploymentAnalysis {
     }
 
     // Per-tenant structure + mapping, with tenant-scoped locations.
-    let mut resolved: Vec<&TenantSpec> = Vec::new();
     for tenant in &deployment.tenants {
         let scope = format!("tenant {}", tenant.name);
         if !(tenant.frame_rate_hz.is_finite() && tenant.frame_rate_hz > 0.0) {
@@ -399,7 +386,6 @@ pub fn lint_deployment(deployment: &Deployment) -> DeploymentAnalysis {
         let dataflow = tenant.dataflow();
         report.merge(prefixed(lint_dataflow(&dataflow), &scope));
         report.merge(prefixed(lint_mapping(&view, &dataflow), &scope));
-        resolved.push(tenant);
     }
 
     // Lease analysis: exclusive by default, composed budgets when shared.
@@ -469,7 +455,7 @@ pub fn lint_deployment(deployment: &Deployment) -> DeploymentAnalysis {
     let mut plane_flows: BTreeMap<&'static str, Vec<(Node, Node, Routing, String)>> =
         BTreeMap::new();
     let mut demands: Vec<bw::TenantDemand> = Vec::new();
-    for tenant in &resolved {
+    for tenant in &deployment.tenants {
         match tenant_transfers(&view, tenant) {
             Ok(transfers) => {
                 for t in &transfers {
@@ -480,27 +466,21 @@ pub fn lint_deployment(deployment: &Deployment) -> DeploymentAnalysis {
                         tenant.name.clone(),
                     ));
                 }
-                if let Ok(demand) = tenant_demand(&view, tenant) {
-                    demands.push(demand);
-                }
+                demands.push(tenant_demand(tenant, &transfers));
             }
-            Err(msg) => {
-                // Unmapped devices are already E0301; only the
-                // analyzer-specific blockers earn an E0705 here.
-                if msg.contains("statically known") || msg.contains("execution mode") {
-                    report.push(
-                        Diagnostic::error(
-                            codes::DEPLOYMENT_MALFORMED,
-                            format!("tenant {}", tenant.name),
-                            format!("deployment analysis cannot model this tenant: {msg}"),
-                        )
-                        .with_hint(
-                            "deployment admission needs statically-known model shapes and \
-                             a known execution mode",
-                        ),
-                    );
-                }
-            }
+            // Unmapped devices are already E0301.
+            Err(TransferError::Unmapped(_)) => {}
+            Err(TransferError::Unmodelled(reason)) => report.push(
+                Diagnostic::error(
+                    codes::DEPLOYMENT_MALFORMED,
+                    format!("tenant {}", tenant.name),
+                    format!("deployment analysis cannot model this tenant: {reason}"),
+                )
+                .with_hint(
+                    "deployment admission needs statically-known model shapes and a known \
+                     execution mode",
+                ),
+            ),
         }
     }
     for (plane, flows) in &plane_flows {
@@ -609,7 +589,7 @@ pub struct TenantRunCheck {
 pub struct DeploymentValidation {
     /// Frames each tenant was simulated for.
     pub frames: u64,
-    /// Engine label (`"naive"` / `"event"`).
+    /// Engine name ([`SocEngine::name`]).
     pub engine: String,
     /// Per-tenant link-level comparisons.
     pub tenants: Vec<TenantRunCheck>,
@@ -630,32 +610,21 @@ impl DeploymentValidation {
 }
 
 /// Runs one tenant solo on the deployment's SoC, built from `models`,
-/// and compares the measured DMA-plane link traffic against the static
-/// demand model. The traffic does not depend on the weights, so any
-/// models give the same check; passing long-lived ones reuses their
-/// compiled networks.
-///
-/// # Errors
-///
-/// SoC construction or runtime failures, or a tenant the static model
-/// cannot express (unknown device/mode/shape).
-pub fn check_tenant_against_simulator(
+/// and compares the measured DMA-plane link traffic against the
+/// tenant's static `demand`. The traffic does not depend on the
+/// weights, so any models give the same check; passing long-lived ones
+/// reuses their compiled networks.
+fn check_tenant(
     deployment: &Deployment,
     models: &TrainedModels,
-    tenant_index: usize,
+    tenant: &TenantSpec,
+    demand: &bw::TenantDemand,
     frames: u64,
     engine: SocEngine,
 ) -> Result<TenantRunCheck, Esp4mlError> {
-    let tenant = deployment
-        .tenants
-        .get(tenant_index)
-        .ok_or_else(|| Esp4mlError::Other(format!("no tenant #{tenant_index}")))?;
-    let view = FloorplanView::from_config(&deployment.soc);
-    let demand = tenant_demand(&view, tenant).map_err(Esp4mlError::Other)?;
     let mode = tenant
         .exec_mode()
         .ok_or_else(|| Esp4mlError::Other(format!("unknown mode {:?}", tenant.mode)))?;
-
     let mut soc = deployment
         .soc
         .build(models)
@@ -675,14 +644,13 @@ pub fn check_tenant_against_simulator(
     let spec = RunSpec::new(&dataflow).mode(mode);
     let metrics = rt.run(&spec, &buf)?;
 
-    // Aggregate the static demand per (plane, link).
-    let mut static_links: BTreeMap<(String, Link), f64> = BTreeMap::new();
+    // The static demand per frame and the measured flits, per (plane,
+    // link), over every DMA-plane link either side touched.
+    let mut per_link: BTreeMap<(String, Link), (f64, u64)> = BTreeMap::new();
     for d in &demand.demands {
-        *static_links.entry((d.plane.clone(), d.link)).or_insert(0.0) += d.flits_per_frame;
+        per_link.entry((d.plane.clone(), d.link)).or_default().0 += d.flits_per_frame;
     }
-    // Collect every measured DMA-plane link.
     let heat = rt.soc().noc_heatmap();
-    let mut measured: BTreeMap<(String, Link), u64> = BTreeMap::new();
     for plane in [Plane::DmaReq, Plane::DmaRsp] {
         let ph = heat.plane(plane);
         for (y, row) in ph.links.iter().enumerate() {
@@ -692,35 +660,25 @@ pub fn check_tenant_against_simulator(
                     let flits = load.port(port);
                     if flits > 0 {
                         let to = port.step(from).expect("counted links stay in the mesh");
-                        *measured
-                            .entry((plane.to_string(), (node(from), node(to))))
-                            .or_insert(0) += flits;
+                        let key = (plane.to_string(), (node(from), node(to)));
+                        per_link.entry(key).or_default().1 += flits;
                     }
                 }
             }
         }
     }
-
-    let keys: BTreeSet<(String, Link)> = static_links
-        .keys()
-        .cloned()
-        .chain(measured.keys().cloned())
+    let links: Vec<MeasuredLink> = per_link
+        .into_iter()
+        .map(|((plane, link), (per_frame, measured))| MeasuredLink {
+            plane,
+            link,
+            static_flits_per_frame: per_frame,
+            measured_flits: measured,
+        })
         .collect();
-    let mut links = Vec::new();
-    let mut conservative = true;
-    for key in keys {
-        let static_fpf = static_links.get(&key).copied().unwrap_or(0.0);
-        let measured_flits = measured.get(&key).copied().unwrap_or(0);
-        if static_fpf * frames as f64 + 1e-9 < measured_flits as f64 {
-            conservative = false;
-        }
-        links.push(MeasuredLink {
-            plane: key.0,
-            link: key.1,
-            static_flits_per_frame: static_fpf,
-            measured_flits,
-        });
-    }
+    let conservative = links
+        .iter()
+        .all(|l| l.static_flits_per_frame * frames as f64 + 1e-9 >= l.measured_flits as f64);
     Ok(TenantRunCheck {
         tenant: tenant.name.clone(),
         frames,
@@ -737,7 +695,8 @@ pub fn check_tenant_against_simulator(
 ///
 /// # Errors
 ///
-/// Any per-tenant failure from [`check_tenant_against_simulator`].
+/// SoC construction or runtime failures, or a tenant the static model
+/// cannot express (unknown device/mode/shape).
 pub fn validate_against_simulator(
     deployment: &Deployment,
     models: &TrainedModels,
@@ -749,8 +708,11 @@ pub fn validate_against_simulator(
     let mut tenants = Vec::new();
     let mut measured_demands = Vec::new();
     let mut static_demands = Vec::new();
-    for (i, tenant) in deployment.tenants.iter().enumerate() {
-        let check = check_tenant_against_simulator(deployment, models, i, frames, engine)?;
+    for tenant in &deployment.tenants {
+        let transfers =
+            tenant_transfers(&view, tenant).map_err(|e| Esp4mlError::Other(e.to_string()))?;
+        let demand = tenant_demand(tenant, &transfers);
+        let check = check_tenant(deployment, models, tenant, &demand, frames, engine)?;
         measured_demands.push(bw::TenantDemand {
             name: tenant.name.clone(),
             frame_rate_hz: tenant.frame_rate_hz,
@@ -765,7 +727,7 @@ pub fn validate_against_simulator(
                 })
                 .collect(),
         });
-        static_demands.push(tenant_demand(&view, tenant).map_err(Esp4mlError::Other)?);
+        static_demands.push(demand);
         tenants.push(check);
     }
     let static_bounds = bw::analyze(&static_demands, capacity).tenants;
@@ -776,10 +738,7 @@ pub fn validate_against_simulator(
         .all(|(s, m)| s.slowdown_bound + 1e-9 >= m.slowdown_bound);
     Ok(DeploymentValidation {
         frames,
-        engine: match engine {
-            SocEngine::Naive => "naive".to_string(),
-            SocEngine::EventDriven => "event".to_string(),
-        },
+        engine: engine.name().to_string(),
         tenants,
         static_bounds,
         measured_bounds,
@@ -810,6 +769,37 @@ mod tests {
             name: "test".to_string(),
             soc: SocConfigFile::soc1(),
             tenants,
+        }
+    }
+
+    /// The burst bound holds for every placement of a transfer in the
+    /// interleaved address space, checked against the simulator's own
+    /// address map and packet counts; on one memory tile it is exact.
+    #[test]
+    fn burst_bound_covers_every_interleaved_placement() {
+        for tiles in 1..=3u8 {
+            let coords = (0..tiles).map(|x| Coord::new(x, 0)).collect();
+            let map = MemMap::new(coords, MemMap::DEFAULT_INTERLEAVE_WORDS, 1 << 20);
+            for words in [1u64, 127, 256, 511, 512, 513, 1024, 1500] {
+                let bursts = max_bursts(words, tiles as usize);
+                for start in 0..1024 {
+                    let mut per_tile: BTreeMap<Node, Vec<u64>> = BTreeMap::new();
+                    for (tile, _, len) in map.split_range(start, words) {
+                        per_tile.entry(node(tile)).or_default().push(len);
+                    }
+                    for lens in per_tile.values() {
+                        assert!(lens.len() as u64 <= bursts, "{words} words at {start}");
+                        for flits_of in [dma_data_flits, dma_store_req_flits, dma_store_ack_flits] {
+                            let sent: u64 = lens.iter().map(|&l| flits_of(l)).sum();
+                            let bound = split_flits(flits_of, words, bursts);
+                            assert!(sent <= bound, "{words} words at {start}: {sent} > {bound}");
+                            if tiles == 1 {
+                                assert_eq!(sent, bound);
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

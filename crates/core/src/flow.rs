@@ -45,10 +45,18 @@ impl Esp4mlFlow {
         name: &str,
         per_layer_reuse: &[u64],
     ) -> Result<CompiledNn, CompileError> {
-        let config = Hls4mlConfig::with_reuse(per_layer_reuse.iter().copied().max().unwrap_or(64))
-            .named(name)
-            .with_per_layer_reuse(per_layer_reuse.to_vec());
-        Hls4mlCompiler::compile(model, &config)
+        Hls4mlCompiler::compile(model, &self.hls4ml_config(name, per_layer_reuse))
+    }
+
+    /// The HLS4ML configuration of an accelerator named `name` with one
+    /// reuse factor per dense layer; an empty list means a reuse factor
+    /// of 64 on every layer.
+    pub fn hls4ml_config(&self, name: &str, per_layer_reuse: &[u64]) -> Hls4mlConfig {
+        let global = per_layer_reuse.iter().copied().max().unwrap_or(64);
+        Hls4mlConfig {
+            per_layer_reuse: (!per_layer_reuse.is_empty()).then(|| per_layer_reuse.to_vec()),
+            ..Hls4mlConfig::with_reuse(global).named(name)
+        }
     }
 
     /// The generic-kernel path: the Night-Vision accelerator designed in

@@ -34,7 +34,7 @@ use crate::apps::{
     BuildError, BuiltinNet, TrainedModels, CLASSIFIER_REUSE, DENOISER_REUSE, MULTI_TILE_REUSE,
 };
 use crate::flow::Esp4mlFlow;
-use esp4ml_hls4ml::{Hls4mlCompiler, Hls4mlConfig};
+use esp4ml_hls4ml::Hls4mlCompiler;
 use esp4ml_noc::Coord;
 use esp4ml_soc::{NnKernel, Soc, SocBuilder};
 use serde::{Deserialize, Serialize};
@@ -181,13 +181,7 @@ impl SocConfigFile {
                     model: MlModelRef::Files { topology, weights },
                     reuse,
                 } => {
-                    let cfg = if reuse.is_empty() {
-                        Hls4mlConfig::with_reuse(64).named(name)
-                    } else {
-                        Hls4mlConfig::with_reuse(reuse.iter().copied().max().unwrap_or(64))
-                            .named(name)
-                            .with_per_layer_reuse(reuse.clone())
-                    };
+                    let cfg = flow.hls4ml_config(name, reuse);
                     let nn = Hls4mlCompiler::compile_files(topology, weights, &cfg)?;
                     b.accelerator(coord, Box::new(NnKernel::new(nn)))
                 }
@@ -196,7 +190,6 @@ impl SocConfigFile {
                         MlModelRef::Denoiser => BuiltinNet::Denoiser,
                         _ => BuiltinNet::Classifier,
                     };
-                    let reuse: &[u64] = if reuse.is_empty() { &[64] } else { reuse };
                     let nn = models.compiled(net, reuse)?;
                     let kernel = match model {
                         MlModelRef::ClassifierLayer { layer } => {

@@ -156,7 +156,12 @@ impl Packet {
     /// Length of the packet in flits (head + one flit per payload word;
     /// an empty payload still needs its single head/tail flit).
     pub fn flit_len(&self) -> usize {
-        1 + self.payload.len()
+        Packet::flits_for(self.payload.len())
+    }
+
+    /// Length in flits of any packet carrying `payload_words` words.
+    pub const fn flits_for(payload_words: usize) -> usize {
+        1 + payload_words
     }
 
     /// Cycle at which the packet entered the network (0 before injection).

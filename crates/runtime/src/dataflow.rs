@@ -57,6 +57,11 @@ impl ExecMode {
             ExecMode::P2p => "p2p",
         }
     }
+
+    /// The mode whose [`label`](ExecMode::label) is `label`.
+    pub fn from_label(label: &str) -> Option<ExecMode> {
+        ExecMode::ALL.into_iter().find(|m| m.label() == label)
+    }
 }
 
 /// A linear pipeline of stages — the dataflow shape of all four

@@ -1,7 +1,7 @@
 //! The device registry: the driver-probe layer.
 
 use esp4ml_noc::Coord;
-use esp4ml_soc::{regs, Soc};
+use esp4ml_soc::{regs, words_for, Soc};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -38,14 +38,12 @@ pub struct DeviceInfo {
 impl DeviceInfo {
     /// Input words (packed) per invocation.
     pub fn input_words(&self) -> u64 {
-        let per_word = (64 / self.data_bits) as u64;
-        self.input_values.div_ceil(per_word)
+        words_for(self.input_values, self.data_bits)
     }
 
     /// Output words (packed) per invocation.
     pub fn output_words(&self) -> u64 {
-        let per_word = (64 / self.data_bits) as u64;
-        self.output_values.div_ceil(per_word)
+        words_for(self.output_values, self.data_bits)
     }
 }
 

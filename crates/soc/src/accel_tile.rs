@@ -8,7 +8,7 @@
 //! only when the receiver has space) and is completely transparent to the
 //! kernel, which still sees plain load/store semantics.
 
-use crate::emit::{dma_data_packets, inject_queued, MAX_DMA_PACKET_WORDS};
+use crate::emit::{inject_queued, Dma};
 use crate::kernel::{pack_values, unpack_values, words_for, AcceleratorKernel};
 use crate::mem_map::MemMap;
 use crate::regs::{
@@ -30,6 +30,8 @@ use std::collections::{BTreeSet, VecDeque};
 const DMA_SETUP_CYCLES: u64 = 2;
 /// TLB capacity of the socket (entries).
 const SOCKET_TLB_ENTRIES: usize = 32;
+/// Words the socket TLB maps without a page walk: a page per entry.
+pub const SOCKET_TLB_REACH_WORDS: u64 = SOCKET_TLB_ENTRIES as u64 * PageTable::DEFAULT_PAGE_WORDS;
 /// Page-walk penalty on a TLB miss, in cycles.
 const TLB_MISS_PENALTY: u64 = 12;
 
@@ -980,9 +982,8 @@ impl AccelTile {
                         }
                     });
                     self.st.stats.p2p_words_sent += words;
-                    self.st.tx_queue.extend(dma_data_packets(
-                        self.coord, requester, dest_base, &data, frame,
-                    ));
+                    let dma = Dma::new(self.coord, requester, frame);
+                    self.st.tx_queue.extend(dma.data(dest_base, &data));
                     self.set_state(AccelState::StoreSend);
                 } else {
                     self.st.stats.store_cycles += 1;
@@ -1039,19 +1040,24 @@ impl AccelTile {
         if self.st.p2p.load_enabled {
             let sources = &self.st.p2p.sources;
             let src = sources[(frame as usize) % sources.len()];
-            self.st.tx_queue.push_back(
-                Packet::new(
-                    self.coord,
-                    src,
-                    Plane::DmaReq,
-                    MsgKind::P2pLoadReq,
-                    vec![self.st.in_words, dest_base],
-                )
-                .with_frame(global),
-            );
+            let req = Dma::new(self.coord, src, global).p2p_load_req([self.st.in_words, dest_base]);
+            self.st.tx_queue.push_back(req);
             return;
         }
         let va = self.st.src_base + frame * self.st.in_words;
+        let mut dest_offset = dest_base;
+        for (mem_tile, local_addr, l) in self.dma_pieces(va, self.st.in_words) {
+            self.st.stats.dma_words_loaded += l;
+            let req = Dma::new(self.coord, mem_tile, global).load_req([local_addr, l, dest_offset]);
+            self.st.tx_queue.push_back(req);
+            dest_offset += l;
+        }
+    }
+
+    /// Translates the `len`-word DMA burst at virtual address `va` into
+    /// per-memory-tile pieces `(tile, local address, words)`, charging
+    /// the TLB lookup and the descriptor setup.
+    fn dma_pieces(&mut self, va: u64, len: u64) -> Vec<(Coord, u64, u64)> {
         let table = self
             .st
             .page_table
@@ -1061,10 +1067,7 @@ impl AccelTile {
             .st
             .tlb
             .translate(table, va)
-            .expect("mapped load address");
-        let chunks = table
-            .translate_range(va, self.st.in_words)
-            .expect("mapped load range");
+            .expect("mapped DMA address");
         if tlb_lat > 0 {
             self.tracer
                 .emit(self.st.cycle, self.trace_coord(), || TraceEvent::TlbMiss {
@@ -1072,23 +1075,11 @@ impl AccelTile {
                 });
         }
         self.st.stall += tlb_lat + DMA_SETUP_CYCLES;
-        let mut dest_offset = dest_base;
-        for (paddr, len) in chunks {
-            for (mem_tile, local_addr, l) in self.mem_map.split_range(paddr, len) {
-                self.st.stats.dma_words_loaded += l;
-                self.st.tx_queue.push_back(
-                    Packet::new(
-                        self.coord,
-                        mem_tile,
-                        Plane::DmaReq,
-                        MsgKind::DmaLoadReq,
-                        vec![local_addr, l, dest_offset],
-                    )
-                    .with_frame(global),
-                );
-                dest_offset += l;
-            }
-        }
+        let chunks = table.translate_range(va, len).expect("mapped DMA range");
+        chunks
+            .into_iter()
+            .flat_map(|(paddr, words)| self.mem_map.split_range(paddr, words))
+            .collect()
     }
 
     fn run_kernel(&mut self) {
@@ -1139,64 +1130,22 @@ impl AccelTile {
             return;
         }
         let va = self.st.dst_base + self.st.frame_idx * self.st.out_words;
-        let table = self
-            .st
-            .page_table
-            .as_ref()
-            .expect("page table installed before DMA");
-        let (_, tlb_lat) = self
-            .st
-            .tlb
-            .translate(table, va)
-            .expect("mapped store address");
-        if tlb_lat > 0 {
-            self.tracer
-                .emit(self.st.cycle, self.trace_coord(), || TraceEvent::TlbMiss {
-                    penalty: tlb_lat,
-                });
-        }
-        self.st.stall += tlb_lat + DMA_SETUP_CYCLES;
-        let chunks = table
-            .translate_range(va, self.st.out_words)
-            .expect("mapped store range");
+        let pieces = self.dma_pieces(va, self.st.out_words);
         let global = Some(self.global_frame(self.st.frame_idx));
         self.st.store_acked_words = 0;
-        let mut data = std::mem::take(&mut self.st.output_buffer);
-        let mut cursor = 0usize;
-        'chunks: for (paddr, len) in chunks {
-            for (mem_tile, local_addr, l) in self.mem_map.split_range(paddr, len) {
-                // A per-tile chunk may exceed the packet cap; sub-split it.
-                let mut sub_addr = local_addr;
-                let mut remaining = l as usize;
-                while remaining > 0 {
-                    let take = remaining.min(MAX_DMA_PACKET_WORDS);
-                    // A short-output fault leaves fewer words in the PLM
-                    // than the descriptor covers; only what exists is sent
-                    // (the ack shortfall is what the watchdog then sees).
-                    let send = take.min(data.len() - cursor);
-                    if send == 0 {
-                        break 'chunks;
-                    }
-                    let mut payload = vec![sub_addr, send as u64];
-                    payload.extend_from_slice(&data[cursor..cursor + send]);
-                    self.st.stats.dma_words_stored += send as u64;
-                    self.st.tx_queue.push_back(
-                        Packet::new(
-                            self.coord,
-                            mem_tile,
-                            Plane::DmaReq,
-                            MsgKind::DmaStoreReq,
-                            payload,
-                        )
-                        .with_frame(global),
-                    );
-                    cursor += send;
-                    sub_addr += send as u64;
-                    remaining -= take;
-                }
-            }
+        let data = std::mem::take(&mut self.st.output_buffer);
+        let mut cursor = 0;
+        for (mem_tile, local_addr, l) in pieces {
+            // A short-output fault leaves fewer words in the PLM than the
+            // descriptor covers; only what exists is sent (the ack
+            // shortfall is what the watchdog then sees).
+            let end = (cursor + l as usize).min(data.len());
+            let words = &data[cursor..end];
+            self.st.stats.dma_words_stored += words.len() as u64;
+            let dma = Dma::new(self.coord, mem_tile, global);
+            self.st.tx_queue.extend(dma.store(local_addr, words));
+            cursor = end;
         }
-        data.clear();
         self.set_state(AccelState::StoreWaitAck);
     }
 

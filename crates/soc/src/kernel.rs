@@ -113,8 +113,9 @@ pub(crate) fn unpack_values(words: &[u64], count: usize, data_bits: u32) -> Vec<
         .collect()
 }
 
-/// Number of 64-bit words needed for `values` values of `data_bits` bits.
-pub(crate) fn words_for(values: u64, data_bits: u32) -> u64 {
+/// Number of 64-bit words needed for `values` values of `data_bits` bits,
+/// packed `64 / data_bits` to a word as the socket packs them.
+pub fn words_for(values: u64, data_bits: u32) -> u64 {
     let per_word = (64 / data_bits) as u64;
     values.div_ceil(per_word)
 }

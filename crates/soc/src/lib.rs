@@ -39,16 +39,15 @@
 //!     .build()?;
 //! // Write the input frame into DRAM and configure + start the accelerator.
 //! let accel = Coord::new(0, 1);
-//! for i in 0..8 {
-//!     soc.dram_poke_value(i, i + 1)?; // values 1..=8, packed 4 per word
-//! }
+//! let values: Vec<u64> = (1..=8).collect();
+//! soc.dram_write_values(0, &values, 16)?; // packed 4 per word
 //! soc.map_contiguous(accel, 0, 1024)?;
 //! soc.configure_accel(accel, &AccelConfig::dma_to_dma(0, 512, 1))?;
 //! soc.start_accel(accel)?;
 //! assert!(soc.run_until_idle(100_000).is_idle());
 //! assert_eq!(soc.take_irqs(), vec![accel]);
-//! // Output buffer starts at word 512, i.e. value index 2048.
-//! assert_eq!(soc.dram_peek_value(4 * 512)?, 2);
+//! // The output buffer starts at word 512.
+//! assert_eq!(soc.dram_read_values(512, 2, 16)?, vec![2, 4]);
 //! # Ok(())
 //! # }
 //! ```
@@ -57,7 +56,7 @@
 #![warn(missing_docs)]
 
 mod accel_tile;
-mod emit;
+pub mod emit;
 mod error;
 mod kernel;
 mod mem_map;
@@ -68,9 +67,11 @@ mod sanitize;
 mod soc;
 mod stats;
 
-pub use accel_tile::{AccelConfig, AccelState, AccelTile, AccelTileState, CommMode};
+pub use accel_tile::{
+    AccelConfig, AccelState, AccelTile, AccelTileState, CommMode, SOCKET_TLB_REACH_WORDS,
+};
 pub use error::SocError;
-pub use kernel::{AcceleratorKernel, KernelOutput, NnKernel, ScaleKernel};
+pub use kernel::{words_for, AcceleratorKernel, KernelOutput, NnKernel, ScaleKernel};
 pub use mem_map::MemMap;
 pub use mem_tile::{MemTile, MemTileState};
 pub use proc_tile::ProcTile;

@@ -1,6 +1,6 @@
 //! The memory tile: DMA service over off-chip DRAM.
 
-use crate::emit::{dma_data_packets, inject_queued};
+use crate::emit::{inject_queued, Dma};
 use crate::sanitize::tile_location;
 use esp4ml_check::{codes, Diagnostic};
 use esp4ml_fault::{FaultKind, FaultSpec};
@@ -294,8 +294,8 @@ impl MemTile {
                     latency,
                     frame,
                 });
-                let responses =
-                    dma_data_packets(self.coord, requester, dest_offset, &data, frame).collect();
+                let dma = Dma::new(self.coord, requester, frame);
+                let responses = dma.data(dest_offset, &data).collect();
                 (latency, responses)
             }
             MsgKind::DmaStoreReq => {
@@ -310,14 +310,7 @@ impl MemTile {
                     latency,
                     frame,
                 });
-                let ack = Packet::new(
-                    self.coord,
-                    requester,
-                    Plane::DmaRsp,
-                    MsgKind::DmaStoreAck,
-                    vec![len as u64],
-                )
-                .with_frame(frame);
+                let ack = Dma::new(self.coord, requester, frame).store_ack(len as u64);
                 (latency, vec![ack])
             }
             other => {

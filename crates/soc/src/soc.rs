@@ -1,7 +1,7 @@
 //! SoC construction (the `.esp_config` analog) and the cycle simulator.
 
 use crate::accel_tile::{AccelConfig, AccelTile, AccelTileState};
-use crate::kernel::{pack_values, unpack_values, AcceleratorKernel};
+use crate::kernel::{pack_values, unpack_values, words_for, AcceleratorKernel};
 use crate::mem_map::MemMap;
 use crate::mem_tile::{MemTile, MemTileState};
 use crate::proc_tile::ProcTile;
@@ -29,6 +29,17 @@ pub enum SocEngine {
     /// and trace events.
     #[default]
     EventDriven,
+}
+
+impl SocEngine {
+    /// The canonical name (`naive` / `event-driven`), as recorded in
+    /// every machine-readable report.
+    pub fn name(self) -> &'static str {
+        match self {
+            SocEngine::Naive => "naive",
+            SocEngine::EventDriven => "event-driven",
+        }
+    }
 }
 
 /// How the engine advanced a [`Soc`]'s clock and how many kernel
@@ -607,37 +618,10 @@ impl Soc {
         count: usize,
         data_bits: u32,
     ) -> Result<Vec<u64>, SocError> {
-        let per_word = (64 / data_bits) as usize;
-        let n_words = count.div_ceil(per_word);
-        let mut words = Vec::with_capacity(n_words);
-        for i in 0..n_words {
-            words.push(self.dram_peek(addr + i as u64)?);
-        }
+        let words = (0..words_for(count as u64, data_bits))
+            .map(|i| self.dram_peek(addr + i))
+            .collect::<Result<Vec<u64>, SocError>>()?;
         Ok(unpack_values(&words, count, data_bits))
-    }
-
-    /// Convenience for the doc example: writes one 16-bit value at value
-    /// index `idx` (i.e. packed 4 per word).
-    ///
-    /// # Errors
-    ///
-    /// [`SocError::BadAddress`] past the end of DRAM.
-    pub fn dram_poke_value(&mut self, idx: u64, value: u64) -> Result<(), SocError> {
-        let addr = idx / 4;
-        let shift = (idx % 4) * 16;
-        let word = self.dram_peek(addr)? & !(0xffffu64 << shift);
-        self.dram_poke(addr, word | ((value & 0xffff) << shift))
-    }
-
-    /// Reads one 16-bit value at value index `idx`.
-    ///
-    /// # Errors
-    ///
-    /// [`SocError::BadAddress`] past the end of DRAM.
-    pub fn dram_peek_value(&self, idx: u64) -> Result<u64, SocError> {
-        let addr = idx / 4;
-        let shift = (idx % 4) * 16;
-        Ok((self.dram_peek(addr)? >> shift) & 0xffff)
     }
 
     /// Whether everything — tiles and NoC — is quiescent. Packets sitting

@@ -7,9 +7,13 @@
 //! seeded `configs/deploy_conflict.json` must be refuted with the
 //! full `E07xx` family.
 
-use esp4ml::apps::TrainedModels;
-use esp4ml::deploy::{lint_deployment, validate_against_simulator, Deployment};
+use esp4ml::apps::{TrainedModels, CLASSIFIER_REUSE};
+use esp4ml::deploy::{
+    lint_deployment, validate_against_simulator, Deployment, DeploymentValidation, TenantSpec,
+};
 use esp4ml::soc::SocEngine;
+use esp4ml::soc_config::{MlModelRef, SocConfigFile, TileSpec, TileSpecKind};
+use esp4ml_check::cdg::Routing;
 
 fn load(name: &str) -> Deployment {
     let path = format!("{}/configs/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -60,10 +64,9 @@ fn seeded_conflict_deployment_is_refuted_with_every_e07xx() {
 /// moves, so the statically-computed worst-case slowdown bound
 /// dominates the bound recomputed from measured traffic — for every
 /// tenant, on every link, under either engine.
-fn assert_conservative(engine: SocEngine) {
-    let d = load("deploy_ok.json");
+fn assert_conservative(d: &Deployment, engine: SocEngine) -> DeploymentValidation {
     let frames = 4;
-    let validation = validate_against_simulator(&d, &TrainedModels::untrained(), frames, engine)
+    let validation = validate_against_simulator(d, &TrainedModels::untrained(), frames, engine)
         .expect("tenants simulate");
     assert_eq!(validation.tenants.len(), d.tenants.len());
     for tenant in &validation.tenants {
@@ -98,14 +101,121 @@ fn assert_conservative(engine: SocEngine) {
         );
     }
     assert!(validation.conservative());
+    validation
+}
+
+/// On one memory tile, with one instance per stage, the static model
+/// prices exactly the packets the tiles send: per link and per bound.
+fn assert_exact(validation: &DeploymentValidation) {
+    for tenant in &validation.tenants {
+        for link in &tenant.links {
+            assert_eq!(
+                link.static_flits_per_frame * tenant.frames as f64,
+                link.measured_flits as f64,
+                "tenant {} plane {} link {:?}",
+                tenant.tenant,
+                link.plane,
+                link.link
+            );
+        }
+    }
+    for (stat, meas) in validation
+        .static_bounds
+        .iter()
+        .zip(&validation.measured_bounds)
+    {
+        assert!(
+            (stat.slowdown_bound - meas.slowdown_bound).abs() <= 1e-9,
+            "tenant {}: static bound {} != measured bound {}",
+            stat.name,
+            stat.slowdown_bound,
+            meas.slowdown_bound
+        );
+    }
 }
 
 #[test]
 fn static_bounds_dominate_the_naive_engine() {
-    assert_conservative(SocEngine::Naive);
+    let validation = assert_conservative(&load("deploy_ok.json"), SocEngine::Naive);
+    assert_exact(&validation);
 }
 
 #[test]
 fn static_bounds_dominate_the_event_engine() {
-    assert_conservative(SocEngine::EventDriven);
+    let validation = assert_conservative(&load("deploy_ok.json"), SocEngine::EventDriven);
+    assert_exact(&validation);
+}
+
+/// Two memory tiles in row 0, every accelerator in row 1: frames are
+/// interleaved across both memories in 512-word blocks, and a base and
+/// a p2p tenant share the mesh.
+fn two_memory_deployment() -> Deployment {
+    let nv = |x, name: &str| TileSpec::new(x, 1, TileSpecKind::NightVision { name: name.into() });
+    let classifier = |x, name: &str| {
+        let kind = TileSpecKind::MlModel {
+            name: name.into(),
+            model: MlModelRef::Classifier,
+            reuse: CLASSIFIER_REUSE.to_vec(),
+        };
+        TileSpec::new(x, 1, kind)
+    };
+    let tenant = |name: &str, stages: [&str; 2], mode: &str| TenantSpec {
+        name: name.into(),
+        stages: stages.iter().map(|d| vec![d.to_string()]).collect(),
+        mode: mode.into(),
+        frame_rate_hz: 30.0,
+        routing: Routing::Xy,
+        shared_devices: Vec::new(),
+    };
+    let soc = SocConfigFile {
+        name: "two-memories".into(),
+        cols: 4,
+        rows: 2,
+        clock_mhz: 78.0,
+        tiles: vec![
+            TileSpec::new(0, 0, TileSpecKind::Memory),
+            TileSpec::new(1, 0, TileSpecKind::Processor),
+            TileSpec::new(2, 0, TileSpecKind::Auxiliary),
+            TileSpec::new(3, 0, TileSpecKind::Memory),
+            nv(0, "nv0"),
+            classifier(1, "cl0"),
+            nv(2, "nv1"),
+            classifier(3, "cl1"),
+        ],
+    };
+    Deployment {
+        name: "two-memories".into(),
+        soc,
+        tenants: vec![
+            tenant("staged", ["nv0", "cl0"], "base"),
+            tenant("streamed", ["nv1", "cl1"], "p2p"),
+        ],
+    }
+}
+
+fn assert_two_memories_dominated(engine: SocEngine) {
+    let d = two_memory_deployment();
+    let analysis = lint_deployment(&d);
+    assert!(analysis.report.is_clean(), "{}", analysis.report);
+    let validation = assert_conservative(&d, engine);
+    // Every requester sits in row 1, so a dma-req link entering a
+    // row-0 memory tile from below carries only that tile's requests.
+    for memory in [(0u8, 0u8), (3, 0)] {
+        let served = validation.tenants.iter().any(|t| {
+            t.links.iter().any(|l| {
+                l.plane == "dma-req" && l.link == ((memory.0, 1), memory) && l.measured_flits > 0
+            })
+        });
+        assert!(served, "no measured request reached memory tile {memory:?}");
+    }
+}
+
+#[test]
+fn static_bounds_dominate_two_memory_tiles_naive() {
+    assert_two_memories_dominated(SocEngine::Naive);
+}
+
+#[test]
+fn static_bounds_dominate_two_memory_tiles_event() {
+    assert_two_memories_dominated(SocEngine::EventDriven);
 }
