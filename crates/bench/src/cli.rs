@@ -258,7 +258,6 @@ pub const ESPCHECK_FLAGS: &[Flag] = &[
     Flag::Deployment,
     Flag::Explain,
     Flag::Json,
-    Flag::Progress,
 ];
 
 /// `sim_speed` — engine, parallel and fork timings of whole grids.
@@ -927,6 +926,8 @@ mod tests {
         );
         assert!(a.configs.is_empty());
         assert!(parse_spec(&spec, &["--frames", "4"]).is_err());
+        // Linting is one pass with no units to report progress on.
+        assert!(parse_spec(&spec, &["--progress"]).is_err());
     }
 
     #[test]

@@ -382,11 +382,23 @@ pub struct RunResponse {
     /// event drops under `observe.trace`).
     #[serde(default)]
     pub notes: Vec<String>,
-    /// Named artifacts, each a complete file body (`metrics`, `figure`,
-    /// `report`, `trace`, `profile`, `spans`, `span_trace`,
-    /// `counters_csv`, `flame`, `campaign`, …).
+    /// Named artifacts, each a complete file body: the
+    /// [`JSON_ARTIFACTS`] plus plain-text ones (`figure`, `counters_csv`,
+    /// `flame`, `profile_text`, `span_text`, `noc_text`).
     pub artifacts: BTreeMap<String, String>,
 }
+
+/// The artifact kinds whose bodies are JSON documents; every other
+/// artifact is plain text.
+pub const JSON_ARTIFACTS: [&str; 7] = [
+    "metrics",
+    "report",
+    "campaign",
+    "trace",
+    "profile",
+    "spans",
+    "span_trace",
+];
 
 impl RunResponse {
     /// Serializes the response as pretty JSON.

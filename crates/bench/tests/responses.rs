@@ -77,7 +77,7 @@ fn fig8_traced_response_is_pinned() {
     assert_pinned(
         "fig8 trace",
         &req,
-        (0xb82d_e403_2ae6_79cf, 0xe33a_e461_a47e_1d7a),
+        (0x0446_6f09_dacc_a061, 0xe33a_e461_a47e_1d7a),
     );
 }
 

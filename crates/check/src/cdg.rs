@@ -7,11 +7,11 @@
 //! holding link *a* while waiting for link *b*).
 //!
 //! The mesh simulator routes in dimension order (XY), which is provably
-//! acyclic — so on a stock configuration the linter's `E0302` check is a
-//! safety net. It earns its keep when routing tables are customized
-//! (`Router::set_table`) or when a config mixes routing disciplines: the
-//! analysis is purely geometric, so `espcheck` can flag a deadlocking
-//! route set without simulating a single cycle.
+//! acyclic on a mesh (pinned by `xy_flows_are_deadlock_free` for every
+//! mesh up to 8×8), so a single routing discipline needs no check. The
+//! analysis earns its keep when a deployment mixes disciplines across
+//! tenants (`E0703`): it is purely geometric, so `espcheck` can flag a
+//! deadlocking route set without simulating a single cycle.
 //!
 //! Everything here is pure: coordinates are `(x, y)` tuples, a link is a
 //! directed coordinate pair, a route is the link sequence a packet
@@ -142,14 +142,8 @@ pub fn find_cycle(routes: &[Vec<Link>]) -> Option<Vec<Link>> {
     None
 }
 
-/// Convenience: the XY routes of a set of `(src, dst)` flows, ready for
-/// [`find_cycle`].
-pub fn xy_routes(flows: &[(Node, Node)]) -> Vec<Vec<Link>> {
-    flows.iter().map(|&(s, d)| xy_route(s, d)).collect()
-}
-
 /// The union route set of flows that each carry their own routing
-/// discipline — the multi-tenant generalization of [`xy_routes`]. The
+/// discipline, ready for [`find_cycle`]. The
 /// CDG of the union is what decides cross-tenant deadlock freedom:
 /// analyzing each tenant alone misses cycles that only composition
 /// closes.
@@ -179,22 +173,35 @@ mod tests {
         assert!(xy_route((3, 3), (3, 3)).is_empty());
     }
 
-    #[test]
-    fn xy_flows_are_deadlock_free() {
-        // Dense all-to-all on a 4x4 mesh: XY must stay acyclic.
+    /// Every tile of a `cols`×`rows` mesh sending to every other tile.
+    fn all_to_all(cols: u8, rows: u8) -> Vec<(Node, Node)> {
+        let tiles: Vec<Node> = (0..cols)
+            .flat_map(|x| (0..rows).map(move |y| (x, y)))
+            .collect();
         let mut flows = Vec::new();
-        for sx in 0..4u8 {
-            for sy in 0..4u8 {
-                for dx in 0..4u8 {
-                    for dy in 0..4u8 {
-                        if (sx, sy) != (dx, dy) {
-                            flows.push(((sx, sy), (dx, dy)));
-                        }
-                    }
+        for &src in &tiles {
+            for &dst in &tiles {
+                if src != dst {
+                    flows.push((src, dst));
                 }
             }
         }
-        assert!(find_cycle(&xy_routes(&flows)).is_none());
+        flows
+    }
+
+    /// Why no single-dataflow route check exists (`E0302` is retired):
+    /// all-to-all XY traffic is acyclic on every mesh from 1×1 to 8×8.
+    #[test]
+    fn xy_flows_are_deadlock_free() {
+        for cols in 1..=8u8 {
+            for rows in 1..=8u8 {
+                let routes: Vec<Vec<Link>> = all_to_all(cols, rows)
+                    .into_iter()
+                    .map(|(s, d)| xy_route(s, d))
+                    .collect();
+                assert!(find_cycle(&routes).is_none(), "{cols}x{rows} mesh");
+            }
+        }
     }
 
     #[test]

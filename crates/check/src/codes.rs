@@ -43,7 +43,8 @@ pub const DATAFLOW_PARSE: &str = "E0206";
 /// `E0301`: a dataflow stage names a device the SoC does not host.
 pub const UNMAPPED_DEVICE: &str = "E0301";
 /// `E0302`: the p2p routes form a channel-dependency-graph cycle — a
-/// wormhole deadlock risk on that plane.
+/// wormhole deadlock risk on that plane. Retired: the linter no longer
+/// emits it, because XY routes on a mesh never close a cycle.
 pub const CDG_CYCLE: &str = "E0302";
 /// `E0303`: a message was injected on a plane that does not carry its
 /// kind (plane misassignment breaks the deadlock-avoidance argument).
@@ -171,12 +172,15 @@ pub const ALL: &[(&str, &str, &str)] = &[
     ),
     (
         CDG_CYCLE,
-        "p2p routes form a channel-dependency cycle",
-        "The routes of the traffic pattern close a cycle in the channel \
-         dependency graph of one NoC plane. By Dally & Seitz, an acyclic \
-         CDG is necessary and sufficient for wormhole deadlock freedom, \
-         so this route set can deadlock. Dimension-order (XY) routing is \
-         provably acyclic; this fires for custom routing tables.",
+        "retired: p2p routes form a channel-dependency cycle",
+        "Retired: the linter no longer emits this code, and it is kept so \
+         the number is never reused. It flagged a single dataflow whose \
+         routes close a cycle in the channel dependency graph of one NoC \
+         plane. By Dally & Seitz, an acyclic CDG is necessary and \
+         sufficient for wormhole deadlock freedom, and the simulator \
+         routes in dimension order (XY), which never closes a cycle on a \
+         mesh, so the check could reject no input. Cycles that appear \
+         when tenants mix routing disciplines are E0703.",
     ),
     (
         PLANE_MISASSIGNMENT,

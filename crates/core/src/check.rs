@@ -11,26 +11,31 @@
 //!   [`Dataflow::lint`]).
 //! * `E0301` — a dataflow stage mapped to a device the floorplan does
 //!   not provide.
-//! * `E0302` — the p2p traffic pattern's XY routes close a cycle in the
-//!   channel-dependency graph (wormhole deadlock risk). XY routing on a
-//!   mesh is provably deadlock-free, so this is a safety net that fires
-//!   only for custom routing tables or corrupted route sets.
 //! * `E0304` / `W0305` — a declared PLM budget too small for the
 //!   model's buffer footprint / a per-invocation working set larger
 //!   than the socket TLB's reach.
+//!
+//! No single-dataflow route check exists: the simulator routes in
+//! dimension order (XY), and XY routes on a mesh never close a
+//! channel-dependency cycle (Dally & Seitz), so `E0302` is retired.
+//! Cycles only appear when routing disciplines mix across tenants,
+//! which [`crate::deploy`] checks as `E0703` over the same transfer
+//! schedule the runtime issues ([`esp4ml_runtime::ExecMode::instance_io`]).
 //!
 //! The runtime half of the checker — credit/flit conservation, wormhole
 //! framing, DMA accounting, deadlock diagnosis — lives behind
 //! [`esp4ml_soc::Soc::enable_sanitizer`].
 
 use crate::soc_config::{MlModelRef, SocConfigFile, TileSpecKind};
-use esp4ml_check::{cdg, codes, Diagnostic, Report};
+use esp4ml_check::{codes, Diagnostic, Report};
 use esp4ml_hls::FixedSpec;
 use esp4ml_mem::PageTable;
+use esp4ml_nn::{SVHN_CLASSIFIER_WIDTHS, SVHN_DENOISER_WIDTHS};
 use esp4ml_noc::Coord;
 use esp4ml_runtime::Dataflow;
 use esp4ml_soc::{words_for, SOCKET_TLB_REACH_WORDS};
-use std::collections::{BTreeMap, BTreeSet};
+use esp4ml_vision::svhn::IMG_PIXELS;
+use std::collections::BTreeMap;
 
 /// One accelerator device as the linter sees it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,15 +62,11 @@ impl DeviceView {
     }
 }
 
-/// A floorplan reduced to what the linter needs: grid size, tile
-/// placement and the statically-known device shapes, extracted from a
-/// declarative [`SocConfigFile`].
+/// A floorplan reduced to what the linter needs: tile placement and
+/// the statically-known device shapes, extracted from a declarative
+/// [`SocConfigFile`].
 #[derive(Debug, Clone, Default)]
 pub struct FloorplanView {
-    /// Mesh columns.
-    pub cols: usize,
-    /// Mesh rows.
-    pub rows: usize,
     /// Processor tile coordinates.
     pub processors: Vec<Coord>,
     /// Memory tile coordinates.
@@ -77,14 +78,11 @@ pub struct FloorplanView {
 impl FloorplanView {
     /// Extracts the linter's view from a configuration file.
     pub fn from_config(config: &SocConfigFile) -> FloorplanView {
-        let mut view = FloorplanView {
-            cols: config.cols,
-            rows: config.rows,
-            ..FloorplanView::default()
-        };
+        let mut view = FloorplanView::default();
         // Every built-in accelerator computes at the hls4ml default
         // precision.
-        let words = |values| words_for(values, FixedSpec::HLS4ML_DEFAULT.total_bits());
+        let words = |values| words_for(values as u64, FixedSpec::HLS4ML_DEFAULT.total_bits());
+        let ends = |widths: &[usize]| Some((widths[0], widths[widths.len() - 1]));
         for tile in &config.tiles {
             let coord = Coord::new(tile.x, tile.y);
             // The device name and its statically known (input, output)
@@ -99,11 +97,15 @@ impl FloorplanView {
                     continue;
                 }
                 TileSpecKind::Auxiliary => continue,
-                TileSpecKind::NightVision { name } => (name, Some((1024, 1024))),
+                TileSpecKind::NightVision { name } => (name, Some((IMG_PIXELS, IMG_PIXELS))),
                 TileSpecKind::MlModel { name, model, .. } => match model {
-                    MlModelRef::Classifier => (name, Some((1024, 10))),
-                    MlModelRef::Denoiser => (name, Some((1024, 1024))),
-                    MlModelRef::ClassifierLayer { .. } | MlModelRef::Files { .. } => (name, None),
+                    MlModelRef::Classifier => (name, ends(&SVHN_CLASSIFIER_WIDTHS)),
+                    MlModelRef::Denoiser => (name, ends(&SVHN_DENOISER_WIDTHS)),
+                    MlModelRef::ClassifierLayer { layer } => {
+                        let widths = SVHN_CLASSIFIER_WIDTHS.windows(2).nth(*layer);
+                        (name, widths.map(|w| (w[0], w[1])))
+                    }
+                    MlModelRef::Files { .. } => (name, None),
                 },
             };
             view.devices.push(DeviceView {
@@ -243,77 +245,20 @@ pub fn lint_dataflow(dataflow: &Dataflow) -> Report {
 }
 
 /// Lints the mapping of a dataflow onto a floorplan: every stage device
-/// must exist (`E0301`), and the XY routes of the resulting traffic
-/// pattern must not close a channel-dependency cycle (`E0302`).
+/// must exist (`E0301`).
 pub fn lint_mapping(view: &FloorplanView, dataflow: &Dataflow) -> Report {
     let mut report = Report::new();
-    let mut known = BTreeSet::new();
-    for stage in &dataflow.stages {
-        for name in &stage.devices {
-            match view.device(name) {
-                Some(_) => {
-                    known.insert(name.as_str());
-                }
-                None => report.push(
-                    Diagnostic::error(
-                        codes::UNMAPPED_DEVICE,
-                        format!("device {name}"),
-                        format!("dataflow references device {name}, which the floorplan does not provide"),
-                    )
-                    .with_hint("add the accelerator tile or fix the device name"),
-                ),
-            }
-        }
-    }
-
-    // Channel-dependency analysis of the p2p traffic pattern. Planes are
-    // physically decoupled, so each gets its own dependency graph:
-    // P2pLoadReq flows (consumer -> producer) ride the DMA-request
-    // plane, DmaData replies (producer -> consumer) the DMA-response
-    // plane; first-stage loads and last-stage stores add accelerator <->
-    // memory flows on the same two planes.
-    let coord_of = |name: &str| view.device(name).map(|d| d.coord);
-    let mut req_flows: Vec<(Coord, Coord)> = Vec::new();
-    let mut rsp_flows: Vec<(Coord, Coord)> = Vec::new();
-    for w in dataflow.stages.windows(2) {
-        for consumer in &w[1].devices {
-            for producer in &w[0].devices {
-                if let (Some(c), Some(p)) = (coord_of(consumer), coord_of(producer)) {
-                    req_flows.push((c, p));
-                    rsp_flows.push((p, c));
-                }
-            }
-        }
-    }
-    if let (Some(first), Some(last)) = (dataflow.stages.first(), dataflow.stages.last()) {
-        for name in first.devices.iter().chain(&last.devices) {
-            if let Some(a) = coord_of(name) {
-                for &m in &view.memories {
-                    req_flows.push((a, m));
-                    rsp_flows.push((m, a));
-                }
-            }
-        }
-    }
-    for (plane, flows) in [("dma-req", req_flows), ("dma-rsp", rsp_flows)] {
-        let routes = cdg::xy_routes(
-            &flows
-                .iter()
-                .map(|&(s, d)| ((s.x, s.y), (d.x, d.y)))
-                .collect::<Vec<_>>(),
-        );
-        if let Some(cycle) = cdg::find_cycle(&routes) {
-            let links: Vec<String> = cycle.iter().map(cdg::render_link).collect();
+    for name in dataflow.stages.iter().flat_map(|stage| &stage.devices) {
+        if view.device(name).is_none() {
             report.push(
                 Diagnostic::error(
-                    codes::CDG_CYCLE,
-                    format!("plane {plane}"),
+                    codes::UNMAPPED_DEVICE,
+                    format!("device {name}"),
                     format!(
-                        "the traffic pattern's routes close a channel-dependency cycle: {}",
-                        links.join(" -> ")
+                        "dataflow references device {name}, which the floorplan does not provide"
                     ),
                 )
-                .with_hint("wormhole deadlock risk; restore XY routing or break the cycle"),
+                .with_hint("add the accelerator tile or fix the device name"),
             );
         }
     }
@@ -425,9 +370,26 @@ mod tests {
     }
 
     #[test]
-    fn xy_mapping_has_no_cdg_cycle() {
+    fn mapped_fan_in_lints_clean() {
         let view = FloorplanView::from_config(&SocConfigFile::soc1());
         let df = Dataflow::linear(&[&["nv0", "nv1", "nv2", "nv3"], &["cl0"]]);
         assert!(lint_mapping(&view, &df).is_clean());
+    }
+
+    /// The static shapes are the ones the built SoC's devices report,
+    /// split-classifier layers included.
+    #[test]
+    fn static_shapes_match_the_built_devices() {
+        let models = crate::apps::TrainedModels::untrained();
+        for config in [SocConfigFile::soc1(), SocConfigFile::soc2()] {
+            let view = FloorplanView::from_config(&config);
+            let registry = esp4ml_runtime::DeviceRegistry::probe(&config.build(&models).unwrap());
+            assert_eq!(view.devices.len(), registry.len());
+            for dev in &view.devices {
+                let built = registry.lookup(&dev.name).expect("device is built");
+                assert_eq!(dev.in_words, Some(built.input_words()), "{}", dev.name);
+                assert_eq!(dev.out_words, Some(built.output_words()), "{}", dev.name);
+            }
+        }
     }
 }

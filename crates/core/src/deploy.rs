@@ -14,8 +14,7 @@
 //!    channel-dependency graph over every tenant's routes, per NoC
 //!    plane, must stay acyclic. Each tenant alone may be acyclic
 //!    (dimension-order routing always is); cycles appear only when
-//!    tenants mixing disciplines compose — exactly what per-dataflow
-//!    `E0302` cannot detect.
+//!    tenants mixing disciplines compose.
 //! 3. **Bandwidth feasibility** (`E0704`): summing every tenant's
 //!    static per-link flit demand (derived from stage widths, burst
 //!    framing and the frame-rate target) must not exceed any link's
@@ -23,16 +22,19 @@
 //!    same numbers yield a per-tenant worst-case slowdown bound,
 //!    reported as structured data in [`bw::BandwidthAnalysis`].
 //!
-//! The demand model prices every packet with the simulator's own
-//! framing ([`esp4ml_soc::emit`]). The runtime maps buffers contiguously,
-//! so with one memory tile each per-frame transfer is one burst and the
-//! per-link demand is exact. Two over-approximations remain, because
-//! the analyzer knows neither the runtime's round-robin schedule nor its
-//! addresses: every (instance, memory) and (producer, consumer) pair is
-//! charged the full per-frame payload, and with several memory tiles a
-//! transfer is charged as split at every 512-word interleave block it
-//! could cross. [`validate_against_simulator`] runs each tenant of a
-//! feasible deployment through the cycle-level simulator and checks
+//! The demand model prices the runtime's own transfer schedule
+//! ([`ExecMode::instance_io`]: which instances load, store, and pull
+//! from which producer) with the simulator's own packet framing
+//! ([`esp4ml_soc::emit`]). The runtime maps buffers contiguously, so
+//! with one memory tile and one instance per stage each per-frame
+//! transfer is one burst and the per-link demand is exact. Two
+//! over-approximations remain, because the analyzer knows neither which
+//! frames each instance serves nor the runtime's addresses: each
+//! instance of a width-k stage is charged the full per-frame payload,
+//! and with several memory tiles a transfer is charged to every memory
+//! as split at every 512-word interleave block it could cross.
+//! [`validate_against_simulator`] runs each tenant of a feasible
+//! deployment through the cycle-level simulator and checks
 //! `static >= measured` on every link and every bound.
 
 use crate::apps::TrainedModels;
@@ -151,8 +153,7 @@ pub struct Transfer {
 pub enum TransferError {
     /// A stage device is not on the floorplan (already `E0301`).
     Unmapped(String),
-    /// An unknown execution mode or a model shape not statically known
-    /// (`E0705`).
+    /// A model shape not statically known (`E0705`).
     Unmodelled(String),
 }
 
@@ -187,23 +188,23 @@ fn split_flits(flits_of: fn(u64) -> u64, words: u64, bursts: u64) -> u64 {
     flits_of(words) + (bursts - 1) * flits_of(1)
 }
 
-/// Every per-frame transfer of one tenant on the two DMA planes, priced
-/// with the tiles' own packet framing. Each (instance, memory) and each
-/// (producer, consumer) pair carries the *full* per-frame payload even
-/// though round-robin distribution sends each frame over exactly one
-/// pair — a sound over-approximation of any schedule.
+/// Every per-frame transfer of one tenant under `mode` on the two DMA
+/// planes, priced with the tiles' own packet framing. Which instance
+/// loads, stores or pulls from which producer is the runtime's own
+/// schedule ([`ExecMode::instance_io`]). Each instance of a stage is
+/// charged the *full* per-frame payload, although round-robin
+/// distribution sends each frame through exactly one instance: a sound
+/// over-approximation for stages wider than one.
 ///
 /// # Errors
 ///
-/// An unknown execution mode, a stage device missing from the
-/// floorplan, or a model shape not statically known.
+/// A stage device missing from the floorplan, or a model shape not
+/// statically known.
 pub fn tenant_transfers(
     view: &FloorplanView,
     tenant: &TenantSpec,
+    mode: ExecMode,
 ) -> Result<Vec<Transfer>, TransferError> {
-    let mode = tenant.exec_mode().ok_or_else(|| {
-        TransferError::Unmodelled(format!("unknown execution mode {:?}", tenant.mode))
-    })?;
     // Resolve every stage to (coord, in_words, out_words).
     let mut stages: Vec<Vec<(Node, u64, u64)>> = Vec::new();
     for (s, devices) in tenant.stages.iter().enumerate() {
@@ -226,6 +227,7 @@ pub fn tenant_transfers(
         return Ok(Vec::new());
     }
     let memories: Vec<Node> = view.memories.iter().copied().map(node).collect();
+    let widths: Vec<usize> = stages.iter().map(Vec::len).collect();
     let mut transfers = Vec::new();
     let mut push = |plane, src, dst, flits| {
         if src != dst && flits > 0 {
@@ -237,34 +239,25 @@ pub fn tenant_transfers(
             });
         }
     };
-    // Under p2p only the pipeline edges touch memory; interior stage
-    // boundaries ride the p2p service. Otherwise every stage stages its
-    // frames through memory.
-    let p2p = mode == ExecMode::P2p;
-    for (i, stage) in stages.iter().enumerate() {
-        let (load, store) = (!p2p || i == 0, !p2p || i + 1 == stages.len());
-        for &(a, inp, out) in stage {
+    for (s, stage) in stages.iter().enumerate() {
+        for (j, &(a, inp, out)) in stage.iter().enumerate() {
+            let io = mode.instance_io(&widths, s, j);
             for &m in &memories {
-                if load {
+                if io.loads {
                     let k = max_bursts(inp, memories.len());
                     push("dma-req", a, m, k * DMA_LOAD_REQ_FLITS);
                     push("dma-rsp", m, a, split_flits(dma_data_flits, inp, k));
                 }
-                if store {
+                if io.stores {
                     let k = max_bursts(out, memories.len());
                     push("dma-req", a, m, split_flits(dma_store_req_flits, out, k));
                     push("dma-rsp", m, a, split_flits(dma_store_ack_flits, out, k));
                 }
             }
-        }
-    }
-    if p2p {
-        for w in stages.windows(2) {
-            for &(c, words, _) in &w[1] {
-                for &(p, _, _) in &w[0] {
-                    push("dma-req", c, p, P2P_LOAD_REQ_FLITS);
-                    push("dma-rsp", p, c, dma_data_flits(words));
-                }
+            for &i in &io.sources {
+                let p = stages[s - 1][i].0;
+                push("dma-req", a, p, P2P_LOAD_REQ_FLITS);
+                push("dma-rsp", p, a, dma_data_flits(inp));
             }
         }
     }
@@ -456,7 +449,11 @@ pub fn lint_deployment(deployment: &Deployment) -> DeploymentAnalysis {
         BTreeMap::new();
     let mut demands: Vec<bw::TenantDemand> = Vec::new();
     for tenant in &deployment.tenants {
-        match tenant_transfers(&view, tenant) {
+        // An unknown mode is already reported by the per-tenant check.
+        let Some(mode) = tenant.exec_mode() else {
+            continue;
+        };
+        match tenant_transfers(&view, tenant, mode) {
             Ok(transfers) => {
                 for t in &transfers {
                     plane_flows.entry(t.plane).or_default().push((
@@ -476,10 +473,7 @@ pub fn lint_deployment(deployment: &Deployment) -> DeploymentAnalysis {
                     format!("tenant {}", tenant.name),
                     format!("deployment analysis cannot model this tenant: {reason}"),
                 )
-                .with_hint(
-                    "deployment admission needs statically-known model shapes and a known \
-                     execution mode",
-                ),
+                .with_hint("deployment admission needs statically-known model shapes"),
             ),
         }
     }
@@ -609,8 +603,8 @@ impl DeploymentValidation {
     }
 }
 
-/// Runs one tenant solo on the deployment's SoC, built from `models`,
-/// and compares the measured DMA-plane link traffic against the
+/// Runs one tenant solo under `mode` on the deployment's SoC, built from
+/// `models`, and compares the measured DMA-plane link traffic against the
 /// tenant's static `demand`. The traffic does not depend on the
 /// weights, so any models give the same check; passing long-lived ones
 /// reuses their compiled networks.
@@ -618,13 +612,11 @@ fn check_tenant(
     deployment: &Deployment,
     models: &TrainedModels,
     tenant: &TenantSpec,
+    mode: ExecMode,
     demand: &bw::TenantDemand,
     frames: u64,
     engine: SocEngine,
 ) -> Result<TenantRunCheck, Esp4mlError> {
-    let mode = tenant
-        .exec_mode()
-        .ok_or_else(|| Esp4mlError::Other(format!("unknown mode {:?}", tenant.mode)))?;
     let mut soc = deployment
         .soc
         .build(models)
@@ -709,10 +701,13 @@ pub fn validate_against_simulator(
     let mut measured_demands = Vec::new();
     let mut static_demands = Vec::new();
     for tenant in &deployment.tenants {
+        let mode = tenant
+            .exec_mode()
+            .ok_or_else(|| Esp4mlError::Other(format!("unknown mode {:?}", tenant.mode)))?;
         let transfers =
-            tenant_transfers(&view, tenant).map_err(|e| Esp4mlError::Other(e.to_string()))?;
+            tenant_transfers(&view, tenant, mode).map_err(|e| Esp4mlError::Other(e.to_string()))?;
         let demand = tenant_demand(tenant, &transfers);
-        let check = check_tenant(deployment, models, tenant, &demand, frames, engine)?;
+        let check = check_tenant(deployment, models, tenant, mode, &demand, frames, engine)?;
         measured_demands.push(bw::TenantDemand {
             name: tenant.name.clone(),
             frame_rate_hz: tenant.frame_rate_hz,
@@ -805,6 +800,36 @@ mod tests {
 
     fn codes_of(report: &Report) -> Vec<&'static str> {
         report.diagnostics.iter().map(|d| d.code).collect()
+    }
+
+    /// An equal-width p2p boundary pairs each consumer with its namesake
+    /// producer, as the runtime programs `P2P_REG`: one request/data
+    /// pair per instance, not width² pairs.
+    #[test]
+    fn equal_width_p2p_pairs_namesakes() {
+        let d = soc1_deployment(vec![tenant(
+            "pair",
+            &[&["nv0", "nv1"], &["cl0", "cl1"]],
+            30.0,
+        )]);
+        let view = FloorplanView::from_config(&d.soc);
+        let at = |name| node(view.device(name).expect("on soc1").coord);
+        let transfers = tenant_transfers(&view, &d.tenants[0], ExecMode::P2p).expect("priced");
+        let memory = node(view.memories[0]);
+        let p2p: Vec<(&str, Node, Node)> = transfers
+            .iter()
+            .filter(|t| t.src != memory && t.dst != memory)
+            .map(|t| (t.plane, t.src, t.dst))
+            .collect();
+        assert_eq!(
+            p2p,
+            [
+                ("dma-req", at("cl0"), at("nv0")),
+                ("dma-rsp", at("nv0"), at("cl0")),
+                ("dma-req", at("cl1"), at("nv1")),
+                ("dma-rsp", at("nv1"), at("cl1")),
+            ]
+        );
     }
 
     #[test]

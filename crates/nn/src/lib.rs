@@ -50,7 +50,7 @@ pub use layer::{DenseLayer, LayerSpec};
 pub use loss::Loss;
 pub use matrix::Matrix;
 pub use metrics::ConfusionMatrix;
-pub use model::Sequential;
+pub use model::{Sequential, SVHN_CLASSIFIER_WIDTHS, SVHN_DENOISER_WIDTHS};
 pub use optimizer::{Optimizer, OptimizerKind};
 pub use serialize::{ModelFile, SerializeError};
 pub use train::{accuracy, reconstruction_error, TrainConfig, TrainReport, Trainer};

@@ -177,30 +177,41 @@ impl Sequential {
         trace
     }
 
-    /// Builds the paper's MLP classifier: 1024×256×128×64×32×10 with ReLU
-    /// hidden layers, dropout 0.2, softmax output.
+    /// Builds the paper's MLP classifier: [`SVHN_CLASSIFIER_WIDTHS`]
+    /// with ReLU hidden layers, dropout 0.2, softmax output.
     pub fn svhn_classifier() -> Self {
-        let mut m = Sequential::new(1024);
-        for units in [256, 128, 64, 32] {
+        let [input, hidden @ .., output] = SVHN_CLASSIFIER_WIDTHS;
+        let mut m = Sequential::new(input);
+        for units in hidden {
             m.push(LayerSpec::dense(units, Activation::Relu));
             m.push(LayerSpec::Dropout { rate: 0.2 });
         }
-        m.push(LayerSpec::dense(10, Activation::Softmax));
+        m.push(LayerSpec::dense(output, Activation::Softmax));
         m
     }
 
-    /// Builds the paper's denoising autoencoder: 1024×256×128×1024 with a
-    /// compression factor of 8 at the bottleneck, Gaussian noise at the
-    /// input during training, sigmoid reconstruction output.
+    /// Builds the paper's denoising autoencoder: [`SVHN_DENOISER_WIDTHS`]
+    /// with a compression factor of 8 at the bottleneck, Gaussian noise
+    /// at the input during training, sigmoid reconstruction output.
     pub fn svhn_denoiser() -> Self {
-        let mut m = Sequential::new(1024);
+        let [input, hidden @ .., output] = SVHN_DENOISER_WIDTHS;
+        let mut m = Sequential::new(input);
         m.push(LayerSpec::GaussianNoise { stddev: 0.1 });
-        m.push(LayerSpec::dense(256, Activation::Relu));
-        m.push(LayerSpec::dense(128, Activation::Relu));
-        m.push(LayerSpec::dense(1024, Activation::Sigmoid));
+        for units in hidden {
+            m.push(LayerSpec::dense(units, Activation::Relu));
+        }
+        m.push(LayerSpec::dense(output, Activation::Sigmoid));
         m
     }
 }
+
+/// Layer widths of the paper's SVHN classifier, input first:
+/// 1024×256×128×64×32×10.
+pub const SVHN_CLASSIFIER_WIDTHS: [usize; 6] = [1024, 256, 128, 64, 32, 10];
+
+/// Layer widths of the paper's SVHN denoising autoencoder, input first:
+/// 1024×256×128×1024.
+pub const SVHN_DENOISER_WIDTHS: [usize; 4] = [1024, 256, 128, 1024];
 
 #[cfg(test)]
 mod tests {

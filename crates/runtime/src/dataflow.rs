@@ -62,6 +62,46 @@ impl ExecMode {
     pub fn from_label(label: &str) -> Option<ExecMode> {
         ExecMode::ALL.into_iter().find(|m| m.label() == label)
     }
+
+    /// How instance `j` of stage `s` moves its frames in a pipeline whose
+    /// stages have `widths` instances: the one schedule the runtime
+    /// programs into the sockets and the deployment analyzer prices.
+    ///
+    /// Base and pipe stage every frame through memory. Under p2p only the
+    /// first stage loads and the last stores; every interior boundary
+    /// rides the p2p service. A consumer pulls from its namesake producer
+    /// when the two widths match and from every producer when the stage
+    /// fans in to one, the two transitions `E0204` admits.
+    pub fn instance_io(self, widths: &[usize], s: usize, j: usize) -> InstanceIo {
+        let p2p = self == ExecMode::P2p;
+        let loads = !p2p || s == 0;
+        let sources = if loads {
+            Vec::new()
+        } else if widths[s - 1] == widths[s] {
+            vec![j]
+        } else {
+            (0..widths[s - 1]).collect()
+        };
+        InstanceIo {
+            loads,
+            stores: !p2p || s + 1 == widths.len(),
+            sources,
+        }
+    }
+}
+
+/// One stage instance's data movement under an [`ExecMode`], from
+/// [`ExecMode::instance_io`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InstanceIo {
+    /// Loads its input frames from memory by DMA.
+    pub loads: bool,
+    /// Stores its output frames to memory by DMA; otherwise it serves
+    /// them to the next stage over p2p.
+    pub stores: bool,
+    /// The previous stage's instances it pulls its input from over p2p
+    /// (its `P2P_REG` sources); empty when it loads.
+    pub sources: Vec<usize>,
 }
 
 /// A linear pipeline of stages — the dataflow shape of all four
@@ -183,6 +223,26 @@ impl Dataflow {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn instance_io_follows_the_mode() {
+        let io = |mode: ExecMode, widths: &[usize], s, j| {
+            let io = mode.instance_io(widths, s, j);
+            (io.loads, io.stores, io.sources)
+        };
+        for mode in [ExecMode::Base, ExecMode::Pipe] {
+            assert_eq!(io(mode, &[4, 1], 1, 0), (true, true, vec![]));
+        }
+        // p2p: memory only at the edges; a single stage is plain DMA.
+        assert_eq!(io(ExecMode::P2p, &[1], 0, 0), (true, true, vec![]));
+        assert_eq!(io(ExecMode::P2p, &[2, 2, 2], 0, 1), (true, false, vec![]));
+        // Equal widths pair namesakes; a fan-in pulls from every producer.
+        assert_eq!(io(ExecMode::P2p, &[2, 2, 2], 1, 1), (false, false, vec![1]));
+        assert_eq!(
+            io(ExecMode::P2p, &[2, 2, 1], 2, 0),
+            (false, true, vec![0, 1])
+        );
+    }
 
     #[test]
     fn linear_builder() {

@@ -64,7 +64,7 @@ mod metrics;
 mod registry;
 mod runtime;
 
-pub use dataflow::{Dataflow, ExecMode, StageSpec};
+pub use dataflow::{Dataflow, ExecMode, InstanceIo, StageSpec};
 pub use error::RuntimeError;
 pub use metrics::RunMetrics;
 pub use registry::{DeviceInfo, DeviceRegistry};

@@ -67,6 +67,8 @@ impl RecoveryPolicy {
 /// recovery settings, and the counters the run reports.
 #[derive(Debug)]
 struct RunCtx<'b> {
+    /// The execution mode, which schedules every invocation's transfers.
+    mode: ExecMode,
     /// Device placement; failover remaps instances in place, and the remap
     /// is sticky for the rest of the run.
     plan: Plan,
@@ -126,10 +128,32 @@ impl Invocation {
         }
     }
 
+    /// The socket registers of stage `s`, instance `j` over `n` frames,
+    /// scheduled by [`ExecMode::instance_io`]: a DMA side reads `src` or
+    /// writes `dst`; a p2p side pulls from the scheduled producers or
+    /// serves the next stage.
+    fn config(cx: &RunCtx<'_>, s: usize, j: usize, src: u64, dst: u64, n: u64) -> AccelConfig {
+        let widths: Vec<usize> = cx.plan.stages.iter().map(Vec::len).collect();
+        let io = cx.mode.instance_io(&widths, s, j);
+        let sources = || {
+            io.sources
+                .iter()
+                .map(|&i| cx.plan.stages[s - 1][i].coord)
+                .collect()
+        };
+        match (io.loads, io.stores) {
+            (true, true) => AccelConfig::dma_to_dma(src, dst, n),
+            (true, false) => AccelConfig::dma_to_p2p(src, n),
+            (false, true) => AccelConfig::p2p_to_dma(sources(), dst, n),
+            (false, false) => AccelConfig::p2p_to_p2p(sources(), n),
+        }
+    }
+
     /// The single-frame DMA invocation of stage `s`, instance `j` on
     /// global frame `f`: it reads the stage's input region and writes the
     /// next stage's region, or the application output.
-    fn dma(buf: &AppBuffers, s: usize, j: usize, f: u64) -> Self {
+    fn dma(cx: &RunCtx<'_>, s: usize, j: usize, f: u64) -> Self {
+        let buf = cx.buf;
         let region = |r: usize| buf.handle.base + buf.region_offsets[r] + f * buf.stage_in_words[r];
         let src = if s == 0 {
             buf.input_frame_addr(f)
@@ -141,41 +165,19 @@ impl Invocation {
         } else {
             region(s + 1)
         };
-        let cfg = AccelConfig::dma_to_dma(src, dst, 1).with_frame_ids(f, 1);
+        let cfg = Self::config(cx, s, j, src, dst, 1).with_frame_ids(f, 1);
         Invocation::new(s, j, f, cfg)
     }
 
-    /// The p2p batch of stage `s`, instance `j` over its `n` frames: it
-    /// loads from DRAM or pulls from the previous stage's tiles, and
-    /// pushes to the next stage or stores to DRAM.
-    fn batch(plan: &Plan, buf: &AppBuffers, s: usize, j: usize, n: u64) -> Self {
-        let (depth, stage, frames) = (plan.stages.len(), &plan.stages[s], buf.frames);
-        let k = stage.len() as u64;
-        let sub_in = AppBuffers::sub_region_words(frames, k, buf.stage_in_words[s]);
-        let src = buf.handle.base + buf.region_offsets[0] + j as u64 * sub_in;
-        let cfg = if depth == 1 {
-            // Degenerate single-stage dataflow: plain DMA.
-            AccelConfig::dma_to_dma(src, buf.output_frame_addr(j as u64), n)
-        } else if s == 0 {
-            AccelConfig::dma_to_p2p(src, n)
-        } else {
-            let prev = &plan.stages[s - 1];
-            let sources: Vec<Coord> = if prev.len() == stage.len() {
-                vec![prev[j].coord]
-            } else {
-                prev.iter().map(|i| i.coord).collect()
-            };
-            if s == depth - 1 {
-                let sub_out = AppBuffers::sub_region_words(frames, k, buf.out_words);
-                let dst = buf.handle.base + buf.region_offsets[depth] + j as u64 * sub_out;
-                AccelConfig::p2p_to_dma(sources, dst, n)
-            } else {
-                AccelConfig::p2p_to_p2p(sources, n)
-            }
-        };
-        // Instance `j` of a width-`k` stage serves global frames j, j+k,
-        // j+2k, ... (the round-robin frame assignment).
-        Invocation::new(s, j, j as u64, cfg.with_frame_ids(j as u64, k))
+    /// The p2p batch of stage `s`, instance `j` over its `n` frames.
+    /// Instance `j` of a width-`k` stage serves global frames j, j+k,
+    /// j+2k, ... (the round-robin frame assignment), so its input and
+    /// output sub-regions start at those of frame `j`.
+    fn batch(cx: &RunCtx<'_>, s: usize, j: usize, n: u64) -> Self {
+        let (f, k) = (j as u64, cx.plan.stages[s].len() as u64);
+        let (src, dst) = (cx.buf.input_frame_addr(f), cx.buf.output_frame_addr(f));
+        let cfg = Self::config(cx, s, j, src, dst, n).with_frame_ids(f, k);
+        Invocation::new(s, j, f, cfg)
     }
 }
 
@@ -603,6 +605,7 @@ impl EspRuntime {
         let faults0 = self.soc.faults_injected();
         self.soc.take_irqs(); // discard stale interrupts
         let mut cx = RunCtx {
+            mode: spec.mode,
             plan,
             buf,
             watchdog: spec.watchdog_cycles.unwrap_or(DEFAULT_WATCHDOG_CYCLES),
@@ -662,7 +665,7 @@ impl EspRuntime {
         for f in 0..cx.buf.frames {
             for s in 0..cx.plan.stages.len() {
                 let j = (f % cx.plan.stages[s].len() as u64) as usize;
-                let mut inv = Invocation::dma(cx.buf, s, j, f);
+                let mut inv = Invocation::dma(cx, s, j, f);
                 self.issue(cx, &mut inv)?;
                 while !self.wait_for_irq(cx, &inv) {
                     self.recover(cx, &mut inv, true)?;
@@ -704,7 +707,7 @@ impl EspRuntime {
                 if inflight[i].is_some() || f >= frames || (s > 0 && !done[s - 1][f as usize]) {
                     continue;
                 }
-                let mut inv = Invocation::dma(cx.buf, s, j, f);
+                let mut inv = Invocation::dma(cx, s, j, f);
                 self.issue(cx, &mut inv)?;
                 issued[i] += 1;
                 inflight[i] = Some(inv);
@@ -731,7 +734,7 @@ impl EspRuntime {
                 if n == 0 {
                     continue;
                 }
-                let mut inv = Invocation::batch(&cx.plan, cx.buf, s, j as usize, n);
+                let mut inv = Invocation::batch(cx, s, j as usize, n);
                 self.issue(cx, &mut inv)?;
                 inflight.push(Some(inv));
             }

@@ -26,7 +26,7 @@ use crate::engine::{
 };
 use crate::http::{HttpRequest, HttpResponse};
 use esp4ml::trace::schema::envelope_json;
-use esp4ml_bench::request::{RunRequest, SCHEMA_VERSION};
+use esp4ml_bench::request::{RunRequest, JSON_ARTIFACTS, SCHEMA_VERSION};
 use serde::{Deserialize, Map, Value};
 use serde_json::json;
 use std::time::Duration;
@@ -209,12 +209,7 @@ fn job_artifact(engine: &JobEngine, req: &HttpRequest, id: u64, kind: &str) -> H
         // Artifacts are served verbatim — for the metrics artifact this
         // is the byte-identity contract with the CLI `--metrics` file.
         ArtifactResult::Body(body) => {
-            if kind == "metrics"
-                || kind == "report"
-                || kind == "campaign"
-                || kind == "trace"
-                || kind == "spans"
-            {
+            if JSON_ARTIFACTS.contains(&kind) {
                 HttpResponse::json(200, body)
             } else {
                 HttpResponse {

@@ -115,6 +115,55 @@ fn golden_submit_poll_fetch_flow() {
     esp4ml::trace::schema::open_envelope(envelope, "run-metrics").expect("run-metrics envelope");
 }
 
+/// Every JSON artifact of an observed job is served as JSON, every other
+/// one as text, by the one list `request::JSON_ARTIFACTS`.
+#[test]
+fn observed_artifacts_carry_their_content_type() {
+    let engine = test_engine();
+    let body = fig8_body().replace(
+        "\"frames\":2",
+        "\"frames\":2,\"observe\":{\"trace\":true,\"profile\":true,\"spans\":true,\"sample_every\":1000}",
+    );
+    let created = parse(&route(&engine, &req("POST", "/v1/jobs", "alice", &body)));
+    let id = created
+        .get("job_id")
+        .and_then(Value::as_u64)
+        .expect("job id");
+    assert!(engine.run_next());
+    let done = parse(&route(
+        &engine,
+        &req("GET", &format!("/v1/jobs/{id}"), "alice", ""),
+    ));
+    let kinds: Vec<String> = done
+        .get("artifacts")
+        .and_then(Value::as_array)
+        .expect("kinds")
+        .iter()
+        .map(|k| k.as_str().expect("kind name").to_string())
+        .collect();
+    for kind in [
+        "metrics",
+        "trace",
+        "profile",
+        "spans",
+        "span_trace",
+        "counters_csv",
+    ] {
+        assert!(kinds.iter().any(|k| k == kind), "no {kind} among {kinds:?}");
+    }
+    for kind in &kinds {
+        let path = format!("/v1/jobs/{id}/artifacts/{kind}");
+        let artifact = route(&engine, &req("GET", &path, "alice", ""));
+        assert_eq!(artifact.status, 200, "{kind}");
+        if request::JSON_ARTIFACTS.contains(&kind.as_str()) {
+            assert_eq!(artifact.content_type, "application/json", "{kind}");
+            parse(&artifact);
+        } else {
+            assert!(artifact.content_type.starts_with("text/plain"), "{kind}");
+        }
+    }
+}
+
 #[test]
 fn admission_reject_carries_e_codes_and_runs_nothing() {
     let engine = test_engine();

@@ -10,14 +10,14 @@
 //!   accelerator identifies itself.
 //! - Each NoC plane gets one track per process — see [`plane_tid`].
 //! - Accelerator phases become duration (`"X"`) events reconstructed
-//!   from consecutive [`TraceEvent::AccelPhaseChange`]s (idle gaps are
-//!   elided); DMA bursts and packet flights become duration events;
+//!   from consecutive [`TraceEvent::AccelPhaseChange`]s. States in the
+//!   span layer's idle class (`idle`, `done`) are elided; DMA bursts and packet flights become duration events;
 //!   everything else becomes an instant (`"i"`) event.
 //! - `ts`/`dur` are simulated cycles, presented as microseconds
 //!   (1 cycle = 1 µs in the viewer).
 
 use crate::event::{TileCoord, TimedEvent, TraceEvent};
-use crate::span::SpanReport;
+use crate::span::{classify_state, SpanKind, SpanReport};
 use serde_json::Value;
 use std::collections::HashMap;
 
@@ -115,8 +115,8 @@ impl Builder {
     fn close_span(&mut self, tid: u64, cycle: u64) {
         if let Some((phase, start, frame)) = self.open_spans.remove(&(self.pid, tid)) {
             // Idle gaps carry no information; eliding them keeps the
-            // phase tracks readable.
-            if phase != "Idle" {
+            // phase tracks readable. The idle class is the span layer's.
+            if classify_state(&phase) != SpanKind::Queue {
                 let dur = cycle.saturating_sub(start);
                 let args = match frame {
                     Some(f) => {
@@ -511,8 +511,8 @@ mod tests {
                 1,
                 TraceEvent::AccelPhaseChange {
                     accel: "nightvision0".into(),
-                    from: "Idle",
-                    to: "LoadIssue",
+                    from: "idle",
+                    to: "load_issue",
                     frame: Some(0),
                 },
             ),
@@ -553,8 +553,8 @@ mod tests {
                 1,
                 TraceEvent::AccelPhaseChange {
                     accel: "nightvision0".into(),
-                    from: "LoadIssue",
-                    to: "Compute",
+                    from: "load_issue",
+                    to: "compute",
                     frame: Some(0),
                 },
             ),
@@ -600,7 +600,7 @@ mod tests {
             .find(|r| r["cat"].as_str() == Some("accel_phase"))
             .expect("no phase span emitted");
         assert_eq!(phase["tid"].as_u64(), Some(tile_tid(TileCoord::new(1, 1))));
-        assert_eq!(phase["name"].as_str(), Some("LoadIssue"));
+        assert_eq!(phase["name"].as_str(), Some("load_issue"));
 
         let thread_names: Vec<(&str, u64)> = rows
             .iter()
@@ -632,6 +632,41 @@ mod tests {
             .find(|r| r["name"].as_str() == Some("process_name"))
             .unwrap();
         assert_eq!(proc["args"]["name"].as_str(), Some("test run"));
+    }
+
+    /// The states the span layer counts as idle never become slices,
+    /// whichever state they sit between.
+    #[test]
+    fn idle_class_states_are_elided() {
+        let phase = |cycle, from, to| {
+            at(
+                cycle,
+                1,
+                1,
+                TraceEvent::AccelPhaseChange {
+                    accel: "nv0".into(),
+                    from,
+                    to,
+                    frame: Some(0),
+                },
+            )
+        };
+        let events = [
+            phase(5, "idle", "compute"),
+            phase(20, "compute", "done"),
+            phase(30, "done", "idle"),
+            phase(40, "idle", "store_send"),
+            phase(50, "store_send", "done"),
+        ];
+        let doc = chrome_trace(&events, 0, 0);
+        let names: Vec<&str> = doc["traceEvents"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .filter(|r| r["cat"].as_str() == Some("accel_phase"))
+            .map(|r| r["name"].as_str().unwrap())
+            .collect();
+        assert_eq!(names, ["compute", "store_send"]);
     }
 
     #[test]

@@ -76,7 +76,8 @@ impl SpanKind {
 /// Maps a socket FSM state onto a span kind: the one partition of FSM
 /// states into compute, DMA, NoC and idle/queue.
 /// [`StateBreakdown::add_state`](crate::profile::StateBreakdown::add_state)
-/// reads [`SpanKind::Queue`] as its idle class.
+/// reads [`SpanKind::Queue`] as its idle class, and the Perfetto exporter
+/// elides phases in it.
 pub(crate) fn classify_state(state: &str) -> SpanKind {
     match state {
         "compute" => SpanKind::Compute,

@@ -2,22 +2,17 @@
 
 use crate::event::{TileCoord, TimedEvent, TraceEvent};
 use crate::sink::{RingBufferSink, TraceSink};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-
-struct TracerInner {
-    enabled: AtomicBool,
-    sink: Mutex<Box<dyn TraceSink>>,
-}
 
 /// Handle for emitting trace events.
 ///
 /// Cloning is cheap (an `Option<Arc>`), so every tile, the mesh, and
-/// the runtime hold their own copy. The default handle is *disabled*:
+/// the runtime hold their own copy. The default handle is *disabled*
+/// (the only off state; a recording tracer cannot be paused):
 /// [`Tracer::emit`] then costs exactly one branch — the event closure
 /// is never invoked, so no payload is built and nothing allocates.
 #[derive(Clone, Default)]
-pub struct Tracer(Option<Arc<TracerInner>>);
+pub struct Tracer(Option<Arc<Mutex<Box<dyn TraceSink>>>>);
 
 impl Tracer {
     /// A no-op tracer (the default for every simulator component).
@@ -38,26 +33,13 @@ impl Tracer {
 
     /// A tracer recording into an arbitrary sink.
     pub fn with_sink(sink: Box<dyn TraceSink>) -> Self {
-        Tracer(Some(Arc::new(TracerInner {
-            enabled: AtomicBool::new(true),
-            sink: Mutex::new(sink),
-        })))
+        Tracer(Some(Arc::new(Mutex::new(sink))))
     }
 
-    /// True when events are currently being recorded.
+    /// True when events are being recorded.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        match &self.0 {
-            Some(inner) => inner.enabled.load(Ordering::Relaxed),
-            None => false,
-        }
-    }
-
-    /// Pauses or resumes recording (no-op on a disabled tracer).
-    pub fn set_enabled(&self, on: bool) {
-        if let Some(inner) = &self.0 {
-            inner.enabled.store(on, Ordering::Relaxed);
-        }
+        self.0.is_some()
     }
 
     /// Records the event produced by `build`, stamped with `cycle` and
@@ -65,16 +47,14 @@ impl Tracer {
     /// the disabled fast path free of any payload construction.
     #[inline]
     pub fn emit(&self, cycle: u64, source: TileCoord, build: impl FnOnce() -> TraceEvent) {
-        if let Some(inner) = &self.0 {
-            if inner.enabled.load(Ordering::Relaxed) {
-                let event = TimedEvent {
-                    cycle,
-                    source,
-                    event: build(),
-                };
-                if let Ok(mut sink) = inner.sink.lock() {
-                    sink.record(event);
-                }
+        if let Some(sink) = &self.0 {
+            let event = TimedEvent {
+                cycle,
+                source,
+                event: build(),
+            };
+            if let Ok(mut sink) = sink.lock() {
+                sink.record(event);
             }
         }
     }
@@ -82,7 +62,7 @@ impl Tracer {
     /// Number of events currently buffered.
     pub fn len(&self) -> usize {
         match &self.0 {
-            Some(inner) => inner.sink.lock().map(|s| s.len()).unwrap_or(0),
+            Some(sink) => sink.lock().map(|s| s.len()).unwrap_or(0),
             None => 0,
         }
     }
@@ -95,7 +75,7 @@ impl Tracer {
     /// Events discarded by the sink under capacity pressure.
     pub fn dropped(&self) -> u64 {
         match &self.0 {
-            Some(inner) => inner.sink.lock().map(|s| s.dropped()).unwrap_or(0),
+            Some(sink) => sink.lock().map(|s| s.dropped()).unwrap_or(0),
             None => 0,
         }
     }
@@ -104,7 +84,7 @@ impl Tracer {
     /// from [`Tracer::dropped`].
     pub fn dropped_spans(&self) -> u64 {
         match &self.0 {
-            Some(inner) => inner.sink.lock().map(|s| s.dropped_spans()).unwrap_or(0),
+            Some(sink) => sink.lock().map(|s| s.dropped_spans()).unwrap_or(0),
             None => 0,
         }
     }
@@ -112,7 +92,7 @@ impl Tracer {
     /// Removes and returns all buffered events in chronological order.
     pub fn drain(&self) -> Vec<TimedEvent> {
         match &self.0 {
-            Some(inner) => inner.sink.lock().map(|mut s| s.drain()).unwrap_or_default(),
+            Some(sink) => sink.lock().map(|mut s| s.drain()).unwrap_or_default(),
             None => Vec::new(),
         }
     }
@@ -171,11 +151,5 @@ mod tests {
             frame: None,
         });
         assert_eq!(a.len(), 1);
-        a.set_enabled(false);
-        b.emit(6, TileCoord::new(0, 1), || TraceEvent::NocPacketInject {
-            plane: 2,
-            frame: None,
-        });
-        assert_eq!(a.len(), 1, "paused tracer still recorded");
     }
 }

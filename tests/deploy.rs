@@ -1,11 +1,11 @@
 //! End-to-end validation of the multi-tenant deployment analyzer.
 //!
-//! The seeded `configs/deploy_ok.json` must be admitted with zero
-//! findings and its static bandwidth model must *dominate* the
-//! cycle-level simulator — on every DMA-plane link and on every
-//! per-tenant slowdown bound, under both simulation engines. The
-//! seeded `configs/deploy_conflict.json` must be refuted with the
-//! full `E07xx` family.
+//! The seeded `configs/deploy_ok.json` and `configs/deploy_split.json`
+//! must be admitted with zero findings and their static bandwidth model
+//! must *dominate* the cycle-level simulator — on every DMA-plane link
+//! and on every per-tenant slowdown bound, under both simulation
+//! engines. The seeded `configs/deploy_conflict.json` must be refuted
+//! with the full `E07xx` family.
 
 use esp4ml::apps::{TrainedModels, CLASSIFIER_REUSE};
 use esp4ml::deploy::{
@@ -14,6 +14,7 @@ use esp4ml::deploy::{
 use esp4ml::soc::SocEngine;
 use esp4ml::soc_config::{MlModelRef, SocConfigFile, TileSpec, TileSpecKind};
 use esp4ml_check::cdg::Routing;
+use esp4ml_check::codes;
 
 fn load(name: &str) -> Deployment {
     let path = format!("{}/configs/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -218,4 +219,82 @@ fn static_bounds_dominate_two_memory_tiles_naive() {
 #[test]
 fn static_bounds_dominate_two_memory_tiles_event() {
     assert_two_memories_dominated(SocEngine::EventDriven);
+}
+
+#[test]
+fn an_unknown_mode_is_one_e0705() {
+    let mut d = load("deploy_ok.json");
+    d.tenants.retain(|t| t.name == "classify");
+    d.tenants[0].mode = "warp".into();
+    let report = lint_deployment(&d).report;
+    let found: Vec<&str> = report.diagnostics.iter().map(|diag| diag.code).collect();
+    assert_eq!(found, [codes::DEPLOYMENT_MALFORMED], "{report}");
+}
+
+/// SoC-2's five-tile split classifier as one tenant, in `mode`.
+fn split_classifier(mode: &str) -> Deployment {
+    let mut d = load("deploy_split.json");
+    assert_eq!(
+        d.soc,
+        SocConfigFile::soc2(),
+        "deploy_split.json carries SoC-2"
+    );
+    d.tenants[0].mode = mode.into();
+    d
+}
+
+/// Every layer tile of SoC-2 has a statically known shape, so the split
+/// classifier is admitted and priced exactly: one instance per stage on
+/// one memory tile.
+#[test]
+fn split_classifier_is_admitted_and_priced_exactly() {
+    for mode in ["p2p", "pipe"] {
+        let d = split_classifier(mode);
+        let analysis = lint_deployment(&d);
+        assert!(analysis.report.is_clean(), "{mode}: {}", analysis.report);
+        for engine in [SocEngine::Naive, SocEngine::EventDriven] {
+            assert_exact(&assert_conservative(&d, engine));
+        }
+    }
+}
+
+/// Four Night-Vision instances feeding four classifiers over p2p on
+/// SoC-1. Each classifier pulls only from its namesake, so the analyzer
+/// charges no link the simulator leaves unused. Each instance is charged
+/// the full per-frame payload although it serves one frame in four, so
+/// over four frames the static total is four times the measured one.
+#[test]
+fn four_wide_p2p_charges_only_used_links() {
+    let nv: Vec<String> = (0..4).map(|i| format!("nv{i}")).collect();
+    let cl: Vec<String> = (0..4).map(|i| format!("cl{i}")).collect();
+    let d = Deployment {
+        name: "four-wide".into(),
+        soc: SocConfigFile::soc1(),
+        tenants: vec![TenantSpec {
+            name: "vision".into(),
+            stages: vec![nv, cl],
+            mode: "p2p".into(),
+            frame_rate_hz: 30.0,
+            routing: Routing::Xy,
+            shared_devices: Vec::new(),
+        }],
+    };
+    assert!(lint_deployment(&d).report.is_clean());
+    let validation = assert_conservative(&d, SocEngine::EventDriven);
+    let [tenant] = &validation.tenants[..] else {
+        panic!("one tenant");
+    };
+    let (mut charged, mut measured) = (0.0, 0);
+    for link in &tenant.links {
+        assert!(
+            link.measured_flits > 0,
+            "plane {} link {:?} is charged {} flits/frame but never used",
+            link.plane,
+            link.link,
+            link.static_flits_per_frame
+        );
+        charged += link.static_flits_per_frame * tenant.frames as f64;
+        measured += link.measured_flits;
+    }
+    assert_eq!(charged, 4.0 * measured as f64);
 }
