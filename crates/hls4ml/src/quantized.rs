@@ -2,18 +2,149 @@
 
 use esp4ml_hls::{DenseLayerHls, FixedSpec, HlsEstimate, Resources};
 use esp4ml_nn::Activation;
+use std::ops::{Add, Mul};
 use std::sync::Arc;
+
+/// Independent accumulator lanes per dot product. Element `k` of a row
+/// feeds lane `k % LANES`, so the lanes carry no dependency on each other
+/// and the optimiser keeps them in vector registers.
+const LANES: usize = 16;
+
+/// A raw fixed-point storage type and the accumulator lane its products
+/// are summed in. One product of two stored values always fits a lane.
+trait Raw: Copy + Into<i64> {
+    /// The lane accumulator type.
+    type Lane: Copy
+        + Default
+        + Add<Output = Self::Lane>
+        + Mul<Output = Self::Lane>
+        + From<Self>
+        + Into<i128>;
+
+    /// The largest value a lane holds.
+    const LANE_MAX: i128;
+
+    /// Narrows a raw value already known to lie in the format.
+    fn narrow(raw: i64) -> Self;
+
+    /// This type's view of a layer's weights.
+    fn stored(weights: &Weights) -> &[Self];
+}
+
+impl Raw for i16 {
+    type Lane = i32;
+    const LANE_MAX: i128 = i32::MAX as i128;
+
+    fn narrow(raw: i64) -> Self {
+        raw as i16
+    }
+
+    fn stored(weights: &Weights) -> &[Self] {
+        match weights {
+            Weights::I16(w) => w,
+            Weights::I32(_) => unreachable!("a network's layers share one format"),
+        }
+    }
+}
+
+impl Raw for i32 {
+    type Lane = i64;
+    const LANE_MAX: i128 = i64::MAX as i128;
+
+    fn narrow(raw: i64) -> Self {
+        raw as i32
+    }
+
+    fn stored(weights: &Weights) -> &[Self] {
+        match weights {
+            Weights::I32(w) => w,
+            Weights::I16(_) => unreachable!("a network's layers share one format"),
+        }
+    }
+}
+
+/// Output-major `n_out x n_in` raw weights in the narrowest signed type
+/// the format allows: `i16` up to 16 bits, `i32` above ([`FixedSpec`]
+/// widths are at most 32 bits). Row `j` holds every weight feeding output
+/// `j`. Clones share the array.
+#[derive(Debug, Clone, PartialEq)]
+enum Weights {
+    I16(Arc<[i16]>),
+    I32(Arc<[i32]>),
+}
+
+/// Stores `(index, raw value)` pairs into a new `len`-element array,
+/// written in place (no staging copy).
+fn scatter<T: Raw>(len: usize, raw: impl Iterator<Item = (usize, i64)>) -> Arc<[T]> {
+    let mut array: Arc<[T]> = std::iter::repeat_n(T::narrow(0), len).collect();
+    let slots = Arc::get_mut(&mut array).expect("a new array is unshared");
+    for (k, v) in raw {
+        slots[k] = T::narrow(v);
+    }
+    array
+}
+
+/// Narrows raw inputs to the storage type.
+///
+/// # Panics
+///
+/// Panics if an input lies outside `[spec.min_raw(), spec.max_raw()]`.
+fn narrow_input<T: Raw>(spec: FixedSpec, input: &[i64]) -> Vec<T> {
+    let (lo, hi) = (spec.min_raw(), spec.max_raw());
+    input
+        .iter()
+        .map(|&v| {
+            assert!((lo..=hi).contains(&v), "input {v} outside [{lo}, {hi}]");
+            T::narrow(v)
+        })
+        .collect()
+}
+
+fn widen<T: Raw>(values: Vec<T>) -> Vec<i64> {
+    values.into_iter().map(Into::into).collect()
+}
+
+/// The exact dot product of `w` and `x`. Each chunk of `terms * LANES`
+/// elements feeds at most `terms` products to each lane; the chunk's lane
+/// sums are then added into the `i128` total. `terms` must keep
+/// `terms * max|w| * max|x|` within [`Raw::LANE_MAX`].
+fn dot<T: Raw>(w: &[T], x: &[T], terms: usize) -> i128 {
+    let chunk = terms.saturating_mul(LANES);
+    let mut total = 0i128;
+    for (w, x) in w.chunks(chunk).zip(x.chunks(chunk)) {
+        let mut lanes = [T::Lane::default(); LANES];
+        let (w_blocks, w_tail) = w.as_chunks::<LANES>();
+        let (x_blocks, x_tail) = x.as_chunks::<LANES>();
+        accumulate::<T>(&mut lanes, w_blocks, x_blocks);
+        for (lane, (&w, &x)) in lanes.iter_mut().zip(w_tail.iter().zip(x_tail)) {
+            *lane = *lane + T::Lane::from(w) * T::Lane::from(x);
+        }
+        total += lanes.into_iter().map(Into::into).sum::<i128>();
+    }
+    total
+}
+
+/// Adds `w[b][k] * x[b][k]` over every block `b` into lane `k`. Kept out
+/// of line: inlined into [`dot`], the optimiser splits the lane array into
+/// scalars and no longer vectorizes the loop (about 3x slower on x86-64).
+#[inline(never)]
+fn accumulate<T: Raw>(lanes: &mut [T::Lane; LANES], w: &[[T; LANES]], x: &[[T; LANES]]) {
+    for (w, x) in w.iter().zip(x) {
+        for k in 0..LANES {
+            lanes[k] = lanes[k] + T::Lane::from(w[k]) * T::Lane::from(x[k]);
+        }
+    }
+}
 
 /// One quantized dense layer of a compiled network.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedDense {
     n_in: usize,
     n_out: usize,
-    /// Output-major `n_out x n_in` weights as raw fixed-point values: row
-    /// `j` holds every weight feeding output `j`. [`FixedSpec`] widths are
-    /// at most 32 bits, so every raw value fits an `i32`. Clones share
-    /// the array.
-    weights: Arc<[i32]>,
+    weights: Weights,
+    /// Products each accumulator lane sums before it is flushed; see
+    /// [`QuantizedDense::lane_terms`].
+    terms: usize,
     /// Raw fixed-point biases.
     bias: Vec<i64>,
     activation: Activation,
@@ -33,22 +164,65 @@ impl QuantizedDense {
         reuse: u64,
     ) -> Self {
         assert_eq!(weights.len(), n_in * n_out, "weight count mismatch");
-        let mut raw = vec![0i32; n_in * n_out];
-        for i in 0..n_in {
-            for j in 0..n_out {
-                let w = spec.quantize(weights[i * n_out + j] as f64);
-                raw[j * n_in + i] = i32::try_from(w).expect("widths are at most 32 bits");
-            }
-        }
+        // Read in order: float weight `k` links input `k / n_out` to
+        // output `k % n_out`.
+        let raw = weights.iter().enumerate().map(|(k, &w)| {
+            let (i, j) = (k / n_out, k % n_out);
+            (j * n_in + i, spec.quantize(w as f64))
+        });
+        let bias = bias.iter().map(|&b| spec.quantize(b as f64)).collect();
+        Self::from_raw(n_in, raw, bias, activation, spec, reuse)
+    }
+
+    /// A layer from `(output-major index, raw value)` weight pairs, one
+    /// for each of the `n_in * bias.len()` weights, each within the
+    /// format.
+    fn from_raw(
+        n_in: usize,
+        raw: impl Iterator<Item = (usize, i64)>,
+        bias: Vec<i64>,
+        activation: Activation,
+        spec: FixedSpec,
+        reuse: u64,
+    ) -> Self {
+        let n_out = bias.len();
+        let (weights, terms) = if spec.total_bits() <= 16 {
+            let w = scatter::<i16>(n_in * n_out, raw);
+            let terms = Self::lane_terms(&w, spec);
+            (Weights::I16(w), terms)
+        } else {
+            let w = scatter::<i32>(n_in * n_out, raw);
+            let terms = Self::lane_terms(&w, spec);
+            (Weights::I32(w), terms)
+        };
         QuantizedDense {
             n_in,
             n_out,
-            weights: raw.into(),
-            bias: bias.iter().map(|&b| spec.quantize(b as f64)).collect(),
+            weights,
+            terms,
+            bias,
             activation,
             spec,
             reuse,
         }
+    }
+
+    /// Products one accumulator lane may sum without overflow. An input
+    /// lies in `[-2^(b-1), 2^(b-1) - 1]` for a `b`-bit format, so one
+    /// product is at most `max|w| * 2^(b-1)` in magnitude and
+    /// `LANE_MAX / (max|w| * 2^(b-1))` of them (at least one: a single
+    /// product always fits) stay within the lane.
+    fn lane_terms<T: Raw>(weights: &[T], spec: FixedSpec) -> usize {
+        let max_w = weights
+            .iter()
+            .map(|&w| Into::<i64>::into(w).unsigned_abs())
+            .max()
+            .unwrap_or(0);
+        let product = i128::from(max_w) << (spec.total_bits() - 1);
+        T::LANE_MAX
+            .checked_div(product)
+            .map_or(usize::MAX, |t| usize::try_from(t).unwrap_or(usize::MAX))
+            .max(1)
     }
 
     /// Input dimension.
@@ -81,22 +255,13 @@ impl QuantizedDense {
         DenseLayerHls::new(self.n_in as u64, self.n_out as u64, self.reuse, self.spec)
     }
 
-    /// Terms per `i64` partial sum of a dot product. Weights and inputs
-    /// lie in `[min_raw, max_raw]`, so for a `b`-bit format each product
-    /// is at most `2^(2b-2)` in magnitude and `2^(62-2(b-1))` of them sum
-    /// to at most `2^62`, which no `i64` overflows.
-    fn chunk_len(&self) -> usize {
-        let shift = 62 - 2 * (self.spec.total_bits() - 1);
-        usize::try_from(1u64 << shift).unwrap_or(usize::MAX)
-    }
-
     /// Fixed-point forward pass on raw values.
     ///
     /// The multiply-accumulate is exact (as the HLS datapath is with a
     /// wide accumulator): each output is a contiguous dot product over
-    /// its weight row, summed in `i64` chunks that cannot overflow (see
-    /// `chunk_len`) and added into an `i128` accumulator. The result is
-    /// rescaled, saturated and activated in the layer's own format.
+    /// its weight row, summed in lanes that cannot overflow (see
+    /// `lane_terms`) and flushed into an `i128` accumulator. The result
+    /// is rescaled, saturated and activated in the layer's own format.
     ///
     /// # Panics
     ///
@@ -104,24 +269,21 @@ impl QuantizedDense {
     /// `[spec.min_raw(), spec.max_raw()]`.
     pub fn forward_fixed(&self, input: &[i64]) -> Vec<i64> {
         assert_eq!(input.len(), self.n_in, "input width mismatch");
-        let (lo, hi) = (self.spec.min_raw(), self.spec.max_raw());
-        let x: Vec<i32> = input
-            .iter()
-            .map(|&v| {
-                assert!((lo..=hi).contains(&v), "input {v} outside [{lo}, {hi}]");
-                v as i32
-            })
-            .collect();
-        let chunk = self.chunk_len();
+        match &self.weights {
+            Weights::I16(w) => widen(self.forward(w, &narrow_input(self.spec, input))),
+            Weights::I32(w) => widen(self.forward(w, &narrow_input(self.spec, input))),
+        }
+    }
+
+    /// The forward pass on narrow values already within the format; the
+    /// outputs are too, since [`QuantizedDense::finish`] saturates them.
+    fn forward<T: Raw>(&self, weights: &[T], x: &[T]) -> Vec<T> {
+        debug_assert_eq!(x.len(), self.n_in, "input width mismatch");
         (0..self.n_out)
             .map(|j| {
-                let row = &self.weights[j * self.n_in..(j + 1) * self.n_in];
-                let mut acc = (self.bias[j] as i128) << self.spec.frac_bits();
-                for (w, x) in row.chunks(chunk).zip(x.chunks(chunk)) {
-                    let sum: i64 = w.iter().zip(x).map(|(&w, &x)| w as i64 * x as i64).sum();
-                    acc += sum as i128;
-                }
-                self.finish(acc)
+                let row = &weights[j * self.n_in..(j + 1) * self.n_in];
+                let bias = (self.bias[j] as i128) << self.spec.frac_bits();
+                T::narrow(self.finish(bias + dot(row, x, self.terms)))
             })
             .collect()
     }
@@ -173,6 +335,10 @@ pub struct CompiledNn {
 impl CompiledNn {
     pub(crate) fn new(name: String, layers: Vec<QuantizedDense>, spec: FixedSpec) -> Self {
         assert!(!layers.is_empty(), "compiled network needs layers");
+        assert!(
+            layers.iter().all(|l| l.spec == spec),
+            "a network's layers share one format"
+        );
         CompiledNn { name, layers, spec }
     }
 
@@ -219,11 +385,22 @@ impl CompiledNn {
     /// Panics if `input.len() != input_dim()`, or if an input lies outside
     /// `[spec().min_raw(), spec().max_raw()]`.
     pub fn infer_fixed(&self, input: &[i64]) -> Vec<i64> {
-        let mut a = input.to_vec();
-        for layer in &self.layers {
-            a = layer.forward_fixed(&a);
+        assert_eq!(input.len(), self.input_dim(), "input width mismatch");
+        match self.layers[0].weights {
+            Weights::I16(_) => self.infer_as::<i16>(input),
+            Weights::I32(_) => self.infer_as::<i32>(input),
         }
-        a
+    }
+
+    /// [`CompiledNn::infer_fixed`] with `T` storage: the input range is
+    /// checked once, and each layer hands its saturated narrow outputs to
+    /// the next.
+    fn infer_as<T: Raw>(&self, input: &[i64]) -> Vec<i64> {
+        let mut a = narrow_input::<T>(self.spec, input);
+        for layer in &self.layers {
+            a = layer.forward(T::stored(&layer.weights), &a);
+        }
+        widen(a)
     }
 
     /// Float-in/float-out inference (quantizes the input, dequantizes the
@@ -320,10 +497,11 @@ mod tests {
     /// oracle: row-major `n_in x n_out` weights, every product in `i128`.
     fn reference_forward(l: &QuantizedDense, input: &[i64]) -> Vec<i64> {
         let (n_in, n_out) = (l.n_in, l.n_out);
+        let weights = raw_weights(l);
         let mut row_major = vec![0i64; n_in * n_out];
         for j in 0..n_out {
             for i in 0..n_in {
-                row_major[i * n_out + j] = i64::from(l.weights[j * n_in + i]);
+                row_major[i * n_out + j] = weights[j * n_in + i];
             }
         }
         (0..n_out)
@@ -337,6 +515,14 @@ mod tests {
             .collect()
     }
 
+    /// A layer's output-major weights, widened.
+    fn raw_weights(l: &QuantizedDense) -> Vec<i64> {
+        match &l.weights {
+            Weights::I16(w) => widen(w.to_vec()),
+            Weights::I32(w) => widen(w.to_vec()),
+        }
+    }
+
     /// A layer from raw output-major weights.
     fn raw_layer(
         spec: FixedSpec,
@@ -345,15 +531,9 @@ mod tests {
         bias: &[i64],
         activation: Activation,
     ) -> QuantizedDense {
-        QuantizedDense {
-            n_in,
-            n_out: bias.len(),
-            weights: weights.iter().map(|&w| w as i32).collect(),
-            bias: bias.to_vec(),
-            activation,
-            spec,
-            reuse: 1,
-        }
+        assert_eq!(weights.len(), n_in * bias.len());
+        let raw = weights.iter().copied().enumerate();
+        QuantizedDense::from_raw(n_in, raw, bias.to_vec(), activation, spec, 1)
     }
 
     /// A random layer (8/16/24/32-bit spec, up to 1,024 inputs, any
@@ -393,20 +573,102 @@ mod tests {
         }
     }
 
+    /// A layer on which every accumulator lane reaches its overflow
+    /// bound: weights drawn from `{-m, +m}`, inputs from `{lo, hi}`, and
+    /// at least one full chunk of `terms * LANES` inputs. `m` is large
+    /// enough that a chunk spans at most a few thousand inputs. A third
+    /// of the layers are all `-m` against all-`lo` inputs, and a third all
+    /// `+m`, so every lane lands exactly on `+bound` or `-bound`.
+    struct LaneBound;
+
+    impl Strategy for LaneBound {
+        type Value = (QuantizedDense, Vec<i64>);
+
+        fn sample(&self, rng: &mut TestRng) -> Self::Value {
+            let bits = [12u32, 15, 16, 28, 31, 32][(0..6usize).sample(rng)];
+            let spec = FixedSpec::new(bits, (1..=bits).sample(rng)).expect("valid widths");
+            let (lo, hi) = (spec.min_raw(), spec.max_raw());
+            let m = ((hi + 1) / 64..=hi).sample(rng);
+            let pattern = (0..3u8).sample(rng);
+            let probe = raw_layer(spec, 1, &[m], &[0], Activation::Linear);
+            let chunk = probe.terms * LANES;
+            let n_in = chunk * (1..=2usize).sample(rng) + (0..chunk).sample(rng);
+            let n_out = (1..=2usize).sample(rng);
+            let w: Vec<i64> = (0..n_in * n_out)
+                .map(|_| match pattern {
+                    0 => -m,
+                    1 => m,
+                    _ => [-m, m][(0..2usize).sample(rng)],
+                })
+                .collect();
+            let x: Vec<i64> = (0..n_in)
+                .map(|_| match pattern {
+                    0 | 1 => lo,
+                    _ => [lo, hi][(0..2usize).sample(rng)],
+                })
+                .collect();
+            let l = raw_layer(spec, n_in, &w, &vec![0; n_out], Activation::Linear);
+            assert_eq!(l.terms, probe.terms, "terms follow max|w| alone");
+            (l, x)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn lanes_at_their_bound_match_the_strided_oracle((l, x) in LaneBound) {
+            prop_assert_eq!(l.forward_fixed(&x), reference_forward(&l, &x));
+        }
+    }
+
     #[test]
-    fn chunk_covers_a_whole_row_at_16_bits_and_one_term_at_32() {
-        let l = |bits| {
-            raw_layer(
-                FixedSpec::new(bits, 1).unwrap(),
-                0,
-                &[],
-                &[],
-                Activation::Linear,
-            )
+    fn lane_terms_follow_the_largest_weight() {
+        let terms = |bits, w: &[i64]| {
+            let spec = FixedSpec::new(bits, 1).unwrap();
+            raw_layer(spec, w.len(), w, &[0], Activation::Linear).terms
         };
-        assert!(l(16).chunk_len() >= 1 << 32);
-        assert_eq!(l(32).chunk_len(), 1);
-        assert_eq!(l(1).chunk_len(), 1 << 62);
+        // One extreme weight allows one product per lane at the widest
+        // format of each storage type: 2^15 * 2^15 = 2^30 of i32::MAX,
+        // and 2^31 * 2^31 = 2^62 of i64::MAX.
+        assert_eq!(terms(16, &[-(1 << 15), 0]), 1);
+        assert_eq!(terms(32, &[-(1 << 31), 0]), 1);
+        // The bound scales with the largest |w|, whatever its sign.
+        assert_eq!(terms(16, &[3, -100]), (i32::MAX / (100 << 15)) as usize);
+        assert_eq!(terms(16, &[1]), (i32::MAX >> 15) as usize);
+        assert_eq!(terms(24, &[1000]), (i64::MAX / (1000 << 23)) as usize);
+        assert_eq!(terms(8, &[-128]), (i32::MAX / (128 << 7)) as usize);
+        // All-zero weights never overflow.
+        assert_eq!(terms(16, &[0, 0]), usize::MAX);
+    }
+
+    #[test]
+    fn weights_are_stored_in_the_narrowest_type() {
+        for (bits, narrow) in [(1, true), (8, true), (16, true), (17, false), (32, false)] {
+            let l = raw_layer(
+                FixedSpec::new(bits, 1).unwrap(),
+                1,
+                &[0],
+                &[0],
+                Activation::Linear,
+            );
+            assert_eq!(matches!(l.weights, Weights::I16(_)), narrow, "{bits} bits");
+        }
+    }
+
+    #[test]
+    fn untrained_svhn_input_layer_sums_hundreds_of_terms_per_lane() {
+        let nn = crate::Hls4mlCompiler::compile(
+            &esp4ml_nn::Sequential::svhn_classifier(),
+            &crate::Hls4mlConfig::with_reuse(1024),
+        )
+        .unwrap();
+        let l = &nn.layers()[0];
+        assert_eq!((l.n_in, l.spec.total_bits()), (1024, 16));
+        // max|w| = 232 raw: 2^31 / (232 * 2^15) = 282 terms, so each
+        // 1,024-input row is one chunk of 16 lanes, flushed once.
+        assert_eq!(l.terms, 282);
+        assert!(l.terms * LANES >= l.n_in);
     }
 
     #[test]
@@ -445,7 +707,10 @@ mod tests {
         assert_eq!(copy.layers(), nn.layers());
         let part = &nn.split_layers()[0];
         for other in [&copy, part] {
-            assert!(Arc::ptr_eq(&nn.layers[0].weights, &other.layers[0].weights));
+            match (&nn.layers[0].weights, &other.layers[0].weights) {
+                (Weights::I16(a), Weights::I16(b)) => assert!(Arc::ptr_eq(a, b)),
+                _ => panic!("16-bit weights are stored as i16"),
+            }
         }
     }
 

@@ -30,6 +30,18 @@ pub enum SocError {
     },
     /// Register or configuration value invalid.
     BadConfig(String),
+    /// An invocation's non-zero `conf_size` or `out_size` disagrees with
+    /// the I/O size of the kernel plugged into the accelerator.
+    SizeMismatch {
+        /// The accelerator addressed.
+        coord: Coord,
+        /// The offending field: `"conf_size"` or `"out_size"`.
+        field: &'static str,
+        /// The configured number of values.
+        configured: u64,
+        /// The number of values the kernel consumes or produces.
+        kernel: u64,
+    },
     /// DRAM address out of range.
     BadAddress {
         /// The offending word address.
@@ -50,6 +62,15 @@ impl fmt::Display for SocError {
                 write!(f, "tile at {coord} is not a {expected} tile")
             }
             SocError::BadConfig(msg) => write!(f, "bad configuration: {msg}"),
+            SocError::SizeMismatch {
+                coord,
+                field,
+                configured,
+                kernel,
+            } => write!(
+                f,
+                "{field} {configured} for the accelerator at {coord} disagrees with its kernel's {kernel} values"
+            ),
             SocError::BadAddress { addr } => write!(f, "DRAM address {addr:#x} out of range"),
             SocError::SnapshotMismatch(msg) => write!(f, "snapshot mismatch: {msg}"),
         }
@@ -84,6 +105,13 @@ mod tests {
             .to_string(),
             SocError::MissingTile { kind: "memory" }.to_string(),
             SocError::BadConfig("x".into()).to_string(),
+            SocError::SizeMismatch {
+                coord: Coord::new(0, 1),
+                field: "conf_size",
+                configured: 4,
+                kernel: 8,
+            }
+            .to_string(),
             SocError::BadAddress { addr: 16 }.to_string(),
         ];
         assert!(msgs.iter().all(|m| !m.is_empty()));

@@ -496,8 +496,25 @@ impl Soc {
     ///
     /// # Errors
     ///
-    /// [`SocError::WrongTile`] if `coord` is not an accelerator tile.
+    /// [`SocError::WrongTile`] if `coord` is not an accelerator tile;
+    /// [`SocError::SizeMismatch`] if a non-zero `conf_size` or `out_size`
+    /// differs from the plugged kernel's input or output size. Nothing is
+    /// written on error.
     pub fn configure_accel(&mut self, coord: Coord, cfg: &AccelConfig) -> Result<(), SocError> {
+        let kernel = self.accel(coord)?.kernel();
+        for (field, configured, size) in [
+            ("conf_size", cfg.conf_size, kernel.input_values()),
+            ("out_size", cfg.out_size, kernel.output_values()),
+        ] {
+            if configured != 0 && configured != size {
+                return Err(SocError::SizeMismatch {
+                    coord,
+                    field,
+                    configured,
+                    kernel: size,
+                });
+            }
+        }
         self.write_reg(coord, regs::REG_CONF_SIZE, cfg.conf_size)?;
         self.write_reg(coord, regs::REG_CONF_OUT_SIZE, cfg.out_size)?;
         self.write_reg(coord, regs::REG_SRC_OFFSET, cfg.src_offset)?;
@@ -1222,6 +1239,56 @@ mod tests {
             .memory(Coord::new(1, 0))
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn configured_sizes_must_match_the_kernel() {
+        use esp4ml_hls4ml::{Hls4mlCompiler, Hls4mlConfig};
+        use esp4ml_nn::{Activation, LayerSpec, Sequential};
+        let mut model = Sequential::new(8);
+        model.push(LayerSpec::dense(2, Activation::Linear));
+        let nn = Hls4mlCompiler::compile(&model, &Hls4mlConfig::with_reuse(4)).unwrap();
+        let accel = Coord::new(0, 1);
+        let mut soc = SocBuilder::new(2, 2)
+            .processor(Coord::new(0, 0))
+            .memory(Coord::new(1, 0))
+            .accelerator(accel, Box::new(crate::NnKernel::new(nn)))
+            .build()
+            .unwrap();
+        let sized = |conf_size, out_size| AccelConfig {
+            conf_size,
+            out_size,
+            ..AccelConfig::dma_to_dma(0, 64, 1)
+        };
+        let err = soc.configure_accel(accel, &sized(4, 0)).unwrap_err();
+        assert!(matches!(
+            err,
+            SocError::SizeMismatch {
+                field: "conf_size",
+                configured: 4,
+                kernel: 8,
+                ..
+            }
+        ));
+        assert!(err.to_string().contains("conf_size 4"), "{err}");
+        assert!(matches!(
+            soc.configure_accel(accel, &sized(0, 3)),
+            Err(SocError::SizeMismatch {
+                field: "out_size",
+                configured: 3,
+                kernel: 2,
+                ..
+            })
+        ));
+        // A refused configuration queues no register write: the SoC is
+        // still idle, and a matching configuration then runs a frame.
+        assert!(soc.run_until_idle(1_000).is_idle());
+        soc.dram_write_values(0, &[0; 8], 16).unwrap();
+        soc.map_contiguous(accel, 0, 4096).unwrap();
+        soc.configure_accel(accel, &sized(8, 2)).unwrap();
+        soc.start_accel(accel).unwrap();
+        assert!(soc.run_until_idle(100_000).is_idle());
+        assert_eq!(soc.take_irqs(), vec![accel]);
     }
 
     #[test]

@@ -30,7 +30,10 @@ pub fn from_intensity(pixels: &[u8]) -> Vec<f32> {
 /// 3×3 median noise filter over a square image.
 ///
 /// Border pixels use the available neighbourhood (no padding), matching
-/// the windowed line-buffer implementation of the hardware kernel.
+/// the windowed line-buffer implementation of the hardware kernel; the
+/// median of an even-sized border window is its upper middle value.
+/// Interior pixels go through Paeth's 19-exchange median-of-9 network,
+/// border pixels through a sort.
 ///
 /// # Panics
 ///
@@ -39,25 +42,83 @@ pub fn noise_filter(pixels: &[u8]) -> Vec<u8> {
     let side = (pixels.len() as f64).sqrt() as usize;
     assert_eq!(side * side, pixels.len(), "image must be square");
     let mut out = vec![0u8; pixels.len()];
-    let mut window = [0u8; 9];
+    if side >= 3 {
+        interior_medians(pixels, side, &mut out);
+    }
     for y in 0..side {
-        for x in 0..side {
-            let mut n = 0;
-            for dy in -1i32..=1 {
-                for dx in -1i32..=1 {
-                    let (nx, ny) = (x as i32 + dx, y as i32 + dy);
-                    if nx >= 0 && ny >= 0 && (nx as usize) < side && (ny as usize) < side {
-                        window[n] = pixels[ny as usize * side + nx as usize];
-                        n += 1;
-                    }
-                }
-            }
-            let w = &mut window[..n];
-            w.sort_unstable();
-            out[y * side + x] = w[n / 2];
+        // Every pixel of the first and last row, the two ends of the others.
+        let step = if y == 0 || y == side - 1 { 1 } else { side - 1 };
+        for x in (0..side).step_by(step) {
+            out[y * side + x] = window_median(pixels, side, x, y);
         }
     }
     out
+}
+
+/// Paeth's 19-exchange median-of-9 network (Graphics Gems, 1990). Each
+/// pair `(a, b)` leaves the smaller value in `a` and the larger in `b`;
+/// afterwards element 4 is the median.
+const MEDIAN9: [(usize, usize); 19] = [
+    (1, 2),
+    (4, 5),
+    (7, 8),
+    (0, 1),
+    (3, 4),
+    (6, 7),
+    (1, 2),
+    (4, 5),
+    (7, 8),
+    (0, 3),
+    (5, 8),
+    (4, 7),
+    (3, 6),
+    (1, 4),
+    (2, 5),
+    (4, 7),
+    (4, 2),
+    (6, 4),
+    (4, 2),
+];
+
+/// Writes the 3×3 median of every interior pixel of a `side × side`
+/// image (`side >= 3`) into `out`.
+///
+/// The span of flat indices `side + 1 ..= side * (side - 1) - 2` holds
+/// every interior pixel; the 9 window positions of its pixels are 9
+/// equally long slices of `pixels`, shifted by `dy * side + dx`. The
+/// network runs as elementwise `min`/`max` over whole slices. The span
+/// also crosses the last and first pixel of each pair of adjacent
+/// interior rows; their windows wrap around the image edge, and the
+/// border pass of [`noise_filter`] overwrites them.
+fn interior_medians(pixels: &[u8], side: usize, out: &mut [u8]) {
+    let (start, len) = (side + 1, side * (side - 2) - 2);
+    let mut window: [Vec<u8>; 9] = std::array::from_fn(|k| {
+        let from = (k / 3) * side + k % 3;
+        pixels[from..from + len].to_vec()
+    });
+    for (a, b) in MEDIAN9 {
+        let [lo, hi] = window.get_disjoint_mut([a, b]).expect("distinct positions");
+        for (lo, hi) in lo.iter_mut().zip(hi.iter_mut()) {
+            (*lo, *hi) = ((*lo).min(*hi), (*lo).max(*hi));
+        }
+    }
+    out[start..start + len].copy_from_slice(&window[4]);
+}
+
+/// The median of the in-image part of the 3×3 window around `(x, y)`,
+/// by sorting it.
+fn window_median(pixels: &[u8], side: usize, x: usize, y: usize) -> u8 {
+    let mut window = [0u8; 9];
+    let mut n = 0;
+    for ny in y.saturating_sub(1)..=(y + 1).min(side - 1) {
+        for nx in x.saturating_sub(1)..=(x + 1).min(side - 1) {
+            window[n] = pixels[ny * side + nx];
+            n += 1;
+        }
+    }
+    let w = &mut window[..n];
+    w.sort_unstable();
+    w[n / 2]
 }
 
 /// 256-bin intensity histogram.
@@ -184,6 +245,63 @@ mod tests {
         let mean_in: f32 = dark.iter().sum::<f32>() / 1024.0;
         let mean_out: f32 = out.iter().sum::<f32>() / 1024.0;
         assert!(mean_out > mean_in * 2.0, "{mean_out} vs {mean_in}");
+    }
+
+    /// The filter as it was before the exchange network: every pixel's
+    /// in-image window sorted, its upper middle value taken.
+    fn sorted_filter(pixels: &[u8], side: usize) -> Vec<u8> {
+        let mut out = vec![0u8; pixels.len()];
+        for y in 0..side as i64 {
+            for x in 0..side as i64 {
+                let mut window = Vec::new();
+                for ny in y - 1..=y + 1 {
+                    for nx in x - 1..=x + 1 {
+                        if (0..side as i64).contains(&nx) && (0..side as i64).contains(&ny) {
+                            window.push(pixels[(ny * side as i64 + nx) as usize]);
+                        }
+                    }
+                }
+                window.sort_unstable();
+                out[(y * side as i64 + x) as usize] = window[window.len() / 2];
+            }
+        }
+        out
+    }
+
+    /// A square image of side 1..=33. Half the images draw from four
+    /// intensities only, so windows are full of ties.
+    struct SquareImage;
+
+    impl Strategy for SquareImage {
+        type Value = (usize, Vec<u8>);
+
+        fn sample(&self, rng: &mut TestRng) -> Self::Value {
+            let side = (1..=33usize).sample(rng);
+            let levels = [4u8, 255][(0..2usize).sample(rng)];
+            let px = (0..side * side).map(|_| (0..=levels).sample(rng)).collect();
+            (side, px)
+        }
+    }
+
+    #[test]
+    fn median_network_sorts_every_window_ordering() {
+        // The network is exact on all 0/1 inputs, hence (0-1 principle)
+        // on every input: check all 512 binary 3×3 windows.
+        for bits in 0u32..512 {
+            let px: Vec<u8> = (0..9).map(|k| ((bits >> k) & 1) as u8).collect();
+            assert_eq!(noise_filter(&px)[4], sorted_filter(&px, 3)[4], "{bits:09b}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The exchange network and the border sort agree with sorting
+        /// every window.
+        #[test]
+        fn median_network_matches_the_sort_oracle((side, px) in SquareImage) {
+            prop_assert_eq!(noise_filter(&px), sorted_filter(&px, side));
+        }
     }
 
     proptest! {
