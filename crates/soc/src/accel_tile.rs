@@ -89,9 +89,13 @@ pub enum CommMode {
 /// registers by the driver.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AccelConfig {
-    /// Input values per frame (0 = the kernel's natural input size).
+    /// Input values per frame (0 = the kernel's natural input size; any
+    /// other value must equal it, see [`Soc::configure_accel`]).
+    ///
+    /// [`Soc::configure_accel`]: crate::Soc::configure_accel
     pub conf_size: u64,
-    /// Output values per frame (0 = the kernel's natural output size).
+    /// Output values per frame (0 = the kernel's natural output size; any
+    /// other value must equal it).
     pub out_size: u64,
     /// Input base offset (words) in the accelerator's virtual address
     /// space.

@@ -247,8 +247,8 @@ mod tests {
         assert!(mean_out > mean_in * 2.0, "{mean_out} vs {mean_in}");
     }
 
-    /// The filter as it was before the exchange network: every pixel's
-    /// in-image window sorted, its upper middle value taken.
+    /// The reference filter: every pixel's in-image window sorted, its
+    /// upper middle value taken.
     fn sorted_filter(pixels: &[u8], side: usize) -> Vec<u8> {
         let mut out = vec![0u8; pixels.len()];
         for y in 0..side as i64 {
@@ -277,7 +277,7 @@ mod tests {
 
         fn sample(&self, rng: &mut TestRng) -> Self::Value {
             let side = (1..=33usize).sample(rng);
-            let levels = [4u8, 255][(0..2usize).sample(rng)];
+            let levels = [3u8, 255][(0..2usize).sample(rng)];
             let px = (0..side * side).map(|_| (0..=levels).sample(rng)).collect();
             (side, px)
         }
