@@ -18,10 +18,13 @@
 //!    ([`SpanReport::check_attribution`](esp4ml::trace::SpanReport::check_attribution));
 //!    no cycle is lost or double counted.
 //! 2. **Critical-path agreement** — the aggregated critical path names
-//!    the same limiting stage as an independently-fed
+//!    the same limiting stage as the session's
 //!    [`ProfileCollector`](esp4ml::trace::ProfileCollector)'s
-//!    bottleneck report, so `espspan` and `espprof` can never disagree
-//!    about what bounds throughput.
+//!    bottleneck report. The span collector takes its critical path
+//!    from an embedded `RunAccum` running the profiler's own bottleneck
+//!    code on the same events, so this is not a check by an independent
+//!    analysis: it guards that both collectors saw the same event
+//!    stream.
 //!
 //! `--all` sweeps every Fig. 7 configuration instead of one `--config`.
 

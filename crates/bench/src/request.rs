@@ -1246,7 +1246,9 @@ pub struct SpannedRun {
     pub frames_per_second: f64,
     /// Limiting stage per the span layer's aggregated critical path.
     pub span_limiting_stage: Option<String>,
-    /// Limiting stage per the independent profiler's bottleneck report.
+    /// Limiting stage per the session's profile collector. The span
+    /// collector embeds its own copy of the same bottleneck code, so
+    /// agreement shows both collectors saw the same event stream.
     pub profile_limiting_stage: Option<String>,
     /// The full span report.
     pub report: esp4ml::trace::SpanReport,
@@ -1273,7 +1275,11 @@ pub struct EspspanReport {
 }
 
 /// Checks every run's span report against the attribution invariant
-/// and the independent profiler; returns the list of violations.
+/// and the profile collector's limiting stage; returns the list of
+/// violations. The span collector selects its critical path with an
+/// embedded copy of the profiler's bottleneck code, so the stage check
+/// guards that both collectors saw the same event stream, not two
+/// independent analyses.
 fn span_violations(runs: &[SpannedRun]) -> Vec<String> {
     let mut violations = Vec::new();
     for run in runs {
@@ -1334,8 +1340,9 @@ fn spans_response(
     progress: Option<&dyn ProgressSink>,
 ) -> Result<RunResponse, RequestError> {
     // The spanned+profiled session feeds one event stream to both
-    // collectors, so the agreement check compares two independently
-    // maintained analyses of the same run.
+    // collectors. The span collector's critical path is its own embedded
+    // profile's bottleneck, built by the same code, so the agreement
+    // check guards that both collectors saw the same stream.
     let (mut response, runs) = observed_points(
         req,
         models,

@@ -58,6 +58,12 @@ impl AcceleratorDescriptor {
     pub const REG_CONF_OUT_SIZE: u32 = 8;
     /// Wrapper feature flags (double buffering) register offset.
     pub const REG_FLAGS: u32 = 9;
+    /// Datapath clock-divider (DVFS) register offset.
+    pub const REG_DVFS: u32 = 10;
+    /// Global frame id of a batch's first frame, register offset.
+    pub const REG_FRAME_BASE: u32 = 11;
+    /// Global frame id stride between batch frames, register offset.
+    pub const REG_FRAME_STRIDE: u32 = 12;
 
     /// Builds the descriptor for a compiled NN accelerator.
     pub fn for_nn(nn: &CompiledNn) -> Self {
@@ -132,6 +138,24 @@ impl AcceleratorDescriptor {
                     "FLAGS_REG",
                     Self::REG_FLAGS,
                     "wrapper feature flags (bit 0: double-buffered input PLM)",
+                    true,
+                ),
+                reg(
+                    "DVFS_REG",
+                    Self::REG_DVFS,
+                    "datapath clock divider (0 or 1: full NoC clock speed)",
+                    true,
+                ),
+                reg(
+                    "FRAME_BASE_REG",
+                    Self::REG_FRAME_BASE,
+                    "global frame id of the batch's first frame",
+                    true,
+                ),
+                reg(
+                    "FRAME_STRIDE_REG",
+                    Self::REG_FRAME_STRIDE,
+                    "global frame id stride between batch frames (0 is treated as 1)",
                     true,
                 ),
             ],

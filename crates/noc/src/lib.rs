@@ -47,7 +47,6 @@ mod mesh;
 mod packet;
 mod plane;
 mod router;
-mod routing;
 mod sanitizer;
 mod schedule;
 mod stats;
@@ -60,7 +59,6 @@ pub use mesh::{Mesh, MeshConfig, MeshState, LINK_CAPACITY_FLITS_PER_CYCLE};
 pub use packet::{MsgKind, Packet};
 pub use plane::Plane;
 pub use router::{Port, Router, RouterConfig, RouterState};
-pub use routing::{Route, RoutingTable};
 pub use sanitizer::{expected_planes, plane_carries};
 pub use schedule::Progress;
 pub use stats::{NocStats, PlaneStats};

@@ -234,12 +234,7 @@ impl Mesh {
         let mut endpoints = Vec::with_capacity(cols * rows);
         for y in 0..rows {
             for x in 0..cols {
-                routers.push(Router::new(
-                    Coord::new(x as u8, y as u8),
-                    cols,
-                    rows,
-                    config.router,
-                ));
+                routers.push(Router::new(Coord::new(x as u8, y as u8), config.router));
                 endpoints.push((0..Plane::COUNT).map(|_| TileEndpoint::default()).collect());
             }
         }
@@ -320,12 +315,11 @@ impl Mesh {
 
     /// Restores dynamic state captured by [`Mesh::state`].
     ///
-    /// The structural configuration (dimensions, queue depths, routing
-    /// tables) is kept; sanitizer and fault-plan state are *replaced*
-    /// wholesale — restoring a fault-free snapshot onto a mesh with an
-    /// installed plan uninstalls that plan, which is what lets one
-    /// warmed checkpoint fork into both healthy and faulty campaign
-    /// points.
+    /// The structural configuration (dimensions, queue depths) is kept;
+    /// sanitizer and fault-plan state are *replaced* wholesale —
+    /// restoring a fault-free snapshot onto a mesh with an installed plan
+    /// uninstalls that plan, which is what lets one warmed checkpoint
+    /// fork into both healthy and faulty campaign points.
     ///
     /// # Panics
     ///
@@ -473,17 +467,6 @@ impl Mesh {
             cycles: self.cycle,
             planes,
         }
-    }
-
-    /// Access the router at `coord` (e.g. to install a custom routing table).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coord` is outside the mesh.
-    pub fn router_mut(&mut self, coord: Coord) -> &mut Router {
-        self.check_bounds(coord).expect("coordinate in bounds");
-        let i = self.tile_index(coord);
-        &mut self.routers[i]
     }
 
     /// Read-only access to the router at `coord` (e.g. to read its

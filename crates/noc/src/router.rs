@@ -1,7 +1,6 @@
 //! The 5-port wormhole router replicated per plane at every tile.
 
 use crate::flit::Flit;
-use crate::routing::{Route, RoutingTable};
 use crate::{Coord, Plane};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -132,16 +131,15 @@ impl PlaneRouter {
 /// arbitration pointers plus the link counters. A simulation snapshot
 /// clones it.
 ///
-/// The routing table is *not* part of it: it is deterministically
-/// rebuilt from the coordinate and mesh dimensions, so restore assumes
-/// the default XY table (or an unchanged custom table). The structural
-/// [`RouterConfig`] is likewise kept, not restored.
+/// It holds only what cannot be derived. Routing is fixed XY computed
+/// from the router's coordinate and the flit's destination, so there is
+/// no table to save; the forwarded-flit total is the sum of the
+/// non-Local link counters. The structural [`RouterConfig`] is kept, not
+/// restored.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RouterState {
     /// Queues, locks and arbitration pointers, one set per plane.
     planes: Vec<PlaneRouter>,
-    /// Flits this router forwarded onto mesh links (all planes).
-    forwarded_flits: u64,
     /// Flits moved through each `(plane, output port)` — link occupancy
     /// counters for the NoC heatmap (the Local column counts ejections).
     link_flits: Vec<[u64; Port::COUNT]>,
@@ -157,7 +155,6 @@ pub struct RouterState {
 #[derive(Debug)]
 pub struct Router {
     coord: Coord,
-    table: RoutingTable,
     config: RouterConfig,
     state: RouterState,
     /// Flits queued in each plane's input FIFOs. Derived from the state's
@@ -176,15 +173,13 @@ pub(crate) struct Transfer {
 }
 
 impl Router {
-    /// Creates a router for the tile at `coord` in a `cols x rows` mesh.
-    pub fn new(coord: Coord, cols: usize, rows: usize, config: RouterConfig) -> Self {
+    /// Creates a router for the tile at `coord`.
+    pub fn new(coord: Coord, config: RouterConfig) -> Self {
         Router {
             coord,
-            table: RoutingTable::xy(coord, cols, rows),
             config,
             state: RouterState {
                 planes: (0..Plane::COUNT).map(|_| PlaneRouter::new()).collect(),
-                forwarded_flits: 0,
                 link_flits: vec![[0; Port::COUNT]; Plane::COUNT],
                 credit_stalls: vec![0; Plane::COUNT],
             },
@@ -198,9 +193,14 @@ impl Router {
     }
 
     /// Flits this router has forwarded onto mesh links (all planes) — a
-    /// per-router congestion indicator.
+    /// per-router congestion indicator: the sum of the non-Local link
+    /// counters.
     pub fn forwarded_flits(&self) -> u64 {
-        self.state.forwarded_flits
+        self.state
+            .link_flits
+            .iter()
+            .flat_map(|ports| &ports[..Port::Local.index()])
+            .sum()
     }
 
     /// Flits moved through output `port` of `plane` (the Local port
@@ -215,24 +215,13 @@ impl Router {
         self.state.credit_stalls[plane.index()]
     }
 
-    /// The routing table in use (XY by default).
-    pub fn table(&self) -> &RoutingTable {
-        &self.table
-    }
-
-    /// Replaces the routing table (for custom-route experiments).
-    pub fn set_table(&mut self, table: RoutingTable) {
-        self.table = table;
-    }
-
     /// The router's machine state, which a simulation snapshot clones.
     pub fn state(&self) -> &RouterState {
         &self.state
     }
 
     /// Restores a state cloned from [`Router::state`] and recounts the
-    /// per-plane queue totals. The routing table and configuration are
-    /// untouched.
+    /// per-plane queue totals. The configuration is untouched.
     ///
     /// # Panics
     ///
@@ -318,7 +307,7 @@ impl Router {
                 if let Some(h) = holder {
                     let q = &pr.inputs[h.index()];
                     if let Some(f) = q.front() {
-                        if Self::route_port(&self.table, f.dest) == out {
+                        if xy_port(self.coord, f.dest) == out {
                             chosen = Some(h);
                         }
                     }
@@ -332,7 +321,7 @@ impl Router {
                         }
                         let q = &pr.inputs[cand.index()];
                         if let Some(f) = q.front() {
-                            if f.kind.is_head() && Self::route_port(&self.table, f.dest) == out {
+                            if f.kind.is_head() && xy_port(self.coord, f.dest) == out {
                                 chosen = Some(cand);
                                 break;
                             }
@@ -355,9 +344,6 @@ impl Router {
                 } else {
                     pr.locks[oi] = Some(inp);
                 }
-                if out != Port::Local {
-                    self.state.forwarded_flits += 1;
-                }
                 self.state.link_flits[plane.index()][oi] += 1;
                 transfers.push(Transfer {
                     plane,
@@ -368,12 +354,22 @@ impl Router {
             }
         }
     }
+}
 
-    fn route_port(table: &RoutingTable, dest: Coord) -> Port {
-        match table.route(dest) {
-            Route::Forward(p) => p,
-            Route::Local => Port::Local,
-        }
+/// The output port of dimension-order (XY) routing at `here` towards
+/// `dest`: along x until the destination column, then along y, then
+/// [`Port::Local`]. XY is deadlock-free on a mesh.
+fn xy_port(here: Coord, dest: Coord) -> Port {
+    if dest.x > here.x {
+        Port::East
+    } else if dest.x < here.x {
+        Port::West
+    } else if dest.y > here.y {
+        Port::South
+    } else if dest.y < here.y {
+        Port::North
+    } else {
+        Port::Local
     }
 }
 
@@ -382,6 +378,7 @@ mod tests {
     use super::*;
     use crate::flit::FlitKind;
     use crate::MsgKind;
+    use esp4ml_check::cdg::xy_route;
 
     fn flit(dest: Coord, kind: FlitKind) -> Flit {
         Flit {
@@ -420,8 +417,61 @@ mod tests {
     }
 
     #[test]
+    fn xy_prefers_x_dimension_first() {
+        // Destination differs in both x and y: x must win.
+        assert_eq!(xy_port(Coord::new(0, 0), Coord::new(3, 3)), Port::East);
+    }
+
+    #[test]
+    fn xy_routes_all_directions() {
+        let here = Coord::new(1, 1);
+        assert_eq!(xy_port(here, Coord::new(0, 1)), Port::West);
+        assert_eq!(xy_port(here, Coord::new(2, 1)), Port::East);
+        assert_eq!(xy_port(here, Coord::new(1, 2)), Port::South);
+        assert_eq!(xy_port(here, Coord::new(1, 0)), Port::North);
+        assert_eq!(xy_port(here, here), Port::Local);
+    }
+
+    /// Following the route hop by hop from any source reaches any
+    /// destination in exactly the Manhattan distance, over exactly the
+    /// links the deployment analyzer prices (`cdg::xy_route`), on every
+    /// mesh from 1×1 to 8×8.
+    #[test]
+    fn xy_hops_match_the_analyzers_route_on_every_mesh() {
+        for cols in 1..=8u8 {
+            for rows in 1..=8u8 {
+                let tiles: Vec<Coord> = (0..rows)
+                    .flat_map(|y| (0..cols).map(move |x| Coord::new(x, y)))
+                    .collect();
+                for &src in &tiles {
+                    for &dest in &tiles {
+                        let mut here = src;
+                        let mut links = Vec::new();
+                        loop {
+                            let port = xy_port(here, dest);
+                            if port == Port::Local {
+                                break;
+                            }
+                            let next = port.step(here).expect("in u8 space");
+                            assert!(next.x < cols && next.y < rows, "{next} leaves the mesh");
+                            links.push(((here.x, here.y), (next.x, next.y)));
+                            here = next;
+                        }
+                        assert_eq!(links.len() as u32, src.manhattan_distance(dest));
+                        assert_eq!(
+                            links,
+                            xy_route((src.x, src.y), (dest.x, dest.y)),
+                            "{src} -> {dest} on {cols}x{rows}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn select_routes_flit_east() {
-        let mut r = Router::new(Coord::new(0, 0), 3, 3, RouterConfig::default());
+        let mut r = Router::new(Coord::new(0, 0), RouterConfig::default());
         r.push_input(
             Plane::DmaReq,
             Port::Local,
@@ -435,7 +485,7 @@ mod tests {
 
     #[test]
     fn select_respects_backpressure() {
-        let mut r = Router::new(Coord::new(0, 0), 3, 3, RouterConfig::default());
+        let mut r = Router::new(Coord::new(0, 0), RouterConfig::default());
         r.push_input(
             Plane::DmaReq,
             Port::Local,
@@ -450,7 +500,7 @@ mod tests {
 
     #[test]
     fn wormhole_lock_prevents_interleaving() {
-        let mut r = Router::new(Coord::new(0, 0), 3, 3, RouterConfig::default());
+        let mut r = Router::new(Coord::new(0, 0), RouterConfig::default());
         // Packet A (2 flits) from Local, packet B (1 flit) from North; both go East.
         r.push_input(
             Plane::DmaReq,
@@ -488,7 +538,7 @@ mod tests {
 
     #[test]
     fn link_counters_track_forwards_and_ejections() {
-        let mut r = Router::new(Coord::new(0, 0), 3, 3, RouterConfig::default());
+        let mut r = Router::new(Coord::new(0, 0), RouterConfig::default());
         r.push_input(
             Plane::DmaReq,
             Port::Local,
@@ -513,7 +563,7 @@ mod tests {
 
     #[test]
     fn credit_stalls_count_backpressured_cycles() {
-        let mut r = Router::new(Coord::new(0, 0), 3, 3, RouterConfig::default());
+        let mut r = Router::new(Coord::new(0, 0), RouterConfig::default());
         r.push_input(
             Plane::DmaReq,
             Port::Local,
@@ -534,7 +584,7 @@ mod tests {
 
     #[test]
     fn select_appends_to_the_callers_buffer() {
-        let mut r = Router::new(Coord::new(0, 0), 3, 3, RouterConfig::default());
+        let mut r = Router::new(Coord::new(0, 0), RouterConfig::default());
         r.push_input(
             Plane::DmaReq,
             Port::Local,
@@ -553,7 +603,7 @@ mod tests {
 
     #[test]
     fn queued_counts_track_pushes_pops_and_restore() {
-        let mut r = Router::new(Coord::new(1, 1), 3, 3, RouterConfig::default());
+        let mut r = Router::new(Coord::new(1, 1), RouterConfig::default());
         assert_eq!(r.queued(), 0);
         r.push_input(
             Plane::DmaReq,
@@ -588,7 +638,7 @@ mod tests {
 
     #[test]
     fn empty_planes_keep_their_arbitration_state() {
-        let mut r = Router::new(Coord::new(1, 1), 3, 3, RouterConfig::default());
+        let mut r = Router::new(Coord::new(1, 1), RouterConfig::default());
         // A head leaves East and locks it; its tail has not arrived yet,
         // so the plane is empty while the wormhole stays open.
         r.push_input(
@@ -616,8 +666,6 @@ mod tests {
     fn full_queue_panics_on_push() {
         let mut r = Router::new(
             Coord::new(0, 0),
-            2,
-            2,
             RouterConfig {
                 input_queue_depth: 1,
             },

@@ -353,7 +353,8 @@ impl AccelTile {
     ///
     /// `mem_map` describes the memory tiles its DMA targets; `irq_target`
     /// is the processor tile receiving its interrupts. Both come from the
-    /// SoC floorplan (routing tables in real ESP).
+    /// SoC floorplan, as in real ESP, where the SoC generator fixes them
+    /// in each tile's configuration.
     pub fn new(
         coord: Coord,
         kernel: Box<dyn AcceleratorKernel>,

@@ -267,4 +267,33 @@ mod tests {
         rf.write(100, 5);
         assert_eq!(rf.read(100), 0);
     }
+
+    /// The `acc.xml` analog lists exactly the registers the socket
+    /// decodes, and marks read-only exactly those the bus cannot write.
+    #[test]
+    fn descriptor_matches_the_register_file() {
+        use esp4ml_hls4ml::AcceleratorDescriptor;
+        let desc = AcceleratorDescriptor::with_io("acc", 1, 1, 16);
+        let mut offsets: Vec<usize> = desc.registers.iter().map(|r| r.offset as usize).collect();
+        offsets.sort_unstable();
+        assert_eq!(offsets, (0..REG_COUNT).collect::<Vec<_>>());
+
+        let mut read_only: Vec<u64> = desc
+            .registers
+            .iter()
+            .filter(|r| !r.writable)
+            .map(|r| u64::from(r.offset))
+            .collect();
+        read_only.sort_unstable();
+        let mut rf = RegisterFile::new(Coord::new(1, 2));
+        let refused: Vec<u64> = (0..REG_COUNT as u64)
+            .filter(|&off| {
+                let probe = 0xa5a5_0000 + off;
+                rf.write(off, probe);
+                rf.read(off) != probe
+            })
+            .collect();
+        assert_eq!(refused, [REG_STATUS, REG_LOCATION]);
+        assert_eq!(read_only, refused);
+    }
 }

@@ -326,7 +326,8 @@ impl SocBuilder {
 /// Deliberately excluded:
 ///
 /// * **Structure** — grid dimensions, tile placement, kernels, DRAM/LLC
-///   geometry, the memory map and routing tables. A snapshot restores
+///   geometry and the memory map. (Routing is fixed XY computed from
+///   tile coordinates, so it has no state to save.) A snapshot restores
 ///   only onto a SoC built from the same floorplan; [`Soc::restore`]
 ///   validates the structural fit, including the processor-tile
 ///   coordinates and LLC geometry that ride along in cloned state.
