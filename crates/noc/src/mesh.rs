@@ -1023,6 +1023,27 @@ impl Mesh {
         self.cycle - start
     }
 
+    /// Ticks the mesh on its own for at most `max` cycles and returns how
+    /// many ran. The loop stops after the first tick that leaves a packet
+    /// in an ejection queue (a tile must take it next cycle), or after the
+    /// tick that leaves the mesh no longer [`Progress::Active`].
+    ///
+    /// The SoC calls this while every tile is boring, since such a tile's
+    /// tick does not touch the mesh. It then catches the tiles up with
+    /// their `advance`. Each iteration is one [`Mesh::tick`], so the
+    /// result is exactly that of the same ticks run one by one.
+    pub fn tick_alone(&mut self, max: u64) -> u64 {
+        let mut ticks = 0;
+        while ticks < max {
+            self.tick();
+            ticks += 1;
+            if self.occupancy.undelivered > 0 || self.progress() != Progress::Active {
+                break;
+            }
+        }
+        ticks
+    }
+
     /// Event-driven progress report: the mesh is [`Progress::Active`]
     /// while any flit is queued or in flight, or while delivered packets
     /// sit unejected (their tiles will drain them on the next tick);
@@ -1350,6 +1371,84 @@ mod tests {
         }
         assert!(src.is_idle(), "traffic drained within the window");
         assert_eq!(dst.state(), src.state());
+    }
+
+    /// The loop [`Mesh::tick_alone`] must equal, written against the
+    /// public API: tick one cycle at a time, stopping once any ejection
+    /// queue holds a packet, once the network is empty, or after `max`
+    /// ticks.
+    fn tick_one_by_one(m: &mut Mesh, max: u64) -> u64 {
+        let tiles: Vec<Coord> = m.routers.iter().map(Router::coord).collect();
+        let mut ticks = 0;
+        while ticks < max {
+            m.tick();
+            ticks += 1;
+            let delivered = tiles
+                .iter()
+                .any(|&c| Plane::ALL.iter().any(|&p| m.peek(c, p).is_some()));
+            if delivered || m.is_idle() {
+                break;
+            }
+        }
+        ticks
+    }
+
+    /// A few long seeded packets on a 5x3 mesh: worms stream for many
+    /// cycles between deliveries.
+    fn streaming_mesh(seed: u64) -> Mesh {
+        let mut m = Mesh::new(MeshConfig::new(5, 3)).expect("valid mesh");
+        let mut x = seed;
+        for _ in 0..4 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let src = Coord::new((x % 5) as u8, ((x >> 8) % 3) as u8);
+            let dst = Coord::new(((x >> 16) % 5) as u8, ((x >> 24) % 3) as u8);
+            let plane = [Plane::DmaReq, Plane::DmaRsp][((x >> 32) % 2) as usize];
+            let words = vec![x; 8 + ((x >> 40) % 24) as usize];
+            m.inject(Packet::new(src, dst, plane, MsgKind::DmaData, words))
+                .unwrap();
+        }
+        m
+    }
+
+    #[test]
+    fn tick_alone_stops_where_single_ticks_stop() {
+        let (mut delivered, mut drained, mut maxed) = (0, 0, 0);
+        for seed in [0x9e37_79b9, 0x1234_5678, 0x0bad_cafe] {
+            let meshes: [fn(u64) -> Mesh; 2] = [loaded_mesh, streaming_mesh];
+            for make in meshes {
+                let mut alone = make(seed);
+                let mut single = make(seed);
+                for call in 0u64.. {
+                    // Like the SoC's tiles, take every delivered packet
+                    // before the next span.
+                    for m in [&mut alone, &mut single] {
+                        for t in 0..15u8 {
+                            let c = Coord::new(t % 5, t / 5);
+                            for plane in Plane::ALL {
+                                while m.eject(c, plane).is_some() {}
+                            }
+                        }
+                    }
+                    if alone.is_idle() {
+                        break;
+                    }
+                    let max = [1_000, 5, 1][(call % 3) as usize];
+                    let ran = alone.tick_alone(max);
+                    let context = format!("seed {seed:#x}, call {call}");
+                    assert_eq!(ran, tick_one_by_one(&mut single, max), "{context}");
+                    assert_eq!(alone.state(), single.state(), "{context}");
+                    delivered += usize::from(alone.undelivered_total() > 0);
+                    drained += usize::from(alone.is_idle());
+                    maxed += usize::from(ran == max && max > 1 && alone.undelivered_total() == 0);
+                }
+            }
+        }
+        assert!(
+            delivered > 0 && drained > 0 && maxed > 0,
+            "{delivered} deliveries, {drained} drains, {maxed} max stops"
+        );
     }
 
     #[test]

@@ -29,6 +29,12 @@
 //!    cycle (the driver guarantees this).
 //! 3. A `Quiescent` component may still accumulate wait-state counters in
 //!    `advance`; it only promises not to touch the fabric on its own.
+//! 4. A tile that is not `Active` and has no delivered packet in its
+//!    ejection queues is inert, whatever the mesh is doing: its tick
+//!    touches no mesh state (it ejects nothing and injects nothing), so
+//!    the mesh may tick alone while the tile catches up later through
+//!    `advance`. This is what lets the driver tick only the mesh while
+//!    flits are in flight and every tile is boring.
 
 /// What a component did (or can do) at a given cycle, plus a hint about
 /// when it next needs to be ticked.

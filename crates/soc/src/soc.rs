@@ -13,7 +13,7 @@ use esp4ml_check::{codes, Diagnostic, Report};
 use esp4ml_fault::FaultPlan;
 use esp4ml_hls::Resources;
 use esp4ml_mem::{CacheConfig, CacheStats, CachedDramState, DramConfig, PageTable};
-use esp4ml_noc::{Coord, Mesh, MeshConfig, MeshState, NocHeatmap, NocStats};
+use esp4ml_noc::{Coord, Mesh, MeshConfig, MeshState, NocHeatmap, NocStats, Progress};
 use esp4ml_trace::{CounterRegistry, CounterSeries, Tracer};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -50,12 +50,15 @@ impl SocEngine {
 /// [`Soc::snapshot`] or touched by [`Soc::restore`], and appear in no
 /// statistics or rendered artifact (so they differ between engines
 /// without breaking the engines' byte-identity contract). On an instance
-/// that was never restored, `ticked_cycles + fast_forwarded_cycles` is
-/// [`Soc::cycle`].
+/// that was never restored, `ticked_cycles + mesh_only_cycles +
+/// fast_forwarded_cycles` is [`Soc::cycle`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCounters {
     /// Cycles executed by a full [`Soc::tick`] of every component.
     pub ticked_cycles: u64,
+    /// Cycles on which only the mesh ticked, every tile being boring and
+    /// caught up afterwards (always zero under [`SocEngine::Naive`]).
+    pub mesh_only_cycles: u64,
     /// Cycles skipped by event-driven fast-forward (always zero under
     /// [`SocEngine::Naive`]).
     pub fast_forwarded_cycles: u64,
@@ -659,8 +662,8 @@ impl Soc {
     }
 
     /// How the engine has advanced the clock so far: cycles ticked,
-    /// cycles fast-forwarded, fast-forward spans and kernel computations
-    /// (see [`EngineCounters`]).
+    /// mesh-only cycles, cycles fast-forwarded, fast-forward spans and
+    /// kernel computations (see [`EngineCounters`]).
     pub fn engine_counters(&self) -> EngineCounters {
         EngineCounters {
             kernel_invocations: self
@@ -783,6 +786,13 @@ impl Soc {
             t.tick(&mut self.mesh);
         }
         self.mesh.tick();
+        self.finish_cycle();
+    }
+
+    /// The end of an executed cycle, after [`Soc::tick`] or a mesh-only
+    /// span: records the [`CounterSeries`] row when the cycle is on the
+    /// sampling grid, then runs the sanitizer audit.
+    fn finish_cycle(&mut self) {
         let cycle = self.mesh.cycle();
         if self.series.as_ref().is_some_and(|s| s.due(cycle)) {
             let snap = self.counter_registry().snapshot();
@@ -799,52 +809,87 @@ impl Soc {
     /// Advances the SoC by at least one and at most `limit` cycles and
     /// returns how many elapsed.
     ///
-    /// Under [`SocEngine::EventDriven`], when no component is active the
-    /// clock jumps over the boring span — up to the earliest wake cycle,
-    /// or through the whole `limit` when everything is quiescent (idle or
-    /// deadlocked) — bulk-advancing latency countdowns, statistics and
-    /// [`CounterSeries`] sampling points, then executes the interesting
-    /// cycle normally. Under [`SocEngine::Naive`] this is exactly one
-    /// [`Soc::tick`].
+    /// Under [`SocEngine::EventDriven`] one pass over the tiles merges
+    /// their progress reports, and the step takes one of three paths:
+    ///
+    /// - **Nothing is active.** The clock jumps over the boring span, up
+    ///   to the earliest wake cycle, or through the whole `limit` when
+    ///   everything is quiescent (idle or deadlocked). Latency
+    ///   countdowns, statistics and [`CounterSeries`] sampling points
+    ///   advance in bulk; then the interesting cycle executes normally.
+    /// - **Only the mesh is active**, with no packet waiting in an
+    ///   ejection queue. A boring tile's tick does not touch the mesh,
+    ///   so the mesh ticks alone ([`Mesh::tick_alone`]) until it
+    ///   delivers a packet or drains, or until the tiles' earliest wake
+    ///   cycle, `limit` or the next sampling cycle. The tiles then catch
+    ///   up in bulk before `step` returns, and a sampling row due at the
+    ///   last cycle is recorded as [`Soc::tick`] records it.
+    /// - **Otherwise** one [`Soc::tick`].
+    ///
+    /// Under [`SocEngine::Naive`] this is exactly one [`Soc::tick`].
     pub fn step(&mut self, limit: u64) -> u64 {
         debug_assert!(limit > 0, "step needs a non-zero cycle budget");
         if self.engine == SocEngine::EventDriven {
-            if let Some(boring) = self.boring_span() {
-                let skip = boring.min(limit);
-                if skip > 0 {
-                    self.advance_time(skip);
+            let now = self.mesh.cycle();
+            let tiles = self.tile_progress(now);
+            if let Some(tiles_boring) = boring_cycles(tiles, now) {
+                match boring_cycles(self.mesh.progress().merge(tiles), now) {
+                    Some(boring) => {
+                        let skip = boring.min(limit);
+                        self.advance_time(skip);
+                        if skip == limit {
+                            return skip;
+                        }
+                        self.tick();
+                        return skip + 1;
+                    }
+                    None if self.mesh.undelivered_total() == 0 => {
+                        return self.tick_mesh_alone(tiles_boring.min(limit));
+                    }
+                    None => {}
                 }
-                if skip >= limit {
-                    return skip;
-                }
-                self.tick();
-                return skip + 1;
             }
         }
         self.tick();
         1
     }
 
-    /// The number of guaranteed-boring cycles ahead: `None` when some
-    /// component is active this cycle, `Some(u64::MAX)` when everything
-    /// is quiescent (the caller clamps to its budget — covers both idle
-    /// and deadlock).
-    fn boring_span(&self) -> Option<u64> {
+    /// Every tile's progress report, merged.
+    fn tile_progress(&self, now: u64) -> Progress {
+        let procs = self.proc_tiles.iter().map(|t| t.progress(now));
+        let accels = self.accel_tiles.iter().map(|t| t.progress(now));
+        let mems = self.mem_tiles.iter().map(|t| t.progress(now));
+        procs
+            .chain(accels)
+            .chain(mems)
+            .fold(Progress::Quiescent, Progress::merge)
+    }
+
+    /// Ticks the mesh alone for at most `max` cycles, every tile being
+    /// boring for that long, then catches the tiles up. Stops early on
+    /// the next sampling cycle, a delivery or a drained mesh. Returns
+    /// the cycles elapsed.
+    fn tick_mesh_alone(&mut self, max: u64) -> u64 {
         let now = self.mesh.cycle();
-        let mut p = self.mesh.progress();
-        for t in &self.proc_tiles {
-            p = p.merge(t.progress(now));
+        let to_sample = self
+            .series
+            .as_ref()
+            .map_or(u64::MAX, |s| (now / s.every() + 1) * s.every() - now);
+        let ticks = self.mesh.tick_alone(max.min(to_sample));
+        self.counters.mesh_only_cycles += ticks;
+        self.advance_tiles(ticks);
+        self.finish_cycle();
+        ticks
+    }
+
+    /// Applies `delta` boring cycles to every tile's countdowns and
+    /// statistics (the processor tiles keep no per-cycle state).
+    fn advance_tiles(&mut self, delta: u64) {
+        for t in &mut self.accel_tiles {
+            t.advance(delta);
         }
-        for t in &self.accel_tiles {
-            p = p.merge(t.progress(now));
-        }
-        for t in &self.mem_tiles {
-            p = p.merge(t.progress(now));
-        }
-        match p.next_wake(now) {
-            Some(wake) if wake <= now => None,
-            Some(wake) => Some(wake - now),
-            None => Some(u64::MAX),
+        for t in &mut self.mem_tiles {
+            t.advance(delta);
         }
     }
 
@@ -858,12 +903,7 @@ impl Soc {
         self.counters.fast_forwarded_cycles += delta;
         self.counters.fast_forward_spans += 1;
         let start = self.mesh.cycle();
-        for t in &mut self.accel_tiles {
-            t.advance(delta);
-        }
-        for t in &mut self.mem_tiles {
-            t.advance(delta);
-        }
+        self.advance_tiles(delta);
         self.mesh.advance(delta);
         if let Some(every) = self.series.as_ref().map(CounterSeries::every) {
             let mut due = (start / every + 1) * every;
@@ -1199,6 +1239,17 @@ impl Soc {
     /// The primary processor tile coordinate.
     pub fn primary_proc(&self) -> Coord {
         self.primary_proc
+    }
+}
+
+/// The number of guaranteed-boring cycles ahead under `p`: `None` when
+/// it wakes this cycle, `Some(u64::MAX)` when it is quiescent (the caller
+/// clamps to its budget, which covers both idle and deadlock).
+fn boring_cycles(p: Progress, now: u64) -> Option<u64> {
+    match p.next_wake(now) {
+        Some(wake) if wake <= now => None,
+        Some(wake) => Some(wake - now),
+        None => Some(u64::MAX),
     }
 }
 
@@ -2077,11 +2128,9 @@ mod engine_equivalence_tests {
             .expect("valid floorplan")
     }
 
-    /// A two-accelerator SoC with a moderately interesting workload:
-    /// multi-frame DMA on a DVFS-throttled accelerator, so boring spans
-    /// (stalls, slow compute) dominate and fast-forward actually engages.
-    fn run_workload(engine: SocEngine, sample_every: Option<u64>) -> Soc {
-        let mut soc = SocBuilder::new(3, 2)
+    /// The floorplan [`start_workload`] runs on, freshly built.
+    fn workload_soc(engine: SocEngine) -> Soc {
+        SocBuilder::new(3, 2)
             .processor(Coord::new(0, 0))
             .memory(Coord::new(1, 0))
             .accelerator(
@@ -2091,7 +2140,15 @@ mod engine_equivalence_tests {
             .accelerator(Coord::new(1, 1), Box::new(ScaleKernel::new("a1", 16, 3)))
             .engine(engine)
             .build()
-            .expect("valid floorplan");
+            .expect("valid floorplan")
+    }
+
+    /// A two-accelerator SoC with a moderately interesting workload:
+    /// multi-frame DMA on a DVFS-throttled accelerator, so boring spans
+    /// (stalls, slow compute) dominate and fast-forward actually engages.
+    /// Returns the SoC just after the accelerator is started.
+    fn start_workload(engine: SocEngine, sample_every: Option<u64>) -> Soc {
+        let mut soc = workload_soc(engine);
         if let Some(every) = sample_every {
             soc.enable_counter_sampling(every);
         }
@@ -2107,6 +2164,12 @@ mod engine_equivalence_tests {
         )
         .unwrap();
         soc.start_accel(accel).unwrap();
+        soc
+    }
+
+    /// [`start_workload`], run to completion.
+    fn run_workload(engine: SocEngine, sample_every: Option<u64>) -> Soc {
+        let mut soc = start_workload(engine, sample_every);
         assert!(soc.run_until_idle(1_000_000).is_idle());
         soc
     }
@@ -2147,9 +2210,14 @@ mod engine_equivalence_tests {
         let event = run_workload(SocEngine::EventDriven, None);
         let (n, e) = (naive.engine_counters(), event.engine_counters());
         assert_eq!(n.ticked_cycles, naive.cycle());
+        assert_eq!(n.mesh_only_cycles, 0);
         assert_eq!(n.fast_forwarded_cycles, 0);
         assert_eq!(n.fast_forward_spans, 0);
-        assert_eq!(e.ticked_cycles + e.fast_forwarded_cycles, event.cycle());
+        assert_eq!(
+            e.ticked_cycles + e.mesh_only_cycles + e.fast_forwarded_cycles,
+            event.cycle()
+        );
+        assert!(e.mesh_only_cycles > 0, "mesh-only stepping never engaged");
         assert!(e.fast_forward_spans > 0, "fast-forward never engaged");
         assert!(e.fast_forwarded_cycles >= e.fast_forward_spans);
         assert!(e.ticked_cycles < n.ticked_cycles);
@@ -2164,10 +2232,9 @@ mod engine_equivalence_tests {
         let snap = event.snapshot();
         event.run_cycles(100);
         let after = event.engine_counters();
-        assert_eq!(
-            after.ticked_cycles + after.fast_forwarded_cycles,
-            before.ticked_cycles + before.fast_forwarded_cycles + 100
-        );
+        let elapsed =
+            |c: EngineCounters| c.ticked_cycles + c.mesh_only_cycles + c.fast_forwarded_cycles;
+        assert_eq!(elapsed(after), elapsed(before) + 100);
         // Restore rewinds the machine, not the host-side counters.
         event.restore(&snap).unwrap();
         assert_eq!(event.engine_counters(), after);
@@ -2181,6 +2248,9 @@ mod engine_equivalence_tests {
         // a row (or record it with stale counters).
         let mut naive = run_workload(SocEngine::Naive, Some(7));
         let mut event = run_workload(SocEngine::EventDriven, Some(7));
+        // Mesh-only spans must stop on sampling cycles too, not be
+        // refused while sampling is on.
+        assert!(event.engine_counters().mesh_only_cycles > 0);
         let naive_series = naive.take_counter_series().expect("sampling on");
         let event_series = event.take_counter_series().expect("sampling on");
         assert_eq!(naive_series.rows().len(), event_series.rows().len());
@@ -2191,6 +2261,52 @@ mod engine_equivalence_tests {
                 "counters diverged at cycle {}",
                 n.cycle
             );
+        }
+    }
+
+    /// [`start_workload`] with the second accelerator streaming four
+    /// frames of its own at the same time, so DMA bursts overlap: the
+    /// memory tile counts one burst's latency down while another burst's
+    /// flits stream, and deliveries land mid-stream.
+    fn start_busy_workload(engine: SocEngine, sample_every: Option<u64>) -> Soc {
+        let mut soc = start_workload(engine, sample_every);
+        let accel = Coord::new(1, 1);
+        let frames: Vec<u64> = (200..264).collect();
+        soc.dram_write_values(1024, &frames, 16).unwrap();
+        soc.map_contiguous(accel, 1024, 4096).unwrap();
+        soc.configure_accel(accel, &AccelConfig::dma_to_dma(0, 64, 4))
+            .unwrap();
+        soc.start_accel(accel).unwrap();
+        soc
+    }
+
+    #[test]
+    fn restore_after_a_mesh_only_span_resumes_exactly() {
+        let workloads: [fn(SocEngine, Option<u64>) -> Soc; 2] =
+            [start_workload, start_busy_workload];
+        for (w, start) in workloads.into_iter().enumerate() {
+            let finish = |mut soc: Soc| {
+                assert!(soc.run_until_idle(1_000_000).is_idle());
+                soc
+            };
+            let mut interrupted = start(SocEngine::EventDriven, Some(7));
+            while interrupted.engine_counters().mesh_only_cycles == 0 {
+                interrupted.step(1_000_000);
+            }
+            let snap = interrupted.snapshot();
+            let mut restored = workload_soc(SocEngine::EventDriven);
+            restored.restore(&snap).unwrap();
+            let restored = finish(restored);
+            let uninterrupted = finish(start(SocEngine::EventDriven, Some(7)));
+            let naive = finish(start(SocEngine::Naive, Some(7)));
+            for (label, other) in [("uninterrupted", &uninterrupted), ("naive", &naive)] {
+                assert_eq!(restored.cycle(), other.cycle(), "workload {w}, {label}");
+                assert_eq!(
+                    restored.snapshot(),
+                    other.snapshot(),
+                    "workload {w}, {label}: state diverged"
+                );
+            }
         }
     }
 

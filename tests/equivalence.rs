@@ -169,8 +169,11 @@ fn collector_combinations_agree_on_every_fig8_point() {
 }
 
 /// On every Fig. 7 grid point the aggregated critical path must name
-/// the same limiting stage as the independently-fed profiler's
-/// bottleneck report — the agreement `espspan` checks at runtime.
+/// the same limiting stage as the profiler's bottleneck report — the
+/// agreement `espspan` checks at runtime. The span collector embeds the
+/// profiler's `RunAccum` and takes its critical path from that
+/// accumulator's bottleneck, so this guards that both collectors saw
+/// the same event stream, not two independent derivations.
 #[test]
 fn span_critical_path_matches_profiler_on_every_fig7_point() {
     let models = TrainedModels::untrained();
