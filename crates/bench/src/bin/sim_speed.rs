@@ -1,10 +1,8 @@
 //! Measures simulation speed: the naive cycle-by-cycle engine vs the
-//! event-driven fast-forward engine, serial vs the parallel grid driver,
-//! and cold-started points vs prefix-forked groups (`--fork-prefix`) —
-//! and verifies along the way that both engines produce **identical**
-//! run metrics on every grid point (cycle-exactness is a hard invariant,
-//! not a statistical claim) and that forked runs reproduce cold starts
-//! byte for byte.
+//! event-driven fast-forward engine, and serial vs the parallel grid
+//! driver — and verifies along the way that both engines and the
+//! parallel driver produce **identical** run metrics on every grid point
+//! (cycle-exactness is a hard invariant, not a statistical claim).
 //!
 //! ```text
 //! cargo run --release -p esp4ml-bench --bin sim_speed -- --frames 16 --out BENCH_sim_speed.json
@@ -32,13 +30,10 @@ struct GridReport {
     naive_serial_secs: f64,
     event_serial_secs: f64,
     event_parallel_secs: f64,
-    fork_serial_secs: f64,
     parallel_jobs: usize,
     event_vs_naive_speedup: f64,
     parallel_vs_serial_speedup: f64,
-    fork_vs_cold_speedup: f64,
     cycle_exact: bool,
-    fork_identical: bool,
 }
 
 #[derive(Debug, Serialize)]
@@ -56,33 +51,25 @@ fn measure(
     jobs: usize,
 ) -> Result<GridReport, Box<dyn std::error::Error>> {
     let time = |engine: SocEngine,
-                jobs: usize,
-                fork: bool|
+                jobs: usize|
      -> Result<(Vec<AppRun>, f64), Box<dyn std::error::Error>> {
         let start = Instant::now();
         let runs = parallel::run_grid(
-            points, models, frames, engine, jobs, false, None, fork, None,
+            points, models, frames, engine, jobs, false, None, false, None,
         )?;
         Ok((runs, start.elapsed().as_secs_f64()))
     };
     // `run_grid` clamps the pool to the grid size; report the worker
     // count that actually ran so the JSON artifact is honest.
     let jobs = jobs.min(points.len());
-    let (naive, naive_serial_secs) = time(SocEngine::Naive, 1, false)?;
-    let (event, event_serial_secs) = time(SocEngine::EventDriven, 1, false)?;
-    let (par, event_parallel_secs) = time(SocEngine::EventDriven, jobs, false)?;
-    // Fork leg: serial on purpose, so fork_vs_cold_speedup isolates the
-    // shared-prefix memoization from thread-pool scaling.
-    let (forked, fork_serial_secs) = time(SocEngine::EventDriven, 1, true)?;
+    let (naive, naive_serial_secs) = time(SocEngine::Naive, 1)?;
+    let (event, event_serial_secs) = time(SocEngine::EventDriven, 1)?;
+    let (par, event_parallel_secs) = time(SocEngine::EventDriven, jobs)?;
     let cycle_exact = naive
         .iter()
         .zip(&event)
         .zip(&par)
         .all(|((n, e), p)| n.metrics == e.metrics && e.metrics == p.metrics);
-    let fork_identical = event
-        .iter()
-        .zip(&forked)
-        .all(|(e, f)| e.metrics == f.metrics && e.predictions == f.predictions);
     let simulated_cycles = naive.iter().map(|r| r.metrics.cycles).sum();
     Ok(GridReport {
         grid: name.to_string(),
@@ -93,20 +80,17 @@ fn measure(
         naive_serial_secs,
         event_serial_secs,
         event_parallel_secs,
-        fork_serial_secs,
         parallel_jobs: jobs,
         event_vs_naive_speedup: naive_serial_secs / event_serial_secs.max(f64::EPSILON),
         parallel_vs_serial_speedup: event_serial_secs / event_parallel_secs.max(f64::EPSILON),
-        fork_vs_cold_speedup: event_serial_secs / fork_serial_secs.max(f64::EPSILON),
         cycle_exact,
-        fork_identical,
     })
 }
 
 fn main() {
     let spec = HarnessSpec::new(
         "sim_speed",
-        "time whole grids (naive vs event-driven, serial vs parallel, cold vs forked); \
+        "time whole grids (naive vs event-driven, serial vs parallel); \
          the report goes to BENCH_sim_speed.json unless --out is given",
         SIM_SPEED_FLAGS,
     )
@@ -144,8 +128,7 @@ fn main() {
             Ok(g) => {
                 println!(
                     "{:<8} {:>2} points: naive {:.2}s | event {:.2}s ({:.1}x) | \
-                     parallel x{} {:.2}s ({:.1}x) | forked {:.2}s ({:.1}x) | \
-                     cycle-exact: {} | fork-identical: {}",
+                     parallel x{} {:.2}s ({:.1}x) | cycle-exact: {}",
                     g.grid,
                     g.points,
                     g.naive_serial_secs,
@@ -154,10 +137,7 @@ fn main() {
                     g.parallel_jobs,
                     g.event_parallel_secs,
                     g.parallel_vs_serial_speedup,
-                    g.fork_serial_secs,
-                    g.fork_vs_cold_speedup,
                     g.cycle_exact,
-                    g.fork_identical,
                 );
                 report.grids.push(g);
             }
@@ -169,10 +149,6 @@ fn main() {
     }
     if report.grids.iter().any(|g| !g.cycle_exact) {
         eprintln!("FAIL: engines diverged — the event-driven engine is not cycle-exact");
-        std::process::exit(1);
-    }
-    if report.grids.iter().any(|g| !g.fork_identical) {
-        eprintln!("FAIL: prefix-forked runs diverged from cold starts");
         std::process::exit(1);
     }
     match serde_json::to_value(&report) {

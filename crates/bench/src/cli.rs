@@ -42,8 +42,6 @@ pub enum Flag {
     Engine,
     /// `--jobs N`
     Jobs,
-    /// `--fork-prefix`
-    ForkPrefix,
     /// `--sanitize`
     Sanitize,
     /// `--faults PLAN.json`
@@ -89,7 +87,6 @@ impl Flag {
             Flag::SampleEvery => "--sample-every",
             Flag::Engine => "--engine",
             Flag::Jobs => "--jobs",
-            Flag::ForkPrefix => "--fork-prefix",
             Flag::Sanitize => "--sanitize",
             Flag::Faults => "--faults",
             Flag::Config | Flag::ConfigPath => "--config",
@@ -125,12 +122,7 @@ impl Flag {
             | Flag::Flame
             | Flag::Metrics
             | Flag::Out => Some("PATH"),
-            Flag::Train
-            | Flag::NoTrain
-            | Flag::ForkPrefix
-            | Flag::Sanitize
-            | Flag::All
-            | Flag::Progress => None,
+            Flag::Train | Flag::NoTrain | Flag::Sanitize | Flag::All | Flag::Progress => None,
         }
     }
 
@@ -148,9 +140,6 @@ impl Flag {
             Flag::SampleEvery => "with --trace, sample the SoC counters every CYCLES cycles",
             Flag::Engine => "simulation engine",
             Flag::Jobs => "worker threads for grid execution",
-            Flag::ForkPrefix => {
-                "fork points sharing a config prefix from one warm snapshot (same results, faster)"
-            }
             Flag::Sanitize => "audit every run with the runtime invariant sanitizer",
             Flag::Faults => "install the fault plan on every run's SoC (recovery armed)",
             Flag::Config => "configuration/grid-point index to run (repeatable; default: all)",
@@ -190,7 +179,6 @@ pub const FIGURE_FLAGS: &[Flag] = &[
     Flag::SampleEvery,
     Flag::Engine,
     Flag::Jobs,
-    Flag::ForkPrefix,
     Flag::Sanitize,
     Flag::Faults,
     Flag::Config,
@@ -212,7 +200,6 @@ pub const TABLE_FLAGS: &[Flag] = &[
     Flag::SampleEvery,
     Flag::Engine,
     Flag::Jobs,
-    Flag::ForkPrefix,
     Flag::Sanitize,
     Flag::Config,
     Flag::Metrics,
@@ -260,7 +247,7 @@ pub const ESPCHECK_FLAGS: &[Flag] = &[
     Flag::Json,
 ];
 
-/// `sim_speed` — engine, parallel and fork timings of whole grids.
+/// `sim_speed` — engine and parallel timings of whole grids.
 pub const SIM_SPEED_FLAGS: &[Flag] = &[Flag::Frames, Flag::Jobs, Flag::Out];
 
 /// `accuracy`/`training` — training-budget flags only.
@@ -403,9 +390,6 @@ pub struct HarnessArgs {
     pub engine: SocEngine,
     /// Worker threads for grid execution (ignored when tracing).
     pub jobs: usize,
-    /// Fork grid points sharing a config prefix from one warm snapshot
-    /// (`--fork-prefix`); byte-identical results, less wall clock.
-    pub fork_prefix: bool,
     /// Run every grid point with the runtime invariant sanitizer armed;
     /// any violation fails the harness with the typed diagnostics.
     pub sanitize: bool,
@@ -452,7 +436,6 @@ impl Default for HarnessArgs {
             sample_every: None,
             engine: SocEngine::default(),
             jobs: parallel::default_jobs(),
-            fork_prefix: false,
             sanitize: false,
             faults: None,
             configs: Vec::new(),
@@ -539,7 +522,6 @@ fn parse_inner(
                 }
             }
             Flag::Jobs => out.jobs = number()? as usize,
-            Flag::ForkPrefix => out.fork_prefix = true,
             Flag::Sanitize => out.sanitize = true,
             Flag::Faults => out.faults = Some(PathBuf::from(value()?)),
             Flag::Config => out.configs.push(number()? as usize),
@@ -711,6 +693,8 @@ mod tests {
         assert!(parse_figure(&["--frames"]).is_err());
         assert!(parse_figure(&["--frames", "abc"]).is_err());
         assert!(parse_figure(&["--frames", "0"]).is_err());
+        // `--fork-prefix` is not an option: every grid point runs cold.
+        assert!(parse_figure(&["--fork-prefix"]).is_err());
     }
 
     #[test]
@@ -741,18 +725,6 @@ mod tests {
         assert_eq!(a.engine, SocEngine::EventDriven);
         assert!(parse_figure(&["--engine", "warp"]).is_err());
         assert!(parse_figure(&["--jobs", "0"]).is_err());
-    }
-
-    #[test]
-    fn fork_prefix_option() {
-        assert!(!parse_figure(&[]).unwrap().fork_prefix);
-        assert!(parse_figure(&["--fork-prefix"]).unwrap().fork_prefix);
-        // Composes with the other grid-execution switches.
-        let a = parse_figure(&["--fork-prefix", "--jobs", "2", "--sanitize"]).unwrap();
-        assert!(a.fork_prefix && a.sanitize);
-        // espfault forks unconditionally, so its spec does not take it.
-        let spec = HarnessSpec::new("espfault", "f", ESPFAULT_FLAGS);
-        assert!(parse_spec(&spec, &["--fork-prefix"]).is_err());
     }
 
     #[test]

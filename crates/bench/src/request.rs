@@ -284,10 +284,10 @@ pub struct RunRequest {
     /// results, so it is excluded from [`RunRequest::cache_key`].
     #[serde(default)]
     pub jobs: usize,
-    /// Fork grid points sharing a config prefix from one warm snapshot
-    /// instead of cold-starting each (`--fork-prefix`). Forked runs are
-    /// byte-identical to cold starts, so — like `jobs` — this never
-    /// affects results and is excluded from [`RunRequest::cache_key`].
+    /// Ignored: every grid point runs cold, whatever this says. The
+    /// field stays, and [`RunRequest::cache_key`] still zeroes it, so
+    /// that requests which set it keep parsing and keep their cache
+    /// keys; a later change to the benchmark harness removes it.
     #[serde(default)]
     pub fork_prefix: bool,
     /// Arm the runtime invariant sanitizer on every run.
@@ -637,12 +637,11 @@ impl RunRequest {
     }
 
     /// The deterministic cache key: FNV-1a 64 over the canonical JSON
-    /// form of [`RunRequest::normalized`] with `jobs` and `fork_prefix`
-    /// zeroed (neither worker count nor prefix forking changes
-    /// results). Canonical JSON sorts every object's
-    /// keys, so the key is invariant under JSON key reordering — and
-    /// since runs are proven engine-byte-identical and seeded, equal
-    /// keys imply byte-equal responses.
+    /// form of [`RunRequest::normalized`] with `jobs` and the ignored
+    /// `fork_prefix` zeroed (neither changes results). Canonical JSON
+    /// sorts every object's keys, so the key is invariant under JSON key
+    /// reordering — and since runs are proven engine-byte-identical and
+    /// seeded, equal keys imply byte-equal responses.
     pub fn cache_key(&self) -> u64 {
         let mut canonical = self.normalized();
         canonical.jobs = 0;
@@ -997,7 +996,7 @@ fn figure_response(
             req.effective_jobs(),
             req.sanitize,
             faults,
-            req.fork_prefix,
+            false,
             progress,
         )?,
     };
@@ -1652,7 +1651,6 @@ impl crate::HarnessArgs {
             frames: self.frames,
             engine: self.engine.name().to_string(),
             jobs: self.jobs,
-            fork_prefix: self.fork_prefix,
             sanitize: self.sanitize,
             fault_plan: self.fault_plan()?,
             observe: ObserveOpts {
@@ -1844,6 +1842,22 @@ mod tests {
             a.runs[0].metrics, c.runs[0].metrics,
             "engines agree on metrics"
         );
+    }
+
+    /// `fork_prefix` is accepted and ignored: setting it changes neither
+    /// the runs nor the metrics artifact bytes.
+    #[test]
+    fn fork_prefix_is_accepted_and_ignored() {
+        let mut cold = req(WorkloadKind::Fig8);
+        cold.configs = vec![0, 1];
+        let mut forked = cold.clone();
+        forked.fork_prefix = true;
+        let models = TrainedModels::untrained();
+        let a = execute(&cold, &models).expect("runs");
+        let b = execute(&forked, &models).expect("runs");
+        assert_eq!(a.runs, b.runs);
+        assert_eq!(a.artifacts.get("metrics"), b.artifacts.get("metrics"));
+        assert!(a.artifacts.contains_key("metrics"));
     }
 
     /// The progress line sequence for a request, as published bytes.

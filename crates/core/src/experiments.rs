@@ -20,10 +20,9 @@ use esp4ml_baseline::{Platform, SoftwareApp, Workload};
 use esp4ml_check::Report;
 use esp4ml_fault::FaultPlan;
 use esp4ml_runtime::{
-    AppBuffers, Dataflow, EspRuntime, ExecMode, RecoveryPolicy, RunMetrics, RunSpec, RuntimeError,
-    RuntimeSnapshot,
+    Dataflow, EspRuntime, ExecMode, RecoveryPolicy, RunMetrics, RunSpec, RuntimeError,
 };
-use esp4ml_soc::SocEngine;
+use esp4ml_soc::{Soc, SocEngine};
 use esp4ml_trace::{TileCoord, TraceEvent};
 use esp4ml_vision::SvhnGenerator;
 use serde::{Deserialize, Serialize};
@@ -112,17 +111,6 @@ impl GridPoint {
     /// Human label ("2NV+2Cl p2p") for progress reporting.
     pub fn label(&self) -> String {
         format!("{} {}", self.app.label(), self.mode.label())
-    }
-
-    /// Canonical config-prefix key: two points share a key exactly when
-    /// their load/config phases are identical — same SoC build, same
-    /// device probe, same `esp_alloc` layout, same input frames — and
-    /// they differ only in execution mode. Points with equal keys can
-    /// share one warm [`PreparedApp`] snapshot instead of each paying
-    /// the prefix from cold. The execution mode is deliberately
-    /// excluded: it only parameterizes the run suffix.
-    pub fn prefix_key(&self) -> String {
-        format!("{}/{}", self.app.app_name(), self.app.label())
     }
 }
 
@@ -238,8 +226,17 @@ pub struct AppRun {
 
 impl AppRun {
     /// Builds the SoC, loads the inputs, runs the dataflow in `mode` and
-    /// collects predictions: the load/config prefix and the run suffix
-    /// back to back, with no snapshot in between.
+    /// collects predictions.
+    ///
+    /// The load/config phase builds the SoC, sets the engine, arms the
+    /// sanitizer (for [`RunKind::Sanitized`]) and the session's tracer,
+    /// prices the power, boots the runtime, `esp_alloc`s the buffers and
+    /// writes every input frame; it simulates zero cycles. The run then
+    /// opens the observed run, installs the fault plan, runs the
+    /// dataflow (when faulted, under the campaign watchdog and the
+    /// default recovery policy), falls back to software when a faulted
+    /// pipeline proved unrecoverable, checks the sanitizer verdict,
+    /// closes the observed run and reads the predictions back.
     ///
     /// # Errors
     ///
@@ -258,8 +255,101 @@ impl AppRun {
             session,
             kind,
         } = opts;
-        let mut loaded = Loaded::prefix(app, models, frames, engine, kind, session.as_deref())?;
-        loaded.suffix(app, models, mode, kind, session)
+        let mut soc = app.build_soc(models)?;
+        soc.set_engine(engine);
+        if matches!(kind, RunKind::Sanitized) {
+            soc.enable_sanitizer();
+        }
+        if let Some(every) = session.as_deref().and_then(TraceSession::sample_every) {
+            soc.enable_counter_sampling(every);
+        }
+        let watts = Esp4mlFlow::new().estimate_power(&soc).total_watts();
+        let mut rt = EspRuntime::new(soc)?;
+        if let Some(s) = session.as_deref() {
+            // Installs on the SoC too; the runtime's own handle carries
+            // the ioctl and retry/failover records.
+            rt.set_tracer(s.tracer().clone());
+        }
+        let dataflow = app.dataflow();
+        let buf = rt.prepare(&dataflow, frames)?;
+        let mut gen = SvhnGenerator::new(DATA_SEED);
+        let mut labels = Vec::with_capacity(frames as usize);
+        for f in 0..frames {
+            let (image, label) = app.input_frame(&mut gen);
+            rt.write_frame(&buf, f, &encode_image(&image))?;
+            labels.push(label);
+        }
+
+        let run_label = format!("{} {}", app.label(), mode.label());
+        if let Some(s) = session.as_deref() {
+            s.open_run(run_label.clone(), stage_groups(&dataflow), rt.soc());
+        }
+        let mut spec = RunSpec::new(&dataflow).mode(mode);
+        let faults = match kind {
+            RunKind::Faulted(plan) => Some(plan),
+            RunKind::Plain | RunKind::Sanitized => None,
+        };
+        if let Some(plan) = faults {
+            if !plan.is_empty() {
+                rt.soc_mut().install_fault_plan(plan);
+            }
+            spec = spec
+                .watchdog_cycles(CAMPAIGN_WATCHDOG_CYCLES)
+                .recover(RecoveryPolicy::default());
+        }
+        let hardware = match rt.run(&spec, &buf) {
+            Ok(metrics) => Some(metrics),
+            Err(RuntimeError::Timeout { .. }) if faults.is_some() => {
+                // Graceful degradation: the hardware pipeline is
+                // unrecoverable (retries and spares exhausted), so the
+                // application reruns on the processor tile in software.
+                let proc = rt.soc().primary_proc();
+                let from = app.label();
+                rt.soc()
+                    .tracer()
+                    .emit(rt.soc().cycle(), TileCoord::new(proc.x, proc.y), || {
+                        TraceEvent::FailedOver {
+                            from,
+                            to: "software".to_string(),
+                        }
+                    });
+                None
+            }
+            Err(e) => return Err(e.into()),
+        };
+        let sanitizer = match rt.soc().sanitizer_report() {
+            Some(report) if report.has_errors() => {
+                return Err(ExperimentError::Sanitizer {
+                    label: run_label,
+                    report,
+                });
+            }
+            verdict => verdict,
+        };
+        // Close the observed run where the simulation stopped (run
+        // completion or the fallback), before prediction readback, which
+        // simulates no cycles.
+        if let Some(s) = session {
+            s.close_run(run_label, rt.soc_mut());
+        }
+        let Some(metrics) = hardware else {
+            return Ok(software_fallback(app, models, mode, labels, rt.soc()));
+        };
+        let mut predictions = Vec::with_capacity(frames as usize);
+        for f in 0..frames {
+            let logits = decode_values(&rt.read_frame(&buf, f)?);
+            predictions.push(argmax(&logits));
+        }
+        Ok(AppRun {
+            label: app.label(),
+            mode,
+            metrics,
+            watts,
+            predictions,
+            labels,
+            sanitizer,
+            software_fallback: false,
+        })
     }
 
     /// Classification accuracy of the run against ground truth.
@@ -307,303 +397,55 @@ fn stage_groups(dataflow: &Dataflow) -> Vec<(String, Vec<String>)> {
         .collect()
 }
 
-/// A runtime after the load/config prefix: the state every run suffix
-/// starts from.
-struct Loaded {
-    frames: u64,
-    dataflow: Dataflow,
-    rt: EspRuntime,
-    buf: AppBuffers,
+/// The graceful-degradation path: reruns the application on the Ariane
+/// processor tile in software (float models, no accelerators) and
+/// reports metrics through the honest [`Platform::ariane`]
+/// performance/power model. Cycles are modeled at the SoC clock so
+/// throughput stays comparable with the hardware runs it replaces.
+fn software_fallback(
+    app: &CaseApp,
+    models: &TrainedModels,
+    mode: ExecMode,
     labels: Vec<usize>,
-    watts: f64,
-}
-
-impl Loaded {
-    /// The load/config prefix: builds the SoC, sets the engine, arms the
-    /// sanitizer (for [`RunKind::Sanitized`]) and the session's tracer,
-    /// prices the power, boots the runtime, `esp_alloc`s the buffers and
-    /// writes every input frame. It simulates zero cycles and emits no
-    /// events; a fault plan is the suffix's to install.
-    fn prefix(
-        app: &CaseApp,
-        models: &TrainedModels,
-        frames: u64,
-        engine: SocEngine,
-        kind: RunKind<'_>,
-        session: Option<&TraceSession>,
-    ) -> Result<Loaded, ExperimentError> {
-        let mut soc = app.build_soc(models)?;
-        soc.set_engine(engine);
-        if matches!(kind, RunKind::Sanitized) {
-            soc.enable_sanitizer();
-        }
-        if let Some(every) = session.and_then(TraceSession::sample_every) {
-            soc.enable_counter_sampling(every);
-        }
-        // Power is structure-derived (no simulation), so one pricing
-        // serves every fork of the prefix.
-        let watts = Esp4mlFlow::new().estimate_power(&soc).total_watts();
-        let mut rt = EspRuntime::new(soc)?;
-        if let Some(s) = session {
-            // Installs on the SoC too; the runtime's own handle carries
-            // the ioctl and retry/failover records.
-            rt.set_tracer(s.tracer().clone());
-        }
-        let dataflow = app.dataflow();
-        let buf = rt.prepare(&dataflow, frames)?;
-        let mut gen = SvhnGenerator::new(DATA_SEED);
-        let mut labels = Vec::with_capacity(frames as usize);
-        for f in 0..frames {
-            let (image, label) = app.input_frame(&mut gen);
-            rt.write_frame(&buf, f, &encode_image(&image))?;
-            labels.push(label);
-        }
-        Ok(Loaded {
-            frames,
-            dataflow,
-            rt,
-            buf,
-            labels,
-            watts,
-        })
+    soc: &Soc,
+) -> AppRun {
+    let sw = SoftwareApp::new(
+        Some(models.classifier().clone()),
+        Some(models.denoiser().clone()),
+    );
+    let frames = labels.len() as u64;
+    let mut gen = SvhnGenerator::new(DATA_SEED);
+    let mut predictions = Vec::with_capacity(labels.len());
+    for _ in 0..frames {
+        let (image, _) = app.input_frame(&mut gen);
+        predictions.push(match app {
+            CaseApp::NightVisionClassifier { .. } => sw.night_vision_classify(&image),
+            CaseApp::DenoiserClassifier => sw.denoise_classify(&image),
+            CaseApp::MultiTileClassifier => sw.classify(&image),
+        });
     }
-
-    /// The run suffix: opens the observed run, installs the fault plan,
-    /// runs the dataflow in `mode` (when faulted, under the campaign
-    /// watchdog and the default recovery policy), falls back to software
-    /// when a faulted pipeline proved unrecoverable, checks the sanitizer
-    /// verdict, closes and records the observed run and reads the
-    /// predictions back.
-    fn suffix(
-        &mut self,
-        app: &CaseApp,
-        models: &TrainedModels,
-        mode: ExecMode,
-        kind: RunKind<'_>,
-        session: Option<&mut TraceSession>,
-    ) -> Result<AppRun, ExperimentError> {
-        let run_label = format!("{} {}", app.label(), mode.label());
-        if let Some(s) = session.as_deref() {
-            s.open_run(
-                run_label.clone(),
-                stage_groups(&self.dataflow),
-                self.rt.soc(),
-            );
-        }
-        let mut spec = RunSpec::new(&self.dataflow).mode(mode);
-        let faults = match kind {
-            RunKind::Faulted(plan) => Some(plan),
-            RunKind::Plain | RunKind::Sanitized => None,
-        };
-        if let Some(plan) = faults {
-            if !plan.is_empty() {
-                self.rt.soc_mut().install_fault_plan(plan);
-            }
-            spec = spec
-                .watchdog_cycles(CAMPAIGN_WATCHDOG_CYCLES)
-                .recover(RecoveryPolicy::default());
-        }
-        let hardware = match self.rt.run(&spec, &self.buf) {
-            Ok(metrics) => Some(metrics),
-            Err(RuntimeError::Timeout { .. }) if faults.is_some() => {
-                // Graceful degradation: the hardware pipeline is
-                // unrecoverable (retries and spares exhausted), so the
-                // application reruns on the processor tile in software.
-                let proc = self.rt.soc().primary_proc();
-                let from = app.label();
-                self.rt.soc().tracer().emit(
-                    self.rt.soc().cycle(),
-                    TileCoord::new(proc.x, proc.y),
-                    || TraceEvent::FailedOver {
-                        from,
-                        to: "software".to_string(),
-                    },
-                );
-                None
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let sanitizer = match self.rt.soc().sanitizer_report() {
-            Some(report) if report.has_errors() => {
-                return Err(ExperimentError::Sanitizer {
-                    label: run_label,
-                    report,
-                });
-            }
-            verdict => verdict,
-        };
-        // Close the observed run where the simulation stopped (run
-        // completion or the fallback), before prediction readback, which
-        // simulates no cycles.
-        if let Some(s) = session {
-            s.close_run(run_label, self.rt.soc_mut());
-        }
-        let run = match hardware {
-            Some(metrics) => {
-                let mut predictions = Vec::with_capacity(self.frames as usize);
-                for f in 0..self.frames {
-                    let logits = decode_values(&self.rt.read_frame(&self.buf, f)?);
-                    predictions.push(argmax(&logits));
-                }
-                AppRun {
-                    label: app.label(),
-                    mode,
-                    metrics,
-                    watts: self.watts,
-                    predictions,
-                    labels: self.labels.clone(),
-                    sanitizer,
-                    software_fallback: false,
-                }
-            }
-            None => self.software_fallback(app, models, mode),
-        };
-        Ok(run)
-    }
-
-    /// The graceful-degradation path: reruns the application on the
-    /// Ariane processor tile in software (float models, no
-    /// accelerators) and reports metrics through the honest
-    /// [`Platform::ariane`] performance/power model. Cycles are modeled
-    /// at the SoC clock so throughput stays comparable with the
-    /// hardware runs it replaces.
-    fn software_fallback(&self, app: &CaseApp, models: &TrainedModels, mode: ExecMode) -> AppRun {
-        let sw = SoftwareApp::new(
-            Some(models.classifier().clone()),
-            Some(models.denoiser().clone()),
-        );
-        let mut gen = SvhnGenerator::new(DATA_SEED);
-        let mut predictions = Vec::with_capacity(self.frames as usize);
-        for _ in 0..self.frames {
-            let (image, _) = app.input_frame(&mut gen);
-            predictions.push(match app {
-                CaseApp::NightVisionClassifier { .. } => sw.night_vision_classify(&image),
-                CaseApp::DenoiserClassifier => sw.denoise_classify(&image),
-                CaseApp::MultiTileClassifier => sw.classify(&image),
-            });
-        }
-        let ariane = Platform::ariane();
-        let (_, workload) = Workload::table1_apps()
-            .into_iter()
-            .find(|(name, _)| *name == app.app_name())
-            .expect("every case app has a Table I workload");
-        let clock_hz = self.rt.soc().clock_hz();
-        let frames = self.frames;
-        let metrics = RunMetrics {
-            frames,
-            cycles: (frames as f64 * ariane.frame_seconds(&workload) * clock_hz).ceil() as u64,
-            clock_hz,
-            faults_injected: self.rt.soc().faults_injected(),
-            ..RunMetrics::default()
-        };
-        AppRun {
-            label: app.label(),
-            mode,
-            metrics,
-            watts: ariane.average_watts(&workload),
-            predictions,
-            labels: self.labels.clone(),
-            sanitizer: None,
-            software_fallback: true,
-        }
-    }
-}
-
-/// An application loaded once and forked many times.
-///
-/// The load/config prefix of a grid point — building the SoC, probing
-/// devices, `esp_alloc`, writing every input frame — is identical for
-/// every execution mode of one configuration ([`GridPoint::prefix_key`]).
-/// `PreparedApp` executes that shared prefix once, captures a warm
-/// [`RuntimeSnapshot`], and each [`PreparedApp::run`] restores the
-/// snapshot before the run suffix: N modes cost one prefix instead of N.
-/// A cold [`AppRun::execute`] is the same prefix and suffix with no
-/// snapshot between them.
-///
-/// Fork safety rests on two facts, both enforced by tests:
-///
-/// * the prefix simulates **zero** cycles and zero architectural events
-///   (configuration and frame loading are host-side DRAM/ioctl writes),
-///   so the restored warm state is exactly where a cold start's suffix
-///   begins — fault plans included, which both paths install after the
-///   prefix;
-/// * [`EspRuntime::restore`] replaces machine state wholesale —
-///   registers, PLM contents, sanitizer ledgers, fault trigger counts,
-///   allocator and counters — so no suffix can leak into the next one,
-///   which is what makes every forked run byte-identical to a cold
-///   start.
-pub struct PreparedApp<'a> {
-    app: CaseApp,
-    models: &'a TrainedModels,
-    loaded: Loaded,
-    warm: RuntimeSnapshot,
-    session: Option<&'a mut TraceSession>,
-    kind: RunKind<'a>,
-}
-
-impl<'a> PreparedApp<'a> {
-    /// Executes the shared load/config prefix for `app` and captures the
-    /// warm fork point. Every run of the prefix inherits `opts`: its
-    /// engine, sanitizer, session and fault plan (which
-    /// [`PreparedApp::run`] may replace per run).
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures during the prefix.
-    pub fn load(
-        app: &CaseApp,
-        models: &'a TrainedModels,
-        frames: u64,
-        opts: RunOptions<'a>,
-    ) -> Result<PreparedApp<'a>, ExperimentError> {
-        let RunOptions {
-            engine,
-            session,
-            kind,
-        } = opts;
-        let loaded = Loaded::prefix(app, models, frames, engine, kind, session.as_deref())?;
-        let warm = loaded.rt.snapshot();
-        Ok(PreparedApp {
-            app: *app,
-            models,
-            loaded,
-            warm,
-            session,
-            kind,
-        })
-    }
-
-    /// Forks the warm snapshot and runs the suffix in `mode`, producing
-    /// the same [`AppRun`] a cold [`AppRun::execute`] under the load
-    /// options would. `faults`, when given, replaces the load options'
-    /// fault plan for this run only.
-    ///
-    /// # Errors
-    ///
-    /// Runtime failures that recovery (when armed) could not absorb,
-    /// [`ExperimentError::Sanitizer`] when a sanitized prefix's run
-    /// violated invariants, or [`ExperimentError::Grid`] when `faults`
-    /// is given for a sanitized prefix.
-    pub fn run(
-        &mut self,
-        mode: ExecMode,
-        faults: Option<&FaultPlan>,
-    ) -> Result<AppRun, ExperimentError> {
-        if faults.is_some() && matches!(self.kind, RunKind::Sanitized) {
-            return Err(ExperimentError::Grid(
-                "faults cannot be combined with sanitize; injected faults deliberately \
-                 break the invariants the sanitizer audits"
-                    .into(),
-            ));
-        }
-        self.loaded.rt.restore(&self.warm)?;
-        self.loaded.suffix(
-            &self.app,
-            self.models,
-            mode,
-            faults.map_or(self.kind, RunKind::Faulted),
-            self.session.as_deref_mut(),
-        )
+    let ariane = Platform::ariane();
+    let (_, workload) = Workload::table1_apps()
+        .into_iter()
+        .find(|(name, _)| *name == app.app_name())
+        .expect("every case app has a Table I workload");
+    let clock_hz = soc.clock_hz();
+    let metrics = RunMetrics {
+        frames,
+        cycles: (frames as f64 * ariane.frame_seconds(&workload) * clock_hz).ceil() as u64,
+        clock_hz,
+        faults_injected: soc.faults_injected(),
+        ..RunMetrics::default()
+    };
+    AppRun {
+        label: app.label(),
+        mode,
+        metrics,
+        watts: ariane.average_watts(&workload),
+        predictions,
+        labels,
+        sanitizer: None,
+        software_fallback: true,
     }
 }
 
@@ -1113,88 +955,6 @@ mod tests {
         let names: Vec<&str> = report.run.stages.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["cls_l0", "cls_l1", "cls_l2", "cls_l3", "cls_l4"]);
         assert_eq!(report.run.frames, 2);
-    }
-
-    /// Forking one warm prefix across every execution mode reproduces
-    /// each mode's cold-start run exactly.
-    #[test]
-    fn prepared_app_forks_match_cold_starts() {
-        let m = models();
-        let app = CaseApp::NightVisionClassifier { nv: 2, cl: 2 };
-        let opts = || RunOptions::new(SocEngine::EventDriven);
-        let mut prepared = PreparedApp::load(&app, &m, 2, opts()).unwrap();
-        for mode in ExecMode::ALL {
-            let cold = AppRun::execute(&app, &m, 2, mode, opts()).unwrap();
-            let forked = prepared.run(mode, None).unwrap();
-            assert_eq!(forked.metrics, cold.metrics, "{mode:?}");
-            assert_eq!(forked.predictions, cold.predictions, "{mode:?}");
-            assert_eq!(forked.labels, cold.labels);
-            assert_eq!(forked.watts, cold.watts);
-            assert_eq!(forked.label, cold.label);
-        }
-    }
-
-    /// A traced prefix opens one observed run per fork, and the forks'
-    /// profiles, span reports and NoC summaries equal traced cold
-    /// starts'.
-    #[test]
-    fn traced_forks_match_traced_cold_starts() {
-        let m = models();
-        let app = CaseApp::DenoiserClassifier;
-        let modes = [ExecMode::Pipe, ExecMode::P2p];
-        let mut forked = TraceSession::spanned(None, true);
-        let opts = RunOptions::default().traced(&mut forked);
-        let mut prepared = PreparedApp::load(&app, &m, 2, opts).unwrap();
-        for mode in modes {
-            prepared.run(mode, None).unwrap();
-        }
-        drop(prepared);
-        let mut cold = TraceSession::spanned(None, true);
-        for mode in modes {
-            let opts = RunOptions::default().traced(&mut cold);
-            AppRun::execute(&app, &m, 2, mode, opts).unwrap();
-        }
-        assert_eq!(forked.profiles().len(), 2);
-        assert_eq!(forked.profiles(), cold.profiles());
-        assert_eq!(forked.span_reports(), cold.span_reports());
-        assert_eq!(forked.noc_stats(), cold.noc_stats());
-    }
-
-    /// Sanitize plus faults cannot be written as [`RunOptions`]; the one
-    /// place it could still be asked for, faults on a sanitized prefix,
-    /// is refused.
-    #[test]
-    fn sanitized_prefix_refuses_faults() {
-        let m = models();
-        let opts = RunOptions::sanitized(SocEngine::EventDriven);
-        let mut prepared = PreparedApp::load(&CaseApp::DenoiserClassifier, &m, 1, opts).unwrap();
-        let err = prepared
-            .run(ExecMode::P2p, Some(&FaultPlan::default()))
-            .unwrap_err();
-        assert!(matches!(err, ExperimentError::Grid(_)), "{err}");
-        let run = prepared.run(ExecMode::P2p, None).unwrap();
-        assert!(run.sanitizer.expect("verdict").is_clean());
-    }
-
-    /// The fig7 grid is config-major, so its 15 points collapse into 5
-    /// contiguous prefix groups of 3 modes each.
-    #[test]
-    fn fig7_prefix_keys_form_five_groups_of_three() {
-        let grid = Fig7::grid();
-        assert_eq!(grid.len(), 15);
-        let mut keys: Vec<String> = Vec::new();
-        for p in &grid {
-            let k = p.prefix_key();
-            if !keys.contains(&k) {
-                keys.push(k);
-            }
-        }
-        assert_eq!(keys.len(), 5, "{keys:?}");
-        for chunk in grid.chunks(3) {
-            assert!(chunk
-                .iter()
-                .all(|p| p.prefix_key() == chunk[0].prefix_key()));
-        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! `espfault` binary prints.
 
 use crate::apps::{CaseApp, TrainedModels};
-use crate::experiments::{AppRun, ExperimentError, GridPoint, PreparedApp, RunOptions};
+use crate::experiments::{AppRun, ExperimentError, RunOptions};
 use esp4ml_check::{codes, Diagnostic, Report};
 use esp4ml_fault::{CampaignTargets, FaultClass, FaultKind, FaultPlan};
 use esp4ml_noc::Plane;
@@ -163,13 +163,8 @@ impl CampaignReport {
     /// one healthy reference run, then one faulted run per seed × fault
     /// class with recovery armed
     /// ([`RunKind::Faulted`](crate::experiments::RunKind::Faulted)).
-    ///
-    /// The load/config prefix of each pipeline is executed once and
-    /// forked across every run via a warmed pre-fault
-    /// [`PreparedApp`] checkpoint: the prefix simulates zero cycles and
-    /// fires no fault triggers, and each fork restores machine state
-    /// wholesale before installing its plan, so the report is
-    /// byte-identical to [`CampaignReport::generate_cold`].
+    /// Every run, healthy or faulted, is a cold [`AppRun::execute`] on a
+    /// freshly loaded SoC.
     ///
     /// # Errors
     ///
@@ -181,57 +176,9 @@ impl CampaignReport {
         frames: u64,
         engine: SocEngine,
     ) -> Result<CampaignReport, ExperimentError> {
-        Self::generate_with(models, seeds, frames, engine, true)
-    }
-
-    /// [`CampaignReport::generate`] without prefix forking: every run
-    /// pays its own cold-start load/config phase. The trivially
-    /// auditable oracle the fork path is checked against.
-    ///
-    /// # Errors
-    ///
-    /// Build failures. Runtime failures of faulted runs are *verdicts*
-    /// (`status == "failed"`), not errors.
-    pub fn generate_cold(
-        models: &TrainedModels,
-        seeds: &[u64],
-        frames: u64,
-        engine: SocEngine,
-    ) -> Result<CampaignReport, ExperimentError> {
-        Self::generate_with(models, seeds, frames, engine, false)
-    }
-
-    fn generate_with(
-        models: &TrainedModels,
-        seeds: &[u64],
-        frames: u64,
-        engine: SocEngine,
-        fork: bool,
-    ) -> Result<CampaignReport, ExperimentError> {
         let mut cases = Vec::new();
-        // One warmed pre-fault checkpoint per config prefix, shared by
-        // the healthy reference and every seed × fault class of both
-        // execution modes (the mode only parameterizes the suffix).
-        let mut warmed: Vec<(String, PreparedApp)> = Vec::new();
         for (app, mode) in Self::grid() {
-            let key = GridPoint { app, mode }.prefix_key();
-            let mut prepared = if fork {
-                let idx = match warmed.iter().position(|(k, _)| *k == key) {
-                    Some(i) => i,
-                    None => {
-                        let opts = RunOptions::new(engine);
-                        warmed.push((key, PreparedApp::load(&app, models, frames, opts)?));
-                        warmed.len() - 1
-                    }
-                };
-                Some(&mut warmed[idx].1)
-            } else {
-                None
-            };
-            let healthy = match prepared.as_mut() {
-                Some(p) => p.run(mode, None)?,
-                None => AppRun::execute(&app, models, frames, mode, RunOptions::new(engine))?,
-            };
+            let healthy = AppRun::execute(&app, models, frames, mode, RunOptions::new(engine))?;
             let devices: Vec<String> = app
                 .dataflow()
                 .stages
@@ -253,13 +200,8 @@ impl CampaignReport {
                         .first()
                         .map(|s| s.kind.to_string())
                         .unwrap_or_default();
-                    let result = match prepared.as_mut() {
-                        Some(p) => p.run(mode, Some(&plan)),
-                        None => {
-                            let opts = RunOptions::faulted(engine, &plan);
-                            AppRun::execute(&app, models, frames, mode, opts)
-                        }
-                    };
+                    let opts = RunOptions::faulted(engine, &plan);
+                    let result = AppRun::execute(&app, models, frames, mode, opts);
                     let case = match result {
                         Ok(run) => {
                             let status = if run.software_fallback {
@@ -454,18 +396,6 @@ mod tests {
                 drop_words: 4,
             }));
         assert!(lint_fault_plan(&plan, &hosted()).is_clean());
-    }
-
-    /// The forked campaign (one warmed pre-fault checkpoint per
-    /// pipeline, restored before every seed × fault class) produces the
-    /// byte-identical artifact of the cold-start oracle.
-    #[test]
-    fn forked_campaign_matches_cold_oracle() {
-        let m = TrainedModels::untrained();
-        let forked = CampaignReport::generate(&m, &[1], 2, SocEngine::EventDriven).unwrap();
-        let cold = CampaignReport::generate_cold(&m, &[1], 2, SocEngine::EventDriven).unwrap();
-        assert_eq!(forked.to_json().unwrap(), cold.to_json().unwrap());
-        assert!(forked.cases.iter().any(|c| c.status != "clean"));
     }
 
     #[test]

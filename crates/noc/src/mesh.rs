@@ -301,7 +301,7 @@ impl Mesh {
     /// flit, statistic, sanitizer ledger and fault trigger counter. The
     /// tracer is *not* captured: it is a live host-side handle, and
     /// trace events already emitted belong to the past of the run being
-    /// forked.
+    /// captured.
     pub fn state(&self) -> MeshState {
         MeshState {
             cycle: self.cycle,
@@ -318,8 +318,7 @@ impl Mesh {
     /// The structural configuration (dimensions, queue depths) is kept;
     /// sanitizer and fault-plan state are *replaced* wholesale —
     /// restoring a fault-free snapshot onto a mesh with an installed plan
-    /// uninstalls that plan, which is what lets one warmed checkpoint
-    /// fork into both healthy and faulty campaign points.
+    /// uninstalls that plan.
     ///
     /// # Panics
     ///

@@ -314,12 +314,13 @@ impl AppBuffers {
 ///
 /// Captured alongside the [`SocSnapshot`]:
 ///
-/// * `alloc` — the contiguous allocator, so a forked runtime can keep
-///   allocating without colliding with buffers the prefix carved out.
+/// * `alloc` — the contiguous allocator, so a restored runtime can keep
+///   allocating without colliding with buffers carved out before the
+///   snapshot.
 /// * `counters` — the cross-run counter accumulation
 ///   ([`EspRuntime::counters`]); runs executed after a restore add onto
-///   exactly the totals the snapshot recorded, so forked and cold-start
-///   counter dumps match byte for byte.
+///   exactly the totals the snapshot recorded, so restored and
+///   cold-start counter dumps match byte for byte.
 ///
 /// Excluded:
 ///
@@ -1025,10 +1026,10 @@ mod tests {
         Ok(())
     }
 
-    /// The fork contract behind shared-prefix memoization: executing the
-    /// load/config prefix once, snapshotting, and forking the snapshot
-    /// across modes must be indistinguishable — metrics, outputs and the
-    /// full final machine state — from a cold start per mode.
+    /// Restore identity: executing the load/config prefix once,
+    /// snapshotting, and restoring the snapshot before each mode must be
+    /// indistinguishable — metrics, outputs and the full final machine
+    /// state — from a cold start per mode.
     #[test]
     fn forked_prefix_runs_match_cold_start() -> Result<(), RuntimeError> {
         let frames = 4;

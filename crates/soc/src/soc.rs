@@ -687,10 +687,7 @@ impl Soc {
     /// `restore(snapshot(s))` resumes byte-identically under both
     /// engines: metrics, counters, sampling rows, trace events, fault
     /// firings and sanitizer verdicts all continue exactly as if the
-    /// original simulation had never been interrupted. This is the
-    /// foundation of shared-prefix forking: simulate a common load/config
-    /// prefix once, snapshot, and fork the snapshot across divergent
-    /// continuations (modes, fault plans, seeds).
+    /// original simulation had never been interrupted.
     pub fn snapshot(&self) -> SocSnapshot {
         SocSnapshot {
             mesh: self.mesh.state(),
@@ -709,8 +706,7 @@ impl Soc {
     /// Reinstates state captured by [`Soc::snapshot`], fully replacing
     /// the current machine state — including sanitizer ledgers and
     /// installed fault plans, so restoring a fault-free snapshot
-    /// *uninstalls* any plan armed since it was taken (this is what lets
-    /// one warmed checkpoint fork into both healthy and faulty runs).
+    /// *uninstalls* any plan armed since it was taken.
     ///
     /// The simulation engine, tracer and [`EngineCounters`] are
     /// untouched: all are host-side concerns, not machine state.
