@@ -24,8 +24,6 @@ pub enum Flag {
     Frames,
     /// `--train`
     Train,
-    /// `--no-train`
-    NoTrain,
     /// `--samples N`
     Samples,
     /// `--epochs N`
@@ -78,7 +76,6 @@ impl Flag {
         match self {
             Flag::Frames => "--frames",
             Flag::Train => "--train",
-            Flag::NoTrain => "--no-train",
             Flag::Samples => "--samples",
             Flag::Epochs => "--epochs",
             Flag::Trace => "--trace",
@@ -122,7 +119,7 @@ impl Flag {
             | Flag::Flame
             | Flag::Metrics
             | Flag::Out => Some("PATH"),
-            Flag::Train | Flag::NoTrain | Flag::Sanitize | Flag::All | Flag::Progress => None,
+            Flag::Train | Flag::Sanitize | Flag::All | Flag::Progress => None,
         }
     }
 
@@ -131,7 +128,6 @@ impl Flag {
         match self {
             Flag::Frames => "simulated frames per measurement point",
             Flag::Train => "train the models on the synthetic dataset first",
-            Flag::NoTrain => "use untrained weights (the default)",
             Flag::Samples => "training samples",
             Flag::Epochs => "training epochs",
             Flag::Trace => "write a Chrome trace_event JSON of every run",
@@ -170,7 +166,6 @@ impl Flag {
 pub const FIGURE_FLAGS: &[Flag] = &[
     Flag::Frames,
     Flag::Train,
-    Flag::NoTrain,
     Flag::Samples,
     Flag::Epochs,
     Flag::Trace,
@@ -191,7 +186,6 @@ pub const FIGURE_FLAGS: &[Flag] = &[
 pub const TABLE_FLAGS: &[Flag] = &[
     Flag::Frames,
     Flag::Train,
-    Flag::NoTrain,
     Flag::Samples,
     Flag::Epochs,
     Flag::Trace,
@@ -507,7 +501,6 @@ fn parse_inner(
         match flag {
             Flag::Frames => out.frames = number()?,
             Flag::Train => out.train = true,
-            Flag::NoTrain => out.train = false,
             Flag::Samples => out.samples = number()? as usize,
             Flag::Epochs => out.epochs = number()? as usize,
             Flag::Trace => out.trace = Some(PathBuf::from(value()?)),
@@ -695,6 +688,8 @@ mod tests {
         assert!(parse_figure(&["--frames", "0"]).is_err());
         // `--fork-prefix` is not an option: every grid point runs cold.
         assert!(parse_figure(&["--fork-prefix"]).is_err());
+        // Untrained weights are the default; there is no switch for them.
+        assert!(parse_figure(&["--no-train"]).is_err());
     }
 
     #[test]

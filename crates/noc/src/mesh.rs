@@ -1012,35 +1012,40 @@ impl Mesh {
         self.sanitizer = Some(san);
     }
 
-    /// Ticks until the network drains or `max_cycles` elapse; returns the
-    /// number of cycles executed.
-    pub fn run_until_idle(&mut self, max_cycles: u64) -> u64 {
-        let start = self.cycle;
-        while !self.is_idle() && self.cycle - start < max_cycles {
-            self.tick();
-        }
-        self.cycle - start
-    }
-
-    /// Ticks the mesh on its own for at most `max` cycles and returns how
-    /// many ran. The loop stops after the first tick that leaves a packet
-    /// in an ejection queue (a tile must take it next cycle), or after the
-    /// tick that leaves the mesh no longer [`Progress::Active`].
+    /// Runs the mesh on its own for at most `max` cycles and returns
+    /// `(elapsed, ticked)`: the cycles that passed, and how many of them
+    /// were ticked rather than jumped. The loop stops at `max` or once a
+    /// packet sits in an ejection queue (a tile must take it next cycle).
+    /// Each turn acts on the mesh's own [`Progress`]: an `Active` mesh
+    /// ticks once, a `Blocked` one jumps to its release cycle and a
+    /// `Quiescent` one jumps over the cycles left, so the result is
+    /// exactly that of ticking the same cycles one by one.
     ///
     /// The SoC calls this while every tile is boring, since such a tile's
     /// tick does not touch the mesh. It then catches the tiles up with
-    /// their `advance`. Each iteration is one [`Mesh::tick`], so the
-    /// result is exactly that of the same ticks run one by one.
-    pub fn tick_alone(&mut self, max: u64) -> u64 {
-        let mut ticks = 0;
-        while ticks < max {
-            self.tick();
-            ticks += 1;
-            if self.occupancy.undelivered > 0 || self.progress() != Progress::Active {
-                break;
-            }
+    /// their `advance`.
+    pub fn run_alone(&mut self, max: u64) -> (u64, u64) {
+        let (mut elapsed, mut ticked) = (0, 0);
+        while elapsed < max && self.occupancy.undelivered == 0 {
+            let left = max - elapsed;
+            elapsed += match self.progress() {
+                Progress::Active => {
+                    self.tick();
+                    ticked += 1;
+                    1
+                }
+                Progress::Blocked { until } => {
+                    let delta = (until - self.cycle).min(left);
+                    self.advance(delta);
+                    delta
+                }
+                Progress::Quiescent => {
+                    self.advance(left);
+                    left
+                }
+            };
         }
-        ticks
+        (elapsed, ticked)
     }
 
     /// Event-driven progress report: the mesh is [`Progress::Active`]
@@ -1050,7 +1055,7 @@ impl Mesh {
     /// any, so the mesh never blocks on an internal latency — except for
     /// packets held by a delay fault, whose absolute release cycle is
     /// reported as [`Progress::Blocked`] so fast-forward stays exact.
-    pub fn progress(&self) -> Progress {
+    fn progress(&self) -> Progress {
         if !self.traffic_idle() || self.undelivered_total() > 0 {
             return Progress::Active;
         }
@@ -1067,7 +1072,7 @@ impl Mesh {
     }
 
     /// Bulk-advances the clock over `delta` traffic-free cycles.
-    pub fn advance(&mut self, delta: u64) {
+    fn advance(&mut self, delta: u64) {
         debug_assert!(
             self.traffic_idle(),
             "mesh fast-forward with traffic in flight would skip flit hops"
@@ -1095,6 +1100,18 @@ impl Mesh {
 mod tests {
     use super::*;
     use crate::MsgKind;
+
+    impl Mesh {
+        /// Ticks until the network drains or `max_cycles` elapse; returns
+        /// the number of cycles executed.
+        pub(super) fn run_until_idle(&mut self, max_cycles: u64) -> u64 {
+            let start = self.cycle;
+            while !self.is_idle() && self.cycle - start < max_cycles {
+                self.tick();
+            }
+            self.cycle - start
+        }
+    }
 
     fn mesh3x3() -> Mesh {
         Mesh::new(MeshConfig::new(3, 3)).expect("valid mesh")
@@ -1309,9 +1326,15 @@ mod tests {
     /// Seeded all-plane traffic on a 5x3 mesh with a shallow ejection
     /// queue, so the snapshot below catches flits in every kind of queue.
     fn loaded_mesh(seed: u64) -> Mesh {
+        loaded_traffic(seed, |_| {})
+    }
+
+    /// [`loaded_mesh`]'s traffic, after `arm` prepares the empty mesh.
+    fn loaded_traffic(seed: u64, arm: fn(&mut Mesh)) -> Mesh {
         let mut cfg = MeshConfig::new(5, 3);
         cfg.eject_queue_depth = 1;
         let mut m = Mesh::new(cfg).expect("valid mesh");
+        arm(&mut m);
         let mut x = seed;
         for _ in 0..60 {
             x ^= x << 13;
@@ -1372,30 +1395,36 @@ mod tests {
         assert_eq!(dst.state(), src.state());
     }
 
-    /// The loop [`Mesh::tick_alone`] must equal, written against the
-    /// public API: tick one cycle at a time, stopping once any ejection
-    /// queue holds a packet, once the network is empty, or after `max`
-    /// ticks.
-    fn tick_one_by_one(m: &mut Mesh, max: u64) -> u64 {
+    /// The loop [`Mesh::run_alone`] must equal, written with single
+    /// public ticks: tick one cycle at a time, stopping once any ejection
+    /// queue holds a packet or after `max` ticks. Returns the ticks and
+    /// how many of them began [active, blocked, quiescent].
+    fn tick_one_by_one(m: &mut Mesh, max: u64) -> (u64, [u64; 3]) {
         let tiles: Vec<Coord> = m.routers.iter().map(Router::coord).collect();
-        let mut ticks = 0;
+        let (mut ticks, mut began) = (0, [0; 3]);
         while ticks < max {
+            began[match m.progress() {
+                Progress::Active => 0,
+                Progress::Blocked { .. } => 1,
+                Progress::Quiescent => 2,
+            }] += 1;
             m.tick();
             ticks += 1;
             let delivered = tiles
                 .iter()
                 .any(|&c| Plane::ALL.iter().any(|&p| m.peek(c, p).is_some()));
-            if delivered || m.is_idle() {
+            if delivered {
                 break;
             }
         }
-        ticks
+        (ticks, began)
     }
 
-    /// A few long seeded packets on a 5x3 mesh: worms stream for many
-    /// cycles between deliveries.
-    fn streaming_mesh(seed: u64) -> Mesh {
+    /// A few long seeded packets on a 5x3 mesh, after `arm` prepares the
+    /// empty mesh: worms stream for many cycles between deliveries.
+    fn streaming_traffic(seed: u64, arm: fn(&mut Mesh)) -> Mesh {
         let mut m = Mesh::new(MeshConfig::new(5, 3)).expect("valid mesh");
+        arm(&mut m);
         let mut x = seed;
         for _ in 0..4 {
             x ^= x << 13;
@@ -1411,11 +1440,39 @@ mod tests {
         m
     }
 
+    fn streaming_mesh(seed: u64) -> Mesh {
+        streaming_traffic(seed, |_| {})
+    }
+
+    /// Streaming traffic whose second and later packets on each DMA plane
+    /// are held for 200 cycles, long after the other worms drain, so the
+    /// mesh blocks on a release cycle. Four packets on two planes put at
+    /// least two on one plane.
+    fn delayed_mesh(seed: u64) -> Mesh {
+        streaming_traffic(seed, |m| {
+            for plane in [Plane::DmaReq, Plane::DmaRsp] {
+                assert!(m.install_fault(&FaultSpec::new(FaultKind::NocDelay {
+                    plane: plane.index(),
+                    from_packet: 1,
+                    count: 3,
+                    extra_cycles: 200,
+                })));
+            }
+        })
+    }
+
+    /// [`loaded_mesh`]'s traffic with the sanitizer armed, so audits run at
+    /// every jump boundary as well as every tick.
+    fn sanitized_mesh(seed: u64) -> Mesh {
+        loaded_traffic(seed, Mesh::enable_sanitizer)
+    }
+
     #[test]
-    fn tick_alone_stops_where_single_ticks_stop() {
-        let (mut delivered, mut drained, mut maxed) = (0, 0, 0);
+    fn run_alone_stops_where_single_ticks_stop() {
+        let (mut delivered, mut released, mut jumped, mut maxed) = (0, 0, 0, 0);
         for seed in [0x9e37_79b9, 0x1234_5678, 0x0bad_cafe] {
-            let meshes: [fn(u64) -> Mesh; 2] = [loaded_mesh, streaming_mesh];
+            let meshes: [fn(u64) -> Mesh; 4] =
+                [loaded_mesh, streaming_mesh, delayed_mesh, sanitized_mesh];
             for make in meshes {
                 let mut alone = make(seed);
                 let mut single = make(seed);
@@ -1430,23 +1487,31 @@ mod tests {
                             }
                         }
                     }
-                    if alone.is_idle() {
-                        break;
-                    }
+                    // One last call on the drained mesh jumps it.
+                    let drained = alone.is_idle();
                     let max = [1_000, 5, 1][(call % 3) as usize];
-                    let ran = alone.tick_alone(max);
+                    let (elapsed, ticked) = alone.run_alone(max);
+                    let (ticks, began) = tick_one_by_one(&mut single, max);
                     let context = format!("seed {seed:#x}, call {call}");
-                    assert_eq!(ran, tick_one_by_one(&mut single, max), "{context}");
+                    assert_eq!((elapsed, ticked), (ticks, began[0]), "{context}");
+                    // The state holds the sanitizer's ledger too.
                     assert_eq!(alone.state(), single.state(), "{context}");
                     delivered += usize::from(alone.undelivered_total() > 0);
-                    drained += usize::from(alone.is_idle());
-                    maxed += usize::from(ran == max && max > 1 && alone.undelivered_total() == 0);
+                    released += usize::from(began[1] > 0);
+                    jumped += usize::from(began[2] > 0);
+                    maxed += usize::from(
+                        !drained && elapsed == max && max > 1 && alone.undelivered_total() == 0,
+                    );
+                    if drained {
+                        break;
+                    }
                 }
             }
         }
         assert!(
-            delivered > 0 && drained > 0 && maxed > 0,
-            "{delivered} deliveries, {drained} drains, {maxed} max stops"
+            delivered > 0 && released > 0 && jumped > 0 && maxed > 0,
+            "{delivered} deliveries, {released} release jumps, {jumped} quiescent jumps, \
+             {maxed} max stops"
         );
     }
 
@@ -1865,5 +1930,244 @@ mod sanitizer_tests {
         let m = Mesh::new(MeshConfig::new(2, 2)).unwrap();
         assert!(!m.sanitizer_enabled());
         assert!(m.sanitizer_report().is_none());
+    }
+}
+
+#[cfg(test)]
+mod exactness_tests {
+    //! Exactness golden for the mesh's cycle-level behaviour.
+    //!
+    //! Seeded traffic on a 5×3 mesh (the Fig. 7 floorplan size) exercises all
+    //! six planes with hot-spot contention, injection back-pressure and a
+    //! shallow ejection queue that the consumer drains slowly, so credit
+    //! stalls and back-pressure into the routers both occur. The test folds
+    //! every delivered packet (destination, plane, delivery cycle, payload),
+    //! the final [`NocStats`], the link heatmap and every router's per-plane
+    //! credit stalls into one FNV-1a digest and pins it. Any change to
+    //! arbitration order, credit reservation or timing moves the digest; a
+    //! pure host-side optimisation of the mesh must leave it untouched.
+
+    use super::*;
+    use crate::MsgKind;
+    use std::collections::VecDeque;
+    use std::fmt::Write;
+
+    const COLS: usize = 5;
+    const ROWS: usize = 3;
+
+    /// xorshift64*: a tiny deterministic generator, so the golden does not
+    /// depend on any external RNG's stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            let mut x = self.0;
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            self.0 = x;
+            x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// A canonical message kind for each plane.
+    fn kind_for(plane: Plane) -> MsgKind {
+        match plane {
+            Plane::CohReq | Plane::CohFwd | Plane::CohRsp => MsgKind::Coherence,
+            Plane::DmaReq => MsgKind::DmaLoadReq,
+            Plane::DmaRsp => MsgKind::DmaData,
+            Plane::IoIrq => MsgKind::RegWrite,
+        }
+    }
+
+    fn coord(i: usize) -> Coord {
+        Coord::new((i % COLS) as u8, (i / COLS) as u8)
+    }
+
+    struct Outcome {
+        digest: u64,
+        delivered: usize,
+        injected: usize,
+        credit_stalls: u64,
+        max_ejected_backlog: usize,
+        /// Packets delivered per plane.
+        per_plane: [usize; Plane::COUNT],
+    }
+
+    /// Drives seeded traffic for `traffic_cycles`, then drains the mesh, and
+    /// returns the digest of everything observable.
+    fn run(seed: u64, traffic_cycles: u64, faulted: bool) -> Outcome {
+        let mut cfg = MeshConfig::new(COLS, ROWS);
+        cfg.eject_queue_depth = 2;
+        cfg.inject_queue_depth = 48;
+        let mut mesh = Mesh::new(cfg).expect("valid mesh");
+        if faulted {
+            mesh.enable_sanitizer();
+            assert!(mesh.install_fault(&FaultSpec::new(FaultKind::NocDelay {
+                plane: Plane::DmaRsp.index(),
+                from_packet: 5,
+                count: 3,
+                extra_cycles: 37,
+            })));
+        }
+        let mut rng = Rng(seed);
+        let n = COLS * ROWS;
+        // Shadow of each (tile, plane) ejection queue: the cycle each packet
+        // became visible, so the digest records the true delivery cycle.
+        let mut arrivals: Vec<VecDeque<u64>> = vec![VecDeque::new(); n * Plane::COUNT];
+        let mut seen: Vec<usize> = vec![0; n * Plane::COUNT];
+        let mut log = String::new();
+        let (mut injected, mut delivered, mut max_backlog) = (0usize, 0usize, 0usize);
+        let mut per_plane = [0usize; Plane::COUNT];
+        let hot = Coord::new(4, 1);
+        let mut cycle = 0u64;
+        loop {
+            let traffic = cycle < traffic_cycles;
+            // Bursts with quiet gaps, so the mesh also drains (and ticks
+            // empty) between bursts, not only at the end.
+            if traffic && cycle % 400 < 300 {
+                for t in 0..n {
+                    if rng.below(4) != 0 {
+                        continue;
+                    }
+                    let plane = Plane::ALL[rng.below(Plane::COUNT as u64) as usize];
+                    // Half the traffic converges on one hot spot (contention);
+                    // the rest is uniform, self-delivery included.
+                    let dest = if rng.below(2) == 0 {
+                        hot
+                    } else {
+                        coord(rng.below(n as u64) as usize)
+                    };
+                    let words = rng.below(9) as usize;
+                    let payload: Vec<u64> = (0..words).map(|_| rng.next()).collect();
+                    let pkt = Packet::new(coord(t), dest, plane, kind_for(plane), payload);
+                    if mesh.inject(pkt).is_ok() {
+                        injected += 1;
+                    }
+                }
+            }
+            mesh.tick();
+            cycle += 1;
+            for t in 0..n {
+                for plane in Plane::ALL {
+                    let slot = t * Plane::COUNT + plane.index();
+                    let len = mesh.delivered_len(coord(t), plane);
+                    max_backlog = max_backlog.max(len);
+                    for _ in seen[slot]..len {
+                        arrivals[slot].push_back(mesh.cycle());
+                    }
+                    seen[slot] = len;
+                    // A slow consumer: drain with probability 1/3 while traffic
+                    // runs, every cycle once it stops.
+                    if len > 0 && (!traffic || rng.below(3) == 0) {
+                        let pkt = mesh.eject(coord(t), plane).expect("non-empty");
+                        seen[slot] -= 1;
+                        let at = arrivals[slot].pop_front().expect("arrival recorded");
+                        let d = pkt.dest();
+                        write!(
+                            log,
+                            "{},{} {} {} {} {:?}|",
+                            d.x,
+                            d.y,
+                            plane.index(),
+                            at,
+                            pkt.inject_cycle(),
+                            pkt.payload()
+                        )
+                        .expect("write to string");
+                        delivered += 1;
+                        per_plane[plane.index()] += 1;
+                    }
+                }
+            }
+            // The scheduler-facing views are part of the observable behaviour.
+            if cycle.is_multiple_of(97) {
+                let p = match mesh.progress() {
+                    Progress::Active => "A".to_string(),
+                    Progress::Quiescent => "Q".to_string(),
+                    Progress::Blocked { until } => format!("B{until}"),
+                };
+                write!(
+                    log,
+                    "@{cycle} {p} {} {}|",
+                    mesh.is_idle(),
+                    mesh.undelivered_total()
+                )
+                .expect("write to string");
+            }
+            if !traffic && mesh.is_idle() && mesh.undelivered_total() == 0 {
+                break;
+            }
+            assert!(cycle < traffic_cycles + 100_000, "mesh failed to drain");
+        }
+        let heatmap = mesh.link_heatmap();
+        let mut credit_stalls = 0u64;
+        for t in 0..n {
+            for plane in Plane::ALL {
+                let s = mesh.router(coord(t)).credit_stalls(plane);
+                credit_stalls += s;
+                write!(log, "cs{t}.{}={s}|", plane.index()).expect("write to string");
+            }
+        }
+        log.push_str(&serde_json::to_string(mesh.stats()).expect("stats serialize"));
+        log.push_str(&serde_json::to_string(&heatmap).expect("heatmap serialize"));
+        if faulted {
+            let report = mesh.sanitizer_report().expect("sanitizer installed");
+            assert!(report.is_clean(), "{report}");
+            assert_eq!(mesh.faults_fired(), 3);
+        }
+        Outcome {
+            digest: fnv1a64(log.as_bytes()),
+            delivered,
+            injected,
+            credit_stalls,
+            max_ejected_backlog: max_backlog,
+            per_plane,
+        }
+    }
+
+    fn check_coverage(o: &Outcome) {
+        assert_eq!(
+            o.delivered, o.injected,
+            "every injected packet is delivered"
+        );
+        assert!(o.injected > 1_000, "traffic too light: {}", o.injected);
+        assert!(
+            o.credit_stalls > 0,
+            "no credit stalls: contention not exercised"
+        );
+        assert_eq!(o.max_ejected_backlog, 2, "ejection queue never filled");
+        assert!(
+            o.per_plane.iter().all(|&p| p > 0),
+            "idle plane: {:?}",
+            o.per_plane
+        );
+    }
+
+    #[test]
+    fn seeded_contended_traffic_matches_golden_digest() {
+        let o = run(0x5eed_0001, 2_000, false);
+        check_coverage(&o);
+        assert_eq!(o.digest, 0x3d56_da80_7510_1b5b, "digest {:#018x}", o.digest);
+    }
+
+    #[test]
+    fn faulted_sanitized_traffic_matches_golden_digest() {
+        let o = run(0x5eed_0002, 1_500, true);
+        check_coverage(&o);
+        assert_eq!(o.digest, 0xc671_697b_1a45_954d, "digest {:#018x}", o.digest);
     }
 }

@@ -6,7 +6,8 @@
 //! DVFS-divided datapath burning compute cycles, an accelerator spinning
 //! on data that has not arrived. Every component therefore follows one
 //! three-method convention, as inherent methods the SoC driver calls
-//! directly:
+//! directly (the mesh calls its own `progress` and `advance` inside
+//! `Mesh::run_alone`):
 //!
 //! - `tick` advances the component by one cycle (tiles tick against the
 //!   mesh) and returns nothing;
@@ -32,9 +33,10 @@
 //! 4. A tile that is not `Active` and has no delivered packet in its
 //!    ejection queues is inert, whatever the mesh is doing: its tick
 //!    touches no mesh state (it ejects nothing and injects nothing), so
-//!    the mesh may tick alone while the tile catches up later through
-//!    `advance`. This is what lets the driver tick only the mesh while
-//!    flits are in flight and every tile is boring.
+//!    the mesh may run alone while the tile catches up later through
+//!    `advance`. This is what lets the driver hand every boring span to
+//!    `Mesh::run_alone`, which ticks the mesh through traffic and jumps
+//!    it over idle stretches, applying its own `progress`/`advance`.
 
 /// What a component did (or can do) at a given cycle, plus a hint about
 /// when it next needs to be ticked.

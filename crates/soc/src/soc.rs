@@ -23,8 +23,9 @@ use std::collections::HashMap;
 pub enum SocEngine {
     /// Tick every component every cycle — the reference oracle.
     Naive,
-    /// Skip spans where every component is blocked or quiescent by
-    /// jumping the clock to the earliest wake cycle. Cycle-exact with
+    /// Hand every span in which all tiles are blocked or quiescent to
+    /// the mesh, which ticks through its traffic and jumps its clock
+    /// over idle stretches; the tiles catch up in bulk. Cycle-exact with
     /// [`SocEngine::Naive`]: identical metrics, counters, sampling rows
     /// and trace events.
     #[default]
@@ -56,14 +57,14 @@ impl SocEngine {
 pub struct EngineCounters {
     /// Cycles executed by a full [`Soc::tick`] of every component.
     pub ticked_cycles: u64,
-    /// Cycles on which only the mesh ticked, every tile being boring and
-    /// caught up afterwards (always zero under [`SocEngine::Naive`]).
-    pub mesh_only_cycles: u64,
-    /// Cycles skipped by event-driven fast-forward (always zero under
+    /// Cycles of a boring span on which only the mesh ticked, every tile
+    /// being caught up afterwards (always zero under
     /// [`SocEngine::Naive`]).
+    pub mesh_only_cycles: u64,
+    /// Cycles of a boring span that the mesh jumped over instead of
+    /// ticking, being idle or holding only fault-delayed packets (always
+    /// zero under [`SocEngine::Naive`]).
     pub fast_forwarded_cycles: u64,
-    /// Fast-forward jumps taken.
-    pub fast_forward_spans: u64,
     /// Accelerator kernel computations run (one per
     /// [`crate::AcceleratorKernel::compute`] call, summed over all tiles).
     pub kernel_invocations: u64,
@@ -662,8 +663,8 @@ impl Soc {
     }
 
     /// How the engine has advanced the clock so far: cycles ticked,
-    /// mesh-only cycles, cycles fast-forwarded, fast-forward spans and
-    /// kernel computations (see [`EngineCounters`]).
+    /// mesh-only cycles, cycles fast-forwarded and kernel computations
+    /// (see [`EngineCounters`]).
     pub fn engine_counters(&self) -> EngineCounters {
         EngineCounters {
             kernel_invocations: self
@@ -785,7 +786,7 @@ impl Soc {
         self.finish_cycle();
     }
 
-    /// The end of an executed cycle, after [`Soc::tick`] or a mesh-only
+    /// The end of an executed cycle, after [`Soc::tick`] or a boring
     /// span: records the [`CounterSeries`] row when the cycle is on the
     /// sampling grid, then runs the sanitizer audit.
     fn finish_cycle(&mut self) {
@@ -805,45 +806,34 @@ impl Soc {
     /// Advances the SoC by at least one and at most `limit` cycles and
     /// returns how many elapsed.
     ///
-    /// Under [`SocEngine::EventDriven`] one pass over the tiles merges
-    /// their progress reports, and the step takes one of three paths:
+    /// Under [`SocEngine::EventDriven`] the step takes one of two paths:
     ///
-    /// - **Nothing is active.** The clock jumps over the boring span, up
-    ///   to the earliest wake cycle, or through the whole `limit` when
-    ///   everything is quiescent (idle or deadlocked). Latency
-    ///   countdowns, statistics and [`CounterSeries`] sampling points
-    ///   advance in bulk; then the interesting cycle executes normally.
-    /// - **Only the mesh is active**, with no packet waiting in an
-    ///   ejection queue. A boring tile's tick does not touch the mesh,
-    ///   so the mesh ticks alone ([`Mesh::tick_alone`]) until it
-    ///   delivers a packet or drains, or until the tiles' earliest wake
-    ///   cycle, `limit` or the next sampling cycle. The tiles then catch
-    ///   up in bulk before `step` returns, and a sampling row due at the
-    ///   last cycle is recorded as [`Soc::tick`] records it.
+    /// - **Boring span.** No packet waits in an ejection queue and every
+    ///   tile is boring for a while. A boring tile's tick does not touch
+    ///   the mesh, so the mesh runs alone ([`Mesh::run_alone`]), ticking
+    ///   through traffic and jumping over idle stretches, until it
+    ///   delivers a packet, or until the tiles' earliest wake cycle,
+    ///   `limit` or the next sampling cycle. The tiles then catch up in
+    ///   bulk, and a sampling row due at the span's last cycle is
+    ///   recorded as [`Soc::tick`] records it.
     /// - **Otherwise** one [`Soc::tick`].
     ///
     /// Under [`SocEngine::Naive`] this is exactly one [`Soc::tick`].
     pub fn step(&mut self, limit: u64) -> u64 {
         debug_assert!(limit > 0, "step needs a non-zero cycle budget");
-        if self.engine == SocEngine::EventDriven {
+        if self.engine == SocEngine::EventDriven && self.mesh.undelivered_total() == 0 {
             let now = self.mesh.cycle();
-            let tiles = self.tile_progress(now);
-            if let Some(tiles_boring) = boring_cycles(tiles, now) {
-                match boring_cycles(self.mesh.progress().merge(tiles), now) {
-                    Some(boring) => {
-                        let skip = boring.min(limit);
-                        self.advance_time(skip);
-                        if skip == limit {
-                            return skip;
-                        }
-                        self.tick();
-                        return skip + 1;
-                    }
-                    None if self.mesh.undelivered_total() == 0 => {
-                        return self.tick_mesh_alone(tiles_boring.min(limit));
-                    }
-                    None => {}
-                }
+            if let Some(boring) = boring_cycles(self.tile_progress(now), now) {
+                let to_sample = self
+                    .series
+                    .as_ref()
+                    .map_or(u64::MAX, |s| (now / s.every() + 1) * s.every() - now);
+                let (elapsed, ticked) = self.mesh.run_alone(boring.min(limit).min(to_sample));
+                self.counters.mesh_only_cycles += ticked;
+                self.counters.fast_forwarded_cycles += elapsed - ticked;
+                self.advance_tiles(elapsed);
+                self.finish_cycle();
+                return elapsed;
             }
         }
         self.tick();
@@ -861,23 +851,6 @@ impl Soc {
             .fold(Progress::Quiescent, Progress::merge)
     }
 
-    /// Ticks the mesh alone for at most `max` cycles, every tile being
-    /// boring for that long, then catches the tiles up. Stops early on
-    /// the next sampling cycle, a delivery or a drained mesh. Returns
-    /// the cycles elapsed.
-    fn tick_mesh_alone(&mut self, max: u64) -> u64 {
-        let now = self.mesh.cycle();
-        let to_sample = self
-            .series
-            .as_ref()
-            .map_or(u64::MAX, |s| (now / s.every() + 1) * s.every() - now);
-        let ticks = self.mesh.tick_alone(max.min(to_sample));
-        self.counters.mesh_only_cycles += ticks;
-        self.advance_tiles(ticks);
-        self.finish_cycle();
-        ticks
-    }
-
     /// Applies `delta` boring cycles to every tile's countdowns and
     /// statistics (the processor tiles keep no per-cycle state).
     fn advance_tiles(&mut self, delta: u64) {
@@ -886,33 +859,6 @@ impl Soc {
         }
         for t in &mut self.mem_tiles {
             t.advance(delta);
-        }
-    }
-
-    /// Bulk-applies `delta` boring cycles: every tile's internal
-    /// countdowns and statistics advance as if ticked `delta` times, the
-    /// mesh clock jumps, and any [`CounterSeries`] sampling point inside
-    /// the span is emitted exactly as the naive engine would have (only
-    /// `soc.cycles` moves during a boring span; every other counter
-    /// plateaus).
-    fn advance_time(&mut self, delta: u64) {
-        self.counters.fast_forwarded_cycles += delta;
-        self.counters.fast_forward_spans += 1;
-        let start = self.mesh.cycle();
-        self.advance_tiles(delta);
-        self.mesh.advance(delta);
-        if let Some(every) = self.series.as_ref().map(CounterSeries::every) {
-            let mut due = (start / every + 1) * every;
-            while due <= start + delta {
-                let mut reg = self.counter_registry();
-                reg.set("soc.cycles", due);
-                let snap = reg.snapshot();
-                self.series.as_mut().expect("sampling on").record(due, snap);
-                due += every;
-            }
-        }
-        if self.sanitizer.is_some() {
-            self.sanitize_audit();
         }
     }
 
@@ -948,7 +894,7 @@ impl Soc {
     /// every quiescent point. Promoted tile-level invariant asserts fire
     /// as typed diagnostics in release builds too.
     ///
-    /// Audits run after every tick and at every fast-forward boundary,
+    /// Audits run after every tick and at the end of every boring span,
     /// and verdicts are deduplicated, so [`SocEngine::Naive`] and
     /// [`SocEngine::EventDriven`] produce byte-identical reports.
     pub fn enable_sanitizer(&mut self) {
@@ -1008,7 +954,7 @@ impl Soc {
         Some(DeadlockDiagnosis { blocked, cycle })
     }
 
-    /// SoC-level sanitizer audit, run at every tick and fast-forward
+    /// SoC-level sanitizer audit, run at every tick and boring-span
     /// boundary: end-to-end DMA word accounting across the accelerator
     /// sockets. The conservation law only holds at quiescent points
     /// (in-flight bursts are legitimately unaccounted), so the audit
@@ -2208,14 +2154,12 @@ mod engine_equivalence_tests {
         assert_eq!(n.ticked_cycles, naive.cycle());
         assert_eq!(n.mesh_only_cycles, 0);
         assert_eq!(n.fast_forwarded_cycles, 0);
-        assert_eq!(n.fast_forward_spans, 0);
         assert_eq!(
             e.ticked_cycles + e.mesh_only_cycles + e.fast_forwarded_cycles,
             event.cycle()
         );
         assert!(e.mesh_only_cycles > 0, "mesh-only stepping never engaged");
-        assert!(e.fast_forward_spans > 0, "fast-forward never engaged");
-        assert!(e.fast_forwarded_cycles >= e.fast_forward_spans);
+        assert!(e.fast_forwarded_cycles > 0, "fast-forward never engaged");
         assert!(e.ticked_cycles < n.ticked_cycles);
         // One accelerator ran two frames under each engine.
         assert_eq!((n.kernel_invocations, e.kernel_invocations), (2, 2));
@@ -2424,7 +2368,7 @@ mod engine_equivalence_tests {
 
     #[test]
     fn engines_agree_on_sanitizer_verdict() {
-        // The event-driven engine audits only at tick and fast-forward
+        // The event-driven engine audits only at tick and boring-span
         // boundaries, yet its (deduplicated) verdict must be
         // byte-identical to the naive engine's per-cycle audit.
         let run = |engine: SocEngine| {
