@@ -2,7 +2,7 @@
 
 use crate::flit::{Flit, ReasmViolation, Reassembler};
 use crate::heatmap::{LinkLoad, NocHeatmap, PlaneHeatmap};
-use crate::router::{Port, Router, RouterConfig, RouterState, Transfer};
+use crate::router::{xy_port, Port, Router, RouterConfig, RouterState, Transfer};
 use crate::sanitizer::{expected_planes, plane_carries, MeshSanitizer};
 use crate::schedule::Progress;
 use crate::{Coord, MsgKind, NocError, NocStats, Packet, Plane};
@@ -154,6 +154,8 @@ pub struct Mesh {
     occupancy: Occupancy,
     /// Per-tick scratch buffers, owned so a tick allocates nothing.
     scratch: TickScratch,
+    /// Lone-stream jump buffers, owned so a jump allocates nothing.
+    stream: StreamScratch,
 }
 
 /// Cached flit and packet counts that let [`Mesh::tick`] and the idle
@@ -218,6 +220,28 @@ struct TickScratch {
     transfers: Vec<Transfer>,
 }
 
+/// One router on a lone stream's XY path: its tile, the input port the
+/// stream enters by and the output it leaves by.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    tile: usize,
+    inp: Port,
+    out: Port,
+}
+
+/// Buffers a lone-stream jump fills and drains; kept across jumps for
+/// their capacity only.
+#[derive(Debug, Default)]
+struct StreamScratch {
+    /// The stream's path, source router first, destination router last;
+    /// a flit at path position `k` waits in `path[k]`'s input `inp`.
+    path: Vec<Hop>,
+    /// The flits a jump moves with their path positions, furthest along
+    /// (earliest in the stream) first. The `i`-th flit of the injection
+    /// queue sits at position `-i`.
+    lane: Vec<(i64, Flit)>,
+}
+
 impl Mesh {
     /// Builds a mesh from a configuration.
     ///
@@ -252,6 +276,7 @@ impl Mesh {
                 free: vec![[[0; Port::COUNT]; Plane::COUNT]; cols * rows],
                 ..TickScratch::default()
             },
+            stream: StreamScratch::default(),
         })
     }
 
@@ -360,8 +385,7 @@ impl Mesh {
     ///
     /// Panics if no sanitizer is installed or `coord` is out of bounds.
     pub fn fault_leak_credit(&mut self, coord: Coord, plane: Plane, port: Port) {
-        self.check_bounds(coord).expect("coordinate in bounds");
-        let i = self.tile_index(coord);
+        let i = self.checked_index(coord);
         self.sanitizer
             .as_deref_mut()
             .expect("sanitizer installed")
@@ -410,6 +434,14 @@ impl Mesh {
 
     fn tile_index(&self, c: Coord) -> usize {
         c.y as usize * self.config.cols + c.x as usize
+    }
+
+    /// [`Mesh::tile_index`] for a coordinate from outside the mesh, which
+    /// must be checked: out of bounds, the index would alias another
+    /// tile (on a 5x3 mesh, `(6,0)` is tile `(1,1)`).
+    fn checked_index(&self, c: Coord) -> usize {
+        self.check_bounds(c).expect("coordinate in bounds");
+        self.tile_index(c)
     }
 
     fn check_bounds(&self, c: Coord) -> Result<(), NocError> {
@@ -475,20 +507,26 @@ impl Mesh {
     ///
     /// Panics if `coord` is outside the mesh.
     pub fn router(&self, coord: Coord) -> &Router {
-        self.check_bounds(coord).expect("coordinate in bounds");
-        let i = self.tile_index(coord);
-        &self.routers[i]
+        &self.routers[self.checked_index(coord)]
     }
 
     /// Free flit slots in the injection queue of `(coord, plane)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coord` is outside the mesh.
     pub fn inject_capacity(&self, coord: Coord, plane: Plane) -> usize {
-        let i = self.tile_index(coord);
+        let i = self.checked_index(coord);
         self.config
             .inject_queue_depth
             .saturating_sub(self.endpoints[i][plane.index()].inject.len())
     }
 
     /// Whether a packet of the given flit length can be injected now.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coord` is outside the mesh.
     pub fn can_inject(&self, coord: Coord, plane: Plane, flit_len: usize) -> bool {
         self.inject_capacity(coord, plane) >= flit_len
     }
@@ -699,14 +737,22 @@ impl Mesh {
 
     /// Returns a reference to the oldest delivered packet at `(coord,
     /// plane)` without removing it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coord` is outside the mesh.
     pub fn peek(&self, coord: Coord, plane: Plane) -> Option<&Packet> {
-        let i = self.tile_index(coord);
+        let i = self.checked_index(coord);
         self.endpoints[i][plane.index()].eject.front()
     }
 
     /// Removes and returns the oldest delivered packet at `(coord, plane)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coord` is outside the mesh.
     pub fn eject(&mut self, coord: Coord, plane: Plane) -> Option<Packet> {
-        let i = self.tile_index(coord);
+        let i = self.checked_index(coord);
         let pkt = self.endpoints[i][plane.index()].eject.pop_front();
         if pkt.is_some() {
             self.occupancy.undelivered -= 1;
@@ -715,8 +761,12 @@ impl Mesh {
     }
 
     /// Number of delivered packets waiting at `(coord, plane)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coord` is outside the mesh.
     pub fn delivered_len(&self, coord: Coord, plane: Plane) -> usize {
-        let i = self.tile_index(coord);
+        let i = self.checked_index(coord);
         self.endpoints[i][plane.index()].eject.len()
     }
 
@@ -1013,27 +1063,52 @@ impl Mesh {
     }
 
     /// Runs the mesh on its own for at most `max` cycles and returns
-    /// `(elapsed, ticked)`: the cycles that passed, and how many of them
-    /// were ticked rather than jumped. The loop stops at `max` or once a
-    /// packet sits in an ejection queue (a tile must take it next cycle).
-    /// Each turn acts on the mesh's own [`Progress`]: an `Active` mesh
-    /// ticks once, a `Blocked` one jumps to its release cycle and a
-    /// `Quiescent` one jumps over the cycles left, so the result is
-    /// exactly that of ticking the same cycles one by one.
+    /// `(elapsed, ticked, streamed)`: the cycles that passed, how many of
+    /// them were ticked, and how many were jumped while one lone worm
+    /// stream carried every flit. The rest were jumped over idle or
+    /// fault-held stretches. The loop stops at `max` or once a packet
+    /// sits in an ejection queue (a tile must take it next cycle). Each
+    /// turn acts on the mesh's own [`Progress`]:
+    ///
+    /// - an `Active` mesh whose flits all belong to one lone stream
+    ///   (below) jumps in closed form to the tick before the stream's
+    ///   next tail ejects, or to the first queued flit bound elsewhere;
+    /// - any other `Active` mesh ticks once;
+    /// - a `Blocked` one jumps to its release cycle;
+    /// - a `Quiescent` one jumps over the cycles left.
+    ///
+    /// A *lone stream* is one `(source, destination, plane)` with
+    /// `source != destination` that holds every queued flit, at most one
+    /// per router and each in the input port its XY path position
+    /// implies, the source router holding none, with no packet
+    /// undelivered and no fault plan or sanitizer installed. Every flit
+    /// of such a stream then moves one hop per cycle and nothing else in
+    /// the mesh moves, so the jump credits the same link counters,
+    /// wormhole locks, round-robin pointers and flit hops as ticking
+    /// would, and leaves every flit where ticking would. The tick that
+    /// delivers a packet is always a real tick. So the result is exactly
+    /// that of ticking the same cycles one by one.
     ///
     /// The SoC calls this while every tile is boring, since such a tile's
     /// tick does not touch the mesh. It then catches the tiles up with
     /// their `advance`.
-    pub fn run_alone(&mut self, max: u64) -> (u64, u64) {
-        let (mut elapsed, mut ticked) = (0, 0);
+    pub fn run_alone(&mut self, max: u64) -> (u64, u64, u64) {
+        let (mut elapsed, mut ticked, mut streamed) = (0, 0, 0);
         while elapsed < max && self.occupancy.undelivered == 0 {
             let left = max - elapsed;
             elapsed += match self.progress() {
-                Progress::Active => {
-                    self.tick();
-                    ticked += 1;
-                    1
-                }
+                Progress::Active => match self.stream_horizon(left) {
+                    Some((plane, delta)) => {
+                        self.jump_stream(plane, delta);
+                        streamed += delta;
+                        delta
+                    }
+                    None => {
+                        self.tick();
+                        ticked += 1;
+                        1
+                    }
+                },
                 Progress::Blocked { until } => {
                     let delta = (until - self.cycle).min(left);
                     self.advance(delta);
@@ -1045,7 +1120,165 @@ impl Mesh {
                 }
             };
         }
-        (elapsed, ticked)
+        (elapsed, ticked, streamed)
+    }
+
+    /// When one lone stream (see [`Mesh::run_alone`]) holds every flit,
+    /// returns its plane and how many cycles, at most `left`, it can be
+    /// jumped: up to the tick before its first tail ejects, and short of
+    /// injecting the first queued flit bound elsewhere. The stream's path
+    /// is left in `self.stream.path`. `None` when there is no lone stream
+    /// or it cannot move a cycle without delivering.
+    fn stream_horizon(&mut self, left: u64) -> Option<(Plane, u64)> {
+        // A stream flit's downstream router queue holds at most the flit
+        // ahead of it, so it always has room when queues are two deep.
+        if self.faults.is_some()
+            || self.sanitizer.is_some()
+            || self.occupancy.undelivered > 0
+            || self.config.router.input_queue_depth < 2
+            || self.config.eject_queue_depth == 0
+        {
+            return None;
+        }
+        let (src_tile, plane, dest) = if self.occupancy.inject_total > 0 {
+            let ti = self.occupancy.inject.iter().position(|&n| n > 0)?;
+            let pi = self.endpoints[ti]
+                .iter()
+                .position(|ep| !ep.inject.is_empty())?;
+            let front = self.endpoints[ti][pi].inject.front()?;
+            (ti, Plane::ALL[pi], front.dest)
+        } else {
+            let (plane, _, flit) = self.routers.iter().find(|r| r.queued() > 0)?.lone_flit()?;
+            (self.tile_index(flit.src), plane, flit.dest)
+        };
+        let queue = &self.endpoints[src_tile][plane.index()].inject;
+        let src = self.routers[src_tile].coord();
+        if queue.len() != self.occupancy.inject_total
+            || src == dest
+            || self.routers[src_tile].queued() > 0
+        {
+            return None;
+        }
+        let cols = self.config.cols;
+        let path = &mut self.stream.path;
+        path.clear();
+        let (mut here, mut inp) = (src, Port::Local);
+        loop {
+            let out = xy_port(here, dest);
+            path.push(Hop {
+                tile: here.y as usize * cols + here.x as usize,
+                inp,
+                out,
+            });
+            if out == Port::Local {
+                break;
+            }
+            here = out.step(here).expect("XY stays in the mesh");
+            inp = out.opposite();
+        }
+        // A flit at position `k` ejects on the `(len - k + 1)`-th tick.
+        let len = path.len() as u64 - 1;
+        let (mut bound, mut held) = (left, 0);
+        for (k, hop) in path.iter().enumerate().skip(1).rev() {
+            let router = &self.routers[hop.tile];
+            if router.queued() == 0 {
+                continue;
+            }
+            let (p, port, flit) = router.lone_flit()?;
+            if p != plane || port != hop.inp || flit.src != src || flit.dest != dest {
+                return None;
+            }
+            held += 1;
+            if flit.kind.is_tail() {
+                bound = bound.min(len - k as u64);
+            }
+        }
+        if held != self.occupancy.routed {
+            return None;
+        }
+        // Queued flit `i` is injected on the `(i + 1)`-th tick.
+        for (i, flit) in (0..).zip(queue) {
+            if i >= bound {
+                break;
+            }
+            if flit.dest != dest {
+                bound = i;
+            } else if flit.kind.is_tail() {
+                bound = bound.min(len + i);
+            }
+        }
+        (bound > 0).then_some((plane, bound))
+    }
+
+    /// Jumps the lone stream on `plane` whose path
+    /// [`Mesh::stream_horizon`] left in `self.stream.path` by `delta`
+    /// cycles, which that horizon allows: every flit moves `delta` path
+    /// positions, the ones passing the destination enter its reassembler,
+    /// and every output crossed is credited as its crossings would.
+    fn jump_stream(&mut self, plane: Plane, delta: u64) {
+        let pi = plane.index();
+        let StreamScratch { path, lane } = &mut self.stream;
+        let len = path.len() as i64 - 1;
+        lane.clear();
+        for (k, hop) in path.iter().enumerate().skip(1).rev() {
+            if let Some(flit) = self.routers[hop.tile].pop_input(plane, hop.inp) {
+                lane.push((k as i64, flit));
+            }
+        }
+        let held = lane.len();
+        let queue = &mut self.endpoints[path[0].tile][pi].inject;
+        let injected = queue.len().min(delta as usize);
+        lane.extend((0..).zip(queue.drain(..injected)).map(|(i, f)| (-i, f)));
+        // The output of path[k] carries, in stream order, the lane's flits
+        // at positions (k - delta, k]: a window sliding along the lane.
+        let delta = delta as i64;
+        let (mut lo, mut hi, mut last_tail, mut hops) = (0, 0, None, 0);
+        for (k, hop) in path.iter().enumerate().rev() {
+            let k = k as i64;
+            while lo < lane.len() && lane[lo].0 > k {
+                lo += 1;
+            }
+            while hi < lane.len() && lane[hi].0 > k - delta {
+                if lane[hi].1.kind.is_tail() {
+                    last_tail = Some(hi);
+                }
+                hi += 1;
+            }
+            if hi > lo {
+                let crossed = (hi - lo) as u64;
+                self.routers[hop.tile].credit_stream(
+                    plane,
+                    (hop.inp, hop.out),
+                    crossed,
+                    last_tail.is_some_and(|t| t >= lo),
+                    lane[hi - 1].1.kind.is_tail(),
+                );
+                if hop.out != Port::Local {
+                    hops += crossed;
+                }
+            }
+        }
+        let dest = path[len as usize].tile;
+        let mut placed = 0;
+        for (k, flit) in lane.drain(..) {
+            match path.get((k + delta) as usize) {
+                Some(hop) => {
+                    self.routers[hop.tile].push_input(plane, hop.inp, flit);
+                    placed += 1;
+                }
+                None => {
+                    let (done, violation) = self.endpoints[dest][pi].reasm.push(flit);
+                    debug_assert!(done.is_none() && violation.is_none(), "{violation:?}");
+                }
+            }
+        }
+        let src = path[0].tile;
+        self.occupancy.inject[src] -= injected;
+        self.occupancy.inject_total -= injected;
+        self.occupancy.routed = self.occupancy.routed + placed - held;
+        self.stats.plane_mut(plane).flit_hops += hops;
+        self.cycle += delta as u64;
+        self.stats.cycles = self.cycle;
     }
 
     /// Event-driven progress report: the mesh is [`Progress::Active`]
@@ -1469,7 +1702,7 @@ mod tests {
 
     #[test]
     fn run_alone_stops_where_single_ticks_stop() {
-        let (mut delivered, mut released, mut jumped, mut maxed) = (0, 0, 0, 0);
+        let (mut delivered, mut released, mut jumped, mut maxed, mut streamed) = (0, 0, 0, 0, 0);
         for seed in [0x9e37_79b9, 0x1234_5678, 0x0bad_cafe] {
             let meshes: [fn(u64) -> Mesh; 4] =
                 [loaded_mesh, streaming_mesh, delayed_mesh, sanitized_mesh];
@@ -1490,10 +1723,12 @@ mod tests {
                     // One last call on the drained mesh jumps it.
                     let drained = alone.is_idle();
                     let max = [1_000, 5, 1][(call % 3) as usize];
-                    let (elapsed, ticked) = alone.run_alone(max);
+                    let (elapsed, ticked, stream) = alone.run_alone(max);
                     let (ticks, began) = tick_one_by_one(&mut single, max);
                     let context = format!("seed {seed:#x}, call {call}");
-                    assert_eq!((elapsed, ticked), (ticks, began[0]), "{context}");
+                    // Stream jumps replace ticks of an active mesh.
+                    assert_eq!((elapsed, ticked + stream), (ticks, began[0]), "{context}");
+                    streamed += stream;
                     // The state holds the sanitizer's ledger too.
                     assert_eq!(alone.state(), single.state(), "{context}");
                     delivered += usize::from(alone.undelivered_total() > 0);
@@ -1509,10 +1744,142 @@ mod tests {
             }
         }
         assert!(
-            delivered > 0 && released > 0 && jumped > 0 && maxed > 0,
+            delivered > 0 && released > 0 && jumped > 0 && maxed > 0 && streamed > 0,
             "{delivered} deliveries, {released} release jumps, {jumped} quiescent jumps, \
-             {maxed} max stops"
+             {maxed} max stops, {streamed} stream cycles"
         );
+    }
+
+    /// Lone worm streams on every mesh shape from 1x2 to 8x8: back-to-back
+    /// packets of 1-131 flits from one source to one destination on one
+    /// plane, then a packet to another destination queued behind them.
+    /// Mid-stream a second-plane packet arrives, which the jump must
+    /// refuse, and the state is restored onto a mesh carrying other
+    /// traffic. Every `run_alone` call must equal single ticks.
+    #[test]
+    fn lone_stream_jumps_equal_single_ticks_on_every_mesh_shape() {
+        let mut x = 0x5eed_0029_u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let (mut streamed, mut refused, mut calls) = (0, 0, 0);
+        for (shape, (cols, rows)) in (1..=8u8)
+            .flat_map(|c| (1..=8u8).map(move |r| (c, r)))
+            .filter(|&(c, r)| c * r > 1)
+            .enumerate()
+        {
+            let mut cfg = MeshConfig::new(cols.into(), rows.into());
+            cfg.inject_queue_depth = 1_024;
+            let tiles = u64::from(cols) * u64::from(rows);
+            let mut pick = |not: Option<Coord>| loop {
+                let i = (next() % tiles) as u8;
+                let c = Coord::new(i % cols, i / cols);
+                if Some(c) != not {
+                    return c;
+                }
+            };
+            let (src, dest) = (pick(None), pick(None));
+            let dest = if dest == src { pick(Some(src)) } else { dest };
+            let other = pick(Some(dest));
+            let (second_src, second_dest) = (pick(None), pick(None));
+            let plane = Plane::ALL[(next() % 6) as usize];
+            let second = Plane::ALL[(plane.index() + 1 + (next() % 5) as usize) % 6];
+            let lens = [
+                [1, 131][shape % 2],
+                1 + next() % 131,
+                1 + next() % 131,
+                1 + next() % 131,
+            ];
+            let worm = |src, dest, plane, flits: u64| {
+                Packet::new(src, dest, plane, MsgKind::DmaData, (1..flits).collect())
+            };
+            let build = || {
+                let mut m = Mesh::new(cfg).expect("valid mesh");
+                for &n in &lens[..3] {
+                    m.inject(worm(src, dest, plane, n)).unwrap();
+                }
+                m.inject(worm(src, other, plane, lens[3])).unwrap();
+                m
+            };
+            let (mut alone, mut single) = (build(), build());
+            for call in 0usize.. {
+                for m in [&mut alone, &mut single] {
+                    for i in 0..tiles as u8 {
+                        for p in Plane::ALL {
+                            while m.eject(Coord::new(i % cols, i / cols), p).is_some() {}
+                        }
+                    }
+                }
+                if alone.is_idle() {
+                    break;
+                }
+                let context = format!("{cols}x{rows} {src}->{dest} on {plane}, call {call}");
+                if call == 2 {
+                    for m in [&mut alone, &mut single] {
+                        m.inject(worm(second_src, second_dest, second, 5)).unwrap();
+                    }
+                    assert!(alone.stream_horizon(u64::MAX).is_none(), "{context}");
+                    refused += 1;
+                }
+                if call == 4 {
+                    let mut dirty = build();
+                    dirty.inject(worm(dest, src, second, 9)).unwrap();
+                    dirty.run_alone(5);
+                    dirty.restore_state(&alone.state());
+                    alone = dirty;
+                }
+                let max = [1_000, 1, 7, 40][call % 4];
+                let (elapsed, ticked, stream) = alone.run_alone(max);
+                let (ticks, began) = tick_one_by_one(&mut single, max);
+                assert_eq!((elapsed, ticked + stream), (ticks, began[0]), "{context}");
+                assert_eq!(alone.state(), single.state(), "{context}");
+                streamed += stream;
+                calls += 1;
+            }
+        }
+        assert!(
+            streamed > 10_000 && refused == 63,
+            "{streamed} stream cycles, {refused} refusals over {calls} calls"
+        );
+    }
+
+    /// A 5x3 mesh holding a delivered packet at tile (1,1), whose dense
+    /// index `(6,0)` would alias without a bounds check.
+    fn aliased_mesh() -> Mesh {
+        let mut m = Mesh::new(MeshConfig::new(5, 3)).unwrap();
+        m.inject(pkt((0, 0), (1, 1), vec![1])).unwrap();
+        m.run_until_idle(100);
+        assert_eq!(m.delivered_len(Coord::new(1, 1), Plane::DmaRsp), 1);
+        m
+    }
+
+    #[test]
+    #[should_panic(expected = "coordinate in bounds")]
+    fn inject_capacity_rejects_out_of_bounds_coordinates() {
+        let _ = aliased_mesh().can_inject(Coord::new(6, 0), Plane::DmaRsp, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "coordinate in bounds")]
+    fn peek_rejects_out_of_bounds_coordinates() {
+        let _ = aliased_mesh()
+            .peek(Coord::new(6, 0), Plane::DmaRsp)
+            .is_some();
+    }
+
+    #[test]
+    #[should_panic(expected = "coordinate in bounds")]
+    fn eject_rejects_out_of_bounds_coordinates() {
+        let _ = aliased_mesh().eject(Coord::new(6, 0), Plane::DmaRsp);
+    }
+
+    #[test]
+    #[should_panic(expected = "coordinate in bounds")]
+    fn delivered_len_rejects_out_of_bounds_coordinates() {
+        let _ = aliased_mesh().delivered_len(Coord::new(6, 0), Plane::DmaRsp);
     }
 
     #[test]
@@ -2008,8 +2375,12 @@ mod exactness_tests {
     }
 
     /// Drives seeded traffic for `traffic_cycles`, then drains the mesh, and
-    /// returns the digest of everything observable.
-    fn run(seed: u64, traffic_cycles: u64, faulted: bool) -> Outcome {
+    /// returns the digest of everything observable. With `alone`, the
+    /// stretches on which the loop injects nothing and no packet waits in
+    /// an ejection queue go through [`Mesh::run_alone`], each capped at
+    /// the next cycle on which the loop injects, logs progress or would
+    /// stop; that must change nothing the digest sees.
+    fn run(seed: u64, traffic_cycles: u64, faulted: bool, alone: bool) -> Outcome {
         let mut cfg = MeshConfig::new(COLS, ROWS);
         cfg.eject_queue_depth = 2;
         cfg.inject_queue_depth = 48;
@@ -2038,7 +2409,8 @@ mod exactness_tests {
             let traffic = cycle < traffic_cycles;
             // Bursts with quiet gaps, so the mesh also drains (and ticks
             // empty) between bursts, not only at the end.
-            if traffic && cycle % 400 < 300 {
+            let injects = traffic && cycle % 400 < 300;
+            if injects {
                 for t in 0..n {
                     if rng.below(4) != 0 {
                         continue;
@@ -2059,8 +2431,23 @@ mod exactness_tests {
                     }
                 }
             }
-            mesh.tick();
-            cycle += 1;
+            if alone && !injects && mesh.undelivered_total() == 0 {
+                // The loop stops after the tick that leaves an idle mesh
+                // once traffic is over; otherwise the span ends before
+                // the next progress log, injection burst or traffic end.
+                let mut max = (cycle / 97 + 1) * 97 - cycle;
+                if traffic {
+                    max = max
+                        .min((cycle / 400 + 1) * 400 - cycle)
+                        .min(traffic_cycles - cycle);
+                } else if mesh.is_idle() {
+                    max = 1;
+                }
+                cycle += mesh.run_alone(max).0;
+            } else {
+                mesh.tick();
+                cycle += 1;
+            }
             for t in 0..n {
                 for plane in Plane::ALL {
                     let slot = t * Plane::COUNT + plane.index();
@@ -2159,14 +2546,31 @@ mod exactness_tests {
 
     #[test]
     fn seeded_contended_traffic_matches_golden_digest() {
-        let o = run(0x5eed_0001, 2_000, false);
+        let o = run(0x5eed_0001, 2_000, false, false);
         check_coverage(&o);
         assert_eq!(o.digest, 0x3d56_da80_7510_1b5b, "digest {:#018x}", o.digest);
     }
 
     #[test]
     fn faulted_sanitized_traffic_matches_golden_digest() {
-        let o = run(0x5eed_0002, 1_500, true);
+        let o = run(0x5eed_0002, 1_500, true, false);
+        check_coverage(&o);
+        assert_eq!(o.digest, 0xc671_697b_1a45_954d, "digest {:#018x}", o.digest);
+    }
+
+    /// This traffic keeps several worms in flight until its last packet,
+    /// so the lone-stream arm never fires here; the differential tests in
+    /// `tests` cover it.
+    #[test]
+    fn run_alone_reproduces_the_golden_digest() {
+        let o = run(0x5eed_0001, 2_000, false, true);
+        check_coverage(&o);
+        assert_eq!(o.digest, 0x3d56_da80_7510_1b5b, "digest {:#018x}", o.digest);
+    }
+
+    #[test]
+    fn run_alone_reproduces_the_faulted_sanitized_golden_digest() {
+        let o = run(0x5eed_0002, 1_500, true, true);
         check_coverage(&o);
         assert_eq!(o.digest, 0xc671_697b_1a45_954d, "digest {:#018x}", o.digest);
     }

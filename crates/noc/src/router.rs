@@ -275,6 +275,50 @@ impl Router {
         self.plane_queued[plane.index()] += 1;
     }
 
+    /// The router's only queued flit, with its plane and input port, or
+    /// `None` unless exactly one flit is queued (all planes counted).
+    pub(crate) fn lone_flit(&self) -> Option<(Plane, Port, &Flit)> {
+        if self.queued() != 1 {
+            return None;
+        }
+        let pi = self.plane_queued.iter().position(|&n| n == 1)?;
+        let pr = &self.state.planes[pi];
+        Port::ALL
+            .into_iter()
+            .find_map(|port| Some((Plane::ALL[pi], port, pr.inputs[port.index()].front()?)))
+    }
+
+    /// Pops the head of the input queue `(plane, port)`, as arbitration
+    /// would, without touching locks, pointers or link counters.
+    pub(crate) fn pop_input(&mut self, plane: Plane, port: Port) -> Option<Flit> {
+        let flit = self.state.planes[plane.index()].inputs[port.index()].pop_front()?;
+        self.plane_queued[plane.index()] -= 1;
+        Some(flit)
+    }
+
+    /// Applies `crossed` consecutive flits of one worm stream leaving by
+    /// `out` of `plane` from input `inp`, as that many winning
+    /// arbitrations would: the link counter grows by `crossed`, a tail
+    /// among them points round-robin past `inp`, and the lock is left as
+    /// the last of them leaves it (released by a tail, else held by
+    /// `inp`).
+    pub(crate) fn credit_stream(
+        &mut self,
+        plane: Plane,
+        (inp, out): (Port, Port),
+        crossed: u64,
+        tail_crossed: bool,
+        last_is_tail: bool,
+    ) {
+        let (pi, oi) = (plane.index(), out.index());
+        let pr = &mut self.state.planes[pi];
+        if tail_crossed {
+            pr.rr[oi] = (inp.index() + 1) % Port::COUNT;
+        }
+        pr.locks[oi] = if last_is_tail { None } else { Some(inp) };
+        self.state.link_flits[pi][oi] += crossed;
+    }
+
     /// Arbitration phase: for every `(plane, output port)` pick at most one
     /// input whose head flit routes to that output, respecting wormhole
     /// locks. `downstream_free` reports, for `(plane, out_port)`, how many
@@ -359,7 +403,7 @@ impl Router {
 /// The output port of dimension-order (XY) routing at `here` towards
 /// `dest`: along x until the destination column, then along y, then
 /// [`Port::Local`]. XY is deadlock-free on a mesh.
-fn xy_port(here: Coord, dest: Coord) -> Port {
+pub(crate) fn xy_port(here: Coord, dest: Coord) -> Port {
     if dest.x > here.x {
         Port::East
     } else if dest.x < here.x {

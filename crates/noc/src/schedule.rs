@@ -35,8 +35,11 @@
 //!    touches no mesh state (it ejects nothing and injects nothing), so
 //!    the mesh may run alone while the tile catches up later through
 //!    `advance`. This is what lets the driver hand every boring span to
-//!    `Mesh::run_alone`, which ticks the mesh through traffic and jumps
-//!    it over idle stretches, applying its own `progress`/`advance`.
+//!    `Mesh::run_alone`, which ticks the mesh through traffic, jumps a
+//!    lone worm stream in closed form to the tick before its next tail
+//!    ejects, and jumps it over idle stretches, applying its own
+//!    `progress`/`advance`. Every jump ends with the mesh's state
+//!    materialised, exactly as the same ticks would leave it.
 
 /// What a component did (or can do) at a given cycle, plus a hint about
 /// when it next needs to be ticked.

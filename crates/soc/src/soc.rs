@@ -52,7 +52,7 @@ impl SocEngine {
 /// statistics or rendered artifact (so they differ between engines
 /// without breaking the engines' byte-identity contract). On an instance
 /// that was never restored, `ticked_cycles + mesh_only_cycles +
-/// fast_forwarded_cycles` is [`Soc::cycle`].
+/// stream_cycles + fast_forwarded_cycles` is [`Soc::cycle`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCounters {
     /// Cycles executed by a full [`Soc::tick`] of every component.
@@ -61,6 +61,10 @@ pub struct EngineCounters {
     /// being caught up afterwards (always zero under
     /// [`SocEngine::Naive`]).
     pub mesh_only_cycles: u64,
+    /// Cycles of a boring span that the mesh jumped in closed form while
+    /// one lone worm stream carried every in-flight flit (always zero
+    /// under [`SocEngine::Naive`]; see [`Mesh::run_alone`]).
+    pub stream_cycles: u64,
     /// Cycles of a boring span that the mesh jumped over instead of
     /// ticking, being idle or holding only fault-delayed packets (always
     /// zero under [`SocEngine::Naive`]).
@@ -663,8 +667,8 @@ impl Soc {
     }
 
     /// How the engine has advanced the clock so far: cycles ticked,
-    /// mesh-only cycles, cycles fast-forwarded and kernel computations
-    /// (see [`EngineCounters`]).
+    /// mesh-only cycles, lone-stream cycles, cycles fast-forwarded and
+    /// kernel computations (see [`EngineCounters`]).
     pub fn engine_counters(&self) -> EngineCounters {
         EngineCounters {
             kernel_invocations: self
@@ -811,7 +815,8 @@ impl Soc {
     /// - **Boring span.** No packet waits in an ejection queue and every
     ///   tile is boring for a while. A boring tile's tick does not touch
     ///   the mesh, so the mesh runs alone ([`Mesh::run_alone`]), ticking
-    ///   through traffic and jumping over idle stretches, until it
+    ///   through traffic, jumping a lone worm stream to the tick before
+    ///   its next tail ejects and jumping over idle stretches, until it
     ///   delivers a packet, or until the tiles' earliest wake cycle,
     ///   `limit` or the next sampling cycle. The tiles then catch up in
     ///   bulk, and a sampling row due at the span's last cycle is
@@ -828,9 +833,11 @@ impl Soc {
                     .series
                     .as_ref()
                     .map_or(u64::MAX, |s| (now / s.every() + 1) * s.every() - now);
-                let (elapsed, ticked) = self.mesh.run_alone(boring.min(limit).min(to_sample));
+                let (elapsed, ticked, streamed) =
+                    self.mesh.run_alone(boring.min(limit).min(to_sample));
                 self.counters.mesh_only_cycles += ticked;
-                self.counters.fast_forwarded_cycles += elapsed - ticked;
+                self.counters.stream_cycles += streamed;
+                self.counters.fast_forwarded_cycles += elapsed - ticked - streamed;
                 self.advance_tiles(elapsed);
                 self.finish_cycle();
                 return elapsed;
@@ -2153,12 +2160,14 @@ mod engine_equivalence_tests {
         let (n, e) = (naive.engine_counters(), event.engine_counters());
         assert_eq!(n.ticked_cycles, naive.cycle());
         assert_eq!(n.mesh_only_cycles, 0);
+        assert_eq!(n.stream_cycles, 0);
         assert_eq!(n.fast_forwarded_cycles, 0);
         assert_eq!(
-            e.ticked_cycles + e.mesh_only_cycles + e.fast_forwarded_cycles,
+            e.ticked_cycles + e.mesh_only_cycles + e.stream_cycles + e.fast_forwarded_cycles,
             event.cycle()
         );
         assert!(e.mesh_only_cycles > 0, "mesh-only stepping never engaged");
+        assert!(e.stream_cycles > 0, "lone-stream jumps never engaged");
         assert!(e.fast_forwarded_cycles > 0, "fast-forward never engaged");
         assert!(e.ticked_cycles < n.ticked_cycles);
         // One accelerator ran two frames under each engine.
@@ -2172,8 +2181,9 @@ mod engine_equivalence_tests {
         let snap = event.snapshot();
         event.run_cycles(100);
         let after = event.engine_counters();
-        let elapsed =
-            |c: EngineCounters| c.ticked_cycles + c.mesh_only_cycles + c.fast_forwarded_cycles;
+        let elapsed = |c: EngineCounters| {
+            c.ticked_cycles + c.mesh_only_cycles + c.stream_cycles + c.fast_forwarded_cycles
+        };
         assert_eq!(elapsed(after), elapsed(before) + 100);
         // Restore rewinds the machine, not the host-side counters.
         event.restore(&snap).unwrap();
@@ -2220,8 +2230,11 @@ mod engine_equivalence_tests {
         soc
     }
 
-    #[test]
-    fn restore_after_a_mesh_only_span_resumes_exactly() {
+    /// Snapshots after the first step for which `stop(before, after)`
+    /// holds of the engine counters, restores into a fresh SoC and runs
+    /// both to completion: the restored run must equal the uninterrupted
+    /// one and the naive one.
+    fn restore_after_first(stop: fn(EngineCounters, EngineCounters) -> bool) {
         let workloads: [fn(SocEngine, Option<u64>) -> Soc; 2] =
             [start_workload, start_busy_workload];
         for (w, start) in workloads.into_iter().enumerate() {
@@ -2230,8 +2243,13 @@ mod engine_equivalence_tests {
                 soc
             };
             let mut interrupted = start(SocEngine::EventDriven, Some(7));
-            while interrupted.engine_counters().mesh_only_cycles == 0 {
+            loop {
+                let before = interrupted.engine_counters();
                 interrupted.step(1_000_000);
+                if stop(before, interrupted.engine_counters()) {
+                    break;
+                }
+                assert!(!interrupted.is_idle(), "workload {w} ended first");
             }
             let snap = interrupted.snapshot();
             let mut restored = workload_soc(SocEngine::EventDriven);
@@ -2248,6 +2266,17 @@ mod engine_equivalence_tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn restore_after_a_mesh_only_span_resumes_exactly() {
+        restore_after_first(|b, a| a.mesh_only_cycles > b.mesh_only_cycles);
+        // A span that jumped a lone stream and ticked nothing ended on the
+        // jump, mid-stream: every flit must be materialised where ticks
+        // would have left it.
+        restore_after_first(|b, a| {
+            a.stream_cycles > b.stream_cycles && a.mesh_only_cycles == b.mesh_only_cycles
+        });
     }
 
     #[test]
