@@ -20,10 +20,13 @@ fn main() {
         "§VI model quality: classifier accuracy and denoiser error",
         TRAINING_FLAGS,
     );
-    let mut args =
+    let args =
         cli::parse(&spec, std::env::args().skip(1)).unwrap_or_else(|e| cli::exit_on_error(e));
-    args.train = true;
-    let models: TrainedModels = args.models();
+    eprintln!(
+        "training models on {} synthetic samples for {} epochs...",
+        args.samples, args.epochs
+    );
+    let models = TrainedModels::train(args.samples, args.epochs, 1);
 
     println!("MODEL QUALITY (synthetic SVHN-like dataset)");
     println!(

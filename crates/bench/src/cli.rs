@@ -8,7 +8,6 @@
 //! between binaries — and every binary answers `--help`.
 
 use crate::parallel;
-use esp4ml::apps::TrainedModels;
 use esp4ml_fault::FaultPlan;
 use esp4ml_runtime::ExecMode;
 use esp4ml_soc::SocEngine;
@@ -22,8 +21,6 @@ use std::path::PathBuf;
 pub enum Flag {
     /// `--frames N`
     Frames,
-    /// `--train`
-    Train,
     /// `--samples N`
     Samples,
     /// `--epochs N`
@@ -75,7 +72,6 @@ impl Flag {
     pub fn token(self) -> &'static str {
         match self {
             Flag::Frames => "--frames",
-            Flag::Train => "--train",
             Flag::Samples => "--samples",
             Flag::Epochs => "--epochs",
             Flag::Trace => "--trace",
@@ -119,7 +115,7 @@ impl Flag {
             | Flag::Flame
             | Flag::Metrics
             | Flag::Out => Some("PATH"),
-            Flag::Train | Flag::Sanitize | Flag::All | Flag::Progress => None,
+            Flag::Sanitize | Flag::All | Flag::Progress => None,
         }
     }
 
@@ -127,7 +123,6 @@ impl Flag {
     pub fn help(self) -> &'static str {
         match self {
             Flag::Frames => "simulated frames per measurement point",
-            Flag::Train => "train the models on the synthetic dataset first",
             Flag::Samples => "training samples",
             Flag::Epochs => "training epochs",
             Flag::Trace => "write a Chrome trace_event JSON of every run",
@@ -162,12 +157,11 @@ impl Flag {
     }
 }
 
-/// The flag set of the figure/table harnesses (`fig7`, `fig8`).
+/// The flag set of the figure/table harnesses (`fig7`, `fig8`). They
+/// run untrained weights, as the job server does, so their artifacts
+/// match the server's byte for byte.
 pub const FIGURE_FLAGS: &[Flag] = &[
     Flag::Frames,
-    Flag::Train,
-    Flag::Samples,
-    Flag::Epochs,
     Flag::Trace,
     Flag::Profile,
     Flag::Spans,
@@ -185,9 +179,6 @@ pub const FIGURE_FLAGS: &[Flag] = &[
 /// comparison is meaningless under injected faults).
 pub const TABLE_FLAGS: &[Flag] = &[
     Flag::Frames,
-    Flag::Train,
-    Flag::Samples,
-    Flag::Epochs,
     Flag::Trace,
     Flag::Profile,
     Flag::Spans,
@@ -365,8 +356,6 @@ pub fn exit_on_error(err: CliError) -> ! {
 pub struct HarnessArgs {
     /// Frames to simulate per measurement point.
     pub frames: u64,
-    /// Whether to train the models first.
-    pub train: bool,
     /// Training samples.
     pub samples: usize,
     /// Training epochs.
@@ -421,7 +410,6 @@ impl Default for HarnessArgs {
     fn default() -> Self {
         HarnessArgs {
             frames: 64,
-            train: false,
             samples: 6000,
             epochs: 30,
             trace: None,
@@ -500,7 +488,6 @@ fn parse_inner(
         };
         match flag {
             Flag::Frames => out.frames = number()?,
-            Flag::Train => out.train = true,
             Flag::Samples => out.samples = number()? as usize,
             Flag::Epochs => out.epochs = number()? as usize,
             Flag::Trace => out.trace = Some(PathBuf::from(value()?)),
@@ -618,29 +605,6 @@ impl HarnessArgs {
             .map_err(|e| format!("--faults {}: not a fault plan: {e}", path.display()))?;
         Ok(Some(plan))
     }
-
-    /// Builds the models per the options (training prints its progress).
-    pub fn models(&self) -> TrainedModels {
-        if self.train {
-            eprintln!(
-                "training models on {} synthetic samples for {} epochs...",
-                self.samples, self.epochs
-            );
-            let m = TrainedModels::train(self.samples, self.epochs, 1);
-            if let Some(acc) = m.classifier_accuracy {
-                eprintln!("classifier test accuracy: {:.1}% (paper: 92%)", 100.0 * acc);
-            }
-            if let Some(err) = m.denoiser_error {
-                eprintln!(
-                    "denoiser reconstruction error: {:.1}% (paper: 3.1%)",
-                    100.0 * err
-                );
-            }
-            m
-        } else {
-            TrainedModels::untrained()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -659,25 +623,16 @@ mod tests {
     fn defaults() {
         let a = parse_figure(&[]).unwrap();
         assert_eq!(a.frames, 64);
-        assert!(!a.train);
+        assert_eq!((a.samples, a.epochs), (6000, 30));
     }
 
     #[test]
     fn overrides() {
-        let a = parse_figure(&[
-            "--frames",
-            "8",
-            "--train",
-            "--samples",
-            "100",
-            "--epochs",
-            "2",
-        ])
-        .unwrap();
+        let a = parse_figure(&["--frames", "8"]).unwrap();
         assert_eq!(a.frames, 8);
-        assert!(a.train);
-        assert_eq!(a.samples, 100);
-        assert_eq!(a.epochs, 2);
+        let spec = HarnessSpec::new("training", "t", TRAINING_FLAGS);
+        let a = parse_spec(&spec, &["--samples", "100", "--epochs", "2"]).unwrap();
+        assert_eq!((a.samples, a.epochs), (100, 2));
     }
 
     #[test]
@@ -688,7 +643,11 @@ mod tests {
         assert!(parse_figure(&["--frames", "0"]).is_err());
         // `--fork-prefix` is not an option: every grid point runs cold.
         assert!(parse_figure(&["--fork-prefix"]).is_err());
-        // Untrained weights are the default; there is no switch for them.
+        // The figures run untrained weights, as the job server does;
+        // only `accuracy` and `training` train.
+        for flag in [&["--train"][..], &["--samples", "100"], &["--epochs", "2"]] {
+            assert!(parse_figure(flag).is_err(), "{flag:?}");
+        }
         assert!(parse_figure(&["--no-train"]).is_err());
     }
 

@@ -1,5 +1,4 @@
-//! Shared helpers for the benchmark harness binaries and Criterion
-//! benches.
+//! Shared helpers for the benchmark harness binaries.
 //!
 //! Each binary regenerates one artifact of the paper's evaluation:
 //!

@@ -4,6 +4,7 @@
 
 use crate::cli::HarnessArgs;
 use crate::request::{self, Progress, ProgressSink, RequestError, RunResponse, WorkloadKind};
+use esp4ml::apps::TrainedModels;
 use std::io::Write as _;
 use std::path::PathBuf;
 
@@ -25,9 +26,10 @@ impl ProgressSink for StderrProgress {
 /// and admission rejections (typed diagnostics on stderr, nothing
 /// simulated), 1 for run failures. Response notes (sanitizer verdicts,
 /// fault-recovery tallies, ring-buffer drops) go to stderr, as do the
-/// `--progress` JSON lines.
+/// `--progress` JSON lines. Every workload runs untrained weights, as
+/// the job server does, so both return the same artifact bytes.
 pub fn run_workload(binary: &str, args: &HarnessArgs, workload: WorkloadKind) -> RunResponse {
-    let models = args.models();
+    let models = TrainedModels::untrained();
     let req = match args.to_request(workload) {
         Ok(r) => r,
         Err(msg) => {
