@@ -409,6 +409,32 @@ pub fn argmax(values: &[f32]) -> usize {
         .expect("non-empty logits")
 }
 
+impl CaseApp {
+    /// Renders the application's dataflow and SoC mapping as text — the
+    /// Fig. 6 analog.
+    pub fn describe(&self) -> String {
+        let df = self.dataflow();
+        let mut out = format!(
+            "{} ({}) on {:?}\n",
+            self.app_name(),
+            self.label(),
+            self.soc_id()
+        );
+        let arrow = "\n      │\n      ▼\n";
+        let stages: Vec<String> = df
+            .stages
+            .iter()
+            .map(|s| format!("  [ {} ]", s.devices.join(" | ")))
+            .collect();
+        out.push_str("  [ input frames (DRAM) ]");
+        out.push_str(arrow);
+        out.push_str(&stages.join(arrow));
+        out.push_str(arrow);
+        out.push_str("  [ labels / output (DRAM) ]\n");
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,32 +512,6 @@ mod tests {
         assert_eq!(m.classifier().dims(), vec![1024, 256, 128, 64, 32, 10]);
         assert_eq!(m.denoiser().dims(), vec![1024, 256, 128, 1024]);
         assert!(m.classifier_accuracy.is_none());
-    }
-}
-
-impl CaseApp {
-    /// Renders the application's dataflow and SoC mapping as text — the
-    /// Fig. 6 analog.
-    pub fn describe(&self) -> String {
-        let df = self.dataflow();
-        let mut out = format!(
-            "{} ({}) on {:?}\n",
-            self.app_name(),
-            self.label(),
-            self.soc_id()
-        );
-        let arrow = "\n      │\n      ▼\n";
-        let stages: Vec<String> = df
-            .stages
-            .iter()
-            .map(|s| format!("  [ {} ]", s.devices.join(" | ")))
-            .collect();
-        out.push_str("  [ input frames (DRAM) ]");
-        out.push_str(arrow);
-        out.push_str(&stages.join(arrow));
-        out.push_str(arrow);
-        out.push_str("  [ labels / output (DRAM) ]\n");
-        out
     }
 }
 

@@ -834,6 +834,143 @@ impl fmt::Display for Fig8 {
     }
 }
 
+/// The application-level accuracy experiment: how much classification
+/// accuracy the Night-Vision and Denoiser pre-processing stages recover,
+/// in float software and on the fixed-point SoC pipelines.
+///
+/// The paper motivates both pipelines qualitatively (dark/noisy street
+/// images are "significantly more laborious"); this report quantifies the
+/// mechanism end to end, including the HLS4ML quantization and the real
+/// accelerator datapath.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct AccuracyReport {
+    /// Samples evaluated per row.
+    pub n: u64,
+    /// Float classifier on clean images.
+    pub clean_float: f64,
+    /// Float classifier applied directly to darkened images.
+    pub dark_direct_float: f64,
+    /// Float Night-Vision + classifier on darkened images.
+    pub dark_nv_float: f64,
+    /// The on-SoC fixed-point NV + classifier p2p pipeline.
+    pub dark_soc_fixed: f64,
+    /// Float classifier applied directly to noisy images.
+    pub noisy_direct_float: f64,
+    /// Float denoiser + classifier on noisy images.
+    pub noisy_denoised_float: f64,
+    /// The on-SoC fixed-point denoiser + classifier p2p pipeline.
+    pub noisy_soc_fixed: f64,
+}
+
+impl AccuracyReport {
+    /// Generates the report over `n` samples (the SoC rows simulate `n`
+    /// frames each).
+    ///
+    /// # Errors
+    ///
+    /// Build or runtime failures.
+    pub fn generate(models: &TrainedModels, n: u64) -> Result<AccuracyReport, ExperimentError> {
+        use esp4ml_baseline::SoftwareApp;
+        use esp4ml_nn::Matrix;
+
+        let app_sw = SoftwareApp::new(
+            Some(models.classifier().clone()),
+            Some(models.denoiser().clone()),
+        );
+        let classify_float = |image: &[f32]| -> usize {
+            let x = Matrix::from_vec(1, image.len(), image.to_vec());
+            models.classifier().predict_classes(&x)[0]
+        };
+
+        // Replicate the exact frame sequences the SoC runs see.
+        let nv_app = CaseApp::NightVisionClassifier { nv: 4, cl: 4 };
+        let de_app = CaseApp::DenoiserClassifier;
+
+        let mut hits = [0u64; 5]; // clean, dark-direct, dark-nv, noisy-direct, noisy-denoised
+        let mut gen_nv = SvhnGenerator::new(DATA_SEED);
+        let mut gen_de = SvhnGenerator::new(DATA_SEED);
+        for _ in 0..n {
+            let (dark, label_nv) = nv_app.input_frame(&mut gen_nv);
+            // The clean image is the darkened one un-scaled (darken is a
+            // pure multiplication by 0.25).
+            let clean: Vec<f32> = dark.iter().map(|&v| (v / 0.25).min(1.0)).collect();
+            if classify_float(&clean) == label_nv {
+                hits[0] += 1;
+            }
+            if classify_float(&dark) == label_nv {
+                hits[1] += 1;
+            }
+            if app_sw.night_vision_classify(&dark) == label_nv {
+                hits[2] += 1;
+            }
+            let (noisy, label_de) = de_app.input_frame(&mut gen_de);
+            if classify_float(&noisy) == label_de {
+                hits[3] += 1;
+            }
+            if app_sw.denoise_classify(&noisy) == label_de {
+                hits[4] += 1;
+            }
+        }
+        let frac = |h: u64| h as f64 / n as f64;
+
+        let soc_nv = AppRun::execute(&nv_app, models, n, ExecMode::P2p, RunOptions::default())?;
+        let soc_de = AppRun::execute(&de_app, models, n, ExecMode::P2p, RunOptions::default())?;
+
+        Ok(AccuracyReport {
+            n,
+            clean_float: frac(hits[0]),
+            dark_direct_float: frac(hits[1]),
+            dark_nv_float: frac(hits[2]),
+            dark_soc_fixed: soc_nv.accuracy(),
+            noisy_direct_float: frac(hits[3]),
+            noisy_denoised_float: frac(hits[4]),
+            noisy_soc_fixed: soc_de.accuracy(),
+        })
+    }
+}
+
+impl fmt::Display for AccuracyReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "APPLICATION ACCURACY over {} samples", self.n)?;
+        let pct = |v: f64| format!("{:.1}%", 100.0 * v);
+        writeln!(
+            f,
+            "  clean images, float classifier:              {:>7}",
+            pct(self.clean_float)
+        )?;
+        writeln!(
+            f,
+            "  darkened, float classifier (no NV):          {:>7}",
+            pct(self.dark_direct_float)
+        )?;
+        writeln!(
+            f,
+            "  darkened, float NV + classifier:             {:>7}",
+            pct(self.dark_nv_float)
+        )?;
+        writeln!(
+            f,
+            "  darkened, on-SoC fixed NV + classifier:      {:>7}",
+            pct(self.dark_soc_fixed)
+        )?;
+        writeln!(
+            f,
+            "  noisy, float classifier (no denoiser):       {:>7}",
+            pct(self.noisy_direct_float)
+        )?;
+        writeln!(
+            f,
+            "  noisy, float denoiser + classifier:          {:>7}",
+            pct(self.noisy_denoised_float)
+        )?;
+        writeln!(
+            f,
+            "  noisy, on-SoC fixed denoiser + classifier:   {:>7}",
+            pct(self.noisy_soc_fixed)
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -971,142 +1108,5 @@ mod tests {
         // p2p carries the NV output directly: DRAM sees input + labels only.
         let expected = 4 * 256 + 4 * 3;
         assert_eq!(run.metrics.dram_accesses, expected);
-    }
-}
-
-/// The application-level accuracy experiment: how much classification
-/// accuracy the Night-Vision and Denoiser pre-processing stages recover,
-/// in float software and on the fixed-point SoC pipelines.
-///
-/// The paper motivates both pipelines qualitatively (dark/noisy street
-/// images are "significantly more laborious"); this report quantifies the
-/// mechanism end to end, including the HLS4ML quantization and the real
-/// accelerator datapath.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AccuracyReport {
-    /// Samples evaluated per row.
-    pub n: u64,
-    /// Float classifier on clean images.
-    pub clean_float: f64,
-    /// Float classifier applied directly to darkened images.
-    pub dark_direct_float: f64,
-    /// Float Night-Vision + classifier on darkened images.
-    pub dark_nv_float: f64,
-    /// The on-SoC fixed-point NV + classifier p2p pipeline.
-    pub dark_soc_fixed: f64,
-    /// Float classifier applied directly to noisy images.
-    pub noisy_direct_float: f64,
-    /// Float denoiser + classifier on noisy images.
-    pub noisy_denoised_float: f64,
-    /// The on-SoC fixed-point denoiser + classifier p2p pipeline.
-    pub noisy_soc_fixed: f64,
-}
-
-impl AccuracyReport {
-    /// Generates the report over `n` samples (the SoC rows simulate `n`
-    /// frames each).
-    ///
-    /// # Errors
-    ///
-    /// Build or runtime failures.
-    pub fn generate(models: &TrainedModels, n: u64) -> Result<AccuracyReport, ExperimentError> {
-        use esp4ml_baseline::SoftwareApp;
-        use esp4ml_nn::Matrix;
-
-        let app_sw = SoftwareApp::new(
-            Some(models.classifier().clone()),
-            Some(models.denoiser().clone()),
-        );
-        let classify_float = |image: &[f32]| -> usize {
-            let x = Matrix::from_vec(1, image.len(), image.to_vec());
-            models.classifier().predict_classes(&x)[0]
-        };
-
-        // Replicate the exact frame sequences the SoC runs see.
-        let nv_app = CaseApp::NightVisionClassifier { nv: 4, cl: 4 };
-        let de_app = CaseApp::DenoiserClassifier;
-
-        let mut hits = [0u64; 5]; // clean, dark-direct, dark-nv, noisy-direct, noisy-denoised
-        let mut gen_nv = SvhnGenerator::new(DATA_SEED);
-        let mut gen_de = SvhnGenerator::new(DATA_SEED);
-        for _ in 0..n {
-            let (dark, label_nv) = nv_app.input_frame(&mut gen_nv);
-            // The clean image is the darkened one un-scaled (darken is a
-            // pure multiplication by 0.25).
-            let clean: Vec<f32> = dark.iter().map(|&v| (v / 0.25).min(1.0)).collect();
-            if classify_float(&clean) == label_nv {
-                hits[0] += 1;
-            }
-            if classify_float(&dark) == label_nv {
-                hits[1] += 1;
-            }
-            if app_sw.night_vision_classify(&dark) == label_nv {
-                hits[2] += 1;
-            }
-            let (noisy, label_de) = de_app.input_frame(&mut gen_de);
-            if classify_float(&noisy) == label_de {
-                hits[3] += 1;
-            }
-            if app_sw.denoise_classify(&noisy) == label_de {
-                hits[4] += 1;
-            }
-        }
-        let frac = |h: u64| h as f64 / n as f64;
-
-        let soc_nv = AppRun::execute(&nv_app, models, n, ExecMode::P2p, RunOptions::default())?;
-        let soc_de = AppRun::execute(&de_app, models, n, ExecMode::P2p, RunOptions::default())?;
-
-        Ok(AccuracyReport {
-            n,
-            clean_float: frac(hits[0]),
-            dark_direct_float: frac(hits[1]),
-            dark_nv_float: frac(hits[2]),
-            dark_soc_fixed: soc_nv.accuracy(),
-            noisy_direct_float: frac(hits[3]),
-            noisy_denoised_float: frac(hits[4]),
-            noisy_soc_fixed: soc_de.accuracy(),
-        })
-    }
-}
-
-impl fmt::Display for AccuracyReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "APPLICATION ACCURACY over {} samples", self.n)?;
-        let pct = |v: f64| format!("{:.1}%", 100.0 * v);
-        writeln!(
-            f,
-            "  clean images, float classifier:              {:>7}",
-            pct(self.clean_float)
-        )?;
-        writeln!(
-            f,
-            "  darkened, float classifier (no NV):          {:>7}",
-            pct(self.dark_direct_float)
-        )?;
-        writeln!(
-            f,
-            "  darkened, float NV + classifier:             {:>7}",
-            pct(self.dark_nv_float)
-        )?;
-        writeln!(
-            f,
-            "  darkened, on-SoC fixed NV + classifier:      {:>7}",
-            pct(self.dark_soc_fixed)
-        )?;
-        writeln!(
-            f,
-            "  noisy, float classifier (no denoiser):       {:>7}",
-            pct(self.noisy_direct_float)
-        )?;
-        writeln!(
-            f,
-            "  noisy, float denoiser + classifier:          {:>7}",
-            pct(self.noisy_denoised_float)
-        )?;
-        writeln!(
-            f,
-            "  noisy, on-SoC fixed denoiser + classifier:   {:>7}",
-            pct(self.noisy_soc_fixed)
-        )
     }
 }

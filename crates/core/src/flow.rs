@@ -90,59 +90,6 @@ impl Default for Esp4mlFlow {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use esp4ml_nn::{Activation, LayerSpec};
-    use esp4ml_soc::{AcceleratorKernel, NnKernel};
-
-    fn tiny_model() -> Sequential {
-        let mut m = Sequential::with_seed(16, 4);
-        m.push(LayerSpec::dense(8, Activation::Relu));
-        m.push(LayerSpec::dense(4, Activation::Softmax));
-        m
-    }
-
-    #[test]
-    fn ml_path_produces_kernel() {
-        let flow = Esp4mlFlow::new();
-        let k = NnKernel::new(flow.compile_ml(&tiny_model(), "clf", &[16, 8]).unwrap());
-        assert_eq!(k.name(), "clf");
-        assert_eq!(k.input_values(), 16);
-        assert_eq!(k.output_values(), 4);
-    }
-
-    #[test]
-    fn split_path_matches_monolithic() {
-        let flow = Esp4mlFlow::new();
-        let nn = flow.compile_ml(&tiny_model(), "clf", &[16, 8]).unwrap();
-        let parts = nn.split_layers();
-        assert_eq!(parts.len(), 2);
-        let x = vec![0.25f32; 16];
-        let whole = nn.infer(&x);
-        let mut staged = x;
-        for p in &parts {
-            staged = p.infer(&staged);
-        }
-        assert_eq!(whole, staged);
-    }
-
-    #[test]
-    fn vision_path_produces_kernel() {
-        let flow = Esp4mlFlow::new();
-        let k = flow.vision_accelerator("nv");
-        assert_eq!(k.input_values(), 1024);
-    }
-
-    #[test]
-    fn descriptor_has_p2p_register() {
-        let flow = Esp4mlFlow::new();
-        let nn = flow.compile_ml(&tiny_model(), "clf", &[16, 8]).unwrap();
-        let d = flow.descriptor(&nn);
-        assert!(d.registers.iter().any(|r| r.name == "P2P_REG"));
-    }
-}
-
 /// Automatic reuse-factor selection (the `hls4ml tuning` arrow of Fig. 3).
 impl Esp4mlFlow {
     /// Chooses per-layer reuse factors so every dense layer meets the
@@ -195,6 +142,59 @@ impl Esp4mlFlow {
         let per_layer = (budget / layers).max(1);
         let reuse = self.tune_reuse(model, per_layer);
         self.compile_ml(model, name, &reuse)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use esp4ml_nn::{Activation, LayerSpec};
+    use esp4ml_soc::{AcceleratorKernel, NnKernel};
+
+    fn tiny_model() -> Sequential {
+        let mut m = Sequential::with_seed(16, 4);
+        m.push(LayerSpec::dense(8, Activation::Relu));
+        m.push(LayerSpec::dense(4, Activation::Softmax));
+        m
+    }
+
+    #[test]
+    fn ml_path_produces_kernel() {
+        let flow = Esp4mlFlow::new();
+        let k = NnKernel::new(flow.compile_ml(&tiny_model(), "clf", &[16, 8]).unwrap());
+        assert_eq!(k.name(), "clf");
+        assert_eq!(k.input_values(), 16);
+        assert_eq!(k.output_values(), 4);
+    }
+
+    #[test]
+    fn split_path_matches_monolithic() {
+        let flow = Esp4mlFlow::new();
+        let nn = flow.compile_ml(&tiny_model(), "clf", &[16, 8]).unwrap();
+        let parts = nn.split_layers();
+        assert_eq!(parts.len(), 2);
+        let x = vec![0.25f32; 16];
+        let whole = nn.infer(&x);
+        let mut staged = x;
+        for p in &parts {
+            staged = p.infer(&staged);
+        }
+        assert_eq!(whole, staged);
+    }
+
+    #[test]
+    fn vision_path_produces_kernel() {
+        let flow = Esp4mlFlow::new();
+        let k = flow.vision_accelerator("nv");
+        assert_eq!(k.input_values(), 1024);
+    }
+
+    #[test]
+    fn descriptor_has_p2p_register() {
+        let flow = Esp4mlFlow::new();
+        let nn = flow.compile_ml(&tiny_model(), "clf", &[16, 8]).unwrap();
+        let d = flow.descriptor(&nn);
+        assert!(d.registers.iter().any(|r| r.name == "P2P_REG"));
     }
 }
 

@@ -60,5 +60,5 @@ pub use packet::{MsgKind, Packet};
 pub use plane::Plane;
 pub use router::{Port, Router, RouterConfig, RouterState};
 pub use sanitizer::{expected_planes, plane_carries};
-pub use schedule::Progress;
+pub use schedule::NEVER;
 pub use stats::{NocStats, PlaneStats};

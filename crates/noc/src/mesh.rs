@@ -4,7 +4,7 @@ use crate::flit::{Flit, ReasmViolation, Reassembler};
 use crate::heatmap::{LinkLoad, NocHeatmap, PlaneHeatmap};
 use crate::router::{xy_port, Port, Router, RouterConfig, RouterState, Transfer};
 use crate::sanitizer::{expected_planes, plane_carries, MeshSanitizer};
-use crate::schedule::Progress;
+use crate::schedule::NEVER;
 use crate::{Coord, MsgKind, NocError, NocStats, Packet, Plane};
 use esp4ml_check::{codes, Diagnostic, Report};
 use esp4ml_fault::{FaultKind, FaultSpec};
@@ -1068,14 +1068,15 @@ impl Mesh {
     /// stream carried every flit. The rest were jumped over idle or
     /// fault-held stretches. The loop stops at `max` or once a packet
     /// sits in an ejection queue (a tile must take it next cycle). Each
-    /// turn acts on the mesh's own [`Progress`]:
+    /// turn acts on the mesh's own wake cycle:
     ///
-    /// - an `Active` mesh whose flits all belong to one lone stream
-    ///   (below) jumps in closed form to the tick before the stream's
-    ///   next tail ejects, or to the first queued flit bound elsewhere;
-    /// - any other `Active` mesh ticks once;
-    /// - a `Blocked` one jumps to its release cycle;
-    /// - a `Quiescent` one jumps over the cycles left.
+    /// - a wake after the current cycle (a delayed packet's release, or
+    ///   [`NEVER`] on an idle mesh) jumps there, or over the cycles left;
+    /// - otherwise, when one lone stream (below) holds every flit, the
+    ///   mesh jumps in closed form to the tick before the stream's next
+    ///   tail ejects, or to the first queued flit bound elsewhere, and
+    ///   then ticks that tick unless the jump used up the cycles left;
+    /// - otherwise the mesh ticks once.
     ///
     /// A *lone stream* is one `(source, destination, plane)` with
     /// `source != destination` that holds every queued flit, at most one
@@ -1096,27 +1097,30 @@ impl Mesh {
         let (mut elapsed, mut ticked, mut streamed) = (0, 0, 0);
         while elapsed < max && self.occupancy.undelivered == 0 {
             let left = max - elapsed;
-            elapsed += match self.progress() {
-                Progress::Active => match self.stream_horizon(left) {
+            let wake = self.wake();
+            elapsed += if wake > self.cycle {
+                let delta = (wake - self.cycle).min(left);
+                self.advance(delta);
+                delta
+            } else {
+                let jumped = match self.stream_horizon(left) {
                     Some((plane, delta)) => {
                         self.jump_stream(plane, delta);
                         streamed += delta;
                         delta
                     }
-                    None => {
-                        self.tick();
-                        ticked += 1;
-                        1
-                    }
-                },
-                Progress::Blocked { until } => {
-                    let delta = (until - self.cycle).min(left);
-                    self.advance(delta);
-                    delta
-                }
-                Progress::Quiescent => {
-                    self.advance(left);
-                    left
+                    None => 0,
+                };
+                // A jump stops short of `left` only where the next tick
+                // ejects a tail or injects a flit bound elsewhere, and no
+                // lone stream can move then, so that tick follows in the
+                // same turn.
+                if jumped < left {
+                    self.tick();
+                    ticked += 1;
+                    jumped + 1
+                } else {
+                    jumped
                 }
             };
         }
@@ -1281,27 +1285,21 @@ impl Mesh {
         self.stats.cycles = self.cycle;
     }
 
-    /// Event-driven progress report: the mesh is [`Progress::Active`]
-    /// while any flit is queued or in flight, or while delivered packets
-    /// sit unejected (their tiles will drain them on the next tick);
-    /// otherwise it is quiescent. A router moves flits every cycle it has
-    /// any, so the mesh never blocks on an internal latency — except for
-    /// packets held by a delay fault, whose absolute release cycle is
-    /// reported as [`Progress::Blocked`] so fast-forward stays exact.
-    fn progress(&self) -> Progress {
+    /// Event-driven wake cycle: the current cycle while any flit is
+    /// queued or in flight, or while delivered packets sit unejected
+    /// (their tiles will drain them on the next tick). A router moves
+    /// flits every cycle it has any, so the mesh never waits on an
+    /// internal latency — except for packets held by a delay fault, whose
+    /// earliest absolute release cycle is the wake (it may have passed)
+    /// so fast-forward stays exact. [`NEVER`] otherwise.
+    fn wake(&self) -> u64 {
         if !self.traffic_idle() || self.undelivered_total() > 0 {
-            return Progress::Active;
+            return self.cycle;
         }
-        if let Some(f) = self.faults.as_deref() {
-            if let Some(release) = f.delayed.iter().map(|d| d.release).min() {
-                return if release <= self.cycle {
-                    Progress::Active
-                } else {
-                    Progress::Blocked { until: release }
-                };
-            }
-        }
-        Progress::Quiescent
+        self.faults
+            .as_deref()
+            .and_then(|f| f.delayed.iter().map(|d| d.release).min())
+            .unwrap_or(NEVER)
     }
 
     /// Bulk-advances the clock over `delta` traffic-free cycles.
@@ -1607,7 +1605,7 @@ mod tests {
         );
         assert_eq!(dst.occupancy, src.occupancy);
         for _ in 0..400 {
-            assert_eq!(dst.progress(), src.progress());
+            assert_eq!(dst.wake(), src.wake());
             assert_eq!(dst.is_idle(), src.is_idle());
             assert_eq!(dst.undelivered_total(), src.undelivered_total());
             for m in [&mut src, &mut dst] {
@@ -1631,15 +1629,16 @@ mod tests {
     /// The loop [`Mesh::run_alone`] must equal, written with single
     /// public ticks: tick one cycle at a time, stopping once any ejection
     /// queue holds a packet or after `max` ticks. Returns the ticks and
-    /// how many of them began [active, blocked, quiescent].
+    /// how many of them began with the mesh's wake [due, at a later
+    /// release, never].
     fn tick_one_by_one(m: &mut Mesh, max: u64) -> (u64, [u64; 3]) {
         let tiles: Vec<Coord> = m.routers.iter().map(Router::coord).collect();
         let (mut ticks, mut began) = (0, [0; 3]);
         while ticks < max {
-            began[match m.progress() {
-                Progress::Active => 0,
-                Progress::Blocked { .. } => 1,
-                Progress::Quiescent => 2,
+            began[match m.wake() {
+                wake if wake <= m.cycle => 0,
+                NEVER => 2,
+                _ => 1,
             }] += 1;
             m.tick();
             ticks += 1;
@@ -2010,14 +2009,38 @@ mod fault_tests {
         assert!(m.install_fault(&delay_spec(0, 1, 100)));
         m.inject(dma_pkt((0, 0), (2, 2), vec![5])).unwrap();
         // The packet is held outside the queues: traffic is idle but the
-        // mesh is not, and progress points at the release cycle.
+        // mesh is not, and its wake is the release cycle.
         assert!(!m.is_idle());
-        assert_eq!(m.progress(), Progress::Blocked { until: 100 });
+        assert_eq!(m.wake(), 100);
         // Fast-forwarding to the release cycle then ticking delivers it.
         m.advance(100);
         m.run_until_idle(10_000);
         assert!(m.is_idle());
         assert_eq!(m.stats().plane(Plane::DmaRsp).packets_delivered, 1);
+    }
+
+    /// A wake at or before the current cycle means act: on a mesh whose
+    /// held packet's release has come (or passed), `run_alone` ticks it
+    /// into its queue instead of jumping.
+    #[test]
+    fn passed_release_makes_run_alone_tick() {
+        for passed in [0, 30] {
+            let build = || {
+                let mut m = Mesh::new(MeshConfig::new(3, 3)).unwrap();
+                assert!(m.install_fault(&delay_spec(0, 1, 100)));
+                m.inject(dma_pkt((0, 0), (2, 2), vec![5])).unwrap();
+                m.advance(100);
+                let f = m.faults.as_deref_mut().expect("fault installed");
+                f.delayed[0].release -= passed;
+                m
+            };
+            let (mut alone, mut single) = (build(), build());
+            assert_eq!(alone.wake(), 100 - passed);
+            assert_eq!(alone.run_alone(1), (1, 1, 0), "{passed} cycles past");
+            single.tick();
+            assert_eq!(alone.state(), single.state());
+            assert!(!alone.traffic_idle(), "the held packet was released");
+        }
     }
 
     #[test]
@@ -2482,10 +2505,10 @@ mod exactness_tests {
             }
             // The scheduler-facing views are part of the observable behaviour.
             if cycle.is_multiple_of(97) {
-                let p = match mesh.progress() {
-                    Progress::Active => "A".to_string(),
-                    Progress::Quiescent => "Q".to_string(),
-                    Progress::Blocked { until } => format!("B{until}"),
+                let p = match mesh.wake() {
+                    wake if wake <= mesh.cycle() => "A".to_string(),
+                    NEVER => "Q".to_string(),
+                    until => format!("B{until}"),
                 };
                 write!(
                     log,

@@ -220,6 +220,27 @@ impl Dataflow {
     }
 }
 
+impl Dataflow {
+    /// Serializes the dataflow to JSON — the generated `dflow1.h`
+    /// configuration of the paper's Fig. 5, in declarative form.
+    pub fn to_json(&self) -> String {
+        serde_json::to_string_pretty(self).expect("dataflow serializes")
+    }
+
+    /// Parses a dataflow from JSON and validates its structure.
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON (`E0206`) or a structurally invalid dataflow
+    /// (`E0201`–`E0205`).
+    pub fn from_json(json: &str) -> Result<Dataflow, Diagnostic> {
+        let df: Dataflow = serde_json::from_str(json)
+            .map_err(|e| Diagnostic::error(codes::DATAFLOW_PARSE, "dataflow", e.to_string()))?;
+        df.validate()?;
+        Ok(df)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,27 +308,6 @@ mod tests {
     fn mode_labels() {
         assert_eq!(ExecMode::Base.label(), "base");
         assert_eq!(ExecMode::ALL.len(), 3);
-    }
-}
-
-impl Dataflow {
-    /// Serializes the dataflow to JSON — the generated `dflow1.h`
-    /// configuration of the paper's Fig. 5, in declarative form.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("dataflow serializes")
-    }
-
-    /// Parses a dataflow from JSON and validates its structure.
-    ///
-    /// # Errors
-    ///
-    /// Malformed JSON (`E0206`) or a structurally invalid dataflow
-    /// (`E0201`–`E0205`).
-    pub fn from_json(json: &str) -> Result<Dataflow, Diagnostic> {
-        let df: Dataflow = serde_json::from_str(json)
-            .map_err(|e| Diagnostic::error(codes::DATAFLOW_PARSE, "dataflow", e.to_string()))?;
-        df.validate()?;
-        Ok(df)
     }
 }
 

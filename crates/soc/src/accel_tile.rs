@@ -21,7 +21,7 @@ use crate::stats::AccelStats;
 use esp4ml_check::{codes, Diagnostic};
 use esp4ml_fault::{FaultKind, FaultSpec};
 use esp4ml_mem::{PageTable, Tlb};
-use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, Progress};
+use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, NEVER};
 use esp4ml_trace::{TileCoord, TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
@@ -224,32 +224,6 @@ impl AccelConfig {
                 CommMode::Dma
             },
         )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn config_constructors_select_comm_modes() {
-        assert_eq!(
-            AccelConfig::dma_to_dma(0, 0, 1).comm_modes(),
-            (CommMode::Dma, CommMode::Dma)
-        );
-        assert_eq!(
-            AccelConfig::dma_to_p2p(0, 1).comm_modes(),
-            (CommMode::Dma, CommMode::P2p)
-        );
-        let src = vec![Coord::new(1, 1)];
-        assert_eq!(
-            AccelConfig::p2p_to_dma(src.clone(), 0, 1).comm_modes(),
-            (CommMode::P2p, CommMode::Dma)
-        );
-        assert_eq!(
-            AccelConfig::p2p_to_p2p(src, 1).comm_modes(),
-            (CommMode::P2p, CommMode::P2p)
-        );
     }
 }
 
@@ -661,62 +635,46 @@ impl AccelTile {
         inject_queued(mesh, self.coord, &mut self.st.tx_queue);
     }
 
-    /// Event-driven progress report for cycle `now`.
+    /// Event-driven wake cycle at `now`: `now` when the tile may act this
+    /// cycle, [`NEVER`] when it waits only on packets or a start command.
     ///
-    /// The wake hints mirror [`AccelTile::tick`]'s boring paths exactly:
-    /// a stall of `s` burns `s` decrement ticks before the FSM steps
-    /// again, and a compute phase at countdown `c` / divider `d` / phase
-    /// `p` transitions on its `(d - p) + (c - 1) * d`-th tick.
-    pub fn progress(&self, now: u64) -> Progress {
+    /// The countdown wakes mirror [`AccelTile::tick`]'s boring paths
+    /// exactly: a stall of `s` burns `s` decrement ticks before the FSM
+    /// steps again, and a compute phase at countdown `c` / divider `d` /
+    /// phase `p` transitions on its `(d - p) + (c - 1) * d`-th tick.
+    pub fn wake(&self, now: u64) -> u64 {
         if !self.st.tx_queue.is_empty() {
-            return Progress::Active;
+            return now;
         }
         if matches!(self.st.state, AccelState::Idle | AccelState::Done) {
-            return Progress::Quiescent;
+            return NEVER;
         }
         if self.st.stall > 0 {
-            return Progress::Blocked {
-                until: now + self.st.stall,
-            };
+            return now + self.st.stall;
         }
-        match self.st.state {
-            AccelState::LoadIssue | AccelState::StoreIssue | AccelState::StoreSend => {
-                Progress::Active
-            }
+        let ready = match self.st.state {
+            AccelState::LoadIssue | AccelState::StoreIssue | AccelState::StoreSend => true,
             AccelState::LoadWait => {
                 let half = if self.st.dbuf {
                     (self.st.frame_idx % 2) as usize
                 } else {
                     0
                 };
-                if self.st.rx_counts[half] >= self.st.rx_expect {
-                    Progress::Active
-                } else {
-                    Progress::Quiescent
-                }
+                self.st.rx_counts[half] >= self.st.rx_expect
             }
             AccelState::Compute => {
                 let ticks_to_go = (self.st.dvfs_divider - self.st.dvfs_phase)
                     + (self.st.compute_countdown - 1) * self.st.dvfs_divider;
-                Progress::Blocked {
-                    until: now + ticks_to_go - 1,
-                }
+                return now + ticks_to_go - 1;
             }
-            AccelState::StoreWaitReq => {
-                if self.st.pending_p2p_reqs.is_empty() {
-                    Progress::Quiescent
-                } else {
-                    Progress::Active
-                }
-            }
-            AccelState::StoreWaitAck => {
-                if self.st.store_acked_words >= self.st.out_words {
-                    Progress::Active
-                } else {
-                    Progress::Quiescent
-                }
-            }
+            AccelState::StoreWaitReq => !self.st.pending_p2p_reqs.is_empty(),
+            AccelState::StoreWaitAck => self.st.store_acked_words >= self.st.out_words,
             AccelState::Idle | AccelState::Done => unreachable!("handled above"),
+        };
+        if ready {
+            now
+        } else {
+            NEVER
         }
     }
 
@@ -1182,3 +1140,29 @@ impl AccelTile {
 
 // Unit tests for the tile FSM live in the `soc` module's tests, where a
 // full mesh + memory tile environment is available; see `soc.rs`.
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn config_constructors_select_comm_modes() {
+        assert_eq!(
+            AccelConfig::dma_to_dma(0, 0, 1).comm_modes(),
+            (CommMode::Dma, CommMode::Dma)
+        );
+        assert_eq!(
+            AccelConfig::dma_to_p2p(0, 1).comm_modes(),
+            (CommMode::Dma, CommMode::P2p)
+        );
+        let src = vec![Coord::new(1, 1)];
+        assert_eq!(
+            AccelConfig::p2p_to_dma(src.clone(), 0, 1).comm_modes(),
+            (CommMode::P2p, CommMode::Dma)
+        );
+        assert_eq!(
+            AccelConfig::p2p_to_p2p(src, 1).comm_modes(),
+            (CommMode::P2p, CommMode::P2p)
+        );
+    }
+}

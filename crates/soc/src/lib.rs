@@ -83,7 +83,3 @@ pub use stats::{AccelStats, SocStats};
 // Diagnostic vocabulary of the sanitizer, re-exported so `Soc` users can
 // consume its verdicts without naming the check crate.
 pub use esp4ml_check::{Diagnostic, Report, Severity};
-
-// The event-driven progress report every tile returns (defined next to
-// the mesh, re-exported here for tile users).
-pub use esp4ml_noc::Progress;

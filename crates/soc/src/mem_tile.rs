@@ -5,7 +5,7 @@ use crate::sanitize::tile_location;
 use esp4ml_check::{codes, Diagnostic};
 use esp4ml_fault::{FaultKind, FaultSpec};
 use esp4ml_mem::{CacheConfig, CacheStats, CachedDram, CachedDramState, DramConfig, DramStats};
-use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, Progress};
+use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, NEVER};
 use esp4ml_trace::{DmaKind, TileCoord, TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
@@ -247,22 +247,20 @@ impl MemTile {
         inject_queued(mesh, self.coord, &mut self.st.outgoing);
     }
 
-    /// Event-driven progress: blocked while the in-flight request counts
-    /// down its DRAM latency, active whenever it has responses to release
-    /// or requests to start, quiescent with nothing in flight.
-    pub fn progress(&self, now: u64) -> Progress {
+    /// Event-driven wake cycle: `now` whenever the tile has responses to
+    /// release or requests to start, the release tick while the in-flight
+    /// request counts down its DRAM latency, [`NEVER`] with nothing in
+    /// flight.
+    pub fn wake(&self, now: u64) -> u64 {
         if !self.st.outgoing.is_empty() {
-            return Progress::Active;
+            return now;
         }
         match &self.st.current {
             // A tick with `busy == 1` decrements *and* releases the
             // responses, so the last boring cycle is `busy - 1` away.
-            Some(p) if p.busy > 1 => Progress::Blocked {
-                until: now + p.busy - 1,
-            },
-            Some(_) => Progress::Active,
-            None if !self.st.queue.is_empty() => Progress::Active,
-            None => Progress::Quiescent,
+            Some(p) => now + p.busy.saturating_sub(1),
+            None if !self.st.queue.is_empty() => now,
+            None => NEVER,
         }
     }
 

@@ -1,7 +1,7 @@
 //! The processor tile: the hardware seat of the software runtime.
 
 use crate::emit::inject_queued;
-use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, Progress};
+use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, NEVER};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -76,17 +76,18 @@ impl ProcTile {
         inject_queued(mesh, self.coord, &mut self.outgoing);
     }
 
-    /// Event-driven progress: active while register writes wait to inject
-    /// or delivered interrupts wait to be taken by the runtime. A pending
-    /// IRQ is software-visible state — the runtime polls it between steps
-    /// and reacts by issuing new work, so the scheduler must not
-    /// fast-forward past it (the all-quiescent deadlock skip would eat the
-    /// whole cycle budget before the runtime ever saw the interrupt).
-    pub fn progress(&self, _now: u64) -> Progress {
+    /// Event-driven wake cycle: `now` while register writes wait to
+    /// inject or delivered interrupts wait to be taken by the runtime,
+    /// otherwise [`NEVER`]. A pending IRQ is software-visible state — the
+    /// runtime polls it between steps and reacts by issuing new work, so
+    /// the scheduler must not fast-forward past it (the all-idle deadlock
+    /// skip would eat the whole cycle budget before the runtime ever saw
+    /// the interrupt).
+    pub fn wake(&self, now: u64) -> u64 {
         if self.outgoing.is_empty() && self.irqs.is_empty() {
-            Progress::Quiescent
+            NEVER
         } else {
-            Progress::Active
+            now
         }
     }
 }

@@ -13,7 +13,7 @@ use esp4ml_check::{codes, Diagnostic, Report};
 use esp4ml_fault::FaultPlan;
 use esp4ml_hls::Resources;
 use esp4ml_mem::{CacheConfig, CacheStats, CachedDramState, DramConfig, PageTable};
-use esp4ml_noc::{Coord, Mesh, MeshConfig, MeshState, NocHeatmap, NocStats, Progress};
+use esp4ml_noc::{Coord, Mesh, MeshConfig, MeshState, NocHeatmap, NocStats, NEVER};
 use esp4ml_trace::{CounterRegistry, CounterSeries, Tracer};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -23,8 +23,8 @@ use std::collections::HashMap;
 pub enum SocEngine {
     /// Tick every component every cycle — the reference oracle.
     Naive,
-    /// Hand every span in which all tiles are blocked or quiescent to
-    /// the mesh, which ticks through its traffic and jumps its clock
+    /// Hand every span before the earliest tile wake cycle to the
+    /// mesh, which ticks through its traffic and jumps its clock
     /// over idle stretches; the tiles catch up in bulk. Cycle-exact with
     /// [`SocEngine::Naive`]: identical metrics, counters, sampling rows
     /// and trace events.
@@ -812,29 +812,32 @@ impl Soc {
     ///
     /// Under [`SocEngine::EventDriven`] the step takes one of two paths:
     ///
-    /// - **Boring span.** No packet waits in an ejection queue and every
-    ///   tile is boring for a while. A boring tile's tick does not touch
-    ///   the mesh, so the mesh runs alone ([`Mesh::run_alone`]), ticking
+    /// - **Boring span.** No packet waits in an ejection queue and the
+    ///   earliest tile wake is after the current cycle, so every tile is
+    ///   boring until then. A boring tile's tick does not touch the
+    ///   mesh, so the mesh runs alone ([`Mesh::run_alone`]), ticking
     ///   through traffic, jumping a lone worm stream to the tick before
     ///   its next tail ejects and jumping over idle stretches, until it
-    ///   delivers a packet, or until the tiles' earliest wake cycle,
-    ///   `limit` or the next sampling cycle. The tiles then catch up in
-    ///   bulk, and a sampling row due at the span's last cycle is
-    ///   recorded as [`Soc::tick`] records it.
-    /// - **Otherwise** one [`Soc::tick`].
+    ///   delivers a packet, or until that wake, `limit` or the next
+    ///   sampling cycle. The tiles then catch up in bulk, and a sampling
+    ///   row due at the span's last cycle is recorded as [`Soc::tick`]
+    ///   records it.
+    /// - **Otherwise** (a tile wake is due, or a packet waits) one
+    ///   [`Soc::tick`].
     ///
     /// Under [`SocEngine::Naive`] this is exactly one [`Soc::tick`].
     pub fn step(&mut self, limit: u64) -> u64 {
         debug_assert!(limit > 0, "step needs a non-zero cycle budget");
         if self.engine == SocEngine::EventDriven && self.mesh.undelivered_total() == 0 {
             let now = self.mesh.cycle();
-            if let Some(boring) = boring_cycles(self.tile_progress(now), now) {
+            let wake = self.tile_wake(now);
+            if wake > now {
                 let to_sample = self
                     .series
                     .as_ref()
                     .map_or(u64::MAX, |s| (now / s.every() + 1) * s.every() - now);
                 let (elapsed, ticked, streamed) =
-                    self.mesh.run_alone(boring.min(limit).min(to_sample));
+                    self.mesh.run_alone((wake - now).min(limit).min(to_sample));
                 self.counters.mesh_only_cycles += ticked;
                 self.counters.stream_cycles += streamed;
                 self.counters.fast_forwarded_cycles += elapsed - ticked - streamed;
@@ -847,15 +850,13 @@ impl Soc {
         1
     }
 
-    /// Every tile's progress report, merged.
-    fn tile_progress(&self, now: u64) -> Progress {
-        let procs = self.proc_tiles.iter().map(|t| t.progress(now));
-        let accels = self.accel_tiles.iter().map(|t| t.progress(now));
-        let mems = self.mem_tiles.iter().map(|t| t.progress(now));
-        procs
-            .chain(accels)
-            .chain(mems)
-            .fold(Progress::Quiescent, Progress::merge)
+    /// The earliest tile wake cycle ([`NEVER`] with no tile
+    /// waiting on anything but input).
+    fn tile_wake(&self, now: u64) -> u64 {
+        let procs = self.proc_tiles.iter().map(|t| t.wake(now));
+        let accels = self.accel_tiles.iter().map(|t| t.wake(now));
+        let mems = self.mem_tiles.iter().map(|t| t.wake(now));
+        procs.chain(accels).chain(mems).fold(NEVER, u64::min)
     }
 
     /// Applies `delta` boring cycles to every tile's countdowns and
@@ -1188,17 +1189,6 @@ impl Soc {
     /// The primary processor tile coordinate.
     pub fn primary_proc(&self) -> Coord {
         self.primary_proc
-    }
-}
-
-/// The number of guaranteed-boring cycles ahead under `p`: `None` when
-/// it wakes this cycle, `Some(u64::MAX)` when it is quiescent (the caller
-/// clamps to its budget, which covers both idle and deadlock).
-fn boring_cycles(p: Progress, now: u64) -> Option<u64> {
-    match p.next_wake(now) {
-        Some(wake) if wake <= now => None,
-        Some(wake) => Some(wake - now),
-        None => Some(u64::MAX),
     }
 }
 
@@ -2172,6 +2162,38 @@ mod engine_equivalence_tests {
         assert!(e.ticked_cycles < n.ticked_cycles);
         // One accelerator ran two frames under each engine.
         assert_eq!((n.kernel_invocations, e.kernel_invocations), (2, 2));
+    }
+
+    /// The SoC's wake is the earliest tile wake, and an event-engine step
+    /// is one full tick exactly when that wake is due or a packet waits
+    /// to be ejected; otherwise it is a boring span.
+    #[test]
+    fn step_ticks_exactly_when_the_earliest_tile_wake_is_due() {
+        let mut soc = start_busy_workload(SocEngine::EventDriven, None);
+        let (mut due, mut later, mut never) = (0, 0, 0);
+        while !soc.is_idle() {
+            let now = soc.cycle();
+            let wakes = soc.proc_tiles.iter().map(|t| t.wake(now));
+            let wakes = wakes.chain(soc.accel_tiles.iter().map(|t| t.wake(now)));
+            let wakes = wakes.chain(soc.mem_tiles.iter().map(|t| t.wake(now)));
+            let wake = soc.tile_wake(now);
+            assert_eq!(Some(wake), wakes.min(), "cycle {now}");
+            let delivered = soc.mesh.undelivered_total() > 0;
+            let before = soc.engine_counters().ticked_cycles;
+            let elapsed = soc.step(1_000_000);
+            let full = soc.engine_counters().ticked_cycles > before;
+            assert_eq!(full, wake <= now || delivered, "cycle {now}");
+            assert!(!full || elapsed == 1, "cycle {now}");
+            match wake {
+                w if w <= now => due += 1,
+                NEVER => never += 1,
+                _ => later += 1,
+            }
+        }
+        assert!(
+            due > 0 && later > 0 && never > 0,
+            "{due} due, {later} later, {never} never"
+        );
     }
 
     #[test]
