@@ -574,19 +574,6 @@ fn validate(spec: &HarnessSpec, out: &HarnessArgs) -> Result<(), String> {
 }
 
 impl HarnessArgs {
-    /// Parses with the figure-harness spec — the historical
-    /// `HarnessArgs::parse` surface, kept for the library tests and
-    /// any caller that wants the full flag set.
-    ///
-    /// # Errors
-    ///
-    /// Returns a usage string when parsing fails (help requests render
-    /// the figure help text as the error string).
-    pub fn parse(args: impl Iterator<Item = String>) -> Result<HarnessArgs, String> {
-        let spec = HarnessSpec::new("harness", "ESP4ML harness options.", FIGURE_FLAGS);
-        parse(&spec, args).map_err(|e| e.to_string())
-    }
-
     /// Loads the `--faults` plan file (`None` when the flag was not
     /// given). The campaign watchdog and recovery policy are armed by
     /// the run itself, so the server and the CLI can never disagree on
@@ -611,12 +598,12 @@ impl HarnessArgs {
 mod tests {
     use super::*;
 
-    fn parse_figure(v: &[&str]) -> Result<HarnessArgs, String> {
-        HarnessArgs::parse(v.iter().map(|s| s.to_string()))
-    }
-
     fn parse_spec(spec: &HarnessSpec, v: &[&str]) -> Result<HarnessArgs, CliError> {
         parse(spec, v.iter().map(|s| s.to_string()))
+    }
+
+    fn parse_figure(v: &[&str]) -> Result<HarnessArgs, CliError> {
+        parse_spec(&HarnessSpec::new("fig7", "f", FIGURE_FLAGS), v)
     }
 
     #[test]

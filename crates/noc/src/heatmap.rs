@@ -3,8 +3,8 @@
 //! Snapshotted from the mesh's routers ([`crate::Mesh::link_heatmap`]):
 //! every router contributes, per plane, the flits it moved through each
 //! output port plus the cycles its selected wormholes stalled on
-//! downstream credits. The snapshot renders as an ASCII mesh grid (one
-//! per active plane) or as a flat CSV for external tooling.
+//! downstream credits. The snapshot renders as an ASCII mesh grid, one
+//! per active plane.
 
 use crate::router::Port;
 use crate::Plane;
@@ -174,32 +174,6 @@ impl NocHeatmap {
         }
         out
     }
-
-    /// Flattens the heatmap to CSV:
-    /// `plane,y,x,north,south,east,west,local,credit_stalls`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("plane,y,x,north,south,east,west,local,credit_stalls\n");
-        for ph in &self.planes {
-            for (y, row) in ph.links.iter().enumerate() {
-                for (x, load) in row.iter().enumerate() {
-                    let _ = writeln!(
-                        out,
-                        "{},{},{},{},{},{},{},{},{}",
-                        ph.plane,
-                        y,
-                        x,
-                        load.north,
-                        load.south,
-                        load.east,
-                        load.west,
-                        load.local,
-                        ph.credit_stalls[y][x]
-                    );
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -242,18 +216,6 @@ mod tests {
         assert!(text.contains("plane dma-req"));
         assert!(!text.contains("plane coh-req"));
         assert!(text.contains("+5"));
-    }
-
-    #[test]
-    fn csv_has_row_per_cell_per_plane() {
-        let csv = sample().to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 1 + Plane::COUNT * 4);
-        assert_eq!(
-            lines[0],
-            "plane,y,x,north,south,east,west,local,credit_stalls"
-        );
-        assert!(lines.iter().any(|l| l.starts_with("dma-req,0,1,0,0,7,")));
     }
 
     #[test]

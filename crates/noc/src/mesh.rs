@@ -101,15 +101,14 @@ struct MeshFaults {
 }
 
 /// Complete serializable dynamic state of a [`Mesh`]: every in-flight
-/// flit, router queue, endpoint buffer, statistic, sanitizer ledger and
-/// fault trigger counter, each a clone of the live component. Captured
-/// by [`Mesh::state`]; restoring it via [`Mesh::restore_state`] resumes
-/// the network byte-identically.
+/// flit, router queue, endpoint buffer, statistic (the clock included:
+/// it is `stats.cycles`), sanitizer ledger and fault trigger counter,
+/// each a clone of the live component. Captured by [`Mesh::state`];
+/// restoring it via [`Mesh::restore_state`] resumes the network
+/// byte-identically.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MeshState {
-    /// The mesh cycle counter.
-    pub cycle: u64,
-    /// Aggregate per-plane statistics.
+    /// Aggregate per-plane statistics; `stats.cycles` is the mesh clock.
     pub stats: NocStats,
     /// Per-router machine state, in dense tile order.
     pub routers: Vec<RouterState>,
@@ -144,8 +143,8 @@ pub struct Mesh {
     config: MeshConfig,
     routers: Vec<Router>,
     endpoints: Vec<Vec<TileEndpoint>>, // [tile][plane]
+    /// Per-plane statistics; `stats.cycles` is the mesh clock.
     stats: NocStats,
-    cycle: u64,
     tracer: Tracer,
     sanitizer: Option<Box<MeshSanitizer>>,
     faults: Option<Box<MeshFaults>>,
@@ -267,7 +266,6 @@ impl Mesh {
             routers,
             endpoints,
             stats: NocStats::new(),
-            cycle: 0,
             tracer: Tracer::disabled(),
             sanitizer: None,
             faults: None,
@@ -329,7 +327,6 @@ impl Mesh {
     /// captured.
     pub fn state(&self) -> MeshState {
         MeshState {
-            cycle: self.cycle,
             stats: self.stats.clone(),
             routers: self.routers.iter().map(|r| r.state().clone()).collect(),
             endpoints: self.endpoints.clone(),
@@ -359,7 +356,6 @@ impl Mesh {
                     .all(|planes| planes.len() == Plane::COUNT),
             "endpoint shape"
         );
-        self.cycle = state.cycle;
         self.stats.clone_from(&state.stats);
         for (r, rs) in self.routers.iter_mut().zip(&state.routers) {
             r.restore_state(rs);
@@ -422,9 +418,9 @@ impl Mesh {
         &self.tracer
     }
 
-    /// Current simulation cycle.
+    /// Current simulation cycle (`stats().cycles`).
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.stats.cycles
     }
 
     /// Traffic statistics accumulated so far.
@@ -495,7 +491,7 @@ impl Mesh {
         NocHeatmap {
             cols: self.config.cols,
             rows: self.config.rows,
-            cycles: self.cycle,
+            cycles: self.cycle(),
             planes,
         }
     }
@@ -550,7 +546,7 @@ impl Mesh {
         if !self.can_inject(src, plane, packet.flit_len()) {
             return Err(NocError::InjectQueueFull { coord: src });
         }
-        packet.inject_cycle = self.cycle;
+        packet.inject_cycle = self.cycle();
         let flits = Flit::from_packet(&packet);
         let i = self.tile_index(src);
         if let Some(san) = self.sanitizer.as_deref_mut() {
@@ -583,7 +579,7 @@ impl Mesh {
         }
         self.stats.plane_mut(plane).packets_injected += 1;
         let frame = packet.frame();
-        self.tracer.emit(self.cycle, trace_coord(src), || {
+        self.tracer.emit(self.cycle(), trace_coord(src), || {
             TraceEvent::NocPacketInject {
                 plane: plane.index(),
                 frame,
@@ -604,7 +600,7 @@ impl Mesh {
         plane: Plane,
         flits: Vec<Flit>,
     ) -> Option<Vec<Flit>> {
-        let cycle = self.cycle;
+        let cycle = self.cycle();
         let Some(f) = self.faults.as_deref_mut() else {
             return Some(flits);
         };
@@ -663,7 +659,7 @@ impl Mesh {
             return;
         };
         if !f.delayed.is_empty() {
-            let cycle = self.cycle;
+            let cycle = self.cycle();
             // A (tile, plane) link whose oldest held packet is not yet due
             // (or cannot fit) blocks every later packet on the same link.
             let mut blocked: Vec<(usize, Plane)> = Vec::new();
@@ -697,7 +693,7 @@ impl Mesh {
     /// DMA payloads are corruptible (see [`corruptible`]); the flip is a
     /// single XOR so the packet's length and routing are untouched.
     fn fault_corrupt(&mut self, dest: Coord, pkt: &mut Packet) {
-        let cycle = self.cycle;
+        let cycle = self.cycle();
         let Some(f) = self.faults.as_deref_mut() else {
             return;
         };
@@ -838,8 +834,7 @@ impl Mesh {
             self.scratch = scratch;
         }
 
-        self.cycle += 1;
-        self.stats.cycles = self.cycle;
+        self.stats.cycles += 1;
         if self.sanitizer.is_some() {
             self.sanitize_audit();
         }
@@ -962,11 +957,11 @@ impl Mesh {
                 if let Some(san) = self.sanitizer.as_deref_mut() {
                     san.delivered[plane.index()] += pkt.flit_len() as u64;
                 }
-                let latency = (self.cycle + 1).saturating_sub(inject_cycle);
+                let latency = (self.cycle() + 1).saturating_sub(inject_cycle);
                 self.stats.plane_mut(plane).record_delivery(latency);
                 let dest = self.routers[ti].coord();
                 let frame = pkt.frame();
-                self.tracer.emit(self.cycle + 1, trace_coord(dest), || {
+                self.tracer.emit(self.cycle() + 1, trace_coord(dest), || {
                     TraceEvent::NocPacketEject {
                         plane: plane.index(),
                         latency,
@@ -1098,8 +1093,8 @@ impl Mesh {
         while elapsed < max && self.occupancy.undelivered == 0 {
             let left = max - elapsed;
             let wake = self.wake();
-            elapsed += if wake > self.cycle {
-                let delta = (wake - self.cycle).min(left);
+            elapsed += if wake > self.cycle() {
+                let delta = (wake - self.cycle()).min(left);
                 self.advance(delta);
                 delta
             } else {
@@ -1281,8 +1276,7 @@ impl Mesh {
         self.occupancy.inject_total -= injected;
         self.occupancy.routed = self.occupancy.routed + placed - held;
         self.stats.plane_mut(plane).flit_hops += hops;
-        self.cycle += delta as u64;
-        self.stats.cycles = self.cycle;
+        self.stats.cycles += delta as u64;
     }
 
     /// Event-driven wake cycle: the current cycle while any flit is
@@ -1294,7 +1288,7 @@ impl Mesh {
     /// so fast-forward stays exact. [`NEVER`] otherwise.
     fn wake(&self) -> u64 {
         if !self.traffic_idle() || self.undelivered_total() > 0 {
-            return self.cycle;
+            return self.cycle();
         }
         self.faults
             .as_deref()
@@ -1312,11 +1306,10 @@ impl Mesh {
             self.faults
                 .as_deref()
                 .and_then(|f| f.delayed.iter().map(|d| d.release).min())
-                .is_none_or(|release| self.cycle + delta <= release),
+                .is_none_or(|release| self.cycle() + delta <= release),
             "mesh fast-forward past a delayed packet's release cycle"
         );
-        self.cycle += delta;
-        self.stats.cycles = self.cycle;
+        self.stats.cycles += delta;
         // Fast-forward boundary: the span was traffic-free, so no new
         // violation can arise inside it, but auditing here keeps the
         // event-driven verdict aligned with the naive engine's
@@ -1336,11 +1329,11 @@ mod tests {
         /// Ticks until the network drains or `max_cycles` elapse; returns
         /// the number of cycles executed.
         pub(super) fn run_until_idle(&mut self, max_cycles: u64) -> u64 {
-            let start = self.cycle;
-            while !self.is_idle() && self.cycle - start < max_cycles {
+            let start = self.cycle();
+            while !self.is_idle() && self.cycle() - start < max_cycles {
                 self.tick();
             }
-            self.cycle - start
+            self.cycle() - start
         }
     }
 
@@ -1610,7 +1603,7 @@ mod tests {
             assert_eq!(dst.undelivered_total(), src.undelivered_total());
             for m in [&mut src, &mut dst] {
                 // A slow consumer: one tile drains per cycle, in turn.
-                let t = m.cycle % 15;
+                let t = m.cycle() % 15;
                 let c = Coord::new((t % 5) as u8, (t / 5) as u8);
                 for plane in Plane::ALL {
                     let _ = m.eject(c, plane);
@@ -1636,7 +1629,7 @@ mod tests {
         let (mut ticks, mut began) = (0, [0; 3]);
         while ticks < max {
             began[match m.wake() {
-                wake if wake <= m.cycle => 0,
+                wake if wake <= m.cycle() => 0,
                 NEVER => 2,
                 _ => 1,
             }] += 1;

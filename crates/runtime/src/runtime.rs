@@ -5,7 +5,7 @@ use esp4ml_check::{codes, Diagnostic};
 use esp4ml_mem::{ContigAlloc, ContigHandle};
 use esp4ml_noc::Coord;
 use esp4ml_soc::{AccelConfig, Soc, SocSnapshot};
-use esp4ml_trace::{CounterRegistry, TileCoord, TraceEvent, Tracer};
+use esp4ml_trace::{TileCoord, TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
@@ -312,15 +312,11 @@ impl AppBuffers {
 /// The complete serializable state of an [`EspRuntime`]: the machine
 /// snapshot plus the software state layered on top of it.
 ///
-/// Captured alongside the [`SocSnapshot`]:
-///
-/// * `alloc` — the contiguous allocator, so a restored runtime can keep
-///   allocating without colliding with buffers carved out before the
-///   snapshot.
-/// * `counters` — the cross-run counter accumulation
-///   ([`EspRuntime::counters`]); runs executed after a restore add onto
-///   exactly the totals the snapshot recorded, so restored and
-///   cold-start counter dumps match byte for byte.
+/// Captured alongside the [`SocSnapshot`]: `alloc`, the contiguous
+/// allocator, so a restored runtime can keep allocating without
+/// colliding with buffers carved out before the snapshot. Per-run
+/// counters are not runtime state: each [`EspRuntime::run`] returns its
+/// own [`RunMetrics`].
 ///
 /// Excluded:
 ///
@@ -333,8 +329,6 @@ pub struct RuntimeSnapshot {
     pub soc: SocSnapshot,
     /// The contiguous-buffer allocator (live handles and free list).
     pub alloc: ContigAlloc,
-    /// Counters accumulated across every run so far.
-    pub counters: CounterRegistry,
 }
 
 /// Per-instance placement computed from the dataflow and the registry.
@@ -401,7 +395,6 @@ pub struct EspRuntime {
     alloc: ContigAlloc,
     registry: DeviceRegistry,
     tracer: Tracer,
-    counters: CounterRegistry,
 }
 
 impl EspRuntime {
@@ -421,7 +414,6 @@ impl EspRuntime {
             alloc,
             registry,
             tracer: Tracer::disabled(),
-            counters: CounterRegistry::new(),
         })
     }
 
@@ -430,13 +422,6 @@ impl EspRuntime {
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.soc.set_tracer(tracer.clone());
         self.tracer = tracer;
-    }
-
-    /// Named counters accumulated across every [`EspRuntime::run`]:
-    /// the same deltas that each run's [`RunMetrics`] reports, summed
-    /// behind the generic snapshot/diff API.
-    pub fn counters(&self) -> &CounterRegistry {
-        &self.counters
     }
 
     /// The device registry.
@@ -462,22 +447,20 @@ impl EspRuntime {
     }
 
     /// Captures the complete serializable runtime state — machine
-    /// snapshot, allocator and accumulated counters — as a
-    /// [`RuntimeSnapshot`] that [`EspRuntime::restore`] resumes
-    /// byte-identically.
+    /// snapshot and allocator — as a [`RuntimeSnapshot`] that
+    /// [`EspRuntime::restore`] resumes byte-identically.
     pub fn snapshot(&self) -> RuntimeSnapshot {
         RuntimeSnapshot {
             soc: self.soc.snapshot(),
             alloc: self.alloc.clone(),
-            counters: self.counters.clone(),
         }
     }
 
     /// Restores a state captured by [`EspRuntime::snapshot`], replacing
-    /// the SoC state, allocator and counters wholesale. The runtime must
-    /// sit on the same floorplan the snapshot was taken on; the device
-    /// registry is not touched (it is derived from that floorplan). The
-    /// tracer is left as-is.
+    /// the SoC state and allocator wholesale. The runtime must sit on the
+    /// same floorplan the snapshot was taken on; the device registry is
+    /// not touched (it is derived from that floorplan). The tracer is
+    /// left as-is.
     ///
     /// # Errors
     ///
@@ -488,7 +471,6 @@ impl EspRuntime {
     pub fn restore(&mut self, snapshot: &RuntimeSnapshot) -> Result<(), RuntimeError> {
         self.soc.restore(&snapshot.soc)?;
         self.alloc = snapshot.alloc.clone();
-        self.counters = snapshot.counters.clone();
         Ok(())
     }
 
@@ -624,7 +606,7 @@ impl EspRuntime {
         }
 
         let stats1 = self.soc.stats();
-        let metrics = RunMetrics {
+        Ok(RunMetrics {
             frames: buf.frames,
             cycles: self.soc.cycle() - start_cycle,
             dram_reads: stats1.dram_word_reads - stats0.dram_word_reads,
@@ -637,27 +619,7 @@ impl EspRuntime {
             faults_injected: self.soc.faults_injected() - faults0,
             retries: cx.retries,
             failovers: cx.failovers,
-        };
-        self.counters.add("runtime.frames", metrics.frames);
-        self.counters
-            .add("runtime.invocations", metrics.invocations);
-        self.counters.add("soc.cycles", metrics.cycles);
-        self.counters.add("soc.dram_reads", metrics.dram_reads);
-        self.counters.add("soc.dram_writes", metrics.dram_writes);
-        self.counters.add("noc.flit_hops", metrics.noc_flit_hops);
-        // Recovery counters only exist once something goes wrong, keeping
-        // healthy-run counter dumps byte-identical to the pre-fault era.
-        if metrics.faults_injected > 0 {
-            self.counters
-                .add("soc.faults_injected", metrics.faults_injected);
-        }
-        if metrics.retries > 0 {
-            self.counters.add("runtime.retries", metrics.retries);
-        }
-        if metrics.failovers > 0 {
-            self.counters.add("runtime.failovers", metrics.failovers);
-        }
-        Ok(metrics)
+        })
     }
 
     /// Base mode: one invocation at a time, frame by frame and stage by

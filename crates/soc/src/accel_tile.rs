@@ -278,11 +278,9 @@ pub struct AccelTileState {
     // compute/store.
     rx_buf: Vec<u64>,
     rx_counts: [u64; 2],
-    rx_expect: u64,
     dbuf: bool,
     loads_issued: u64,
     dvfs_divider: u64,
-    dvfs_phase: u64,
     tx_queue: VecDeque<Packet>,
     store_acked_words: u64,
     /// Pending p2p consumer requests: `(requester, words, dest base)`.
@@ -301,10 +299,6 @@ pub struct AccelTileState {
     /// `debug_assert!`-ing.
     sanitize: bool,
     sanitizer_violations: BTreeSet<Diagnostic>,
-    /// Mesh cycle latched at the top of [`AccelTile::tick`] (and moved on
-    /// by [`AccelTile::advance`]), so FSM helpers can stamp trace events
-    /// without threading the mesh through.
-    cycle: u64,
 }
 
 /// An accelerator tile: socket (registers, DMA engine, TLB, p2p service)
@@ -360,11 +354,9 @@ impl AccelTile {
                 p2p: P2pConfig::disabled(),
                 rx_buf: Vec::new(),
                 rx_counts: [0; 2],
-                rx_expect: 0,
                 dbuf: false,
                 loads_issued: 0,
                 dvfs_divider: 1,
-                dvfs_phase: 0,
                 tx_queue: VecDeque::new(),
                 store_acked_words: 0,
                 pending_p2p_reqs: VecDeque::new(),
@@ -376,7 +368,6 @@ impl AccelTile {
                 stats: AccelStats::default(),
                 sanitize: false,
                 sanitizer_violations: BTreeSet::new(),
-                cycle: 0,
             },
         }
     }
@@ -423,19 +414,18 @@ impl AccelTile {
     /// batch state (partial frames, queued packets, pending p2p requests)
     /// is discarded; the configuration registers, armed faults and
     /// cumulative statistics all survive, so the driver can re-issue the
-    /// batch immediately.
-    pub fn reset(&mut self) {
-        self.set_state(AccelState::Idle);
+    /// batch immediately. `now` is the last executed cycle, which stamps
+    /// the phase change to idle.
+    pub fn reset(&mut self, now: u64) {
+        self.set_state(AccelState::Idle, now);
         self.st.n_frames = 0;
         self.st.frame_idx = 0;
         self.st.frame_base = 0;
         self.st.frame_stride = 1;
         self.st.rx_buf.clear();
         self.st.rx_counts = [0; 2];
-        self.st.rx_expect = 0;
         self.st.dbuf = false;
         self.st.loads_issued = 0;
-        self.st.dvfs_phase = 0;
         self.st.tx_queue.clear();
         self.st.store_acked_words = 0;
         self.st.pending_p2p_reqs.clear();
@@ -463,13 +453,9 @@ impl AccelTile {
     /// What this tile is waiting on, for the timeout deadlock diagnosis.
     /// Returns `None` when the tile is making progress on its own.
     pub(crate) fn blocked_info(&self) -> Option<BlockedTile> {
-        let half = if self.st.dbuf {
-            (self.st.frame_idx % 2) as usize
-        } else {
-            0
-        };
+        let received = self.frame_words_received();
         let (waits_on, plane, reason) = match self.st.state {
-            AccelState::LoadWait if self.st.rx_counts[half] < self.st.rx_expect => {
+            AccelState::LoadWait if received < self.st.in_words => {
                 if self.st.p2p.load_enabled {
                     let sources = &self.st.p2p.sources;
                     let src = sources[(self.st.frame_idx as usize) % sources.len()];
@@ -478,7 +464,7 @@ impl AccelTile {
                         "dma-rsp",
                         format!(
                             "waiting for p2p data from tile({},{}) for frame {} ({} of {} words received)",
-                            src.x, src.y, self.st.frame_idx, self.st.rx_counts[half], self.st.rx_expect
+                            src.x, src.y, self.st.frame_idx, received, self.st.in_words
                         ),
                     )
                 } else {
@@ -488,7 +474,7 @@ impl AccelTile {
                         "dma-rsp",
                         format!(
                             "waiting for DMA data from memory for frame {} ({} of {} words received)",
-                            self.st.frame_idx, self.st.rx_counts[half], self.st.rx_expect
+                            self.st.frame_idx, received, self.st.in_words
                         ),
                     )
                 }
@@ -535,6 +521,16 @@ impl AccelTile {
         TileCoord::new(self.coord.x, self.coord.y)
     }
 
+    /// Words of the current frame received so far, in its PLM half.
+    fn frame_words_received(&self) -> u64 {
+        let half = if self.st.dbuf {
+            self.st.frame_idx % 2
+        } else {
+            0
+        };
+        self.st.rx_counts[half as usize]
+    }
+
     /// Global frame id of batch frame `idx` under the latched base/stride.
     fn global_frame(&self, idx: u64) -> u64 {
         self.st.frame_base + idx * self.st.frame_stride.max(1)
@@ -543,21 +539,20 @@ impl AccelTile {
     /// Moves the FSM to `to`, emitting an [`TraceEvent::AccelPhaseChange`]
     /// when the phase actually changes. Working phases carry the global id
     /// of the frame they serve; `Idle`/`Done` carry no frame.
-    fn set_state(&mut self, to: AccelState) {
+    fn set_state(&mut self, to: AccelState, now: u64) {
         if self.st.state != to {
             let from = self.st.state.name();
             let frame = match to {
                 AccelState::Idle | AccelState::Done => None,
                 _ => Some(self.global_frame(self.st.frame_idx)),
             };
-            self.tracer.emit(self.st.cycle, self.trace_coord(), || {
-                TraceEvent::AccelPhaseChange {
+            self.tracer
+                .emit(now, self.trace_coord(), || TraceEvent::AccelPhaseChange {
                     accel: self.kernel.name().to_string(),
                     from,
                     to: to.name(),
                     frame,
-                }
-            });
+                });
         }
         self.st.state = to;
     }
@@ -615,10 +610,12 @@ impl AccelTile {
         matches!(self.st.state, AccelState::Idle | AccelState::Done) && self.st.tx_queue.is_empty()
     }
 
-    /// Advances the tile by one cycle.
+    /// Advances the tile by one cycle: the mesh's current cycle, which the
+    /// mesh moves past only after every tile has ticked, stamps the
+    /// tile's trace events and fault triggers.
     pub fn tick(&mut self, mesh: &mut Mesh) {
-        self.st.cycle = mesh.cycle();
-        self.drain_control(mesh);
+        let now = mesh.cycle();
+        self.drain_control(mesh, now);
         self.drain_dma_req(mesh);
         self.drain_dma_rsp(mesh);
 
@@ -626,7 +623,7 @@ impl AccelTile {
             self.st.stall -= 1;
             self.st.stats.stall_cycles += 1;
         } else {
-            self.step_fsm();
+            self.step_fsm(now);
         }
         if !matches!(self.st.state, AccelState::Idle | AccelState::Done) {
             self.st.stats.busy_cycles += 1;
@@ -640,8 +637,8 @@ impl AccelTile {
     ///
     /// The countdown wakes mirror [`AccelTile::tick`]'s boring paths
     /// exactly: a stall of `s` burns `s` decrement ticks before the FSM
-    /// steps again, and a compute phase at countdown `c` / divider `d` /
-    /// phase `p` transitions on its `(d - p) + (c - 1) * d`-th tick.
+    /// steps again, and a compute phase at countdown `c` (NoC-clock ticks)
+    /// transitions on its `c`-th tick.
     pub fn wake(&self, now: u64) -> u64 {
         if !self.st.tx_queue.is_empty() {
             return now;
@@ -654,19 +651,8 @@ impl AccelTile {
         }
         let ready = match self.st.state {
             AccelState::LoadIssue | AccelState::StoreIssue | AccelState::StoreSend => true,
-            AccelState::LoadWait => {
-                let half = if self.st.dbuf {
-                    (self.st.frame_idx % 2) as usize
-                } else {
-                    0
-                };
-                self.st.rx_counts[half] >= self.st.rx_expect
-            }
-            AccelState::Compute => {
-                let ticks_to_go = (self.st.dvfs_divider - self.st.dvfs_phase)
-                    + (self.st.compute_countdown - 1) * self.st.dvfs_divider;
-                return now + ticks_to_go - 1;
-            }
+            AccelState::LoadWait => self.frame_words_received() >= self.st.in_words,
+            AccelState::Compute => return now.saturating_add(self.st.compute_countdown - 1),
             AccelState::StoreWaitReq => !self.st.pending_p2p_reqs.is_empty(),
             AccelState::StoreWaitAck => self.st.store_acked_words >= self.st.out_words,
             AccelState::Idle | AccelState::Done => unreachable!("handled above"),
@@ -678,11 +664,11 @@ impl AccelTile {
         }
     }
 
-    /// Bulk-applies `delta` boring cycles: the latched cycle stamp,
-    /// stall/compute countdowns and the busy/stall/load/compute/store
-    /// statistics advance exactly as `delta` naive ticks would have.
+    /// Bulk-applies `delta` boring cycles: the stall/compute countdowns
+    /// and the busy/stall/load/compute/store statistics advance exactly as
+    /// `delta` naive ticks would have. No clock moves: the tile keeps
+    /// none, and takes the cycle from the mesh when it ticks.
     pub fn advance(&mut self, delta: u64) {
-        self.st.cycle += delta;
         if delta == 0 || matches!(self.st.state, AccelState::Idle | AccelState::Done) {
             return;
         }
@@ -697,14 +683,11 @@ impl AccelTile {
             AccelState::LoadWait => self.st.stats.load_cycles += delta,
             AccelState::Compute => {
                 self.st.stats.compute_cycles += delta;
-                let total = self.st.dvfs_phase + delta;
-                let wraps = total / self.st.dvfs_divider;
                 debug_assert!(
-                    wraps < self.st.compute_countdown,
+                    delta < self.st.compute_countdown,
                     "advance past the compute countdown"
                 );
-                self.st.compute_countdown -= wraps;
-                self.st.dvfs_phase = total % self.st.dvfs_divider;
+                self.st.compute_countdown -= delta;
             }
             AccelState::StoreWaitReq | AccelState::StoreSend | AccelState::StoreWaitAck => {
                 self.st.stats.store_cycles += delta;
@@ -716,7 +699,7 @@ impl AccelTile {
         }
     }
 
-    fn drain_control(&mut self, mesh: &mut Mesh) {
+    fn drain_control(&mut self, mesh: &mut Mesh, now: u64) {
         while let Some(pkt) = mesh.eject(self.coord, Plane::IoIrq) {
             match pkt.kind() {
                 MsgKind::RegWrite => {
@@ -724,7 +707,7 @@ impl AccelTile {
                     let value = pkt.payload()[1];
                     self.st.regs.write(offset, value);
                     if offset == REG_CMD && value == CMD_START {
-                        self.start_batch();
+                        self.start_batch(now);
                     }
                 }
                 MsgKind::RegReadReq => {
@@ -796,8 +779,7 @@ impl AccelTile {
     /// when a hang fault swallows the command; latches `short_drop` when a
     /// short-output fault matches. Trigger indices count *start commands*,
     /// so a bounded hang clears itself on the driver's retry.
-    fn fault_on_start(&mut self) -> bool {
-        let cycle = self.st.cycle;
+    fn fault_on_start(&mut self, cycle: u64) -> bool {
         let Some(f) = self.st.faults.as_deref_mut() else {
             return false;
         };
@@ -847,9 +829,9 @@ impl AccelTile {
         false
     }
 
-    fn start_batch(&mut self) {
+    fn start_batch(&mut self, now: u64) {
         if matches!(self.st.state, AccelState::Idle | AccelState::Done) {
-            if self.fault_on_start() {
+            if self.fault_on_start(now) {
                 return;
             }
             self.st.in_values = match self.st.regs.read(REG_CONF_SIZE) {
@@ -881,40 +863,29 @@ impl AccelTile {
                 .rx_buf
                 .resize((halves * self.st.in_words) as usize, 0);
             self.st.regs.set_status(STATUS_RUNNING);
-            self.set_state(AccelState::LoadIssue);
+            self.set_state(AccelState::LoadIssue, now);
         }
     }
 
-    fn step_fsm(&mut self) {
+    fn step_fsm(&mut self, now: u64) {
         match self.st.state {
             AccelState::Idle | AccelState::Done => {}
-            AccelState::LoadIssue => self.issue_loads(),
+            AccelState::LoadIssue => self.issue_loads(now),
             AccelState::LoadWait => {
-                let half = if self.st.dbuf {
-                    (self.st.frame_idx % 2) as usize
-                } else {
-                    0
-                };
-                if self.st.rx_counts[half] >= self.st.rx_expect {
-                    self.run_kernel();
+                if self.frame_words_received() >= self.st.in_words {
+                    self.run_kernel(now);
                 } else {
                     self.st.stats.load_cycles += 1;
                 }
             }
             AccelState::Compute => {
                 self.st.stats.compute_cycles += 1;
-                // Per-tile DVFS: the datapath advances only on its own
-                // (divided) clock edges; the socket stays on the NoC clock.
-                self.st.dvfs_phase += 1;
-                if self.st.dvfs_phase >= self.st.dvfs_divider {
-                    self.st.dvfs_phase = 0;
-                    self.st.compute_countdown = self.st.compute_countdown.saturating_sub(1);
-                }
+                self.st.compute_countdown -= 1;
                 if self.st.compute_countdown == 0 {
-                    self.set_state(AccelState::StoreIssue);
+                    self.set_state(AccelState::StoreIssue, now);
                 }
             }
-            AccelState::StoreIssue => self.issue_store(),
+            AccelState::StoreIssue => self.issue_store(now),
             AccelState::StoreWaitReq => {
                 if let Some((requester, len, dest_base)) = self.st.pending_p2p_reqs.pop_front() {
                     if len != self.st.out_words && self.st.sanitize {
@@ -937,31 +908,30 @@ impl AccelTile {
                     let data = std::mem::take(&mut self.st.output_buffer);
                     let words = data.len() as u64;
                     let frame = Some(self.global_frame(self.st.frame_idx));
-                    self.tracer.emit(self.st.cycle, self.trace_coord(), || {
-                        TraceEvent::P2pTransfer {
+                    self.tracer
+                        .emit(now, self.trace_coord(), || TraceEvent::P2pTransfer {
                             dest: TileCoord::new(requester.x, requester.y),
                             words,
                             frame,
-                        }
-                    });
+                        });
                     self.st.stats.p2p_words_sent += words;
                     let dma = Dma::new(self.coord, requester, frame);
                     self.st.tx_queue.extend(dma.data(dest_base, &data));
-                    self.set_state(AccelState::StoreSend);
+                    self.set_state(AccelState::StoreSend, now);
                 } else {
                     self.st.stats.store_cycles += 1;
                 }
             }
             AccelState::StoreSend => {
                 if self.st.tx_queue.is_empty() {
-                    self.finish_frame();
+                    self.finish_frame(now);
                 } else {
                     self.st.stats.store_cycles += 1;
                 }
             }
             AccelState::StoreWaitAck => {
                 if self.st.store_acked_words >= self.st.out_words {
-                    self.finish_frame();
+                    self.finish_frame(now);
                 } else {
                     self.st.stats.store_cycles += 1;
                 }
@@ -972,13 +942,12 @@ impl AccelTile {
     /// Issues whatever loads the current frame needs: the frame itself
     /// (single buffer) or every not-yet-requested frame within the
     /// two-deep ping-pong window (double buffer).
-    fn issue_loads(&mut self) {
-        self.st.rx_expect = self.st.in_words;
+    fn issue_loads(&mut self, now: u64) {
         if self.st.dbuf {
             let window_end = (self.st.frame_idx + 2).min(self.st.n_frames);
             while self.st.loads_issued < window_end {
                 let frame = self.st.loads_issued;
-                self.issue_load_for(frame);
+                self.issue_load_for(frame, now);
                 self.st.loads_issued += 1;
             }
         } else if self.st.loads_issued <= self.st.frame_idx {
@@ -986,14 +955,14 @@ impl AccelTile {
             self.st.rx_buf.clear();
             self.st.rx_buf.resize(self.st.in_words as usize, 0);
             self.st.rx_counts[0] = 0;
-            self.issue_load_for(self.st.frame_idx);
+            self.issue_load_for(self.st.frame_idx, now);
             self.st.loads_issued = self.st.frame_idx + 1;
         }
-        self.set_state(AccelState::LoadWait);
+        self.set_state(AccelState::LoadWait, now);
     }
 
     /// Issues the load requests for one frame into its PLM half.
-    fn issue_load_for(&mut self, frame: u64) {
+    fn issue_load_for(&mut self, frame: u64, now: u64) {
         let dest_base = if self.st.dbuf {
             (frame % 2) * self.st.in_words
         } else {
@@ -1009,7 +978,7 @@ impl AccelTile {
         }
         let va = self.st.src_base + frame * self.st.in_words;
         let mut dest_offset = dest_base;
-        for (mem_tile, local_addr, l) in self.dma_pieces(va, self.st.in_words) {
+        for (mem_tile, local_addr, l) in self.dma_pieces(va, self.st.in_words, now) {
             self.st.stats.dma_words_loaded += l;
             let req = Dma::new(self.coord, mem_tile, global).load_req([local_addr, l, dest_offset]);
             self.st.tx_queue.push_back(req);
@@ -1020,7 +989,7 @@ impl AccelTile {
     /// Translates the `len`-word DMA burst at virtual address `va` into
     /// per-memory-tile pieces `(tile, local address, words)`, charging
     /// the TLB lookup and the descriptor setup.
-    fn dma_pieces(&mut self, va: u64, len: u64) -> Vec<(Coord, u64, u64)> {
+    fn dma_pieces(&mut self, va: u64, len: u64, now: u64) -> Vec<(Coord, u64, u64)> {
         let table = self
             .st
             .page_table
@@ -1033,7 +1002,7 @@ impl AccelTile {
             .expect("mapped DMA address");
         if tlb_lat > 0 {
             self.tracer
-                .emit(self.st.cycle, self.trace_coord(), || TraceEvent::TlbMiss {
+                .emit(now, self.trace_coord(), || TraceEvent::TlbMiss {
                     penalty: tlb_lat,
                 });
         }
@@ -1045,7 +1014,7 @@ impl AccelTile {
             .collect()
     }
 
-    fn run_kernel(&mut self) {
+    fn run_kernel(&mut self, now: u64) {
         let (words, consumed_half) = if self.st.dbuf {
             let half = (self.st.frame_idx % 2) as usize;
             let base = half * self.st.in_words as usize;
@@ -1059,7 +1028,7 @@ impl AccelTile {
             // The consumed half is free: prefetch the next window frame.
             let next = self.st.frame_idx + 2;
             if next < self.st.n_frames && self.st.loads_issued <= next {
-                self.issue_load_for(next);
+                self.issue_load_for(next, now);
                 self.st.loads_issued = next + 1;
             }
         }
@@ -1083,17 +1052,20 @@ impl AccelTile {
                 .max(1);
             self.st.output_buffer.truncate(keep as usize);
         }
-        self.st.compute_countdown = out.cycles.max(1);
-        self.set_state(AccelState::Compute);
+        // Per-tile DVFS divides only the datapath clock: the kernel's
+        // `cycles` last `divider` NoC-clock ticks each, while the socket
+        // stays on the NoC clock.
+        self.st.compute_countdown = out.cycles.max(1).saturating_mul(self.st.dvfs_divider);
+        self.set_state(AccelState::Compute, now);
     }
 
-    fn issue_store(&mut self) {
+    fn issue_store(&mut self, now: u64) {
         if self.st.p2p.store_enabled {
-            self.set_state(AccelState::StoreWaitReq);
+            self.set_state(AccelState::StoreWaitReq, now);
             return;
         }
         let va = self.st.dst_base + self.st.frame_idx * self.st.out_words;
-        let pieces = self.dma_pieces(va, self.st.out_words);
+        let pieces = self.dma_pieces(va, self.st.out_words, now);
         let global = Some(self.global_frame(self.st.frame_idx));
         self.st.store_acked_words = 0;
         let data = std::mem::take(&mut self.st.output_buffer);
@@ -1109,22 +1081,21 @@ impl AccelTile {
             self.st.tx_queue.extend(dma.store(local_addr, words));
             cursor = end;
         }
-        self.set_state(AccelState::StoreWaitAck);
+        self.set_state(AccelState::StoreWaitAck, now);
     }
 
-    fn finish_frame(&mut self) {
+    fn finish_frame(&mut self, now: u64) {
         self.st.stats.frames_done += 1;
         let frame = self.global_frame(self.st.frame_idx);
-        self.tracer.emit(self.st.cycle, self.trace_coord(), || {
-            TraceEvent::FrameComplete {
+        self.tracer
+            .emit(now, self.trace_coord(), || TraceEvent::FrameComplete {
                 accel: self.kernel.name().to_string(),
                 frame,
-            }
-        });
+            });
         self.st.frame_idx += 1;
         if self.st.frame_idx >= self.st.n_frames {
             self.st.regs.set_status(STATUS_DONE);
-            self.set_state(AccelState::Done);
+            self.set_state(AccelState::Done, now);
             self.st.tx_queue.push_back(Packet::new(
                 self.coord,
                 self.irq_target,
@@ -1133,7 +1104,7 @@ impl AccelTile {
                 vec![self.coord.to_reg()],
             ));
         } else {
-            self.set_state(AccelState::LoadIssue);
+            self.set_state(AccelState::LoadIssue, now);
         }
     }
 }

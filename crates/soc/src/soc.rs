@@ -308,7 +308,6 @@ impl SocBuilder {
             tile_map,
             mem_map,
             clock_hz: self.clock_mhz * 1.0e6,
-            primary_proc,
             tracer: Tracer::disabled(),
             series: None,
             engine: self.engine,
@@ -377,7 +376,6 @@ pub struct Soc {
     tile_map: HashMap<Coord, (TileKind, usize)>,
     mem_map: MemMap,
     clock_hz: f64,
-    primary_proc: Coord,
     tracer: Tracer,
     series: Option<CounterSeries>,
     engine: SocEngine,
@@ -819,9 +817,10 @@ impl Soc {
     ///   through traffic, jumping a lone worm stream to the tick before
     ///   its next tail ejects and jumping over idle stretches, until it
     ///   delivers a packet, or until that wake, `limit` or the next
-    ///   sampling cycle. The tiles then catch up in bulk, and a sampling
-    ///   row due at the span's last cycle is recorded as [`Soc::tick`]
-    ///   records it.
+    ///   sampling cycle. The tiles then catch up in bulk (countdowns and
+    ///   statistics: no tile keeps a copy of the clock, which is the
+    ///   mesh's alone), and a sampling row due at the span's last cycle
+    ///   is recorded as [`Soc::tick`] records it.
     /// - **Otherwise** (a tile wake is due, or a packet waits) one
     ///   [`Soc::tick`].
     ///
@@ -1041,13 +1040,16 @@ impl Soc {
     /// Hard-resets the accelerator tile at `coord` back to idle — the
     /// driver's recovery action after a watchdog expiry, before retrying
     /// the invocation. Configuration registers and statistics survive.
+    /// The tile's phase change to idle is stamped with the last executed
+    /// cycle, `cycle() - 1`.
     ///
     /// # Errors
     ///
     /// [`SocError::WrongTile`] if `coord` is not an accelerator tile.
     pub fn reset_accel(&mut self, coord: Coord) -> Result<(), SocError> {
         let idx = self.accel_index(coord)?;
-        self.accel_tiles[idx].reset();
+        let now = self.cycle().saturating_sub(1);
+        self.accel_tiles[idx].reset(now);
         Ok(())
     }
 
@@ -1111,7 +1113,7 @@ impl Soc {
     }
 
     /// The aggregate statistics as a named-counter registry — the same
-    /// numbers as [`Soc::stats`] behind the generic snapshot/diff API.
+    /// numbers as [`Soc::stats`] behind the generic snapshot API.
     pub fn counter_registry(&self) -> CounterRegistry {
         let stats = self.stats();
         let mut reg = CounterRegistry::new();
@@ -1186,9 +1188,10 @@ impl Soc {
         r
     }
 
-    /// The primary processor tile coordinate.
+    /// The primary processor tile coordinate: the first processor the
+    /// floorplan placed, which every accelerator interrupts.
     pub fn primary_proc(&self) -> Coord {
-        self.primary_proc
+        self.proc_tiles[0].coord()
     }
 }
 
@@ -1562,7 +1565,20 @@ mod tests {
             let diag = outcome.diagnosis().expect("blocked tile named");
             assert_eq!(diag.blocked[0].state, "store_wait_ack");
             assert_eq!(soc.faults_injected(), 1);
+            // The reset's phase change is stamped with the last executed
+            // cycle, whether that cycle was ticked or fast-forwarded.
+            let tracer = Tracer::ring_buffer();
+            soc.set_tracer(tracer.clone());
             soc.reset_accel(accel).unwrap();
+            let events = tracer.drain();
+            assert!(matches!(
+                events[..],
+                [esp4ml_trace::TimedEvent {
+                    cycle,
+                    event: esp4ml_trace::TraceEvent::AccelPhaseChange { to: "idle", .. },
+                    ..
+                }] if cycle == soc.cycle() - 1
+            ));
             soc.start_accel(accel).unwrap();
             assert!(soc.run_until_idle(100_000).is_idle());
             let out = soc.dram_read_values(100, 16, 16).unwrap();
@@ -2004,7 +2020,9 @@ mod dvfs_tests {
     use super::*;
     use crate::kernel::ScaleKernel;
 
-    fn run(divider: u64) -> (Vec<u64>, u64) {
+    /// A one-frame batch of 640 datapath cycles at `divider`, configured
+    /// and started on a fresh SoC under `engine`.
+    fn start(engine: SocEngine, divider: u64) -> Soc {
         let mut soc = SocBuilder::new(2, 2)
             .processor(Coord::new(0, 0))
             .memory(Coord::new(1, 0))
@@ -2012,6 +2030,7 @@ mod dvfs_tests {
                 Coord::new(0, 1),
                 Box::new(ScaleKernel::new("a", 64, 2).with_cycles_per_value(10)),
             )
+            .engine(engine)
             .build()
             .unwrap();
         let accel = Coord::new(0, 1);
@@ -2023,11 +2042,34 @@ mod dvfs_tests {
             &AccelConfig::dma_to_dma(0, 512, 1).with_dvfs_divider(divider),
         )
         .unwrap();
-        let start = soc.cycle();
         soc.start_accel(accel).unwrap();
+        soc
+    }
+
+    fn run(divider: u64) -> (Vec<u64>, u64) {
+        let mut soc = start(SocEngine::EventDriven, divider);
         assert!(soc.run_until_idle(1_000_000).is_idle());
         let out = soc.dram_read_values(512, 64, 16).unwrap();
-        (out, soc.cycle() - start)
+        (out, soc.cycle())
+    }
+
+    /// A divider near `u64::MAX` (accepted by `with_dvfs_divider` and
+    /// `configure_accel`) stretches the compute phase past any budget:
+    /// both engines run to the same budget with equal machine state,
+    /// and the event engine's wake arithmetic does not overflow.
+    #[test]
+    fn huge_divider_runs_to_the_budget_under_both_engines() {
+        let [naive, event] = [SocEngine::Naive, SocEngine::EventDriven].map(|engine| {
+            let mut soc = start(engine, u64::MAX / 4);
+            assert!(soc.run_until_idle(200_000).timed_out());
+            assert_eq!(
+                soc.accel(Coord::new(0, 1)).unwrap().state(),
+                crate::AccelState::Compute
+            );
+            soc
+        });
+        assert_eq!(naive.cycle(), event.cycle());
+        assert_eq!(naive.snapshot(), event.snapshot());
     }
 
     #[test]
@@ -2091,6 +2133,13 @@ mod engine_equivalence_tests {
         if let Some(every) = sample_every {
             soc.enable_counter_sampling(every);
         }
+        start(&mut soc);
+        soc
+    }
+
+    /// Loads [`start_workload`]'s two frames, then configures and starts
+    /// its accelerator.
+    fn start(soc: &mut Soc) {
         let accel = Coord::new(0, 1);
         let f0: Vec<u64> = (0..16).collect();
         let f1: Vec<u64> = (100..116).collect();
@@ -2103,7 +2152,37 @@ mod engine_equivalence_tests {
         )
         .unwrap();
         soc.start_accel(accel).unwrap();
-        soc
+    }
+
+    /// A snapshot taken between steps is the naive engine's state: from
+    /// a few idle cycles before the first register write to the end of
+    /// [`start_workload`]'s run, the naive SoC run to the cycle each
+    /// event-engine step ends at holds equal machine state.
+    #[test]
+    fn snapshots_agree_across_engines_at_every_event_step() {
+        let [mut naive, mut event] = [SocEngine::Naive, SocEngine::EventDriven].map(|engine| {
+            let mut soc = workload_soc(engine);
+            soc.run_cycles(5);
+            soc
+        });
+        assert_eq!(naive.snapshot(), event.snapshot(), "after idling");
+        start(&mut naive);
+        start(&mut event);
+        let mut steps = 0;
+        while !event.is_idle() {
+            assert!(event.cycle() < 1_000_000, "workload never idles");
+            event.step(1_000_000);
+            naive.run_cycles(event.cycle() - naive.cycle());
+            assert_eq!(
+                naive.snapshot(),
+                event.snapshot(),
+                "cycle {}",
+                event.cycle()
+            );
+            steps += 1;
+        }
+        assert!(naive.is_idle());
+        assert!(steps < event.cycle(), "no step spanned more than one cycle");
     }
 
     /// [`start_workload`], run to completion.

@@ -1,4 +1,4 @@
-//! Named counters with a snapshot/diff API.
+//! Named counters with a snapshot API.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -153,29 +153,6 @@ impl CounterSnapshot {
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.values.keys().map(String::as_str)
     }
-
-    /// Per-name difference `self - earlier` (saturating, union of
-    /// names) — the growth between two snapshots of monotonic counters.
-    pub fn diff(&self, earlier: &CounterSnapshot) -> CounterSnapshot {
-        let mut values = BTreeMap::new();
-        for (name, &now) in &self.values {
-            values.insert(name.clone(), now.saturating_sub(earlier.get(name)));
-        }
-        for (name, _) in earlier.values.iter() {
-            values.entry(name.clone()).or_insert(0);
-        }
-        CounterSnapshot { values }
-    }
-
-    /// Renders the snapshot as a flat JSON object.
-    pub fn to_json(&self) -> serde_json::Value {
-        let map: serde_json::Map = self
-            .values
-            .iter()
-            .map(|(k, v)| (k.clone(), serde_json::Value::from(*v)))
-            .collect();
-        serde_json::Value::Object(map)
-    }
 }
 
 #[cfg(test)]
@@ -192,24 +169,6 @@ mod tests {
         assert_eq!(reg.get("a"), 5);
         assert_eq!(reg.get("g"), 3);
         assert_eq!(reg.get("missing"), 0);
-    }
-
-    #[test]
-    fn snapshot_diff_measures_growth() {
-        let mut reg = CounterRegistry::new();
-        reg.add("x", 10);
-        let before = reg.snapshot();
-        reg.add("x", 5);
-        reg.add("y", 2);
-        let after = reg.snapshot();
-        let d = after.diff(&before);
-        assert_eq!(d.get("x"), 5);
-        assert_eq!(d.get("y"), 2);
-        // Union semantics: names only in the earlier snapshot appear as 0.
-        let empty = CounterRegistry::new().snapshot();
-        let d2 = empty.diff(&before);
-        assert_eq!(d2.get("x"), 0);
-        assert!(d2.names().any(|n| n == "x"));
     }
 
     #[test]
@@ -234,17 +193,5 @@ mod tests {
         assert_eq!(prometheus_name("soc.dram_reads"), "soc_dram_reads");
         assert_eq!(prometheus_name("noc.plane-0/hops"), "noc_plane_0_hops");
         assert_eq!(prometheus_name("0weird"), "_0weird");
-    }
-
-    #[test]
-    fn snapshot_json_round_trips() {
-        let mut reg = CounterRegistry::new();
-        reg.add("soc.dram_reads", u64::MAX);
-        reg.add("noc.flit_hops", 42);
-        let json = reg.snapshot().to_json();
-        let text = serde_json::to_string(&json).unwrap();
-        let back: serde_json::Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(back["soc.dram_reads"].as_u64(), Some(u64::MAX));
-        assert_eq!(back["noc.flit_hops"].as_u64(), Some(42));
     }
 }

@@ -17,12 +17,12 @@
 //! - [`TraceSink`] / [`RingBufferSink`]: bounded event storage that
 //!   drops the oldest events under pressure rather than growing.
 //! - [`CounterRegistry`] / [`CounterSnapshot`]: named monotonic
-//!   counters and gauges behind one snapshot/diff API, subsuming the
+//!   counters and gauges behind one snapshot API, subsuming the
 //!   ad-hoc stats structs.
 //! - [`perfetto`]: Chrome `trace_event` JSON export (open the file at
 //!   ui.perfetto.dev) with one track per tile and one per NoC plane.
-//! - [`CounterSeries`]: a flat CSV/JSON time-series of counter
-//!   snapshots taken every N cycles.
+//! - [`CounterSeries`]: a time-series of counter snapshots taken
+//!   every N cycles.
 //! - [`profile`]: online bottleneck analysis — per-frame latency
 //!   [`Histogram`]s, per-tile time-in-state utilization, and a
 //!   critical-path report, built by a [`ProfileCollector`] that

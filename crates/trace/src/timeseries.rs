@@ -1,8 +1,7 @@
-//! Counter time-series sampling (flat CSV / JSON export).
+//! Counter time-series sampling.
 
 use crate::counters::CounterSnapshot;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// One sampled row: a counter snapshot at a cycle.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -17,7 +16,7 @@ pub struct SampleRow {
 ///
 /// The driver (e.g. `Soc::tick`) checks [`due`](CounterSeries::due)
 /// and calls [`record`](CounterSeries::record); this struct only
-/// stores and exports.
+/// stores the rows.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterSeries {
     every: u64,
@@ -58,94 +57,18 @@ impl CounterSeries {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
-
-    /// Union of counter names across all samples, sorted.
-    fn columns(&self) -> Vec<String> {
-        let mut names = BTreeSet::new();
-        for row in &self.rows {
-            for name in row.snapshot.names() {
-                names.insert(name.to_string());
-            }
-        }
-        names.into_iter().collect()
-    }
-
-    /// Renders `cycle,<counter...>` CSV. Counters missing from a given
-    /// sample render as 0.
-    pub fn to_csv(&self) -> String {
-        let columns = self.columns();
-        let mut out = String::from("cycle");
-        for c in &columns {
-            out.push(',');
-            out.push_str(c);
-        }
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.cycle.to_string());
-            for c in &columns {
-                out.push(',');
-                out.push_str(&row.snapshot.get(c).to_string());
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders an array of flat JSON objects (`cycle` plus counters).
-    pub fn to_json(&self) -> serde_json::Value {
-        let rows: Vec<serde_json::Value> = self
-            .rows
-            .iter()
-            .map(|row| {
-                let mut map = serde_json::Map::new();
-                map.insert("cycle".to_string(), serde_json::Value::from(row.cycle));
-                for (name, value) in row.snapshot.iter() {
-                    map.insert(name.to_string(), serde_json::Value::from(value));
-                }
-                serde_json::Value::Object(map)
-            })
-            .collect();
-        serde_json::Value::Array(rows)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::CounterRegistry;
 
     #[test]
-    fn csv_has_union_columns() {
-        let mut series = CounterSeries::new(100);
+    fn due_marks_the_sampling_grid() {
+        let series = CounterSeries::new(100);
         assert!(series.due(0));
         assert!(!series.due(150));
         assert!(series.due(200));
-
-        let mut reg = CounterRegistry::new();
-        reg.add("a", 1);
-        series.record(0, reg.snapshot());
-        reg.add("b", 2);
-        series.record(100, reg.snapshot());
-
-        let csv = series.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "cycle,a,b");
-        assert_eq!(lines[1], "0,1,0");
-        assert_eq!(lines[2], "100,1,2");
-    }
-
-    #[test]
-    fn json_rows_parse_back() {
-        let mut series = CounterSeries::new(10);
-        let mut reg = CounterRegistry::new();
-        reg.add("hits", 3);
-        series.record(10, reg.snapshot());
-        let text = serde_json::to_string(&series.to_json()).unwrap();
-        let back: serde_json::Value = serde_json::from_str(&text).unwrap();
-        let rows = back.as_array().unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0]["cycle"].as_u64(), Some(10));
-        assert_eq!(rows[0]["hits"].as_u64(), Some(3));
     }
 
     #[test]

@@ -204,8 +204,8 @@ fn recovery_cycles_appear_as_retry_and_failover_spans() {
 
 /// A traced faulted run logs the same events and span reports under
 /// both engines. The watchdog's socket reset stamps its phase change
-/// with the accelerator tile's latched cycle, so fast-forward must keep
-/// that stamp moving exactly as naive ticks would.
+/// with the last executed cycle, which a fast-forwarded span must leave
+/// where naive ticks would.
 #[test]
 fn traced_faulted_runs_are_identical_across_engines() {
     let m = models();

@@ -1,6 +1,6 @@
 //! End-to-end observability tests: the tracer threaded through the whole
-//! stack, the Perfetto export of a real run, and the counter registry
-//! against the legacy aggregate stats.
+//! stack, the Perfetto export of a real run, and span assembly over a
+//! saturated ring buffer.
 
 use esp4ml::apps::{CaseApp, TrainedModels};
 use esp4ml::experiments::{AppRun, RunOptions};
@@ -10,7 +10,6 @@ use esp4ml::soc::{ScaleKernel, SocBuilder};
 use esp4ml::trace::perfetto::{self, tile_tid};
 use esp4ml::trace::{RingBufferSink, SpanCollector, TileCoord, TraceEvent, Tracer};
 use esp4ml::TraceSession;
-use proptest::prelude::*;
 
 /// A full case-study run exports a valid Chrome trace: parseable JSON,
 /// monotonically non-decreasing `ts`, one named track per accelerator
@@ -125,47 +124,6 @@ fn run_frames(rt: &mut EspRuntime, frames: u64, mode: ExecMode) -> esp4ml::runti
     }
     rt.run(&RunSpec::new(&df).mode(mode), &buf)
         .expect("esp_run")
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(9))]
-
-    /// The counter registry accumulated by `esp_run` reports exactly the
-    /// same numbers as the legacy `RunMetrics` aggregates, for any frame
-    /// count and execution mode.
-    #[test]
-    fn counters_match_run_metrics_exactly(frames in 1u64..5, mode_idx in 0usize..3) {
-        let mode = ExecMode::ALL[mode_idx];
-        let mut rt = two_stage_runtime();
-        let m = run_frames(&mut rt, frames, mode);
-        let snap = rt.counters().snapshot();
-        prop_assert_eq!(snap.get("runtime.frames"), m.frames);
-        prop_assert_eq!(snap.get("runtime.invocations"), m.invocations);
-        prop_assert_eq!(snap.get("soc.cycles"), m.cycles);
-        prop_assert_eq!(snap.get("soc.dram_reads"), m.dram_reads);
-        prop_assert_eq!(snap.get("soc.dram_writes"), m.dram_writes);
-        prop_assert_eq!(snap.get("noc.flit_hops"), m.noc_flit_hops);
-    }
-}
-
-/// Counters keep accumulating across consecutive `esp_run` calls.
-#[test]
-fn counters_accumulate_across_runs() {
-    let mut rt = two_stage_runtime();
-    let m1 = run_frames(&mut rt, 2, ExecMode::Base);
-    let m2 = run_frames(&mut rt, 3, ExecMode::P2p);
-    let snap = rt.counters().snapshot();
-    assert_eq!(snap.get("runtime.frames"), m1.frames + m2.frames);
-    assert_eq!(
-        snap.get("runtime.invocations"),
-        m1.invocations + m2.invocations
-    );
-    assert_eq!(snap.get("soc.dram_reads"), m1.dram_reads + m2.dram_reads);
-    assert_eq!(snap.get("soc.dram_writes"), m1.dram_writes + m2.dram_writes);
-    assert_eq!(
-        snap.get("noc.flit_hops"),
-        m1.noc_flit_hops + m2.noc_flit_hops
-    );
 }
 
 /// A saturated ring buffer must not corrupt span assembly: the online
