@@ -6,7 +6,7 @@ use esp4ml_hls::FixedSpec;
 use esp4ml_hls4ml::{CompileError, CompiledNn};
 use esp4ml_nn::{accuracy, reconstruction_error, Sequential, TrainConfig, Trainer};
 use esp4ml_runtime::Dataflow;
-use esp4ml_soc::{Soc, SocError};
+use esp4ml_soc::{CacheCount, KernelMemo, NnKernel, Soc, SocError};
 use esp4ml_vision::SvhnGenerator;
 use std::error::Error;
 use std::fmt;
@@ -88,13 +88,28 @@ impl From<SocError> for BuildError {
 /// The two Keras-trained models of the evaluation, plus their quality
 /// metrics when training was actually run.
 ///
-/// The models also hold the HLS4ML stage's output: each built-in network
-/// compiles once per per-layer reuse vector, the first time a SoC build
-/// asks for it, and every later build reuses that compile (see
-/// [`SocConfigFile::build`]). The reuse is sound because the networks
-/// are private and cannot change once the models exist. Clones share the
-/// compiled networks. At most eight compiles are kept; the least recently
-/// used goes first.
+/// The models also hold what every run computes the same way, so that
+/// each value is computed once per models and shared by all its clones
+/// (grid workers, server jobs):
+///
+/// * **Compiled networks.** Each built-in network compiles once per
+///   per-layer reuse vector, the first time a SoC build asks for it, and
+///   every later build reuses that compile (see [`SocConfigFile::build`]).
+///   The reuse is sound because the networks are private and cannot
+///   change once the models exist. At most eight compiles are kept; the
+///   least recently used goes first.
+/// * **Kernel results.** Each compile carries a [`KernelMemo`] for the
+///   whole network and one for each of its layer parts, shared by every
+///   tile that deploys it. A network's output is a function of its input
+///   values, and its latency comes from the HLS reports, so a hit moves
+///   no cycle. Each memo holds up to 1,024 inputs.
+/// * **Input frames.** The seeded images and labels a run writes, per
+///   input kind and seed. The generator is sequential, so the first `n`
+///   frames of a set answer every run of up to `n` frames. At most eight
+///   sets of up to 1,024 frames are kept.
+///
+/// [`TrainedModels::cache_counts`] reports the hits and misses of the
+/// last two.
 #[derive(Debug, Clone)]
 pub struct TrainedModels {
     classifier: Sequential,
@@ -105,6 +120,22 @@ pub struct TrainedModels {
     /// (paper: 3.1 %).
     pub denoiser_error: Option<f64>,
     compiled: Arc<CompiledCache>,
+    frames: Arc<FrameCache>,
+}
+
+/// Hits and misses of the caches a [`TrainedModels`] and its clones
+/// share, counted since the models were made. Host-side counts: they say
+/// how much work the caches saved and never enter a simulated result.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheCounts {
+    /// Accelerator invocations answered from a kernel result memo.
+    pub kernel_memo_hits: u64,
+    /// Accelerator invocations that ran the network.
+    pub kernel_memo_misses: u64,
+    /// Runs whose input frames came from the frame cache.
+    pub frame_hits: u64,
+    /// Runs that generated their input frames.
+    pub frame_misses: u64,
 }
 
 impl TrainedModels {
@@ -151,6 +182,7 @@ impl TrainedModels {
             classifier_accuracy: None,
             denoiser_error: None,
             compiled: Arc::default(),
+            frames: Arc::default(),
         }
     }
 
@@ -164,19 +196,32 @@ impl TrainedModels {
         &self.denoiser
     }
 
+    /// The hits and misses of the kernel result memos and the frame
+    /// cache so far.
+    pub fn cache_counts(&self) -> CacheCounts {
+        let memo = &self.compiled.memo_count;
+        CacheCounts {
+            kernel_memo_hits: memo.hits(),
+            kernel_memo_misses: memo.misses(),
+            frame_hits: self.frames.count.hits(),
+            frame_misses: self.frames.count.misses(),
+        }
+    }
+
     /// The built-in network `net` compiled with `reuse`, named after its
-    /// kind: the value `compile_ml(network, kind, reuse)` returns, taken
-    /// from the cache when an earlier build compiled it. The lock is not
-    /// held while compiling, so two racing builds may both compile one
-    /// key; their results are equal. Failed compiles are not cached.
+    /// kind — the value `compile_ml(network, kind, reuse)` returns — with
+    /// its layer parts and their memos, taken from the cache when an
+    /// earlier build compiled it. The lock is not held while compiling,
+    /// so two racing builds may both compile one key; the first insert
+    /// wins and both builds use it. Failed compiles are not cached.
     pub(crate) fn compiled(
         &self,
         net: BuiltinNet,
         reuse: &[u64],
-    ) -> Result<Arc<CompiledNn>, CompileError> {
+    ) -> Result<Arc<Compiled>, CompileError> {
         let key = (net, reuse.to_vec());
-        if let Some(nn) = self.compiled.get(&key) {
-            return Ok(nn);
+        if let Some(compiled) = self.compiled.lru.get(&key) {
+            return Ok(compiled);
         }
         let network = match net {
             BuiltinNet::Classifier => &self.classifier,
@@ -184,7 +229,30 @@ impl TrainedModels {
         };
         let nn = Esp4mlFlow::new().compile_ml(network, net.kind(), reuse)?;
         self.compiled.compiles.fetch_add(1, Ordering::Relaxed);
-        Ok(self.compiled.insert(key, Arc::new(nn)))
+        let compiled = Compiled::new(nn, &self.compiled.memo_count);
+        Ok(self.compiled.lru.insert(key, Arc::new(compiled), |_| false))
+    }
+
+    /// The first `count` input frames of `app` from the generator seeded
+    /// with `seed`, and their labels: the frames [`CaseApp::input_frame`]
+    /// makes, in order. A run of more frames than the cache holds for
+    /// that input kind and seed generates them all again and keeps them
+    /// when there are at most [`FRAME_LIMIT`].
+    pub(crate) fn input_frames(&self, app: &CaseApp, seed: u64, count: u64) -> InputFrames {
+        let count = count as usize;
+        let key = (app.input_kind(), seed);
+        let cached = self.frames.lru.get(&key);
+        if let Some(set) = cached.filter(|s| s.labels.len() >= count) {
+            self.frames.count.record(true);
+            return InputFrames { set, count };
+        }
+        self.frames.count.record(false);
+        let set = Arc::new(SeededFrames::generate(key.0, seed, count));
+        if count <= FRAME_LIMIT {
+            let longer = |cached: &Arc<SeededFrames>| cached.labels.len() < count;
+            self.frames.lru.insert(key, Arc::clone(&set), longer);
+        }
+        InputFrames { set, count }
     }
 }
 
@@ -210,43 +278,183 @@ impl BuiltinNet {
 /// vector, so the bound is what keeps its memory flat.
 const COMPILED_CAPACITY: usize = 8;
 
+/// Inputs each kernel result memo holds. A Fig. 7 grid of 64 frames
+/// stores at most 128 per network, and a full memo keeps serving hits.
+const MEMO_CAPACITY: usize = 1_024;
+
+/// `(input kind, seed)` frame sets kept per [`TrainedModels`]. The
+/// experiments use one seed, so three entries are in use.
+const FRAME_CAPACITY: usize = 8;
+
+/// Frames a cached frame set holds at most; longer runs generate their
+/// frames and keep none.
+const FRAME_LIMIT: usize = 1_024;
+
 type CompileKey = (BuiltinNet, Vec<u64>);
 
-/// The compiled built-in networks, least recently used first.
-#[derive(Debug, Default)]
-struct CompiledCache {
-    entries: Mutex<Vec<(CompileKey, Arc<CompiledNn>)>>,
-    /// Successful compiles so far (read by the tests).
-    compiles: AtomicUsize,
+/// A built-in network compiled with one reuse vector, and its single-layer
+/// parts ([`CompiledNn::split_layers`]), each with its result memo.
+#[derive(Debug)]
+pub(crate) struct Compiled {
+    nn: CompiledNn,
+    memo: Arc<KernelMemo>,
+    parts: Vec<(CompiledNn, Arc<KernelMemo>)>,
 }
 
-impl CompiledCache {
-    fn entries(&self) -> MutexGuard<'_, Vec<(CompileKey, Arc<CompiledNn>)>> {
+impl Compiled {
+    fn new(nn: CompiledNn, count: &Arc<CacheCount>) -> Compiled {
+        let memo = || Arc::new(KernelMemo::new(MEMO_CAPACITY, Arc::clone(count)));
+        Compiled {
+            parts: nn.split_layers().into_iter().map(|p| (p, memo())).collect(),
+            memo: memo(),
+            nn,
+        }
+    }
+
+    /// The compiled whole network.
+    pub(crate) fn network(&self) -> &CompiledNn {
+        &self.nn
+    }
+
+    /// A copy of the whole network deployed as `name`.
+    pub(crate) fn whole(&self, name: &str) -> NnKernel {
+        NnKernel::new(self.nn.renamed(name)).with_memo(Arc::clone(&self.memo))
+    }
+
+    /// A copy of dense layer `layer` deployed as `name`, if the network
+    /// has that layer.
+    pub(crate) fn part(&self, layer: usize, name: &str) -> Option<NnKernel> {
+        let (part, memo) = self.parts.get(layer)?;
+        Some(NnKernel::new(part.renamed(name)).with_memo(Arc::clone(memo)))
+    }
+}
+
+/// The compiled built-in networks, and the hits and misses of their
+/// memos.
+#[derive(Debug)]
+struct CompiledCache {
+    lru: Lru<CompileKey, Arc<Compiled>>,
+    /// Successful compiles so far (read by the tests).
+    compiles: AtomicUsize,
+    memo_count: Arc<CacheCount>,
+}
+
+impl Default for CompiledCache {
+    fn default() -> Self {
+        CompiledCache {
+            lru: Lru::new(COMPILED_CAPACITY),
+            compiles: AtomicUsize::new(0),
+            memo_count: Arc::default(),
+        }
+    }
+}
+
+/// How a case application's input frames look.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum InputKind {
+    /// Darkened, for Night-Vision.
+    Dark,
+    /// Noisy, for the denoiser.
+    Noisy,
+    /// Clean, for the plain classifier.
+    Clean,
+}
+
+/// The first frames one seeded generator makes for one input kind.
+#[derive(Debug)]
+struct SeededFrames {
+    images: Vec<Vec<f32>>,
+    labels: Vec<usize>,
+}
+
+impl SeededFrames {
+    fn generate(kind: InputKind, seed: u64, count: usize) -> SeededFrames {
+        let mut gen = SvhnGenerator::new(seed);
+        let (images, labels) = (0..count).map(|_| kind.frame(&mut gen)).unzip();
+        SeededFrames { images, labels }
+    }
+}
+
+/// The first frames of a cached frame set.
+#[derive(Debug)]
+pub(crate) struct InputFrames {
+    set: Arc<SeededFrames>,
+    count: usize,
+}
+
+impl InputFrames {
+    /// One `[0, 1]` image per frame, in order.
+    pub(crate) fn images(&self) -> &[Vec<f32>] {
+        &self.set.images[..self.count]
+    }
+
+    /// The ground-truth label of each frame.
+    pub(crate) fn labels(&self) -> &[usize] {
+        &self.set.labels[..self.count]
+    }
+}
+
+/// The seeded frame sets, and the hits and misses of their lookups.
+#[derive(Debug)]
+struct FrameCache {
+    lru: Lru<(InputKind, u64), Arc<SeededFrames>>,
+    count: CacheCount,
+}
+
+impl Default for FrameCache {
+    fn default() -> Self {
+        FrameCache {
+            lru: Lru::new(FRAME_CAPACITY),
+            count: CacheCount::default(),
+        }
+    }
+}
+
+/// A map of at most `capacity` entries behind a lock, least recently
+/// used first; a full map drops that entry to make room.
+#[derive(Debug)]
+struct Lru<K, V> {
+    entries: Mutex<Vec<(K, V)>>,
+    capacity: usize,
+}
+
+impl<K: PartialEq, V: Clone> Lru<K, V> {
+    fn new(capacity: usize) -> Self {
+        Lru {
+            entries: Mutex::default(),
+            capacity,
+        }
+    }
+
+    fn entries(&self) -> MutexGuard<'_, Vec<(K, V)>> {
         // Every update leaves the list valid (at worst an entry is
-        // missing, which costs a recompile), so a panic while the lock
+        // missing, which costs a recompute), so a panic while the lock
         // was held leaves nothing to repair.
         self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn get(&self, key: &CompileKey) -> Option<Arc<CompiledNn>> {
+    fn get(&self, key: &K) -> Option<V> {
         let mut entries = self.entries();
         let i = entries.iter().position(|(k, _)| k == key)?;
         entries[i..].rotate_left(1);
-        entries.last().map(|(_, nn)| Arc::clone(nn))
+        entries.last().map(|(_, v)| v.clone())
     }
 
-    /// Inserts `nn` as most recently used, unless a racing build got
-    /// there first, and returns the cached value.
-    fn insert(&self, key: CompileKey, nn: Arc<CompiledNn>) -> Arc<CompiledNn> {
+    /// Stores `value` as most recently used and returns it, unless a
+    /// racing caller stored `key` first and `replaces` that value says
+    /// no; then the stored value is returned.
+    fn insert(&self, key: K, value: V, replaces: impl FnOnce(&V) -> bool) -> V {
         let mut entries = self.entries();
-        if let Some((_, cached)) = entries.iter().find(|(k, _)| *k == key) {
-            return Arc::clone(cached);
-        }
-        if entries.len() == COMPILED_CAPACITY {
+        if let Some(i) = entries.iter().position(|(k, _)| *k == key) {
+            if !replaces(&entries[i].1) {
+                return entries[i].1.clone();
+            }
+            entries.remove(i);
+        } else if entries.len() == self.capacity {
             entries.remove(0);
         }
-        entries.push((key, Arc::clone(&nn)));
-        nn
+        entries.push((key, value.clone()));
+        value
     }
 }
 
@@ -347,11 +555,25 @@ impl CaseApp {
     /// ground-truth label: darkened images for Night-Vision, noisy images
     /// for the denoiser, clean images for the plain classifier.
     pub fn input_frame(&self, gen: &mut SvhnGenerator) -> (Vec<f32>, usize) {
+        self.input_kind().frame(gen)
+    }
+
+    pub(crate) fn input_kind(&self) -> InputKind {
+        match self {
+            CaseApp::NightVisionClassifier { .. } => InputKind::Dark,
+            CaseApp::DenoiserClassifier => InputKind::Noisy,
+            CaseApp::MultiTileClassifier => InputKind::Clean,
+        }
+    }
+}
+
+impl InputKind {
+    fn frame(self, gen: &mut SvhnGenerator) -> (Vec<f32>, usize) {
         let sample = gen.sample();
         let image = match self {
-            CaseApp::NightVisionClassifier { .. } => SvhnGenerator::darken(&sample.image, 0.25),
-            CaseApp::DenoiserClassifier => gen.add_noise(&sample.image, 0.1),
-            CaseApp::MultiTileClassifier => sample.image,
+            InputKind::Dark => SvhnGenerator::darken(&sample.image, 0.25),
+            InputKind::Noisy => gen.add_noise(&sample.image, 0.1),
+            InputKind::Clean => sample.image,
         };
         (image, sample.label)
     }
@@ -563,7 +785,7 @@ mod compile_cache_tests {
     }
 
     fn cached(models: &TrainedModels) -> usize {
-        models.compiled.entries().len()
+        models.compiled.lru.entries().len()
     }
 
     fn compiles(models: &TrainedModels) -> usize {
@@ -625,7 +847,8 @@ mod compile_cache_tests {
             let fresh = flow
                 .compile_ml(network, net.kind(), reuse)
                 .expect("compiles");
-            assert_eq!(*models.compiled(net, reuse).expect("cached"), fresh);
+            let cached = models.compiled(net, reuse).expect("cached");
+            assert_eq!(*cached.network(), fresh);
         }
     }
 
@@ -693,6 +916,7 @@ mod compile_cache_tests {
             let nn = models
                 .compiled(BuiltinNet::Classifier, reuse)
                 .expect("cached");
+            let nn = nn.network();
             (nn.resources(), nn.latency(), nn.initiation_interval())
         };
         assert_eq!(net(&[]), net(&[64; 5]));
@@ -717,15 +941,45 @@ mod compile_cache_tests {
         let models = TrainedModels::untrained();
         let poisoner = std::thread::scope(|s| {
             s.spawn(|| {
-                let _held = models.compiled.entries.lock();
+                let _held = models.compiled.lru.entries.lock();
                 panic!("poisoning the compile cache on purpose");
             })
             .join()
         });
         assert!(poisoner.is_err());
-        assert!(models.compiled.entries.is_poisoned());
+        assert!(models.compiled.lru.entries.is_poisoned());
         let soc = SocId::Soc2.config().build(&models).expect("builds");
         assert_eq!(soc.accel_coords().len(), 5);
         assert_eq!(cached(&models), 1);
+    }
+}
+
+#[cfg(test)]
+mod frame_cache_tests {
+    use super::*;
+
+    #[test]
+    fn frame_sets_are_prefixes_of_one_generator_and_bounded() {
+        let models = TrainedModels::untrained();
+        let app = CaseApp::DenoiserClassifier;
+        let long = models.input_frames(&app, 7, 5);
+        let short = models.input_frames(&app, 7, 3);
+        let mut gen = SvhnGenerator::new(7);
+        let fresh: Vec<_> = (0..5).map(|_| app.input_frame(&mut gen)).collect();
+        for (frames, n) in [(&long, 5), (&short, 3)] {
+            let got: Vec<_> = frames
+                .images()
+                .iter()
+                .cloned()
+                .zip(frames.labels().iter().copied())
+                .collect();
+            assert_eq!(got, fresh[..n]);
+        }
+        let counts = models.cache_counts();
+        assert_eq!((counts.frame_hits, counts.frame_misses), (1, 1));
+        for seed in 0..10 {
+            models.input_frames(&app, seed, 1);
+        }
+        assert_eq!(models.frames.lru.entries().len(), FRAME_CAPACITY);
     }
 }

@@ -12,7 +12,7 @@
 //! tests, so the printed artifacts and the asserted behaviours cannot
 //! drift apart.
 
-use crate::apps::{argmax, decode_values, encode_image, CaseApp, TrainedModels};
+use crate::apps::{argmax, decode_values, encode_image, CaseApp, InputFrames, TrainedModels};
 use crate::faults::CAMPAIGN_WATCHDOG_CYCLES;
 use crate::flow::Esp4mlFlow;
 use crate::observe::TraceSession;
@@ -24,7 +24,6 @@ use esp4ml_runtime::{
 };
 use esp4ml_soc::{Soc, SocEngine};
 use esp4ml_trace::{TileCoord, TraceEvent};
-use esp4ml_vision::SvhnGenerator;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -272,12 +271,9 @@ impl AppRun {
         }
         let dataflow = app.dataflow();
         let buf = rt.prepare(&dataflow, frames)?;
-        let mut gen = SvhnGenerator::new(DATA_SEED);
-        let mut labels = Vec::with_capacity(frames as usize);
-        for f in 0..frames {
-            let (image, label) = app.input_frame(&mut gen);
-            rt.write_frame(&buf, f, &encode_image(&image))?;
-            labels.push(label);
+        let inputs = models.input_frames(app, DATA_SEED, frames);
+        for (f, image) in (0..).zip(inputs.images()) {
+            rt.write_frame(&buf, f, &encode_image(image))?;
         }
 
         let run_label = format!("{} {}", app.label(), mode.label());
@@ -333,7 +329,7 @@ impl AppRun {
             s.close_run(run_label, rt.soc_mut());
         }
         let Some(metrics) = hardware else {
-            return Ok(software_fallback(app, models, mode, labels, rt.soc()));
+            return Ok(software_fallback(app, models, mode, &inputs, rt.soc()));
         };
         let mut predictions = Vec::with_capacity(frames as usize);
         for f in 0..frames {
@@ -346,7 +342,7 @@ impl AppRun {
             metrics,
             watts,
             predictions,
-            labels,
+            labels: inputs.labels().to_vec(),
             sanitizer,
             software_fallback: false,
         })
@@ -406,24 +402,23 @@ fn software_fallback(
     app: &CaseApp,
     models: &TrainedModels,
     mode: ExecMode,
-    labels: Vec<usize>,
+    inputs: &InputFrames,
     soc: &Soc,
 ) -> AppRun {
     let sw = SoftwareApp::new(
         Some(models.classifier().clone()),
         Some(models.denoiser().clone()),
     );
-    let frames = labels.len() as u64;
-    let mut gen = SvhnGenerator::new(DATA_SEED);
-    let mut predictions = Vec::with_capacity(labels.len());
-    for _ in 0..frames {
-        let (image, _) = app.input_frame(&mut gen);
-        predictions.push(match app {
-            CaseApp::NightVisionClassifier { .. } => sw.night_vision_classify(&image),
-            CaseApp::DenoiserClassifier => sw.denoise_classify(&image),
-            CaseApp::MultiTileClassifier => sw.classify(&image),
-        });
-    }
+    let frames = inputs.labels().len() as u64;
+    let predictions = inputs
+        .images()
+        .iter()
+        .map(|image| match app {
+            CaseApp::NightVisionClassifier { .. } => sw.night_vision_classify(image),
+            CaseApp::DenoiserClassifier => sw.denoise_classify(image),
+            CaseApp::MultiTileClassifier => sw.classify(image),
+        })
+        .collect();
     let ariane = Platform::ariane();
     let (_, workload) = Workload::table1_apps()
         .into_iter()
@@ -443,7 +438,7 @@ fn software_fallback(
         metrics,
         watts: ariane.average_watts(&workload),
         predictions,
-        labels,
+        labels: inputs.labels().to_vec(),
         sanitizer: None,
         software_fallback: true,
     }
@@ -882,32 +877,32 @@ impl AccuracyReport {
             models.classifier().predict_classes(&x)[0]
         };
 
-        // Replicate the exact frame sequences the SoC runs see.
+        // The exact frame sequences the SoC runs see.
         let nv_app = CaseApp::NightVisionClassifier { nv: 4, cl: 4 };
         let de_app = CaseApp::DenoiserClassifier;
+        let nv_frames = models.input_frames(&nv_app, DATA_SEED, n);
+        let de_frames = models.input_frames(&de_app, DATA_SEED, n);
 
         let mut hits = [0u64; 5]; // clean, dark-direct, dark-nv, noisy-direct, noisy-denoised
-        let mut gen_nv = SvhnGenerator::new(DATA_SEED);
-        let mut gen_de = SvhnGenerator::new(DATA_SEED);
-        for _ in 0..n {
-            let (dark, label_nv) = nv_app.input_frame(&mut gen_nv);
+        for (dark, &label_nv) in nv_frames.images().iter().zip(nv_frames.labels()) {
             // The clean image is the darkened one un-scaled (darken is a
             // pure multiplication by 0.25).
             let clean: Vec<f32> = dark.iter().map(|&v| (v / 0.25).min(1.0)).collect();
             if classify_float(&clean) == label_nv {
                 hits[0] += 1;
             }
-            if classify_float(&dark) == label_nv {
+            if classify_float(dark) == label_nv {
                 hits[1] += 1;
             }
-            if app_sw.night_vision_classify(&dark) == label_nv {
+            if app_sw.night_vision_classify(dark) == label_nv {
                 hits[2] += 1;
             }
-            let (noisy, label_de) = de_app.input_frame(&mut gen_de);
-            if classify_float(&noisy) == label_de {
+        }
+        for (noisy, &label_de) in de_frames.images().iter().zip(de_frames.labels()) {
+            if classify_float(noisy) == label_de {
                 hits[3] += 1;
             }
-            if app_sw.denoise_classify(&noisy) == label_de {
+            if app_sw.denoise_classify(noisy) == label_de {
                 hits[4] += 1;
             }
         }
@@ -1108,5 +1103,113 @@ mod tests {
         // p2p carries the NV output directly: DRAM sees input + labels only.
         let expected = 4 * 256 + 4 * 3;
         assert_eq!(run.metrics.dram_accesses, expected);
+    }
+}
+
+#[cfg(test)]
+mod cache_tests {
+    use super::*;
+    use esp4ml_fault::{FaultKind, FaultSpec};
+    use esp4ml_soc::EngineCounters;
+
+    const FRAMES: u64 = 2;
+
+    /// Everything `points` return, as text, in order.
+    fn run_all(points: &[GridPoint], models: &TrainedModels, opts: &RunKind<'_>) -> Vec<String> {
+        points
+            .iter()
+            .map(|p| {
+                let opts = RunOptions {
+                    kind: *opts,
+                    ..RunOptions::default()
+                };
+                let run = AppRun::execute(&p.app, models, FRAMES, p.mode, opts).expect("runs");
+                format!("{run:?}")
+            })
+            .collect()
+    }
+
+    /// The engine counters of one plain point run by hand.
+    fn counters(p: &GridPoint, models: &TrainedModels) -> EngineCounters {
+        let mut rt = EspRuntime::new(p.app.build_soc(models).expect("builds")).expect("boots");
+        let dataflow = p.app.dataflow();
+        let buf = rt.prepare(&dataflow, FRAMES).expect("fits");
+        let inputs = models.input_frames(&p.app, DATA_SEED, FRAMES);
+        for (f, image) in (0..).zip(inputs.images()) {
+            rt.write_frame(&buf, f, &encode_image(image))
+                .expect("writes");
+        }
+        rt.run(&RunSpec::new(&dataflow).mode(p.mode), &buf)
+            .expect("runs");
+        rt.soc().engine_counters()
+    }
+
+    #[test]
+    fn a_second_grid_on_warm_models_only_hits_the_caches() {
+        let grid = Fig7::grid();
+        let models = TrainedModels::untrained();
+        let first = run_all(&grid, &models, &RunKind::Plain);
+        let warm = models.cache_counts();
+        assert_eq!(warm.frame_misses, 3, "one frame set per input kind");
+        assert!(warm.kernel_memo_hits > 0, "copies share their memo");
+        let second = run_all(&grid, &models, &RunKind::Plain);
+        let after = models.cache_counts();
+        assert_eq!(second, first, "warm caches change no byte");
+        assert_eq!(after.kernel_memo_misses, warm.kernel_memo_misses);
+        assert_eq!(
+            after.kernel_memo_hits - warm.kernel_memo_hits,
+            warm.kernel_memo_hits + warm.kernel_memo_misses,
+            "every memoized invocation hits"
+        );
+        assert_eq!(after.frame_misses, warm.frame_misses);
+        assert_eq!(after.frame_hits - warm.frame_hits, grid.len() as u64);
+        let cold = TrainedModels::untrained();
+        assert_eq!(run_all(&grid, &cold, &RunKind::Plain), first);
+        for p in &grid {
+            let label = p.label();
+            assert_eq!(counters(p, &models), counters(p, &cold), "{label}");
+        }
+    }
+
+    #[test]
+    fn concurrent_executes_from_one_models_agree() {
+        let grid: Vec<GridPoint> = Fig7::grid().into_iter().step_by(2).collect();
+        let models = TrainedModels::untrained();
+        let [a, b] = std::thread::scope(|s| {
+            let workers = [0, 1].map(|_| s.spawn(|| run_all(&grid, &models, &RunKind::Plain)));
+            workers.map(|w| w.join().expect("no panic"))
+        });
+        assert_eq!(a, b);
+        assert_eq!(
+            a,
+            run_all(&grid, &TrainedModels::untrained(), &RunKind::Plain)
+        );
+    }
+
+    /// Corrupted payloads reach the kernels as inputs no clean run sees;
+    /// they miss the memo, and the faulted results equal those of cold
+    /// models.
+    #[test]
+    fn corrupted_inputs_miss_the_memo_and_change_nothing() {
+        let plan = FaultPlan::new(0).with(FaultSpec::new(FaultKind::NocCorrupt {
+            plane: 4,
+            from_packet: 0,
+            count: 64,
+            xor_mask: 0x00ff_00ff_00ff_00ff,
+        }));
+        let grid: Vec<GridPoint> = Fig7::grid()
+            .into_iter()
+            .filter(|p| p.mode == ExecMode::P2p)
+            .collect();
+        let models = TrainedModels::untrained();
+        run_all(&grid, &models, &RunKind::Plain);
+        let clean = models.cache_counts();
+        let faulted = run_all(&grid, &models, &RunKind::Faulted(&plan));
+        assert!(
+            models.cache_counts().kernel_memo_misses > clean.kernel_memo_misses,
+            "a corrupted input is a new key"
+        );
+        let cold = TrainedModels::untrained();
+        assert_eq!(faulted, run_all(&grid, &cold, &RunKind::Faulted(&plan)));
     }
 }

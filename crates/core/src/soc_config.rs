@@ -155,10 +155,11 @@ impl SocConfigFile {
     /// Each built-in network compiles once per `(model, reuse)` key and
     /// per [`TrainedModels`]: the first build that needs it compiles it,
     /// and later builds from the same models (or a clone) reuse it. Every
-    /// tile hosting it deploys a renamed copy sharing the weights. Whole
+    /// tile hosting it deploys a renamed copy sharing the weights and the
+    /// result memo of the whole network or of its layer. Whole
     /// classifier and denoiser copies share a kind, so the runtime can
     /// fail over between them; a layer part keeps its name as its kind.
-    /// `Files` tiles compile on every build.
+    /// `Files` tiles compile on every build and keep no memo.
     ///
     /// # Errors
     ///
@@ -190,20 +191,16 @@ impl SocConfigFile {
                         MlModelRef::Denoiser => BuiltinNet::Denoiser,
                         _ => BuiltinNet::Classifier,
                     };
-                    let nn = models.compiled(net, reuse)?;
+                    let compiled = models.compiled(net, reuse)?;
                     let kernel = match model {
-                        MlModelRef::ClassifierLayer { layer } => {
-                            let part =
-                                nn.split_layers().into_iter().nth(*layer).ok_or_else(|| {
-                                    BuildError::MissingLayer {
-                                        tile: name.clone(),
-                                        layer: *layer,
-                                        layers: nn.layers().len(),
-                                    }
-                                })?;
-                            NnKernel::new(part.renamed(name))
-                        }
-                        _ => NnKernel::new(nn.renamed(name)).with_kind(net.kind()),
+                        MlModelRef::ClassifierLayer { layer } => compiled
+                            .part(*layer, name)
+                            .ok_or_else(|| BuildError::MissingLayer {
+                                tile: name.clone(),
+                                layer: *layer,
+                                layers: compiled.network().layers().len(),
+                            })?,
+                        _ => compiled.whole(name).with_kind(net.kind()),
                     };
                     b.accelerator(coord, Box::new(kernel))
                 }

@@ -341,9 +341,19 @@ impl JobEngine {
         &self.logger
     }
 
-    /// Renders `/v1/metrics`: the accumulated registry plus the
-    /// point-in-time queue-depth and running gauges.
+    /// Renders `/v1/metrics`: the accumulated registry, the models'
+    /// cache counts, and the point-in-time queue-depth and running
+    /// gauges.
     pub fn render_metrics(&self) -> String {
+        let caches = self.models.cache_counts();
+        for (name, value) in [
+            (metrics::KERNEL_MEMO_HITS, caches.kernel_memo_hits),
+            (metrics::KERNEL_MEMO_MISSES, caches.kernel_memo_misses),
+            (metrics::FRAME_CACHE_HITS, caches.frame_hits),
+            (metrics::FRAME_CACHE_MISSES, caches.frame_misses),
+        ] {
+            self.metrics.set(name, value);
+        }
         let (queue_depth, running) = {
             let st = self.state.lock().expect("engine lock");
             let depths = [st.queues[0].len(), st.queues[1].len(), st.queues[2].len()];

@@ -31,6 +31,16 @@ pub const CACHE_HITS: &str = "espserve.cache_hits";
 pub const CACHE_MISSES: &str = "espserve.cache_misses";
 /// Flat counter: cached responses dropped by the capacity bound.
 pub const CACHE_EVICTIONS: &str = "espserve.cache_evictions";
+/// Flat counter: accelerator invocations answered from a kernel result
+/// memo of the engine's models.
+pub const KERNEL_MEMO_HITS: &str = "espserve.kernel_memo_hits";
+/// Flat counter: accelerator invocations that ran their network.
+pub const KERNEL_MEMO_MISSES: &str = "espserve.kernel_memo_misses";
+/// Flat counter: runs whose input frames came from the models' frame
+/// cache.
+pub const FRAME_CACHE_HITS: &str = "espserve.frame_cache_hits";
+/// Flat counter: runs that generated their input frames.
+pub const FRAME_CACHE_MISSES: &str = "espserve.frame_cache_misses";
 
 const HTTP_FAMILY: &str = "espserve_http_requests_total";
 const TENANT_FAMILY: &str = "espserve_tenant_jobs_total";
@@ -136,6 +146,16 @@ impl ServeMetrics {
     /// Adds one to a flat `espserve.*` counter.
     pub fn incr(&self, name: &str) {
         self.inner.lock().expect("metrics lock").counters.incr(name);
+    }
+
+    /// Sets a flat counter that is counted elsewhere (the models' cache
+    /// counts) to its current value.
+    pub fn set(&self, name: &str, value: u64) {
+        self.inner
+            .lock()
+            .expect("metrics lock")
+            .counters
+            .set(name, value);
     }
 
     /// Current value of a flat counter (zero when never touched) — the

@@ -480,6 +480,19 @@ fn metrics_contract_counts_every_flow() {
     assert!(text.contains("espserve_job_run_duration_ms_count 1"));
     assert!(text.contains("espserve_job_run_duration_ms_bucket{le=\"+Inf\"} 1"));
     assert!(text.contains("espserve_job_queue_wait_ms_count 1"));
+    // The models' host caches: the one run generated its frames and ran
+    // its networks; the cached resubmission ran nothing.
+    assert!(text.contains("espserve_frame_cache_hits 0\n"), "{text}");
+    assert!(text.contains("espserve_frame_cache_misses 1\n"), "{text}");
+    let count = |name: &str| {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse::<u64>().ok())
+    };
+    assert!(
+        count("espserve_kernel_memo_misses").is_some_and(|n| n > 0),
+        "{text}"
+    );
+    assert!(count("espserve_kernel_memo_hits").is_some(), "{text}");
     // Nothing queued or running at scrape time.
     assert!(text.contains("espserve_queue_depth{priority=\"normal\"} 0"));
     assert!(text.contains("espserve_jobs_running 0"));

@@ -2,7 +2,10 @@
 
 use esp4ml_hls::Resources;
 use esp4ml_hls4ml::CompiledNn;
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The result of one kernel invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -192,6 +195,116 @@ impl AcceleratorKernel for ScaleKernel {
     }
 }
 
+/// Hits and misses of a host-side cache, counted across threads. Several
+/// caches may share one count.
+#[derive(Debug, Default)]
+pub struct CacheCount {
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl CacheCount {
+    /// Lookups answered from the cache.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Lookups that had to compute.
+    pub fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Counts one lookup.
+    pub fn record(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The results of one pure kernel, shared by every copy of it: a map
+/// from a complete input to its output values, both stored at 16 bits.
+///
+/// A memo is exact for a kernel whose output is a function of its input
+/// values alone, as every [`NnKernel`] is. It holds at most `capacity`
+/// inputs; a full memo keeps what it has and stores nothing more. An
+/// input or output with a value wider than 16 bits is computed and
+/// never stored. The lock is not held while computing, so two racing
+/// copies may both compute one input; their results are equal.
+pub struct KernelMemo {
+    entries: Mutex<Results>,
+    capacity: usize,
+    count: Arc<CacheCount>,
+}
+
+impl KernelMemo {
+    /// An empty memo holding up to `capacity` inputs, counting its hits
+    /// and misses in `count`.
+    pub fn new(capacity: usize, count: Arc<CacheCount>) -> Self {
+        KernelMemo {
+            entries: Mutex::default(),
+            capacity,
+            count,
+        }
+    }
+
+    /// Stored inputs.
+    pub fn len(&self) -> usize {
+        self.entries().len()
+    }
+
+    /// True when nothing is stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn entries(&self) -> MutexGuard<'_, Results> {
+        // Every update is one insert, so a panic while the lock was held
+        // leaves nothing to repair.
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The stored output for `input`, or `compute(input)`, stored.
+    pub fn get_or_compute(
+        &self,
+        input: &[u64],
+        compute: impl FnOnce(&[u64]) -> Vec<u64>,
+    ) -> Vec<u64> {
+        let Some(key) = narrow(input) else {
+            return compute(input);
+        };
+        if let Some(out) = self.entries().get(&key) {
+            self.count.record(true);
+            return out.iter().map(|&v| u64::from(v)).collect();
+        }
+        self.count.record(false);
+        let out = compute(input);
+        if let Some(stored) = narrow(&out) {
+            let mut entries = self.entries();
+            if entries.len() < self.capacity {
+                entries.entry(key).or_insert(stored);
+            }
+        }
+        out
+    }
+}
+
+impl fmt::Debug for KernelMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("KernelMemo")
+            .field("entries", &self.len())
+            .field("capacity", &self.capacity)
+            .finish()
+    }
+}
+
+/// Output values by input values, both at 16 bits.
+type Results = HashMap<Box<[u16]>, Box<[u16]>>;
+
+/// `values` at 16 bits, or `None` when one is wider.
+fn narrow(values: &[u64]) -> Option<Box<[u16]>> {
+    values.iter().map(|&v| u16::try_from(v).ok()).collect()
+}
+
 /// Adapter exposing a compiled HLS4ML network as an accelerator kernel.
 ///
 /// Values on the NoC are the raw fixed-point words of the network's
@@ -203,6 +316,7 @@ pub struct NnKernel {
     kind: Option<String>,
     /// [`CompiledNn::latency`], summed from the layer reports once.
     latency: u64,
+    memo: Option<Arc<KernelMemo>>,
 }
 
 impl NnKernel {
@@ -213,6 +327,7 @@ impl NnKernel {
             nn,
             kind: None,
             latency,
+            memo: None,
         }
     }
 
@@ -225,9 +340,23 @@ impl NnKernel {
         self
     }
 
+    /// Looks results up in `memo` (builder style), which every copy of
+    /// this network may share and no other network may use. The latency
+    /// stays the kernel's own, so a hit moves no cycle.
+    pub fn with_memo(mut self, memo: Arc<KernelMemo>) -> Self {
+        self.memo = Some(memo);
+        self
+    }
+
     /// The wrapped network.
     pub fn network(&self) -> &CompiledNn {
         &self.nn
+    }
+
+    fn infer(&self, input: &[u64]) -> Vec<u64> {
+        let raw: Vec<i64> = input.iter().map(|&v| self.to_signed(v)).collect();
+        let out = self.nn.infer_fixed(&raw);
+        out.into_iter().map(|v| self.to_unsigned(v)).collect()
     }
 
     fn to_signed(&self, v: u64) -> i64 {
@@ -264,10 +393,12 @@ impl AcceleratorKernel for NnKernel {
     }
 
     fn compute(&mut self, input: &[u64]) -> KernelOutput {
-        let raw: Vec<i64> = input.iter().map(|&v| self.to_signed(v)).collect();
-        let out = self.nn.infer_fixed(&raw);
+        let values = match &self.memo {
+            Some(memo) => memo.get_or_compute(input, |input| self.infer(input)),
+            None => self.infer(input),
+        };
         KernelOutput {
-            values: out.into_iter().map(|v| self.to_unsigned(v)).collect(),
+            values,
             cycles: self.latency,
         }
     }
@@ -331,6 +462,84 @@ mod tests {
         assert_eq!(out.values, vec![3, 6, 9, 12]);
         assert_eq!(out.cycles, 4);
         assert_eq!(k.input_values(), 4);
+    }
+
+    /// A one-layer 4→4 network.
+    fn small_nn() -> CompiledNn {
+        use esp4ml_hls4ml::{Hls4mlCompiler, Hls4mlConfig};
+        use esp4ml_nn::{Activation, LayerSpec, Sequential};
+        let mut m = Sequential::with_seed(4, 17);
+        m.push(LayerSpec::dense(4, Activation::Relu));
+        Hls4mlCompiler::compile(&m, &Hls4mlConfig::with_reuse(4)).unwrap()
+    }
+
+    #[test]
+    fn memoized_copies_return_what_the_network_computes() {
+        let nn = small_nn();
+        let count = Arc::new(CacheCount::default());
+        let memo = Arc::new(KernelMemo::new(8, Arc::clone(&count)));
+        let mut plain = NnKernel::new(nn.clone());
+        let mut a = NnKernel::new(nn.renamed("a")).with_memo(Arc::clone(&memo));
+        let mut b = NnKernel::new(nn.renamed("b")).with_memo(Arc::clone(&memo));
+        let inputs = [[1u64, 2, 3, 4], [0xffff, 0x8000, 7, 0], [1, 2, 3, 4]];
+        for input in inputs {
+            let want = plain.compute(&input);
+            assert_eq!(a.compute(&input), want);
+            assert_eq!(b.compute(&input), want, "a copy reads the shared memo");
+            assert_eq!(want.cycles, nn.latency());
+        }
+        assert_eq!(memo.len(), 2);
+        assert_eq!((count.hits(), count.misses()), (4, 2));
+    }
+
+    #[test]
+    fn a_full_memo_stores_nothing_more_and_still_computes() {
+        let nn = small_nn();
+        let count = Arc::new(CacheCount::default());
+        let memo = Arc::new(KernelMemo::new(2, Arc::clone(&count)));
+        let mut plain = NnKernel::new(nn.clone());
+        let mut k = NnKernel::new(nn).with_memo(Arc::clone(&memo));
+        for round in 0..2 {
+            for v in 0..5u64 {
+                let input = [v, v + 1, v + 2, v + 3];
+                assert_eq!(k.compute(&input), plain.compute(&input), "{round} {v}");
+            }
+        }
+        assert_eq!(memo.len(), 2, "the bound holds");
+        // The first two inputs hit in the second round, the other three
+        // miss both times.
+        assert_eq!((count.hits(), count.misses()), (2, 8));
+    }
+
+    #[test]
+    fn values_wider_than_16_bits_bypass_the_memo() {
+        let count = Arc::new(CacheCount::default());
+        let memo = KernelMemo::new(8, Arc::clone(&count));
+        let wide = [1u64 << 16, 0];
+        for _ in 0..2 {
+            assert_eq!(memo.get_or_compute(&wide, |v| v.to_vec()), wide);
+            assert_eq!(memo.get_or_compute(&[1, 2], |_| vec![1 << 20]), [1 << 20]);
+        }
+        assert!(memo.is_empty());
+        assert_eq!((count.hits(), count.misses()), (0, 2));
+    }
+
+    #[test]
+    fn a_poisoned_memo_still_serves() {
+        let memo = KernelMemo::new(8, Arc::default());
+        assert_eq!(memo.get_or_compute(&[1], |_| vec![2]), [2]);
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = memo.entries.lock();
+                panic!("poisoning the memo on purpose");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(memo.entries.is_poisoned());
+        assert_eq!(memo.get_or_compute(&[1], |_| unreachable!("a hit")), [2]);
+        assert_eq!(memo.get_or_compute(&[3], |_| vec![4]), [4]);
+        assert_eq!(memo.len(), 2);
     }
 
     #[test]
