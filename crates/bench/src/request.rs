@@ -1564,8 +1564,7 @@ fn deployment_response(
     let deployment = req.required_deployment().map_err(RequestError::Invalid)?;
     let engine = req.soc_engine();
     let analysis = deploy::lint_deployment(deployment);
-    let validation = deploy::validate_against_simulator(deployment, models, req.frames, engine)
-        .map_err(grid_error)?;
+    let validation = deploy::validate_against_simulator(deployment, models, req.frames, engine)?;
     let mut tracker = ProgressTracker::new(progress, validation.tenants.len() as u64);
     for t in &validation.tenants {
         tracker.advance(&t.tenant, t.frames, t.cycles);

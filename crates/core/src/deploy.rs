@@ -39,7 +39,7 @@
 
 use crate::apps::TrainedModels;
 use crate::check::{lint_config, lint_dataflow, lint_mapping, FloorplanView};
-use crate::error::Esp4mlError;
+use crate::experiments::ExperimentError;
 use crate::soc_config::SocConfigFile;
 use esp4ml_check::cdg::{self, Link, Node, Routing};
 use esp4ml_check::{bw, codes, Diagnostic, Report};
@@ -616,11 +616,8 @@ fn check_tenant(
     demand: &bw::TenantDemand,
     frames: u64,
     engine: SocEngine,
-) -> Result<TenantRunCheck, Esp4mlError> {
-    let mut soc = deployment
-        .soc
-        .build(models)
-        .map_err(|e| Esp4mlError::Other(format!("SoC build failed: {e}")))?;
+) -> Result<TenantRunCheck, ExperimentError> {
+    let mut soc = deployment.soc.build(models)?;
     soc.set_engine(engine);
     let mut rt = EspRuntime::new(soc)?;
     let dataflow = tenant.dataflow();
@@ -694,7 +691,7 @@ pub fn validate_against_simulator(
     models: &TrainedModels,
     frames: u64,
     engine: SocEngine,
-) -> Result<DeploymentValidation, Esp4mlError> {
+) -> Result<DeploymentValidation, ExperimentError> {
     let view = FloorplanView::from_config(&deployment.soc);
     let capacity = deployment.capacity_flits_per_sec();
     let mut tenants = Vec::new();
@@ -703,9 +700,9 @@ pub fn validate_against_simulator(
     for tenant in &deployment.tenants {
         let mode = tenant
             .exec_mode()
-            .ok_or_else(|| Esp4mlError::Other(format!("unknown mode {:?}", tenant.mode)))?;
-        let transfers =
-            tenant_transfers(&view, tenant, mode).map_err(|e| Esp4mlError::Other(e.to_string()))?;
+            .ok_or_else(|| ExperimentError::Grid(format!("unknown mode {:?}", tenant.mode)))?;
+        let transfers = tenant_transfers(&view, tenant, mode)
+            .map_err(|e| ExperimentError::Grid(e.to_string()))?;
         let demand = tenant_demand(tenant, &transfers);
         let check = check_tenant(deployment, models, tenant, mode, &demand, frames, engine)?;
         measured_demands.push(bw::TenantDemand {

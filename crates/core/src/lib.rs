@@ -53,7 +53,6 @@
 pub mod apps;
 pub mod check;
 pub mod deploy;
-pub mod error;
 pub mod experiments;
 pub mod faults;
 pub mod flow;
@@ -61,7 +60,6 @@ pub mod observe;
 pub mod soc_config;
 
 pub use apps::{CaseApp, TrainedModels};
-pub use error::Esp4mlError;
 pub use faults::{lint_fault_plan, CampaignReport};
 pub use flow::Esp4mlFlow;
 pub use observe::{ProfileReport, TraceSession};

@@ -127,11 +127,6 @@ impl Llc {
         &self.stats
     }
 
-    /// Resets the counters (contents are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Accesses the line containing `addr`; `is_write` marks it dirty.
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheAccess {
         self.clock += 1;
@@ -219,14 +214,6 @@ impl CachedDram {
     /// LLC counters, when an LLC is configured.
     pub fn llc_stats(&self) -> Option<&CacheStats> {
         self.llc.as_ref().map(Llc::stats)
-    }
-
-    /// Resets all counters.
-    pub fn reset_stats(&mut self) {
-        self.dram.reset_stats();
-        if let Some(llc) = &mut self.llc {
-            llc.reset_stats();
-        }
     }
 
     /// Capacity in words.

@@ -176,11 +176,6 @@ impl Dram {
         &self.stats
     }
 
-    /// Resets the access counters (e.g. between experiment phases).
-    pub fn reset_stats(&mut self) {
-        self.stats = DramStats::default();
-    }
-
     /// Capacity in words.
     pub fn size_words(&self) -> u64 {
         self.config.size_words
@@ -311,14 +306,6 @@ mod tests {
         d.poke(5, 99);
         assert_eq!(d.peek(5), 99);
         assert_eq!(d.stats().total_accesses(), 0);
-    }
-
-    #[test]
-    fn reset_stats_zeroes_counters() {
-        let mut d = small();
-        d.write_burst(0, &[1]);
-        d.reset_stats();
-        assert_eq!(d.stats(), &DramStats::default());
     }
 
     #[test]

@@ -452,18 +452,6 @@ impl Mesh {
         }
     }
 
-    /// Per-router forwarded-flit counts as a row-major `rows x cols`
-    /// matrix — the NoC congestion heatmap.
-    pub fn traffic_matrix(&self) -> Vec<Vec<u64>> {
-        (0..self.config.rows)
-            .map(|y| {
-                (0..self.config.cols)
-                    .map(|x| self.routers[y * self.config.cols + x].forwarded_flits())
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Snapshots per-router, per-link occupancy and credit-stall
     /// counters for every plane.
     pub fn link_heatmap(&self) -> NocHeatmap {
@@ -1903,12 +1891,13 @@ mod traffic_tests {
         ))
         .unwrap();
         m.run_until_idle(100);
-        let t = m.traffic_matrix();
+        let heatmap = m.link_heatmap();
+        let t = &heatmap.plane(Plane::DmaRsp).links;
         assert_eq!(t.len(), 3);
-        assert_eq!(t[0][0], 3); // 3 flits forwarded east
-        assert_eq!(t[0][1], 3);
-        assert_eq!(t[0][2], 0); // destination only ejects locally
-        assert_eq!(t[1][0], 0); // off-route routers untouched
+        assert_eq!(t[0][0].link_total(), 3); // 3 flits forwarded east
+        assert_eq!(t[0][1].link_total(), 3);
+        assert_eq!(t[0][2].link_total(), 0); // destination only ejects locally
+        assert_eq!(t[1][0].link_total(), 0); // off-route routers untouched
     }
 }
 

@@ -192,17 +192,6 @@ impl Router {
         self.coord
     }
 
-    /// Flits this router has forwarded onto mesh links (all planes) — a
-    /// per-router congestion indicator: the sum of the non-Local link
-    /// counters.
-    pub fn forwarded_flits(&self) -> u64 {
-        self.state
-            .link_flits
-            .iter()
-            .flat_map(|ports| &ports[..Port::Local.index()])
-            .sum()
-    }
-
     /// Flits moved through output `port` of `plane` (the Local port
     /// counts ejections into the tile).
     pub fn link_flits(&self, plane: Plane, port: Port) -> u64 {
@@ -600,8 +589,6 @@ mod tests {
         assert_eq!(r.link_flits(Plane::DmaReq, Port::Local), 1);
         assert_eq!(r.link_flits(Plane::DmaReq, Port::North), 0);
         assert_eq!(r.link_flits(Plane::CohReq, Port::East), 0);
-        // Ejections count on the Local column but not as forwards.
-        assert_eq!(r.forwarded_flits(), 1);
         assert_eq!(r.credit_stalls(Plane::DmaReq), 0);
     }
 

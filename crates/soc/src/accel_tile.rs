@@ -16,7 +16,7 @@ use crate::regs::{
     REG_CONF_SIZE, REG_DST_OFFSET, REG_DVFS, REG_FLAGS, REG_FRAME_BASE, REG_FRAME_STRIDE,
     REG_N_FRAMES, REG_P2P, REG_SRC_OFFSET, STATUS_DONE, STATUS_IDLE, STATUS_RUNNING,
 };
-use crate::sanitize::{tile_location, BlockedTile};
+use crate::sanitize::{tile_location, BlockedTile, InvariantLedger};
 use crate::stats::AccelStats;
 use esp4ml_check::{codes, Diagnostic};
 use esp4ml_fault::{FaultKind, FaultSpec};
@@ -24,7 +24,7 @@ use esp4ml_mem::{PageTable, Tlb};
 use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, NEVER};
 use esp4ml_trace::{TileCoord, TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Cycles of socket overhead to set up one DMA burst descriptor.
 const DMA_SETUP_CYCLES: u64 = 2;
@@ -75,18 +75,11 @@ impl AccelState {
     }
 }
 
-/// Communication mode of one side of an invocation, as reported by
-/// [`AccelConfig::comm_modes`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CommMode {
-    /// Through the memory hierarchy (regular DMA).
-    Dma,
-    /// Tile-to-tile over the NoC (ESP4ML p2p service).
-    P2p,
-}
-
 /// A user-level accelerator invocation descriptor, written into the socket
-/// registers by the driver.
+/// registers by the driver. [`AccelConfig::dma_to_dma`] spells out the
+/// plain descriptor; the other constructors change only its p2p side
+/// (the offset a p2p side leaves unused is 0), and the `with_*` builders
+/// adjust the result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AccelConfig {
     /// Input values per frame (0 = the kernel's natural input size; any
@@ -141,48 +134,24 @@ impl AccelConfig {
     /// DMA load, p2p store (first stage of a p2p pipeline).
     pub fn dma_to_p2p(src_offset: u64, n_frames: u64) -> Self {
         AccelConfig {
-            conf_size: 0,
-            out_size: 0,
-            src_offset,
-            dst_offset: 0,
-            n_frames,
             p2p: P2pConfig::store(),
-            flags: 0,
-            dvfs_divider: 0,
-            frame_base: 0,
-            frame_stride: 1,
+            ..Self::dma_to_dma(src_offset, 0, n_frames)
         }
     }
 
     /// P2p load from `sources`, DMA store (last stage).
     pub fn p2p_to_dma(sources: Vec<Coord>, dst_offset: u64, n_frames: u64) -> Self {
         AccelConfig {
-            conf_size: 0,
-            out_size: 0,
-            src_offset: 0,
-            dst_offset,
-            n_frames,
             p2p: P2pConfig::load_from(sources),
-            flags: 0,
-            dvfs_divider: 0,
-            frame_base: 0,
-            frame_stride: 1,
+            ..Self::dma_to_dma(0, dst_offset, n_frames)
         }
     }
 
     /// P2p on both sides (middle stage).
     pub fn p2p_to_p2p(sources: Vec<Coord>, n_frames: u64) -> Self {
         AccelConfig {
-            conf_size: 0,
-            out_size: 0,
-            src_offset: 0,
-            dst_offset: 0,
-            n_frames,
             p2p: P2pConfig::load_and_store(sources),
-            flags: 0,
-            dvfs_divider: 0,
-            frame_base: 0,
-            frame_stride: 1,
+            ..Self::dma_to_dma(0, 0, n_frames)
         }
     }
 
@@ -208,22 +177,6 @@ impl AccelConfig {
         self.frame_base = base;
         self.frame_stride = stride.max(1);
         self
-    }
-
-    /// The `(load, store)` communication modes this configuration selects.
-    pub fn comm_modes(&self) -> (CommMode, CommMode) {
-        (
-            if self.p2p.load_enabled {
-                CommMode::P2p
-            } else {
-                CommMode::Dma
-            },
-            if self.p2p.store_enabled {
-                CommMode::P2p
-            } else {
-                CommMode::Dma
-            },
-        )
     }
 }
 
@@ -271,12 +224,12 @@ pub struct AccelTileState {
     dst_base: u64,
     p2p: P2pConfig,
 
-    // Transfer bookkeeping: the frame receive buffer (PLM input), filled
-    // by offset-tagged DmaData packets in any arrival order. With double
-    // buffering the buffer holds two ping-pong halves (frame k in half
-    // k % 2) and the next frame's load overlaps the current frame's
-    // compute/store.
+    // Transfer bookkeeping: the frame receive buffer (PLM input), a
+    // window of one frame, or of two ping-pong halves with double
+    // buffering (frame k in half k % 2), filled by offset-tagged DmaData
+    // packets in any arrival order. Sized once per batch.
     rx_buf: Vec<u64>,
+    /// Words received into each half.
     rx_counts: [u64; 2],
     dbuf: bool,
     loads_issued: u64,
@@ -294,11 +247,47 @@ pub struct AccelTileState {
     faults: Option<Box<AccelFaults>>,
 
     stats: AccelStats,
-    /// Sanitizer mode: promoted invariant asserts record typed
-    /// diagnostics here (in release builds too) instead of only
-    /// `debug_assert!`-ing.
-    sanitize: bool,
-    sanitizer_violations: BTreeSet<Diagnostic>,
+    /// Records receive-buffer overruns and p2p length mismatches.
+    ledger: InvariantLedger,
+}
+
+impl AccelTileState {
+    /// The socket at `coord` as built: idle registers, no page table, an
+    /// empty TLB, no batch latched, an empty PLM and empty queues.
+    fn idle(coord: Coord) -> Self {
+        AccelTileState {
+            regs: RegisterFile::new(coord),
+            page_table: None,
+            tlb: Tlb::new(SOCKET_TLB_ENTRIES, TLB_MISS_PENALTY),
+            state: AccelState::Idle,
+            n_frames: 0,
+            frame_idx: 0,
+            frame_base: 0,
+            frame_stride: 1,
+            in_values: 0,
+            out_values: 0,
+            in_words: 0,
+            out_words: 0,
+            src_base: 0,
+            dst_base: 0,
+            p2p: P2pConfig::disabled(),
+            rx_buf: Vec::new(),
+            rx_counts: [0; 2],
+            dbuf: false,
+            loads_issued: 0,
+            dvfs_divider: 1,
+            tx_queue: VecDeque::new(),
+            store_acked_words: 0,
+            pending_p2p_reqs: VecDeque::new(),
+            compute_countdown: 0,
+            output_buffer: Vec::new(),
+            stall: 0,
+            short_drop: 0,
+            faults: None,
+            stats: AccelStats::default(),
+            ledger: InvariantLedger::default(),
+        }
+    }
 }
 
 /// An accelerator tile: socket (registers, DMA engine, TLB, p2p service)
@@ -336,49 +325,16 @@ impl AccelTile {
             irq_target,
             tracer: Tracer::disabled(),
             kernel_invocations: 0,
-            st: AccelTileState {
-                regs: RegisterFile::new(coord),
-                page_table: None,
-                tlb: Tlb::new(SOCKET_TLB_ENTRIES, TLB_MISS_PENALTY),
-                state: AccelState::Idle,
-                n_frames: 0,
-                frame_idx: 0,
-                frame_base: 0,
-                frame_stride: 1,
-                in_values: 0,
-                out_values: 0,
-                in_words: 0,
-                out_words: 0,
-                src_base: 0,
-                dst_base: 0,
-                p2p: P2pConfig::disabled(),
-                rx_buf: Vec::new(),
-                rx_counts: [0; 2],
-                dbuf: false,
-                loads_issued: 0,
-                dvfs_divider: 1,
-                tx_queue: VecDeque::new(),
-                store_acked_words: 0,
-                pending_p2p_reqs: VecDeque::new(),
-                compute_countdown: 0,
-                output_buffer: Vec::new(),
-                stall: 0,
-                short_drop: 0,
-                faults: None,
-                stats: AccelStats::default(),
-                sanitize: false,
-                sanitizer_violations: BTreeSet::new(),
-            },
+            st: AccelTileState::idle(coord),
         }
     }
 
-    /// Switches the promoted invariant asserts into diagnostic mode.
-    pub(crate) fn enable_sanitize(&mut self) {
-        self.st.sanitize = true;
+    pub(crate) fn ledger(&self) -> &InvariantLedger {
+        &self.st.ledger
     }
 
-    pub(crate) fn sanitizer_violations(&self) -> &BTreeSet<Diagnostic> {
-        &self.st.sanitizer_violations
+    pub(crate) fn ledger_mut(&mut self) -> &mut InvariantLedger {
+        &mut self.st.ledger
     }
 
     /// Fault hook (sanitizer testing): inflates the received-word counter
@@ -410,30 +366,24 @@ impl AccelTile {
     }
 
     /// Hard-resets the socket wrapper back to [`AccelState::Idle`] — the
-    /// recovery path a driver takes after a watchdog expiry. In-flight
-    /// batch state (partial frames, queued packets, pending p2p requests)
-    /// is discarded; the configuration registers, armed faults and
-    /// cumulative statistics all survive, so the driver can re-issue the
-    /// batch immediately. `now` is the last executed cycle, which stamps
-    /// the phase change to idle.
+    /// recovery path a driver takes after a watchdog expiry. The batch
+    /// (its latched context, partial frames, queued packets, pending p2p
+    /// requests) is discarded, back to the socket's idle state as built;
+    /// the registers (status set to idle), page table, TLB, armed faults
+    /// with their trigger counts, cumulative statistics and sanitizer
+    /// ledger survive, so the driver can re-issue the batch immediately.
+    /// `now` is the last executed cycle, which stamps the phase change to
+    /// idle.
     pub fn reset(&mut self, now: u64) {
         self.set_state(AccelState::Idle, now);
-        self.st.n_frames = 0;
-        self.st.frame_idx = 0;
-        self.st.frame_base = 0;
-        self.st.frame_stride = 1;
-        self.st.rx_buf.clear();
-        self.st.rx_counts = [0; 2];
-        self.st.dbuf = false;
-        self.st.loads_issued = 0;
-        self.st.tx_queue.clear();
-        self.st.store_acked_words = 0;
-        self.st.pending_p2p_reqs.clear();
-        self.st.compute_countdown = 0;
-        self.st.output_buffer.clear();
-        self.st.stall = 0;
-        self.st.short_drop = 0;
+        let kept = std::mem::replace(&mut self.st, AccelTileState::idle(self.coord));
+        self.st.regs = kept.regs;
         self.st.regs.set_status(STATUS_IDLE);
+        self.st.page_table = kept.page_table;
+        self.st.tlb = kept.tlb;
+        self.st.faults = kept.faults;
+        self.st.stats = kept.stats;
+        self.st.ledger = kept.ledger;
     }
 
     /// The tile's machine state (see [`AccelTileState`] for what is and
@@ -521,14 +471,14 @@ impl AccelTile {
         TileCoord::new(self.coord.x, self.coord.y)
     }
 
+    /// Frames the PLM window holds: two with double buffering, else one.
+    fn halves(&self) -> u64 {
+        1 + u64::from(self.st.dbuf)
+    }
+
     /// Words of the current frame received so far, in its PLM half.
     fn frame_words_received(&self) -> u64 {
-        let half = if self.st.dbuf {
-            self.st.frame_idx % 2
-        } else {
-            0
-        };
-        self.st.rx_counts[half as usize]
+        self.st.rx_counts[(self.st.frame_idx % self.halves()) as usize]
     }
 
     /// Global frame id of batch frame `idx` under the latched base/stride.
@@ -586,11 +536,6 @@ impl AccelTile {
     /// [`crate::EngineCounters`]).
     pub(crate) fn kernel_invocations(&self) -> u64 {
         self.kernel_invocations
-    }
-
-    /// Resets the statistics counters.
-    pub fn reset_stats(&mut self) {
-        self.st.stats = AccelStats::default();
     }
 
     /// Reads a socket register (driver access through the I/O plane).
@@ -744,27 +689,23 @@ impl AccelTile {
                     let offset = pkt.payload()[0] as usize;
                     let data = &pkt.payload()[1..];
                     self.st.stats.words_received += data.len() as u64;
-                    if offset + data.len() <= self.st.rx_buf.len() {
-                        self.st.rx_buf[offset..offset + data.len()].copy_from_slice(data);
-                        let half = if self.st.dbuf && offset as u64 >= self.st.in_words {
-                            1
-                        } else {
-                            0
-                        };
+                    if let Some(plm) = self.st.rx_buf.get_mut(offset..offset + data.len()) {
+                        plm.copy_from_slice(data);
+                        let half = usize::from(offset as u64 >= self.st.in_words);
                         self.st.rx_counts[half] += data.len() as u64;
-                    } else if self.st.sanitize {
-                        self.st.sanitizer_violations.insert(Diagnostic::error(
-                            codes::DMA_ACCOUNTING,
-                            tile_location(self.coord),
-                            format!(
-                                "DmaData burst of {} words at offset {offset} overruns the \
-                                 {}-word receive buffer",
-                                data.len(),
-                                self.st.rx_buf.len()
-                            ),
-                        ));
                     } else {
-                        debug_assert!(false, "DmaData offset {offset} outside the receive buffer");
+                        self.st.ledger.violated(|| {
+                            Diagnostic::error(
+                                codes::DMA_ACCOUNTING,
+                                tile_location(self.coord),
+                                format!(
+                                    "DmaData burst of {} words at offset {offset} overruns the \
+                                     {}-word receive buffer",
+                                    data.len(),
+                                    self.st.rx_buf.len()
+                                ),
+                            )
+                        });
                     }
                 }
                 MsgKind::DmaStoreAck => {
@@ -857,11 +798,9 @@ impl AccelTile {
             self.st.frame_idx = 0;
             self.st.loads_issued = 0;
             self.st.rx_counts = [0; 2];
-            let halves = if self.st.dbuf { 2 } else { 1 };
             self.st.rx_buf.clear();
-            self.st
-                .rx_buf
-                .resize((halves * self.st.in_words) as usize, 0);
+            let plm_words = self.halves() * self.st.in_words;
+            self.st.rx_buf.resize(plm_words as usize, 0);
             self.st.regs.set_status(STATUS_RUNNING);
             self.set_state(AccelState::LoadIssue, now);
         }
@@ -888,22 +827,18 @@ impl AccelTile {
             AccelState::StoreIssue => self.issue_store(now),
             AccelState::StoreWaitReq => {
                 if let Some((requester, len, dest_base)) = self.st.pending_p2p_reqs.pop_front() {
-                    if len != self.st.out_words && self.st.sanitize {
-                        self.st.sanitizer_violations.insert(Diagnostic::error(
-                            codes::DMA_ACCOUNTING,
-                            tile_location(self.coord),
-                            format!(
-                                "p2p consumer tile({},{}) requested {len} words but the \
-                                 producer frame is {} words",
-                                requester.x, requester.y, self.st.out_words
-                            ),
-                        ));
-                    } else {
-                        debug_assert_eq!(
-                            len, self.st.out_words,
-                            "p2p consumer requested {len} words, producer frame is {} words",
-                            self.st.out_words
-                        );
+                    if len != self.st.out_words {
+                        self.st.ledger.violated(|| {
+                            Diagnostic::error(
+                                codes::DMA_ACCOUNTING,
+                                tile_location(self.coord),
+                                format!(
+                                    "p2p consumer tile({},{}) requested {len} words but the \
+                                     producer frame is {} words",
+                                    requester.x, requester.y, self.st.out_words
+                                ),
+                            )
+                        });
                     }
                     let data = std::mem::take(&mut self.st.output_buffer);
                     let words = data.len() as u64;
@@ -939,35 +874,20 @@ impl AccelTile {
         }
     }
 
-    /// Issues whatever loads the current frame needs: the frame itself
-    /// (single buffer) or every not-yet-requested frame within the
-    /// two-deep ping-pong window (double buffer).
+    /// Issues the load of every not-yet-requested frame within the PLM
+    /// window that starts at the current frame.
     fn issue_loads(&mut self, now: u64) {
-        if self.st.dbuf {
-            let window_end = (self.st.frame_idx + 2).min(self.st.n_frames);
-            while self.st.loads_issued < window_end {
-                let frame = self.st.loads_issued;
-                self.issue_load_for(frame, now);
-                self.st.loads_issued += 1;
-            }
-        } else if self.st.loads_issued <= self.st.frame_idx {
-            // The kernel consumed (took) the buffer last frame; re-allocate.
-            self.st.rx_buf.clear();
-            self.st.rx_buf.resize(self.st.in_words as usize, 0);
-            self.st.rx_counts[0] = 0;
-            self.issue_load_for(self.st.frame_idx, now);
-            self.st.loads_issued = self.st.frame_idx + 1;
+        let window_end = (self.st.frame_idx + self.halves()).min(self.st.n_frames);
+        while self.st.loads_issued < window_end {
+            self.issue_load_for(self.st.loads_issued, now);
+            self.st.loads_issued += 1;
         }
         self.set_state(AccelState::LoadWait, now);
     }
 
     /// Issues the load requests for one frame into its PLM half.
     fn issue_load_for(&mut self, frame: u64, now: u64) {
-        let dest_base = if self.st.dbuf {
-            (frame % 2) * self.st.in_words
-        } else {
-            0
-        };
+        let dest_base = (frame % self.halves()) * self.st.in_words;
         let global = Some(self.global_frame(frame));
         if self.st.p2p.load_enabled {
             let sources = &self.st.p2p.sources;
@@ -1015,33 +935,29 @@ impl AccelTile {
     }
 
     fn run_kernel(&mut self, now: u64) {
-        let (words, consumed_half) = if self.st.dbuf {
-            let half = (self.st.frame_idx % 2) as usize;
-            let base = half * self.st.in_words as usize;
-            let words = self.st.rx_buf[base..base + self.st.in_words as usize].to_vec();
-            (words, half)
-        } else {
-            (std::mem::take(&mut self.st.rx_buf), 0)
-        };
-        self.st.rx_counts[consumed_half] = 0;
+        let half = self.st.frame_idx % self.halves();
+        let in_words = self.st.in_words as usize;
+        let plm = &self.st.rx_buf[half as usize * in_words..][..in_words];
+        let bits = self.kernel.data_bits();
+        let input = unpack_values(plm, self.st.in_values as usize, bits);
+        self.st.rx_counts[half as usize] = 0;
         if self.st.dbuf {
-            // The consumed half is free: prefetch the next window frame.
+            // The consumed half is free: prefetch the next window frame. A
+            // single-buffered PLM frees only when its frame finishes.
             let next = self.st.frame_idx + 2;
             if next < self.st.n_frames && self.st.loads_issued <= next {
                 self.issue_load_for(next, now);
                 self.st.loads_issued = next + 1;
             }
         }
-        let bits = self.kernel.data_bits();
-        let input = unpack_values(&words, self.st.in_values as usize, bits);
-        let out = self.kernel.compute(&input);
+        let values = self.kernel.compute(&input);
         self.kernel_invocations += 1;
         debug_assert_eq!(
-            out.values.len() as u64,
+            values.len() as u64,
             self.kernel.output_values(),
             "kernel output size contract"
         );
-        self.st.output_buffer = pack_values(&out.values, bits);
+        self.st.output_buffer = pack_values(&values, bits);
         debug_assert_eq!(self.st.output_buffer.len() as u64, self.st.out_words);
         if self.st.short_drop > 0 {
             // Wrong-length-result fault: the datapath produced fewer words
@@ -1053,9 +969,13 @@ impl AccelTile {
             self.st.output_buffer.truncate(keep as usize);
         }
         // Per-tile DVFS divides only the datapath clock: the kernel's
-        // `cycles` last `divider` NoC-clock ticks each, while the socket
-        // stays on the NoC clock.
-        self.st.compute_countdown = out.cycles.max(1).saturating_mul(self.st.dvfs_divider);
+        // declared latency cycles last `divider` NoC-clock ticks each,
+        // while the socket stays on the NoC clock.
+        self.st.compute_countdown = self
+            .kernel
+            .latency()
+            .max(1)
+            .saturating_mul(self.st.dvfs_divider);
         self.set_state(AccelState::Compute, now);
     }
 
@@ -1117,23 +1037,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_constructors_select_comm_modes() {
-        assert_eq!(
-            AccelConfig::dma_to_dma(0, 0, 1).comm_modes(),
-            (CommMode::Dma, CommMode::Dma)
-        );
-        assert_eq!(
-            AccelConfig::dma_to_p2p(0, 1).comm_modes(),
-            (CommMode::Dma, CommMode::P2p)
-        );
+    fn config_constructors_select_p2p_sides() {
+        let sides = |c: AccelConfig| (c.p2p.load_enabled, c.p2p.store_enabled);
+        assert_eq!(sides(AccelConfig::dma_to_dma(0, 0, 1)), (false, false));
+        assert_eq!(sides(AccelConfig::dma_to_p2p(0, 1)), (false, true));
         let src = vec![Coord::new(1, 1)];
         assert_eq!(
-            AccelConfig::p2p_to_dma(src.clone(), 0, 1).comm_modes(),
-            (CommMode::P2p, CommMode::Dma)
+            sides(AccelConfig::p2p_to_dma(src.clone(), 0, 1)),
+            (true, false)
         );
-        assert_eq!(
-            AccelConfig::p2p_to_p2p(src, 1).comm_modes(),
-            (CommMode::P2p, CommMode::P2p)
-        );
+        assert_eq!(sides(AccelConfig::p2p_to_p2p(src, 1)), (true, true));
     }
 }

@@ -7,22 +7,16 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// The result of one kernel invocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KernelOutput {
-    /// Output values (one logical value per element; the wrapper packs them
-    /// into 64-bit NoC words).
-    pub values: Vec<u64>,
-    /// Compute latency of this invocation in cycles.
-    pub cycles: u64,
-}
-
-/// A behavioural accelerator kernel.
+/// A behavioural accelerator kernel: a pure function from one frame's
+/// input values to its output values, with a latency fixed by its HLS
+/// schedule.
 ///
 /// A kernel declares its per-invocation I/O sizes in *values* (not NoC
 /// words) and its data width in bits; the socket wrapper handles packing
 /// values into 64-bit words for DMA and p2p transport — that is the
-/// "unpacking" the paper's LOAD function performs.
+/// "unpacking" the paper's LOAD function performs. Timing never reads
+/// the data: the socket charges [`AcceleratorKernel::latency`] datapath
+/// cycles per invocation, whatever `compute` returns.
 pub trait AcceleratorKernel: Send {
     /// Kernel name (for driver discovery and reports).
     fn name(&self) -> &str;
@@ -52,8 +46,12 @@ pub trait AcceleratorKernel: Send {
     ///
     /// `input` has exactly [`AcceleratorKernel::input_values`] elements;
     /// the result must have exactly [`AcceleratorKernel::output_values`]
-    /// elements and report the compute latency in cycles.
-    fn compute(&mut self, input: &[u64]) -> KernelOutput;
+    /// elements (one logical value each; the wrapper packs them into
+    /// 64-bit NoC words).
+    fn compute(&self, input: &[u64]) -> Vec<u64>;
+
+    /// Datapath cycles of one invocation, as the HLS report declares it.
+    fn latency(&self) -> u64;
 
     /// Steady-state initiation interval (cycles/invocation) of the compute
     /// datapath, used for reporting.
@@ -179,15 +177,16 @@ impl AcceleratorKernel for ScaleKernel {
         self.values
     }
 
-    fn compute(&mut self, input: &[u64]) -> KernelOutput {
-        KernelOutput {
-            values: input.iter().map(|&v| (v * self.factor) & 0xffff).collect(),
-            cycles: self.values * self.cycles_per_value,
-        }
+    fn compute(&self, input: &[u64]) -> Vec<u64> {
+        input.iter().map(|&v| (v * self.factor) & 0xffff).collect()
+    }
+
+    fn latency(&self) -> u64 {
+        self.values * self.cycles_per_value
     }
 
     fn initiation_interval(&self) -> u64 {
-        self.values * self.cycles_per_value
+        self.latency()
     }
 
     fn resources(&self) -> Resources {
@@ -342,7 +341,7 @@ impl NnKernel {
 
     /// Looks results up in `memo` (builder style), which every copy of
     /// this network may share and no other network may use. The latency
-    /// stays the kernel's own, so a hit moves no cycle.
+    /// is declared apart from the values, so a hit moves no cycle.
     pub fn with_memo(mut self, memo: Arc<KernelMemo>) -> Self {
         self.memo = Some(memo);
         self
@@ -392,15 +391,15 @@ impl AcceleratorKernel for NnKernel {
         self.nn.spec().total_bits()
     }
 
-    fn compute(&mut self, input: &[u64]) -> KernelOutput {
-        let values = match &self.memo {
+    fn compute(&self, input: &[u64]) -> Vec<u64> {
+        match &self.memo {
             Some(memo) => memo.get_or_compute(input, |input| self.infer(input)),
             None => self.infer(input),
-        };
-        KernelOutput {
-            values,
-            cycles: self.latency,
         }
+    }
+
+    fn latency(&self) -> u64 {
+        self.latency
     }
 
     fn initiation_interval(&self) -> u64 {
@@ -457,10 +456,9 @@ mod tests {
 
     #[test]
     fn scale_kernel_multiplies() {
-        let mut k = ScaleKernel::new("x3", 4, 3);
-        let out = k.compute(&[1, 2, 3, 4]);
-        assert_eq!(out.values, vec![3, 6, 9, 12]);
-        assert_eq!(out.cycles, 4);
+        let k = ScaleKernel::new("x3", 4, 3);
+        assert_eq!(k.compute(&[1, 2, 3, 4]), vec![3, 6, 9, 12]);
+        assert_eq!(k.latency(), 4);
         assert_eq!(k.input_values(), 4);
     }
 
@@ -478,16 +476,16 @@ mod tests {
         let nn = small_nn();
         let count = Arc::new(CacheCount::default());
         let memo = Arc::new(KernelMemo::new(8, Arc::clone(&count)));
-        let mut plain = NnKernel::new(nn.clone());
-        let mut a = NnKernel::new(nn.renamed("a")).with_memo(Arc::clone(&memo));
-        let mut b = NnKernel::new(nn.renamed("b")).with_memo(Arc::clone(&memo));
+        let plain = NnKernel::new(nn.clone());
+        let a = NnKernel::new(nn.renamed("a")).with_memo(Arc::clone(&memo));
+        let b = NnKernel::new(nn.renamed("b")).with_memo(Arc::clone(&memo));
         let inputs = [[1u64, 2, 3, 4], [0xffff, 0x8000, 7, 0], [1, 2, 3, 4]];
         for input in inputs {
             let want = plain.compute(&input);
             assert_eq!(a.compute(&input), want);
             assert_eq!(b.compute(&input), want, "a copy reads the shared memo");
-            assert_eq!(want.cycles, nn.latency());
         }
+        assert_eq!(a.latency(), nn.latency());
         assert_eq!(memo.len(), 2);
         assert_eq!((count.hits(), count.misses()), (4, 2));
     }
@@ -497,8 +495,8 @@ mod tests {
         let nn = small_nn();
         let count = Arc::new(CacheCount::default());
         let memo = Arc::new(KernelMemo::new(2, Arc::clone(&count)));
-        let mut plain = NnKernel::new(nn.clone());
-        let mut k = NnKernel::new(nn).with_memo(Arc::clone(&memo));
+        let plain = NnKernel::new(nn.clone());
+        let k = NnKernel::new(nn).with_memo(Arc::clone(&memo));
         for round in 0..2 {
             for v in 0..5u64 {
                 let input = [v, v + 1, v + 2, v + 3];
@@ -550,17 +548,13 @@ mod tests {
         m.push(LayerSpec::dense(4, Activation::Linear));
         let nn = Hls4mlCompiler::compile(&m, &Hls4mlConfig::with_reuse(4)).unwrap();
         let spec = nn.spec();
-        let mut k = NnKernel::new(nn.clone());
+        let k = NnKernel::new(nn.clone());
         // Feed a negative fixed-point value through the NoC encoding.
         let raw_in: Vec<i64> = vec![spec.quantize(-1.5), 0, 0, 0];
         let wire: Vec<u64> = raw_in.iter().map(|&v| (v as u64) & 0xffff).collect();
         let out = k.compute(&wire);
         let direct = nn.infer_fixed(&raw_in);
-        let back: Vec<i64> = out
-            .values
-            .iter()
-            .map(|&v| ((v << 48) as i64) >> 48)
-            .collect();
+        let back: Vec<i64> = out.iter().map(|&v| ((v << 48) as i64) >> 48).collect();
         assert_eq!(back, direct);
     }
 }

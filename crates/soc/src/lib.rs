@@ -67,13 +67,9 @@ mod sanitize;
 mod soc;
 mod stats;
 
-pub use accel_tile::{
-    AccelConfig, AccelState, AccelTile, AccelTileState, CommMode, SOCKET_TLB_REACH_WORDS,
-};
+pub use accel_tile::{AccelConfig, AccelState, AccelTile, AccelTileState, SOCKET_TLB_REACH_WORDS};
 pub use error::SocError;
-pub use kernel::{
-    words_for, AcceleratorKernel, CacheCount, KernelMemo, KernelOutput, NnKernel, ScaleKernel,
-};
+pub use kernel::{words_for, AcceleratorKernel, CacheCount, KernelMemo, NnKernel, ScaleKernel};
 pub use mem_map::MemMap;
 pub use mem_tile::{MemTile, MemTileState};
 pub use proc_tile::ProcTile;

@@ -1,14 +1,14 @@
 //! The memory tile: DMA service over off-chip DRAM.
 
 use crate::emit::{inject_queued, Dma};
-use crate::sanitize::tile_location;
+use crate::sanitize::{tile_location, InvariantLedger};
 use esp4ml_check::{codes, Diagnostic};
 use esp4ml_fault::{FaultKind, FaultSpec};
 use esp4ml_mem::{CacheConfig, CacheStats, CachedDram, CachedDramState, DramConfig, DramStats};
 use esp4ml_noc::{Coord, Mesh, MsgKind, Packet, Plane, NEVER};
 use esp4ml_trace::{DmaKind, TileCoord, TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// A pending memory operation being serviced: the storage access already
 /// happened (and produced `responses`); they are released when the
@@ -47,10 +47,8 @@ pub struct MemTileState {
     current: Option<Pending>,
     /// Responses waiting to inject into the NoC.
     outgoing: VecDeque<Packet>,
-    /// Sanitizer mode: unserviceable requests record typed diagnostics
-    /// (in release builds too) instead of only `debug_assert!`-ing.
-    sanitize: bool,
-    sanitizer_violations: BTreeSet<Diagnostic>,
+    /// Records an unserviceable request.
+    ledger: InvariantLedger,
     faults: Option<Box<MemFaults>>,
 }
 
@@ -171,13 +169,12 @@ impl MemTile {
         self.tracer = tracer;
     }
 
-    /// Switches the promoted invariant asserts into diagnostic mode.
-    pub(crate) fn enable_sanitize(&mut self) {
-        self.st.sanitize = true;
+    pub(crate) fn ledger(&self) -> &InvariantLedger {
+        &self.st.ledger
     }
 
-    pub(crate) fn sanitizer_violations(&self) -> &BTreeSet<Diagnostic> {
-        &self.st.sanitizer_violations
+    pub(crate) fn ledger_mut(&mut self) -> &mut InvariantLedger {
+        &mut self.st.ledger
     }
 
     /// LLC counters, when this tile hosts an LLC partition.
@@ -193,11 +190,6 @@ impl MemTile {
     /// DRAM access counters (the Fig. 8 metric).
     pub fn dram_stats(&self) -> &DramStats {
         self.dram.dram_stats()
-    }
-
-    /// Resets the DRAM (and LLC) access counters.
-    pub fn reset_dram_stats(&mut self) {
-        self.dram.reset_stats();
     }
 
     /// Direct word read, bypassing accounting (testbench access).
@@ -312,18 +304,16 @@ impl MemTile {
                 (latency, vec![ack])
             }
             other => {
-                if self.st.sanitize {
-                    self.st.sanitizer_violations.insert(Diagnostic::error(
+                self.st.ledger.violated(|| {
+                    Diagnostic::error(
                         codes::PLANE_MISASSIGNMENT,
                         tile_location(self.coord),
                         format!(
                             "memory tile cannot service {other} from tile({},{})",
                             requester.x, requester.y
                         ),
-                    ));
-                } else {
-                    debug_assert!(false, "memory tile cannot service {other}");
-                }
+                    )
+                });
                 (1, Vec::new())
             }
         }

@@ -133,17 +133,35 @@ pub(crate) fn wait_cycle(blocked: &[BlockedTile]) -> Option<Vec<(u8, u8)>> {
     None
 }
 
-/// SoC-half of the sanitizer: the accumulated end-to-end accounting
-/// violations (the mesh keeps its own link-level set). A snapshot clones
-/// it.
+/// The promoted invariants of one component (a tile, or the SoC's
+/// end-to-end audit; the mesh keeps its own link-level set): whether the
+/// sanitizer is armed, and the violations it recorded. Armed, a broken
+/// invariant becomes a typed diagnostic in release builds too; unarmed,
+/// it is a `debug_assert!`. A snapshot clones it.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub(crate) struct SocSanitizer {
+pub(crate) struct InvariantLedger {
+    armed: bool,
     violations: BTreeSet<Diagnostic>,
 }
 
-impl SocSanitizer {
-    pub(crate) fn record(&mut self, diag: Diagnostic) {
-        self.violations.insert(diag);
+impl InvariantLedger {
+    /// Turns broken invariants into recorded diagnostics.
+    pub(crate) fn arm(&mut self) {
+        self.armed = true;
+    }
+
+    pub(crate) fn armed(&self) -> bool {
+        self.armed
+    }
+
+    /// Reports a broken invariant: records `diag` when armed, fails a
+    /// debug build with its message otherwise.
+    pub(crate) fn violated(&mut self, diag: impl FnOnce() -> Diagnostic) {
+        if self.armed {
+            self.violations.insert(diag());
+        } else {
+            debug_assert!(false, "{}", diag().message);
+        }
     }
 
     pub(crate) fn merge_into(&self, report: &mut Report) {

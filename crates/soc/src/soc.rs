@@ -6,7 +6,7 @@ use crate::mem_map::MemMap;
 use crate::mem_tile::{MemTile, MemTileState};
 use crate::proc_tile::ProcTile;
 use crate::regs::{self, CMD_START};
-use crate::sanitize::{wait_cycle, SocSanitizer};
+use crate::sanitize::{wait_cycle, InvariantLedger};
 use crate::stats::SocStats;
 use crate::{BlockedTile, DeadlockDiagnosis, SocError};
 use esp4ml_check::{codes, Diagnostic, Report};
@@ -311,7 +311,7 @@ impl SocBuilder {
             tracer: Tracer::disabled(),
             series: None,
             engine: self.engine,
-            sanitizer: None,
+            sanitizer: InvariantLedger::default(),
             counters: EngineCounters::default(),
         })
     }
@@ -359,8 +359,8 @@ pub struct SocSnapshot {
     pub accel_tiles: Vec<AccelTileState>,
     /// The counter sampling series, when sampling is on.
     pub series: Option<CounterSeries>,
-    /// The SoC-level sanitizer, when armed.
-    sanitizer: Option<SocSanitizer>,
+    /// The SoC-level sanitizer ledger.
+    sanitizer: InvariantLedger,
 }
 
 /// A complete, running ESP SoC instance.
@@ -379,7 +379,7 @@ pub struct Soc {
     tracer: Tracer,
     series: Option<CounterSeries>,
     engine: SocEngine,
-    sanitizer: Option<SocSanitizer>,
+    sanitizer: InvariantLedger,
     counters: EngineCounters,
 }
 
@@ -800,7 +800,7 @@ impl Soc {
                 .expect("sampling on")
                 .record(cycle, snap);
         }
-        if self.sanitizer.is_some() {
+        if self.sanitizer.armed() {
             self.sanitize_audit();
         }
     }
@@ -907,35 +907,33 @@ impl Soc {
     pub fn enable_sanitizer(&mut self) {
         self.mesh.enable_sanitizer();
         for a in &mut self.accel_tiles {
-            a.enable_sanitize();
+            a.ledger_mut().arm();
         }
         for m in &mut self.mem_tiles {
-            m.enable_sanitize();
+            m.ledger_mut().arm();
         }
-        self.sanitizer = Some(SocSanitizer::default());
+        self.sanitizer.arm();
     }
 
     /// Whether [`Soc::enable_sanitizer`] was called.
     pub fn sanitizer_enabled(&self) -> bool {
-        self.sanitizer.is_some()
+        self.sanitizer.armed()
     }
 
     /// The accumulated sanitizer verdict: every violation observed so
     /// far, across the mesh and all tiles, sorted and deduplicated.
     /// `None` when the sanitizer is not armed.
     pub fn sanitizer_report(&self) -> Option<Report> {
-        let san = self.sanitizer.as_ref()?;
+        if !self.sanitizer.armed() {
+            return None;
+        }
         let mut report = self.mesh.sanitizer_report().unwrap_or_default();
-        san.merge_into(&mut report);
+        self.sanitizer.merge_into(&mut report);
         for a in &self.accel_tiles {
-            for d in a.sanitizer_violations() {
-                report.push(d.clone());
-            }
+            a.ledger().merge_into(&mut report);
         }
         for m in &self.mem_tiles {
-            for d in m.sanitizer_violations() {
-                report.push(d.clone());
-            }
+            m.ledger().merge_into(&mut report);
         }
         report.normalize();
         Some(report)
@@ -967,7 +965,7 @@ impl Soc {
     /// (in-flight bursts are legitimately unaccounted), so the audit
     /// gates on [`Soc::is_idle`].
     fn sanitize_audit(&mut self) {
-        if self.sanitizer.is_none() || !self.is_idle() {
+        if !self.sanitizer.armed() || !self.is_idle() {
             return;
         }
         let mut received = 0u64;
@@ -980,20 +978,18 @@ impl Soc {
             p2p_sent += s.p2p_words_sent;
         }
         if received != loaded + p2p_sent {
-            let diag = Diagnostic::error(
-                codes::DMA_ACCOUNTING,
-                "soc",
-                format!(
-                    "DMA word accounting violated at quiescence: accelerators received \
-                     {received} words but {loaded} were DMA-loaded and {p2p_sent} were \
-                     p2p-forwarded"
-                ),
-            )
-            .with_hint("a socket dropped or duplicated DmaData words; check the offending tile's receive buffer bounds");
-            self.sanitizer
-                .as_mut()
-                .expect("sanitizer armed")
-                .record(diag);
+            self.sanitizer.violated(|| {
+                Diagnostic::error(
+                    codes::DMA_ACCOUNTING,
+                    "soc",
+                    format!(
+                        "DMA word accounting violated at quiescence: accelerators received \
+                         {received} words but {loaded} were DMA-loaded and {p2p_sent} were \
+                         p2p-forwarded"
+                    ),
+                )
+                .with_hint("a socket dropped or duplicated DmaData words; check the offending tile's receive buffer bounds")
+            });
         }
     }
 
@@ -1072,7 +1068,7 @@ impl Soc {
     ///
     /// If the sanitizer is not armed or `coord` is not an accelerator.
     pub fn fault_phantom_words(&mut self, coord: Coord, words: u64) {
-        assert!(self.sanitizer.is_some(), "sanitizer not armed");
+        assert!(self.sanitizer.armed(), "sanitizer not armed");
         let a = self
             .accel_tiles
             .iter_mut()
@@ -1130,12 +1126,6 @@ impl Soc {
         self.mesh.stats()
     }
 
-    /// Per-router forwarded-flit counts (`rows x cols`) — the NoC
-    /// congestion heatmap.
-    pub fn noc_traffic_matrix(&self) -> Vec<Vec<u64>> {
-        self.mesh.traffic_matrix()
-    }
-
     /// Per-router, per-link occupancy and credit-stall snapshot for
     /// every NoC plane (the profiling heatmap).
     pub fn noc_heatmap(&self) -> NocHeatmap {
@@ -1158,17 +1148,6 @@ impl Soc {
                 .sum(),
             noc_flit_hops: self.mesh.stats().total_flit_hops(),
             total_frames: self.accel_tiles.iter().map(|a| a.stats().frames_done).sum(),
-        }
-    }
-
-    /// Resets DRAM and per-accelerator counters (cycle count and NoC stats
-    /// keep running; experiments snapshot-and-subtract those).
-    pub fn reset_stats(&mut self) {
-        for m in &mut self.mem_tiles {
-            m.reset_dram_stats();
-        }
-        for a in &mut self.accel_tiles {
-            a.reset_stats();
         }
     }
 
@@ -1813,23 +1792,6 @@ mod tests {
         assert_eq!(fired, 1);
         assert_eq!(events.len(), 1);
         assert!(events[0].1.starts_with("accel_hang"), "{}", events[0].1);
-    }
-
-    #[test]
-    fn stats_reset() {
-        let mut soc = basic_soc();
-        let accel = Coord::new(0, 1);
-        soc.dram_write_values(0, &(0..16).collect::<Vec<_>>(), 16)
-            .unwrap();
-        soc.map_contiguous(accel, 0, 4096).unwrap();
-        soc.configure_accel(accel, &AccelConfig::dma_to_dma(0, 50, 1))
-            .unwrap();
-        soc.start_accel(accel).unwrap();
-        assert!(soc.run_until_idle(100_000).is_idle());
-        assert!(soc.stats().dram_accesses() > 0);
-        soc.reset_stats();
-        assert_eq!(soc.stats().dram_accesses(), 0);
-        assert_eq!(soc.stats().total_frames, 0);
     }
 }
 

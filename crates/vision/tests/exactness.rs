@@ -90,17 +90,17 @@ fn night_vision_kernel_computes_the_pinned_outputs() {
     let mut values = 0;
     for side in SIDES {
         let pixels = side * side;
-        let mut k = NightVisionKernel::with_pixels("nv", pixels);
+        let k = NightVisionKernel::with_pixels("nv", pixels);
         fnv.write(&pixels.to_le_bytes());
         for frame in frames(pixels as usize, &mut rng) {
             let out = k.compute(&frame);
-            assert_eq!(out.values.len() as u64, pixels);
-            for v in &out.values {
+            assert_eq!(out.len() as u64, pixels);
+            for v in &out {
                 assert!(*v <= 0xffff, "output {v:#x} wider than 16 bits");
                 fnv.write(&v.to_le_bytes());
             }
-            fnv.write(&out.cycles.to_le_bytes());
-            values += out.values.len();
+            fnv.write(&k.latency().to_le_bytes());
+            values += out.len();
         }
     }
     let pixels: u64 = SIDES.iter().map(|s| s * s).sum();

@@ -83,13 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rt.write_frame(&buf, f, &vec![512; 1024])?;
     }
     rt.run(&RunSpec::new(&df).mode(ExecMode::P2p), &buf)?;
-    println!(
-        "
-NoC traffic heatmap (flits forwarded per router):"
-    );
-    for row in rt.soc().noc_traffic_matrix() {
-        let cells: Vec<String> = row.iter().map(|v| format!("{v:>7}")).collect();
-        println!("  {}", cells.join(" "));
-    }
+    println!();
+    print!("{}", rt.soc().noc_heatmap().render_ascii());
     Ok(())
 }

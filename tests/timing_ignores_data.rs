@@ -11,8 +11,7 @@ use esp4ml::hls::Resources;
 use esp4ml::noc::{Coord, NocStats};
 use esp4ml::runtime::{EspRuntime, RunMetrics, RunSpec};
 use esp4ml::soc::{
-    AccelStats, AcceleratorKernel, EngineCounters, KernelOutput, NnKernel, Soc, SocBuilder,
-    SocEngine, SocStats,
+    AccelStats, AcceleratorKernel, EngineCounters, NnKernel, Soc, SocBuilder, SocEngine, SocStats,
 };
 use esp4ml::soc_config::{MlModelRef, TileSpecKind};
 use esp4ml::vision::SvhnGenerator;
@@ -45,17 +44,16 @@ impl AcceleratorKernel for Scrambled {
         self.0.data_bits()
     }
 
-    fn compute(&mut self, input: &[u64]) -> KernelOutput {
-        let out = self.0.compute(input);
+    fn compute(&self, input: &[u64]) -> Vec<u64> {
         let mask = (1u64 << self.data_bits()) - 1;
-        let values = (0u64..)
-            .zip(&out.values)
-            .map(|(i, &v)| (!v ^ i.wrapping_mul(0x9e37_79b9)) & mask)
-            .collect();
-        KernelOutput {
-            values,
-            cycles: out.cycles,
-        }
+        (0u64..)
+            .zip(self.0.compute(input))
+            .map(|(i, v)| (!v ^ i.wrapping_mul(0x9e37_79b9)) & mask)
+            .collect()
+    }
+
+    fn latency(&self) -> u64 {
+        self.0.latency()
     }
 
     fn initiation_interval(&self) -> u64 {
