@@ -383,12 +383,14 @@ mod tests {
         let models = crate::apps::TrainedModels::untrained();
         for config in [SocConfigFile::soc1(), SocConfigFile::soc2()] {
             let view = FloorplanView::from_config(&config);
-            let registry = esp4ml_runtime::DeviceRegistry::probe(&config.build(&models).unwrap());
-            assert_eq!(view.devices.len(), registry.len());
+            let soc = config.build(&models).unwrap();
+            assert_eq!(view.devices.len(), soc.accel_coords().len());
             for dev in &view.devices {
-                let built = registry.lookup(&dev.name).expect("device is built");
-                assert_eq!(dev.in_words, Some(built.input_words()), "{}", dev.name);
-                assert_eq!(dev.out_words, Some(built.output_words()), "{}", dev.name);
+                let coord = soc.accel_by_name(&dev.name).expect("device is built");
+                let built = soc.accel(coord).unwrap().kernel();
+                let words = |values| Some(words_for(values, built.data_bits()));
+                assert_eq!(dev.in_words, words(built.input_values()), "{}", dev.name);
+                assert_eq!(dev.out_words, words(built.output_values()), "{}", dev.name);
             }
         }
     }

@@ -302,7 +302,6 @@ fn ml(name: &str, model: MlModelRef, reuse: &[u64]) -> TileSpecKind {
 mod tests {
     use super::*;
     use crate::apps::{CLASSIFIER_KIND, DENOISER_KIND};
-    use esp4ml_runtime::DeviceRegistry;
 
     #[test]
     fn json_roundtrip() {
@@ -317,18 +316,19 @@ mod tests {
         // Device kinds decide failover: whole classifier copies are
         // interchangeable, layer parts are not.
         let models = TrainedModels::untrained();
-        let soc1 = DeviceRegistry::probe(&SocConfigFile::soc1().build(&models).expect("builds"));
+        let kind = |soc: &Soc, name: &str| {
+            let coord = soc.accel_by_name(name).expect(name);
+            soc.accel(coord).expect(name).kernel().kind().to_string()
+        };
+        let soc1 = SocConfigFile::soc1().build(&models).expect("builds");
         for name in ["cl0", "cl1", "cl2", "cl3", "cl_de"] {
-            assert_eq!(soc1.lookup(name).expect(name).kind, CLASSIFIER_KIND);
+            assert_eq!(kind(&soc1, name), CLASSIFIER_KIND);
         }
-        assert_eq!(
-            soc1.lookup("denoiser").expect("denoiser").kind,
-            DENOISER_KIND
-        );
-        let soc2 = DeviceRegistry::probe(&SocConfigFile::soc2().build(&models).expect("builds"));
+        assert_eq!(kind(&soc1, "denoiser"), DENOISER_KIND);
+        let soc2 = SocConfigFile::soc2().build(&models).expect("builds");
         for layer in 0..5 {
             let name = format!("cls_l{layer}");
-            assert_eq!(soc2.lookup(&name).expect("layer tile").kind, name);
+            assert_eq!(kind(&soc2, &name), name);
         }
     }
 

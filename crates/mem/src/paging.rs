@@ -90,11 +90,6 @@ impl PageTable {
         self.page_words
     }
 
-    /// Number of mapped pages.
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Translates a virtual word address.
     ///
     /// # Errors
@@ -260,7 +255,6 @@ mod tests {
     #[test]
     fn contiguous_mapping() {
         let t = PageTable::contiguous(0x1000, 20, 8).unwrap();
-        assert_eq!(t.page_count(), 3);
         assert_eq!(t.translate(0).unwrap(), 0x1000);
         assert_eq!(t.translate(19).unwrap(), 0x1013);
     }

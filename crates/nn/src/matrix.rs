@@ -194,13 +194,6 @@ impl Matrix {
         }
     }
 
-    /// Scales all elements in place.
-    pub fn scale_inplace(&mut self, k: f32) {
-        for v in &mut self.data {
-            *v *= k;
-        }
-    }
-
     /// Frobenius norm.
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
@@ -289,8 +282,6 @@ mod tests {
         let b = m(1, 3, &[2.0, 0.5, -1.0]);
         a.hadamard_inplace(&b);
         assert_eq!(a.as_slice(), &[2.0, 1.0, -3.0]);
-        a.scale_inplace(2.0);
-        assert_eq!(a.as_slice(), &[4.0, 2.0, -6.0]);
     }
 
     #[test]

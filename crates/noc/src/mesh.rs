@@ -314,11 +314,6 @@ impl Mesh {
         self.sanitizer = Some(Box::new(MeshSanitizer::new(self.routers.len())));
     }
 
-    /// Whether a sanitizer is installed.
-    pub fn sanitizer_enabled(&self) -> bool {
-        self.sanitizer.is_some()
-    }
-
     /// Captures the complete dynamic state of the mesh — every router
     /// queue, wormhole lock, endpoint buffer, in-flight or held-back
     /// flit, statistic, sanitizer ledger and fault trigger counter. The
@@ -2300,7 +2295,6 @@ mod sanitizer_tests {
     #[test]
     fn without_sanitizer_no_report() {
         let m = Mesh::new(MeshConfig::new(2, 2)).unwrap();
-        assert!(!m.sanitizer_enabled());
         assert!(m.sanitizer_report().is_none());
     }
 }

@@ -129,11 +129,6 @@ impl Dataflow {
         self.stages.len()
     }
 
-    /// Total device instances across stages.
-    pub fn total_instances(&self) -> usize {
-        self.stages.iter().map(StageSpec::width).sum()
-    }
-
     /// Structural validation (device existence and size compatibility are
     /// checked by the runtime against the registry).
     ///
@@ -269,7 +264,6 @@ mod tests {
     fn linear_builder() {
         let df = Dataflow::linear(&[&["a", "b"], &["c"]]);
         assert_eq!(df.depth(), 2);
-        assert_eq!(df.total_instances(), 3);
         assert_eq!(df.stages[0].width(), 2);
         assert!(df.validate().is_ok());
     }

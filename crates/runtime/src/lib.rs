@@ -11,11 +11,11 @@
 //! This crate reproduces that layer on top of the [`esp4ml_soc`]
 //! simulator:
 //!
-//! * [`DeviceRegistry`] — the driver-probe step: every accelerator is
-//!   discovered, its `LOCATION_REG` read, and the name→coordinates mapping
-//!   recorded in a global list protected by a lock (the paper's
-//!   spinlock-protected linked list). Applications name devices; they
-//!   never see coordinates, so the dataflow is floorplan-independent.
+//! * Device names — applications name devices and never see coordinates,
+//!   so the dataflow is floorplan-independent. The runtime maps each name
+//!   to its tile with [`Soc::accel_by_name`](esp4ml_soc::Soc::accel_by_name)
+//!   and reads the tile's kernel for its I/O shape and kind; it keeps no
+//!   copy of the SoC's accelerator table (the paper's driver-probe list).
 //! * [`Dataflow`] — the user-level pipeline description (the `dflow1.h`
 //!   analog): stages of device instances, with an [`ExecMode`] choosing
 //!   serial execution (`Base`), a software pipeline (`Pipe`), or a p2p
@@ -61,13 +61,11 @@ pub mod balance;
 mod dataflow;
 mod error;
 mod metrics;
-mod registry;
 mod runtime;
 
 pub use dataflow::{Dataflow, ExecMode, InstanceIo, StageSpec};
 pub use error::RuntimeError;
 pub use metrics::RunMetrics;
-pub use registry::{DeviceInfo, DeviceRegistry};
 pub use runtime::{
     AppBuffers, EspRuntime, RecoveryPolicy, RunSpec, RuntimeSnapshot, DEFAULT_WATCHDOG_CYCLES,
 };

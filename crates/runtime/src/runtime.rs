@@ -1,10 +1,10 @@
 //! `esp_alloc` / `esp_run` / `esp_cleanup`: the runtime engine.
 
-use crate::{Dataflow, DeviceInfo, DeviceRegistry, ExecMode, RunMetrics, RuntimeError};
+use crate::{Dataflow, ExecMode, RunMetrics, RuntimeError};
 use esp4ml_check::{codes, Diagnostic};
 use esp4ml_mem::{ContigAlloc, ContigHandle};
 use esp4ml_noc::Coord;
-use esp4ml_soc::{AccelConfig, Soc, SocSnapshot};
+use esp4ml_soc::{words_for, AccelConfig, AcceleratorKernel, Soc, SocSnapshot};
 use esp4ml_trace::{TileCoord, TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -93,8 +93,8 @@ struct RunCtx<'b> {
 
 impl RunCtx<'_> {
     /// The device `inv` currently runs on (after any failover).
-    fn device(&self, inv: &Invocation) -> &DeviceInfo {
-        &self.plan.stages[inv.s][inv.j]
+    fn device(&self, inv: &Invocation) -> Coord {
+        self.plan[inv.s][inv.j]
     }
 }
 
@@ -133,14 +133,9 @@ impl Invocation {
     /// writes `dst`; a p2p side pulls from the scheduled producers or
     /// serves the next stage.
     fn config(cx: &RunCtx<'_>, s: usize, j: usize, src: u64, dst: u64, n: u64) -> AccelConfig {
-        let widths: Vec<usize> = cx.plan.stages.iter().map(Vec::len).collect();
+        let widths: Vec<usize> = cx.plan.iter().map(Vec::len).collect();
         let io = cx.mode.instance_io(&widths, s, j);
-        let sources = || {
-            io.sources
-                .iter()
-                .map(|&i| cx.plan.stages[s - 1][i].coord)
-                .collect()
-        };
+        let sources = || io.sources.iter().map(|&i| cx.plan[s - 1][i]).collect();
         match (io.loads, io.stores) {
             (true, true) => AccelConfig::dma_to_dma(src, dst, n),
             (true, false) => AccelConfig::dma_to_p2p(src, n),
@@ -174,7 +169,7 @@ impl Invocation {
     /// j+2k, ... (the round-robin frame assignment), so its input and
     /// output sub-regions start at those of frame `j`.
     fn batch(cx: &RunCtx<'_>, s: usize, j: usize, n: u64) -> Self {
-        let (f, k) = (j as u64, cx.plan.stages[s].len() as u64);
+        let (f, k) = (j as u64, cx.plan[s].len() as u64);
         let (src, dst) = (cx.buf.input_frame_addr(f), cx.buf.output_frame_addr(f));
         let cfg = Self::config(cx, s, j, src, dst, n).with_frame_ids(f, k);
         Invocation::new(s, j, f, cfg)
@@ -318,11 +313,10 @@ impl AppBuffers {
 /// counters are not runtime state: each [`EspRuntime::run`] returns its
 /// own [`RunMetrics`].
 ///
-/// Excluded:
-///
-/// * the device registry — probed deterministically from the SoC
-///   floorplan, which [`Soc::restore`] verifies is unchanged;
-/// * the tracer — a live host-side handle, like in [`SocSnapshot`].
+/// Excluded: the tracer, a live host-side handle (it lives on the SoC and
+/// is excluded from [`SocSnapshot`] too). Device names resolve with
+/// [`Soc::accel_by_name`] on the floorplan itself, which [`Soc::restore`]
+/// verifies is unchanged.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RuntimeSnapshot {
     /// The full machine state underneath the runtime.
@@ -331,102 +325,47 @@ pub struct RuntimeSnapshot {
     pub alloc: ContigAlloc,
 }
 
-/// Per-instance placement computed from the dataflow and the registry.
-#[derive(Debug, Clone)]
-struct Plan {
-    /// `[stage][instance]` device info.
-    stages: Vec<Vec<DeviceInfo>>,
+/// Per-instance placement: the `[stage][instance]` accelerator tiles a
+/// dataflow's device names resolve to.
+type Plan = Vec<Vec<Coord>>;
+
+/// A kernel's I/O shape: input values, output values and data width.
+/// Stage instances, and failover spares, must agree on it.
+fn io_shape(kernel: &dyn AcceleratorKernel) -> (u64, u64, u32) {
+    (
+        kernel.input_values(),
+        kernel.output_values(),
+        kernel.data_bits(),
+    )
 }
 
-impl Plan {
-    fn resolve(dataflow: &Dataflow, registry: &DeviceRegistry) -> Result<Plan, RuntimeError> {
-        dataflow.validate().map_err(RuntimeError::BadDataflow)?;
-        let mut stages = Vec::with_capacity(dataflow.depth());
-        for spec in &dataflow.stages {
-            let mut instances = Vec::with_capacity(spec.width());
-            for name in &spec.devices {
-                let info = registry
-                    .lookup(name)
-                    .ok_or_else(|| RuntimeError::UnknownDevice { name: name.clone() })?;
-                instances.push(info);
-            }
-            // All instances of a stage must be interchangeable.
-            let first = &instances[0];
-            for other in &instances[1..] {
-                if other.input_values != first.input_values
-                    || other.output_values != first.output_values
-                    || other.data_bits != first.data_bits
-                {
-                    return Err(RuntimeError::BadDataflow(Diagnostic::error(
-                        codes::STAGE_WIDTHS,
-                        format!("device {}", other.name),
-                        format!(
-                            "stage instances {} and {} have different I/O shapes",
-                            first.name, other.name
-                        ),
-                    )));
-                }
-            }
-            stages.push(instances);
-        }
-        for w in stages.windows(2) {
-            let (a, b) = (&w[0][0], &w[1][0]);
-            if a.output_values != b.input_values {
-                return Err(RuntimeError::BadDataflow(Diagnostic::error(
-                    codes::STAGE_WIDTHS,
-                    format!("device {}", b.name),
-                    format!(
-                        "stage output {} values does not feed stage input {} values",
-                        a.output_values, b.input_values
-                    ),
-                )));
-            }
-        }
-        Ok(Plan { stages })
-    }
-}
-
-/// The ESP runtime: owns the simulated SoC, the contiguous allocator and
-/// the device registry, and implements the `esp_*` API of the paper's
-/// generated applications (Fig. 5).
+/// The ESP runtime: owns the simulated SoC and the contiguous allocator,
+/// and implements the `esp_*` API of the paper's generated applications
+/// (Fig. 5). Device names map to tile coordinates through
+/// [`Soc::accel_by_name`].
 #[derive(Debug)]
 pub struct EspRuntime {
     soc: Soc,
     alloc: ContigAlloc,
-    registry: DeviceRegistry,
-    tracer: Tracer,
 }
 
 impl EspRuntime {
-    /// Boots the runtime on an SoC: probes all devices and carves the
-    /// contiguous-allocation region out of DRAM (the driver's reserved
-    /// memory pool).
+    /// Boots the runtime on an SoC, carving the contiguous-allocation pool
+    /// (the driver's reserved memory) out of the SoC's whole DRAM word
+    /// space.
     ///
     /// # Errors
     ///
     /// Propagates SoC query failures.
     pub fn new(soc: Soc) -> Result<Self, RuntimeError> {
-        let registry = DeviceRegistry::probe(&soc);
-        // Reserve the upper half of DRAM word space for contig buffers.
-        let alloc = ContigAlloc::new(0, 16 * 1024 * 1024);
-        Ok(EspRuntime {
-            soc,
-            alloc,
-            registry,
-            tracer: Tracer::disabled(),
-        })
+        let alloc = ContigAlloc::new(0, soc.mem_map().total_words());
+        Ok(EspRuntime { soc, alloc })
     }
 
-    /// Installs a trace sink handle on the runtime and the whole SoC
-    /// underneath it (mesh, accelerator and memory tiles).
+    /// Installs a trace sink handle on the whole SoC (mesh, accelerator
+    /// and memory tiles); the runtime emits its own events through it.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.soc.set_tracer(tracer.clone());
-        self.tracer = tracer;
-    }
-
-    /// The device registry.
-    pub fn registry(&self) -> &DeviceRegistry {
-        &self.registry
+        self.soc.set_tracer(tracer);
     }
 
     /// The underlying SoC (e.g. for resource and power reporting).
@@ -442,8 +381,63 @@ impl EspRuntime {
     /// Hardware execution counters of a device (the ESP monitors API):
     /// busy/load/compute/store cycles, frames, DMA and p2p word counts.
     pub fn device_stats(&self, name: &str) -> Option<esp4ml_soc::AccelStats> {
-        let info = self.registry.lookup(name)?;
-        self.soc.accel(info.coord).ok().map(|t| *t.stats())
+        let coord = self.soc.accel_by_name(name)?;
+        self.soc.accel(coord).ok().map(|t| *t.stats())
+    }
+
+    /// The kernel of the accelerator tile at `coord`.
+    fn kernel(&self, coord: Coord) -> Result<&dyn AcceleratorKernel, RuntimeError> {
+        Ok(self.soc.accel(coord)?.kernel())
+    }
+
+    /// Resolves a dataflow's device names to tiles, checking that the
+    /// instances of a stage share one I/O shape and that each stage's
+    /// output feeds the next stage's input.
+    fn resolve(&self, dataflow: &Dataflow) -> Result<Plan, RuntimeError> {
+        dataflow.validate().map_err(RuntimeError::BadDataflow)?;
+        let mut plan = Vec::with_capacity(dataflow.depth());
+        for spec in &dataflow.stages {
+            let mut instances = Vec::with_capacity(spec.width());
+            for name in &spec.devices {
+                let coord = self
+                    .soc
+                    .accel_by_name(name)
+                    .ok_or_else(|| RuntimeError::UnknownDevice { name: name.clone() })?;
+                instances.push(coord);
+            }
+            // All instances of a stage must be interchangeable.
+            let first = self.kernel(instances[0])?;
+            for &coord in &instances[1..] {
+                let other = self.kernel(coord)?;
+                if io_shape(other) != io_shape(first) {
+                    return Err(RuntimeError::BadDataflow(Diagnostic::error(
+                        codes::STAGE_WIDTHS,
+                        format!("device {}", other.name()),
+                        format!(
+                            "stage instances {} and {} have different I/O shapes",
+                            first.name(),
+                            other.name()
+                        ),
+                    )));
+                }
+            }
+            plan.push(instances);
+        }
+        for w in plan.windows(2) {
+            let (a, b) = (self.kernel(w[0][0])?, self.kernel(w[1][0])?);
+            if a.output_values() != b.input_values() {
+                return Err(RuntimeError::BadDataflow(Diagnostic::error(
+                    codes::STAGE_WIDTHS,
+                    format!("device {}", b.name()),
+                    format!(
+                        "stage output {} values does not feed stage input {} values",
+                        a.output_values(),
+                        b.input_values()
+                    ),
+                )));
+            }
+        }
+        Ok(plan)
     }
 
     /// Captures the complete serializable runtime state — machine
@@ -458,9 +452,7 @@ impl EspRuntime {
 
     /// Restores a state captured by [`EspRuntime::snapshot`], replacing
     /// the SoC state and allocator wholesale. The runtime must sit on the
-    /// same floorplan the snapshot was taken on; the device registry is
-    /// not touched (it is derived from that floorplan). The tracer is
-    /// left as-is.
+    /// same floorplan the snapshot was taken on. The tracer is left as-is.
     ///
     /// # Errors
     ///
@@ -499,33 +491,33 @@ impl EspRuntime {
         dataflow: &Dataflow,
         frames: u64,
     ) -> Result<AppBuffers, RuntimeError> {
-        let plan = Plan::resolve(dataflow, &self.registry)?;
-        let depth = plan.stages.len();
+        let plan = self.resolve(dataflow)?;
+        let depth = plan.len();
         let mut region_offsets = Vec::with_capacity(depth + 1);
         let mut stage_in_words = Vec::with_capacity(depth);
         let mut cursor = 0u64;
-        for (s, stage) in plan.stages.iter().enumerate() {
-            let words = stage[0].input_words();
+        for (s, stage) in plan.iter().enumerate() {
+            let kernel = self.kernel(stage[0])?;
+            let words = words_for(kernel.input_values(), kernel.data_bits());
             stage_in_words.push(words);
             region_offsets.push(cursor);
             // Only the input region is partitioned by instance.
             let k = if s == 0 { stage.len() as u64 } else { 1 };
             cursor += AppBuffers::sub_region_words(frames, k, words) * k;
         }
-        let last = &plan.stages[depth - 1][0];
-        let out_words = last.output_words();
+        let (in_values, _, in_bits) = io_shape(self.kernel(plan[0][0])?);
+        let (_, out_values, out_bits) = io_shape(self.kernel(plan[depth - 1][0])?);
+        let out_words = words_for(out_values, out_bits);
         region_offsets.push(cursor);
-        let k_last = plan.stages[depth - 1].len() as u64;
+        let k_last = plan[depth - 1].len() as u64;
         cursor += AppBuffers::sub_region_words(frames, k_last, out_words) * k_last;
 
         let handle = self.esp_alloc(cursor.max(1))?;
         // Map the whole buffer into every participating accelerator's VA
         // space (identity offsets within the buffer).
-        for stage in &plan.stages {
-            for info in stage {
-                self.soc
-                    .map_contiguous(info.coord, 0, handle.base + handle.len)?;
-            }
+        for &coord in plan.iter().flatten() {
+            self.soc
+                .map_contiguous(coord, 0, handle.base + handle.len)?;
         }
         Ok(AppBuffers {
             handle,
@@ -533,12 +525,12 @@ impl EspRuntime {
             frames,
             stage_in_words,
             out_words,
-            first_width: plan.stages[0].len() as u64,
+            first_width: plan[0].len() as u64,
             last_width: k_last,
-            in_values: plan.stages[0][0].input_values,
-            out_values: last.output_values,
-            in_bits: plan.stages[0][0].data_bits,
-            out_bits: last.data_bits,
+            in_values,
+            out_values,
+            in_bits,
+            out_bits,
         })
     }
 
@@ -581,7 +573,7 @@ impl EspRuntime {
         spec: &RunSpec<'_>,
         buf: &AppBuffers,
     ) -> Result<RunMetrics, RuntimeError> {
-        let plan = Plan::resolve(spec.dataflow, &self.registry)?;
+        let plan = self.resolve(spec.dataflow)?;
         let start_cycle = self.soc.cycle();
         let stats0 = self.soc.stats();
         let hops0 = self.soc.noc_stats().total_flit_hops();
@@ -626,8 +618,8 @@ impl EspRuntime {
     /// stage, polling for its interrupt right after every (re-)issue.
     fn run_base(&mut self, cx: &mut RunCtx<'_>) -> Result<(), RuntimeError> {
         for f in 0..cx.buf.frames {
-            for s in 0..cx.plan.stages.len() {
-                let j = (f % cx.plan.stages[s].len() as u64) as usize;
+            for s in 0..cx.plan.len() {
+                let j = (f % cx.plan[s].len() as u64) as usize;
                 let mut inv = Invocation::dma(cx, s, j, f);
                 self.issue(cx, &mut inv)?;
                 while !self.wait_for_irq(cx, &inv) {
@@ -643,12 +635,11 @@ impl EspRuntime {
     /// Each round retires, issues every ready frame (each ioctl
     /// serializes on the core), then expires and sleeps before polling.
     fn run_pipe(&mut self, cx: &mut RunCtx<'_>) -> Result<(), RuntimeError> {
-        let (frames, depth) = (cx.buf.frames, cx.plan.stages.len());
+        let (frames, depth) = (cx.buf.frames, cx.plan.len());
         // Plan slots in stage-major order; `inflight` and `issued` (the
         // frames each instance has started) are indexed alike.
         let slots: Vec<(usize, usize)> = cx
             .plan
-            .stages
             .iter()
             .enumerate()
             .flat_map(|(s, stage)| (0..stage.len()).map(move |j| (s, j)))
@@ -666,7 +657,7 @@ impl EspRuntime {
             }
             for (i, &(s, j)) in slots.iter().enumerate() {
                 // Instance `j` of a width-`k` stage takes frames j, j+k, ...
-                let f = j as u64 + issued[i] * cx.plan.stages[s].len() as u64;
+                let f = j as u64 + issued[i] * cx.plan[s].len() as u64;
                 if inflight[i].is_some() || f >= frames || (s > 0 && !done[s - 1][f as usize]) {
                     continue;
                 }
@@ -690,8 +681,8 @@ impl EspRuntime {
     /// consumers parked in LOAD, waiting for the p2p data.
     fn run_p2p(&mut self, cx: &mut RunCtx<'_>) -> Result<(), RuntimeError> {
         let mut inflight = Vec::new();
-        for s in 0..cx.plan.stages.len() {
-            let k = cx.plan.stages[s].len() as u64;
+        for s in 0..cx.plan.len() {
+            let k = cx.plan[s].len() as u64;
             for j in 0..k {
                 let n = AppBuffers::frames_for_instance(cx.buf.frames, k, j);
                 if n == 0 {
@@ -711,23 +702,33 @@ impl EspRuntime {
         }
     }
 
+    /// Emits a runtime event on the SoC's tracer at the current cycle,
+    /// traced as issued from the primary processor tile.
+    fn trace(&self, event: impl FnOnce() -> TraceEvent) {
+        let proc = self.soc.primary_proc();
+        self.soc
+            .tracer()
+            .emit(self.soc.cycle(), TileCoord::new(proc.x, proc.y), event);
+    }
+
+    /// The device name of the accelerator at `coord`, for trace events.
+    fn device_name(&self, coord: Coord) -> String {
+        self.soc
+            .accel(coord)
+            .map(|t| t.kernel_name().to_string())
+            .unwrap_or_default()
+    }
+
     /// Configures and starts `inv` on its (possibly failed-over) device
-    /// and charges the ioctl, traced as issued from the primary processor
-    /// tile. The invocation's watchdog starts when the ioctl returns.
+    /// and charges the ioctl. The invocation's watchdog starts when the
+    /// ioctl returns.
     fn issue(&mut self, cx: &mut RunCtx<'_>, inv: &mut Invocation) -> Result<(), RuntimeError> {
-        let coord = cx.device(inv).coord;
+        let coord = cx.device(inv);
         self.soc.configure_accel(coord, &inv.cfg)?;
         self.soc.start_accel(coord)?;
-        let proc = self.soc.primary_proc();
-        self.tracer
-            .emit(self.soc.cycle(), TileCoord::new(proc.x, proc.y), || {
-                let device = self
-                    .soc
-                    .accel(coord)
-                    .map(|t| t.kernel_name().to_string())
-                    .unwrap_or_default();
-                TraceEvent::IoctlIssue { device }
-            });
+        self.trace(|| TraceEvent::IoctlIssue {
+            device: self.device_name(coord),
+        });
         self.soc.run_cycles(IOCTL_CYCLES);
         cx.invocations += 1;
         inv.issued_at = self.soc.cycle();
@@ -748,20 +749,15 @@ impl EspRuntime {
         let Some(policy) = cx.policy else {
             return Err(self.timeout_err(cx));
         };
-        let coord = cx.device(inv).coord;
+        let coord = cx.device(inv);
         inv.attempts += 1;
         if inv.attempts <= policy.max_retries {
             let (attempt, backoff) = (inv.attempts, policy.backoff_for(inv.attempts));
-            let device = cx.device(inv).name.clone();
-            let proc = self.soc.primary_proc();
-            self.tracer
-                .emit(self.soc.cycle(), TileCoord::new(proc.x, proc.y), || {
-                    TraceEvent::RetryScheduled {
-                        device,
-                        attempt,
-                        backoff,
-                    }
-                });
+            self.trace(|| TraceEvent::RetryScheduled {
+                device: self.device_name(coord),
+                attempt,
+                backoff,
+            });
             self.soc.reset_accel(coord)?;
             if backoff > 0 {
                 self.soc.run_cycles(backoff);
@@ -781,37 +777,35 @@ impl EspRuntime {
         Err(self.timeout_err(cx))
     }
 
-    /// Remaps `inv`'s stage instance to an idle spare: same kind and I/O
-    /// shape, not part of the plan, not previously abandoned. Returns
-    /// `false` when no spare exists.
+    /// Remaps `inv`'s stage instance to an idle spare: the first tile in
+    /// placement order of the same kind and I/O shape, not part of the
+    /// plan, not previously abandoned. Returns `false` when no spare
+    /// exists.
     fn failover(&mut self, cx: &mut RunCtx<'_>, inv: &Invocation) -> Result<bool, RuntimeError> {
-        let failed = cx.device(inv).clone();
-        if failed.kind.is_empty() {
-            return Ok(false); // hand-registered record predating kinds
-        }
-        let in_plan: HashSet<Coord> = cx.plan.stages.iter().flatten().map(|d| d.coord).collect();
-        let Some(spare) = self.registry.devices().into_iter().find(|d| {
-            d.kind == failed.kind
-                && d.input_values == failed.input_values
-                && d.output_values == failed.output_values
-                && d.data_bits == failed.data_bits
-                && !in_plan.contains(&d.coord)
-                && !cx.banned.contains(&d.coord)
-        }) else {
+        let failed = cx.device(inv);
+        let in_plan: HashSet<Coord> = cx.plan.iter().flatten().copied().collect();
+        let kernel = self.kernel(failed)?;
+        let (kind, shape) = (kernel.kind(), io_shape(kernel));
+        let spare = self.soc.accel_coords().into_iter().find(|c| {
+            !in_plan.contains(c)
+                && !cx.banned.contains(c)
+                && self
+                    .kernel(*c)
+                    .is_ok_and(|k| k.kind() == kind && io_shape(k) == shape)
+        });
+        let Some(spare) = spare else {
             return Ok(false);
         };
         // `prepare` only mapped the planned devices; the spare needs the
         // application buffer in its VA space before it can DMA.
         let end = cx.buf.handle.base + cx.buf.handle.len;
-        self.soc.map_contiguous(spare.coord, 0, end)?;
-        cx.banned.insert(failed.coord);
-        let proc = self.soc.primary_proc();
-        let (from, to) = (failed.name, spare.name.clone());
-        self.tracer
-            .emit(self.soc.cycle(), TileCoord::new(proc.x, proc.y), || {
-                TraceEvent::FailedOver { from, to }
-            });
-        cx.plan.stages[inv.s][inv.j] = spare;
+        self.soc.map_contiguous(spare, 0, end)?;
+        cx.banned.insert(failed);
+        self.trace(|| TraceEvent::FailedOver {
+            from: self.device_name(failed),
+            to: self.device_name(spare),
+        });
+        cx.plan[inv.s][inv.j] = spare;
         cx.failovers += 1;
         Ok(true)
     }
@@ -824,7 +818,7 @@ impl EspRuntime {
             .iter_mut()
             .filter(|slot| {
                 slot.as_ref()
-                    .is_some_and(|inv| irqs.contains(&cx.device(inv).coord))
+                    .is_some_and(|inv| irqs.contains(&cx.device(inv)))
             })
             .filter_map(Option::take)
             .collect()
@@ -844,7 +838,7 @@ impl EspRuntime {
     ) -> Result<(), RuntimeError> {
         let now = self.soc.cycle();
         for inv in inflight.iter_mut().flatten() {
-            if now > inv.issued_at + cx.watchdog {
+            if now > inv.issued_at.saturating_add(cx.watchdog) {
                 self.recover(cx, inv, remap)?;
                 self.issue(cx, inv)?;
             }
@@ -852,7 +846,7 @@ impl EspRuntime {
         let deadline = inflight
             .iter()
             .flatten()
-            .map(|i| i.issued_at + cx.watchdog)
+            .map(|i| i.issued_at.saturating_add(cx.watchdog))
             .min();
         let Some(deadline) = deadline else {
             // Nothing in flight yet frames remain: the schedule is wedged
@@ -860,14 +854,15 @@ impl EspRuntime {
             return Err(self.timeout_err(cx));
         };
         let now = self.soc.cycle();
-        self.soc.step((deadline + 1).saturating_sub(now).max(1));
+        self.soc
+            .step(deadline.saturating_add(1).saturating_sub(now).max(1));
         Ok(())
     }
 
     /// Steps the SoC until `inv`'s device raises its completion interrupt.
     /// Returns `false` when the invocation's watchdog expires first.
     fn wait_for_irq(&mut self, cx: &RunCtx<'_>, inv: &Invocation) -> bool {
-        let (coord, deadline) = (cx.device(inv).coord, inv.issued_at + cx.watchdog);
+        let (coord, deadline) = (cx.device(inv), inv.issued_at.saturating_add(cx.watchdog));
         loop {
             if self.soc.take_irqs().contains(&coord) {
                 return true;
@@ -875,8 +870,12 @@ impl EspRuntime {
             if self.soc.cycle() > deadline {
                 return false;
             }
-            self.soc
-                .step((deadline + 1).saturating_sub(self.soc.cycle()).max(1));
+            self.soc.step(
+                deadline
+                    .saturating_add(1)
+                    .saturating_sub(self.soc.cycle())
+                    .max(1),
+            );
         }
     }
 
@@ -895,6 +894,7 @@ impl EspRuntime {
 mod tests {
     use super::*;
     use esp4ml_fault::{FaultPlan, FaultSpec};
+    use esp4ml_mem::DramConfig;
     use esp4ml_soc::{ScaleKernel, SocBuilder, SocEngine};
 
     /// Fallible helpers: tests bubble failures up with `?` instead of
@@ -911,7 +911,19 @@ mod tests {
     }
 
     fn run_mode(mode: ExecMode) -> Result<(Vec<Vec<u64>>, RunMetrics), RuntimeError> {
+        run_mode_on(SocEngine::default(), mode, None)
+    }
+
+    /// Runs 4 frames through `two_stage_runtime` on `engine` in `mode`,
+    /// with a `watchdog` override when given, returning the output frames
+    /// and the run's metrics.
+    fn run_mode_on(
+        engine: SocEngine,
+        mode: ExecMode,
+        watchdog: Option<u64>,
+    ) -> Result<(Vec<Vec<u64>>, RunMetrics), RuntimeError> {
         let mut rt = two_stage_runtime()?;
+        rt.soc_mut().set_engine(engine);
         let df = Dataflow::linear(&[&["x2"], &["x3"]]);
         let frames = 4;
         let buf = rt.prepare(&df, frames)?;
@@ -919,7 +931,11 @@ mod tests {
             let vals: Vec<u64> = (0..16).map(|i| i + 100 * f).collect();
             rt.write_frame(&buf, f, &vals)?;
         }
-        let m = rt.run(&RunSpec::new(&df).mode(mode), &buf)?;
+        let mut spec = RunSpec::new(&df).mode(mode);
+        if let Some(cycles) = watchdog {
+            spec = spec.watchdog_cycles(cycles);
+        }
+        let m = rt.run(&spec, &buf)?;
         let mut outs = Vec::new();
         for f in 0..frames {
             outs.push(rt.read_frame(&buf, f)?);
@@ -1251,6 +1267,108 @@ mod tests {
         for f in 0..2 {
             assert_eq!(rt.read_frame(&buf, f)?, vec![30; 16], "frame {f}");
         }
+        Ok(())
+    }
+
+    /// Failover walks the tiles in placement order: it skips a same-kind
+    /// spare of another I/O shape, takes the first one that matches, and
+    /// never returns to a device it abandoned, even once that device has
+    /// left the plan. The first spare hangs once, so the second failover
+    /// would find the abandoned `x2` ahead of `second`.
+    #[test]
+    fn failover_picks_the_first_matching_spare_and_never_an_abandoned_one(
+    ) -> Result<(), RuntimeError> {
+        let doubler = |name: &str, values: u64| {
+            Box::new(ScaleKernel::new(name, values, 2).with_kind("doubler"))
+        };
+        let soc = SocBuilder::new(3, 3)
+            .processor(Coord::new(0, 0))
+            .memory(Coord::new(1, 0))
+            .accelerator(Coord::new(2, 0), doubler("narrow", 8))
+            .accelerator(Coord::new(0, 1), doubler("x2", 16))
+            .accelerator(Coord::new(1, 1), doubler("first", 16))
+            .accelerator(Coord::new(2, 1), doubler("second", 16))
+            .accelerator(Coord::new(0, 2), Box::new(ScaleKernel::new("x3", 16, 3)))
+            .build()
+            .map_err(RuntimeError::Soc)?;
+        let mut rt = EspRuntime::new(soc)?;
+        let tracer = Tracer::ring_buffer();
+        rt.set_tracer(tracer.clone());
+        let plan = FaultPlan::new(0)
+            .with(FaultSpec::permanent_hang("x2"))
+            .with(FaultSpec::transient_hang("first", 0));
+        rt.soc_mut().install_fault_plan(&plan);
+        let df = Dataflow::linear(&[&["x2"], &["x3"]]);
+        let buf = rt.prepare(&df, 2)?;
+        for f in 0..2 {
+            rt.write_frame(&buf, f, &[5; 16])?;
+        }
+        let policy = RecoveryPolicy {
+            max_retries: 0,
+            ..RecoveryPolicy::default()
+        };
+        let spec = RunSpec::new(&df)
+            .mode(ExecMode::Pipe)
+            .watchdog_cycles(20_000)
+            .recover(policy);
+        let m = rt.run(&spec, &buf)?;
+        assert_eq!(m.failovers, 2, "{m:?}");
+        let remaps: Vec<(String, String)> = tracer
+            .drain()
+            .into_iter()
+            .filter_map(|e| match e.event {
+                TraceEvent::FailedOver { from, to } => Some((from, to)),
+                _ => None,
+            })
+            .collect();
+        let pair = |from: &str, to: &str| (from.to_string(), to.to_string());
+        assert_eq!(remaps, [pair("x2", "first"), pair("first", "second")]);
+        for f in 0..2 {
+            assert_eq!(rt.read_frame(&buf, f)?, vec![30; 16], "frame {f}");
+        }
+        let frames = |name: &str| rt.device_stats(name).map(|s| s.frames_done);
+        assert_eq!(frames("narrow"), Some(0));
+        assert_eq!(frames("second"), Some(2));
+        Ok(())
+    }
+
+    /// A watchdog of `u64::MAX` never expires: the deadline arithmetic
+    /// saturates, and every mode under both engines returns exactly what
+    /// the default watchdog returns.
+    #[test]
+    fn maximal_watchdog_matches_the_default() -> Result<(), RuntimeError> {
+        for engine in [SocEngine::Naive, SocEngine::EventDriven] {
+            for mode in [ExecMode::Base, ExecMode::Pipe, ExecMode::P2p] {
+                assert_eq!(
+                    run_mode_on(engine, mode, Some(u64::MAX))?,
+                    run_mode_on(engine, mode, None)?,
+                    "{engine:?}, {mode:?}"
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// The contiguous pool is the SoC's DRAM: a dataflow whose buffers do
+    /// not fit is refused at `prepare`, before any DMA leaves the DRAM's
+    /// bounds.
+    #[test]
+    fn prepare_refuses_buffers_larger_than_dram() -> Result<(), RuntimeError> {
+        let dram = DramConfig {
+            size_words: 64,
+            ..DramConfig::default()
+        };
+        let soc = SocBuilder::new(2, 2)
+            .processor(Coord::new(0, 0))
+            .memory_with(Coord::new(1, 0), dram)
+            .accelerator(Coord::new(0, 1), Box::new(ScaleKernel::new("x2", 16, 2)))
+            .build()
+            .map_err(RuntimeError::Soc)?;
+        let mut rt = EspRuntime::new(soc)?;
+        let df = Dataflow::linear(&[&["x2"]]);
+        assert!(rt.prepare(&df, 1).is_ok());
+        rt.esp_cleanup();
+        assert!(matches!(rt.prepare(&df, 16), Err(RuntimeError::Alloc(_))));
         Ok(())
     }
 

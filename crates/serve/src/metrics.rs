@@ -212,15 +212,6 @@ impl ServeMetrics {
             .record(ms);
     }
 
-    /// Observation count of the run-duration histogram.
-    pub fn run_duration_count(&self) -> u64 {
-        self.inner
-            .lock()
-            .expect("metrics lock")
-            .run_duration_ms
-            .count()
-    }
-
     /// Renders the whole registry as Prometheus text exposition. The
     /// caller supplies the point-in-time gauges — queued jobs per
     /// priority (in `high`, `normal`, `low` order) and running jobs —
@@ -330,7 +321,6 @@ mod tests {
         m.observe_run_duration_ms(10);
         m.observe_run_duration_ms(20);
         m.observe_queue_wait_ms(1);
-        assert_eq!(m.run_duration_count(), 2);
         let text = m.render([0, 0, 0], 0);
         assert!(text.contains("# TYPE espserve_job_run_duration_ms histogram"));
         assert!(text.contains("espserve_job_run_duration_ms_count 2"));

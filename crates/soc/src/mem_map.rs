@@ -42,11 +42,6 @@ impl MemMap {
         }
     }
 
-    /// Number of memory tiles.
-    pub fn tile_count(&self) -> usize {
-        self.coords.len()
-    }
-
     /// Memory-tile coordinates, in interleave order.
     pub fn coords(&self) -> &[Coord] {
         &self.coords

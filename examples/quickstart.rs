@@ -27,15 +27,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
     println!("SoC built: {} accelerators, clocked at {} MHz", 2, 78);
 
-    // 2. Boot the runtime: driver probe discovers both devices and maps
-    //    their names to NoC coordinates via LOCATION_REG.
-    let mut rt = EspRuntime::new(soc)?;
-    for dev in rt.registry().devices() {
+    // 2. List the accelerators, then boot the runtime, which maps device
+    //    names to NoC coordinates on the SoC itself (`Soc::accel_by_name`).
+    for coord in soc.accel_coords() {
+        let kernel = soc.accel(coord)?.kernel();
         println!(
             "probed device '{}' at tile {} ({} values in / {} out)",
-            dev.name, dev.coord, dev.input_values, dev.output_values
+            kernel.name(),
+            coord,
+            kernel.input_values(),
+            kernel.output_values()
         );
     }
+    let mut rt = EspRuntime::new(soc)?;
 
     // 3. Describe the application as a dataflow of device names — the
     //    program never sees the floorplan.

@@ -159,19 +159,14 @@ fn balance_advisor_suggests_the_papers_configuration() {
     // stage widths: the Night-Vision kernel is ~6x slower than the
     // classifier, so the advisor lands on the paper's 4NV+1Cl shape.
     use esp4ml::runtime::balance::suggest_stage_widths;
-    use esp4ml::runtime::DeviceRegistry;
     let m = models();
     let soc = esp4ml::apps::SocId::Soc1.config().build(&m).expect("soc1");
-    let registry = DeviceRegistry::probe(&soc);
-    let nv = registry.lookup("nv0").expect("nv0");
-    let cl = registry.lookup("cl0").expect("cl0");
-    assert!(nv.initiation_interval > cl.initiation_interval);
-    let widths = suggest_stage_widths(&[nv.initiation_interval, cl.initiation_interval], 4);
-    assert_eq!(
-        widths,
-        vec![4, 1],
-        "IIs {} / {}",
-        nv.initiation_interval,
-        cl.initiation_interval
-    );
+    let ii = |name: &str| {
+        let coord = soc.accel_by_name(name).expect(name);
+        soc.accel(coord).expect(name).kernel().initiation_interval()
+    };
+    let (nv, cl) = (ii("nv0"), ii("cl0"));
+    assert!(nv > cl);
+    let widths = suggest_stage_widths(&[nv, cl], 4);
+    assert_eq!(widths, vec![4, 1], "IIs {nv} / {cl}");
 }
